@@ -34,9 +34,8 @@ from .io import (read_edge_list, read_labeled_graph, read_labels,
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
                      erdos_renyi, rewire_to_assortativity)
-from .sampling import (RandomStream, WalkConfig, default_walk_length,
-                       random_walk_endpoint, random_walk_endpoints,
-                       sample_friend_of_random_node, sample_random_friend,
-                       sample_random_node)
+from .sampling import (RandomStream, default_walk_length,
+                       random_walk_endpoints, sample_friends_of_random_nodes,
+                       sample_random_friends, sample_random_nodes)
 
 __version__ = "0.1.0"

@@ -229,20 +229,24 @@ class ErrorReport:
     budget: int
     bias: float
     variance_single_sample: float
-    variance_at_budget: float
-    mse_at_budget: float
     variance_upper_bound: float | None = None
     bias_sq_upper_bound: float | None = None
     connected: bool | None = None
     bipartite: bool | None = None
 
+    @property
+    def variance_at_budget(self) -> float:
+        return self.variance_single_sample / self.budget
+
+    @property
+    def mse_at_budget(self) -> float:
+        return self.bias * self.bias + self.variance_at_budget
+
 
 def _finish(kind: str, budget: int, bias: float, var1: float,
             **extra) -> ErrorReport:
-    var_b = var1 / budget
     return ErrorReport(estimator_kind=kind, budget=int(budget), bias=bias,
-                       variance_single_sample=var1, variance_at_budget=var_b,
-                       mse_at_budget=bias * bias + var_b, **extra)
+                       variance_single_sample=var1, **extra)
 
 
 def exact_error_ip(lg: LabeledGraph, budget: int) -> ErrorReport:
@@ -315,14 +319,6 @@ def exact_error_fn(lg: LabeledGraph, budget: int, *,
         bound = ((lambda_n * lambda_n - 1.0) ** 2 * mean_label_friend(lg)
                  * mean_degree(g) / d_hm)
     return _finish("FN", budget, bias, var1, bias_sq_upper_bound=bound)
-
-
-EXACT_ERROR_FUNCS = {
-    "IP": exact_error_ip,
-    "UN": exact_error_un,
-    "RW": exact_error_rw,
-    "FN": exact_error_fn,
-}
 
 
 # ---------------------------------------------------------------------------

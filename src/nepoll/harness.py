@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -25,8 +25,7 @@ from .analytics import (BudgetThreshold, ErrorReport, budget_threshold,
                         network_stats, spectral_summary, SPECTRAL_SIZE_CAP)
 from .errors import (AssortativityUndefinedError, DegreeLabelCorrUndefinedError,
                      DisconnectedGraphError)
-from .estimators import (ESTIMATOR_CODES, ESTIMATOR_KINDS, PollConfig,
-                         run_estimator)
+from .estimators import ESTIMATOR_CODES, ESTIMATOR_KINDS, poll_values
 from .graph import Graph, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
@@ -126,15 +125,11 @@ def _replicate_range(lg: LabeledGraph, kind: str, budget: int,
                      master_seed: int, lo: int, hi: int,
                      walk_length: int | None,
                      exact_friend_mode: bool) -> np.ndarray:
-    code = ESTIMATOR_CODES[kind]
-    values = np.empty(hi - lo)
-    for rep in range(lo, hi):
-        seq = np.random.SeedSequence(entropy=master_seed,
-                                     spawn_key=(code, budget, rep))
-        cfg = PollConfig(budget=budget, walk_length=walk_length, seed=seq)
-        est = run_estimator(kind, lg, cfg, exact_friend_mode=exact_friend_mode)
-        values[rep - lo] = est.value
-    return values
+    seeds = [np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(ESTIMATOR_CODES[kind], budget, rep))
+             for rep in range(lo, hi)]
+    return poll_values(kind, lg, budget, seeds, walk_length=walk_length,
+                       exact_friend_mode=exact_friend_mode)
 
 
 _WORKER_STATE: dict = {}
@@ -179,10 +174,10 @@ def _empirical_moments(values: np.ndarray,
     """Bias, variance and MSE against ``truth``; reduced with stable
     summation in replication order so output is order-independent."""
     reps = len(values)
-    emp_bias = math.fsum(values) / reps - truth
+    mean = math.fsum(values) / reps
+    emp_var = math.fsum((v - mean) ** 2 for v in values) / reps
     emp_mse = math.fsum((v - truth) ** 2 for v in values) / reps
-    emp_var = emp_mse - emp_bias * emp_bias
-    return emp_bias, emp_var, emp_mse
+    return mean - truth, emp_var, emp_mse
 
 
 def _exact_report(lg: LabeledGraph, kind: str, budget: int,
@@ -218,12 +213,15 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig, *,
     stationary_ok = flags.connected and not flags.bipartite
     rows: list[SweepRow] = []
     for kind in cfg.estimators:
+        # the closed forms depend on the budget only through ErrorReport.budget
+        exact = _exact_report(lg, kind, 1, stationary_ok)
         for budget in budgets:
             values = replicate(lg, kind, int(budget), cfg.replications,
                                cfg.master_seed, cfg.walk_length,
                                workers=workers)
             emp_bias, emp_var, emp_mse = _empirical_moments(values, truth)
-            report = _exact_report(lg, kind, int(budget), stationary_ok)
+            report = None if exact is None else replace(exact,
+                                                        budget=int(budget))
             rows.append(SweepRow(
                 estimator_kind=kind, budget=int(budget),
                 emp_bias=emp_bias, emp_var=emp_var, emp_mse=emp_mse,

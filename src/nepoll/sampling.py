@@ -15,7 +15,6 @@ reproducible regardless of host or execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,77 +45,55 @@ class RandomStream:
         return RandomStream(child)
 
 
-@dataclass(frozen=True)
-class WalkConfig:
-    """Length and walker count for random-walk sampling."""
-
-    length: int
-    walker_count: int = 1
-    lazy: bool = False
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("walk length must be >= 0")
-        if self.walker_count < 1:
-            raise ValueError("walker count must be >= 1")
-
-
 def default_walk_length(node_count: int) -> int:
     """Mixing-time heuristic: ten sweeps of log2(n) steps."""
     return 10 * math.ceil(math.log2(max(node_count, 2)))
 
 
-def sample_random_node(g: Graph, rs: RandomStream) -> int:
-    return int(rs.generator.integers(g.node_count))
+def sample_random_nodes(g: Graph, rs: RandomStream, size: int) -> np.ndarray:
+    return rs.generator.integers(0, g.node_count, size=size)
 
 
-def sample_random_friend(g: Graph, rs: RandomStream) -> int:
-    """Uniform edge, then a fair coin over its two ends.
-
-    Implements the definition directly so the marginal is exactly
-    d(v) / edge_end_count.
-    """
-    e = int(rs.generator.integers(g.edge_count))
-    side = int(rs.generator.integers(2))
-    return int(g.edges[e, side])
+def sample_random_friends(g: Graph, rs: RandomStream,
+                          size: int) -> np.ndarray:
+    """Uniform edges, then a fair coin over each edge's two ends, so node v
+    is drawn with probability exactly d(v) / edge_end_count."""
+    e = rs.generator.integers(0, g.edge_count, size=size)
+    return g.edges[e, rs.generator.integers(0, 2, size=size)]
 
 
-def sample_friend_of_random_node(g: Graph, rs: RandomStream) -> int:
-    """Uniform node, then a uniform neighbor of it."""
-    v = int(rs.generator.integers(g.node_count))
-    j = int(rs.generator.integers(g.degrees[v]))
-    return int(g.neighbors[g.indptr[v] + j])
-
-
-def random_walk_endpoint(g: Graph, start: int, cfg: WalkConfig,
-                         rs: RandomStream) -> int:
-    """Run one walk of ``cfg.length`` uniform-neighbor steps from ``start``.
-
-    On a connected non-bipartite graph the endpoint law converges to
-    d(v)/M as the length grows.  With ``cfg.lazy`` the walker stays put
-    with probability 1/2 each step (useful on bipartite graphs, where the
-    plain walk has no stationary law).
-    """
-    gen = rs.generator
-    v = int(start)
-    for _ in range(cfg.length):
-        if cfg.lazy and gen.random() < 0.5:
-            continue
-        j = int(gen.integers(g.degrees[v]))
-        v = int(g.neighbors[g.indptr[v] + j])
-    return v
+def sample_friends_of_random_nodes(g: Graph, rs: RandomStream,
+                                   size: int) -> np.ndarray:
+    """Uniform nodes, then a uniform neighbor of each."""
+    v = rs.generator.integers(0, g.node_count, size=size)
+    return g.neighbors[g.indptr[v] + rs.generator.integers(0, g.degrees[v])]
 
 
 def random_walk_endpoints(g: Graph, starts: np.ndarray, length: int,
-                          rs: RandomStream, lazy: bool = False) -> np.ndarray:
-    """Vectorized endpoints of independent walks from ``starts``."""
-    gen = rs.generator
+                          rs: RandomStream | np.ndarray,
+                          lazy: bool = False) -> np.ndarray:
+    """Endpoints of independent walks of ``length`` steps from ``starts``.
+
+    Each step maps one uniform ``u`` in [0, 1) per walker to a uniform
+    neighbor: a walker at ``v`` moves to
+    ``neighbors[indptr[v] + floor(u * d(v))]``.  The ``lazy`` walk (which
+    mixes on bipartite graphs) stays put when ``u < 1/2`` and otherwise
+    steps with ``2u - 1``, exactly uniform on [0, 1) again.  ``rs`` is a
+    :class:`RandomStream` that draws ``random(len(starts))`` per step, or
+    those draws as one ``(length, len(starts))`` array, used row by row:
+    ``random((length, m))`` yields the same bits as ``length`` calls of
+    ``random(m)``.
+    """
+    if length < 0:
+        raise ValueError("walk length must be >= 0")
     cur = np.array(starts, dtype=np.int64)
-    for _ in range(length):
-        j = gen.integers(0, g.degrees[cur])
-        nxt = g.neighbors[g.indptr[cur] + j]
+    for step in range(length):
+        u = rs[step] if isinstance(rs, np.ndarray) \
+            else rs.generator.random(len(cur))
         if lazy:
-            stay = gen.random(len(cur)) < 0.5
-            nxt = np.where(stay, cur, nxt)
-        cur = nxt
+            stay = u < 0.5
+            u = np.where(stay, 0.0, 2.0 * u - 1.0)
+        nxt = g.neighbors[g.indptr[cur]
+                          + (u * g.degrees[cur]).astype(np.int64)]
+        cur = np.where(stay, cur, nxt) if lazy else nxt
     return cur

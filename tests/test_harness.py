@@ -5,11 +5,18 @@ import numpy as np
 import pytest
 
 from nepoll import (ConfigModelSpec, DisconnectedGraphError, ErdosRenyiSpec,
-                    ExperimentConfig, LabelTarget, LabeledGraph, RewireTarget,
-                    SWEEP_CSV_HEADER, brute_force_estimator_law,
-                    default_budget_grid, load_experiment_config,
-                    materialize, replicate, run_report, run_sweep,
-                    sweep_labeled, write_sweep_csv)
+                    ExperimentConfig, LabelTarget, LabeledGraph, PollConfig,
+                    RewireTarget, SWEEP_CSV_HEADER, brute_force_estimator_law,
+                    default_budget_grid, fn_nep, intent_poll,
+                    load_experiment_config, materialize, naive_nep,
+                    replicate, run_report, run_sweep, rw_nep, sweep_labeled,
+                    write_sweep_csv)
+from nepoll import estimators
+from nepoll.estimators import ESTIMATOR_CODES
+from nepoll.harness import _empirical_moments
+
+SINGLE_ESTIMATORS = {"IP": intent_poll, "UN": naive_nep, "RW": rw_nep,
+                     "FN": fn_nep}
 
 
 def _star_files(tmp_path):
@@ -103,12 +110,46 @@ def test_sweep_requires_connected_for_walks(two_edges):
         sweep_labeled(lg, cfg)
 
 
-def test_replicate_deterministic_across_workers(star_lg):
-    seq = replicate(star_lg, "FN", budget=3, replications=101,
+@pytest.mark.parametrize("kind", ["IP", "UN", "RW", "FN"])
+def test_replicate_deterministic_across_workers(star_chord, kind):
+    lg = LabeledGraph(star_chord, [1, 0, 0, 1])
+    seq = replicate(lg, kind, budget=3, replications=101,
                     master_seed=42, workers=1)
-    par = replicate(star_lg, "FN", budget=3, replications=101,
+    par = replicate(lg, kind, budget=3, replications=101,
                     master_seed=42, workers=2)
     assert np.array_equal(seq, par)
+
+
+@pytest.mark.parametrize("batch_reps", [None, 1, 3])
+@pytest.mark.parametrize("kind,exact_friend", [
+    ("IP", False), ("UN", False), ("RW", False), ("FN", False), ("RW", True),
+])
+def test_replicate_matches_single_estimator(star_chord, monkeypatch, kind,
+                                            exact_friend, batch_reps):
+    # replication r of a batched cell is bit-equal to the single estimator
+    # run on the replication's own stream, wherever the batches split
+    lg = LabeledGraph(star_chord, [1, 0, 0, 1])
+    budget, length, reps, seed = 4, 6, 8, 31
+    walks = kind == "RW" and not exact_friend
+    if batch_reps is not None:
+        draws = budget * (length if walks else 1)
+        monkeypatch.setattr(estimators, "_BATCH_DRAWS", batch_reps * draws)
+    values = replicate(lg, kind, budget, reps, seed, length,
+                       exact_friend_mode=exact_friend)
+    options = {"exact_friend_mode": True} if exact_friend else {}
+    for r in range(reps):
+        cfg = PollConfig(budget, length, seed=np.random.SeedSequence(
+            seed, spawn_key=(ESTIMATOR_CODES[kind], budget, r)))
+        assert values[r] == SINGLE_ESTIMATORS[kind](lg, cfg, **options).value
+
+
+def test_empirical_variance_never_negative():
+    # identical replications: emp_mse - emp_bias**2 cancels to -1.4e-17
+    values = np.full(48, 0.9127555772777217)
+    emp_bias, emp_var, emp_mse = _empirical_moments(values,
+                                                    0.6066357757671799)
+    assert emp_var == 0.0
+    assert emp_mse == pytest.approx(emp_bias ** 2, rel=1e-15)
 
 
 def test_sweep_csv_bytes(star_lg):

@@ -3,20 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from nepoll import (RandomStream, WalkConfig, default_walk_length,
-                    random_walk_endpoint, random_walk_endpoints,
-                    sample_friend_of_random_node, sample_random_friend,
-                    sample_random_node)
+from nepoll import (RandomStream, default_walk_length, random_walk_endpoints,
+                    sample_friends_of_random_nodes, sample_random_friends,
+                    sample_random_nodes)
 
 DRAWS = 100_000
 
 
 def _frequencies(sampler, g, seed, draws=DRAWS):
-    rs = RandomStream(seed)
-    counts = np.zeros(g.node_count)
-    for _ in range(draws):
-        counts[sampler(g, rs)] += 1
-    return counts / draws
+    nodes = sampler(g, RandomStream(seed), draws)
+    return np.bincount(nodes, minlength=g.node_count) / draws
 
 
 def _binomial_band(p, draws=DRAWS, sigmas=3):
@@ -24,19 +20,19 @@ def _binomial_band(p, draws=DRAWS, sigmas=3):
 
 
 def test_uniform_node_law(star):
-    freq = _frequencies(sample_random_node, star, seed=1)
+    freq = _frequencies(sample_random_nodes, star, seed=1)
     band = _binomial_band(0.25)
     assert np.all(np.abs(freq - 0.25) <= band)
 
 
 def test_uniform_node_degree_mean_regular(k3):
     rs = RandomStream(2)
-    degs = [k3.degree(sample_random_node(k3, rs)) for _ in range(1000)]
+    degs = k3.degrees[sample_random_nodes(k3, rs, 1000)]
     assert np.mean(degs) == 2.0  # every degree is 2
 
 
 def test_random_friend_law_star(star):
-    freq = _frequencies(sample_random_friend, star, seed=3)
+    freq = _frequencies(sample_random_friends, star, seed=3)
     # marginal is degree/edge_end_count: center 3/6, each leaf 1/6
     assert abs(freq[0] - 0.5) <= _binomial_band(0.5)
     mean_deg = freq @ star.degrees
@@ -45,13 +41,13 @@ def test_random_friend_law_star(star):
 
 
 def test_random_friend_law_regular(k3):
-    freq = _frequencies(sample_random_friend, k3, seed=4)
+    freq = _frequencies(sample_random_friends, k3, seed=4)
     band = _binomial_band(1 / 3)
     assert np.all(np.abs(freq - 1 / 3) <= band)
 
 
 def test_friend_of_node_law_star(star):
-    freq = _frequencies(sample_friend_of_random_node, star, seed=5)
+    freq = _frequencies(sample_friends_of_random_nodes, star, seed=5)
     # every leaf's only neighbor is the center
     assert abs(freq[0] - 0.75) <= _binomial_band(0.75)
     mean_deg = freq @ star.degrees
@@ -60,27 +56,45 @@ def test_friend_of_node_law_star(star):
 
 
 def test_friend_of_node_law_regular(k3):
-    freq = _frequencies(sample_friend_of_random_node, k3, seed=6)
+    freq = _frequencies(sample_friends_of_random_nodes, k3, seed=6)
     band = _binomial_band(1 / 3)
     assert np.all(np.abs(freq - 1 / 3) <= band)
 
 
 def test_zero_length_walk_returns_start(star):
     rs = RandomStream(7)
-    assert random_walk_endpoint(star, 2, WalkConfig(length=0), rs) == 2
+    assert random_walk_endpoints(star, [2], 0, rs).tolist() == [2]
 
 
 def test_single_step_walk_triangle(k3):
-    rs = RandomStream(8)
-    cfg = WalkConfig(length=1)
-    hits = np.zeros(3)
-    for _ in range(DRAWS // 10):
-        hits[random_walk_endpoint(k3, 0, cfg, rs)] += 1
-    freq = hits / (DRAWS // 10)
-    band = _binomial_band(0.5, draws=DRAWS // 10)
+    walks = DRAWS // 10
+    ends = random_walk_endpoints(k3, np.zeros(walks, dtype=np.int64), 1,
+                                 RandomStream(8))
+    freq = np.bincount(ends, minlength=3) / walks
+    band = _binomial_band(0.5, draws=walks)
     assert freq[0] == 0.0
     assert abs(freq[1] - 0.5) <= band
     assert abs(freq[2] - 0.5) <= band
+
+
+def test_step_map_stays_in_range():
+    # the largest uniform must still pick an index below the degree, for
+    # the plain step floor(u d) and for the lazy step floor((2u - 1) d)
+    u = np.nextafter(1.0, 0.0)
+    d = np.arange(1, 2 ** 22 + 1, dtype=np.float64)
+    assert np.all(np.floor(u * d) < d)
+    assert np.all(np.floor((2.0 * u - 1.0) * d) < d)
+
+
+def test_uniform_block_matches_streamed_walk(star_chord):
+    starts = np.array([0, 1, 2, 3, 0, 1])
+    for lazy in (False, True):
+        streamed = random_walk_endpoints(star_chord, starts, 17,
+                                         RandomStream(12), lazy=lazy)
+        block = RandomStream(12).generator.random((17, len(starts)))
+        assert np.array_equal(
+            random_walk_endpoints(star_chord, starts, 17, block, lazy=lazy),
+            streamed)
 
 
 def test_walk_stationary_law_nonbipartite(star_chord):
@@ -104,11 +118,9 @@ def test_lazy_walk_mixes_on_bipartite_star(star):
         assert abs(freq[v] - stationary[v]) <= _binomial_band(stationary[v])
 
 
-def test_walk_config_validation():
+def test_walk_length_validation(star):
     with pytest.raises(ValueError):
-        WalkConfig(length=-1)
-    with pytest.raises(ValueError):
-        WalkConfig(length=1, walker_count=0)
+        random_walk_endpoints(star, [0], -1, RandomStream(0))
 
 
 def test_default_walk_length():
@@ -120,18 +132,17 @@ def test_default_walk_length():
 def test_same_seed_same_sequence(star_chord):
     a = RandomStream(42)
     b = RandomStream(42)
-    seq_a = [sample_random_friend(star_chord, a) for _ in range(100)]
-    seq_b = [sample_random_friend(star_chord, b) for _ in range(100)]
-    assert seq_a == seq_b
+    seq_a = sample_random_friends(star_chord, a, 100)
+    seq_b = sample_random_friends(star_chord, b, 100)
+    assert np.array_equal(seq_a, seq_b)
 
 
 def test_substreams_are_deterministic_and_distinct(star_chord):
     root = RandomStream(42)
-    s_one = [sample_random_node(star_chord, RandomStream(42).substream(0, 5))
-             for _ in range(1)]
-    s_two = [sample_random_node(star_chord, root.substream(0, 5))
-             for _ in range(1)]
-    assert s_one == s_two
+    s_one = sample_random_nodes(star_chord,
+                                RandomStream(42).substream(0, 5), 8)
+    s_two = sample_random_nodes(star_chord, root.substream(0, 5), 8)
+    assert np.array_equal(s_one, s_two)
     a = root.substream(1).generator.integers(0, 1 << 30, size=8)
     b = root.substream(2).generator.integers(0, 1 << 30, size=8)
     assert not np.array_equal(a, b)
