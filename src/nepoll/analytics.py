@@ -124,7 +124,7 @@ class NetworkStats:
 
 
 def network_stats(lg: LabeledGraph) -> NetworkStats:
-    """Compute every distributional statistic by exact enumeration over
+    """Compute every distributional statistic from degree counts over
     nodes and edge endpoints."""
     g = lg.graph
     n, big_m = g.node_count, g.edge_end_count
@@ -136,12 +136,13 @@ def network_stats(lg: LabeledGraph) -> NetworkStats:
     # degree-biased marginal: q(k) = k P(k) n / M
     neighbor_degree_dist = {int(k): float(k * counts[k] / big_m) for k in ks}
 
-    joint: dict[tuple[int, int], float] = {}
-    unit = 1.0 / big_m
-    for u, v in g.edges:
-        du, dv = int(degrees[u]), int(degrees[v])
-        joint[(du, dv)] = joint.get((du, dv), 0.0) + unit
-        joint[(dv, du)] = joint.get((dv, du), 0.0) + unit
+    # ordered degree pairs of both ends of every edge, keyed du * span + dv
+    du, dv = degrees[g.edges[:, 0]], degrees[g.edges[:, 1]]
+    span = int(degrees.max()) + 1
+    pair_keys, pair_counts = np.unique(
+        np.concatenate([du * span + dv, dv * span + du]), return_counts=True)
+    joint = {divmod(k, span): c / big_m
+             for k, c in zip(pair_keys.tolist(), pair_counts.tolist())}
 
     mu_q = math.fsum(k * p for k, p in neighbor_degree_dist.items())
     ex2_q = math.fsum(k * k * p for k, p in neighbor_degree_dist.items())
@@ -154,8 +155,8 @@ def network_stats(lg: LabeledGraph) -> NetworkStats:
     f_bar = lg.true_fraction
     sigma_f = math.sqrt(max(f_bar - f_bar * f_bar, 0.0))
 
-    sum_kk = math.fsum(k * kp * p for (k, kp), p in joint.items())
-    degree_degree_cov = sum_kk - mu_q * mu_q
+    # E{d d'} over ordered edge ends: 2 sum_edges d(u) d(v) / M, exactly
+    degree_degree_cov = 2 * int(np.dot(du, dv)) / big_m - mu_q * mu_q
 
     w = neighbor_weights(g)
     harmonic = degrees / w

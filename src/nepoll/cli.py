@@ -14,12 +14,9 @@ from .errors import (AssortativityUndefinedError,
                      DegreeLabelCorrUndefinedError, GraphBuildError,
                      TargetUnreachableError)
 from .graph import LabeledGraph, graph_flags
-from .harness import (load_experiment_config, run_report, run_sweep,
-                      write_sweep_csv)
-from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
-                     RewireTarget, assign_labels, configuration_model,
-                     erdos_renyi, rewire_to_assortativity)
-from .sampling import RandomStream
+from .harness import (ExperimentConfig, load_experiment_config,
+                      materialize, run_report, run_sweep, write_sweep_csv)
+from .netgen import ConfigModelSpec, ErdosRenyiSpec, LabelTarget, RewireTarget
 
 _DATA_ERRORS = (GraphBuildError, ValueError, OSError, RuntimeError)
 
@@ -97,27 +94,24 @@ def _cmd_generate(args) -> int:
     if args.model == "config":
         if args.alpha is None:
             raise ValueError("--alpha is required for --model config")
-        g, erased = configuration_model(ConfigModelSpec(
-            node_count=args.n, power_law_exponent=args.alpha,
-            k_min=args.kmin, k_max=args.kmax, seed=args.seed))
-        print(f"erased_stubs: {erased}")
+        spec = ConfigModelSpec(node_count=args.n,
+                               power_law_exponent=args.alpha,
+                               k_min=args.kmin, k_max=args.kmax,
+                               seed=args.seed)
     else:
         if args.p is None:
             raise ValueError("--p is required for --model er")
-        g = erdos_renyi(ErdosRenyiSpec(node_count=args.n,
-                                       edge_probability=args.p,
-                                       seed=args.seed))
-    root = RandomStream(args.seed)
-    if args.rkk is not None:
-        g = rewire_to_assortativity(
-            g, RewireTarget(target=args.rkk, tolerance=args.rkk_tol,
-                            max_iterations=args.max_iter),
-            root.substream(101))
-    lg = assign_labels(
-        g, LabelTarget(base_probability=args.label_p, target=args.rho,
-                       tolerance=args.rho_tol,
-                       max_iterations=args.max_iter),
-        root.substream(102))
+        spec = ErdosRenyiSpec(node_count=args.n, edge_probability=args.p,
+                              seed=args.seed)
+    rewire = None if args.rkk is None else RewireTarget(
+        target=args.rkk, tolerance=args.rkk_tol, max_iterations=args.max_iter)
+    lg, meta = materialize(ExperimentConfig(
+        graph_source=spec, rewire=rewire, master_seed=args.seed,
+        label_source=LabelTarget(base_probability=args.label_p,
+                                 target=args.rho, tolerance=args.rho_tol,
+                                 max_iterations=args.max_iter)))
+    if "erased_stubs" in meta:
+        print(f"erased_stubs: {meta['erased_stubs']}")
 
     stats = network_stats(lg)
     try:
@@ -131,7 +125,7 @@ def _cmd_generate(args) -> int:
 
     edge_path = f"{args.out}.edges"
     label_path = f"{args.out}.labels"
-    nio.write_edge_list(g, edge_path)
+    nio.write_edge_list(lg.graph, edge_path)
     nio.write_labels(lg, label_path)
     print(f"wrote {edge_path} and {label_path}")
     return 0

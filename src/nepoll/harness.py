@@ -12,6 +12,7 @@ Config files are flat ``key = value`` text; see ``load_experiment_config``.
 from __future__ import annotations
 
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
@@ -367,10 +368,14 @@ def run_report(g: Graph, labels: np.ndarray | None = None, *,
 # ---------------------------------------------------------------------------
 # flat key = value config files
 
+# the part of a line before a '#' that lies outside quotes
+_BEFORE_COMMENT = re.compile(r"""(?:[^#'"]|"[^"]*"?|'[^']*'?)*""")
+
+
 def parse_config_text(text: str) -> dict[str, object]:
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:

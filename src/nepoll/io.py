@@ -1,90 +1,131 @@
 """Edge-list and label file readers/writers.
 
 Edge lists use the common SNAP text layout: one edge per line as two
-whitespace-separated integers, '#' lines ignored.  Duplicate lines are
-tolerated and deduplicated before validation.  Label files carry one
+whitespace-separated integers, '#' starting a comment anywhere in a line.
+Repeated edges are dropped before validation.  Label files carry one
 ``<node_id> <0|1>`` line per node; nodes absent from the file default to
-label 0 and the count of such defaults is returned to the caller.
+label 0 and the count of such defaults is returned to the caller.  Errors
+in a file's lines name ``path:line``.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import warnings
 from typing import Union
 
 import numpy as np
 
-from .graph import Graph, LabeledGraph, build_graph
+from .graph import Graph, LabeledGraph, _repeated_rows, build_graph
 
 PathLike = Union[str, os.PathLike]
 
 
-def read_edge_list(path: PathLike) -> Graph:
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
+def _data_lines(path: PathLike):
+    """``(line number, stripped line, fields)`` of each line with data."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two node ids, "
-                                 f"got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer node id "
-                                 f"in {line!r}") from exc
-            key = (u, v) if u <= v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append((u, v))
+            fields = raw.split("#", 1)[0].split()
+            if fields:
+                yield lineno, raw.strip(), fields
+
+
+def _read_pairs(path: PathLike, expected: str,
+                what: str) -> tuple[np.ndarray, ValueError | None]:
+    """``(rows, None)``, or the rows before the first malformed line and
+    its error.  Files numpy rejects are parsed again line by line, which
+    also reads spellings ``int`` takes and numpy does not (``1_000``)."""
+    try:
+        with warnings.catch_warnings():
+            # e.g. "input contained no data"; older numpy also warns
+            # before reading "1.0" as an integer
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
+                              encoding="utf-8")
+        if rows.shape[1] == 2:
+            return rows, None
+    except (ValueError, OverflowError, Warning):
+        pass
+    parsed, error = [], None
+    for lineno, line, fields in _data_lines(path):
+        if len(fields) != 2:
+            error = f"expected {expected}, got {line!r}"
+            break
+        try:
+            parsed.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            error = f"non-integer {what} in {line!r}"
+            break
+    rows = np.array(parsed, dtype=np.int64).reshape(-1, 2)
+    return rows, None if error is None else ValueError(
+        f"{path}:{lineno}: {error}")
+
+
+def _pair_keys(pairs: np.ndarray) -> np.ndarray:
+    """Equal int64 keys exactly for equal unordered pairs."""
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    base = int(lo.min())
+    span = int(hi.max()) - base + 1
+    if span <= 2 ** 31:
+        return (lo - base) * span + (hi - base)
+    ids, compact = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    return compact[:len(lo)] * len(ids) + compact[len(lo):]
+
+
+def read_edge_list(path: PathLike) -> Graph:
+    """Read an edge list, keeping the first line of each repeated edge."""
+    pairs, error = _read_pairs(path, "two node ids", "node id")
+    if error is not None:
+        raise error
+    if len(pairs):
+        pairs = pairs[~_repeated_rows(_pair_keys(pairs))]
     return build_graph(pairs)
+
+
+def _rows_text(rows: np.ndarray) -> str:
+    """``"a b\\n"`` for every row of a ``(k, 2)`` integer array."""
+    return ("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def write_edge_list(g: Graph, path: PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# undirected edge list: {g.node_count} nodes, "
                  f"{g.edge_count} edges\n")
-        ids = g.original_ids
-        for u, v in g.edges:
-            fh.write(f"{ids[u]} {ids[v]}\n")
+        fh.write(_rows_text(g.original_ids[g.edges]))
 
 
 def read_labels(path: PathLike, g: Graph) -> tuple[np.ndarray, int]:
     """Read a label file for ``g``.
 
     Returns ``(labels, defaulted)`` where ``defaulted`` counts the nodes
-    missing from the file that were assigned label 0.
+    missing from the file that were assigned label 0.  An unknown node, a
+    label other than 0 or 1, or a node labeled twice raises ``ValueError``
+    naming the first such line, or the first malformed line if that comes
+    earlier, as ``path:line``.
     """
-    index = {int(orig): i for i, orig in enumerate(g.original_ids)}
+    rows, error = _read_pairs(path, "'<node_id> <0|1>'", "node id or label")
+    node, value = rows[:, 0], rows[:, 1]
+    ids = g.original_ids
+    index = np.minimum(np.searchsorted(ids, node), g.node_count - 1)
+    known = ids[index] == node
+    bad = ~known | ((value != 0) & (value != 1)) | _repeated_rows(index)
+    if bad.any():
+        row = int(np.argmax(bad))
+        lineno = next(itertools.islice(_data_lines(path), row, None))[0]
+        if not known[row]:
+            problem = f"node {node[row]} is not in the graph"
+        elif value[row] not in (0, 1):
+            problem = f"label must be 0 or 1, got {value[row]}"
+        else:
+            problem = f"node {node[row]} labeled twice"
+        raise ValueError(f"{path}:{lineno}: {problem}")
+    if error is not None:
+        raise error
     labels = np.zeros(g.node_count, dtype=np.int64)
-    assigned: set[int] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 f"'<node_id> <0|1>', got {line!r}")
-            node, value = int(parts[0]), int(parts[1])
-            if node not in index:
-                raise ValueError(f"{path}:{lineno}: node {node} is not in "
-                                 f"the graph")
-            if value not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, "
-                                 f"got {value}")
-            compact = index[node]
-            if compact in assigned:
-                raise ValueError(f"{path}:{lineno}: node {node} labeled "
-                                 f"twice")
-            assigned.add(compact)
-            labels[compact] = value
-    return labels, g.node_count - len(assigned)
+    labels[index] = value
+    return labels, g.node_count - len(rows)
 
 
 def read_labeled_graph(edge_path: PathLike,
@@ -95,9 +136,8 @@ def read_labeled_graph(edge_path: PathLike,
 
 
 def write_labels(lg: LabeledGraph, path: PathLike) -> None:
-    ids = lg.graph.original_ids
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# node labels: {lg.graph.node_count} nodes, "
                  f"true fraction {lg.true_fraction!r}\n")
-        for i, label in enumerate(lg.labels):
-            fh.write(f"{ids[i]} {label}\n")
+        fh.write(_rows_text(np.column_stack([lg.graph.original_ids,
+                                             lg.labels])))

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (AssortativityUndefinedError,
                      DegenerateSpecError, DegreeLabelCorrUndefinedError,
                      IsolatedNodeAfterRetriesError, TargetUnreachableError)
-from .graph import Graph, LabeledGraph, build_graph
+from .graph import Graph, LabeledGraph, _sorted_unique, build_graph
 from .sampling import RandomStream
 
 _MAX_GENERATION_RETRIES = 100
@@ -125,9 +125,9 @@ def configuration_model(spec: ConfigModelSpec) -> tuple[Graph, int]:
         perm = gen.permutation(stubs)
         u, v = perm[0::2], perm[1::2]
         keep = u != v
-        uu = np.minimum(u[keep], v[keep])
-        vv = np.maximum(u[keep], v[keep])
-        pairs = np.unique(np.stack([uu, vv], axis=1), axis=0)
+        keys = _sorted_unique(np.minimum(u[keep], v[keep]) * n
+                              + np.maximum(u[keep], v[keep]))
+        pairs = np.stack(np.divmod(keys, n), axis=1)
         present = np.bincount(pairs.ravel(), minlength=n)
         if (present == 0).any():
             continue
@@ -204,14 +204,13 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     eu = g.edges[:, 0].tolist()
     ev = g.edges[:, 1].tolist()
     edge_set = set(zip(eu, ev))
-    s_prod = sum(deg[a] * deg[b] for a, b in zip(eu, ev))
+    s_prod = int(np.dot(g.degrees[g.edges[:, 0]], g.degrees[g.edges[:, 1]]))
 
     def corr(s: float) -> float:
         return (s / m - mu_q * mu_q) / sigma2_q
 
     def rebuild() -> Graph:
-        orig = g.original_ids
-        return build_graph([(orig[a], orig[b]) for a, b in zip(eu, ev)])
+        return build_graph(g.original_ids[np.array([eu, ev]).T])
 
     current = corr(s_prod)
     if abs(current - target.target) <= target.tolerance:
@@ -298,8 +297,8 @@ def assign_labels(g: Graph, target: LabelTarget,
     sigma_f = math.sqrt(f_bar * (1.0 - f_bar))
 
     deg_list = deg.tolist()
-    pool0 = [v for v in range(n) if labels[v] == 0]
-    pool1 = [v for v in range(n) if labels[v] == 1]
+    pool0 = np.flatnonzero(labels == 0).tolist()
+    pool1 = np.flatnonzero(labels == 1).tolist()
     s_df = int(np.dot(deg, labels))
 
     def corr(s: int) -> float:

@@ -1,11 +1,13 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from nepoll import (AssortativityUndefinedError, DegreeLabelCorrUndefinedError,
-                    LabeledGraph, SizeCapExceededError, build_graph,
+                    ErdosRenyiSpec, LabeledGraph, SizeCapExceededError,
+                    build_graph, erdos_renyi,
                     brute_force_estimator_law, budget_threshold,
                     exact_error_fn, exact_error_ip, exact_error_rw,
                     exact_error_un, fosd_check, friendship_paradox_check,
@@ -30,6 +32,14 @@ def test_network_stats_star(star_lg):
     assert stats.degree_dist == {1: 0.75, 3: 0.25}
     assert stats.neighbor_degree_dist == {1: 0.5, 3: 0.5}
     assert stats.joint_neighbor_dist == {(3, 1): 0.5, (1, 3): 0.5}
+
+
+def test_assortativity_matches_networkx():
+    g = erdos_renyi(ErdosRenyiSpec(node_count=4000, edge_probability=0.003,
+                                   seed=1))
+    stats = network_stats(LabeledGraph(g, np.zeros(g.node_count, dtype=int)))
+    reference = nx.degree_assortativity_coefficient(nx.Graph(g.edge_pairs()))
+    assert stats.assortativity == pytest.approx(reference, rel=0, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,7 @@
 import pytest
 
+from nepoll import (ConfigModelSpec, ExperimentConfig, LabelTarget,
+                    RewireTarget, materialize, write_edge_list, write_labels)
 from nepoll.cli import main
 
 
@@ -86,6 +88,25 @@ def test_sweep_identical_across_worker_counts(star_files, tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(two),
                  "--workers", "2"]) == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_generate_matches_materialize(tmp_path, capsys):
+    """``nepoll generate`` draws rewiring and labels from the same
+    substreams as a sweep config with the same seed."""
+    prefix = tmp_path / "gen"
+    assert main(["generate", "--model", "config", "--n", "300",
+                 "--alpha", "2.4", "--kmax", "30", "--rkk", "0.1",
+                 "--label-p", "0.3", "--rho", "0.1",
+                 "--seed", "7", "--out", str(prefix)]) == 0
+    lg, _ = materialize(ExperimentConfig(
+        graph_source=ConfigModelSpec(300, 2.4, k_max=30, seed=7),
+        label_source=LabelTarget(0.3, target=0.1),
+        rewire=RewireTarget(0.1), master_seed=7))
+    write_edge_list(lg.graph, tmp_path / "cfg.edges")
+    write_labels(lg, tmp_path / "cfg.labels")
+    for suffix in ("edges", "labels"):
+        assert (tmp_path / f"gen.{suffix}").read_bytes() \
+            == (tmp_path / f"cfg.{suffix}").read_bytes()
 
 
 def test_generate_er_model(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
@@ -39,6 +40,97 @@ def test_self_loop_rejected():
 def test_negative_id_rejected():
     with pytest.raises(ValueError):
         build_graph([(-1, 0)])
+
+
+@pytest.mark.parametrize("pairs, error, message", [
+    ([(0, 1), (2, 2), (-1, 3), (1, 0)], SelfLoopError, "self-loop at node 2"),
+    ([(0, 1), (3, -1), (2, 2), (1, 0)], ValueError,
+     "negative node id in edge (3, -1)"),
+    ([(0, 1), (1, 2), (1, 0), (3, 3), (-1, 4)], DuplicateEdgeError,
+     "duplicate edge (0, 1)"),
+    ([(5, 5), (-1, -1)], SelfLoopError, "self-loop at node 5"),
+    ([(-2, -2), (5, 5)], ValueError, "negative node id in edge (-2, -2)"),
+    ([(0, 1), (1, 0)], DuplicateEdgeError, "duplicate edge (0, 1)"),
+    ([(2, 1), (0, 3), (1, 2)], DuplicateEdgeError, "duplicate edge (1, 2)"),
+])
+@pytest.mark.parametrize("node_count", [None, 6])
+def test_build_graph_reports_earliest_bad_row(pairs, error, message,
+                                              node_count):
+    with pytest.raises(error) as exc:
+        build_graph(pairs, node_count=node_count)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def _reference_build(pairs, node_count=None):
+    """The per-edge loop build_graph replaced: validation in input order,
+    then canonical CSR arrays from sorted (u, v) tuples."""
+    seen = set()
+    for u, v in pairs:
+        if u < 0 or v < 0:
+            raise ValueError(f"negative node id in edge ({u}, {v})")
+        if u == v:
+            raise SelfLoopError(u)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise DuplicateEdgeError(*key)
+        seen.add(key)
+    if not seen:
+        raise ValueError("a graph needs at least one edge")
+    ids = sorted({x for e in seen for x in e})
+    if node_count is not None:
+        if ids[-1] >= node_count:
+            raise ValueError(f"edge references node {ids[-1]} outside "
+                             f"0..{node_count - 1}")
+        missing = sorted(set(range(node_count)) - set(ids))
+        if missing:
+            raise IsolatedNodeError(missing[0])
+        ids = list(range(node_count))
+    index = {x: i for i, x in enumerate(ids)}
+    edges = sorted((index[u], index[v]) for u, v in seen)
+    adjacency = [[] for _ in ids]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return {"edges": edges, "neighbors": sum(map(sorted, adjacency), []),
+            "degrees": [len(a) for a in adjacency], "original_ids": ids}
+
+
+@given(pairs=st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)),
+                      max_size=12),
+       node_count=st.sampled_from([None, 5, 7]))
+def test_build_graph_matches_reference_loop(pairs, node_count):
+    try:
+        expected = _reference_build(pairs, node_count)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            build_graph(pairs, node_count=node_count)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    g = build_graph(np.array(pairs), node_count=node_count)
+    assert g.edges.tolist() == [list(e) for e in expected["edges"]]
+    assert g.neighbors.tolist() == expected["neighbors"]
+    assert g.degrees.tolist() == expected["degrees"]
+    assert g.indptr.tolist() == np.cumsum([0] + expected["degrees"]).tolist()
+    assert g.original_ids.tolist() == expected["original_ids"]
+
+
+def test_duplicate_error_carries_canonical_edge():
+    with pytest.raises(DuplicateEdgeError) as exc:
+        build_graph([(0, 1), (1, 0)])
+    assert exc.value.edge == (0, 1)
+
+
+def test_array_and_iterable_inputs_agree():
+    pairs = [(40, 10), (10, 20), (20, 30), (30, 40), (20, 40)]
+    from_list = build_graph(pairs)
+    from_array = build_graph(np.array(pairs, dtype=np.int64))
+    from_iter = build_graph(iter(pairs))
+    for g in (from_array, from_iter):
+        for name in ("edges", "indptr", "neighbors", "degrees",
+                     "original_ids"):
+            assert np.array_equal(getattr(g, name), getattr(from_list, name))
 
 
 def test_empty_edge_list_rejected():
@@ -119,6 +211,44 @@ def test_graph_flags_odd_cycle_component():
     flags = graph_flags(g)
     assert not flags.connected
     assert not flags.bipartite
+
+
+@st.composite
+def multi_component_edge_lists(draw):
+    """One to three edge lists on disjoint id ranges."""
+    pairs, offset = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        part = draw(edge_lists(max_nodes=7))
+        pairs += [(u + offset, v + offset) for u, v in part]
+        offset += 1 + max(max(e) for e in part)
+    return pairs
+
+
+@given(pairs=multi_component_edge_lists())
+def test_graph_flags_match_networkx(pairs):
+    g = build_graph(pairs)
+    reference = nx.Graph(g.edge_pairs())
+    assert graph_flags(g) == GraphFlags(
+        connected=nx.is_connected(reference),
+        bipartite=nx.is_bipartite(reference))
+
+
+@pytest.mark.parametrize("pairs", [
+    # two bipartite components
+    [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)],
+    # an odd cycle in the second and in the third component
+    [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)],
+    [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2), (7, 8), (8, 9),
+     (9, 7)],
+    # an odd cycle only reached deep in the search from node 0
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)],
+])
+def test_graph_flags_match_networkx_examples(pairs):
+    g = build_graph(pairs)
+    reference = nx.Graph(pairs)
+    assert graph_flags(g) == GraphFlags(
+        connected=nx.is_connected(reference),
+        bipartite=nx.is_bipartite(reference))
 
 
 @given(lg=labeled_graphs())

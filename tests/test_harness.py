@@ -13,7 +13,7 @@ from nepoll import (ConfigModelSpec, DisconnectedGraphError, ErdosRenyiSpec,
                     write_sweep_csv)
 from nepoll import estimators
 from nepoll.estimators import ESTIMATOR_CODES
-from nepoll.harness import _empirical_moments
+from nepoll.harness import _empirical_moments, parse_config_text
 
 SINGLE_ESTIMATORS = {"IP": intent_poll, "UN": naive_nep, "RW": rw_nep,
                      "FN": fn_nep}
@@ -250,6 +250,14 @@ def test_config_file_errors(tmp_path):
     path.write_text("not a key value line\n")
     with pytest.raises(ValueError, match="key = value"):
         load_experiment_config(path)
+
+
+def test_config_comment_only_outside_quotes():
+    assert parse_config_text('graph.path = "data#1.edges"\n') == {
+        "graph.path": "data#1.edges"}
+    assert parse_config_text(
+        "a = 'x # y'  # note\nb = 3 # note\n# c = 4\n") == {
+        "a": "x # y", "b": 3}
 
 
 def test_experiment_config_validation(tmp_path):

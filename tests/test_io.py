@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from nepoll import (LabeledGraph, SelfLoopError, build_graph, read_edge_list,
-                    read_labeled_graph, read_labels, write_edge_list,
-                    write_labels)
+from nepoll import (ConfigModelSpec, LabeledGraph, RandomStream, RewireTarget,
+                    SelfLoopError, build_graph, configuration_model,
+                    read_edge_list, read_labeled_graph, read_labels,
+                    rewire_to_assortativity, write_edge_list, write_labels)
 
 
 def test_edge_list_round_trip(tmp_path, star_chord):
@@ -43,6 +46,49 @@ def test_edge_list_malformed_line(tmp_path):
         read_edge_list(path)
 
 
+def test_edge_list_errors_name_file_and_line(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("# header\n0 1\n\n1 2 3\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}:4: expected two node ids")):
+        read_edge_list(path)
+    path.write_text("0 1\n1 y\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}:2: non-integer node id")):
+        read_edge_list(path)
+
+
+def test_edge_list_inline_comment_accepted(tmp_path):
+    """'#' starts a comment anywhere in a line, as in a '#' line."""
+    path = tmp_path / "g.edges"
+    path.write_text("0 1 # first edge\n1 2#second\n# 2 3\n")
+    assert read_edge_list(path).edge_pairs() == [(0, 1), (1, 2)]
+
+
+def test_edge_list_python_integer_spellings(tmp_path):
+    """Lines numpy will not parse but int() does are read line by line."""
+    path = tmp_path / "g.edges"
+    path.write_text("+1 1_000\n1_000 7\n")
+    g = read_edge_list(path)
+    assert g.original_ids.tolist() == [1, 7, 1000]
+    assert g.edge_count == 2
+
+
+def test_edge_list_round_trip_rewired_20k(tmp_path):
+    g, _ = configuration_model(ConfigModelSpec(
+        node_count=20_000, power_law_exponent=2.4, k_min=3, k_max=350,
+        seed=3))
+    g = rewire_to_assortativity(g, RewireTarget(0.02, tolerance=0.005),
+                                RandomStream(3))
+    first, second = tmp_path / "a.edges", tmp_path / "b.edges"
+    write_edge_list(g, first)
+    loaded = read_edge_list(first)
+    write_edge_list(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    for name in ("edges", "indptr", "neighbors", "degrees", "original_ids"):
+        assert np.array_equal(getattr(loaded, name), getattr(g, name)), name
+
+
 def test_labels_round_trip(tmp_path, star):
     lg = LabeledGraph(star, [1, 0, 1, 0])
     path = tmp_path / "g.labels"
@@ -80,6 +126,26 @@ def test_labels_errors(tmp_path, star):
     path.write_text("0 1\n0 0\n")
     with pytest.raises(ValueError, match="labeled"):
         read_labels(path, star)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0 1\nx 1\n", 2, "non-integer node id or label in 'x 1'"),
+    ("0 1\n1 z\n", 2, "non-integer node id or label in '1 z'"),
+    ("# c\n0 1\n9 1\n", 3, "node 9 is not in the graph"),
+    ("0 1\n\n1 3\n", 3, "label must be 0 or 1, got 3"),
+    ("0 1\n1 0\n0 0\n", 3, "node 0 labeled twice"),
+    ("0 1\n1 0 1\n", 2, "expected '<node_id> <0|1>', got '1 0 1'"),
+    # a bad label before a malformed line is reported first
+    ("0 1\n2 5\n1\n", 2, "label must be 0 or 1, got 5"),
+    ("0 1\n1\n2 5\n", 2, "expected '<node_id> <0|1>', got '1'"),
+])
+def test_label_errors_name_file_and_line(tmp_path, star, text, line,
+                                         message):
+    path = tmp_path / "g.labels"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_labels(path, star)
+    assert str(exc.value) == f"{path}:{line}: {message}"
 
 
 def test_read_labeled_graph(tmp_path, star):
