@@ -12,8 +12,7 @@ from .analytics import (BudgetThreshold, ErrorReport, FosdCheck, NetworkStats,
                         exact_error_fn, exact_error_ip, exact_error_rw,
                         exact_error_un, fosd_check, friendship_paradox_check,
                         label_degree_covariance, mean_degree,
-                        mean_label_friend, mean_label_neighbor,
-                        mean_response_neighbor,
+                        mean_label_friend, mean_response_neighbor,
                         mean_response_neighbor_two_step, network_stats,
                         spectral_summary)
 from .errors import (AssortativityUndefinedError, BipartiteWalkWarning,
@@ -22,8 +21,7 @@ from .errors import (AssortativityUndefinedError, BipartiteWalkWarning,
                      GraphBuildError, IsolatedNodeAfterRetriesError,
                      IsolatedNodeError, SelfLoopError, SizeCapExceededError,
                      TargetUnreachableError)
-from .estimators import (ESTIMATOR_KINDS, PollConfig, PollEstimate, fn_nep,
-                         intent_poll, naive_nep, run_estimator, rw_nep)
+from .estimators import ESTIMATOR_KINDS, poll_values
 from .graph import Graph, GraphFlags, LabeledGraph, build_graph, graph_flags
 from .harness import (ExperimentConfig, Report, SweepRow, SWEEP_CSV_HEADER,
                       default_budget_grid, load_experiment_config,

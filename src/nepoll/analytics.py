@@ -62,12 +62,6 @@ def neighbor_weights(g: Graph) -> np.ndarray:
     return g.adjacency_matvec(1.0 / g.degrees)
 
 
-def mean_label_neighbor(lg: LabeledGraph) -> float:
-    """Mean label of a random friend of a random node."""
-    w = neighbor_weights(lg.graph)
-    return float(np.dot(w, lg.labels)) / lg.graph.node_count
-
-
 def mean_response_neighbor(lg: LabeledGraph) -> float:
     """Mean poll response of a random friend of a random node."""
     w = neighbor_weights(lg.graph)
@@ -192,18 +186,16 @@ class SpectralSummary:
     lambda_n: float
 
 
-def spectral_summary(g: Graph, *,
-                     size_cap: int = SPECTRAL_SIZE_CAP) -> SpectralSummary:
+def spectral_summary(g: Graph) -> SpectralSummary:
     n = g.node_count
-    if n > size_cap:
+    if n > SPECTRAL_SIZE_CAP:
         raise SizeCapExceededError(
-            f"dense spectral decomposition capped at {size_cap} nodes, "
-            f"graph has {n}")
+            f"dense spectral decomposition capped at {SPECTRAL_SIZE_CAP} "
+            f"nodes, graph has {n}")
     scale = 1.0 / np.sqrt(g.degrees.astype(float))
+    rows = np.repeat(np.arange(n), g.degrees)
     mat = np.zeros((n, n))
-    for v in range(n):
-        nbrs = g.neighbors_of(v)
-        mat[v, nbrs] = scale[v] * scale[nbrs]
+    mat[rows, g.neighbors] = scale[rows] * scale[g.neighbors]
     eigs = np.linalg.eigvalsh(mat)
     sv = np.sort(np.abs(eigs))[::-1]
     return SpectralSummary(singular_values=sv, lambda2=float(sv[1]),

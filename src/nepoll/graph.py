@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DuplicateEdgeError, IsolatedNodeError, SelfLoopError
 
-EdgePair = tuple[int, int]
-
 
 @dataclass(frozen=True)
 class GraphFlags:
@@ -55,9 +53,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
     def neighbors_of(self, v: int) -> np.ndarray:
         return self.neighbors[self.indptr[v]:self.indptr[v + 1]]
 
@@ -65,10 +60,6 @@ class Graph:
         """Return A @ x using the adjacency lists (no dense matrix)."""
         return np.add.reduceat(np.asarray(x, dtype=float)[self.neighbors],
                                self.indptr[:-1])
-
-    def edge_pairs(self) -> list[EdgePair]:
-        """Edges as (u, v) tuples of compact ids, u < v, sorted."""
-        return [tuple(e) for e in self.edges.tolist()]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, edges={self.edge_count})"
@@ -207,10 +198,6 @@ class LabeledGraph:
     def true_fraction(self) -> float:
         """Fraction of nodes labeled 1 (the quantity every poll estimates)."""
         return float(self.labels.mean())
-
-    def nep_response(self, v: int) -> float:
-        """Fraction of v's neighbors labeled 1."""
-        return float(self.responses[v])
 
     def __repr__(self) -> str:
         return (f"LabeledGraph(n={self.graph.node_count}, "

@@ -23,9 +23,9 @@ from . import io as nio
 from .analytics import (BudgetThreshold, ErrorReport, budget_threshold,
                         exact_error_fn, exact_error_ip, exact_error_rw,
                         exact_error_un, fosd_check, friendship_paradox_check,
-                        network_stats, spectral_summary, SPECTRAL_SIZE_CAP)
+                        network_stats, spectral_summary)
 from .errors import (AssortativityUndefinedError, DegreeLabelCorrUndefinedError,
-                     DisconnectedGraphError)
+                     DisconnectedGraphError, SizeCapExceededError)
 from .estimators import ESTIMATOR_CODES, ESTIMATOR_KINDS, poll_values
 from .graph import Graph, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
@@ -124,13 +124,11 @@ def materialize(cfg: ExperimentConfig) -> tuple[LabeledGraph, dict]:
 
 def _replicate_range(lg: LabeledGraph, kind: str, budget: int,
                      master_seed: int, lo: int, hi: int,
-                     walk_length: int | None,
-                     exact_friend_mode: bool) -> np.ndarray:
+                     walk_length: int | None) -> np.ndarray:
     seeds = [np.random.SeedSequence(
         entropy=master_seed, spawn_key=(ESTIMATOR_CODES[kind], budget, rep))
              for rep in range(lo, hi)]
-    return poll_values(kind, lg, budget, seeds, walk_length=walk_length,
-                       exact_friend_mode=exact_friend_mode)
+    return poll_values(kind, lg, budget, seeds, walk_length=walk_length)
 
 
 _WORKER_STATE: dict = {}
@@ -142,26 +140,23 @@ def _pool_init(lg: LabeledGraph, walk_length: int | None) -> None:
 
 
 def _pool_task(args) -> tuple[int, np.ndarray]:
-    kind, budget, master_seed, lo, hi, exact_friend_mode = args
+    kind, budget, master_seed, lo, hi = args
     values = _replicate_range(_WORKER_STATE["lg"], kind, budget, master_seed,
-                              lo, hi, _WORKER_STATE["walk_length"],
-                              exact_friend_mode)
+                              lo, hi, _WORKER_STATE["walk_length"])
     return lo, values
 
 
 def replicate(lg: LabeledGraph, kind: str, budget: int, replications: int,
               master_seed: int, walk_length: int | None = None, *,
-              exact_friend_mode: bool = False,
               workers: int = 1) -> np.ndarray:
     """Estimate values for ``replications`` independent runs, in replication
     order.  The result depends only on the inputs, never on ``workers``."""
     if workers <= 1:
         return _replicate_range(lg, kind, budget, master_seed, 0,
-                                replications, walk_length, exact_friend_mode)
+                                replications, walk_length)
     values = np.empty(replications)
     chunk = max(1, math.ceil(replications / (workers * 4)))
-    tasks = [(kind, budget, master_seed, lo, min(lo + chunk, replications),
-              exact_friend_mode)
+    tasks = [(kind, budget, master_seed, lo, min(lo + chunk, replications))
              for lo in range(0, replications, chunk)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                              initargs=(lg, walk_length)) as pool:
@@ -323,8 +318,7 @@ class Report:
 
 
 def run_report(g: Graph, labels: np.ndarray | None = None, *,
-               defaulted_labels: int | None = None,
-               size_cap: int = SPECTRAL_SIZE_CAP) -> Report:
+               defaulted_labels: int | None = None) -> Report:
     flags = graph_flags(g)
     paradox = friendship_paradox_check(g)
     fosd = fosd_check(g)
@@ -337,10 +331,11 @@ def run_report(g: Graph, labels: np.ndarray | None = None, *,
     except AssortativityUndefinedError:
         assortativity = None
 
-    lambda2 = lambda_n = None
-    if g.node_count <= size_cap:
-        spectrum = spectral_summary(g, size_cap=size_cap)
+    try:
+        spectrum = spectral_summary(g)
         lambda2, lambda_n = spectrum.lambda2, spectrum.lambda_n
+    except SizeCapExceededError:
+        lambda2 = lambda_n = None
 
     true_fraction = corr = threshold = None
     if labels is not None:
@@ -411,6 +406,8 @@ def _parse_value(s: str):
 def _as_str_tuple(v) -> tuple[str, ...]:
     if isinstance(v, str):
         return tuple(x.strip() for x in v.split(",") if x.strip())
+    if not isinstance(v, list):
+        raise ValueError(f"estimators must be a list, got {v!r}")
     return tuple(str(x) for x in v)
 
 
@@ -424,10 +421,19 @@ def load_experiment_config(path) -> ExperimentConfig:
     ``labels.rho`` (+ ``labels.tol``, ``labels.max_iter``); ``budgets``
     (list or ``default``), ``replications``, ``estimators``,
     ``walk_length``, ``seed``.  Generator seeds derive from ``seed``.
+    A missing key or a bad value raises ``ValueError`` naming ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        kv = parse_config_text(fh.read())
+        text = fh.read()
+    try:
+        return _experiment_config(parse_config_text(text))
+    except KeyError as exc:
+        raise ValueError(f"{path}: config needs {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
+
+def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
     seed = int(kv.get("seed", 0))
 
     if "graph.path" in kv:
@@ -471,6 +477,9 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     budgets = None
     if "budgets" in kv and kv["budgets"] != "default":
+        if not isinstance(kv["budgets"], list):
+            raise ValueError("budgets must be a list or default, "
+                             f"got {kv['budgets']!r}")
         budgets = tuple(int(b) for b in kv["budgets"])
 
     estimators = ESTIMATOR_KINDS

@@ -79,9 +79,9 @@ def read_edge_list(path: PathLike) -> Graph:
     pairs, error = _read_pairs(path, "two node ids", "node id")
     if error is not None:
         raise error
-    if len(pairs):
-        pairs = pairs[~_repeated_rows(_pair_keys(pairs))]
-    return build_graph(pairs)
+    if not len(pairs):
+        raise ValueError(f"{path}: a graph needs at least one edge")
+    return build_graph(pairs[~_repeated_rows(_pair_keys(pairs))])
 
 
 def _rows_text(rows: np.ndarray) -> str:

@@ -14,8 +14,9 @@ from nepoll import (AssortativityUndefinedError, DegreeLabelCorrUndefinedError,
                     label_degree_covariance, mean_degree, mean_label_friend,
                     mean_response_neighbor, mean_response_neighbor_two_step,
                     network_stats, spectral_summary)
+from nepoll import analytics
 
-from _strategies import labeled_graphs
+from _strategies import graphs, labeled_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,7 @@ def test_assortativity_matches_networkx():
     g = erdos_renyi(ErdosRenyiSpec(node_count=4000, edge_probability=0.003,
                                    seed=1))
     stats = network_stats(LabeledGraph(g, np.zeros(g.node_count, dtype=int)))
-    reference = nx.degree_assortativity_coefficient(nx.Graph(g.edge_pairs()))
+    reference = nx.degree_assortativity_coefficient(nx.Graph(g.edges.tolist()))
     assert stats.assortativity == pytest.approx(reference, rel=0, abs=1e-12)
 
 
@@ -102,9 +103,10 @@ def test_spectrum_disconnected(two_edges):
     assert s.lambda2 == pytest.approx(1.0, abs=1e-9)
 
 
-def test_spectrum_size_cap(star):
+def test_spectrum_size_cap(star, monkeypatch):
+    monkeypatch.setattr(analytics, "SPECTRAL_SIZE_CAP", 3)
     with pytest.raises(SizeCapExceededError):
-        spectral_summary(star, size_cap=3)
+        spectral_summary(star)
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,6 +120,20 @@ def test_spectrum_sanity(lg):
     flags = graph_flags(lg.graph)
     assert (s.lambda2 < 1.0 - 1e-9) == (flags.connected
                                         and not flags.bipartite)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(max_nodes=12))
+def test_spectrum_matches_networkx_matrix(g):
+    a = nx.to_numpy_array(nx.Graph(g.edges.tolist()),
+                          nodelist=range(g.node_count))
+    scale = 1.0 / np.sqrt(a.sum(axis=1))
+    reference = np.sort(np.abs(np.linalg.eigvalsh(
+        scale[:, None] * a * scale[None, :])))[::-1]
+    s = spectral_summary(g)
+    assert np.allclose(s.singular_values, reference, rtol=0, atol=1e-10)
+    assert (s.lambda2, s.lambda_n) == (s.singular_values[1],
+                                       s.singular_values[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,34 @@ def test_data_error_exit_code(capsys):
     assert err.startswith("error: FileNotFoundError:")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("graph.model = config\ngraph.n = 100\nlabels.p = 0.3\n",
+     "config needs graph.alpha"),
+    ("graph.model = er\ngraph.n = 100\nlabels.p = 0.3\n",
+     "config needs graph.p"),
+    ("graph.model = er\ngraph.p = 0.1\nlabels.p = 0.3\n",
+     "config needs graph.n"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "budgets = 5\n", "budgets must be a list or default, got 5"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "estimators = 5\n", "estimators must be a list, got 5"),
+])
+def test_bad_config_names_file(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: ValueError: {cfg}: {message}\n"
+
+
+def test_empty_edge_list_names_file(tmp_path, capsys):
+    edges = tmp_path / "empty.edges"
+    edges.write_text("# no edges\n")
+    assert main(["report", "--graph", str(edges)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {edges}: a graph needs at least one edge\n")
+
+
 def test_target_unreachable_exit_code(tmp_path, capsys):
     assert main(["generate", "--model", "config", "--n", "200",
                  "--alpha", "2.4", "--kmax", "20", "--rkk", "0.99",

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from nepoll import (BipartiteWalkWarning, ConfigModelSpec,
-                    DisconnectedGraphError, LabeledGraph, PollConfig,
-                    RandomStream, RewireTarget, brute_force_estimator_law,
-                    configuration_model, fn_nep, intent_poll, naive_nep,
-                    rewire_to_assortativity, run_estimator, rw_nep)
+                    DisconnectedGraphError, LabeledGraph, RandomStream,
+                    RewireTarget, brute_force_estimator_law,
+                    configuration_model, poll_values,
+                    rewire_to_assortativity, sample_random_friends)
 
 from _strategies import labeled_graphs
 
@@ -20,41 +20,42 @@ def _band(variance, budget=BIG_BUDGET, sigmas=4):
     return sigmas * math.sqrt(variance / budget)
 
 
+def _poll(kind, lg, budget, seed, **options):
+    return poll_values(kind, lg, budget, [seed], **options)[0]
+
+
+def _stationary_poll(lg, budget, seed):
+    """Walk-poll estimate with respondents drawn from the walk's
+    stationary law (random friends) instead of walked to."""
+    rs = RandomStream(seed)
+    return lg.responses[sample_random_friends(lg.graph, rs, budget)].mean()
+
+
 def test_constant_labels_give_exact_estimates(star):
     lg = LabeledGraph(star, [1, 1, 1, 1])
     for b in (1, 7, 50):
-        cfg = PollConfig(budget=b, seed=b)
-        assert intent_poll(lg, cfg).value == 1.0
-        assert naive_nep(lg, cfg).value == 1.0
-        assert fn_nep(lg, cfg).value == 1.0
-        assert rw_nep(lg, cfg, exact_friend_mode=True).value == 1.0
+        for kind in ("IP", "UN", "FN"):
+            assert _poll(kind, lg, b, b) == 1.0
+        assert _stationary_poll(lg, b, b) == 1.0
 
 
 def test_single_draw_law_triangle(k3_lg):
-    values = [intent_poll(k3_lg, PollConfig(budget=1, seed=s)).value
-              for s in range(400)]
+    values = poll_values("IP", k3_lg, 1, range(400))
     assert set(values) <= {0.0, 1.0}
     freq = np.mean(values)
     assert abs(freq - 1 / 3) <= _band(2 / 9, budget=400)
 
 
-@pytest.mark.parametrize("runner,law", [
-    (intent_poll, "IP"),
-    (naive_nep, "UN"),
-    (fn_nep, "FN"),
-])
-def test_large_budget_converges_to_enumerated_law(star_lg, runner, law):
+@pytest.mark.parametrize("law", ["IP", "UN", "FN"])
+def test_large_budget_converges_to_enumerated_law(star_lg, law):
     mean, var = brute_force_estimator_law(star_lg, law)
-    est = runner(star_lg, PollConfig(budget=BIG_BUDGET, seed=13))
-    assert abs(est.value - mean) <= _band(var)
+    assert abs(_poll(law, star_lg, BIG_BUDGET, 13) - mean) <= _band(var)
 
 
-def test_exact_friend_mode_converges_to_friend_law(star_lg):
+def test_random_friend_poll_converges_to_stationary_law(star_lg):
     mean, var = brute_force_estimator_law(star_lg, "RW-stationary")
-    est = rw_nep(star_lg, PollConfig(budget=BIG_BUDGET, seed=14),
-                 exact_friend_mode=True)
-    assert est.estimator_kind == "RW"
-    assert abs(est.value - mean) <= _band(var)
+    assert abs(_stationary_poll(star_lg, BIG_BUDGET, 14) - mean) \
+        <= _band(var)
     assert mean == 0.5 and var == 0.25
 
 
@@ -63,22 +64,19 @@ def test_walk_estimator_on_regular_graph(k3_lg):
     mean, var = brute_force_estimator_law(k3_lg, "RW-stationary")
     assert mean == pytest.approx(1 / 3)
     assert var == pytest.approx(1 / 18)
-    est = rw_nep(k3_lg, PollConfig(budget=BIG_BUDGET, walk_length=3, seed=15))
-    assert abs(est.value - mean) <= _band(var)
+    est = _poll("RW", k3_lg, BIG_BUDGET, 15, walk_length=3)
+    assert abs(est - mean) <= _band(var)
 
 
 def test_walk_estimator_requires_connected(two_edges):
     lg = LabeledGraph(two_edges, [1, 0, 1, 0])
     with pytest.raises(DisconnectedGraphError):
-        rw_nep(lg, PollConfig(budget=2, seed=0))
-    # the edge-sampling hook bypasses the walk and its precondition
-    est = rw_nep(lg, PollConfig(budget=10, seed=0), exact_friend_mode=True)
-    assert 0.0 <= est.value <= 1.0
+        _poll("RW", lg, 2, 0)
 
 
 def test_walk_estimator_warns_on_bipartite(star_lg):
     with pytest.warns(BipartiteWalkWarning):
-        rw_nep(star_lg, PollConfig(budget=2, walk_length=4, seed=1))
+        _poll("RW", star_lg, 2, 1, walk_length=4)
 
 
 def test_lazy_walk_mixes_on_bipartite(star_lg):
@@ -88,9 +86,9 @@ def test_lazy_walk_mixes_on_bipartite(star_lg):
     mean, var = brute_force_estimator_law(star_lg, "RW-stationary")
     with _warnings.catch_warnings():
         _warnings.simplefilter("error", BipartiteWalkWarning)
-        est = rw_nep(star_lg, PollConfig(budget=20_000, walk_length=80,
-                                         seed=2), lazy_walk=True)
-    assert abs(est.value - mean) <= _band(var, budget=20_000)
+        est = _poll("RW", star_lg, 20_000, 2, walk_length=80,
+                    lazy_walk=True)
+    assert abs(est - mean) <= _band(var, budget=20_000)
 
 
 def test_fn_equals_un_in_law_on_regular_graphs(k3_lg):
@@ -99,22 +97,20 @@ def test_fn_equals_un_in_law_on_regular_graphs(k3_lg):
 
 
 def test_same_seed_reproduces_estimate(star_lg):
-    cfg = PollConfig(budget=64, seed=99)
-    for fn in (intent_poll, naive_nep, fn_nep):
-        assert fn(star_lg, cfg).value == fn(star_lg, cfg).value
+    for kind in ("IP", "UN", "FN"):
+        assert _poll(kind, star_lg, 64, 99) == _poll(kind, star_lg, 64, 99)
 
 
 @settings(max_examples=60, deadline=None)
 @given(lg=labeled_graphs(), seed=st.integers(0, 2**32), budget=st.integers(1, 30))
 def test_estimates_always_in_unit_interval(lg, seed, budget):
-    cfg = PollConfig(budget=budget, seed=seed)
     for kind in ("IP", "UN", "FN"):
-        assert 0.0 <= run_estimator(kind, lg, cfg).value <= 1.0
-    assert 0.0 <= rw_nep(lg, cfg, exact_friend_mode=True).value <= 1.0
+        assert 0.0 <= _poll(kind, lg, budget, seed) <= 1.0
+    assert 0.0 <= _stationary_poll(lg, budget, seed) <= 1.0
 
 
 def _iid_label_mse(graph, p, reps, budget, seed):
-    """Empirical MSE of UN, FN and RW (edge-sampling mode) with labels
+    """Empirical MSE of UN, FN and RW (stationary law) with labels
     redrawn iid per replication; returns dict of per-rep squared errors."""
     gen = RandomStream(seed).generator
     sq = {"UN": np.empty(reps), "FN": np.empty(reps), "RW": np.empty(reps)}
@@ -123,12 +119,11 @@ def _iid_label_mse(graph, p, reps, budget, seed):
         lg = LabeledGraph(graph, labels)
         truth = lg.true_fraction
         for kind in ("UN", "FN", "RW"):
-            cfg = PollConfig(budget=budget,
-                             seed=np.random.SeedSequence(
-                                 entropy=seed, spawn_key=(ord(kind[0]), r)))
-            est = run_estimator(kind, lg, cfg,
-                                exact_friend_mode=(kind == "RW"))
-            sq[kind][r] = (est.value - truth) ** 2
+            ss = np.random.SeedSequence(entropy=seed,
+                                        spawn_key=(ord(kind[0]), r))
+            est = _stationary_poll(lg, budget, ss) if kind == "RW" \
+                else _poll(kind, lg, budget, ss)
+            sq[kind][r] = (est - truth) ** 2
     return sq
 
 
@@ -158,6 +153,6 @@ def test_iid_label_variance_ordering_on_assortative_graph():
     assert sq["RW"].mean() < sq["FN"].mean() < sq["UN"].mean()
 
 
-def test_budget_must_be_positive():
+def test_budget_must_be_positive(star_lg):
     with pytest.raises(ValueError):
-        PollConfig(budget=0)
+        poll_values("IP", star_lg, 0, [0])

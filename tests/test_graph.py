@@ -17,7 +17,7 @@ def test_star_construction(star):
     assert star.edge_end_count == 6
     assert star.min_degree == 1
     assert star.degrees.tolist() == [3, 1, 1, 1]
-    assert star.edge_pairs() == [(0, 1), (0, 2), (0, 3)]
+    assert star.edges.tolist() == [[0, 1], [0, 2], [0, 3]]
 
 
 def test_triangle_degrees(k3):
@@ -186,10 +186,10 @@ def test_true_fraction_examples(star, c4):
     assert LabeledGraph(c4, [1, 0, 1, 0]).true_fraction == 0.5
 
 
-def test_nep_response_examples(star_lg, k3_lg):
-    assert star_lg.nep_response(0) == 0.0   # center sees three 0-labels
-    assert star_lg.nep_response(1) == 1.0   # leaf's only neighbor is center
-    assert k3_lg.nep_response(1) == 0.5
+def test_poll_response_examples(star_lg, k3_lg):
+    assert star_lg.responses[0] == 0.0   # center sees three 0-labels
+    assert star_lg.responses[1] == 1.0   # leaf's only neighbor is center
+    assert k3_lg.responses[1] == 0.5
 
 
 def test_label_validation(star):
@@ -227,7 +227,7 @@ def multi_component_edge_lists(draw):
 @given(pairs=multi_component_edge_lists())
 def test_graph_flags_match_networkx(pairs):
     g = build_graph(pairs)
-    reference = nx.Graph(g.edge_pairs())
+    reference = nx.Graph(g.edges.tolist())
     assert graph_flags(g) == GraphFlags(
         connected=nx.is_connected(reference),
         bipartite=nx.is_bipartite(reference))
@@ -260,7 +260,7 @@ def test_mean_label_is_true_fraction(lg):
 @given(lg=labeled_graphs())
 def test_response_times_degree_is_integer_count(lg):
     for v in range(lg.graph.node_count):
-        d = lg.graph.degree(v)
-        count = lg.nep_response(v) * d
+        d = int(lg.graph.degrees[v])
+        count = lg.responses[v] * d
         assert math.isclose(count, round(count), abs_tol=1e-9)
         assert 0 <= count <= d

@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 
 from nepoll import (ConfigModelSpec, DisconnectedGraphError, ErdosRenyiSpec,
-                    ExperimentConfig, LabelTarget, LabeledGraph, PollConfig,
-                    RewireTarget, SWEEP_CSV_HEADER, brute_force_estimator_law,
-                    default_budget_grid, fn_nep, intent_poll,
-                    load_experiment_config, materialize, naive_nep,
-                    replicate, run_report, run_sweep, rw_nep, sweep_labeled,
+                    ExperimentConfig, LabelTarget, LabeledGraph, RewireTarget,
+                    SWEEP_CSV_HEADER, brute_force_estimator_law,
+                    default_budget_grid, default_walk_length,
+                    load_experiment_config, materialize, poll_values,
+                    replicate, run_report, run_sweep, sweep_labeled,
                     write_sweep_csv)
-from nepoll import estimators
+from nepoll import RandomStream, analytics, estimators, harness, netgen
 from nepoll.estimators import ESTIMATOR_CODES
 from nepoll.harness import _empirical_moments, parse_config_text
-
-SINGLE_ESTIMATORS = {"IP": intent_poll, "UN": naive_nep, "RW": rw_nep,
-                     "FN": fn_nep}
 
 
 def _star_files(tmp_path):
@@ -47,19 +44,22 @@ def test_sweep_star_naive_matches_enumerated_law(tmp_path):
     assert row.exact_var == pytest.approx(0.1875, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind,exact_friend", [
+@pytest.mark.parametrize("kind,chord", [
     ("FN", False),
     ("RW", True),
 ])
-def test_replications_converge_to_closed_form(star_lg, kind, exact_friend):
+def test_replications_converge_to_closed_form(star_lg, star_chord, kind,
+                                              chord):
     # empirical moments approach the closed-form ones at the 1/sqrt(reps)
-    # rate; checked at 4 sigma
+    # rate; checked at 4 sigma.  Walks need the non-bipartite star plus
+    # chord, whose walk law is within 0.73**60 ~ 6e-9 of the stationary
+    # law after 60 steps.
     reps = 100_000
-    truth = star_lg.true_fraction
+    lg = LabeledGraph(star_chord, [1, 0, 0, 1]) if chord else star_lg
     law = "RW-stationary" if kind == "RW" else kind
-    mean, var = brute_force_estimator_law(star_lg, law)
-    values = replicate(star_lg, kind, budget=1, replications=reps,
-                       master_seed=88, exact_friend_mode=exact_friend)
+    mean, var = brute_force_estimator_law(lg, law)
+    values = replicate(lg, kind, budget=1, replications=reps,
+                       master_seed=88, walk_length=60)
     assert abs(values.mean() - mean) <= 4 * math.sqrt(var / reps)
     fourth = np.mean((values - mean) ** 4)
     se_var = math.sqrt(max(fourth - var ** 2, 0.0) / reps)
@@ -121,26 +121,27 @@ def test_replicate_deterministic_across_workers(star_chord, kind):
 
 
 @pytest.mark.parametrize("batch_reps", [None, 1, 3])
-@pytest.mark.parametrize("kind,exact_friend", [
+@pytest.mark.parametrize("kind,default_length", [
     ("IP", False), ("UN", False), ("RW", False), ("FN", False), ("RW", True),
 ])
 def test_replicate_matches_single_estimator(star_chord, monkeypatch, kind,
-                                            exact_friend, batch_reps):
-    # replication r of a batched cell is bit-equal to the single estimator
-    # run on the replication's own stream, wherever the batches split
+                                            default_length, batch_reps):
+    # replication r of a batched cell is bit-equal to a single-seed poll on
+    # the replication's own stream, wherever the batches split, also when
+    # poll_values picks the walk length
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
-    budget, length, reps, seed = 4, 6, 8, 31
-    walks = kind == "RW" and not exact_friend
+    budget, reps, seed = 4, 8, 31
+    length = None if default_length else 6
     if batch_reps is not None:
-        draws = budget * (length if walks else 1)
+        steps = length or default_walk_length(lg.graph.node_count)
+        draws = budget * (steps if kind == "RW" else 1)
         monkeypatch.setattr(estimators, "_BATCH_DRAWS", batch_reps * draws)
-    values = replicate(lg, kind, budget, reps, seed, length,
-                       exact_friend_mode=exact_friend)
-    options = {"exact_friend_mode": True} if exact_friend else {}
+    values = replicate(lg, kind, budget, reps, seed, length)
     for r in range(reps):
-        cfg = PollConfig(budget, length, seed=np.random.SeedSequence(
-            seed, spawn_key=(ESTIMATOR_CODES[kind], budget, r)))
-        assert values[r] == SINGLE_ESTIMATORS[kind](lg, cfg, **options).value
+        ss = np.random.SeedSequence(
+            seed, spawn_key=(ESTIMATOR_CODES[kind], budget, r))
+        assert values[r] == poll_values(kind, lg, budget, [ss],
+                                        walk_length=length)[0]
 
 
 def test_empirical_variance_never_negative():
@@ -186,6 +187,33 @@ def test_materialize_generator_with_rewire_and_labels():
     assert "erased_stubs" in meta
     assert lg.graph.node_count == 400
     assert set(np.unique(lg.labels)) <= {0, 1}
+
+
+def test_stream_keys_never_collide(monkeypatch):
+    """Every stream of a run is SeedSequence(seed, spawn_key=key): generator
+    attempts (attempt,), rewiring and labels one reserved key each, and
+    replications (code, budget, rep).  No key serves two streams."""
+    rewire_key, label_key = harness._REWIRE_STREAM_KEY, \
+        harness._LABEL_STREAM_KEY
+    assert rewire_key != label_key
+    assert netgen._MAX_GENERATION_RETRIES <= min(rewire_key, label_key)
+    keys = []
+    init = RandomStream.__init__
+
+    def recording_init(self, seed):
+        init(self, seed)
+        keys.append(self.sequence.spawn_key)
+
+    monkeypatch.setattr(RandomStream, "__init__", recording_init)
+    run_sweep(ExperimentConfig(
+        graph_source=ConfigModelSpec(400, 2.4, k_min=1, k_max=40, seed=9),
+        label_source=LabelTarget(0.3, target=0.1), rewire=RewireTarget(0.1),
+        budgets=(1, 2), replications=3, estimators=("IP", "UN", "FN"),
+        master_seed=9))
+    drawn = [key for key in keys if key]  # roots only derive substreams
+    assert len(set(drawn)) == len(drawn)
+    assert {(rewire_key,), (label_key,)} <= set(drawn)
+    assert sum(len(key) == 3 for key in drawn) == 3 * 2 * 3
 
 
 def test_config_file_round_trip(tmp_path):
@@ -295,6 +323,13 @@ def test_report_triangle(k3, k3_lg):
     assert rep.assortativity is None               # regular: undefined
     assert "assortativity: undefined" in rep.to_text()
     assert "budget_threshold: inf" in rep.to_text()
+
+
+def test_report_skips_spectrum_above_size_cap(monkeypatch, star, star_lg):
+    monkeypatch.setattr(analytics, "SPECTRAL_SIZE_CAP", 3)
+    text = run_report(star, star_lg.labels).to_text()
+    assert "lambda2: skipped (size cap)" in text
+    assert "budget_threshold: skipped (size cap)" in text
 
 
 def test_report_disconnected(two_edges):

@@ -26,7 +26,7 @@ def test_edge_list_comments_and_duplicates(tmp_path):
                     "1 2\n"
                     "0 1\n")       # duplicate again
     g = read_edge_list(path)
-    assert g.edge_pairs() == [(0, 1), (1, 2)]
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_edge_list_self_loop_still_rejected(tmp_path):
@@ -58,11 +58,20 @@ def test_edge_list_errors_name_file_and_line(tmp_path):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize("text", ["", "# header only\n\n"])
+def test_empty_edge_list_names_file(tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: a graph needs at least one edge")):
+        read_edge_list(path)
+
+
 def test_edge_list_inline_comment_accepted(tmp_path):
     """'#' starts a comment anywhere in a line, as in a '#' line."""
     path = tmp_path / "g.edges"
     path.write_text("0 1 # first edge\n1 2#second\n# 2 3\n")
-    assert read_edge_list(path).edge_pairs() == [(0, 1), (1, 2)]
+    assert read_edge_list(path).edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_edge_list_python_integer_spellings(tmp_path):

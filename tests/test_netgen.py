@@ -69,7 +69,7 @@ def test_power_law_ccdf_slope():
 def test_configuration_model_no_isolates_and_simple():
     g, _ = configuration_model(ConfigModelSpec(2000, 2.4, seed=5))
     assert g.min_degree >= 1
-    pairs = g.edge_pairs()
+    pairs = [tuple(e) for e in g.edges.tolist()]
     assert len(set(pairs)) == len(pairs)
     assert all(u != v for u, v in pairs)
 
