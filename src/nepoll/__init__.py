@@ -16,9 +16,9 @@ from .analytics import (BudgetThreshold, ErrorReport, FosdCheck, NetworkStats,
                         mean_response_neighbor_two_step, network_stats,
                         spectral_summary)
 from .errors import (AssortativityUndefinedError, BipartiteWalkWarning,
-                     DegenerateSpecError, DegreeLabelCorrUndefinedError,
-                     DisconnectedGraphError, DuplicateEdgeError,
-                     GraphBuildError, IsolatedNodeAfterRetriesError,
+                     DataError, DegenerateSpecError, DisconnectedGraphError,
+                     DegreeLabelCorrUndefinedError, GraphBuildError,
+                     DuplicateEdgeError, IsolatedNodeAfterRetriesError,
                      IsolatedNodeError, SelfLoopError, SizeCapExceededError,
                      TargetUnreachableError)
 from .estimators import ESTIMATOR_KINDS, poll_values

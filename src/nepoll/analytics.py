@@ -174,11 +174,14 @@ def network_stats(lg: LabeledGraph) -> NetworkStats:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Singular values of D^{-1/2} A D^{-1/2}, sorted descending.
+    """Singular values of N = D^{-1/2} A D^{-1/2}, sorted descending.
 
-    The matrix is symmetric, so singular values are absolute eigenvalues.
-    ``lambda2`` (second largest) measures expansion; ``lambda_n`` is the
-    smallest.
+    N is symmetric, so singular values are absolute eigenvalues.
+    ``lambda2`` (second largest) measures expansion.  ``lambda_n`` is the
+    smallest singular value, not the smallest eigenvalue: the FN bias
+    bound needs max |mu^2 - 1| = 1 - lambda_n^2 over the eigenvalues mu of
+    N, which an eigenvalue near 0 sets, while the eigenvalue -1 of every
+    bipartite graph would make the bound 0.
     """
 
     singular_values: np.ndarray
@@ -292,9 +295,11 @@ def exact_error_fn(lg: LabeledGraph, budget: int, *,
                    with_bound: bool = True) -> ErrorReport:
     """Friend-of-node poll: respondents follow the uniform-neighbor law.
 
-    Bias is E{q(friend-of-node)} - f_bar; the bias-squared bound
-    (lambda_n^2 - 1)^2 E{f(friend)} E{d} / harmonic-mean-degree is reported
-    alongside.
+    Bias is E{q(friend-of-node)} - f_bar = (D^{-1/2} 1)' (N^2 - I)
+    D^{1/2} f / n with N = D^{-1/2} A D^{-1/2}, so by Cauchy-Schwarz its
+    square is at most (lambda_n^2 - 1)^2 E{f(friend)} E{d} /
+    harmonic-mean-degree, reported alongside, with ``lambda_n`` the
+    smallest singular value of N (see :class:`SpectralSummary`).
     """
     g = lg.graph
     n = g.node_count

@@ -6,19 +6,12 @@ import argparse
 import sys
 
 from . import io as nio
-from .analytics import (SPECTRAL_SIZE_CAP, brute_force_estimator_law,
-                        exact_error_fn, exact_error_rw, exact_error_un,
-                        fosd_check, friendship_paradox_check, network_stats,
-                        spectral_summary)
-from .errors import (AssortativityUndefinedError,
-                     DegreeLabelCorrUndefinedError, GraphBuildError,
-                     TargetUnreachableError)
-from .graph import LabeledGraph, graph_flags
-from .harness import (ExperimentConfig, load_experiment_config,
+from .analytics import network_stats
+from .errors import (AssortativityUndefinedError, DataError,
+                     DegreeLabelCorrUndefinedError, TargetUnreachableError)
+from .harness import (ExperimentConfig, Report, load_experiment_config,
                       materialize, run_report, run_sweep, write_sweep_csv)
 from .netgen import ConfigModelSpec, ErdosRenyiSpec, LabelTarget, RewireTarget
-
-_DATA_ERRORS = (GraphBuildError, ValueError, OSError, RuntimeError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,34 +66,35 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _load_report(args) -> Report:
     g = nio.read_edge_list(args.graph)
     labels = defaulted = None
     if args.labels:
         labels, defaulted = nio.read_labels(args.labels, g)
-    report = run_report(g, labels, defaulted_labels=defaulted)
-    text = report.to_text()
-    sys.stdout.write(text)
+    return run_report(g, labels, defaulted_labels=defaulted)
+
+
+def _cmd_report(args) -> int:
+    report = _load_report(args)
+    sys.stdout.write(report.to_text())
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("key,value\n")
-            for line in report.lines():
-                key, _, value = line.partition(": ")
-                fh.write(f"{key},{value}\n")
+            fh.writelines(f"{key},{value}\n" for key, value in report.rows())
     return 0
 
 
 def _cmd_generate(args) -> int:
     if args.model == "config":
         if args.alpha is None:
-            raise ValueError("--alpha is required for --model config")
+            raise DataError("--alpha is required for --model config")
         spec = ConfigModelSpec(node_count=args.n,
                                power_law_exponent=args.alpha,
                                k_min=args.kmin, k_max=args.kmax,
                                seed=args.seed)
     else:
         if args.p is None:
-            raise ValueError("--p is required for --model er")
+            raise DataError("--p is required for --model er")
         spec = ErdosRenyiSpec(node_count=args.n, edge_probability=args.p,
                               seed=args.seed)
     rewire = None if args.rkk is None else RewireTarget(
@@ -133,56 +127,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check(args) -> int:
     failures = 0
-
-    def emit(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        tag = "ok" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"{tag} {name}{suffix}")
-        if not ok:
-            failures += 1
-
-    g = nio.read_edge_list(args.graph)
-    emit("edge_list_valid", True,
-         f"{g.node_count} nodes, {g.edge_count} edges")
-    emit("degree_sum_is_twice_edges",
-         int(g.degrees.sum()) == 2 * g.edge_count)
-    emit("min_degree_positive", g.min_degree >= 1)
-
-    paradox = friendship_paradox_check(g)
-    emit("friendship_paradox", paradox.holds,
-         f"means {paradox.mean_degree_uniform:.4f} <= "
-         f"{paradox.mean_degree_friend:.4f}, "
-         f"{paradox.mean_degree_neighbor:.4f}")
-    emit("neighbor_degree_dominance", fosd_check(g).holds)
-
-    flags = graph_flags(g)
-    if g.node_count <= SPECTRAL_SIZE_CAP:
-        spectrum = spectral_summary(g)
-        emit("top_singular_value_is_one",
-             abs(spectrum.singular_values[0] - 1.0) <= 1e-9)
-        expansion_ok = flags.connected and not flags.bipartite
-        emit("lambda2_below_one_iff_connected_nonbipartite",
-             (spectrum.lambda2 < 1.0 - 1e-9) == expansion_ok,
-             f"lambda2={spectrum.lambda2:.6f}")
-
-    if args.labels:
-        labels, defaulted = nio.read_labels(args.labels, g)
-        lg = LabeledGraph(g, labels)
-        emit("labels_valid", True,
-             f"true_fraction={lg.true_fraction:.4f}, "
-             f"defaulted={defaulted}")
-        if g.node_count <= 200:
-            checks = (("UN", exact_error_un(lg, 1)),
-                      ("RW-stationary", exact_error_rw(lg, 1,
-                                                       with_bound=False)),
-                      ("FN", exact_error_fn(lg, 1, with_bound=False)))
-            for kind, report in checks:
-                mean, var = brute_force_estimator_law(lg, kind)
-                ok = (abs(report.bias - (mean - lg.true_fraction)) <= 1e-10
-                      and abs(report.variance_single_sample - var) <= 1e-10)
-                emit(f"closed_form_matches_enumeration_{kind}", ok)
-
+    for name, ok, detail in _load_report(args).invariants():
+        print(f"{'ok' if ok else 'FAIL'} {name}"
+              + (f" ({detail})" if detail else ""))
+        failures += not ok
     return 1 if failures else 0
 
 
@@ -205,7 +153,7 @@ def main(argv=None) -> int:
         print(f"error: TargetUnreachable: {exc} "
               f"achieved={exc.achieved!r}", file=sys.stderr)
         return 1
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

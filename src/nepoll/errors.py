@@ -1,7 +1,11 @@
 """Exception and warning types shared across the package."""
 
 
-class GraphBuildError(ValueError):
+class DataError(ValueError):
+    """Bad input data or parameters: the CLI reports these and exits 1."""
+
+
+class GraphBuildError(DataError):
     """Base class for edge-list validation failures."""
 
 
@@ -23,31 +27,31 @@ class IsolatedNodeError(GraphBuildError):
         self.node = node
 
 
-class DisconnectedGraphError(ValueError):
+class DisconnectedGraphError(DataError):
     """Raised when an operation requires a connected graph."""
 
 
-class AssortativityUndefinedError(ValueError):
+class AssortativityUndefinedError(DataError):
     """Degree-degree correlation has a zero denominator (regular graph)."""
 
 
-class DegreeLabelCorrUndefinedError(ValueError):
+class DegreeLabelCorrUndefinedError(DataError):
     """Degree-label correlation has a zero denominator."""
 
 
-class SizeCapExceededError(ValueError):
+class SizeCapExceededError(DataError):
     """Graph is too large for dense spectral decomposition."""
 
 
-class DegenerateSpecError(ValueError):
+class DegenerateSpecError(DataError):
     """Generator parameters are inconsistent."""
 
 
-class IsolatedNodeAfterRetriesError(RuntimeError):
+class IsolatedNodeAfterRetriesError(DataError, RuntimeError):
     """Generator kept producing isolated nodes within its retry budget."""
 
 
-class TargetUnreachableError(RuntimeError):
+class TargetUnreachableError(DataError, RuntimeError):
     """An iterative target (assortativity or degree-label correlation) was
     not reached.  Carries the best-effort result and the achieved value so
     callers can decide whether to keep it."""

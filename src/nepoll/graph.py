@@ -13,7 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateEdgeError, IsolatedNodeError, SelfLoopError
+from .errors import (DataError, DuplicateEdgeError, IsolatedNodeError,
+                     SelfLoopError)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]],
         edge_pairs = list(edge_pairs)
     raw = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
     if not len(raw):
-        raise ValueError("a graph needs at least one edge")
+        raise DataError("a graph needs at least one edge")
     lo = np.minimum(raw[:, 0], raw[:, 1])
     hi = np.maximum(raw[:, 0], raw[:, 1])
     in_range = node_count is not None and lo.min() >= 0 \
@@ -101,13 +102,13 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]],
     if bad.any() or (edge_keys[1:] == edge_keys[:-1]).any():
         u, v = (int(x) for x in raw[np.argmax(bad | _repeated_rows(keys))])
         if u < 0 or v < 0:
-            raise ValueError(f"negative node id in edge ({u}, {v})")
+            raise DataError(f"negative node id in edge ({u}, {v})")
         if u == v:
             raise SelfLoopError(u)
         raise DuplicateEdgeError(min(u, v), max(u, v))
     if node_count is not None and not in_range:
-        raise ValueError(f"edge references node {int(raw.max())} "
-                         f"outside 0..{node_count - 1}")
+        raise DataError(f"edge references node {int(raw.max())} "
+                        f"outside 0..{node_count - 1}")
 
     degrees = np.bincount(np.concatenate([lo, hi]), minlength=n)
     if degrees.min() == 0:
@@ -185,11 +186,11 @@ class LabeledGraph:
     def __init__(self, graph: Graph, labels):
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (graph.node_count,):
-            raise ValueError(
+            raise DataError(
                 f"label vector length {labels.shape} != node count "
                 f"{graph.node_count}")
         if not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
+            raise DataError("labels must be 0 or 1")
         self.graph = graph
         self.labels = labels
         self.responses = graph.adjacency_matvec(labels) / graph.degrees

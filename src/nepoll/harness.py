@@ -14,20 +14,24 @@ from __future__ import annotations
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
 
 import numpy as np
 
 from . import io as nio
-from .analytics import (BudgetThreshold, ErrorReport, budget_threshold,
-                        exact_error_fn, exact_error_ip, exact_error_rw,
-                        exact_error_un, fosd_check, friendship_paradox_check,
-                        network_stats, spectral_summary)
-from .errors import (AssortativityUndefinedError, DegreeLabelCorrUndefinedError,
-                     DisconnectedGraphError, SizeCapExceededError)
+from .analytics import (BudgetThreshold, ErrorReport, ParadoxCheck,
+                        SpectralSummary, brute_force_estimator_law,
+                        budget_threshold, exact_error_fn, exact_error_ip,
+                        exact_error_rw, exact_error_un, fosd_check,
+                        friendship_paradox_check, network_stats,
+                        spectral_summary)
+from .errors import (AssortativityUndefinedError, DataError,
+                     DegreeLabelCorrUndefinedError, DisconnectedGraphError,
+                     SizeCapExceededError)
 from .estimators import ESTIMATOR_CODES, ESTIMATOR_KINDS, poll_values
-from .graph import Graph, LabeledGraph, graph_flags
+from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
                      erdos_renyi, rewire_to_assortativity)
@@ -57,13 +61,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise DataError("replications must be >= 1")
         if self.budgets is not None:
             if not self.budgets or any(b < 1 for b in self.budgets):
-                raise ValueError("budgets must be nonempty, each >= 1")
+                raise DataError("budgets must be nonempty, each >= 1")
         unknown = set(self.estimators) - set(ESTIMATOR_KINDS)
         if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
+            raise DataError(f"unknown estimators: {sorted(unknown)}")
+        if self.walk_length is not None and self.walk_length < 0:
+            raise DataError("walk_length must be >= 0")
+        if self.master_seed < 0:
+            raise DataError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -246,117 +254,129 @@ def write_sweep_csv(rows: Iterable[SweepRow], out: TextIO) -> None:
 
 @dataclass(frozen=True)
 class Report:
-    """Diagnostic summary of one dataset."""
+    """The library results of one pass over a dataset.  ``spectrum`` is
+    None above the spectral size cap, ``labeled`` when no labels were
+    given, and ``threshold`` in either case."""
 
-    node_count: int
-    edge_count: int
-    edge_end_count: int
-    min_degree: int
-    connected: bool
-    bipartite: bool
-    mean_degree_uniform: float
-    mean_degree_friend: float
-    mean_degree_neighbor: float
-    paradox_holds: bool
+    graph: Graph
+    flags: GraphFlags
+    paradox: ParadoxCheck
     fosd_holds: bool
     assortativity: float | None
-    lambda2: float | None
-    lambda_n: float | None
-    true_fraction: float | None
+    spectrum: SpectralSummary | None
+    labeled: LabeledGraph | None
     degree_label_corr: float | None
     threshold: BudgetThreshold | None
     defaulted_labels: int | None
 
-    def lines(self) -> list[str]:
+    def rows(self) -> list[tuple[str, str]]:
+        """``(key, value)`` text pairs, in print order."""
         def num(x):
             return "undefined" if x is None else repr(float(x))
 
+        def flag(x):
+            return str(x).lower()
+
+        g, flags, paradox = self.graph, self.flags, self.paradox
         out = [
-            f"nodes: {self.node_count}",
-            f"edges: {self.edge_count}",
-            f"edge_end_count: {self.edge_end_count}",
-            f"min_degree: {self.min_degree}",
-            f"connected: {str(self.connected).lower()}",
-            f"bipartite: {str(self.bipartite).lower()}",
-            f"mean_degree_uniform: {num(self.mean_degree_uniform)}",
-            f"mean_degree_friend: {num(self.mean_degree_friend)}",
-            f"mean_degree_neighbor: {num(self.mean_degree_neighbor)}",
-            f"friendship_paradox_holds: {str(self.paradox_holds).lower()}",
-            f"fosd_holds: {str(self.fosd_holds).lower()}",
-            f"assortativity: {num(self.assortativity)}",
+            ("nodes", str(g.node_count)),
+            ("edges", str(g.edge_count)),
+            ("edge_end_count", str(g.edge_end_count)),
+            ("min_degree", str(g.min_degree)),
+            ("connected", flag(flags.connected)),
+            ("bipartite", flag(flags.bipartite)),
+            ("mean_degree_uniform", num(paradox.mean_degree_uniform)),
+            ("mean_degree_friend", num(paradox.mean_degree_friend)),
+            ("mean_degree_neighbor", num(paradox.mean_degree_neighbor)),
+            ("friendship_paradox_holds", flag(paradox.holds)),
+            ("fosd_holds", flag(self.fosd_holds)),
+            ("assortativity", num(self.assortativity)),
         ]
-        if self.lambda2 is None:
-            out.append("lambda2: skipped (size cap)")
-            out.append("lambda_n: skipped (size cap)")
-        else:
-            out.append(f"lambda2: {num(self.lambda2)}")
-            out.append(f"lambda_n: {num(self.lambda_n)}")
-        if self.connected:
-            out.append("rw_applicable: true")
-            out.append("rw_stationary_exact: "
-                       f"{str(not self.bipartite).lower()}")
-        else:
-            out.append("rw_applicable: false")
-        if self.true_fraction is not None:
-            out.append(f"true_fraction: {num(self.true_fraction)}")
-            out.append(f"degree_label_corr: {num(self.degree_label_corr)}")
-            if self.threshold is None:
-                out.append("budget_threshold: skipped (size cap)")
-            elif self.threshold.non_positive:
-                out.append("budget_threshold: "
-                           f"non-positive ({num(self.threshold.value)})")
-            elif self.threshold.unbounded:
-                out.append("budget_threshold: inf")
-            else:
-                out.append(f"budget_threshold: {num(self.threshold.value)}")
+        for key in ("lambda2", "lambda_n"):
+            out.append((key, "skipped (size cap)" if self.spectrum is None
+                        else num(getattr(self.spectrum, key))))
+        out.append(("rw_applicable", flag(flags.connected)))
+        if flags.connected:
+            out.append(("rw_stationary_exact", flag(not flags.bipartite)))
+        if self.labeled is not None:
+            t = self.threshold
+            threshold = ("skipped (size cap)" if t is None
+                         else f"non-positive ({num(t.value)})"
+                         if t.non_positive
+                         else "inf" if t.unbounded else num(t.value))
+            out += [("true_fraction", num(self.labeled.true_fraction)),
+                    ("degree_label_corr", num(self.degree_label_corr)),
+                    ("budget_threshold", threshold)]
         if self.defaulted_labels:
-            out.append(f"defaulted_labels: {self.defaulted_labels}")
+            out.append(("defaulted_labels", str(self.defaulted_labels)))
         return out
 
     def to_text(self) -> str:
-        return "\n".join(self.lines()) + "\n"
+        return "".join(f"{key}: {value}\n" for key, value in self.rows())
+
+    def invariants(self) -> list[tuple[str, bool, str]]:
+        """``(name, ok, detail)`` of every check, in print order.  The
+        enumeration oracle refereeing the closed forms loops in pure
+        Python, so it runs on labeled graphs of at most 200 nodes."""
+        g, paradox, spectrum, lg = (self.graph, self.paradox, self.spectrum,
+                                    self.labeled)
+        out = [
+            ("edge_list_valid", True,
+             f"{g.node_count} nodes, {g.edge_count} edges"),
+            ("degree_sum_is_twice_edges",
+             int(g.degrees.sum()) == 2 * g.edge_count, ""),
+            ("min_degree_positive", g.min_degree >= 1, ""),
+            ("friendship_paradox", paradox.holds,
+             f"means {paradox.mean_degree_uniform:.4f} <= "
+             f"{paradox.mean_degree_friend:.4f}, "
+             f"{paradox.mean_degree_neighbor:.4f}"),
+            ("neighbor_degree_dominance", self.fosd_holds, ""),
+        ]
+        if spectrum is not None:
+            expansion_ok = self.flags.connected and not self.flags.bipartite
+            out += [("top_singular_value_is_one",
+                     bool(abs(spectrum.singular_values[0] - 1.0) <= 1e-9), ""),
+                    ("lambda2_below_one_iff_connected_nonbipartite",
+                     (spectrum.lambda2 < 1.0 - 1e-9) == expansion_ok,
+                     f"lambda2={spectrum.lambda2:.6f}")]
+        if lg is None:
+            return out
+        out.append(("labels_valid", True,
+                    f"true_fraction={lg.true_fraction:.4f}, "
+                    f"defaulted={self.defaulted_labels}"))
+        if g.node_count <= 200:
+            for kind, name in (("UN", "UN"), ("RW", "RW-stationary"),
+                               ("FN", "FN")):
+                report = _exact_report(lg, kind, 1, stationary_ok=True)
+                mean, var = brute_force_estimator_law(lg, kind)
+                ok = (abs(report.bias - (mean - lg.true_fraction)) <= 1e-10
+                      and abs(report.variance_single_sample - var) <= 1e-10)
+                out.append((f"closed_form_matches_enumeration_{name}", ok, ""))
+        return out
 
 
 def run_report(g: Graph, labels: np.ndarray | None = None, *,
                defaulted_labels: int | None = None) -> Report:
-    flags = graph_flags(g)
-    paradox = friendship_paradox_check(g)
-    fosd = fosd_check(g)
-
+    """Compute every quantity of a dataset's :class:`Report` once; the
+    spectrum is skipped above the spectral size cap."""
     lg = LabeledGraph(g, labels if labels is not None
                       else np.zeros(g.node_count, dtype=np.int64))
     stats = network_stats(lg)
-    try:
+    assortativity = spectrum = corr = threshold = None
+    with suppress(AssortativityUndefinedError):
         assortativity = stats.assortativity
-    except AssortativityUndefinedError:
-        assortativity = None
-
-    try:
+    with suppress(SizeCapExceededError):
         spectrum = spectral_summary(g)
-        lambda2, lambda_n = spectrum.lambda2, spectrum.lambda_n
-    except SizeCapExceededError:
-        lambda2 = lambda_n = None
-
-    true_fraction = corr = threshold = None
     if labels is not None:
-        true_fraction = lg.true_fraction
-        try:
+        with suppress(DegreeLabelCorrUndefinedError):
             corr = stats.degree_label_corr
-        except DegreeLabelCorrUndefinedError:
-            corr = None
-        if lambda2 is not None:
-            threshold = budget_threshold(lg, lambda2=lambda2)
-
+        if spectrum is not None:
+            threshold = budget_threshold(lg, lambda2=spectrum.lambda2)
     return Report(
-        node_count=g.node_count, edge_count=g.edge_count,
-        edge_end_count=g.edge_end_count, min_degree=g.min_degree,
-        connected=flags.connected, bipartite=flags.bipartite,
-        mean_degree_uniform=paradox.mean_degree_uniform,
-        mean_degree_friend=paradox.mean_degree_friend,
-        mean_degree_neighbor=paradox.mean_degree_neighbor,
-        paradox_holds=paradox.holds, fosd_holds=fosd.holds,
-        assortativity=assortativity, lambda2=lambda2, lambda_n=lambda_n,
-        true_fraction=true_fraction, degree_label_corr=corr,
+        graph=g, flags=graph_flags(g), paradox=friendship_paradox_check(g),
+        fosd_holds=fosd_check(g).holds,
+        assortativity=assortativity, spectrum=spectrum,
+        labeled=None if labels is None else lg, degree_label_corr=corr,
         threshold=threshold, defaulted_labels=defaulted_labels)
 
 
@@ -374,8 +394,8 @@ def parse_config_text(text: str) -> dict[str, object]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', "
-                             f"got {raw.strip()!r}")
+            raise DataError(f"line {lineno}: expected 'key = value', "
+                            f"got {raw.strip()!r}")
         key, _, val = line.partition("=")
         values[key.strip()] = _parse_value(val.strip())
     return values
@@ -407,7 +427,7 @@ def _as_str_tuple(v) -> tuple[str, ...]:
     if isinstance(v, str):
         return tuple(x.strip() for x in v.split(",") if x.strip())
     if not isinstance(v, list):
-        raise ValueError(f"estimators must be a list, got {v!r}")
+        raise DataError(f"estimators must be a list, got {v!r}")
     return tuple(str(x) for x in v)
 
 
@@ -421,48 +441,57 @@ def load_experiment_config(path) -> ExperimentConfig:
     ``labels.rho`` (+ ``labels.tol``, ``labels.max_iter``); ``budgets``
     (list or ``default``), ``replications``, ``estimators``,
     ``walk_length``, ``seed``.  Generator seeds derive from ``seed``.
-    A missing key or a bad value raises ``ValueError`` naming ``path``.
+    A missing key or a bad value, such as a float or a boolean where an
+    integer belongs, raises ``DataError`` naming ``path``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         return _experiment_config(parse_config_text(text))
     except KeyError as exc:
-        raise ValueError(f"{path}: config needs {exc.args[0]}") from None
+        raise DataError(f"{path}: config needs {exc.args[0]}") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _integer(key: str, value) -> int | None:
+    """``value`` if None or an int; ``int()`` truncates 2.7, takes True."""
+    if value is not None and type(value) is not int:
+        raise DataError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
-    seed = int(kv.get("seed", 0))
+    seed = _integer("seed", kv.get("seed", 0))
 
     if "graph.path" in kv:
         graph_source: object = str(kv["graph.path"])
     elif "graph.model" in kv:
         model = str(kv["graph.model"]).lower()
-        n = int(kv["graph.n"])
+        n = _integer("graph.n", kv["graph.n"])
         if model in ("config", "configuration"):
             graph_source = ConfigModelSpec(
                 node_count=n,
                 power_law_exponent=float(kv["graph.alpha"]),
-                k_min=int(kv.get("graph.kmin", 1)),
-                k_max=int(kv["graph.kmax"]) if "graph.kmax" in kv else None,
+                k_min=_integer("graph.kmin", kv.get("graph.kmin", 1)),
+                k_max=_integer("graph.kmax", kv.get("graph.kmax")),
                 seed=seed)
         elif model in ("er", "erdos-renyi", "gnp"):
             graph_source = ErdosRenyiSpec(
                 node_count=n, edge_probability=float(kv["graph.p"]),
                 seed=seed)
         else:
-            raise ValueError(f"unknown graph.model {model!r}")
+            raise DataError(f"unknown graph.model {model!r}")
     else:
-        raise ValueError("config needs graph.path or graph.model")
+        raise DataError("config needs graph.path or graph.model")
 
     rewire = None
     if "graph.rkk" in kv:
         rewire = RewireTarget(
             target=float(kv["graph.rkk"]),
             tolerance=float(kv.get("graph.rkk_tol", 0.02)),
-            max_iterations=int(kv.get("graph.rkk_max_iter", 2_000_000)))
+            max_iterations=_integer("graph.rkk_max_iter",
+                                    kv.get("graph.rkk_max_iter", 2_000_000)))
 
     if "labels.path" in kv:
         label_source: object = str(kv["labels.path"])
@@ -471,16 +500,17 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
             base_probability=float(kv["labels.p"]),
             target=float(kv["labels.rho"]) if "labels.rho" in kv else None,
             tolerance=float(kv.get("labels.tol", 0.02)),
-            max_iterations=int(kv.get("labels.max_iter", 2_000_000)))
+            max_iterations=_integer("labels.max_iter",
+                                    kv.get("labels.max_iter", 2_000_000)))
     else:
-        raise ValueError("config needs labels.path or labels.p")
+        raise DataError("config needs labels.path or labels.p")
 
     budgets = None
     if "budgets" in kv and kv["budgets"] != "default":
         if not isinstance(kv["budgets"], list):
-            raise ValueError("budgets must be a list or default, "
-                             f"got {kv['budgets']!r}")
-        budgets = tuple(int(b) for b in kv["budgets"])
+            raise DataError("budgets must be a list or default, "
+                            f"got {kv['budgets']!r}")
+        budgets = tuple(_integer("budgets", b) for b in kv["budgets"])
 
     estimators = ESTIMATOR_KINDS
     if "estimators" in kv:
@@ -488,7 +518,8 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
 
     return ExperimentConfig(
         graph_source=graph_source, label_source=label_source,
-        budgets=budgets, replications=int(kv.get("replications", 600)),
+        budgets=budgets,
+        replications=_integer("replications", kv.get("replications", 600)),
         estimators=estimators,
-        walk_length=int(kv["walk_length"]) if "walk_length" in kv else None,
+        walk_length=_integer("walk_length", kv.get("walk_length")),
         master_seed=seed, rewire=rewire)

@@ -17,6 +17,7 @@ from typing import Union
 
 import numpy as np
 
+from .errors import DataError
 from .graph import Graph, LabeledGraph, _repeated_rows, build_graph
 
 PathLike = Union[str, os.PathLike]
@@ -32,7 +33,7 @@ def _data_lines(path: PathLike):
 
 
 def _read_pairs(path: PathLike, expected: str,
-                what: str) -> tuple[np.ndarray, ValueError | None]:
+                what: str) -> tuple[np.ndarray, DataError | None]:
     """``(rows, None)``, or the rows before the first malformed line and
     its error.  Files numpy rejects are parsed again line by line, which
     also reads spellings ``int`` takes and numpy does not (``1_000``)."""
@@ -58,7 +59,7 @@ def _read_pairs(path: PathLike, expected: str,
             error = f"non-integer {what} in {line!r}"
             break
     rows = np.array(parsed, dtype=np.int64).reshape(-1, 2)
-    return rows, None if error is None else ValueError(
+    return rows, None if error is None else DataError(
         f"{path}:{lineno}: {error}")
 
 
@@ -80,7 +81,7 @@ def read_edge_list(path: PathLike) -> Graph:
     if error is not None:
         raise error
     if not len(pairs):
-        raise ValueError(f"{path}: a graph needs at least one edge")
+        raise DataError(f"{path}: a graph needs at least one edge")
     return build_graph(pairs[~_repeated_rows(_pair_keys(pairs))])
 
 
@@ -101,7 +102,7 @@ def read_labels(path: PathLike, g: Graph) -> tuple[np.ndarray, int]:
 
     Returns ``(labels, defaulted)`` where ``defaulted`` counts the nodes
     missing from the file that were assigned label 0.  An unknown node, a
-    label other than 0 or 1, or a node labeled twice raises ``ValueError``
+    label other than 0 or 1, or a node labeled twice raises ``DataError``
     naming the first such line, or the first malformed line if that comes
     earlier, as ``path:line``.
     """
@@ -120,7 +121,7 @@ def read_labels(path: PathLike, g: Graph) -> tuple[np.ndarray, int]:
             problem = f"label must be 0 or 1, got {value[row]}"
         else:
             problem = f"node {node[row]} labeled twice"
-        raise ValueError(f"{path}:{lineno}: {problem}")
+        raise DataError(f"{path}:{lineno}: {problem}")
     if error is not None:
         raise error
     labels = np.zeros(g.node_count, dtype=np.int64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AssortativityUndefinedError,
+from .errors import (AssortativityUndefinedError, DataError,
                      DegenerateSpecError, DegreeLabelCorrUndefinedError,
                      IsolatedNodeAfterRetriesError, TargetUnreachableError)
 from .graph import Graph, LabeledGraph, _sorted_unique, build_graph
@@ -61,7 +61,7 @@ class RewireTarget:
 
     def __post_init__(self):
         if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+            raise DataError("tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class LabelTarget:
 
     def __post_init__(self):
         if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+            raise DataError("tolerance must be > 0")
 
 
 def _power_law_pmf(alpha: float, k_min: int,
@@ -193,7 +193,7 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     when the proposal budget runs out or acceptance stalls.
     """
     if g.edge_count < 2:
-        raise ValueError("rewiring needs at least two edges")
+        raise DataError("rewiring needs at least two edges")
     mu_q, sigma2_q = _assortativity_constants(g.degrees)
     if sigma2_q <= 0.0:
         raise AssortativityUndefinedError(
@@ -276,7 +276,7 @@ def assign_labels(g: Graph, target: LabelTarget,
     preserve the label counts, so the labeled fraction never changes.
     """
     if not 0.0 < target.base_probability < 1.0:
-        raise ValueError("base probability must lie strictly in (0, 1)")
+        raise DataError("base probability must lie strictly in (0, 1)")
     n = g.node_count
     gen = rs.generator
     labels = (gen.random(n) < target.base_probability).astype(np.int64)

@@ -1,8 +1,8 @@
 """Acceptance suite.
 
-Each test prints one ``[criterion NN] PASS/FAIL`` line (visible with
-``pytest -s`` or on failure) and enforces its stated tolerance and runtime
-budget.  Run with::
+Each criterion test prints one ``[criterion NN] PASS/FAIL`` line (visible
+with ``pytest -s`` or on failure) and enforces its stated tolerance and
+runtime budget.  Run with::
 
     pytest tests/test_acceptance.py -v -s
 """
@@ -21,8 +21,9 @@ from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                     fosd_check, friendship_paradox_check, graph_flags,
                     label_degree_covariance, mean_degree, mean_label_friend,
                     network_stats, poll_values, random_walk_endpoints,
-                    replicate, rewire_to_assortativity, sample_random_friends,
-                    spectral_summary, write_edge_list, write_labels)
+                    replicate, rewire_to_assortativity, run_report,
+                    sample_random_friends, spectral_summary, write_edge_list,
+                    write_labels)
 from nepoll.cli import main as cli_main
 from nepoll.sampling import default_walk_length
 
@@ -114,6 +115,13 @@ def test_criterion_1_oracle_equivalence(suite):
     _verdict(1, worst <= 1e-10 and elapsed < 60,
              f"closed forms vs enumeration on {len(suite)} graphs: "
              f"max deviation {worst:.2e} (tol 1e-10), {elapsed:.1f}s (< 60s)")
+
+
+def test_report_invariants_hold_on_suite(suite):
+    """The checks ``nepoll check`` prints, on every suite graph."""
+    for i, lg in enumerate(suite):
+        for name, ok, detail in run_report(lg.graph, lg.labels).invariants():
+            assert ok, f"suite graph {i}: {name} {detail}"
 
 
 def test_criterion_2_paradox_universality(suite, generated_graphs):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from nepoll import (AssortativityUndefinedError, DegreeLabelCorrUndefinedError,
-                    ErdosRenyiSpec, LabeledGraph, SizeCapExceededError,
+                    ErdosRenyiSpec, LabeledGraph, RandomStream,
+                    SizeCapExceededError,
                     build_graph, erdos_renyi,
                     brute_force_estimator_law, budget_threshold,
                     exact_error_fn, exact_error_ip, exact_error_rw,
@@ -177,6 +178,35 @@ def test_exact_error_fn_star(star_lg):
     assert r.variance_single_sample == pytest.approx(0.1875, abs=1e-12)
     assert r.bias_sq_upper_bound is not None
     assert r.bias ** 2 <= r.bias_sq_upper_bound + 1e-12
+
+
+def test_fn_bias_bound_reads_lambda_n_as_singular_value():
+    # sound: the bound with the smallest singular value, on random graphs
+    gen = RandomStream(2241).generator
+    for _ in range(500):
+        n = int(gen.integers(3, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if gen.random() < 0.4]
+        if not pairs:
+            continue
+        g = build_graph(pairs)
+        lg = LabeledGraph(g, gen.integers(0, 2, size=g.node_count))
+        fn = exact_error_fn(lg, 1, lambda_n=spectral_summary(g).lambda_n)
+        assert fn.bias ** 2 <= fn.bias_sq_upper_bound + 1e-12
+
+    # unsound: the smallest eigenvalue, -1 on this bipartite path
+    g = build_graph([(0, 3), (1, 2), (2, 3)])
+    lg = LabeledGraph(g, [0, 1, 0, 0])
+    a = np.zeros((4, 4))
+    a[g.edges[:, 0], g.edges[:, 1]] = 1.0
+    a += a.T
+    d = a.sum(axis=1)
+    smallest_eigenvalue = np.linalg.eigvalsh(a / np.sqrt(np.outer(d, d)))[0]
+    assert smallest_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+    by_eigenvalue = exact_error_fn(lg, 1, lambda_n=smallest_eigenvalue)
+    assert by_eigenvalue.bias ** 2 == pytest.approx(1 / 256, abs=1e-12)
+    assert by_eigenvalue.bias_sq_upper_bound == pytest.approx(0.0, abs=1e-12)
+    assert exact_error_fn(lg, 1).bias_sq_upper_bound >= 1 / 256
 
 
 def test_exact_error_fn_equals_un_on_regular(k3_lg):

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+import nepoll
 from nepoll import (ConfigModelSpec, ExperimentConfig, LabelTarget,
                     RewireTarget, materialize, write_edge_list, write_labels)
+from nepoll import analytics, harness
 from nepoll.cli import main
 
 
@@ -34,6 +42,8 @@ def test_report_csv_output(star_files, tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("nodes,4") for line in lines)
+    text_lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [line.replace(": ", ",", 1) for line in text_lines]
 
 
 def test_check_command(star_files, capsys):
@@ -44,6 +54,34 @@ def test_check_command(star_files, capsys):
     assert "ok friendship_paradox" in out
     assert "ok closed_form_matches_enumeration_UN" in out
     assert "FAIL" not in out
+
+
+def test_check_fails_on_wrong_closed_form(star_files, monkeypatch, capsys):
+    exact_un = harness.exact_error_un
+
+    def wrong_un(lg, budget):
+        report = exact_un(lg, budget)
+        return replace(report, bias=report.bias + 0.1)
+
+    monkeypatch.setattr(harness, "exact_error_un", wrong_un)
+    edges, labels = star_files
+    assert main(["check", "--graph", str(edges),
+                 "--labels", str(labels)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL closed_form_matches_enumeration_UN\n" in out
+    assert out.count("FAIL") == 1
+
+
+def test_check_skips_spectrum_above_size_cap(star_files, monkeypatch,
+                                             capsys):
+    monkeypatch.setattr(analytics, "SPECTRAL_SIZE_CAP", 3)
+    edges, labels = star_files
+    assert main(["check", "--graph", str(edges),
+                 "--labels", str(labels)]) == 0
+    out = capsys.readouterr().out
+    assert "top_singular_value_is_one" not in out
+    assert "lambda2_below_one_iff_connected_nonbipartite" not in out
+    assert "ok closed_form_matches_enumeration_FN" in out
 
 
 def test_generate_and_sweep_round_trip(tmp_path, capsys):
@@ -123,6 +161,23 @@ def test_data_error_exit_code(capsys):
     assert err.startswith("error: FileNotFoundError:")
 
 
+def test_programming_error_is_not_a_data_error(star_files, monkeypatch):
+    def index_bug(lg):
+        raise ValueError("index bug")
+
+    monkeypatch.setattr(harness, "network_stats", index_bug)
+    with pytest.raises(ValueError, match="index bug"):
+        main(["report", "--graph", str(star_files[0])])
+
+
+def test_cli_import_loads_no_scipy_or_networkx():
+    src = Path(nepoll.__file__).resolve().parent.parent
+    code = ("import nepoll.cli, sys; "
+            "assert not {'scipy', 'networkx'} & set(sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
 @pytest.mark.parametrize("text,message", [
     ("graph.model = config\ngraph.n = 100\nlabels.p = 0.3\n",
      "config needs graph.alpha"),
@@ -134,13 +189,27 @@ def test_data_error_exit_code(capsys):
      "budgets = 5\n", "budgets must be a list or default, got 5"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
      "estimators = 5\n", "estimators must be a list, got 5"),
+    ("graph.model = er\ngraph.n = 100.9\ngraph.p = 0.5\nlabels.p = 0.3\n",
+     "graph.n must be an integer, got 100.9"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "budgets = [1.9]\n", "budgets must be an integer, got 1.9"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "replications = 2.7\n", "replications must be an integer, got 2.7"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "seed = 1.5\n", "seed must be an integer, got 1.5"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "replications = true\n", "replications must be an integer, got True"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "walk_length = -1\n", "walk_length must be >= 0"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "seed = -1\n", "seed must be >= 0"),
 ])
 def test_bad_config_names_file(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "out.csv")]) == 1
-    assert capsys.readouterr().err == f"error: ValueError: {cfg}: {message}\n"
+    assert capsys.readouterr().err == f"error: DataError: {cfg}: {message}\n"
 
 
 def test_empty_edge_list_names_file(tmp_path, capsys):
@@ -148,7 +217,7 @@ def test_empty_edge_list_names_file(tmp_path, capsys):
     edges.write_text("# no edges\n")
     assert main(["report", "--graph", str(edges)]) == 1
     assert capsys.readouterr().err == (
-        f"error: ValueError: {edges}: a graph needs at least one edge\n")
+        f"error: DataError: {edges}: a graph needs at least one edge\n")
 
 
 def test_target_unreachable_exit_code(tmp_path, capsys):

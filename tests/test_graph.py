@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from nepoll import (DuplicateEdgeError, GraphFlags, IsolatedNodeError,
-                    LabeledGraph, SelfLoopError, build_graph, graph_flags)
+from nepoll import (DataError, DuplicateEdgeError, GraphFlags,
+                    IsolatedNodeError, LabeledGraph, SelfLoopError,
+                    build_graph, graph_flags)
 
 from _strategies import edge_lists, labeled_graphs
 
@@ -44,12 +45,12 @@ def test_negative_id_rejected():
 
 @pytest.mark.parametrize("pairs, error, message", [
     ([(0, 1), (2, 2), (-1, 3), (1, 0)], SelfLoopError, "self-loop at node 2"),
-    ([(0, 1), (3, -1), (2, 2), (1, 0)], ValueError,
+    ([(0, 1), (3, -1), (2, 2), (1, 0)], DataError,
      "negative node id in edge (3, -1)"),
     ([(0, 1), (1, 2), (1, 0), (3, 3), (-1, 4)], DuplicateEdgeError,
      "duplicate edge (0, 1)"),
     ([(5, 5), (-1, -1)], SelfLoopError, "self-loop at node 5"),
-    ([(-2, -2), (5, 5)], ValueError, "negative node id in edge (-2, -2)"),
+    ([(-2, -2), (5, 5)], DataError, "negative node id in edge (-2, -2)"),
     ([(0, 1), (1, 0)], DuplicateEdgeError, "duplicate edge (0, 1)"),
     ([(2, 1), (0, 3), (1, 2)], DuplicateEdgeError, "duplicate edge (1, 2)"),
 ])
@@ -68,7 +69,7 @@ def _reference_build(pairs, node_count=None):
     seen = set()
     for u, v in pairs:
         if u < 0 or v < 0:
-            raise ValueError(f"negative node id in edge ({u}, {v})")
+            raise DataError(f"negative node id in edge ({u}, {v})")
         if u == v:
             raise SelfLoopError(u)
         key = (min(u, v), max(u, v))
@@ -76,11 +77,11 @@ def _reference_build(pairs, node_count=None):
             raise DuplicateEdgeError(*key)
         seen.add(key)
     if not seen:
-        raise ValueError("a graph needs at least one edge")
+        raise DataError("a graph needs at least one edge")
     ids = sorted({x for e in seen for x in e})
     if node_count is not None:
         if ids[-1] >= node_count:
-            raise ValueError(f"edge references node {ids[-1]} outside "
+            raise DataError(f"edge references node {ids[-1]} outside "
                              f"0..{node_count - 1}")
         missing = sorted(set(range(node_count)) - set(ids))
         if missing:

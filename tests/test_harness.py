@@ -304,12 +304,12 @@ def test_experiment_config_validation(tmp_path):
 def test_report_star(star, star_lg):
     rep = run_report(star, star_lg.labels)
     text = rep.to_text()
-    assert rep.mean_degree_uniform == 1.5
-    assert rep.mean_degree_friend == 2.0
-    assert rep.mean_degree_neighbor == pytest.approx(2.5)
+    assert rep.paradox.mean_degree_uniform == 1.5
+    assert rep.paradox.mean_degree_friend == 2.0
+    assert rep.paradox.mean_degree_neighbor == pytest.approx(2.5)
     assert rep.assortativity == pytest.approx(-1.0)
     assert rep.degree_label_corr == pytest.approx(1.0)
-    assert rep.lambda2 == pytest.approx(1.0)
+    assert rep.spectrum.lambda2 == pytest.approx(1.0)
     assert rep.threshold is not None and rep.threshold.non_positive
     assert "friendship_paradox_holds: true" in text
     assert "rw_applicable: true" in text
@@ -318,7 +318,7 @@ def test_report_star(star, star_lg):
 
 def test_report_triangle(k3, k3_lg):
     rep = run_report(k3, k3_lg.labels)
-    assert rep.lambda2 == pytest.approx(0.5)
+    assert rep.spectrum.lambda2 == pytest.approx(0.5)
     assert rep.threshold.unbounded
     assert rep.assortativity is None               # regular: undefined
     assert "assortativity: undefined" in rep.to_text()
