@@ -7,20 +7,18 @@ graph generators, and a reproducible Monte-Carlo sweep harness.
 """
 
 from .analytics import (BudgetThreshold, ErrorReport, FosdCheck, NetworkStats,
-                        ParadoxCheck, SpectralSummary, SPECTRAL_SIZE_CAP,
+                        ParadoxCheck, SpectralSummary,
                         brute_force_estimator_law, budget_threshold,
                         exact_error_fn, exact_error_ip, exact_error_rw,
                         exact_error_un, fosd_check, friendship_paradox_check,
                         label_degree_covariance, mean_degree,
-                        mean_label_friend, mean_response_neighbor,
-                        mean_response_neighbor_two_step, network_stats,
-                        spectral_summary)
+                        mean_label_friend, network_stats, spectral_summary)
 from .errors import (AssortativityUndefinedError, BipartiteWalkWarning,
                      DataError, DegenerateSpecError, DisconnectedGraphError,
                      DegreeLabelCorrUndefinedError, GraphBuildError,
                      DuplicateEdgeError, IsolatedNodeAfterRetriesError,
-                     IsolatedNodeError, SelfLoopError, SizeCapExceededError,
-                     TargetUnreachableError)
+                     IsolatedNodeError, SelfLoopError,
+                     SpectrumNotConvergedError, TargetUnreachableError)
 from .estimators import ESTIMATOR_KINDS, poll_values
 from .graph import Graph, GraphFlags, LabeledGraph, build_graph, graph_flags
 from .harness import (ExperimentConfig, Report, SweepRow, SWEEP_CSV_HEADER,
@@ -34,6 +32,6 @@ from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      erdos_renyi, rewire_to_assortativity)
 from .sampling import (RandomStream, default_walk_length,
                        random_walk_endpoints, sample_friends_of_random_nodes,
-                       sample_random_friends, sample_random_nodes)
+                       sample_random_nodes)
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ and a brute-force enumeration oracle that recomputes estimator moments from
 first principles (exact rational arithmetic) for cross-validation.
 
 All statistics are evaluated through sparse matrix-vector products on the
-adjacency lists; only :func:`spectral_summary` densifies, under a size cap.
+adjacency lists, the spectrum included: nothing builds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (AssortativityUndefinedError,
-                     DegreeLabelCorrUndefinedError, SizeCapExceededError)
+                     DegreeLabelCorrUndefinedError, SpectrumNotConvergedError)
 from .graph import Graph, LabeledGraph, graph_flags
-
-SPECTRAL_SIZE_CAP = 20_000
 
 _FLOAT_SLACK = 1e-12  # guards exact inequalities against rounding
 
@@ -60,20 +58,6 @@ def neighbor_weights(g: Graph) -> np.ndarray:
     """Per-node weight sum(1/d(u)) over neighbors u; divided by n this is
     the probability that a uniform node's uniform neighbor lands on v."""
     return g.adjacency_matvec(1.0 / g.degrees)
-
-
-def mean_response_neighbor(lg: LabeledGraph) -> float:
-    """Mean poll response of a random friend of a random node."""
-    w = neighbor_weights(lg.graph)
-    return float(np.dot(w, lg.responses)) / lg.graph.node_count
-
-
-def mean_response_neighbor_two_step(lg: LabeledGraph) -> float:
-    """Same quantity by the other route: the mean over nodes of the average
-    response in their neighborhood.  Used as a cross-check."""
-    g = lg.graph
-    avg_of_responses = g.adjacency_matvec(lg.responses) / g.degrees
-    return float(avg_of_responses.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -172,37 +156,91 @@ def network_stats(lg: LabeledGraph) -> NetworkStats:
 # ---------------------------------------------------------------------------
 # spectrum of the normalized adjacency matrix
 
+_SPECTRUM_SEED = 0          # Lanczos start vector and twin-hash keys
+_LANCZOS_MAX_STEPS = 3000   # bounds the dense k x k eigensolve of T
+
+
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Singular values of N = D^{-1/2} A D^{-1/2}, sorted descending.
-
-    N is symmetric, so singular values are absolute eigenvalues.
+    """Extreme singular values of N = D^{-1/2} A D^{-1/2}, the absolute
+    eigenvalues of the symmetric N.  The largest is 1, with eigenvector
+    u = sqrt(d) / |sqrt(d)|; ``top_residual`` is |N u - u|_inf.
     ``lambda2`` (second largest) measures expansion.  ``lambda_n`` is the
-    smallest singular value, not the smallest eigenvalue: the FN bias
-    bound needs max |mu^2 - 1| = 1 - lambda_n^2 over the eigenvalues mu of
-    N, which an eigenvalue near 0 sets, while the eigenvalue -1 of every
-    bipartite graph would make the bound 0.
-    """
+    smallest singular value, not eigenvalue: the FN bias bound needs
+    1 - lambda_n^2 = max |mu^2 - 1| over the eigenvalues mu of N, which
+    the eigenvalue -1 of a bipartite graph would make 0.  It is reported
+    as 0.0, a lower bound that keeps that bound sound since
+    (lambda^2 - 1)^2 <= 1, and exact (``lambda_n_exact``) when two nodes
+    share a neighbor set, which makes A singular."""
 
-    singular_values: np.ndarray
     lambda2: float
     lambda_n: float
+    lambda_n_exact: bool
+    top_residual: float
 
 
 def spectral_summary(g: Graph) -> SpectralSummary:
-    n = g.node_count
-    if n > SPECTRAL_SIZE_CAP:
-        raise SizeCapExceededError(
-            f"dense spectral decomposition capped at {SPECTRAL_SIZE_CAP} "
-            f"nodes, graph has {n}")
-    scale = 1.0 / np.sqrt(g.degrees.astype(float))
-    rows = np.repeat(np.arange(n), g.degrees)
-    mat = np.zeros((n, n))
-    mat[rows, g.neighbors] = scale[rows] * scale[g.neighbors]
-    eigs = np.linalg.eigvalsh(mat)
-    sv = np.sort(np.abs(eigs))[::-1]
-    return SpectralSummary(singular_values=sv, lambda2=float(sv[1]),
-                           lambda_n=float(sv[-1]))
+    """lambda2 is 1.0 if disconnected or bipartite, else from Lanczos."""
+    rows = np.repeat(np.arange(g.node_count), g.degrees)
+    root = np.sqrt(g.degrees.astype(float))
+    weights = 1.0 / (root[rows] * root[g.neighbors])
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        return np.bincount(rows, weights * x[g.neighbors], g.node_count)
+
+    u = root / np.linalg.norm(root)
+    flags = graph_flags(g)
+    lambda2 = (_lanczos_largest_abs(matvec, u)
+               if flags.connected and not flags.bipartite else 1.0)
+    return SpectralSummary(
+        lambda2=lambda2, lambda_n=0.0, lambda_n_exact=_has_twins(g),
+        top_residual=float(np.abs(matvec(u) - u).max()))
+
+
+def _lanczos_largest_abs(matvec, u: np.ndarray) -> float:
+    """Largest |eigenvalue| on the complement of the unit eigenvector
+    ``u``, by three-term Lanczos: extreme Ritz values stay accurate as
+    orthogonality is lost (Paige, 1976), so only the tridiagonal T is
+    kept.  Its O(k^3) eigensolve runs every k/8 steps, until the
+    largest-|theta| Ritz pair has residual |beta s_k| <= 1e-10 |theta|."""
+    q = np.random.default_rng(_SPECTRUM_SEED).standard_normal(len(u))
+    q -= u * (u @ q)
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros_like(q)
+    alphas, betas = [], []
+    beta, next_check = 0.0, 8
+    for k in range(1, _LANCZOS_MAX_STEPS + 1):
+        z = matvec(q)
+        z -= u * (u @ z)
+        alpha = float(q @ z)
+        z -= alpha * q + beta * q_prev
+        beta = float(np.linalg.norm(z))
+        alphas.append(alpha)
+        betas.append(beta)
+        if k >= next_check or k == _LANCZOS_MAX_STEPS or beta < 1e-8:
+            off = np.diag(betas[:-1], 1)
+            theta, s = np.linalg.eigh(np.diag(alphas) + off + off.T)
+            i = int(np.argmax(np.abs(theta)))
+            if beta * abs(s[-1, i]) <= 1e-10 * abs(theta[i]):
+                return float(abs(theta[i]))
+            next_check = k + max(8, k // 8)
+        q_prev, q = q, z / beta
+    raise SpectrumNotConvergedError(
+        f"lambda2: Lanczos did not converge in {_LANCZOS_MAX_STEPS} steps")
+
+
+def _has_twins(g: Graph) -> bool:
+    """Whether two nodes have the same neighbor set.  Sums of two random
+    64-bit keys over each set pick the candidates; only equal sorted
+    neighbor slices certify, so a hash collision cannot."""
+    keys = np.random.default_rng(_SPECTRUM_SEED).integers(
+        0, 2 ** 64, size=(2, g.node_count), dtype=np.uint64)
+    sums = np.add.reduceat(keys[:, g.neighbors], g.indptr[:-1], axis=1)
+    order = np.lexsort(sums)
+    same = (np.diff(sums[:, order], axis=1) == 0).all(axis=0)
+    return any(np.array_equal(g.neighbors_of(order[i]),
+                              g.neighbors_of(order[i + 1]))
+               for i in np.flatnonzero(same).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +309,7 @@ def exact_error_rw(lg: LabeledGraph, budget: int, *,
     Bias equals cov(label, degree)/E{d} = E{f(friend)} - f_bar.  The
     single-sample variance is the response variance under the
     degree-weighted law, bounded by lambda2^2 E{f(friend)}.  Pass a
-    precomputed ``lambda2`` to skip the dense decomposition, or
+    precomputed ``lambda2`` to skip the Lanczos run, or
     ``with_bound=False`` to omit the bound.
     """
     g = lg.graph

@@ -39,8 +39,8 @@ class DegreeLabelCorrUndefinedError(DataError):
     """Degree-label correlation has a zero denominator."""
 
 
-class SizeCapExceededError(DataError):
-    """Graph is too large for dense spectral decomposition."""
+class SpectrumNotConvergedError(DataError, RuntimeError):
+    """The Lanczos run for lambda2 ran out of steps before converging."""
 
 
 class DegenerateSpecError(DataError):

@@ -28,8 +28,7 @@ from .analytics import (BudgetThreshold, ErrorReport, ParadoxCheck,
                         friendship_paradox_check, network_stats,
                         spectral_summary)
 from .errors import (AssortativityUndefinedError, DataError,
-                     DegreeLabelCorrUndefinedError, DisconnectedGraphError,
-                     SizeCapExceededError)
+                     DegreeLabelCorrUndefinedError, DisconnectedGraphError)
 from .estimators import ESTIMATOR_CODES, ESTIMATOR_KINDS, poll_values
 from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
@@ -254,16 +253,15 @@ def write_sweep_csv(rows: Iterable[SweepRow], out: TextIO) -> None:
 
 @dataclass(frozen=True)
 class Report:
-    """The library results of one pass over a dataset.  ``spectrum`` is
-    None above the spectral size cap, ``labeled`` when no labels were
-    given, and ``threshold`` in either case."""
+    """The library results of one pass over a dataset.  ``labeled`` and
+    ``threshold`` are None when no labels were given."""
 
     graph: Graph
     flags: GraphFlags
     paradox: ParadoxCheck
     fosd_holds: bool
     assortativity: float | None
-    spectrum: SpectralSummary | None
+    spectrum: SpectralSummary
     labeled: LabeledGraph | None
     degree_label_corr: float | None
     threshold: BudgetThreshold | None
@@ -291,18 +289,16 @@ class Report:
             ("friendship_paradox_holds", flag(paradox.holds)),
             ("fosd_holds", flag(self.fosd_holds)),
             ("assortativity", num(self.assortativity)),
+            ("lambda2", num(self.spectrum.lambda2)),
+            ("lambda_n", num(self.spectrum.lambda_n)),
+            ("lambda_n_exact", flag(self.spectrum.lambda_n_exact)),
+            ("rw_applicable", flag(flags.connected)),
         ]
-        for key in ("lambda2", "lambda_n"):
-            out.append((key, "skipped (size cap)" if self.spectrum is None
-                        else num(getattr(self.spectrum, key))))
-        out.append(("rw_applicable", flag(flags.connected)))
         if flags.connected:
             out.append(("rw_stationary_exact", flag(not flags.bipartite)))
         if self.labeled is not None:
             t = self.threshold
-            threshold = ("skipped (size cap)" if t is None
-                         else f"non-positive ({num(t.value)})"
-                         if t.non_positive
+            threshold = (f"non-positive ({num(t.value)})" if t.non_positive
                          else "inf" if t.unbounded else num(t.value))
             out += [("true_fraction", num(self.labeled.true_fraction)),
                     ("degree_label_corr", num(self.degree_label_corr)),
@@ -332,13 +328,12 @@ class Report:
              f"{paradox.mean_degree_neighbor:.4f}"),
             ("neighbor_degree_dominance", self.fosd_holds, ""),
         ]
-        if spectrum is not None:
-            expansion_ok = self.flags.connected and not self.flags.bipartite
-            out += [("top_singular_value_is_one",
-                     bool(abs(spectrum.singular_values[0] - 1.0) <= 1e-9), ""),
-                    ("lambda2_below_one_iff_connected_nonbipartite",
-                     (spectrum.lambda2 < 1.0 - 1e-9) == expansion_ok,
-                     f"lambda2={spectrum.lambda2:.6f}")]
+        expansion_ok = self.flags.connected and not self.flags.bipartite
+        out += [("top_singular_value_is_one",
+                 spectrum.top_residual <= 1e-9, ""),
+                ("lambda2_below_one_iff_connected_nonbipartite",
+                 (spectrum.lambda2 < 1.0 - 1e-9) == expansion_ok,
+                 f"lambda2={spectrum.lambda2:.6f}")]
         if lg is None:
             return out
         out.append(("labels_valid", True,
@@ -357,21 +352,18 @@ class Report:
 
 def run_report(g: Graph, labels: np.ndarray | None = None, *,
                defaulted_labels: int | None = None) -> Report:
-    """Compute every quantity of a dataset's :class:`Report` once; the
-    spectrum is skipped above the spectral size cap."""
+    """Compute every quantity of a dataset's :class:`Report` once."""
     lg = LabeledGraph(g, labels if labels is not None
                       else np.zeros(g.node_count, dtype=np.int64))
     stats = network_stats(lg)
-    assortativity = spectrum = corr = threshold = None
+    spectrum = spectral_summary(g)
+    assortativity = corr = threshold = None
     with suppress(AssortativityUndefinedError):
         assortativity = stats.assortativity
-    with suppress(SizeCapExceededError):
-        spectrum = spectral_summary(g)
     if labels is not None:
         with suppress(DegreeLabelCorrUndefinedError):
             corr = stats.degree_label_corr
-        if spectrum is not None:
-            threshold = budget_threshold(lg, lambda2=spectrum.lambda2)
+        threshold = budget_threshold(lg, lambda2=spectrum.lambda2)
     return Report(
         graph=g, flags=graph_flags(g), paradox=friendship_paradox_check(g),
         fosd_holds=fosd_check(g).holds,
@@ -442,7 +434,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     (list or ``default``), ``replications``, ``estimators``,
     ``walk_length``, ``seed``.  Generator seeds derive from ``seed``.
     A missing key or a bad value, such as a float or a boolean where an
-    integer belongs, raises ``DataError`` naming ``path``.
+    integer belongs, raises ``DataError`` naming ``path`` and the key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -450,7 +442,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         return _experiment_config(parse_config_text(text))
     except KeyError as exc:
         raise DataError(f"{path}: config needs {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
+    except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -459,6 +451,13 @@ def _integer(key: str, value) -> int | None:
     if value is not None and type(value) is not int:
         raise DataError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _number(key: str, value) -> float | None:
+    """Like ``float(value)``, but a bool, list or string names the key."""
+    if value is not None and type(value) not in (int, float):
+        raise DataError(f"{key} must be a number, got {value!r}")
+    return None if value is None else float(value)
 
 
 def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
@@ -472,13 +471,14 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
         if model in ("config", "configuration"):
             graph_source = ConfigModelSpec(
                 node_count=n,
-                power_law_exponent=float(kv["graph.alpha"]),
+                power_law_exponent=_number("graph.alpha", kv["graph.alpha"]),
                 k_min=_integer("graph.kmin", kv.get("graph.kmin", 1)),
                 k_max=_integer("graph.kmax", kv.get("graph.kmax")),
                 seed=seed)
         elif model in ("er", "erdos-renyi", "gnp"):
             graph_source = ErdosRenyiSpec(
-                node_count=n, edge_probability=float(kv["graph.p"]),
+                node_count=n,
+                edge_probability=_number("graph.p", kv["graph.p"]),
                 seed=seed)
         else:
             raise DataError(f"unknown graph.model {model!r}")
@@ -488,8 +488,8 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
     rewire = None
     if "graph.rkk" in kv:
         rewire = RewireTarget(
-            target=float(kv["graph.rkk"]),
-            tolerance=float(kv.get("graph.rkk_tol", 0.02)),
+            target=_number("graph.rkk", kv["graph.rkk"]),
+            tolerance=_number("graph.rkk_tol", kv.get("graph.rkk_tol", 0.02)),
             max_iterations=_integer("graph.rkk_max_iter",
                                     kv.get("graph.rkk_max_iter", 2_000_000)))
 
@@ -497,9 +497,9 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
         label_source: object = str(kv["labels.path"])
     elif "labels.p" in kv:
         label_source = LabelTarget(
-            base_probability=float(kv["labels.p"]),
-            target=float(kv["labels.rho"]) if "labels.rho" in kv else None,
-            tolerance=float(kv.get("labels.tol", 0.02)),
+            base_probability=_number("labels.p", kv["labels.p"]),
+            target=_number("labels.rho", kv.get("labels.rho")),
+            tolerance=_number("labels.tol", kv.get("labels.tol", 0.02)),
             max_iterations=_integer("labels.max_iter",
                                     kv.get("labels.max_iter", 2_000_000)))
     else:

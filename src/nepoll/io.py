@@ -54,9 +54,12 @@ def _read_pairs(path: PathLike, expected: str,
             error = f"expected {expected}, got {line!r}"
             break
         try:
-            parsed.append((int(fields[0]), int(fields[1])))
+            parsed.append(np.int64([int(fields[0]), int(fields[1])]))
         except ValueError:
             error = f"non-integer {what} in {line!r}"
+            break
+        except OverflowError:
+            error = f"{what} beyond int64 in {line!r}"
             break
     rows = np.array(parsed, dtype=np.int64).reshape(-1, 2)
     return rows, None if error is None else DataError(

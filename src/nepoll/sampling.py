@@ -1,10 +1,10 @@
-"""Seeded sampling primitives: uniform nodes, random friends, random walks.
+"""Seeded sampling primitives: uniform nodes, their neighbors, random walks.
 
 Three node laws drive everything downstream:
 
 * a uniform node (probability 1/n each),
-* a random friend: a uniform end of a uniform edge, so node v is drawn
-  with probability d(v)/M where M is the number of edge endpoints,
+* a random friend (node v with probability d(v)/M, M the number of edge
+  endpoints), the stationary law of the random walk,
 * a random friend of a random node: a uniform neighbor of a uniform node.
 
 All randomness flows through :class:`RandomStream`, whose substreams are
@@ -52,14 +52,6 @@ def default_walk_length(node_count: int) -> int:
 
 def sample_random_nodes(g: Graph, rs: RandomStream, size: int) -> np.ndarray:
     return rs.generator.integers(0, g.node_count, size=size)
-
-
-def sample_random_friends(g: Graph, rs: RandomStream,
-                          size: int) -> np.ndarray:
-    """Uniform edges, then a fair coin over each edge's two ends, so node v
-    is drawn with probability exactly d(v) / edge_end_count."""
-    e = rs.generator.integers(0, g.edge_count, size=size)
-    return g.edges[e, rs.generator.integers(0, 2, size=size)]
 
 
 def sample_friends_of_random_nodes(g: Graph, rs: RandomStream,

@@ -22,10 +22,11 @@ from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                     label_degree_covariance, mean_degree, mean_label_friend,
                     network_stats, poll_values, random_walk_endpoints,
                     replicate, rewire_to_assortativity, run_report,
-                    sample_random_friends, spectral_summary, write_edge_list,
-                    write_labels)
+                    spectral_summary, write_edge_list, write_labels)
 from nepoll.cli import main as cli_main
 from nepoll.sampling import default_walk_length
+
+from _reference import sample_random_friends
 
 SLACK = 1e-12  # guards exact real-arithmetic inequalities against rounding
 

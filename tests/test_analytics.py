@@ -7,14 +7,12 @@ from hypothesis import given, settings
 
 from nepoll import (AssortativityUndefinedError, DegreeLabelCorrUndefinedError,
                     ErdosRenyiSpec, LabeledGraph, RandomStream,
-                    SizeCapExceededError,
-                    build_graph, erdos_renyi,
+                    SpectrumNotConvergedError, build_graph, erdos_renyi,
                     brute_force_estimator_law, budget_threshold,
                     exact_error_fn, exact_error_ip, exact_error_rw,
                     exact_error_un, fosd_check, friendship_paradox_check,
-                    label_degree_covariance, mean_degree, mean_label_friend,
-                    mean_response_neighbor, mean_response_neighbor_two_step,
-                    network_stats, spectral_summary)
+                    graph_flags, label_degree_covariance, mean_degree,
+                    mean_label_friend, network_stats, spectral_summary)
 from nepoll import analytics
 
 from _strategies import graphs, labeled_graphs
@@ -78,10 +76,33 @@ def test_degree_label_corr_undefined_on_constant_labels(star):
 # ---------------------------------------------------------------------------
 # spectrum
 
+def _dense_spectrum(g):
+    """Eigenvalues of N = D^-1/2 A D^-1/2 from networkx's dense adjacency
+    matrix: the oracle the sparse spectrum is refereed by."""
+    a = nx.to_numpy_array(nx.Graph(g.edges.tolist()),
+                          nodelist=range(g.node_count))
+    scale = 1.0 / np.sqrt(a.sum(axis=1))
+    return np.linalg.eigvalsh(scale[:, None] * a * scale[None, :])
+
+
+def _sparse_random_graph(n, extra_edges, seed):
+    """A Hamiltonian path through a random permutation (connected, no
+    isolated node) plus ``extra_edges`` uniform pairs, repeats dropped."""
+    gen = RandomStream(seed).generator
+    perm = gen.permutation(n)
+    pairs = np.concatenate([np.stack([perm[:-1], perm[1:]], axis=1),
+                            gen.integers(0, n, size=(extra_edges, 2))])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    return build_graph(np.stack(np.divmod(keys, n), axis=1))
+
+
 def test_spectrum_triangle(k3):
     s = spectral_summary(k3)
-    assert np.allclose(s.singular_values, [1.0, 0.5, 0.5], atol=1e-12)
     assert s.lambda2 == pytest.approx(0.5, abs=1e-12)
+    assert s.top_residual <= 1e-12
+    # the neighbor sets {1, 2}, {0, 2}, {0, 1} all differ
+    assert (s.lambda_n, s.lambda_n_exact) == (0.0, False)
 
 
 def test_spectrum_c5():
@@ -90,34 +111,61 @@ def test_spectrum_c5():
     assert s.lambda2 == pytest.approx(abs(math.cos(4 * math.pi / 5)),
                                       abs=1e-9)
     assert s.lambda2 == pytest.approx(0.8090, abs=5e-5)
+    # every node has degree 2, but no two share a neighbor set
+    assert not s.lambda_n_exact
+    assert np.abs(_dense_spectrum(c5)).min() > 0.3
 
 
 def test_spectrum_bipartite_star(star):
     s = spectral_summary(star)
-    assert s.singular_values[0] == pytest.approx(1.0, abs=1e-9)
-    assert s.lambda2 == pytest.approx(1.0, abs=1e-9)
+    assert s.top_residual <= 1e-12
+    assert s.lambda2 == 1.0
+    # the leaves are twins: all three have the neighbor set {0}
+    assert (s.lambda_n, s.lambda_n_exact) == (0.0, True)
 
 
 def test_spectrum_disconnected(two_edges):
     # each component contributes a unit singular value
-    s = spectral_summary(two_edges)
-    assert s.lambda2 == pytest.approx(1.0, abs=1e-9)
+    assert spectral_summary(two_edges).lambda2 == 1.0
 
 
-def test_spectrum_size_cap(star, monkeypatch):
-    monkeypatch.setattr(analytics, "SPECTRAL_SIZE_CAP", 3)
-    with pytest.raises(SizeCapExceededError):
-        spectral_summary(star)
+def test_twins_certify_lambda_n_zero():
+    # nodes 0 and 1 share the neighbor set {2, 3} in a non-bipartite graph
+    g = build_graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    s = spectral_summary(g)
+    assert (s.lambda_n, s.lambda_n_exact) == (0.0, True)
+    assert np.abs(_dense_spectrum(g)).min() <= 1e-12
+
+
+def test_lanczos_that_does_not_converge_raises(monkeypatch):
+    g = _sparse_random_graph(300, 600, seed=5)
+    monkeypatch.setattr(analytics, "_LANCZOS_MAX_STEPS", 12)
+    with pytest.raises(SpectrumNotConvergedError):
+        spectral_summary(g)
+
+
+def test_spectrum_above_the_old_dense_size_cap_matches_eigsh():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import eigsh
+    g = _sparse_random_graph(25_000, 100_000, seed=11)
+    assert graph_flags(g).connected and not graph_flags(g).bipartite
+    scale = 1.0 / np.sqrt(g.degrees.astype(float))
+    rows = np.repeat(np.arange(g.node_count), g.degrees)
+    mat = csr_matrix((scale[rows] * scale[g.neighbors], (rows, g.neighbors)),
+                     shape=(g.node_count, g.node_count))
+    vals = eigsh(mat, k=2, which="LM", tol=1e-12, return_eigenvectors=False,
+                 v0=np.random.default_rng(0).random(g.node_count))
+    s = spectral_summary(g)
+    assert s.lambda2 == pytest.approx(np.sort(np.abs(vals))[0], abs=1e-9)
+    assert s.top_residual <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(lg=labeled_graphs())
 def test_spectrum_sanity(lg):
-    from nepoll import graph_flags
     s = spectral_summary(lg.graph)
-    assert abs(s.singular_values[0] - 1.0) <= 1e-9
-    assert np.all(s.singular_values >= -1e-12)
-    assert np.all(s.singular_values <= 1.0 + 1e-9)
+    assert s.top_residual <= 1e-9
+    assert 0.0 <= s.lambda2 <= 1.0 + 1e-9
     flags = graph_flags(lg.graph)
     assert (s.lambda2 < 1.0 - 1e-9) == (flags.connected
                                         and not flags.bipartite)
@@ -126,15 +174,12 @@ def test_spectrum_sanity(lg):
 @settings(max_examples=60, deadline=None)
 @given(g=graphs(max_nodes=12))
 def test_spectrum_matches_networkx_matrix(g):
-    a = nx.to_numpy_array(nx.Graph(g.edges.tolist()),
-                          nodelist=range(g.node_count))
-    scale = 1.0 / np.sqrt(a.sum(axis=1))
-    reference = np.sort(np.abs(np.linalg.eigvalsh(
-        scale[:, None] * a * scale[None, :])))[::-1]
+    singular_values = np.sort(np.abs(_dense_spectrum(g)))[::-1]
     s = spectral_summary(g)
-    assert np.allclose(s.singular_values, reference, rtol=0, atol=1e-10)
-    assert (s.lambda2, s.lambda_n) == (s.singular_values[1],
-                                       s.singular_values[-1])
+    assert abs(s.lambda2 - singular_values[1]) <= 1e-10
+    assert s.lambda_n <= singular_values[-1] + 1e-12
+    if s.lambda_n_exact:
+        assert singular_values[-1] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +236,8 @@ def test_fn_bias_bound_reads_lambda_n_as_singular_value():
             continue
         g = build_graph(pairs)
         lg = LabeledGraph(g, gen.integers(0, 2, size=g.node_count))
-        fn = exact_error_fn(lg, 1, lambda_n=spectral_summary(g).lambda_n)
+        smallest_singular_value = np.abs(_dense_spectrum(g)).min()
+        fn = exact_error_fn(lg, 1, lambda_n=smallest_singular_value)
         assert fn.bias ** 2 <= fn.bias_sq_upper_bound + 1e-12
 
     # unsound: the smallest eigenvalue, -1 on this bipartite path
@@ -359,6 +405,20 @@ def test_variance_bounds_sound_and_ordered(lg):
     assert un.variance_single_sample <= un.variance_upper_bound + 1e-12
     # spectral bound never exceeds the minimum-degree bound
     assert rw.variance_upper_bound <= un.variance_upper_bound + 1e-12
+
+
+def mean_response_neighbor(lg):
+    """Mean poll response of a random friend of a random node, weighting
+    each node v by sum(1/d(u)) over its neighbors u."""
+    w = lg.graph.adjacency_matvec(1.0 / lg.graph.degrees)
+    return float(np.dot(w, lg.responses)) / lg.graph.node_count
+
+
+def mean_response_neighbor_two_step(lg):
+    """The same quantity by the other route: the mean over nodes of the
+    average response in their neighborhood."""
+    g = lg.graph
+    return float((g.adjacency_matvec(lg.responses) / g.degrees).mean())
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 import nepoll
 from nepoll import (ConfigModelSpec, ExperimentConfig, LabelTarget,
                     RewireTarget, materialize, write_edge_list, write_labels)
-from nepoll import analytics, harness
+from nepoll import harness
 from nepoll.cli import main
 
 
@@ -53,6 +53,8 @@ def test_check_command(star_files, capsys):
     out = capsys.readouterr().out
     assert "ok friendship_paradox" in out
     assert "ok closed_form_matches_enumeration_UN" in out
+    assert "ok top_singular_value_is_one" in out
+    assert "ok lambda2_below_one_iff_connected_nonbipartite" in out
     assert "FAIL" not in out
 
 
@@ -70,18 +72,6 @@ def test_check_fails_on_wrong_closed_form(star_files, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL closed_form_matches_enumeration_UN\n" in out
     assert out.count("FAIL") == 1
-
-
-def test_check_skips_spectrum_above_size_cap(star_files, monkeypatch,
-                                             capsys):
-    monkeypatch.setattr(analytics, "SPECTRAL_SIZE_CAP", 3)
-    edges, labels = star_files
-    assert main(["check", "--graph", str(edges),
-                 "--labels", str(labels)]) == 0
-    out = capsys.readouterr().out
-    assert "top_singular_value_is_one" not in out
-    assert "lambda2_below_one_iff_connected_nonbipartite" not in out
-    assert "ok closed_form_matches_enumeration_FN" in out
 
 
 def test_generate_and_sweep_round_trip(tmp_path, capsys):
@@ -170,12 +160,20 @@ def test_programming_error_is_not_a_data_error(star_files, monkeypatch):
         main(["report", "--graph", str(star_files[0])])
 
 
-def test_cli_import_loads_no_scipy_or_networkx():
+def test_cli_import_loads_no_scipy_or_networkx(star_files):
     src = Path(nepoll.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import nepoll.cli, sys; "
             "assert not {'scipy', 'networkx'} & set(sys.modules)")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": str(src)})
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    # the report path, spectrum included, stays numpy-only
+    edges, labels = star_files
+    code = ("import nepoll.cli, sys; "
+            f"assert nepoll.cli.main(['report', '--graph', {str(edges)!r}, "
+            f"'--labels', {str(labels)!r}]) == 0; "
+            "assert not {'scipy', 'networkx'} & set(sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   stdout=subprocess.DEVNULL)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -203,6 +201,12 @@ def test_cli_import_loads_no_scipy_or_networkx():
      "walk_length = -1\n", "walk_length must be >= 0"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
      "seed = -1\n", "seed must be >= 0"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = [1]\nlabels.p = 0.3\n",
+     "graph.p must be a number, got [1]"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = \"x\"\n",
+     "labels.p must be a number, got 'x'"),
+    ("graph.model = config\ngraph.n = 9\ngraph.alpha = true\n"
+     "labels.p = 0.3\n", "graph.alpha must be a number, got True"),
 ])
 def test_bad_config_names_file(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -210,6 +214,18 @@ def test_bad_config_names_file(tmp_path, capsys, text, message):
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == f"error: DataError: {cfg}: {message}\n"
+
+
+def test_config_loader_rewrites_only_data_errors(tmp_path, monkeypatch):
+    def bug(kv):
+        raise ValueError("bug in the loader")
+
+    monkeypatch.setattr(harness, "_experiment_config", bug)
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("graph.model = er\n")
+    with pytest.raises(ValueError, match="^bug in the loader$") as exc:
+        harness.load_experiment_config(cfg)
+    assert type(exc.value) is ValueError
 
 
 def test_empty_edge_list_names_file(tmp_path, capsys):

@@ -9,8 +9,9 @@ from nepoll import (BipartiteWalkWarning, ConfigModelSpec,
                     DisconnectedGraphError, LabeledGraph, RandomStream,
                     RewireTarget, brute_force_estimator_law,
                     configuration_model, poll_values,
-                    rewire_to_assortativity, sample_random_friends)
+                    rewire_to_assortativity)
 
+from _reference import sample_random_friends
 from _strategies import labeled_graphs
 
 BIG_BUDGET = 100_000

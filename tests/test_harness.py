@@ -11,7 +11,7 @@ from nepoll import (ConfigModelSpec, DisconnectedGraphError, ErdosRenyiSpec,
                     load_experiment_config, materialize, poll_values,
                     replicate, run_report, run_sweep, sweep_labeled,
                     write_sweep_csv)
-from nepoll import RandomStream, analytics, estimators, harness, netgen
+from nepoll import RandomStream, estimators, harness, netgen
 from nepoll.estimators import ESTIMATOR_CODES
 from nepoll.harness import _empirical_moments, parse_config_text
 
@@ -314,6 +314,9 @@ def test_report_star(star, star_lg):
     assert "friendship_paradox_holds: true" in text
     assert "rw_applicable: true" in text
     assert "rw_stationary_exact: false" in text   # bipartite
+    # the leaves are twins, which certifies lambda_n = 0
+    assert ("lambda2: 1.0\nlambda_n: 0.0\nlambda_n_exact: true\n"
+            "rw_applicable: true\n") in text
 
 
 def test_report_triangle(k3, k3_lg):
@@ -323,13 +326,7 @@ def test_report_triangle(k3, k3_lg):
     assert rep.assortativity is None               # regular: undefined
     assert "assortativity: undefined" in rep.to_text()
     assert "budget_threshold: inf" in rep.to_text()
-
-
-def test_report_skips_spectrum_above_size_cap(monkeypatch, star, star_lg):
-    monkeypatch.setattr(analytics, "SPECTRAL_SIZE_CAP", 3)
-    text = run_report(star, star_lg.labels).to_text()
-    assert "lambda2: skipped (size cap)" in text
-    assert "budget_threshold: skipped (size cap)" in text
+    assert "lambda_n: 0.0\nlambda_n_exact: false\n" in rep.to_text()
 
 
 def test_report_disconnected(two_edges):

