@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .errors import BipartiteWalkWarning, DisconnectedGraphError
+from .errors import BipartiteWalkWarning, DataError, DisconnectedGraphError
 from .graph import LabeledGraph, graph_flags
 from .sampling import (RandomStream, default_walk_length,
                        random_walk_endpoints, sample_friends_of_random_nodes,
@@ -28,39 +28,41 @@ from .sampling import (RandomStream, default_walk_length,
 
 ESTIMATOR_KINDS = ("IP", "UN", "RW", "FN")
 
-# Stable codes used to derive per-estimator substreams.
+# Stable codes that key each (estimator, budget) cell's stream.
 ESTIMATOR_CODES = {kind: i for i, kind in enumerate(ESTIMATOR_KINDS)}
 
-# Draws one batch of replications may hold: 2**19 walk uniforms (4 MB), or
-# respondents for the estimators that do not walk.
+# Doubles one batch of replications may draw at once: 2**19 (4 MB).
 _BATCH_DRAWS = 1 << 19
 
-_RESPONDENT_LAWS = {"IP": sample_random_nodes, "UN": sample_random_nodes,
-                    "FN": sample_friends_of_random_nodes}
 
-
-def poll_values(kind: str, lg: LabeledGraph, budget: int, seeds, *,
+def poll_values(kind: str, lg: LabeledGraph, budget: int, seed, reps, *,
                 walk_length: int | None = None,
                 lazy_walk: bool = False) -> np.ndarray:
-    """One ``kind`` estimate of ``budget`` respondents per seed, in seed
-    order; ``poll_values(kind, lg, b, [seed])[0]`` is a single estimate.
+    """Replications ``reps`` (a count or a step-1 ``range``) of a ``kind``
+    estimate of ``budget`` respondents from the stream ``RandomStream(seed)``.
 
-    A seed is an integer or a ``numpy.random.SeedSequence``.  Estimate r
-    draws its respondents, or its walk starts and then its
-    ``(length, budget)`` uniforms, from ``RandomStream(seeds[r])`` alone, so
-    its value does not depend on the other seeds.  Batches of at most
-    ``_BATCH_DRAWS`` draws walk together and average their respondent
-    matrix by rows.
+    Replication r reads doubles ``[r*k, (r+1)*k)`` of the stream alone, as
+    ``rows`` rows of ``budget`` uniforms: row 0 picks the respondents or
+    walk starts ``floor(u * n)``, row 1 of ``FN`` their neighbors
+    ``floor(u * d)``, rows 1 .. L of ``RW`` the walk steps.  Batches of at
+    most ``_BATCH_DRAWS`` doubles are drawn at once; a larger ``RW``
+    replication draws its steps row by row, which reads the same bits.
 
     ``RW`` walks start from uniform nodes and run ``walk_length`` steps
     (default: ten sweeps of log2 n).  They need a connected graph, checked
     once per call; on a bipartite graph a plain walk has no stationary law
     and warns, while ``lazy_walk`` (stay put with probability 1/2) mixes.
     """
-    if kind not in ESTIMATOR_CODES or budget < 1:
-        raise ValueError(f"unknown estimator kind {kind!r} or budget < 1")
+    if kind not in ESTIMATOR_CODES or budget < 1 or (walk_length or 0) < 0:
+        raise DataError(f"unknown estimator kind {kind!r}, budget < 1 or "
+                        "walk_length < 0")
+    if isinstance(reps, (int, np.integer)) and reps >= 0:
+        reps = range(reps)
+    if not isinstance(reps, range) or reps.step != 1 or reps.start < 0:
+        raise DataError("reps must be a count >= 0 or a step-1 range "
+                        f"from >= 0, got {reps!r}")
     g = lg.graph
-    length = 1
+    rows = 2 if kind == "FN" else 1
     if kind == "RW":
         flags = graph_flags(g)
         if not flags.connected:
@@ -71,22 +73,24 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int, seeds, *,
                           "stationary law", BipartiteWalkWarning)
         length = default_walk_length(g.node_count) if walk_length is None \
             else walk_length
-    per_batch = max(1, _BATCH_DRAWS // (budget * max(length, 1)))
+        rows += length
+    k = rows * budget
+    gen = RandomStream(seed).generator
+    gen.bit_generator.advance(reps.start * k)
+    per_batch = max(1, _BATCH_DRAWS // k)
     table = lg.labels if kind == "IP" else lg.responses
-    values = np.empty(len(seeds))
-    for lo in range(0, len(seeds), per_batch):
-        streams = [RandomStream(s) for s in seeds[lo:lo + per_batch]]
-        if kind == "RW":
-            starts = np.concatenate([sample_random_nodes(g, rs, budget)
-                                     for rs in streams])
-            # a lone stream draws its uniforms step by step instead
-            uniforms = streams[0] if len(streams) == 1 else np.hstack(
-                [rs.generator.random((length, budget)) for rs in streams])
-            picks = random_walk_endpoints(g, starts, length, uniforms,
-                                          lazy=lazy_walk)
-            picks = picks.reshape(len(streams), budget)
+    values = np.empty(len(reps))
+    for lo in range(0, len(reps), per_batch):
+        m = min(per_batch, len(reps) - lo)
+        if kind == "RW" and k > _BATCH_DRAWS:
+            u, steps = gen.random((1, 1, budget)), gen
         else:
-            picks = np.stack([_RESPONDENT_LAWS[kind](g, rs, budget)
-                              for rs in streams])
-        values[lo:lo + len(streams)] = table[picks].mean(axis=1)
+            u = gen.random((m, rows, budget))
+            steps = u[:, 1:].transpose(1, 0, 2)
+        picks = sample_friends_of_random_nodes(g, u[:, 0], u[:, 1]) \
+            if kind == "FN" else sample_random_nodes(g, u[:, 0])
+        if kind == "RW":
+            picks = random_walk_endpoints(g, picks.ravel(), length, steps,
+                                          lazy=lazy_walk)
+        values[lo:lo + m] = table[picks.reshape(m, budget)].mean(axis=1)
     return values

@@ -2,9 +2,9 @@
 
 A sweep runs ``replications`` independent estimates for every
 (estimator, budget) pair and reduces them to empirical bias/variance/MSE
-rows next to the closed-form values.  Every replication owns a substream
-derived from (master_seed, estimator code, budget, replication index), so
-results are byte-identical no matter how many workers execute them.
+rows next to the closed-form values.  Each (estimator, budget) cell has one
+stream keyed (estimator code, budget) under master_seed, and replication r
+reads its own block of it, so results are byte-identical for any workers.
 
 Config files are flat ``key = value`` text; see ``load_experiment_config``.
 """
@@ -36,8 +36,8 @@ from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      erdos_renyi, rewire_to_assortativity)
 from .sampling import RandomStream
 
-# Substream keys reserved for graph preparation (estimator replications use
-# three-component keys, so these can never collide).
+# Substream keys reserved for graph preparation (each sweep cell uses the
+# two-component key (code, budget), so these can never collide).
 _REWIRE_STREAM_KEY = 101
 _LABEL_STREAM_KEY = 102
 
@@ -132,25 +132,21 @@ def materialize(cfg: ExperimentConfig) -> tuple[LabeledGraph, dict]:
 def _replicate_range(lg: LabeledGraph, kind: str, budget: int,
                      master_seed: int, lo: int, hi: int,
                      walk_length: int | None) -> np.ndarray:
-    seeds = [np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(ESTIMATOR_CODES[kind], budget, rep))
-             for rep in range(lo, hi)]
-    return poll_values(kind, lg, budget, seeds, walk_length=walk_length)
+    seed = np.random.SeedSequence(entropy=master_seed,
+                                  spawn_key=(ESTIMATOR_CODES[kind], budget))
+    return poll_values(kind, lg, budget, seed, range(lo, hi),
+                       walk_length=walk_length)
 
 
 _WORKER_STATE: dict = {}
 
 
-def _pool_init(lg: LabeledGraph, walk_length: int | None) -> None:
+def _pool_init(lg: LabeledGraph) -> None:
     _WORKER_STATE["lg"] = lg
-    _WORKER_STATE["walk_length"] = walk_length
 
 
-def _pool_task(args) -> tuple[int, np.ndarray]:
-    kind, budget, master_seed, lo, hi = args
-    values = _replicate_range(_WORKER_STATE["lg"], kind, budget, master_seed,
-                              lo, hi, _WORKER_STATE["walk_length"])
-    return lo, values
+def _pool_task(args) -> np.ndarray:
+    return _replicate_range(_WORKER_STATE["lg"], *args)
 
 
 def replicate(lg: LabeledGraph, kind: str, budget: int, replications: int,
@@ -161,15 +157,12 @@ def replicate(lg: LabeledGraph, kind: str, budget: int, replications: int,
     if workers <= 1:
         return _replicate_range(lg, kind, budget, master_seed, 0,
                                 replications, walk_length)
-    values = np.empty(replications)
     chunk = max(1, math.ceil(replications / (workers * 4)))
-    tasks = [(kind, budget, master_seed, lo, min(lo + chunk, replications))
-             for lo in range(0, replications, chunk)]
+    tasks = [(kind, budget, master_seed, lo, min(lo + chunk, replications),
+              walk_length) for lo in range(0, replications, chunk)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(lg, walk_length)) as pool:
-        for lo, vals in pool.map(_pool_task, tasks):
-            values[lo:lo + len(vals)] = vals
-    return values
+                             initargs=(lg,)) as pool:
+        return np.concatenate(list(pool.map(_pool_task, tasks)))
 
 
 def _empirical_moments(values: np.ndarray,

@@ -1,4 +1,4 @@
-"""Seeded sampling primitives: uniform nodes, their neighbors, random walks.
+"""Sampling primitives: uniform nodes, their neighbors, random walks.
 
 Three node laws drive everything downstream:
 
@@ -7,9 +7,9 @@ Three node laws drive everything downstream:
   endpoints), the stationary law of the random walk,
 * a random friend of a random node: a uniform neighbor of a uniform node.
 
-All randomness flows through :class:`RandomStream`, whose substreams are
-derived deterministically from (seed, key) so that replications are
-reproducible regardless of host or execution order.
+The samplers map a uniform u in [0, 1) to node ``floor(u * n)`` or to
+neighbor ``floor(u * d(v))`` of ``v``.  The uniforms come from seeded
+:class:`RandomStream` generators, so runs replay on any host.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .errors import DataError
 from .graph import Graph
 
 
@@ -50,19 +51,23 @@ def default_walk_length(node_count: int) -> int:
     return 10 * math.ceil(math.log2(max(node_count, 2)))
 
 
-def sample_random_nodes(g: Graph, rs: RandomStream, size: int) -> np.ndarray:
-    return rs.generator.integers(0, g.node_count, size=size)
+def sample_random_nodes(g: Graph, u: np.ndarray) -> np.ndarray:
+    """Uniform nodes ``floor(u * n)``, shaped like the uniforms ``u``."""
+    return (u * g.node_count).astype(np.int64)
 
 
-def sample_friends_of_random_nodes(g: Graph, rs: RandomStream,
-                                   size: int) -> np.ndarray:
-    """Uniform nodes, then a uniform neighbor of each."""
-    v = rs.generator.integers(0, g.node_count, size=size)
-    return g.neighbors[g.indptr[v] + rs.generator.integers(0, g.degrees[v])]
+def _uniform_neighbors(g: Graph, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return g.neighbors[g.indptr[v] + (u * g.degrees[v]).astype(np.int64)]
+
+
+def sample_friends_of_random_nodes(g: Graph, u_node: np.ndarray,
+                                   u_friend: np.ndarray) -> np.ndarray:
+    """Uniform nodes (``u_node``), then a neighbor of each (``u_friend``)."""
+    return _uniform_neighbors(g, sample_random_nodes(g, u_node), u_friend)
 
 
 def random_walk_endpoints(g: Graph, starts: np.ndarray, length: int,
-                          rs: RandomStream | np.ndarray,
+                          uniforms: np.random.Generator | np.ndarray,
                           lazy: bool = False) -> np.ndarray:
     """Endpoints of independent walks of ``length`` steps from ``starts``.
 
@@ -70,22 +75,20 @@ def random_walk_endpoints(g: Graph, starts: np.ndarray, length: int,
     neighbor: a walker at ``v`` moves to
     ``neighbors[indptr[v] + floor(u * d(v))]``.  The ``lazy`` walk (which
     mixes on bipartite graphs) stays put when ``u < 1/2`` and otherwise
-    steps with ``2u - 1``, exactly uniform on [0, 1) again.  ``rs`` is a
-    :class:`RandomStream` that draws ``random(len(starts))`` per step, or
-    those draws as one ``(length, len(starts))`` array, used row by row:
-    ``random((length, m))`` yields the same bits as ``length`` calls of
-    ``random(m)``.
+    steps with ``2u - 1``, exactly uniform on [0, 1) again.  ``uniforms``
+    is a generator that draws ``random(len(starts))`` per step, or those
+    draws as an array, ``uniforms[step]`` read in C order (a strided view
+    is not copied); ``random((length, m))`` yields the same bits as
+    ``length`` calls of ``random(m)``.
     """
     if length < 0:
-        raise ValueError("walk length must be >= 0")
+        raise DataError(f"walk length must be >= 0, got {length}")
     cur = np.array(starts, dtype=np.int64)
     for step in range(length):
-        u = rs[step] if isinstance(rs, np.ndarray) \
-            else rs.generator.random(len(cur))
-        if lazy:
-            stay = u < 0.5
-            u = np.where(stay, 0.0, 2.0 * u - 1.0)
-        nxt = g.neighbors[g.indptr[cur]
-                          + (u * g.degrees[cur]).astype(np.int64)]
-        cur = np.where(stay, cur, nxt) if lazy else nxt
+        u = uniforms[step] if isinstance(uniforms, np.ndarray) \
+            else uniforms.random(len(cur))
+        at = cur.reshape(u.shape)
+        nxt = _uniform_neighbors(
+            g, at, np.maximum(2.0 * u - 1.0, 0.0) if lazy else u)
+        cur = (np.where(u < 0.5, at, nxt) if lazy else nxt).reshape(-1)
     return cur

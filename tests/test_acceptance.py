@@ -22,7 +22,8 @@ from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                     label_degree_covariance, mean_degree, mean_label_friend,
                     network_stats, poll_values, random_walk_endpoints,
                     replicate, rewire_to_assortativity, run_report,
-                    spectral_summary, write_edge_list, write_labels)
+                    sample_random_nodes, spectral_summary, write_edge_list,
+                    write_labels)
 from nepoll.cli import main as cli_main
 from nepoll.sampling import default_walk_length
 
@@ -188,7 +189,7 @@ def test_criterion_5_iid_label_mse_ordering(generated_graphs):
                 rs = RandomStream(ss)
                 est = lg.responses[sample_random_friends(g, rs, budget)].mean()
             else:
-                est = poll_values(kind, lg, budget, [ss])[0]
+                est = poll_values(kind, lg, budget, ss, 1)[0]
             sq[kind][r] = (est - truth) ** 2
     t_stats = {}
     for kind in ("FN", "RW"):
@@ -323,9 +324,9 @@ def test_criterion_9_walk_convergence(generated_graphs):
     assert flags.connected and not flags.bipartite
     walks = 1_000_000
     length = default_walk_length(g.node_count)
-    rs = RandomStream(90)
-    starts = rs.generator.integers(0, g.node_count, size=walks)
-    ends = random_walk_endpoints(g, starts, length, rs)
+    gen = RandomStream(90).generator
+    starts = sample_random_nodes(g, gen.random(walks))
+    ends = random_walk_endpoints(g, starts, length, gen)
     freq = np.bincount(ends, minlength=g.node_count) / walks
     stationary = g.degrees / g.edge_end_count
     tv = 0.5 * float(np.abs(freq - stationary).sum())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from nepoll import (BipartiteWalkWarning, ConfigModelSpec,
+from nepoll import (BipartiteWalkWarning, ConfigModelSpec, DataError,
                     DisconnectedGraphError, LabeledGraph, RandomStream,
                     RewireTarget, brute_force_estimator_law,
                     configuration_model, poll_values,
@@ -22,7 +22,7 @@ def _band(variance, budget=BIG_BUDGET, sigmas=4):
 
 
 def _poll(kind, lg, budget, seed, **options):
-    return poll_values(kind, lg, budget, [seed], **options)[0]
+    return poll_values(kind, lg, budget, seed, 1, **options)[0]
 
 
 def _stationary_poll(lg, budget, seed):
@@ -41,7 +41,7 @@ def test_constant_labels_give_exact_estimates(star):
 
 
 def test_single_draw_law_triangle(k3_lg):
-    values = poll_values("IP", k3_lg, 1, range(400))
+    values = poll_values("IP", k3_lg, 1, 0, 400)
     assert set(values) <= {0.0, 1.0}
     freq = np.mean(values)
     assert abs(freq - 1 / 3) <= _band(2 / 9, budget=400)
@@ -154,6 +154,36 @@ def test_iid_label_variance_ordering_on_assortative_graph():
     assert sq["RW"].mean() < sq["FN"].mean() < sq["UN"].mean()
 
 
+def test_replication_reads_its_block_of_the_stream(star_chord):
+    # replication r reads doubles [r*k, (r+1)*k) of the stream as rows of
+    # budget uniforms: row 0 picks nodes floor(u n), every further row (the
+    # FN neighbor, the RW steps) moves each to neighbor floor(u d)
+    lg = LabeledGraph(star_chord, [1, 0, 0, 1])
+    g, budget, reps, length = lg.graph, 3, 5, 4
+    for kind, rows in (("IP", 1), ("UN", 1), ("FN", 2), ("RW", 1 + length)):
+        u = RandomStream(17).generator.random((reps, rows, budget))
+        nodes = np.floor(u[:, 0] * g.node_count).astype(np.int64)
+        for row in range(1, rows):
+            pick = np.floor(u[:, row] * g.degrees[nodes]).astype(np.int64)
+            nodes = g.neighbors[g.indptr[nodes] + pick]
+        table = lg.labels if kind == "IP" else lg.responses
+        assert np.array_equal(
+            poll_values(kind, lg, budget, 17, reps, walk_length=length),
+            table[nodes].mean(axis=1))
+
+
 def test_budget_must_be_positive(star_lg):
     with pytest.raises(ValueError):
-        poll_values("IP", star_lg, 0, [0])
+        poll_values("IP", star_lg, 0, 0, 1)
+
+
+@pytest.mark.parametrize("kind,budget,reps,length", [
+    ("IP", 0, 1, None), ("XX", 1, 1, None), ("UN", 1, -1, None),
+    ("FN", 1, range(0, 4, 2), None), ("RW", 1, range(-1, 3), None),
+    ("RW", 1, 2, -1), ("RW", 1, 2, -2),
+])
+def test_bad_poll_arguments_are_data_errors(star_chord, kind, budget, reps,
+                                            length):
+    lg = LabeledGraph(star_chord, [1, 0, 0, 1])
+    with pytest.raises(DataError):
+        poll_values(kind, lg, budget, 0, reps, walk_length=length)

@@ -120,28 +120,41 @@ def test_replicate_deterministic_across_workers(star_chord, kind):
     assert np.array_equal(seq, par)
 
 
-@pytest.mark.parametrize("batch_reps", [None, 1, 3])
-@pytest.mark.parametrize("kind,default_length", [
-    ("IP", False), ("UN", False), ("RW", False), ("FN", False), ("RW", True),
+@pytest.mark.parametrize("batch_reps", [None, 1, 3, 0.5])
+@pytest.mark.parametrize("kind,lazy,length", [
+    ("IP", False, None), ("UN", False, None), ("FN", False, None),
+    ("RW", False, 6), ("RW", False, None), ("RW", True, 5),
 ])
-def test_replicate_matches_single_estimator(star_chord, monkeypatch, kind,
-                                            default_length, batch_reps):
-    # replication r of a batched cell is bit-equal to a single-seed poll on
-    # the replication's own stream, wherever the batches split, also when
-    # poll_values picks the walk length
-    lg = LabeledGraph(star_chord, [1, 0, 0, 1])
-    budget, reps, seed = 4, 8, 31
-    length = None if default_length else 6
+def test_replicate_splits_into_ranges(star_lg, star_chord, monkeypatch, kind,
+                                      lazy, length, batch_reps):
+    # replications [0, reps) of a cell join from polls of arbitrary
+    # sub-ranges of the cell stream, wherever the batches split (cuts on
+    # both sides of a 3-replication batch boundary), also when one
+    # replication exceeds a batch and its walk streams step by step
+    lg = star_lg if lazy else LabeledGraph(star_chord, [1, 0, 0, 1])
+    budget, reps, seed = 4, 10, 31
+    steps = length or default_walk_length(lg.graph.node_count)
+    rows = {"FN": 2, "RW": 1 + steps}.get(kind, 1)
     if batch_reps is not None:
-        steps = length or default_walk_length(lg.graph.node_count)
-        draws = budget * (steps if kind == "RW" else 1)
-        monkeypatch.setattr(estimators, "_BATCH_DRAWS", batch_reps * draws)
-    values = replicate(lg, kind, budget, reps, seed, length)
-    for r in range(reps):
-        ss = np.random.SeedSequence(
-            seed, spawn_key=(ESTIMATOR_CODES[kind], budget, r))
-        assert values[r] == poll_values(kind, lg, budget, [ss],
-                                        walk_length=length)[0]
+        monkeypatch.setattr(estimators, "_BATCH_DRAWS",
+                            int(batch_reps * rows * budget))
+    cell = np.random.SeedSequence(seed,
+                                  spawn_key=(ESTIMATOR_CODES[kind], budget))
+    if lazy:
+        values = poll_values(kind, lg, budget, cell, reps,
+                             walk_length=length, lazy_walk=True)
+    else:
+        values = replicate(lg, kind, budget, reps, seed, length)
+    cuts = [0, 2, 3, 4, 5, 7, 10]
+    pieces = [poll_values(kind, lg, budget, cell, range(lo, hi),
+                          walk_length=length, lazy_walk=lazy)
+              for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(values, np.concatenate(pieces))
+    if batch_reps is not None:  # batching never changes a value
+        monkeypatch.undo()
+        assert np.array_equal(values, poll_values(
+            kind, lg, budget, cell, reps, walk_length=length,
+            lazy_walk=lazy))
 
 
 def test_empirical_variance_never_negative():
@@ -192,7 +205,8 @@ def test_materialize_generator_with_rewire_and_labels():
 def test_stream_keys_never_collide(monkeypatch):
     """Every stream of a run is SeedSequence(seed, spawn_key=key): generator
     attempts (attempt,), rewiring and labels one reserved key each, and
-    replications (code, budget, rep).  No key serves two streams."""
+    each (estimator, budget) cell (code, budget).  No key serves two
+    streams."""
     rewire_key, label_key = harness._REWIRE_STREAM_KEY, \
         harness._LABEL_STREAM_KEY
     assert rewire_key != label_key
@@ -213,7 +227,7 @@ def test_stream_keys_never_collide(monkeypatch):
     drawn = [key for key in keys if key]  # roots only derive substreams
     assert len(set(drawn)) == len(drawn)
     assert {(rewire_key,), (label_key,)} <= set(drawn)
-    assert sum(len(key) == 3 for key in drawn) == 3 * 2 * 3
+    assert sum(len(key) == 2 for key in drawn) == 3 * 2
 
 
 def test_config_file_round_trip(tmp_path):

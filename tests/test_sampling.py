@@ -1,19 +1,24 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nepoll import (RandomStream, default_walk_length, random_walk_endpoints,
-                    sample_friends_of_random_nodes, sample_random_nodes)
+from nepoll import (DataError, RandomStream, default_walk_length,
+                    random_walk_endpoints, sample_friends_of_random_nodes,
+                    sample_random_nodes)
 
 from _reference import sample_random_friends
 
 DRAWS = 100_000
 
 
-def _frequencies(sampler, g, seed, draws=DRAWS):
-    nodes = sampler(g, RandomStream(seed), draws)
-    return np.bincount(nodes, minlength=g.node_count) / draws
+def _frequencies(nodes, g):
+    return np.bincount(nodes, minlength=g.node_count) / len(nodes)
+
+
+def _uniforms(seed, shape=DRAWS):
+    return RandomStream(seed).generator.random(shape)
 
 
 def _binomial_band(p, draws=DRAWS, sigmas=3):
@@ -21,19 +26,19 @@ def _binomial_band(p, draws=DRAWS, sigmas=3):
 
 
 def test_uniform_node_law(star):
-    freq = _frequencies(sample_random_nodes, star, seed=1)
+    freq = _frequencies(sample_random_nodes(star, _uniforms(1)), star)
     band = _binomial_band(0.25)
     assert np.all(np.abs(freq - 0.25) <= band)
 
 
 def test_uniform_node_degree_mean_regular(k3):
-    rs = RandomStream(2)
-    degs = k3.degrees[sample_random_nodes(k3, rs, 1000)]
+    degs = k3.degrees[sample_random_nodes(k3, _uniforms(2, 1000))]
     assert np.mean(degs) == 2.0  # every degree is 2
 
 
 def test_random_friend_law_star(star):
-    freq = _frequencies(sample_random_friends, star, seed=3)
+    freq = _frequencies(sample_random_friends(star, RandomStream(3), DRAWS),
+                        star)
     # marginal is degree/edge_end_count: center 3/6, each leaf 1/6
     assert abs(freq[0] - 0.5) <= _binomial_band(0.5)
     mean_deg = freq @ star.degrees
@@ -42,13 +47,15 @@ def test_random_friend_law_star(star):
 
 
 def test_random_friend_law_regular(k3):
-    freq = _frequencies(sample_random_friends, k3, seed=4)
+    freq = _frequencies(sample_random_friends(k3, RandomStream(4), DRAWS),
+                        k3)
     band = _binomial_band(1 / 3)
     assert np.all(np.abs(freq - 1 / 3) <= band)
 
 
 def test_friend_of_node_law_star(star):
-    freq = _frequencies(sample_friends_of_random_nodes, star, seed=5)
+    nodes = sample_friends_of_random_nodes(star, *_uniforms(5, (2, DRAWS)))
+    freq = _frequencies(nodes, star)
     # every leaf's only neighbor is the center
     assert abs(freq[0] - 0.75) <= _binomial_band(0.75)
     mean_deg = freq @ star.degrees
@@ -57,20 +64,21 @@ def test_friend_of_node_law_star(star):
 
 
 def test_friend_of_node_law_regular(k3):
-    freq = _frequencies(sample_friends_of_random_nodes, k3, seed=6)
+    nodes = sample_friends_of_random_nodes(k3, *_uniforms(6, (2, DRAWS)))
+    freq = _frequencies(nodes, k3)
     band = _binomial_band(1 / 3)
     assert np.all(np.abs(freq - 1 / 3) <= band)
 
 
 def test_zero_length_walk_returns_start(star):
-    rs = RandomStream(7)
-    assert random_walk_endpoints(star, [2], 0, rs).tolist() == [2]
+    gen = RandomStream(7).generator
+    assert random_walk_endpoints(star, [2], 0, gen).tolist() == [2]
 
 
 def test_single_step_walk_triangle(k3):
     walks = DRAWS // 10
     ends = random_walk_endpoints(k3, np.zeros(walks, dtype=np.int64), 1,
-                                 RandomStream(8))
+                                 RandomStream(8).generator)
     freq = np.bincount(ends, minlength=3) / walks
     band = _binomial_band(0.5, draws=walks)
     assert freq[0] == 0.0
@@ -80,30 +88,44 @@ def test_single_step_walk_triangle(k3):
 
 def test_step_map_stays_in_range():
     # the largest uniform must still pick an index below the degree, for
-    # the plain step floor(u d) and for the lazy step floor((2u - 1) d)
+    # the plain step floor(u d) and for the lazy step floor((2u - 1) d),
+    # and a node below n for the node draw floor(u n)
     u = np.nextafter(1.0, 0.0)
     d = np.arange(1, 2 ** 22 + 1, dtype=np.float64)
     assert np.all(np.floor(u * d) < d)
     assert np.all(np.floor((2.0 * u - 1.0) * d) < d)
+    wide = RandomStream(13).generator.integers(1, 2 ** 40, size=1_000_000,
+                                               endpoint=True)
+    for n in (d.astype(np.int64), wide, np.array([2 ** 40])):
+        g = SimpleNamespace(node_count=n)
+        assert np.all(sample_random_nodes(g, u) < n)
 
 
 def test_uniform_block_matches_streamed_walk(star_chord):
     starts = np.array([0, 1, 2, 3, 0, 1])
     for lazy in (False, True):
         streamed = random_walk_endpoints(star_chord, starts, 17,
-                                         RandomStream(12), lazy=lazy)
+                                         RandomStream(12).generator,
+                                         lazy=lazy)
         block = RandomStream(12).generator.random((17, len(starts)))
         assert np.array_equal(
             random_walk_endpoints(star_chord, starts, 17, block, lazy=lazy),
             streamed)
+        # a strided (length, 2, 3) view reads the walkers in C order
+        view = block.reshape(17, 3, 2).transpose(0, 2, 1)
+        order = np.array([0, 2, 4, 1, 3, 5])
+        assert np.array_equal(
+            random_walk_endpoints(star_chord, starts[order], 17, view,
+                                  lazy=lazy),
+            streamed[order])
 
 
 def test_walk_stationary_law_nonbipartite(star_chord):
     g = star_chord
     stationary = g.degrees / g.edge_end_count
-    rs = RandomStream(9)
-    starts = rs.generator.integers(0, g.node_count, size=DRAWS)
-    ends = random_walk_endpoints(g, starts, length=100, rs=rs)
+    gen = RandomStream(9).generator
+    starts = sample_random_nodes(g, gen.random(DRAWS))
+    ends = random_walk_endpoints(g, starts, length=100, uniforms=gen)
     freq = np.bincount(ends, minlength=g.node_count) / DRAWS
     for v in range(g.node_count):
         assert abs(freq[v] - stationary[v]) <= _binomial_band(stationary[v])
@@ -111,17 +133,18 @@ def test_walk_stationary_law_nonbipartite(star_chord):
 
 def test_lazy_walk_mixes_on_bipartite_star(star):
     stationary = star.degrees / star.edge_end_count
-    rs = RandomStream(10)
-    starts = rs.generator.integers(0, star.node_count, size=DRAWS)
-    ends = random_walk_endpoints(star, starts, length=60, rs=rs, lazy=True)
+    gen = RandomStream(10).generator
+    starts = sample_random_nodes(star, gen.random(DRAWS))
+    ends = random_walk_endpoints(star, starts, length=60, uniforms=gen,
+                                 lazy=True)
     freq = np.bincount(ends, minlength=star.node_count) / DRAWS
     for v in range(star.node_count):
         assert abs(freq[v] - stationary[v]) <= _binomial_band(stationary[v])
 
 
 def test_walk_length_validation(star):
-    with pytest.raises(ValueError):
-        random_walk_endpoints(star, [0], -1, RandomStream(0))
+    with pytest.raises(DataError):
+        random_walk_endpoints(star, [0], -1, RandomStream(0).generator)
 
 
 def test_default_walk_length():
@@ -140,9 +163,10 @@ def test_same_seed_same_sequence(star_chord):
 
 def test_substreams_are_deterministic_and_distinct(star_chord):
     root = RandomStream(42)
-    s_one = sample_random_nodes(star_chord,
-                                RandomStream(42).substream(0, 5), 8)
-    s_two = sample_random_nodes(star_chord, root.substream(0, 5), 8)
+    s_one = sample_random_nodes(
+        star_chord, RandomStream(42).substream(0, 5).generator.random(8))
+    s_two = sample_random_nodes(star_chord,
+                                root.substream(0, 5).generator.random(8))
     assert np.array_equal(s_one, s_two)
     a = root.substream(1).generator.integers(0, 1 << 30, size=8)
     b = root.substream(2).generator.integers(0, 1 << 30, size=8)
@@ -151,8 +175,10 @@ def test_substreams_are_deterministic_and_distinct(star_chord):
 
 def test_batch_walk_matches_seeded_rerun(star_chord):
     starts = np.array([0, 1, 2, 3, 0, 1])
-    one = random_walk_endpoints(star_chord, starts, 17, RandomStream(11))
-    two = random_walk_endpoints(star_chord, starts, 17, RandomStream(11))
+    one = random_walk_endpoints(star_chord, starts, 17,
+                                RandomStream(11).generator)
+    two = random_walk_endpoints(star_chord, starts, 17,
+                                RandomStream(11).generator)
     assert np.array_equal(one, two)
 
 
