@@ -6,13 +6,13 @@ well-connected respondents, exact closed-form error analysis, synthetic
 graph generators, and a reproducible Monte-Carlo sweep harness.
 """
 
-from .analytics import (BudgetThreshold, ErrorReport, FosdCheck, NetworkStats,
+from .analytics import (BudgetThreshold, ErrorBounds, FosdCheck, NetworkStats,
                         ParadoxCheck, SpectralSummary,
                         brute_force_estimator_law, budget_threshold,
-                        exact_error_fn, exact_error_ip, exact_error_rw,
-                        exact_error_un, fosd_check, friendship_paradox_check,
-                        label_degree_covariance, mean_degree,
-                        mean_label_friend, network_stats, spectral_summary)
+                        error_bounds, exact_error, fosd_check,
+                        friendship_paradox_check, label_degree_covariance,
+                        mean_degree, mean_label_friend, network_stats,
+                        spectral_summary)
 from .errors import (AssortativityUndefinedError, BipartiteWalkWarning,
                      DataError, DegenerateSpecError, DisconnectedGraphError,
                      DegreeLabelCorrUndefinedError, GraphBuildError,

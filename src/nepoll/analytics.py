@@ -1,10 +1,13 @@
 """Exact error analysis and network statistics.
 
-Everything here is closed-form: bias, single-sample variance and MSE of the
-four polling estimators, the spectral and minimum-degree variance bounds,
-degree correlations, the friendship-paradox and stochastic-dominance checks,
-and a brute-force enumeration oracle that recomputes estimator moments from
-first principles (exact rational arithmetic) for cross-validation.
+Everything here is closed-form.  ``exact_error(lg, kind)`` gives the bias
+and single-sample variance of each of the four polling estimators, and
+``error_bounds`` the paper's spectral and minimum-degree bounds on them.
+Alongside: the budget threshold under which the walk poll beats intent
+polling, degree correlations, the spectrum of the normalized adjacency
+matrix, the friendship-paradox and stochastic-dominance checks, and a
+brute-force enumeration oracle that recomputes each estimator's law from
+first principles (exact rational arithmetic) to referee the closed forms.
 
 All statistics are evaluated through sparse matrix-vector products on the
 adjacency lists, the spectrum included: nothing builds an n x n matrix.
@@ -19,8 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AssortativityUndefinedError,
+from .errors import (AssortativityUndefinedError, DataError,
                      DegreeLabelCorrUndefinedError, SpectrumNotConvergedError)
+from .estimators import ESTIMATOR_KINDS
 from .graph import Graph, LabeledGraph, graph_flags
 
 _FLOAT_SLACK = 1e-12  # guards exact inequalities against rounding
@@ -65,21 +69,18 @@ def neighbor_weights(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetworkStats:
-    """Degree/label distributions and correlation statistics.
+    """Degree-degree and degree-label correlations, from their covariances
+    and standard deviations: ``sigma_q`` of the degree at a random edge
+    end, ``sigma_k`` of a uniform node's degree, ``sigma_f`` of its label.
 
     ``assortativity`` and ``degree_label_corr`` raise when their
     denominators vanish (regular graph, or constant labels) rather than
     silently returning zero.
     """
 
-    degree_dist: dict[int, float]
-    neighbor_degree_dist: dict[int, float]
-    joint_neighbor_dist: dict[tuple[int, int], float]
     sigma_q: float
     sigma_k: float
     sigma_f: float
-    harmonic_mean_degree: float
-    neighbor_harmonic_diag: np.ndarray
     degree_degree_cov: float
     degree_label_cov: float
 
@@ -102,28 +103,18 @@ class NetworkStats:
 
 
 def network_stats(lg: LabeledGraph) -> NetworkStats:
-    """Compute every distributional statistic from degree counts over
-    nodes and edge endpoints."""
+    """Compute the statistics from degree counts over nodes and edge
+    endpoints."""
     g = lg.graph
     n, big_m = g.node_count, g.edge_end_count
     degrees = g.degrees
 
     counts = np.bincount(degrees)
     ks = np.flatnonzero(counts)
-    degree_dist = {int(k): float(counts[k] / n) for k in ks}
     # degree-biased marginal: q(k) = k P(k) n / M
-    neighbor_degree_dist = {int(k): float(k * counts[k] / big_m) for k in ks}
-
-    # ordered degree pairs of both ends of every edge, keyed du * span + dv
-    du, dv = degrees[g.edges[:, 0]], degrees[g.edges[:, 1]]
-    span = int(degrees.max()) + 1
-    pair_keys, pair_counts = np.unique(
-        np.concatenate([du * span + dv, dv * span + du]), return_counts=True)
-    joint = {divmod(k, span): c / big_m
-             for k, c in zip(pair_keys.tolist(), pair_counts.tolist())}
-
-    mu_q = math.fsum(k * p for k, p in neighbor_degree_dist.items())
-    ex2_q = math.fsum(k * k * p for k, p in neighbor_degree_dist.items())
+    q = ks * counts[ks] / big_m
+    mu_q = math.fsum(ks * q)
+    ex2_q = math.fsum(ks * ks * q)
     sigma_q = math.sqrt(max(ex2_q - mu_q * mu_q, 0.0))
 
     mu_k = big_m / n
@@ -134,23 +125,13 @@ def network_stats(lg: LabeledGraph) -> NetworkStats:
     sigma_f = math.sqrt(max(f_bar - f_bar * f_bar, 0.0))
 
     # E{d d'} over ordered edge ends: 2 sum_edges d(u) d(v) / M, exactly
+    du, dv = degrees[g.edges[:, 0]], degrees[g.edges[:, 1]]
     degree_degree_cov = 2 * int(np.dot(du, dv)) / big_m - mu_q * mu_q
 
-    w = neighbor_weights(g)
-    harmonic = degrees / w
-
     return NetworkStats(
-        degree_dist=degree_dist,
-        neighbor_degree_dist=neighbor_degree_dist,
-        joint_neighbor_dist=joint,
-        sigma_q=sigma_q,
-        sigma_k=sigma_k,
-        sigma_f=sigma_f,
-        harmonic_mean_degree=n / float(np.sum(1.0 / degrees)),
-        neighbor_harmonic_diag=harmonic,
+        sigma_q=sigma_q, sigma_k=sigma_k, sigma_f=sigma_f,
         degree_degree_cov=degree_degree_cov,
-        degree_label_cov=label_degree_covariance(lg),
-    )
+        degree_label_cov=label_degree_covariance(lg))
 
 
 # ---------------------------------------------------------------------------
@@ -244,117 +225,68 @@ def _has_twins(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# closed-form estimator error reports
+# closed-form estimator errors
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Closed-form single-sample moments of one estimator at one budget.
+def exact_error(lg: LabeledGraph, kind: str) -> tuple[float, float]:
+    """Exact ``(bias, var1)`` of one ``kind`` sample: its mean minus the
+    true fraction f_bar, and its variance.  A poll of budget b averages b
+    independent samples, so its variance is ``var1 / b`` and its MSE
+    ``bias * bias + var1 / b``.
 
-    ``variance_at_budget`` is ``variance_single_sample / budget`` (samples
-    are independent), and ``mse_at_budget`` is bias^2 plus that.
-    ``variance_upper_bound`` is the single-sample bound where one exists
-    (spectral bound for RW, minimum-degree bound for UN);
-    ``bias_sq_upper_bound`` is the spectral bias bound of the FN estimate.
-    ``connected``/``bipartite`` carry walk-applicability metadata on the RW
-    report.
+    IP samples a uniform node's label, so it is unbiased with var1 =
+    f_bar (1 - f_bar).  The others sample a poll response: of a uniform
+    node (UN), under the degree-weighted law d/M that a long walk reaches
+    (RW, bias cov(label, degree)/E{d} = E{f(friend)} - f_bar), or of a
+    uniform neighbor of a uniform node (FN, weights ``neighbor_weights / n``).
     """
-
-    estimator_kind: str
-    budget: int
-    bias: float
-    variance_single_sample: float
-    variance_upper_bound: float | None = None
-    bias_sq_upper_bound: float | None = None
-    connected: bool | None = None
-    bipartite: bool | None = None
-
-    @property
-    def variance_at_budget(self) -> float:
-        return self.variance_single_sample / self.budget
-
-    @property
-    def mse_at_budget(self) -> float:
-        return self.bias * self.bias + self.variance_at_budget
-
-
-def _finish(kind: str, budget: int, bias: float, var1: float,
-            **extra) -> ErrorReport:
-    return ErrorReport(estimator_kind=kind, budget=int(budget), bias=bias,
-                       variance_single_sample=var1, **extra)
-
-
-def exact_error_ip(lg: LabeledGraph, budget: int) -> ErrorReport:
-    """Intent polling is unbiased with single-sample variance f(1-f)."""
+    if kind not in ESTIMATOR_KINDS:
+        raise DataError(f"unknown estimator kind {kind!r}")
     f_bar = lg.true_fraction
-    return _finish("IP", budget, 0.0, f_bar - f_bar * f_bar)
+    if kind == "IP":
+        return 0.0, f_bar - f_bar * f_bar
+    g, q = lg.graph, lg.responses
+    if kind == "UN":
+        mean = float(q.mean())
+        second = float(np.dot(q, q)) / g.node_count
+    elif kind == "RW":
+        mean = mean_label_friend(lg)
+        second = float(np.dot(g.degrees / g.edge_end_count, q * q))
+    else:
+        w = neighbor_weights(g)
+        mean = float(np.dot(w, q)) / g.node_count
+        second = float(np.dot(w, q * q)) / g.node_count
+    return mean - f_bar, second - mean * mean
 
 
-def exact_error_un(lg: LabeledGraph, budget: int) -> ErrorReport:
-    """Uniform-respondent poll: bias is the neighbor-label excess, variance
-    is the response variance over uniform nodes, bounded by
-    E{f(friend)} E{d} / d_min."""
-    q = lg.responses
-    mean_q = float(q.mean())
-    var1 = float(np.dot(q, q)) / lg.graph.node_count - mean_q * mean_q
-    bias = mean_q - lg.true_fraction
-    bound = mean_label_friend(lg) * mean_degree(lg.graph) / lg.graph.min_degree
-    return _finish("UN", budget, bias, var1, variance_upper_bound=bound)
+class ErrorBounds(NamedTuple):
+    """The paper's bounds on the single-sample errors of :func:`exact_error`.
 
-
-def exact_error_rw(lg: LabeledGraph, budget: int, *,
-                   lambda2: float | None = None,
-                   with_bound: bool = True) -> ErrorReport:
-    """Long-walk poll: respondents follow the degree-weighted law.
-
-    Bias equals cov(label, degree)/E{d} = E{f(friend)} - f_bar.  The
-    single-sample variance is the response variance under the
-    degree-weighted law, bounded by lambda2^2 E{f(friend)}.  Pass a
-    precomputed ``lambda2`` to skip the Lanczos run, or
-    ``with_bound=False`` to omit the bound.
+    ``un_variance`` = E{f(friend)} E{d} / d_min bounds the UN var1;
+    ``rw_variance`` = lambda2^2 E{f(friend)} bounds the RW var1;
+    ``fn_bias_sq`` = (lambda_n^2 - 1)^2 E{f(friend)} E{d} / harmonic-mean
+    degree bounds the squared FN bias, which is
+    ((D^{-1/2} 1)' (N^2 - I) D^{1/2} f / n)^2 with N = D^{-1/2} A D^{-1/2}
+    (Cauchy-Schwarz), for ``lambda_n`` the smallest singular value of N
+    (see :class:`SpectralSummary`).
     """
+
+    un_variance: float
+    rw_variance: float
+    fn_bias_sq: float
+
+
+def error_bounds(lg: LabeledGraph, lambda2: float,
+                 lambda_n: float) -> ErrorBounds:
+    """The bounds at the extreme singular values of N, as
+    :func:`spectral_summary` reports them."""
     g = lg.graph
-    q = lg.responses
     ef_friend = mean_label_friend(lg)
-    bias = ef_friend - lg.true_fraction
-    weights = g.degrees / g.edge_end_count
-    var1 = float(np.dot(weights, q * q)) - ef_friend * ef_friend
-    bound = None
-    if with_bound:
-        if lambda2 is None:
-            lambda2 = spectral_summary(g).lambda2
-        bound = lambda2 * lambda2 * ef_friend
-    flags = graph_flags(g)
-    return _finish("RW", budget, bias, var1, variance_upper_bound=bound,
-                   connected=flags.connected, bipartite=flags.bipartite)
-
-
-def exact_error_fn(lg: LabeledGraph, budget: int, *,
-                   lambda_n: float | None = None,
-                   with_bound: bool = True) -> ErrorReport:
-    """Friend-of-node poll: respondents follow the uniform-neighbor law.
-
-    Bias is E{q(friend-of-node)} - f_bar = (D^{-1/2} 1)' (N^2 - I)
-    D^{1/2} f / n with N = D^{-1/2} A D^{-1/2}, so by Cauchy-Schwarz its
-    square is at most (lambda_n^2 - 1)^2 E{f(friend)} E{d} /
-    harmonic-mean-degree, reported alongside, with ``lambda_n`` the
-    smallest singular value of N (see :class:`SpectralSummary`).
-    """
-    g = lg.graph
-    n = g.node_count
-    q = lg.responses
-    w = neighbor_weights(g)
-    eq = float(np.dot(w, q)) / n
-    eq2 = float(np.dot(w, q * q)) / n
-    bias = eq - lg.true_fraction
-    var1 = eq2 - eq * eq
-    bound = None
-    if with_bound:
-        if lambda_n is None:
-            lambda_n = spectral_summary(g).lambda_n
-        d_hm = n / float(np.sum(1.0 / g.degrees))
-        bound = ((lambda_n * lambda_n - 1.0) ** 2 * mean_label_friend(lg)
-                 * mean_degree(g) / d_hm)
-    return _finish("FN", budget, bias, var1, bias_sq_upper_bound=bound)
+    d_hm = g.node_count / float(np.sum(1.0 / g.degrees))
+    return ErrorBounds(
+        un_variance=ef_friend * mean_degree(g) / g.min_degree,
+        rw_variance=lambda2 * lambda2 * ef_friend,
+        fn_bias_sq=((lambda_n * lambda_n - 1.0) ** 2 * ef_friend
+                    * mean_degree(g) / d_hm))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +311,7 @@ class BudgetThreshold:
         return math.isinf(self.value) and self.value > 0
 
 
-def budget_threshold(lg: LabeledGraph, *,
-                     lambda2: float | None = None) -> BudgetThreshold:
-    if lambda2 is None:
-        lambda2 = spectral_summary(lg.graph).lambda2
+def budget_threshold(lg: LabeledGraph, lambda2: float) -> BudgetThreshold:
     f_bar = lg.true_fraction
     var_f = f_bar - f_bar * f_bar
     numerator = (var_f - lambda2 * lambda2 * mean_label_friend(lg)) \
@@ -447,9 +376,6 @@ def fosd_check(g: Graph) -> FosdCheck:
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
-BRUTE_FORCE_KINDS = ("IP", "UN", "RW-stationary", "FN")
-
-
 def brute_force_estimator_law(lg: LabeledGraph,
                               kind: str) -> tuple[float, float]:
     """Exact single-sample mean and variance by full enumeration.
@@ -458,10 +384,8 @@ def brute_force_estimator_law(lg: LabeledGraph,
     Python loops, independent of the vectorized closed forms above, so it
     can referee them.  Intended for small graphs (a few hundred nodes).
     """
-    if kind == "RW":
-        kind = "RW-stationary"
-    if kind not in BRUTE_FORCE_KINDS:
-        raise ValueError(f"unknown estimator law {kind!r}")
+    if kind not in ESTIMATOR_KINDS:
+        raise DataError(f"unknown estimator kind {kind!r}")
     g = lg.graph
     n = g.node_count
     labels = [int(x) for x in lg.labels]
@@ -477,7 +401,7 @@ def brute_force_estimator_law(lg: LabeledGraph,
     elif kind == "UN":
         p = Fraction(1, n)
         outcomes = [(p, response(v)) for v in range(n)]
-    elif kind == "RW-stationary":
+    elif kind == "RW":  # the stationary law
         m = sum(len(a) for a in adj)
         outcomes = [(Fraction(len(adj[v]), m), response(v))
                     for v in range(n)]

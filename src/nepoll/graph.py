@@ -184,16 +184,17 @@ class LabeledGraph:
     __slots__ = ("graph", "labels", "responses")
 
     def __init__(self, graph: Graph, labels):
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
         if labels.shape != (graph.node_count,):
             raise DataError(
                 f"label vector length {labels.shape} != node count "
                 f"{graph.node_count}")
+        # checked before the int64 cast, which would truncate 0.5 to 0
         if not np.isin(labels, (0, 1)).all():
             raise DataError("labels must be 0 or 1")
         self.graph = graph
-        self.labels = labels
-        self.responses = graph.adjacency_matvec(labels) / graph.degrees
+        self.labels = labels.astype(np.int64, copy=False)
+        self.responses = graph.adjacency_matvec(self.labels) / graph.degrees
 
     @property
     def true_fraction(self) -> float:

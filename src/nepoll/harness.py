@@ -15,18 +15,16 @@ import math
 import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
 
 from . import io as nio
-from .analytics import (BudgetThreshold, ErrorReport, ParadoxCheck,
-                        SpectralSummary, brute_force_estimator_law,
-                        budget_threshold, exact_error_fn, exact_error_ip,
-                        exact_error_rw, exact_error_un, fosd_check,
-                        friendship_paradox_check, network_stats,
-                        spectral_summary)
+from .analytics import (BudgetThreshold, ParadoxCheck, SpectralSummary,
+                        brute_force_estimator_law, budget_threshold,
+                        exact_error, fosd_check, friendship_paradox_check,
+                        network_stats, spectral_summary)
 from .errors import (AssortativityUndefinedError, DataError,
                      DegreeLabelCorrUndefinedError, DisconnectedGraphError)
 from .estimators import ESTIMATOR_CODES, ESTIMATOR_KINDS, poll_values
@@ -176,19 +174,6 @@ def _empirical_moments(values: np.ndarray,
     return mean - truth, emp_var, emp_mse
 
 
-def _exact_report(lg: LabeledGraph, kind: str, budget: int,
-                  stationary_ok: bool) -> ErrorReport | None:
-    if kind == "IP":
-        return exact_error_ip(lg, budget)
-    if kind == "UN":
-        return exact_error_un(lg, budget)
-    if kind == "FN":
-        return exact_error_fn(lg, budget, with_bound=False)
-    if kind == "RW" and stationary_ok:
-        return exact_error_rw(lg, budget, with_bound=False)
-    return None  # finite-length walk law has no closed form here
-
-
 def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepRow]:
     lg, _ = materialize(cfg)
     return sweep_labeled(lg, cfg, workers=workers)
@@ -206,25 +191,20 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig, *,
     if budgets is None:
         budgets = default_budget_grid(lg.graph.node_count)
     truth = lg.true_fraction
-    stationary_ok = flags.connected and not flags.bipartite
     rows: list[SweepRow] = []
     for kind in cfg.estimators:
-        # the closed forms depend on the budget only through ErrorReport.budget
-        exact = _exact_report(lg, kind, 1, stationary_ok)
-        for budget in budgets:
-            values = replicate(lg, kind, int(budget), cfg.replications,
+        # RW's closed form is the stationary law, which a plain walk on a
+        # bipartite graph never reaches: its exact columns stay blank
+        bias, var1 = (None, None) if kind == "RW" and flags.bipartite \
+            else exact_error(lg, kind)
+        for budget in map(int, budgets):
+            values = replicate(lg, kind, budget, cfg.replications,
                                cfg.master_seed, cfg.walk_length,
                                workers=workers)
-            emp_bias, emp_var, emp_mse = _empirical_moments(values, truth)
-            report = None if exact is None else replace(exact,
-                                                        budget=int(budget))
-            rows.append(SweepRow(
-                estimator_kind=kind, budget=int(budget),
-                emp_bias=emp_bias, emp_var=emp_var, emp_mse=emp_mse,
-                exact_bias=None if report is None else report.bias,
-                exact_var=None if report is None else
-                report.variance_at_budget,
-                exact_mse=None if report is None else report.mse_at_budget))
+            exact = (None, None, None) if bias is None else \
+                (bias, var1 / budget, bias * bias + var1 / budget)
+            rows.append(SweepRow(kind, budget,
+                                 *_empirical_moments(values, truth), *exact))
     return rows
 
 
@@ -333,13 +313,13 @@ class Report:
                     f"true_fraction={lg.true_fraction:.4f}, "
                     f"defaulted={self.defaulted_labels}"))
         if g.node_count <= 200:
-            for kind, name in (("UN", "UN"), ("RW", "RW-stationary"),
-                               ("FN", "FN")):
-                report = _exact_report(lg, kind, 1, stationary_ok=True)
+            for kind, law in (("UN", ""), ("RW", "-stationary"), ("FN", "")):
+                bias, var1 = exact_error(lg, kind)
                 mean, var = brute_force_estimator_law(lg, kind)
-                ok = (abs(report.bias - (mean - lg.true_fraction)) <= 1e-10
-                      and abs(report.variance_single_sample - var) <= 1e-10)
-                out.append((f"closed_form_matches_enumeration_{name}", ok, ""))
+                ok = (abs(bias - (mean - lg.true_fraction)) <= 1e-10
+                      and abs(var1 - var) <= 1e-10)
+                out.append((f"closed_form_matches_enumeration_{kind}{law}",
+                            ok, ""))
         return out
 
 
@@ -356,7 +336,7 @@ def run_report(g: Graph, labels: np.ndarray | None = None, *,
     if labels is not None:
         with suppress(DegreeLabelCorrUndefinedError):
             corr = stats.degree_label_corr
-        threshold = budget_threshold(lg, lambda2=spectrum.lambda2)
+        threshold = budget_threshold(lg, spectrum.lambda2)
     return Report(
         graph=g, flags=graph_flags(g), paradox=friendship_paradox_check(g),
         fosd_holds=fosd_check(g).holds,
@@ -382,7 +362,10 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise DataError(f"line {lineno}: expected 'key = value', "
                             f"got {raw.strip()!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = _parse_value(val.strip())
+        key = key.strip()
+        if key in values:
+            raise DataError(f"line {lineno}: repeated key {key}")
+        values[key] = _parse_value(val.strip())
     return values
 
 
@@ -426,8 +409,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     ``labels.rho`` (+ ``labels.tol``, ``labels.max_iter``); ``budgets``
     (list or ``default``), ``replications``, ``estimators``,
     ``walk_length``, ``seed``.  Generator seeds derive from ``seed``.
-    A missing key or a bad value, such as a float or a boolean where an
-    integer belongs, raises ``DataError`` naming ``path`` and the key.
+    A missing, unknown or repeated key, or a bad value such as a float or
+    a boolean where an integer belongs, raises ``DataError`` naming
+    ``path`` and the key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -453,7 +437,18 @@ def _number(key: str, value) -> float | None:
     return None if value is None else float(value)
 
 
+_CONFIG_KEYS = frozenset((
+    "graph.path", "graph.model", "graph.n", "graph.alpha", "graph.kmin",
+    "graph.kmax", "graph.p", "graph.rkk", "graph.rkk_tol",
+    "graph.rkk_max_iter", "labels.path", "labels.p", "labels.rho",
+    "labels.tol", "labels.max_iter", "budgets", "replications", "estimators",
+    "walk_length", "seed"))
+
+
 def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
+    for key in kv:
+        if key not in _CONFIG_KEYS:
+            raise DataError(f"unknown key {key}")
     seed = _integer("seed", kv.get("seed", 0))
 
     if "graph.path" in kv:

@@ -17,8 +17,8 @@ from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                     LabeledGraph, RandomStream, RewireTarget,
                     assign_labels, brute_force_estimator_law, budget_threshold,
                     build_graph, configuration_model, erdos_renyi,
-                    exact_error_fn, exact_error_rw, exact_error_un,
-                    fosd_check, friendship_paradox_check, graph_flags,
+                    error_bounds, exact_error, fosd_check,
+                    friendship_paradox_check, graph_flags,
                     label_degree_covariance, mean_degree, mean_label_friend,
                     network_stats, poll_values, random_walk_endpoints,
                     replicate, rewire_to_assortativity, run_report,
@@ -105,14 +105,10 @@ def test_criterion_1_oracle_equivalence(suite):
     worst = 0.0
     for lg in suite:
         truth = lg.true_fraction
-        reports = (("UN", exact_error_un(lg, 1)),
-                   ("FN", exact_error_fn(lg, 1, with_bound=False)),
-                   ("RW-stationary", exact_error_rw(lg, 1,
-                                                    with_bound=False)))
-        for kind, rep in reports:
+        for kind in ("UN", "FN", "RW"):
+            bias, var1 = exact_error(lg, kind)
             mean, var = brute_force_estimator_law(lg, kind)
-            worst = max(worst, abs(rep.bias - (mean - truth)),
-                        abs(rep.variance_single_sample - var))
+            worst = max(worst, abs(bias - (mean - truth)), abs(var1 - var))
     elapsed = time.time() - start
     _verdict(1, worst <= 1e-10 and elapsed < 60,
              f"closed forms vs enumeration on {len(suite)} graphs: "
@@ -157,12 +153,13 @@ def test_criterion_4_bound_soundness(suite):
     sound = True
     detail = ""
     for i, lg in enumerate(suite):
-        lam2 = spectral_summary(lg.graph).lambda2
-        rw = exact_error_rw(lg, 1, lambda2=lam2)
-        un = exact_error_un(lg, 1)
-        ok = (rw.variance_single_sample <= rw.variance_upper_bound + SLACK
-              and un.variance_single_sample <= un.variance_upper_bound + SLACK
-              and rw.variance_upper_bound <= un.variance_upper_bound + SLACK)
+        s = spectral_summary(lg.graph)
+        bounds = error_bounds(lg, s.lambda2, s.lambda_n)
+        rw_var1 = exact_error(lg, "RW")[1]
+        un_var1 = exact_error(lg, "UN")[1]
+        ok = (rw_var1 <= bounds.rw_variance + SLACK
+              and un_var1 <= bounds.un_variance + SLACK
+              and bounds.rw_variance <= bounds.un_variance + SLACK)
         if not ok:
             sound = False
             detail = f"violated on suite graph {i}"
@@ -253,7 +250,7 @@ def test_criterion_7_budget_threshold_consistency(suite):
         if lam2 >= 1.0 - 1e-9:
             continue
         checked += 1
-        thr = budget_threshold(lg, lambda2=lam2)
+        thr = budget_threshold(lg, lam2)
         if thr.non_positive:
             continue  # no budget below a non-positive threshold
         f_bar = lg.true_fraction

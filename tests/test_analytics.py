@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from nepoll import (AssortativityUndefinedError, DegreeLabelCorrUndefinedError,
                     ErdosRenyiSpec, LabeledGraph, RandomStream,
                     SpectrumNotConvergedError, build_graph, erdos_renyi,
-                    brute_force_estimator_law, budget_threshold,
-                    exact_error_fn, exact_error_ip, exact_error_rw,
-                    exact_error_un, fosd_check, friendship_paradox_check,
-                    graph_flags, label_degree_covariance, mean_degree,
-                    mean_label_friend, network_stats, spectral_summary)
+                    DataError, brute_force_estimator_law, budget_threshold,
+                    error_bounds, exact_error, fosd_check,
+                    friendship_paradox_check, graph_flags,
+                    label_degree_covariance, mean_degree, mean_label_friend,
+                    network_stats, spectral_summary)
 from nepoll import analytics
 
 from _strategies import graphs, labeled_graphs
@@ -25,13 +25,8 @@ def test_network_stats_star(star_lg):
     stats = network_stats(star_lg)
     assert stats.assortativity == pytest.approx(-1.0, abs=1e-12)
     assert stats.degree_label_corr == pytest.approx(1.0, abs=1e-12)
-    assert stats.harmonic_mean_degree == pytest.approx(1.2, abs=1e-12)
-    assert stats.neighbor_harmonic_diag.tolist() == [1.0, 3.0, 3.0, 3.0]
     assert stats.sigma_q == pytest.approx(1.0, abs=1e-12)
     assert stats.sigma_f == pytest.approx(math.sqrt(0.1875), abs=1e-12)
-    assert stats.degree_dist == {1: 0.75, 3: 0.25}
-    assert stats.neighbor_degree_dist == {1: 0.5, 3: 0.5}
-    assert stats.joint_neighbor_dist == {(3, 1): 0.5, (1, 3): 0.5}
 
 
 def test_assortativity_matches_networkx():
@@ -44,17 +39,8 @@ def test_assortativity_matches_networkx():
 
 @settings(max_examples=50, deadline=None)
 @given(lg=labeled_graphs())
-def test_network_stats_distributions_normalize(lg):
+def test_network_stats_correlations_in_range(lg):
     stats = network_stats(lg)
-    n, big_m = lg.graph.node_count, lg.graph.edge_end_count
-    assert math.fsum(stats.degree_dist.values()) == pytest.approx(1.0)
-    assert math.fsum(stats.neighbor_degree_dist.values()) == pytest.approx(1.0)
-    assert math.fsum(stats.joint_neighbor_dist.values()) == pytest.approx(1.0)
-    for (k, kp), p in stats.joint_neighbor_dist.items():
-        assert stats.joint_neighbor_dist[(kp, k)] == pytest.approx(p)
-    for k, p in stats.degree_dist.items():
-        assert stats.neighbor_degree_dist[k] == pytest.approx(
-            k * p * n / big_m)
     if stats.sigma_q > 0:
         assert -1.0 - 1e-9 <= stats.assortativity <= 1.0 + 1e-9
     if stats.sigma_k > 0 and stats.sigma_f > 0:
@@ -183,49 +169,55 @@ def test_spectrum_matches_networkx_matrix(g):
 
 
 # ---------------------------------------------------------------------------
-# closed-form error reports
+# closed-form errors and their bounds
+
+def _bounds(lg):
+    s = spectral_summary(lg.graph)
+    return error_bounds(lg, s.lambda2, s.lambda_n)
+
 
 def test_exact_error_rw_star(star_lg):
-    r = exact_error_rw(star_lg, 1)
-    assert r.bias == pytest.approx(0.25, abs=1e-12)
-    assert r.variance_single_sample == pytest.approx(0.25, abs=1e-12)
-    assert r.variance_upper_bound == pytest.approx(0.5, abs=1e-12)
-    assert r.connected and r.bipartite
+    assert exact_error(star_lg, "RW") == pytest.approx((0.25, 0.25),
+                                                       abs=1e-12)
+    assert _bounds(star_lg).rw_variance == pytest.approx(0.5, abs=1e-12)
 
 
 def test_exact_error_rw_unbiased_on_regular(k3_lg):
-    assert exact_error_rw(k3_lg, 1).bias == 0.0
+    assert exact_error(k3_lg, "RW")[0] == 0.0
 
 
 def test_exact_error_un_star(star_lg):
-    r = exact_error_un(star_lg, 1)
-    assert r.bias == pytest.approx(0.5, abs=1e-12)
-    assert r.variance_single_sample == pytest.approx(0.1875, abs=1e-12)
-    assert r.variance_upper_bound == pytest.approx(0.75, abs=1e-12)
-    assert r.variance_single_sample <= r.variance_upper_bound
+    bias, var1 = exact_error(star_lg, "UN")
+    assert bias == pytest.approx(0.5, abs=1e-12)
+    assert var1 == pytest.approx(0.1875, abs=1e-12)
+    bound = _bounds(star_lg).un_variance
+    assert bound == pytest.approx(0.75, abs=1e-12)
+    assert var1 <= bound
 
 
 def test_exact_error_un_c4_alternating(c4):
-    r = exact_error_un(LabeledGraph(c4, [1, 0, 1, 0]), 1)
-    assert r.bias == pytest.approx(0.0, abs=1e-12)
-    assert r.variance_single_sample == pytest.approx(0.25, abs=1e-12)
+    bias, var1 = exact_error(LabeledGraph(c4, [1, 0, 1, 0]), "UN")
+    assert bias == pytest.approx(0.0, abs=1e-12)
+    assert var1 == pytest.approx(0.25, abs=1e-12)
 
 
 def test_exact_error_un_triangle(k3_lg):
-    r = exact_error_un(k3_lg, 1)
-    assert r.bias == pytest.approx(0.0, abs=1e-12)
-    assert r.variance_single_sample == pytest.approx(1 / 18, abs=1e-12)
+    bias, var1 = exact_error(k3_lg, "UN")
+    assert bias == pytest.approx(0.0, abs=1e-12)
+    assert var1 == pytest.approx(1 / 18, abs=1e-12)
 
 
 def test_exact_error_fn_star(star_lg):
-    r = exact_error_fn(star_lg, 1)
-    assert r.bias == pytest.approx(0.0, abs=1e-12)
-    assert r.variance_single_sample == pytest.approx(0.1875, abs=1e-12)
-    assert r.bias_sq_upper_bound is not None
-    assert r.bias ** 2 <= r.bias_sq_upper_bound + 1e-12
+    bias, var1 = exact_error(star_lg, "FN")
+    assert bias == pytest.approx(0.0, abs=1e-12)
+    assert var1 == pytest.approx(0.1875, abs=1e-12)
+    assert bias ** 2 <= _bounds(star_lg).fn_bias_sq + 1e-12
 
 
 def test_fn_bias_bound_reads_lambda_n_as_singular_value():
+    def fn_bias_sq_bound(lg, lambda_n):  # lambda2 does not enter it
+        return error_bounds(lg, 1.0, lambda_n).fn_bias_sq
+
     # sound: the bound with the smallest singular value, on random graphs
     gen = RandomStream(2241).generator
     for _ in range(500):
@@ -237,8 +229,9 @@ def test_fn_bias_bound_reads_lambda_n_as_singular_value():
         g = build_graph(pairs)
         lg = LabeledGraph(g, gen.integers(0, 2, size=g.node_count))
         smallest_singular_value = np.abs(_dense_spectrum(g)).min()
-        fn = exact_error_fn(lg, 1, lambda_n=smallest_singular_value)
-        assert fn.bias ** 2 <= fn.bias_sq_upper_bound + 1e-12
+        bias = exact_error(lg, "FN")[0]
+        assert bias ** 2 <= fn_bias_sq_bound(lg, smallest_singular_value) \
+            + 1e-12
 
     # unsound: the smallest eigenvalue, -1 on this bipartite path
     g = build_graph([(0, 3), (1, 2), (2, 3)])
@@ -249,45 +242,34 @@ def test_fn_bias_bound_reads_lambda_n_as_singular_value():
     d = a.sum(axis=1)
     smallest_eigenvalue = np.linalg.eigvalsh(a / np.sqrt(np.outer(d, d)))[0]
     assert smallest_eigenvalue == pytest.approx(-1.0, abs=1e-12)
-    by_eigenvalue = exact_error_fn(lg, 1, lambda_n=smallest_eigenvalue)
-    assert by_eigenvalue.bias ** 2 == pytest.approx(1 / 256, abs=1e-12)
-    assert by_eigenvalue.bias_sq_upper_bound == pytest.approx(0.0, abs=1e-12)
-    assert exact_error_fn(lg, 1).bias_sq_upper_bound >= 1 / 256
+    assert exact_error(lg, "FN")[0] ** 2 == pytest.approx(1 / 256, abs=1e-12)
+    assert fn_bias_sq_bound(lg, smallest_eigenvalue) == pytest.approx(
+        0.0, abs=1e-12)
+    assert _bounds(lg).fn_bias_sq >= 1 / 256
 
 
 def test_exact_error_fn_equals_un_on_regular(k3_lg):
-    fn = exact_error_fn(k3_lg, 3)
-    un = exact_error_un(k3_lg, 3)
-    assert fn.bias == pytest.approx(un.bias, abs=1e-12)
-    assert fn.variance_single_sample == pytest.approx(
-        un.variance_single_sample, abs=1e-12)
+    assert exact_error(k3_lg, "FN") == pytest.approx(exact_error(k3_lg, "UN"),
+                                                     abs=1e-12)
 
 
 def test_exact_error_ip(star_lg):
-    r = exact_error_ip(star_lg, 5)
-    assert r.bias == 0.0
-    assert r.variance_single_sample == pytest.approx(0.1875, abs=1e-12)
-    assert r.variance_at_budget == pytest.approx(0.0375, abs=1e-12)
-
-
-def test_report_budget_scaling_and_mse_identity(star_lg):
-    for b in (1, 2, 10):
-        r = exact_error_un(star_lg, b)
-        assert r.variance_at_budget == r.variance_single_sample / b
-        assert r.mse_at_budget == r.bias ** 2 + r.variance_at_budget
+    bias, var1 = exact_error(star_lg, "IP")
+    assert bias == 0.0
+    assert var1 == pytest.approx(0.1875, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # budget threshold
 
 def test_budget_threshold_star_non_positive(star_lg):
-    t = budget_threshold(star_lg)
+    t = budget_threshold(star_lg, spectral_summary(star_lg.graph).lambda2)
     assert t.non_positive
     assert t.value == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_budget_threshold_triangle_unbounded(k3_lg):
-    t = budget_threshold(k3_lg)
+    t = budget_threshold(k3_lg, spectral_summary(k3_lg.graph).lambda2)
     assert t.unbounded
     assert not t.non_positive
 
@@ -301,7 +283,7 @@ def test_budget_threshold_finite_positive():
     lg = LabeledGraph(wheel, [0, 0, 0, 0, 0, 1])
     lam2 = spectral_summary(wheel).lambda2
     assert lam2 < 1.0
-    t = budget_threshold(lg)
+    t = budget_threshold(lg, lam2)
     assert not t.non_positive and math.isfinite(t.value)
     f_bar = lg.true_fraction
     expected = ((f_bar * (1 - f_bar) - lam2 ** 2 * mean_label_friend(lg))
@@ -363,27 +345,25 @@ def test_paradox_and_fosd_universal(lg):
 def test_brute_force_star_values(star_lg):
     assert brute_force_estimator_law(star_lg, "IP") == (0.25, 0.1875)
     assert brute_force_estimator_law(star_lg, "UN") == (0.75, 0.1875)
-    assert brute_force_estimator_law(star_lg, "RW-stationary") == (0.5, 0.25)
+    assert brute_force_estimator_law(star_lg, "RW") == (0.5, 0.25)
     assert brute_force_estimator_law(star_lg, "FN") == (0.25, 0.1875)
 
 
-def test_brute_force_unknown_kind(star_lg):
-    with pytest.raises(ValueError):
-        brute_force_estimator_law(star_lg, "XX")
+@pytest.mark.parametrize("law", [brute_force_estimator_law, exact_error])
+def test_unknown_kind_is_data_error(star_lg, law):
+    with pytest.raises(DataError, match="unknown estimator kind 'XX'"):
+        law(star_lg, "XX")
 
 
 @settings(max_examples=60, deadline=None)
 @given(lg=labeled_graphs())
 def test_closed_forms_match_enumeration(lg):
     truth = lg.true_fraction
-    cases = (("UN", exact_error_un(lg, 1)),
-             ("RW-stationary", exact_error_rw(lg, 1, with_bound=False)),
-             ("FN", exact_error_fn(lg, 1, with_bound=False)),
-             ("IP", exact_error_ip(lg, 1)))
-    for kind, report in cases:
+    for kind in ("IP", "UN", "RW", "FN"):
+        bias, var1 = exact_error(lg, kind)
         mean, var = brute_force_estimator_law(lg, kind)
-        assert abs(report.bias - (mean - truth)) <= 1e-10
-        assert abs(report.variance_single_sample - var) <= 1e-10
+        assert abs(bias - (mean - truth)) <= 1e-10
+        assert abs(var1 - var) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,13 +378,11 @@ def test_walk_bias_identity(lg):
 @settings(max_examples=60, deadline=None)
 @given(lg=labeled_graphs())
 def test_variance_bounds_sound_and_ordered(lg):
-    lam2 = spectral_summary(lg.graph).lambda2
-    rw = exact_error_rw(lg, 1, lambda2=lam2)
-    un = exact_error_un(lg, 1)
-    assert rw.variance_single_sample <= rw.variance_upper_bound + 1e-12
-    assert un.variance_single_sample <= un.variance_upper_bound + 1e-12
+    bounds = _bounds(lg)
+    assert exact_error(lg, "RW")[1] <= bounds.rw_variance + 1e-12
+    assert exact_error(lg, "UN")[1] <= bounds.un_variance + 1e-12
     # spectral bound never exceeds the minimum-degree bound
-    assert rw.variance_upper_bound <= un.variance_upper_bound + 1e-12
+    assert bounds.rw_variance <= bounds.un_variance + 1e-12
 
 
 def mean_response_neighbor(lg):

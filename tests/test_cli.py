@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -59,13 +58,13 @@ def test_check_command(star_files, capsys):
 
 
 def test_check_fails_on_wrong_closed_form(star_files, monkeypatch, capsys):
-    exact_un = harness.exact_error_un
+    exact_error = harness.exact_error
 
-    def wrong_un(lg, budget):
-        report = exact_un(lg, budget)
-        return replace(report, bias=report.bias + 0.1)
+    def wrong_un(lg, kind):
+        bias, var1 = exact_error(lg, kind)
+        return (bias + 0.1 if kind == "UN" else bias), var1
 
-    monkeypatch.setattr(harness, "exact_error_un", wrong_un)
+    monkeypatch.setattr(harness, "exact_error", wrong_un)
     edges, labels = star_files
     assert main(["check", "--graph", str(edges),
                  "--labels", str(labels)]) == 1
@@ -207,6 +206,10 @@ def test_cli_import_loads_no_scipy_or_networkx(star_files):
      "labels.p must be a number, got 'x'"),
     ("graph.model = config\ngraph.n = 9\ngraph.alpha = true\n"
      "labels.p = 0.3\n", "graph.alpha must be a number, got True"),
+    ("graph.model = config\ngraph.n = 9\ngraph.alpha = 2.4\n"
+     "graph.kmx = 40\nlabels.p = 0.3\n", "unknown key graph.kmx"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "seed = 1\nseed = 2\n", "line 6: repeated key seed"),
 ])
 def test_bad_config_names_file(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"

@@ -54,7 +54,7 @@ def test_large_budget_converges_to_enumerated_law(star_lg, law):
 
 
 def test_random_friend_poll_converges_to_stationary_law(star_lg):
-    mean, var = brute_force_estimator_law(star_lg, "RW-stationary")
+    mean, var = brute_force_estimator_law(star_lg, "RW")
     assert abs(_stationary_poll(star_lg, BIG_BUDGET, 14) - mean) \
         <= _band(var)
     assert mean == 0.5 and var == 0.25
@@ -62,7 +62,7 @@ def test_random_friend_poll_converges_to_stationary_law(star_lg):
 
 def test_walk_estimator_on_regular_graph(k3_lg):
     # triangle is regular: the endpoint law equals the uniform law at any N
-    mean, var = brute_force_estimator_law(k3_lg, "RW-stationary")
+    mean, var = brute_force_estimator_law(k3_lg, "RW")
     assert mean == pytest.approx(1 / 3)
     assert var == pytest.approx(1 / 18)
     est = _poll("RW", k3_lg, BIG_BUDGET, 15, walk_length=3)
@@ -84,7 +84,7 @@ def test_lazy_walk_mixes_on_bipartite(star_lg):
     # the lazy walk has a stationary law on bipartite graphs, so no warning
     # and the long-run estimate matches the degree-weighted response mean
     import warnings as _warnings
-    mean, var = brute_force_estimator_law(star_lg, "RW-stationary")
+    mean, var = brute_force_estimator_law(star_lg, "RW")
     with _warnings.catch_warnings():
         _warnings.simplefilter("error", BipartiteWalkWarning)
         est = _poll("RW", star_lg, 20_000, 2, walk_length=80,

@@ -200,6 +200,13 @@ def test_label_validation(star):
         LabeledGraph(star, [1, 0, 0, 2])     # non-binary
 
 
+def test_fractional_labels_rejected(k3):
+    with pytest.raises(DataError, match="^labels must be 0 or 1$"):
+        LabeledGraph(k3, [0.5, 1.7, 0])
+    lg = LabeledGraph(k3, [1.0, 0.0, 1.0])
+    assert lg.labels.dtype == np.int64 and lg.labels.tolist() == [1, 0, 1]
+
+
 def test_graph_flags_examples(k3, star, two_edges):
     assert graph_flags(k3) == GraphFlags(connected=True, bipartite=False)
     assert graph_flags(star) == GraphFlags(connected=True, bipartite=True)

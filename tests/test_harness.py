@@ -1,13 +1,15 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from nepoll import (ConfigModelSpec, DisconnectedGraphError, ErdosRenyiSpec,
-                    ExperimentConfig, LabelTarget, LabeledGraph, RewireTarget,
-                    SWEEP_CSV_HEADER, brute_force_estimator_law,
-                    default_budget_grid, default_walk_length,
+from nepoll import (BipartiteWalkWarning, ConfigModelSpec,
+                    DisconnectedGraphError, ErdosRenyiSpec, ExperimentConfig,
+                    LabelTarget, LabeledGraph, RewireTarget,
+                    SWEEP_CSV_HEADER, brute_force_estimator_law, build_graph,
+                    default_budget_grid, default_walk_length, exact_error,
                     load_experiment_config, materialize, poll_values,
                     replicate, run_report, run_sweep, sweep_labeled,
                     write_sweep_csv)
@@ -56,8 +58,7 @@ def test_replications_converge_to_closed_form(star_lg, star_chord, kind,
     # law after 60 steps.
     reps = 100_000
     lg = LabeledGraph(star_chord, [1, 0, 0, 1]) if chord else star_lg
-    law = "RW-stationary" if kind == "RW" else kind
-    mean, var = brute_force_estimator_law(lg, law)
+    mean, var = brute_force_estimator_law(lg, kind)
     values = replicate(lg, kind, budget=1, replications=reps,
                        master_seed=88, walk_length=60)
     assert abs(values.mean() - mean) <= 4 * math.sqrt(var / reps)
@@ -100,6 +101,64 @@ def test_sweep_rw_exact_blank_on_bipartite(star_lg):
     by_kind = {r.estimator_kind: r for r in rows}
     assert by_kind["RW"].exact_bias is None       # no stationary law
     assert by_kind["UN"].exact_bias is not None
+
+
+# exact_bias, exact_var and exact_mse of a sweep as its CSV writes them,
+# recorded from the four per-estimator report builders that exact_error
+# replaced.  The second graph, an 8-cycle with a chord, is bipartite, so
+# its RW cells are blank.
+_EXACT_COLUMNS = (
+    "IP,1,0.0,0.244375,0.244375",
+    "IP,3,0.0,0.08145833333333334,0.08145833333333334",
+    "IP,7,0.0,0.03491071428571429,0.03491071428571429",
+    "UN,1,-0.03782738095238097,0.09471346991921772,0.09614438066893428",
+    "UN,3,-0.03782738095238097,0.031571156639739244,0.0330020673894558",
+    "UN,7,-0.03782738095238097,0.01353049570274539,0.014961406452461945",
+    "RW,1,-0.031557377049180324,0.0762235894088891,0.07721945745511323",
+    "RW,3,-0.031557377049180324,0.025407863136296366,0.0264037311825205",
+    "RW,7,-0.031557377049180324,0.01088908420126987,0.011884952247494003",
+    "FN,1,-0.009752976190476215,0.07528190964250289,0.0753770301870749",
+    "FN,3,-0.009752976190476215,0.0250939698808343,0.025189090425406294",
+    "FN,7,-0.009752976190476215,0.010754558520357557,0.010849679064929552",
+    "IP,1,0.0,0.234375,0.234375",
+    "IP,3,0.0,0.078125,0.078125",
+    "IP,7,0.0,0.033482142857142856,0.033482142857142856",
+    "UN,1,0.020833333333333315,0.05512152777777779,0.055555555555555566",
+    "UN,3,0.020833333333333315,0.018373842592592598,0.018807870370370374",
+    "UN,7,0.020833333333333315,0.00787450396825397,0.008308531746031746",
+    "RW,1,,,",
+    "RW,3,,,",
+    "RW,7,,,",
+    "FN,1,0.01736111111111105,0.06075183256172842,0.06105324074074076",
+    "FN,3,0.01736111111111105,0.020250610853909473,0.020552019032921816",
+    "FN,7,0.01736111111111105,0.00867883322310406,0.008980241402116403",
+)
+
+
+def test_sweep_exact_columns():
+    g, _ = netgen.configuration_model(ConfigModelSpec(40, 2.4, k_min=2,
+                                                      k_max=10, seed=3))
+    chorded_cycle = build_graph([(i, (i + 1) % 8) for i in range(8)]
+                                + [(0, 5)])
+    cfg = ExperimentConfig(graph_source=None, label_source=None,
+                           budgets=(1, 3, 7), replications=2)
+    columns = []
+    for lg in (netgen.assign_labels(g, LabelTarget(0.4), RandomStream(5)),
+               LabeledGraph(chorded_cycle, [1, 0, 0, 1, 1, 0, 0, 0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BipartiteWalkWarning)
+            rows = sweep_labeled(lg, cfg)
+        for row in rows:
+            if row.exact_bias is not None:
+                bias, var1 = exact_error(lg, row.estimator_kind)
+                assert row.exact_var == var1 / row.budget
+                assert row.exact_mse == bias ** 2 + row.exact_var
+        buf = io.StringIO()
+        write_sweep_csv(rows, buf)
+        for line in buf.getvalue().splitlines()[1:]:
+            fields = line.split(",")
+            columns.append(",".join(fields[:2] + fields[5:]))
+    assert tuple(columns) == _EXACT_COLUMNS
 
 
 def test_sweep_requires_connected_for_walks(two_edges):
