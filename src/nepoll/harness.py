@@ -65,6 +65,12 @@ class ExperimentConfig:
         unknown = set(self.estimators) - set(ESTIMATOR_KINDS)
         if unknown:
             raise DataError(f"unknown estimators: {sorted(unknown)}")
+        # a repeated cell would replay its stream and write identical rows
+        for key, values in (("estimators", self.estimators),
+                            ("budgets", self.budgets or ())):
+            twice = [v for k, v in enumerate(values) if v in values[:k]]
+            if twice:
+                raise DataError(f"{key} lists {twice[0]!r} twice")
         if self.walk_length is not None and self.walk_length < 0:
             raise DataError("walk_length must be >= 0")
         if self.master_seed < 0:
@@ -409,9 +415,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     ``labels.rho`` (+ ``labels.tol``, ``labels.max_iter``); ``budgets``
     (list or ``default``), ``replications``, ``estimators``,
     ``walk_length``, ``seed``.  Generator seeds derive from ``seed``.
-    A missing, unknown or repeated key, or a bad value such as a float or
-    a boolean where an integer belongs, raises ``DataError`` naming
-    ``path`` and the key.
+    A missing, unknown or repeated key, both sources of the graph or of
+    the labels, or a bad value such as a float or a boolean where an
+    integer belongs, raises ``DataError`` naming ``path`` and the key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -450,6 +456,11 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
         if key not in _CONFIG_KEYS:
             raise DataError(f"unknown key {key}")
     seed = _integer("seed", kv.get("seed", 0))
+    for path_key, model_key in (("graph.path", "graph.model"),
+                                ("labels.path", "labels.p")):
+        if path_key in kv and model_key in kv:
+            raise DataError(f"{path_key} and {model_key} both given; "
+                            "set one source")
 
     if "graph.path" in kv:
         graph_source: object = str(kv["graph.path"])

@@ -210,6 +210,16 @@ def test_cli_import_loads_no_scipy_or_networkx(star_files):
      "graph.kmx = 40\nlabels.p = 0.3\n", "unknown key graph.kmx"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
      "seed = 1\nseed = 2\n", "line 6: repeated key seed"),
+    ("graph.path = \"g.edges\"\ngraph.model = er\ngraph.n = 9\n"
+     "graph.p = 0.5\nlabels.p = 0.3\n",
+     "graph.path and graph.model both given; set one source"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\n"
+     "labels.path = \"g.labels\"\nlabels.p = 0.3\n",
+     "labels.path and labels.p both given; set one source"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "estimators = [IP, UN, IP]\n", "estimators lists 'IP' twice"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "budgets = [1, 5, 1]\n", "budgets lists 1 twice"),
 ])
 def test_bad_config_names_file(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nepoll import (BipartiteWalkWarning, ConfigModelSpec,
+from nepoll import (BipartiteWalkWarning, ConfigModelSpec, DataError,
                     DisconnectedGraphError, ErdosRenyiSpec, ExperimentConfig,
                     LabelTarget, LabeledGraph, RewireTarget,
                     SWEEP_CSV_HEADER, brute_force_estimator_law, build_graph,
@@ -369,6 +369,13 @@ def test_experiment_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(graph_source="x", label_source="y",
                          estimators=("IP", "XX"))
+    # a repeated cell would make run_sweep write identical rows
+    with pytest.raises(DataError, match="^estimators lists 'IP' twice$"):
+        ExperimentConfig(graph_source="x", label_source="y",
+                         estimators=("IP", "IP"))
+    with pytest.raises(DataError, match="^budgets lists 5 twice$"):
+        ExperimentConfig(graph_source="x", label_source="y",
+                         budgets=(2, 5, 10, 5))
 
 
 # ---------------------------------------------------------------------------
