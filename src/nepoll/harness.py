@@ -415,9 +415,11 @@ def load_experiment_config(path) -> ExperimentConfig:
     ``labels.rho`` (+ ``labels.tol``, ``labels.max_iter``); ``budgets``
     (list or ``default``), ``replications``, ``estimators``,
     ``walk_length``, ``seed``.  Generator seeds derive from ``seed``.
-    A missing, unknown or repeated key, both sources of the graph or of
-    the labels, or a bad value such as a float or a boolean where an
-    integer belongs, raises ``DataError`` naming ``path`` and the key.
+    A missing, unknown or repeated key, a key nothing reads (``graph.alpha``
+    with ``graph.model = er``, ``labels.tol`` without ``labels.rho``), both
+    sources of the graph or of the labels, or a bad value such as a float
+    or a boolean where an integer belongs, raises ``DataError`` naming
+    ``path`` and the key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -451,6 +453,13 @@ _CONFIG_KEYS = frozenset((
     "walk_length", "seed"))
 
 
+def _unread(kv: dict[str, object], keys: tuple[str, ...], why: str) -> None:
+    """Reject the first of ``keys`` that ``kv`` sets: nothing reads it."""
+    for key in keys:
+        if key in kv:
+            raise DataError(f"{key} is not read {why}")
+
+
 def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
     for key in kv:
         if key not in _CONFIG_KEYS:
@@ -463,11 +472,14 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
                             "set one source")
 
     if "graph.path" in kv:
+        _unread(kv, ("graph.n", "graph.alpha", "graph.kmin", "graph.kmax",
+                     "graph.p"), "with graph.path")
         graph_source: object = str(kv["graph.path"])
     elif "graph.model" in kv:
         model = str(kv["graph.model"]).lower()
         n = _integer("graph.n", kv["graph.n"])
         if model in ("config", "configuration"):
+            _unread(kv, ("graph.p",), f"with graph.model = {model}")
             graph_source = ConfigModelSpec(
                 node_count=n,
                 power_law_exponent=_number("graph.alpha", kv["graph.alpha"]),
@@ -475,6 +487,8 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
                 k_max=_integer("graph.kmax", kv.get("graph.kmax")),
                 seed=seed)
         elif model in ("er", "erdos-renyi", "gnp"):
+            _unread(kv, ("graph.alpha", "graph.kmin", "graph.kmax"),
+                    f"with graph.model = {model}")
             graph_source = ErdosRenyiSpec(
                 node_count=n,
                 edge_probability=_number("graph.p", kv["graph.p"]),
@@ -491,10 +505,18 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
             tolerance=_number("graph.rkk_tol", kv.get("graph.rkk_tol", 0.02)),
             max_iterations=_integer("graph.rkk_max_iter",
                                     kv.get("graph.rkk_max_iter", 2_000_000)))
+    else:
+        _unread(kv, ("graph.rkk_tol", "graph.rkk_max_iter"),
+                "without graph.rkk")
 
     if "labels.path" in kv:
+        _unread(kv, ("labels.rho", "labels.tol", "labels.max_iter"),
+                "with labels.path")
         label_source: object = str(kv["labels.path"])
     elif "labels.p" in kv:
+        if "labels.rho" not in kv:
+            _unread(kv, ("labels.tol", "labels.max_iter"),
+                    "without labels.rho")
         label_source = LabelTarget(
             base_probability=_number("labels.p", kv["labels.p"]),
             target=_number("labels.rho", kv.get("labels.rho")),

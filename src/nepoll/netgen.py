@@ -5,12 +5,21 @@ two in-place modifiers: degree-preserving edge rewiring that steers the
 degree-degree correlation toward a target, and iid label assignment followed
 by label swapping that steers the degree-label correlation toward a target.
 
-Each operation is a sequential stochastic process driven by one stream, so
-(spec, seed) reproduces identical output.  The two modifiers draw their
-proposals in chunks and screen each chunk in numpy: only proposals whose
-outcome depends on another proposal of the chunk, or that come near the
-target, are decided one at a time, and the result equals the
-one-proposal-at-a-time process (``_SwapChain``).
+Each operation is a stochastic process driven by one stream, so
+(spec, seed) reproduces identical output.  The modifiers draw proposals in
+chunks of ``_PROPOSAL_CHUNK`` and decide a chunk in three steps; with one
+proposal per chunk this is the one-at-a-time process.
+
+1. One numpy pass over the state at the chunk start finds the local
+   proposals (those the sequential rule accepts on that state) and keeps
+   each that is the earliest local proposal to hold all of its claims: two
+   edge indices and two added edge keys, or two pool positions for labels.
+2. The kept proposals, pairwise disjoint, are accepted in bulk and in order
+   up to the first whose running sum fails the sequential float test (the
+   accept does not strictly shrink the distance to the target, reaches the
+   band or crosses the target); the others before it are rejected.
+3. From that proposal to the chunk's end, a plain-Python loop decides each
+   proposal on the live state by the sequential rule.
 """
 
 from __future__ import annotations
@@ -29,9 +38,6 @@ from .sampling import RandomStream
 _MAX_GENERATION_RETRIES = 100
 _PROPOSAL_CHUNK = 8192
 _STALL_LIMIT = 200_000  # consecutive rejected proposals before giving up
-# numpy divides int64 sums as float64; below this bound the quotient is the
-# one Python's int / int gives, so a chunk may be screened in numpy
-_EXACT_SUMS = 2.0 ** 52
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,14 @@ class ErdosRenyiSpec:
     seed: int = 0
 
 
+def _check_goal(target: float | None, tolerance: float) -> None:
+    """A correlation target lies in [-1, 1], a tolerance is > 0; NaN fails."""
+    if target is not None and not -1.0 <= target <= 1.0:
+        raise DataError(f"target must lie in [-1, 1], got {target!r}")
+    if not tolerance > 0:
+        raise DataError(f"tolerance must be > 0, got {tolerance!r}")
+
+
 @dataclass(frozen=True)
 class RewireTarget:
     target: float
@@ -67,8 +81,7 @@ class RewireTarget:
     max_iterations: int = 2_000_000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise DataError("tolerance must be > 0")
+        _check_goal(self.target, self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -82,8 +95,7 @@ class LabelTarget:
     max_iterations: int = 2_000_000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise DataError("tolerance must be > 0")
+        _check_goal(self.target, self.tolerance)
 
 
 def _power_law_pmf(alpha: float, k_min: int,
@@ -186,61 +198,20 @@ def _assortativity_constants(degrees: np.ndarray) -> tuple[float, float]:
     return mu_q, ex2_q - mu_q * mu_q
 
 
-def _unsure(slots: np.ndarray, owner: np.ndarray,
-            local: np.ndarray) -> np.ndarray:
-    """Proposals that read a slot an earlier proposal may have written.
-
-    Proposal ``owner[k]`` reads ``slots[k]`` and writes it if accepted.
-    A proposal may write if it passes its local test at the chunk start
-    (``local``) or is itself unsure; the mask is the fixed point of that
-    rule, so every other proposal sees its slots as at the chunk start.
-    """
-    size = len(local)
-    unsure = np.zeros(size, dtype=bool)
-    if not len(slots):
-        return unsure
-    slots, owner = np.divmod(np.sort(slots * size + owner), size)
-    start = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
-    width = np.diff(np.r_[start, len(slots)])
-    while True:
-        writer = np.where((local | unsure)[owner], owner, size)
-        first = np.repeat(np.minimum.reduceat(writer, start), width)
-        grown = np.zeros(size, dtype=bool)
-        grown[owner[first < owner]] = True
-        if (grown == unsure).all():
-            return unsure
-        unsure = grown
+def _first_claims(claims: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``claims`` that are the earliest row to hold
+    each of their values; the rows it keeps are pairwise disjoint."""
+    rows, width = claims.shape
+    _, first, inverse = np.unique(claims, return_index=True,
+                                  return_inverse=True)
+    owner = (first // width)[inverse].reshape(rows, width)
+    return (owner == np.arange(rows)[:, None]).all(axis=1)
 
 
-def _clashing(added: np.ndarray, adders: np.ndarray, removed: np.ndarray,
-              removers: np.ndarray, size: int) -> np.ndarray:
-    """Proposals owning a key that one proposal adds (or looks up) and
-    another adds, looks up or removes.  Keys only removed, however often,
-    belong to one edge index, which ``_unsure`` already orders."""
-    keys = np.concatenate([added, removed])
-    clash = np.zeros(size, dtype=bool)
-    if not len(keys):
-        return clash
-    order = np.argsort(keys)
-    keys = keys[order]
-    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    width = np.diff(np.r_[start, len(keys)])
-    adds = np.add.reduceat((order < len(added)).astype(np.int64), start)
-    bad = (adds >= 2) | ((adds >= 1) & (width > adds))
-    clash[np.concatenate([adders, removers])[order[np.repeat(bad, width)]]] \
-        = True
-    return clash
-
-
-def _in_sorted(values, sorted_values: np.ndarray):
-    """Elementwise ``value in sorted_values``; an array query is searched
-    in ascending order, which keeps the binary searches in cache."""
-    if not len(sorted_values):
-        return np.zeros(np.shape(values), dtype=bool)
-    if np.ndim(values) == 0:
-        at = min(int(np.searchsorted(sorted_values, values)),
-                 len(sorted_values) - 1)
-        return bool(sorted_values[at] == values)
+def _in_sorted(values, sorted_values: np.ndarray) -> np.ndarray:
+    """Elementwise ``value in sorted_values`` (not empty) for an array or a
+    scalar; the query is searched in ascending order, which keeps the
+    binary searches in cache."""
     flat = np.ravel(values)
     order = np.argsort(flat)
     at = np.empty(len(flat), dtype=np.int64)
@@ -249,36 +220,15 @@ def _in_sorted(values, sorted_values: np.ndarray):
     return found.reshape(np.shape(values))
 
 
-class _SwapChain:
-    """A sequential swap process, decided one chunk of proposals at a time.
+class _SwapProcess:
+    """Steers ``corr(s)`` toward ``goal``; each accept moves the integer sum
+    ``s`` by its step.  ``decide`` runs the module's three steps through
+    ``load`` (keep a chunk's draws), ``screen`` (positions, steps, claims and
+    rows of the local proposals), ``apply`` (bulk accepts) and ``in_order``
+    (the sequential rule from a position to the chunk's end)."""
 
-    The process tracks an integer sum ``s``; ``corr(s)`` is the correlation
-    being steered, and an accept must strictly shrink ``|corr(s) - goal|``.
-    While no accept reaches the tolerance band or crosses the goal, a
-    proposal is accepted iff it passes its structural tests and its step
-    points toward the goal.  So ``decide`` screens a chunk in numpy:
-    a proposal whose slots no earlier possible writer of the chunk touches,
-    and whose keys no other proposal touches, is decided from the state at
-    the chunk start and applied in bulk; the rest ("entangled") go through
-    ``in_order``, the exact sequential routine, which sees the bulk swaps
-    before it and reads the sum as it stands at each position.  The merged
-    trajectory is then checked against every float comparison the
-    sequential process makes.  From the first accept that fails it (one
-    that does not strictly approach the goal, reaches the band or crosses
-    the goal) to the end of the chunk, ``in_order`` decides everything
-    from the state as it stands.  The accept sequence, and so the result,
-    equals the sequential process.
-
-    Subclasses provide ``load`` (keep the chunk's draws), ``screen``
-    (which also applies the bulk swaps), ``in_order`` and ``commit``
-    (which keeps the bulk swaps before the cut, undoes the rest and
-    applies the in-order records).  A record's first entry is its position
-    and its last entry its step.
-    """
-
-    def __init__(self, s: int, corr, goal: float, tol: float, bulk: bool):
+    def __init__(self, s: int, corr, goal: float, tol: float):
         self.s, self.corr, self.goal, self.tol = s, corr, goal, tol
-        self.bulk = bulk  # False when sums may leave float64's exact ints
         self.rejections = 0  # consecutive, since the last accept
 
     @property
@@ -286,76 +236,52 @@ class _SwapChain:
         return self.corr(self.s)
 
     def decide(self, *draws) -> bool:
-        """Decide one chunk; True if an accept reached the tolerance band
-        (the chunk stops there)."""
+        """Decide one chunk; True if an accept reached the band, ending it."""
         size = self.load(*draws)
-        cut, last = 0, -1
-        if self.bulk:
-            side = 1 if self.current < self.goal else -1
-            bulk, step, tangled, plan = self.screen(side)
-            steps = np.zeros(size, dtype=np.int64)
-            steps[bulk] = step
-            stop, records = self.in_order(
-                tangled, np.cumsum(steps)[tangled].tolist(), side, plan)
-            for rec in records:
-                steps[rec[0]] = rec[-1]
-            cut = min(size if stop is None else stop,
-                      self._first_unsafe(steps, bulk, side))
-            records = [rec for rec in records if rec[0] < cut]
-            taken = bulk < cut
-            self.commit(plan, taken, records)
-            self.s += int(steps[:cut].sum())
-            last = max(int(bulk[taken][-1]) if taken.any() else -1,
-                       records[-1][0] if records else -1)
-        stop = None
-        if cut < size:
-            stop, records = self.in_order(np.arange(cut, size), None, 0, None)
-            self.commit(None, None, records)
-            self.s += sum(rec[-1] for rec in records)
-            last = records[-1][0] if records else last
+        side = 1 if self.current < self.goal else -1
+        pos, step, claims, rows = self.screen(side)
+        last, reached = -1, False
+        if len(pos):
+            kept = np.flatnonzero(_first_claims(claims))
+            pos, step = pos[kept], step[kept]
+            after = self.s + np.cumsum(step)
+            new = self.corr(after)
+            gap = np.abs(new - self.goal)
+            fails = ((gap >= np.abs(self.corr(after - step) - self.goal))
+                     | (gap <= self.tol) | ((new < self.goal) != (side > 0)))
+            cut = int(fails.argmax()) if fails.any() else len(pos)
+            if cut:
+                self.apply(*(row[kept[:cut]] for row in rows))
+                self.s += int(step[:cut].sum())
+                last = int(pos[cut - 1])
+            if cut < len(pos):
+                last, reached = self.in_order(int(pos[cut]), last)
         self.rejections = size - 1 - last if last >= 0 \
             else self.rejections + size
-        return stop is not None
-
-    def _first_unsafe(self, steps: np.ndarray, bulk: np.ndarray,
-                      side: int) -> int:
-        """First bulk position whose accept the sequential process would not
-        make, or whose accept ends the sign rule (band reached, goal
-        crossed); ``len(steps)`` if none."""
-        after_s = self.s + np.cumsum(steps)[bulk]
-        after = self.corr(after_s)
-        before = self.corr(after_s - steps[bulk])
-        dist = np.abs(after - self.goal)
-        bad = ((dist >= np.abs(before - self.goal)) | (dist <= self.tol)
-               | ((after < self.goal) != (side > 0)))
-        hit = np.flatnonzero(bad)
-        return int(bulk[hit[0]]) if len(hit) else len(steps)
+        return reached
 
 
-class _EdgeSwaps(_SwapChain):
-    """Edges as ``eu < ev`` arrays plus the sorted keys ``eu * n + ev``."""
+class _EdgeSwaps(_SwapProcess):
+    """Edge ``e`` as the key ``u * n + v`` (``u < v``) in ``ekey[e]``, and
+    all keys sorted in ``keys``."""
 
     def __init__(self, g: Graph, target: RewireTarget, mu_q: float,
                  sigma2_q: float):
         m, self.n = g.edge_count, g.node_count
         self.deg, self.deg_list = g.degrees, g.degrees.tolist()
-        self.eu, self.ev = g.edges[:, 0].copy(), g.edges[:, 1].copy()
-        self.keys = self.eu * self.n + self.ev  # ascending, as g.edges is
-        s = int(np.dot(self.deg[self.eu], self.deg[self.ev]))
+        self.ekey = g.edges[:, 0] * self.n + g.edges[:, 1]
+        self.keys = self.ekey.copy()  # ascending, as g.edges is
 
         def corr(s):
             return (s / m - mu_q * mu_q) / sigma2_q
 
-        # s <= sum d^3 / 2, and a chunk moves it by at most chunk * dmax^2
-        d = g.degrees.astype(float)
-        bulk = (float(np.dot(d * d, d))
-                + _PROPOSAL_CHUNK * float(d.max()) ** 2 < _EXACT_SUMS)
-        super().__init__(s, corr, target.target, target.tolerance, bulk)
+        super().__init__(int(np.dot(*self.deg[g.edges.T])), corr,
+                         target.target, target.tolerance)
 
     def graph(self, g: Graph) -> Graph:
         """The edges as a graph over ``g``'s node ids.  Swaps keep every
         degree, so ``g``'s compact ids stay valid and need no remapping."""
-        out = build_graph(np.stack([self.eu, self.ev], axis=1),
+        out = build_graph(np.stack(np.divmod(self.ekey, self.n), axis=1),
                           node_count=self.n)
         return Graph(self.n, out.edges, out.indptr, out.neighbors,
                      out.degrees, g.original_ids)
@@ -364,156 +290,97 @@ class _EdgeSwaps(_SwapChain):
         self.idx, self.flip = idx, flip
         return len(idx)
 
-    def _views(self, positions: np.ndarray):
-        """Both edges of each proposal as they stand, the proposed ends
-        ``a, b, c, d`` and the four keys: removed ``(ui, vi)``, ``(uj, vj)``,
-        added ``(a, c)``, ``(b, d)``."""
-        n = self.n
-        i, j = self.idx[positions, 0], self.idx[positions, 1]
-        ui, vi, uj, vj = self.eu[i], self.ev[i], self.eu[j], self.ev[j]
-        a = np.where(self.flip[positions, 0] == 0, ui, vi)
-        c = np.where(self.flip[positions, 1] == 0, uj, vj)
+    def _views(self, start: int):
+        """Edge indices, flips and edges as they stand, ends ``a, b, c, d``
+        and the keys of ``(a, c)``, ``(b, d)`` of proposals from ``start``."""
+        ij = self.idx[start:].T
+        (i, j), (fi, fj) = ij, self.flip[start:].T
+        (ui, uj), (vi, vj) = np.divmod(self.ekey[ij], self.n)
+        a, c = np.where(fi, vi, ui), np.where(fj, vj, uj)
         b, d = ui + vi - a, uj + vj - c
-        keys = np.stack([ui * n + vi, uj * n + vj,
-                         np.minimum(a, c) * n + np.maximum(a, c),
-                         np.minimum(b, d) * n + np.maximum(b, d)])
-        return (i, j, ui, vi, uj, vj), (a, b, c, d), keys
+        added = np.array([np.minimum(a, c) * self.n + np.maximum(a, c),
+                          np.minimum(b, d) * self.n + np.maximum(b, d)])
+        return (i, j, fi, fj, ui, vi, uj, vj), (a, b, c, d), added
 
     def screen(self, side: int):
-        size, deg = len(self.idx), self.deg
-        (i, j, ui, vi, uj, vj), (a, b, c, d), keys = \
-            self._views(np.arange(size))
-        step = (deg[a] - deg[d]) * (deg[c] - deg[b])
-        live = np.flatnonzero(i != j)
+        (i, j, *_), (a, b, c, d), added = self._views(0)
+        step = (self.deg[a] - self.deg[d]) * (self.deg[c] - self.deg[b])
         local = (i != j) & (a != c) & (b != d) & (step * side > 0)
-        unsure = _unsure(np.concatenate([i[live], j[live]]),
-                         np.concatenate([live, live]), local)
-        adders = np.flatnonzero(local)
-        removers = np.flatnonzero(local | unsure)
-        clash = _clashing(keys[2:, adders].ravel(), np.tile(adders, 2),
-                          keys[:2, removers].ravel(), np.tile(removers, 2),
-                          size)
-        clean = np.flatnonzero(local & ~unsure & ~clash)
-        bulk = clean[~_in_sorted(keys[2:, clean], self.keys).any(axis=0)]
-        # applied now: entangled proposals after them read their edges
-        old = (ui[bulk], vi[bulk], uj[bulk], vj[bulk])
-        new = (np.minimum(a, c)[bulk], np.maximum(a, c)[bulk],
-               np.minimum(b, d)[bulk], np.maximum(b, d)[bulk])
-        self._write(i[bulk], j[bulk], new)
-        plan = (i[bulk], j[bulk], old, keys[:, bulk])
-        return bulk, step[bulk], np.flatnonzero(unsure | (local & clash)), \
-            plan
+        local[local] = ~_in_sorted(added[:, local], self.keys).any(axis=0)
+        pos = np.flatnonzero(local)
+        rows = (i[pos], j[pos], added[0, pos], added[1, pos])
+        # edge indices as negatives, so they never meet a key
+        claims = np.array([-1 - rows[0], -1 - rows[1], *rows[2:]]).T
+        return pos, step[pos], claims, rows
 
-    def _write(self, i, j, ends) -> None:
-        self.eu[i], self.ev[i], self.eu[j], self.ev[j] = ends
+    def apply(self, i, j, k1, k2) -> None:
+        self._move(np.r_[i, j], np.r_[k1, k2])
 
-    def in_order(self, positions: np.ndarray, offsets, side: int, plan):
-        """The sequential process on the proposals at ``positions``.
+    def _move(self, e: np.ndarray, new: np.ndarray) -> None:
+        """Give the edges ``e`` the keys ``new``; ``keys`` stays sorted."""
+        old, self.ekey[e] = self.ekey[e], new
+        kept = np.ones(len(self.keys), dtype=bool)
+        kept[np.searchsorted(self.keys, np.setdiff1d(old, new))] = False
+        keys, added = self.keys[kept], np.setdiff1d(new, old)  # sorted
+        self.keys = np.insert(keys, np.searchsorted(keys, added), added)
 
-        ``offsets[t]`` is what the bulk accepts before ``positions[t]`` add
-        to ``s``.  With offsets, stop (returning that position) before an
-        accept that would end the sign rule, and before an accept that
-        would add a key a bulk swap adds or removes (the order of the two
-        is then unknown here).  Without offsets, stop after the accept
-        that reaches the band (returning the next position).  Returns
-        ``(stop or None, records)``; the state is left to ``commit``.
-        """
-        n, deg = self.n, self.deg_list
+    def in_order(self, start: int, last: int) -> tuple[int, bool]:
+        """The sequential rule on the live state from position ``start`` to
+        the chunk's end; returns the last accept (``last`` if none) and
+        whether it reached the band."""
+        n, deg, keys = self.n, self.deg_list, self.keys
         corr, goal, tol = self.corr, self.goal, self.tol
-        (i, j, ui, vi, uj, vj), _, keys = self._views(positions)
-        known = _in_sorted(keys[2:], self.keys)
-        touched = None if plan is None else set(plan[-1].ravel().tolist())
-        edge: dict[int, tuple[int, int]] = {}
-        has: dict[int, bool] = {}
-        records = []
-        s = self.s
-        columns = (positions, i, j, *self.flip[positions].T, ui, vi, uj, vj,
-                   *keys[2:], *known)
-        rows = zip(*(column.tolist() for column in columns),
-                   offsets or [0] * len(positions))
-        for p, i, j, fi, fj, ui, vi, uj, vj, q1, q2, in1, in2, off in rows:
+        columns, _, added = self._views(start)
+        edge: dict[int, tuple[int, int]] = {}  # edges moved by this loop
+        has: dict[int, bool] = {}  # keys this loop added or removed
+
+        def present(k, q, known):  # q, known: the key as of ``start``
+            return has[k] if k in has else known if k == q \
+                else _in_sorted(k, keys)
+
+        s, reached = self.s, False
+        columns = (*columns, *added, *_in_sorted(added, keys))
+        for p, (i, j, fi, fj, ui, vi, uj, vj, q1, q2, in1, in2) in enumerate(
+                zip(*(column.tolist() for column in columns)), start):
             if i == j:
                 continue
-            ei = edge.get(i) or (ui, vi)
-            ej = edge.get(j) or (uj, vj)
+            ei, ej = edge.get(i) or (ui, vi), edge.get(j) or (uj, vj)
             a, b = ei if fi == 0 else ei[::-1]
             c, d = ej if fj == 0 else ej[::-1]
             if a == c or b == d:
                 continue
             delta = (deg[a] - deg[d]) * (deg[c] - deg[b])
-            if delta == 0:
-                continue
-            cur, new = corr(s + off), corr(s + off + delta)
-            if abs(new - goal) >= abs(cur - goal):
+            new = corr(s + delta)
+            if delta == 0 or abs(new - goal) >= abs(corr(s) - goal):
                 continue
             new1 = (a, c) if a < c else (c, a)
             new2 = (b, d) if b < d else (d, b)
             k1, k2 = new1[0] * n + new1[1], new2[0] * n + new2[1]
-            if touched is not None and (k1 in touched or k2 in touched):
-                return p, records
-            if (has[k1] if k1 in has else in1 if k1 == q1
-                    else _in_sorted(k1, self.keys)):
+            if present(k1, q1, in1) or present(k2, q2, in2):
                 continue
-            if (has[k2] if k2 in has else in2 if k2 == q2
-                    else _in_sorted(k2, self.keys)):
-                continue
-            reached = abs(new - goal) <= tol
-            if offsets is not None and (reached or (new < goal) != (side > 0)):
-                return p, records
-            records.append((p, i, j, ei, ej, new1, new2, delta))
             edge[i], edge[j] = new1, new2
             has[ei[0] * n + ei[1]] = has[ej[0] * n + ej[1]] = False
             has[k1] = has[k2] = True
-            s += delta
-            if reached:
-                return p + 1, records
-        return None, records
-
-    def commit(self, plan, taken, records) -> None:
-        n, eu, ev = self.n, self.eu, self.ev
-        removed = added = np.zeros(0, dtype=np.int64)
-        if plan is not None:
-            i, j, old, keys = plan
-            self._write(i[~taken], j[~taken], (x[~taken] for x in old))
-            removed, added = keys[:2, taken].ravel(), keys[2:, taken].ravel()
-        net: dict[int, bool] = {}
-        for _, i, j, ei, ej, new1, new2, _ in records:
-            eu[i], ev[i] = new1
-            eu[j], ev[j] = new2
-            net[ei[0] * n + ei[1]] = net[ej[0] * n + ej[1]] = False
-            net[new1[0] * n + new1[1]] = net[new2[0] * n + new2[1]] = True
-        removed, added = np.sort(removed), np.sort(added)
-        if net:
-            # in-order records follow the bulk swaps they read
-            keys = np.fromiter(net, dtype=np.int64, count=len(net))
-            now = np.fromiter(net.values(), dtype=bool, count=len(net))
-            was = _in_sorted(keys, self.keys) & ~_in_sorted(keys, removed)
-            by_bulk = _in_sorted(keys, added)
-            added = np.sort(np.concatenate([
-                added[~_in_sorted(added, np.sort(keys[~now]))],
-                keys[now & ~was & ~by_bulk]]))
-            removed = np.concatenate([removed, keys[was & ~now]])
-        if len(removed) or len(added):
-            kept = np.ones(len(self.keys), dtype=bool)
-            kept[np.searchsorted(self.keys, removed)] = False
-            kept_keys = self.keys[kept]
-            self.keys = np.insert(kept_keys,
-                                  np.searchsorted(kept_keys, added), added)
+            s, last = s + delta, p
+            if abs(new - goal) <= tol:
+                reached = True
+                break
+        if edge:
+            self._move(np.array(list(edge)),
+                       np.array([u * n + v for u, v in edge.values()]))
+        self.s = s
+        return last, reached
 
 
 def rewire_to_assortativity(g: Graph, target: RewireTarget,
                             rs: RandomStream) -> Graph:
     """Degree-preserving edge swaps toward a degree-degree correlation.
 
-    Repeatedly draws two edges (in random orientation), proposes replacing
-    (a,b),(c,d) with (a,c),(b,d), and accepts iff the move is simple (no
-    self-loop, no duplicate) and strictly shrinks the distance to the
-    target.  The correlation is tracked through the sum of degree products
-    over edges, which each swap updates in O(1).  Each chunk of
-    ``_PROPOSAL_CHUNK`` proposals is screened in numpy and only the
-    proposals that interact, or that come near the target, are decided one
-    by one (see ``_SwapChain``); the result equals the
-    one-proposal-at-a-time process.
+    A proposal draws two edges (in random orientation) and replaces
+    (a,b),(c,d) with (a,c),(b,d); the sequential rule accepts it iff the
+    move is simple (no self-loop, no duplicate) and strictly shrinks the
+    distance to the target, tracked through the sum of degree products over
+    edges.  Chunks of proposals are decided in the module's three steps.
 
     Raises :class:`TargetUnreachableError` carrying the best-effort graph
     when the proposal budget runs out or acceptance stalls.
@@ -547,83 +414,64 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
         result=chain.graph(g))
 
 
-class _LabelSwaps(_SwapChain):
-    """Positions in the pools of 0- and 1-labeled nodes; a swap exchanges
-    the nodes at one position of each."""
+class _LabelSwaps(_SwapProcess):
+    """The 0-labeled nodes in ``pool[:zeros]`` and the 1-labeled ones
+    after them; a swap exchanges the nodes at one position of each part."""
 
     def __init__(self, deg: np.ndarray, labels: np.ndarray, corr,
                  target: LabelTarget):
         self.deg, self.deg_list = deg, deg.tolist()
-        self.pool0 = np.flatnonzero(labels == 0)
-        self.pool1 = np.flatnonzero(labels == 1)
+        self.pool = np.argsort(labels, kind="stable")
+        self.zeros = len(labels) - int(labels.sum())
         super().__init__(int(np.dot(deg, labels)), corr, target.target,
-                         target.tolerance, bulk=True)
+                         target.tolerance)
 
     def labels(self) -> np.ndarray:
         labels = np.zeros(len(self.deg), dtype=np.int64)
-        labels[self.pool1] = 1
+        labels[self.pool[self.zeros:]] = 1
         return labels
 
     def load(self, draws: np.ndarray) -> int:
-        self.at0 = (draws[:, 0] * len(self.pool0)).astype(np.int64)
-        self.at1 = (draws[:, 1] * len(self.pool1)).astype(np.int64)
+        at0 = (draws[:, 0] * self.zeros).astype(np.int64)
+        at1 = (draws[:, 1] * (len(self.pool) - self.zeros)).astype(np.int64)
+        self.at = np.stack([at0, self.zeros + at1], axis=1)
         return len(draws)
 
     def screen(self, side: int):
-        at0, at1 = self.at0, self.at1
-        v0, v1 = self.pool0[at0], self.pool1[at1]
-        step = self.deg[v0] - self.deg[v1]
-        local = step * side > 0
-        every = np.arange(len(step))
-        unsure = _unsure(np.concatenate([at0, at1 + len(self.pool0)]),
-                         np.concatenate([every, every]), local)
-        bulk = np.flatnonzero(local & ~unsure)
-        at0, at1, v0, v1 = at0[bulk], at1[bulk], v0[bulk], v1[bulk]
-        # applied now: entangled swaps after them read the pools
-        self.pool0[at0], self.pool1[at1] = v1, v0
-        return bulk, step[bulk], np.flatnonzero(unsure), (at0, at1, v0, v1)
+        v = self.pool[self.at]
+        step = self.deg[v[:, 0]] - self.deg[v[:, 1]]
+        pos = np.flatnonzero(step * side > 0)
+        at = self.at[pos]
+        return pos, step[pos], at, (at,)
 
-    def in_order(self, positions: np.ndarray, offsets, side: int, plan):
-        """The sequential process on the swaps at ``positions``; the stop
-        rules and the result are those of ``_EdgeSwaps.in_order`` (swaps
-        have no keys, so nothing here can clash with a bulk swap)."""
+    def apply(self, at: np.ndarray) -> None:
+        self.pool[at] = self.pool[at[:, ::-1]]
+
+    def in_order(self, start: int, last: int) -> tuple[int, bool]:
+        """As ``_EdgeSwaps.in_order``, on the live pool."""
         deg = self.deg_list
         corr, goal, tol = self.corr, self.goal, self.tol
-        at0, at1 = self.at0[positions], self.at1[positions]
-        now0: dict[int, int] = {}
-        now1: dict[int, int] = {}
-        records = []
-        s = self.s
-        columns = (positions, at0, at1, self.pool0[at0], self.pool1[at1])
-        rows = zip(*(column.tolist() for column in columns),
-                   offsets or [0] * len(positions))
-        for p, i0, i1, v0, v1, off in rows:
-            v0 = now0.get(i0, v0)
-            v1 = now1.get(i1, v1)
+        at = self.at[start:]
+        now: dict[int, int] = {}  # pool positions this loop rewrote
+        s, reached = self.s, False
+        for p, (i0, i1, v0, v1) in enumerate(
+                zip(*at.T.tolist(), *self.pool[at].T.tolist()), start):
+            v0, v1 = now.get(i0, v0), now.get(i1, v1)
             d0, d1 = deg[v0], deg[v1]
-            cur = corr(s + off)
-            need_up = cur < goal
-            if (need_up and d0 <= d1) or (not need_up and d0 >= d1):
+            cur = corr(s)
+            if (d0 <= d1) if cur < goal else (d0 >= d1):
                 continue
-            new = corr(s + off + d0 - d1)
+            new = corr(s + d0 - d1)
             if abs(new - goal) >= abs(cur - goal):
                 continue
-            reached = abs(new - goal) <= tol
-            if offsets is not None and (reached or (new < goal) != (side > 0)):
-                return p, records
-            records.append((p, i0, i1, v0, v1, d0 - d1))
-            now0[i0], now1[i1] = v1, v0
-            s += d0 - d1
-            if reached:
-                return p + 1, records
-        return None, records
-
-    def commit(self, plan, taken, records) -> None:
-        if plan is not None:
-            at0, at1, v0, v1 = (x[~taken] for x in plan)
-            self.pool0[at0], self.pool1[at1] = v0, v1
-        for _, i0, i1, v0, v1, _ in records:
-            self.pool0[i0], self.pool1[i1] = v1, v0
+            now[i0], now[i1] = v1, v0
+            s, last = s + d0 - d1, p
+            if abs(new - goal) <= tol:
+                reached = True
+                break
+        self.pool[list(now)] = list(now.values())
+        self.s = s
+        return last, reached
 
 
 def assign_labels(g: Graph, target: LabelTarget,
@@ -633,11 +481,10 @@ def assign_labels(g: Graph, target: LabelTarget,
 
     A swap exchanges the labels of a random 0-labeled node and a random
     1-labeled node; moving label 1 onto the higher-degree node of the pair
-    raises the correlation, onto the lower-degree node lowers it.  Swaps
-    preserve the label counts, so the labeled fraction never changes.
-    Each chunk of ``_PROPOSAL_CHUNK`` proposals is screened in numpy and
-    only swaps that share a pool position are decided one by one (see
-    ``_SwapChain``); the result equals the one-swap-at-a-time process.
+    raises the correlation, onto the lower-degree node lowers it; the
+    sequential rule accepts a swap iff it strictly shrinks the distance to
+    the target.  Swaps keep the label counts.  Chunks of proposals are
+    decided in the module's three steps.
     """
     if not 0.0 < target.base_probability < 1.0:
         raise DataError("base probability must lie strictly in (0, 1)")

@@ -6,10 +6,13 @@ package samples it only by walking).
 
 ``rewire_to_assortativity`` and ``assign_labels`` are the sequential swap
 processes, one proposal at a time in plain Python.  ``nepoll.netgen``
-decides most proposals of a chunk at once; its graphs, labels, achieved
-values and proposal counts must equal these.  The chunk size and the stall
-limit are read from ``nepoll.netgen`` at call time, so a test that patches
-them patches both.
+decides each chunk of proposals in three steps: the earliest local claimant
+of each claim is kept, the kept proposals are accepted in bulk up to the
+first that fails the sequential float test, and the rest of the chunk
+follows the sequential rule.  With ``_PROPOSAL_CHUNK = 1`` that is the
+process here, so its graphs, labels, achieved values and proposal counts
+must equal these.  The chunk size and the stall limit are read from
+``nepoll.netgen`` at call time, so a test that patches them patches both.
 """
 
 import math

@@ -220,6 +220,22 @@ def test_cli_import_loads_no_scipy_or_networkx(star_files):
      "estimators = [IP, UN, IP]\n", "estimators lists 'IP' twice"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
      "budgets = [1, 5, 1]\n", "budgets lists 1 twice"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\ngraph.alpha = 2.4\n"
+     "labels.p = 0.3\n", "graph.alpha is not read with graph.model = er"),
+    ("graph.model = config\ngraph.n = 9\ngraph.alpha = 2.4\n"
+     "graph.p = 0.5\nlabels.p = 0.3\n",
+     "graph.p is not read with graph.model = config"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\ngraph.rkk_tol = 0.01\n"
+     "labels.p = 0.3\n", "graph.rkk_tol is not read without graph.rkk"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "labels.tol = 0.01\n", "labels.tol is not read without labels.rho"),
+    ("graph.path = \"g.edges\"\ngraph.n = 9\nlabels.p = 0.3\n",
+     "graph.n is not read with graph.path"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\n"
+     "labels.path = \"g.labels\"\nlabels.rho = 0.1\n",
+     "labels.rho is not read with labels.path"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\ngraph.rkk = nan\n"
+     "labels.p = 0.3\n", "target must lie in [-1, 1], got nan"),
 ])
 def test_bad_config_names_file(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -257,6 +273,22 @@ def test_target_unreachable_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: TargetUnreachable")
     assert "achieved=" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--rkk", "nan"], "target must lie in [-1, 1], got nan"),
+    (["--rkk", "3.0"], "target must lie in [-1, 1], got 3.0"),
+    (["--rho", "nan"], "target must lie in [-1, 1], got nan"),
+    (["--rkk", "0.1", "--rkk-tol", "nan"], "tolerance must be > 0, got nan"),
+])
+def test_bad_swap_target_exits_with_one_error_line(tmp_path, capsys, flags,
+                                                   message):
+    assert main(["generate", "--model", "config", "--n", "200",
+                 "--alpha", "2.4", "--out", str(tmp_path / "x"),
+                 *flags]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: DataError: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_usage_error_exit_code():

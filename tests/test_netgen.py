@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nepoll import (AssortativityUndefinedError, ConfigModelSpec,
-                    DegenerateSpecError, DegreeLabelCorrUndefinedError,
+                    DataError, DegenerateSpecError, DegreeLabelCorrUndefinedError,
                     ErdosRenyiSpec, IsolatedNodeAfterRetriesError,
                     LabelTarget, LabeledGraph, RandomStream, RewireTarget,
                     assign_labels, configuration_model,
@@ -224,6 +224,19 @@ def test_target_validation():
         RewireTarget(0.1, tolerance=0.0)
     with pytest.raises(ValueError):
         LabelTarget(0.5, tolerance=-1.0)
+    nan = float("nan")
+    for bad in (nan, 3.0, -1.5, math.inf):
+        with pytest.raises(DataError, match="target must lie in"):
+            RewireTarget(bad)
+        with pytest.raises(DataError, match="target must lie in"):
+            LabelTarget(0.5, target=bad)
+    for bad in (nan, 0.0, -0.1):
+        with pytest.raises(DataError, match="tolerance must be > 0"):
+            RewireTarget(0.1, tolerance=bad)
+        with pytest.raises(DataError, match="tolerance must be > 0"):
+            LabelTarget(0.5, target=0.1, tolerance=bad)
+    # the ends of the range and an untargeted label draw stay valid
+    RewireTarget(-1.0), RewireTarget(1.0), LabelTarget(0.5, target=None)
 
 
 # ---------------------------------------------------------------------------
