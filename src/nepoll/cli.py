@@ -9,9 +9,16 @@ from . import io as nio
 from .analytics import network_stats
 from .errors import (AssortativityUndefinedError, DataError,
                      DegreeLabelCorrUndefinedError, TargetUnreachableError)
-from .harness import (ExperimentConfig, Report, load_experiment_config,
+from .harness import (Report, experiment_config, load_experiment_config,
                       materialize, run_report, run_sweep, write_sweep_csv)
-from .netgen import ConfigModelSpec, ErdosRenyiSpec, LabelTarget, RewireTarget
+
+# The config key each ``generate`` flag sets, so a flag nothing reads fails
+# as its key does in a config file.
+_GENERATE_KEYS = {
+    "model": "graph.model", "n": "graph.n", "alpha": "graph.alpha",
+    "kmin": "graph.kmin", "kmax": "graph.kmax", "p": "graph.p",
+    "rkk": "graph.rkk", "rkk_tol": "graph.rkk_tol", "label_p": "labels.p",
+    "rho": "labels.rho", "rho_tol": "labels.tol", "seed": "seed"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,17 +44,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["config", "er"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, help="power-law exponent (config)")
-    p.add_argument("--kmin", type=int, default=1)
+    p.add_argument("--kmin", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--p", type=float, help="edge probability (er)")
     p.add_argument("--rkk", type=float, help="assortativity target")
-    p.add_argument("--rkk-tol", type=float, default=0.02)
+    p.add_argument("--rkk-tol", type=float)
     p.add_argument("--label-p", type=float, default=0.5,
                    help="Bernoulli label probability")
     p.add_argument("--rho", type=float, help="degree-label corr target")
-    p.add_argument("--rho-tol", type=float, default=0.02)
-    p.add_argument("--max-iter", type=int, default=2_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rho-tol", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="graph",
                    help="output prefix (writes PREFIX.edges, PREFIX.labels)")
 
@@ -85,25 +92,15 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.model == "config":
-        if args.alpha is None:
-            raise DataError("--alpha is required for --model config")
-        spec = ConfigModelSpec(node_count=args.n,
-                               power_law_exponent=args.alpha,
-                               k_min=args.kmin, k_max=args.kmax,
-                               seed=args.seed)
-    else:
-        if args.p is None:
-            raise DataError("--p is required for --model er")
-        spec = ErdosRenyiSpec(node_count=args.n, edge_probability=args.p,
-                              seed=args.seed)
-    rewire = None if args.rkk is None else RewireTarget(
-        target=args.rkk, tolerance=args.rkk_tol, max_iterations=args.max_iter)
-    lg, meta = materialize(ExperimentConfig(
-        graph_source=spec, rewire=rewire, master_seed=args.seed,
-        label_source=LabelTarget(base_probability=args.label_p,
-                                 target=args.rho, tolerance=args.rho_tol,
-                                 max_iterations=args.max_iter)))
+    kv = {key: getattr(args, flag) for flag, key in _GENERATE_KEYS.items()
+          if getattr(args, flag) is not None}
+    if args.max_iter is not None:  # the budget of each swap target given
+        budgets = [budget for target, budget in (
+            ("graph.rkk", "graph.rkk_max_iter"),
+            ("labels.rho", "labels.max_iter")) if target in kv]
+        kv.update(dict.fromkeys(budgets or ["graph.rkk_max_iter"],
+                                args.max_iter))
+    lg, meta = materialize(experiment_config(kv))
     if "erased_stubs" in meta:
         print(f"erased_stubs: {meta['erased_stubs']}")
 

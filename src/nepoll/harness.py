@@ -6,7 +6,7 @@ rows next to the closed-form values.  Each (estimator, budget) cell has one
 stream keyed (estimator code, budget) under master_seed, and replication r
 reads its own block of it, so results are byte-identical for any workers.
 
-Config files are flat ``key = value`` text; see ``load_experiment_config``.
+Config files are flat ``key = value`` text; see ``experiment_config``.
 """
 
 from __future__ import annotations
@@ -396,53 +396,45 @@ def _parse_value(s: str):
         pass
     return s
 
-
-def _as_str_tuple(v) -> tuple[str, ...]:
-    if isinstance(v, str):
-        return tuple(x.strip() for x in v.split(",") if x.strip())
-    if not isinstance(v, list):
-        raise DataError(f"estimators must be a list, got {v!r}")
-    return tuple(str(x) for x in v)
-
-
 def load_experiment_config(path) -> ExperimentConfig:
-    """Read a flat key = value config file.
-
-    Recognized keys: ``graph.path`` or ``graph.model`` (``config``/``er``)
-    with ``graph.n``, ``graph.alpha``, ``graph.kmin``, ``graph.kmax``,
-    ``graph.p``; optional ``graph.rkk`` (+ ``graph.rkk_tol``,
-    ``graph.rkk_max_iter``); ``labels.path`` or ``labels.p`` with optional
-    ``labels.rho`` (+ ``labels.tol``, ``labels.max_iter``); ``budgets``
-    (list or ``default``), ``replications``, ``estimators``,
-    ``walk_length``, ``seed``.  Generator seeds derive from ``seed``.
-    A missing, unknown or repeated key, a key nothing reads (``graph.alpha``
-    with ``graph.model = er``, ``labels.tol`` without ``labels.rho``), both
-    sources of the graph or of the labels, or a bad value such as a float
-    or a boolean where an integer belongs, raises ``DataError`` naming
-    ``path`` and the key.
-    """
+    """Read a flat ``key = value`` config file into
+    :func:`experiment_config`; a ``DataError`` names ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return _experiment_config(parse_config_text(text))
-    except KeyError as exc:
-        raise DataError(f"{path}: config needs {exc.args[0]}") from None
+        return experiment_config(parse_config_text(text))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _integer(key: str, value) -> int | None:
-    """``value`` if None or an int; ``int()`` truncates 2.7, takes True."""
-    if value is not None and type(value) is not int:
+def _integer(key: str, value) -> int:
+    """``value`` if an int; ``int()`` would truncate 2.7 and take True."""
+    if type(value) is not int:
         raise DataError(f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _number(key: str, value) -> float | None:
+def _number(key: str, value) -> float:
     """Like ``float(value)``, but a bool, list or string names the key."""
-    if value is not None and type(value) not in (int, float):
+    if type(value) not in (int, float):
         raise DataError(f"{key} must be a number, got {value!r}")
-    return None if value is None else float(value)
+    return float(value)
+
+
+def _budgets(key: str, value) -> tuple[int, ...] | None:
+    if value == "default":
+        return None
+    if not isinstance(value, list):
+        raise DataError(f"{key} must be a list or default, got {value!r}")
+    return tuple(_integer(key, b) for b in value)
+
+
+def _estimators(key: str, value) -> tuple[str, ...]:
+    if isinstance(value, str):
+        return tuple(x.strip() for x in value.split(",") if x.strip())
+    if not isinstance(value, list):
+        raise DataError(f"{key} must be a list, got {value!r}")
+    return tuple(str(x) for x in value)
 
 
 _CONFIG_KEYS = frozenset((
@@ -460,16 +452,45 @@ def _unread(kv: dict[str, object], keys: tuple[str, ...], why: str) -> None:
             raise DataError(f"{key} is not read {why}")
 
 
-def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
+def _need(kv: dict[str, object], *keys: str) -> None:
+    for key in keys:
+        if key not in kv:
+            raise DataError(f"config needs {key}")
+
+
+def _given(kv: dict[str, object], **fields) -> dict[str, object]:
+    """``{name: check(key, kv[key])}`` for each ``name=(key, check)`` whose
+    key ``kv`` sets; a dataclass built from it keeps every other default."""
+    return {name: check(key, kv[key])
+            for name, (key, check) in fields.items() if key in kv}
+
+
+def experiment_config(kv: dict[str, object]) -> ExperimentConfig:
+    """The sweep that flat config keys describe.
+
+    Recognized keys: ``graph.path`` or ``graph.model`` (``config``/``er``)
+    with ``graph.n``, ``graph.alpha``, ``graph.kmin``, ``graph.kmax``,
+    ``graph.p``; optional ``graph.rkk`` (+ ``graph.rkk_tol``,
+    ``graph.rkk_max_iter``); ``labels.path`` or ``labels.p`` with optional
+    ``labels.rho`` (+ ``labels.tol``, ``labels.max_iter``); ``budgets``
+    (list or ``default``), ``replications``, ``estimators``,
+    ``walk_length``, ``seed``.  Generator seeds derive from ``seed``.  A
+    key left out keeps the default of the field it sets.  A missing or
+    unknown key, a key nothing reads (``graph.alpha`` with
+    ``graph.model = er``, ``labels.tol`` without ``labels.rho``), both
+    sources of the graph or of the labels, or a bad value such as a float
+    or a boolean where an integer belongs, raises ``DataError`` naming the
+    key.
+    """
     for key in kv:
         if key not in _CONFIG_KEYS:
             raise DataError(f"unknown key {key}")
-    seed = _integer("seed", kv.get("seed", 0))
     for path_key, model_key in (("graph.path", "graph.model"),
                                 ("labels.path", "labels.p")):
         if path_key in kv and model_key in kv:
             raise DataError(f"{path_key} and {model_key} both given; "
                             "set one source")
+    seed = ("seed", _integer)
 
     if "graph.path" in kv:
         _unread(kv, ("graph.n", "graph.alpha", "graph.kmin", "graph.kmax",
@@ -477,22 +498,21 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
         graph_source: object = str(kv["graph.path"])
     elif "graph.model" in kv:
         model = str(kv["graph.model"]).lower()
-        n = _integer("graph.n", kv["graph.n"])
         if model in ("config", "configuration"):
             _unread(kv, ("graph.p",), f"with graph.model = {model}")
-            graph_source = ConfigModelSpec(
-                node_count=n,
-                power_law_exponent=_number("graph.alpha", kv["graph.alpha"]),
-                k_min=_integer("graph.kmin", kv.get("graph.kmin", 1)),
-                k_max=_integer("graph.kmax", kv.get("graph.kmax")),
-                seed=seed)
+            _need(kv, "graph.n", "graph.alpha")
+            graph_source = ConfigModelSpec(**_given(
+                kv, node_count=("graph.n", _integer),
+                power_law_exponent=("graph.alpha", _number),
+                k_min=("graph.kmin", _integer),
+                k_max=("graph.kmax", _integer), seed=seed))
         elif model in ("er", "erdos-renyi", "gnp"):
             _unread(kv, ("graph.alpha", "graph.kmin", "graph.kmax"),
                     f"with graph.model = {model}")
-            graph_source = ErdosRenyiSpec(
-                node_count=n,
-                edge_probability=_number("graph.p", kv["graph.p"]),
-                seed=seed)
+            _need(kv, "graph.n", "graph.p")
+            graph_source = ErdosRenyiSpec(**_given(
+                kv, node_count=("graph.n", _integer),
+                edge_probability=("graph.p", _number), seed=seed))
         else:
             raise DataError(f"unknown graph.model {model!r}")
     else:
@@ -500,11 +520,10 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
 
     rewire = None
     if "graph.rkk" in kv:
-        rewire = RewireTarget(
-            target=_number("graph.rkk", kv["graph.rkk"]),
-            tolerance=_number("graph.rkk_tol", kv.get("graph.rkk_tol", 0.02)),
-            max_iterations=_integer("graph.rkk_max_iter",
-                                    kv.get("graph.rkk_max_iter", 2_000_000)))
+        rewire = RewireTarget(**_given(
+            kv, target=("graph.rkk", _number),
+            tolerance=("graph.rkk_tol", _number),
+            max_iterations=("graph.rkk_max_iter", _integer)))
     else:
         _unread(kv, ("graph.rkk_tol", "graph.rkk_max_iter"),
                 "without graph.rkk")
@@ -517,30 +536,17 @@ def _experiment_config(kv: dict[str, object]) -> ExperimentConfig:
         if "labels.rho" not in kv:
             _unread(kv, ("labels.tol", "labels.max_iter"),
                     "without labels.rho")
-        label_source = LabelTarget(
-            base_probability=_number("labels.p", kv["labels.p"]),
-            target=_number("labels.rho", kv.get("labels.rho")),
-            tolerance=_number("labels.tol", kv.get("labels.tol", 0.02)),
-            max_iterations=_integer("labels.max_iter",
-                                    kv.get("labels.max_iter", 2_000_000)))
+        label_source = LabelTarget(**_given(
+            kv, base_probability=("labels.p", _number),
+            target=("labels.rho", _number),
+            tolerance=("labels.tol", _number),
+            max_iterations=("labels.max_iter", _integer)))
     else:
         raise DataError("config needs labels.path or labels.p")
 
-    budgets = None
-    if "budgets" in kv and kv["budgets"] != "default":
-        if not isinstance(kv["budgets"], list):
-            raise DataError("budgets must be a list or default, "
-                            f"got {kv['budgets']!r}")
-        budgets = tuple(_integer("budgets", b) for b in kv["budgets"])
-
-    estimators = ESTIMATOR_KINDS
-    if "estimators" in kv:
-        estimators = _as_str_tuple(kv["estimators"])
-
     return ExperimentConfig(
-        graph_source=graph_source, label_source=label_source,
-        budgets=budgets,
-        replications=_integer("replications", kv.get("replications", 600)),
-        estimators=estimators,
-        walk_length=_integer("walk_length", kv.get("walk_length")),
-        master_seed=seed, rewire=rewire)
+        graph_source=graph_source, label_source=label_source, rewire=rewire,
+        **_given(kv, budgets=("budgets", _budgets),
+                 replications=("replications", _integer),
+                 estimators=("estimators", _estimators),
+                 walk_length=("walk_length", _integer), master_seed=seed))

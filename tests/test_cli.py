@@ -249,7 +249,7 @@ def test_config_loader_rewrites_only_data_errors(tmp_path, monkeypatch):
     def bug(kv):
         raise ValueError("bug in the loader")
 
-    monkeypatch.setattr(harness, "_experiment_config", bug)
+    monkeypatch.setattr(harness, "experiment_config", bug)
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("graph.model = er\n")
     with pytest.raises(ValueError, match="^bug in the loader$") as exc:
@@ -288,6 +288,30 @@ def test_bad_swap_target_exits_with_one_error_line(tmp_path, capsys, flags,
                  *flags]) == 1
     out, err = capsys.readouterr()
     assert err == f"error: DataError: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "config", "--alpha", "2.4", "--p", "0.5"],
+     "graph.p is not read with graph.model = config"),
+    (["--model", "er", "--p", "0.05", "--alpha", "3"],
+     "graph.alpha is not read with graph.model = er"),
+    (["--model", "er", "--p", "0.05", "--kmin", "4"],
+     "graph.kmin is not read with graph.model = er"),
+    (["--model", "er", "--p", "0.05", "--kmax", "9"],
+     "graph.kmax is not read with graph.model = er"),
+    (["--model", "config", "--alpha", "2.4", "--rkk-tol", "0.01"],
+     "graph.rkk_tol is not read without graph.rkk"),
+    (["--model", "config", "--alpha", "2.4", "--rho-tol", "0.3"],
+     "labels.tol is not read without labels.rho"),
+    (["--model", "config", "--alpha", "2.4", "--max-iter", "5"],
+     "graph.rkk_max_iter is not read without graph.rkk"),
+])
+def test_generate_rejects_flags_nothing_reads(tmp_path, capsys, flags,
+                                              message):
+    assert main(["generate", "--n", "200", "--out", str(tmp_path / "x"),
+                 *flags]) == 1
+    assert capsys.readouterr().err == f"error: DataError: {message}\n"
     assert not list(tmp_path.iterdir())
 
 
