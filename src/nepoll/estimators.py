@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import BipartiteWalkWarning, DataError, DisconnectedGraphError
 from .graph import LabeledGraph, graph_flags
-from .sampling import (RandomStream, default_walk_length,
-                       random_walk_endpoints, sample_friends_of_random_nodes,
-                       sample_random_nodes)
+from .sampling import (default_walk_length, random_walk_endpoints,
+                       sample_friends_of_random_nodes, sample_random_nodes)
 
 ESTIMATOR_KINDS = ("IP", "UN", "RW", "FN")
 
@@ -35,14 +34,16 @@ ESTIMATOR_CODES = {kind: i for i, kind in enumerate(ESTIMATOR_KINDS)}
 _BATCH_DRAWS = 1 << 19
 
 
-def poll_values(kind: str, lg: LabeledGraph, budget: int, seed, reps, *,
+def poll_values(kind: str, lg: LabeledGraph, budget: int,
+                gen: np.random.Generator, reps, *,
                 walk_length: int | None = None,
                 lazy_walk: bool = False) -> np.ndarray:
     """Replications ``reps`` (a count or a step-1 ``range``) of a ``kind``
-    estimate of ``budget`` respondents from the stream ``RandomStream(seed)``.
+    estimate of ``budget`` respondents from the stream ``gen``, such as
+    ``stream(seed)``.
 
-    Replication r reads doubles ``[r*k, (r+1)*k)`` of the stream alone, as
-    ``rows`` rows of ``budget`` uniforms: row 0 picks the respondents or
+    Replication r reads doubles ``[r*k, (r+1)*k)`` of ``gen`` alone, counted
+    from its state at the call, as ``rows`` rows of ``budget`` uniforms: row 0 picks the respondents or
     walk starts ``floor(u * n)``, row 1 of ``FN`` their neighbors
     ``floor(u * d)``, rows 1 .. L of ``RW`` the walk steps.  Batches of at
     most ``_BATCH_DRAWS`` doubles are drawn at once; a larger ``RW``
@@ -75,7 +76,6 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int, seed, reps, *,
             else walk_length
         rows += length
     k = rows * budget
-    gen = RandomStream(seed).generator
     gen.bit_generator.advance(reps.start * k)
     per_batch = max(1, _BATCH_DRAWS // k)
     table = lg.labels if kind == "IP" else lg.responses

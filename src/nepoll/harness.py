@@ -32,9 +32,9 @@ from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
                      erdos_renyi, rewire_to_assortativity)
-from .sampling import RandomStream
+from .sampling import stream
 
-# Substream keys reserved for graph preparation (each sweep cell uses the
+# Stream keys reserved for graph preparation (each sweep cell uses the
 # two-component key (code, budget), so these can never collide).
 _REWIRE_STREAM_KEY = 101
 _LABEL_STREAM_KEY = 102
@@ -116,13 +116,13 @@ def materialize(cfg: ExperimentConfig) -> tuple[LabeledGraph, dict]:
     else:
         g = nio.read_edge_list(src)
     if cfg.rewire is not None:
-        rs = RandomStream(cfg.master_seed).substream(_REWIRE_STREAM_KEY)
-        g = rewire_to_assortativity(g, cfg.rewire, rs)
+        g = rewire_to_assortativity(
+            g, cfg.rewire, stream(cfg.master_seed, _REWIRE_STREAM_KEY))
 
     lsrc = cfg.label_source
     if isinstance(lsrc, LabelTarget):
-        rs = RandomStream(cfg.master_seed).substream(_LABEL_STREAM_KEY)
-        lg = assign_labels(g, lsrc, rs)
+        lg = assign_labels(g, lsrc,
+                           stream(cfg.master_seed, _LABEL_STREAM_KEY))
     else:
         labels, defaulted = nio.read_labels(lsrc, g)
         meta["defaulted_labels"] = defaulted
@@ -136,9 +136,8 @@ def materialize(cfg: ExperimentConfig) -> tuple[LabeledGraph, dict]:
 def _replicate_range(lg: LabeledGraph, kind: str, budget: int,
                      master_seed: int, lo: int, hi: int,
                      walk_length: int | None) -> np.ndarray:
-    seed = np.random.SeedSequence(entropy=master_seed,
-                                  spawn_key=(ESTIMATOR_CODES[kind], budget))
-    return poll_values(kind, lg, budget, seed, range(lo, hi),
+    cell = stream(master_seed, ESTIMATOR_CODES[kind], budget)
+    return poll_values(kind, lg, budget, cell, range(lo, hi),
                        walk_length=walk_length)
 
 

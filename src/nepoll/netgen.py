@@ -33,7 +33,7 @@ from .errors import (AssortativityUndefinedError, DataError,
                      DegenerateSpecError, DegreeLabelCorrUndefinedError,
                      IsolatedNodeAfterRetriesError, TargetUnreachableError)
 from .graph import Graph, LabeledGraph, _sorted_unique, build_graph
-from .sampling import RandomStream
+from .sampling import stream
 
 _MAX_GENERATION_RETRIES = 100
 _PROPOSAL_CHUNK = 8192
@@ -117,7 +117,7 @@ def configuration_model(spec: ConfigModelSpec) -> tuple[Graph, int]:
     half-edges lost to self-loop and duplicate-match erasure.  An odd degree
     sum is repaired by incrementing one uniformly chosen node's degree.
     Matchings that leave some node with no surviving edge are retried with
-    a fresh substream.
+    a fresh stream.
     """
     n = spec.node_count
     k_max = spec.resolved_k_max()
@@ -134,9 +134,8 @@ def configuration_model(spec: ConfigModelSpec) -> tuple[Graph, int]:
         raise DegenerateSpecError("power-law exponent must be > 1")
 
     ks, pmf = _power_law_pmf(spec.power_law_exponent, spec.k_min, k_max)
-    root = RandomStream(spec.seed)
     for attempt in range(_MAX_GENERATION_RETRIES):
-        gen = root.substream(attempt).generator
+        gen = stream(spec.seed, attempt)
         degrees = gen.choice(ks, size=n, p=pmf)
         if degrees.sum() % 2 == 1:
             degrees[gen.integers(n)] += 1
@@ -166,9 +165,8 @@ def erdos_renyi(spec: ErdosRenyiSpec) -> Graph:
         raise DegenerateSpecError("need at least two nodes")
     if not 0.0 < p <= 1.0:
         raise DegenerateSpecError("edge probability must be in (0, 1]")
-    root = RandomStream(spec.seed)
     for attempt in range(_MAX_GENERATION_RETRIES):
-        gen = root.substream(attempt).generator
+        gen = stream(spec.seed, attempt)
         us, vs = [], []
         for i in range(n - 1):
             hits = np.flatnonzero(gen.random(n - 1 - i) < p)
@@ -373,7 +371,7 @@ class _EdgeSwaps(_SwapProcess):
 
 
 def rewire_to_assortativity(g: Graph, target: RewireTarget,
-                            rs: RandomStream) -> Graph:
+                            gen: np.random.Generator) -> Graph:
     """Degree-preserving edge swaps toward a degree-degree correlation.
 
     A proposal draws two edges (in random orientation) and replaces
@@ -396,7 +394,6 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     if abs(chain.current - target.target) <= target.tolerance:
         return g
 
-    gen = rs.generator
     m = g.edge_count
     proposals = 0
     while proposals < target.max_iterations:
@@ -475,7 +472,7 @@ class _LabelSwaps(_SwapProcess):
 
 
 def assign_labels(g: Graph, target: LabelTarget,
-                  rs: RandomStream) -> LabeledGraph:
+                  gen: np.random.Generator) -> LabeledGraph:
     """Draw iid Bernoulli labels, then swap label pairs toward a
     degree-label correlation target.
 
@@ -489,7 +486,6 @@ def assign_labels(g: Graph, target: LabelTarget,
     if not 0.0 < target.base_probability < 1.0:
         raise DataError("base probability must lie strictly in (0, 1)")
     n = g.node_count
-    gen = rs.generator
     labels = (gen.random(n) < target.base_probability).astype(np.int64)
     if target.target is None:
         return LabeledGraph(g, labels)

@@ -8,8 +8,8 @@ Three node laws drive everything downstream:
 * a random friend of a random node: a uniform neighbor of a uniform node.
 
 The samplers map a uniform u in [0, 1) to node ``floor(u * n)`` or to
-neighbor ``floor(u * d(v))`` of ``v``.  The uniforms come from seeded
-:class:`RandomStream` generators, so runs replay on any host.
+neighbor ``floor(u * d(v))`` of ``v``.  The uniforms come from
+:func:`stream` generators, so runs replay on any host.
 """
 
 from __future__ import annotations
@@ -22,28 +22,11 @@ from .errors import DataError
 from .graph import Graph
 
 
-class RandomStream:
-    """A PCG64 stream with deterministic substream derivation.
-
-    ``substream(*key)`` yields an independent stream identified by the
-    integer tuple ``key``; the same (seed, key) pair always reproduces the
-    same sample sequence.
-    """
-
-    __slots__ = ("sequence", "generator")
-
-    def __init__(self, seed):
-        if isinstance(seed, np.random.SeedSequence):
-            self.sequence = seed
-        else:
-            self.sequence = np.random.SeedSequence(int(seed))
-        self.generator = np.random.Generator(np.random.PCG64(self.sequence))
-
-    def substream(self, *key: int) -> "RandomStream":
-        child = np.random.SeedSequence(
-            entropy=self.sequence.entropy,
-            spawn_key=self.sequence.spawn_key + tuple(int(k) for k in key))
-        return RandomStream(child)
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The PCG64 stream of ``seed`` and the integer ``key``: the same pair
+    always reproduces the same draws, and distinct keys give independent
+    streams."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def default_walk_length(node_count: int) -> int:

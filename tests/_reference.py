@@ -26,14 +26,14 @@ from nepoll.errors import (AssortativityUndefinedError, DataError,
 from nepoll.graph import LabeledGraph, build_graph
 
 
-def sample_random_friends(g, rs, size):
+def sample_random_friends(g, gen, size):
     """Uniform edges, then a fair coin over each edge's two ends, so node v
     is drawn with probability exactly d(v) / edge_end_count."""
-    e = rs.generator.integers(0, g.edge_count, size=size)
-    return g.edges[e, rs.generator.integers(0, 2, size=size)]
+    e = gen.integers(0, g.edge_count, size=size)
+    return g.edges[e, gen.integers(0, 2, size=size)]
 
 
-def rewire_to_assortativity(g, target, rs):
+def rewire_to_assortativity(g, target, gen):
     """Draw two edges (in random orientation), propose replacing (a,b),(c,d)
     with (a,c),(b,d), and accept iff the move is simple and strictly
     shrinks the distance to the target."""
@@ -61,7 +61,6 @@ def rewire_to_assortativity(g, target, rs):
     if abs(current - target.target) <= target.tolerance:
         return g
 
-    gen = rs.generator
     proposals = 0
     rejections = 0
     while proposals < target.max_iterations:
@@ -110,14 +109,13 @@ def rewire_to_assortativity(g, target, rs):
         f"{proposals} proposals", achieved=current, result=rebuild())
 
 
-def assign_labels(g, target, rs):
+def assign_labels(g, target, gen):
     """Draw iid Bernoulli labels, then swap the labels of a random 0-labeled
     and a random 1-labeled node while that strictly shrinks the distance to
     the degree-label correlation target."""
     if not 0.0 < target.base_probability < 1.0:
         raise DataError("base probability must lie strictly in (0, 1)")
     n = g.node_count
-    gen = rs.generator
     labels = (gen.random(n) < target.base_probability).astype(np.int64)
     if target.target is None:
         return LabeledGraph(g, labels)

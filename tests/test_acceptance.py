@@ -13,17 +13,16 @@ import time
 import numpy as np
 import pytest
 
-from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
-                    LabeledGraph, RandomStream, RewireTarget,
-                    assign_labels, brute_force_estimator_law, budget_threshold,
-                    build_graph, configuration_model, erdos_renyi,
-                    error_bounds, exact_error, fosd_check,
+from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget, LabeledGraph,
+                    RewireTarget, assign_labels, brute_force_estimator_law,
+                    budget_threshold, build_graph, configuration_model,
+                    erdos_renyi, error_bounds, exact_error, fosd_check,
                     friendship_paradox_check, graph_flags,
                     label_degree_covariance, mean_degree, mean_label_friend,
                     network_stats, poll_values, random_walk_endpoints,
                     replicate, rewire_to_assortativity, run_report,
-                    sample_random_nodes, spectral_summary, write_edge_list,
-                    write_labels)
+                    sample_random_nodes, spectral_summary, stream,
+                    write_edge_list, write_labels)
 from nepoll.cli import main as cli_main
 from nepoll.sampling import default_walk_length
 
@@ -42,7 +41,7 @@ def _verdict(num, ok, detail):
 # cycles, paths, all with random labels
 
 def _build_suite(count=200, master_seed=20250801):
-    rng = RandomStream(master_seed).generator
+    rng = stream(master_seed)
     suite = []
     while len(suite) < count:
         kind = len(suite) % 6
@@ -125,9 +124,8 @@ def test_report_invariants_hold_on_suite(suite):
 def test_criterion_2_paradox_universality(suite, generated_graphs):
     start = time.time()
     graphs = [lg.graph for lg in suite] + list(generated_graphs.values())
-    rs = RandomStream(8080)
     graphs.append(rewire_to_assortativity(generated_graphs["pl2000"],
-                                          RewireTarget(-0.1), rs))
+                                          RewireTarget(-0.1), stream(8080)))
     failures = sum(1 for g in graphs
                    if not (friendship_paradox_check(g).holds
                            and fosd_check(g).holds))
@@ -173,20 +171,19 @@ def test_criterion_5_iid_label_mse_ordering(generated_graphs):
     start = time.time()
     g = generated_graphs["pl1000"]
     reps, budget = 10_000, 10
-    gen = RandomStream(51).generator
+    gen = stream(51)
     sq = {k: np.empty(reps) for k in ("UN", "FN", "RW")}
     for r in range(reps):
         labels = (gen.random(g.node_count) < 0.3).astype(np.int64)
         lg = LabeledGraph(g, labels)
         truth = lg.true_fraction
         for kind in ("UN", "FN", "RW"):
-            ss = np.random.SeedSequence(entropy=51,
-                                        spawn_key=(ord(kind[0]), r))
+            gen_r = stream(51, ord(kind[0]), r)
             if kind == "RW":  # respondents from the stationary law
-                rs = RandomStream(ss)
-                est = lg.responses[sample_random_friends(g, rs, budget)].mean()
+                est = lg.responses[
+                    sample_random_friends(g, gen_r, budget)].mean()
             else:
-                est = poll_values(kind, lg, budget, ss, 1)[0]
+                est = poll_values(kind, lg, budget, gen_r, 1)[0]
             sq[kind][r] = (est - truth) ** 2
     t_stats = {}
     for kind in ("FN", "RW"):
@@ -206,7 +203,7 @@ def test_criterion_6_sweep_ordering(generated_graphs):
     g = generated_graphs["pl2000"]
     flags = graph_flags(g)
     assert flags.connected and not flags.bipartite
-    lg = assign_labels(g, LabelTarget(0.3, target=0.0), RandomStream(2003))
+    lg = assign_labels(g, LabelTarget(0.3, target=0.0), stream(2003))
     stats = network_stats(lg)
     assert abs(stats.assortativity) <= 0.02
     assert abs(stats.degree_label_corr) <= 0.02
@@ -288,7 +285,7 @@ def test_criterion_8_generator_targets(generated_graphs):
     for tgt in (-0.2, 0.0, 0.2):
         start = time.time()
         out = rewire_to_assortativity(g, RewireTarget(tgt),
-                                      RandomStream(300 + int(tgt * 10)))
+                                      stream(300 + int(tgt * 10)))
         r = network_stats(LabeledGraph(out, zeros)).assortativity
         elapsed = time.time() - start
         hit = (abs(r - tgt) <= 0.02
@@ -300,9 +297,9 @@ def test_criterion_8_generator_targets(generated_graphs):
         start = time.time()
         seed = 400 + int(tgt * 10)
         lg = assign_labels(g, LabelTarget(0.3, target=tgt),
-                           RandomStream(seed))
+                           stream(seed))
         rho = network_stats(lg).degree_label_corr
-        iid = assign_labels(g, LabelTarget(0.3), RandomStream(seed))
+        iid = assign_labels(g, LabelTarget(0.3), stream(seed))
         elapsed = time.time() - start
         hit = (abs(rho - tgt) <= 0.02
                and lg.true_fraction == iid.true_fraction
@@ -321,7 +318,7 @@ def test_criterion_9_walk_convergence(generated_graphs):
     assert flags.connected and not flags.bipartite
     walks = 1_000_000
     length = default_walk_length(g.node_count)
-    gen = RandomStream(90).generator
+    gen = stream(90)
     starts = sample_random_nodes(g, gen.random(walks))
     ends = random_walk_endpoints(g, starts, length, gen)
     freq = np.bincount(ends, minlength=g.node_count) / walks
@@ -335,7 +332,7 @@ def test_criterion_9_walk_convergence(generated_graphs):
 def test_criterion_10_sweep_determinism(tmp_path):
     g = erdos_renyi(ErdosRenyiSpec(100, 0.08, seed=4))
     assert graph_flags(g).connected
-    lg = assign_labels(g, LabelTarget(0.4), RandomStream(44))
+    lg = assign_labels(g, LabelTarget(0.4), stream(44))
     write_edge_list(g, tmp_path / "g.edges")
     write_labels(lg, tmp_path / "g.labels")
     cfg = tmp_path / "exp.cfg"

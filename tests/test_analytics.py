@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from nepoll import (AssortativityUndefinedError, DegreeLabelCorrUndefinedError,
-                    ErdosRenyiSpec, LabeledGraph, RandomStream,
-                    SpectrumNotConvergedError, build_graph, erdos_renyi,
-                    DataError, brute_force_estimator_law, budget_threshold,
-                    error_bounds, exact_error, fosd_check,
+from nepoll import (AssortativityUndefinedError, DataError,
+                    DegreeLabelCorrUndefinedError, ErdosRenyiSpec,
+                    LabeledGraph, SpectrumNotConvergedError,
+                    brute_force_estimator_law, budget_threshold, build_graph,
+                    erdos_renyi, error_bounds, exact_error, fosd_check,
                     friendship_paradox_check, graph_flags,
                     label_degree_covariance, mean_degree, mean_label_friend,
-                    network_stats, spectral_summary)
+                    network_stats, spectral_summary, stream)
 from nepoll import analytics
 
 from _strategies import graphs, labeled_graphs
@@ -74,7 +74,7 @@ def _dense_spectrum(g):
 def _sparse_random_graph(n, extra_edges, seed):
     """A Hamiltonian path through a random permutation (connected, no
     isolated node) plus ``extra_edges`` uniform pairs, repeats dropped."""
-    gen = RandomStream(seed).generator
+    gen = stream(seed)
     perm = gen.permutation(n)
     pairs = np.concatenate([np.stack([perm[:-1], perm[1:]], axis=1),
                             gen.integers(0, n, size=(extra_edges, 2))])
@@ -219,7 +219,7 @@ def test_fn_bias_bound_reads_lambda_n_as_singular_value():
         return error_bounds(lg, 1.0, lambda_n).fn_bias_sq
 
     # sound: the bound with the smallest singular value, on random graphs
-    gen = RandomStream(2241).generator
+    gen = stream(2241)
     for _ in range(500):
         n = int(gen.integers(3, 12))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)

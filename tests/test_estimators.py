@@ -6,10 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from nepoll import (BipartiteWalkWarning, ConfigModelSpec, DataError,
-                    DisconnectedGraphError, LabeledGraph, RandomStream,
-                    RewireTarget, brute_force_estimator_law,
-                    configuration_model, poll_values,
-                    rewire_to_assortativity)
+                    DisconnectedGraphError, LabeledGraph, RewireTarget,
+                    brute_force_estimator_law, configuration_model,
+                    poll_values, rewire_to_assortativity, stream)
 
 from _reference import sample_random_friends
 from _strategies import labeled_graphs
@@ -21,15 +20,15 @@ def _band(variance, budget=BIG_BUDGET, sigmas=4):
     return sigmas * math.sqrt(variance / budget)
 
 
-def _poll(kind, lg, budget, seed, **options):
-    return poll_values(kind, lg, budget, seed, 1, **options)[0]
+def _poll(kind, lg, budget, seed, *key, **options):
+    return poll_values(kind, lg, budget, stream(seed, *key), 1, **options)[0]
 
 
-def _stationary_poll(lg, budget, seed):
+def _stationary_poll(lg, budget, seed, *key):
     """Walk-poll estimate with respondents drawn from the walk's
     stationary law (random friends) instead of walked to."""
-    rs = RandomStream(seed)
-    return lg.responses[sample_random_friends(lg.graph, rs, budget)].mean()
+    gen = stream(seed, *key)
+    return lg.responses[sample_random_friends(lg.graph, gen, budget)].mean()
 
 
 def test_constant_labels_give_exact_estimates(star):
@@ -41,7 +40,7 @@ def test_constant_labels_give_exact_estimates(star):
 
 
 def test_single_draw_law_triangle(k3_lg):
-    values = poll_values("IP", k3_lg, 1, 0, 400)
+    values = poll_values("IP", k3_lg, 1, stream(0), 400)
     assert set(values) <= {0.0, 1.0}
     freq = np.mean(values)
     assert abs(freq - 1 / 3) <= _band(2 / 9, budget=400)
@@ -113,17 +112,16 @@ def test_estimates_always_in_unit_interval(lg, seed, budget):
 def _iid_label_mse(graph, p, reps, budget, seed):
     """Empirical MSE of UN, FN and RW (stationary law) with labels
     redrawn iid per replication; returns dict of per-rep squared errors."""
-    gen = RandomStream(seed).generator
+    gen = stream(seed)
     sq = {"UN": np.empty(reps), "FN": np.empty(reps), "RW": np.empty(reps)}
     for r in range(reps):
         labels = (gen.random(graph.node_count) < p).astype(np.int64)
         lg = LabeledGraph(graph, labels)
         truth = lg.true_fraction
         for kind in ("UN", "FN", "RW"):
-            ss = np.random.SeedSequence(entropy=seed,
-                                        spawn_key=(ord(kind[0]), r))
-            est = _stationary_poll(lg, budget, ss) if kind == "RW" \
-                else _poll(kind, lg, budget, ss)
+            key = (ord(kind[0]), r)
+            est = _stationary_poll(lg, budget, seed, *key) if kind == "RW" \
+                else _poll(kind, lg, budget, seed, *key)
             sq[kind][r] = (est - truth) ** 2
     return sq
 
@@ -143,7 +141,7 @@ def test_iid_label_variance_ordering_on_assortative_graph():
     spec = ConfigModelSpec(node_count=300, power_law_exponent=2.4,
                            k_min=1, k_max=25, seed=2)
     g, _ = configuration_model(spec)
-    g = rewire_to_assortativity(g, RewireTarget(0.15), RandomStream(7))
+    g = rewire_to_assortativity(g, RewireTarget(0.15), stream(7))
     d = g.degrees.astype(float)
     inv_uniform = float(np.mean(1 / d))
     inv_friend = g.node_count / g.edge_end_count
@@ -161,20 +159,21 @@ def test_replication_reads_its_block_of_the_stream(star_chord):
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
     g, budget, reps, length = lg.graph, 3, 5, 4
     for kind, rows in (("IP", 1), ("UN", 1), ("FN", 2), ("RW", 1 + length)):
-        u = RandomStream(17).generator.random((reps, rows, budget))
+        u = stream(17).random((reps, rows, budget))
         nodes = np.floor(u[:, 0] * g.node_count).astype(np.int64)
         for row in range(1, rows):
             pick = np.floor(u[:, row] * g.degrees[nodes]).astype(np.int64)
             nodes = g.neighbors[g.indptr[nodes] + pick]
         table = lg.labels if kind == "IP" else lg.responses
         assert np.array_equal(
-            poll_values(kind, lg, budget, 17, reps, walk_length=length),
+            poll_values(kind, lg, budget, stream(17), reps,
+                        walk_length=length),
             table[nodes].mean(axis=1))
 
 
 def test_budget_must_be_positive(star_lg):
     with pytest.raises(ValueError):
-        poll_values("IP", star_lg, 0, 0, 1)
+        poll_values("IP", star_lg, 0, stream(0), 1)
 
 
 @pytest.mark.parametrize("kind,budget,reps,length", [
@@ -186,4 +185,4 @@ def test_bad_poll_arguments_are_data_errors(star_chord, kind, budget, reps,
                                             length):
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
     with pytest.raises(DataError):
-        poll_values(kind, lg, budget, 0, reps, walk_length=length)
+        poll_values(kind, lg, budget, stream(0), reps, walk_length=length)

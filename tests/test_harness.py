@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from nepoll import (BipartiteWalkWarning, ConfigModelSpec, DataError,
                     load_experiment_config, materialize, poll_values,
                     replicate, run_report, run_sweep, sweep_labeled,
                     write_sweep_csv)
-from nepoll import RandomStream, estimators, harness, netgen
+from nepoll import estimators, harness, netgen, stream
 from nepoll.estimators import ESTIMATOR_CODES
 from nepoll.harness import _empirical_moments, parse_config_text
 
@@ -143,7 +144,7 @@ def test_sweep_exact_columns():
     cfg = ExperimentConfig(graph_source=None, label_source=None,
                            budgets=(1, 3, 7), replications=2)
     columns = []
-    for lg in (netgen.assign_labels(g, LabelTarget(0.4), RandomStream(5)),
+    for lg in (netgen.assign_labels(g, LabelTarget(0.4), stream(5)),
                LabeledGraph(chorded_cycle, [1, 0, 0, 1, 1, 0, 0, 0])):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BipartiteWalkWarning)
@@ -197,22 +198,21 @@ def test_replicate_splits_into_ranges(star_lg, star_chord, monkeypatch, kind,
     if batch_reps is not None:
         monkeypatch.setattr(estimators, "_BATCH_DRAWS",
                             int(batch_reps * rows * budget))
-    cell = np.random.SeedSequence(seed,
-                                  spawn_key=(ESTIMATOR_CODES[kind], budget))
+    cell = (seed, ESTIMATOR_CODES[kind], budget)
     if lazy:
-        values = poll_values(kind, lg, budget, cell, reps,
+        values = poll_values(kind, lg, budget, stream(*cell), reps,
                              walk_length=length, lazy_walk=True)
     else:
         values = replicate(lg, kind, budget, reps, seed, length)
     cuts = [0, 2, 3, 4, 5, 7, 10]
-    pieces = [poll_values(kind, lg, budget, cell, range(lo, hi),
+    pieces = [poll_values(kind, lg, budget, stream(*cell), range(lo, hi),
                           walk_length=length, lazy_walk=lazy)
               for lo, hi in zip(cuts, cuts[1:])]
     assert np.array_equal(values, np.concatenate(pieces))
     if batch_reps is not None:  # batching never changes a value
         monkeypatch.undo()
         assert np.array_equal(values, poll_values(
-            kind, lg, budget, cell, reps, walk_length=length,
+            kind, lg, budget, stream(*cell), reps, walk_length=length,
             lazy_walk=lazy))
 
 
@@ -262,28 +262,28 @@ def test_materialize_generator_with_rewire_and_labels():
 
 
 def test_stream_keys_never_collide(monkeypatch):
-    """Every stream of a run is SeedSequence(seed, spawn_key=key): generator
-    attempts (attempt,), rewiring and labels one reserved key each, and
-    each (estimator, budget) cell (code, budget).  No key serves two
-    streams."""
+    """Every stream of a run is stream(seed, *key): generator attempts
+    (attempt,), rewiring and labels one reserved key each, and each
+    (estimator, budget) cell (code, budget).  No key serves two streams."""
     rewire_key, label_key = harness._REWIRE_STREAM_KEY, \
         harness._LABEL_STREAM_KEY
     assert rewire_key != label_key
     assert netgen._MAX_GENERATION_RETRIES <= min(rewire_key, label_key)
-    keys = []
-    init = RandomStream.__init__
+    drawn = []
 
-    def recording_init(self, seed):
-        init(self, seed)
-        keys.append(self.sequence.spawn_key)
+    def recording(seed, *key):
+        drawn.append(key)
+        return stream(seed, *key)
 
-    monkeypatch.setattr(RandomStream, "__init__", recording_init)
+    for name, module in list(sys.modules.items()):  # every caller's binding
+        if name.startswith("nepoll.") and \
+                getattr(module, "stream", None) is stream:
+            monkeypatch.setattr(module, "stream", recording)
     run_sweep(ExperimentConfig(
         graph_source=ConfigModelSpec(400, 2.4, k_min=1, k_max=40, seed=9),
         label_source=LabelTarget(0.3, target=0.1), rewire=RewireTarget(0.1),
         budgets=(1, 2), replications=3, estimators=("IP", "UN", "FN"),
         master_seed=9))
-    drawn = [key for key in keys if key]  # roots only derive substreams
     assert len(set(drawn)) == len(drawn)
     assert {(rewire_key,), (label_key,)} <= set(drawn)
     assert sum(len(key) == 2 for key in drawn) == 3 * 2

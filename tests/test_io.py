@@ -3,10 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from nepoll import (ConfigModelSpec, LabeledGraph, RandomStream, RewireTarget,
-                    SelfLoopError, build_graph, configuration_model,
-                    read_edge_list, read_labeled_graph, read_labels,
-                    rewire_to_assortativity, write_edge_list, write_labels)
+from nepoll import (ConfigModelSpec, LabeledGraph, RewireTarget, SelfLoopError,
+                    build_graph, configuration_model, read_edge_list,
+                    read_labeled_graph, read_labels, rewire_to_assortativity,
+                    stream, write_edge_list, write_labels)
 
 
 def test_edge_list_round_trip(tmp_path, star_chord):
@@ -92,7 +92,7 @@ def test_edge_list_round_trip_rewired_20k(tmp_path):
         node_count=20_000, power_law_exponent=2.4, k_min=3, k_max=350,
         seed=3))
     g = rewire_to_assortativity(g, RewireTarget(0.02, tolerance=0.005),
-                                RandomStream(3))
+                                stream(3))
     first, second = tmp_path / "a.edges", tmp_path / "b.edges"
     write_edge_list(g, first)
     loaded = read_edge_list(first)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nepoll import (AssortativityUndefinedError, ConfigModelSpec,
-                    DataError, DegenerateSpecError, DegreeLabelCorrUndefinedError,
-                    ErdosRenyiSpec, IsolatedNodeAfterRetriesError,
-                    LabelTarget, LabeledGraph, RandomStream, RewireTarget,
-                    assign_labels, configuration_model,
-                    erdos_renyi, fosd_check, friendship_paradox_check,
-                    network_stats, read_edge_list, rewire_to_assortativity,
-                    write_edge_list)
+from nepoll import (AssortativityUndefinedError, ConfigModelSpec, DataError,
+                    DegenerateSpecError, DegreeLabelCorrUndefinedError,
+                    ErdosRenyiSpec, IsolatedNodeAfterRetriesError, LabelTarget,
+                    LabeledGraph, RewireTarget, assign_labels,
+                    configuration_model, erdos_renyi, fosd_check,
+                    friendship_paradox_check, network_stats, read_edge_list,
+                    rewire_to_assortativity, stream, write_edge_list)
 
 
 def _assortativity(g):
@@ -135,7 +134,7 @@ def test_rewire_hits_target_and_preserves_degrees(powerlaw_graph):
     g = powerlaw_graph
     for target in (0.15, -0.15):
         out = rewire_to_assortativity(g, RewireTarget(target),
-                                      RandomStream(3))
+                                      stream(3))
         assert abs(_assortativity(out) - target) <= 0.02
         assert sorted(out.degrees.tolist()) == sorted(g.degrees.tolist())
         assert np.array_equal(np.sort(out.degrees), np.sort(g.degrees))
@@ -144,7 +143,7 @@ def test_rewire_hits_target_and_preserves_degrees(powerlaw_graph):
 def test_rewire_noop_when_already_at_target(powerlaw_graph):
     current = _assortativity(powerlaw_graph)
     out = rewire_to_assortativity(powerlaw_graph, RewireTarget(current),
-                                  RandomStream(4))
+                                  stream(4))
     assert out is powerlaw_graph
 
 
@@ -153,7 +152,7 @@ def test_rewire_unreachable_target_returns_best_effort(powerlaw_graph):
     with pytest.raises(TargetUnreachableError) as exc:
         rewire_to_assortativity(powerlaw_graph,
                                 RewireTarget(0.99, max_iterations=40_000),
-                                RandomStream(5))
+                                stream(5))
     best = exc.value.result
     assert sorted(best.degrees.tolist()) == \
         sorted(powerlaw_graph.degrees.tolist())
@@ -163,14 +162,14 @@ def test_rewire_unreachable_target_returns_best_effort(powerlaw_graph):
 
 def test_rewire_regular_graph_undefined(k3):
     with pytest.raises(AssortativityUndefinedError):
-        rewire_to_assortativity(k3, RewireTarget(0.5), RandomStream(0))
+        rewire_to_assortativity(k3, RewireTarget(0.5), stream(0))
 
 
 def test_rewire_deterministic(powerlaw_graph):
     a = rewire_to_assortativity(powerlaw_graph, RewireTarget(0.1),
-                                RandomStream(6))
+                                stream(6))
     b = rewire_to_assortativity(powerlaw_graph, RewireTarget(0.1),
-                                RandomStream(6))
+                                stream(6))
     assert np.array_equal(a.edges, b.edges)
 
 
@@ -178,28 +177,28 @@ def test_rewire_deterministic(powerlaw_graph):
 # label assignment
 
 def test_assign_labels_without_target_is_iid(powerlaw_graph):
-    lg = assign_labels(powerlaw_graph, LabelTarget(0.3), RandomStream(8))
+    lg = assign_labels(powerlaw_graph, LabelTarget(0.3), stream(8))
     f = lg.true_fraction
     assert abs(f - 0.3) <= 4 * math.sqrt(0.21 / powerlaw_graph.node_count)
 
 
 def test_assign_labels_hits_target_and_preserves_fraction(powerlaw_graph):
     for target in (0.1, -0.1, 0.0):
-        rs = RandomStream(9)
+        rs = stream(9)
         lg = assign_labels(powerlaw_graph,
                            LabelTarget(0.3, target=target), rs)
         assert abs(network_stats(lg).degree_label_corr - target) <= 0.02
         # the swap phase must not change the label counts: compare to the
         # iid draw from the same stream
         iid = assign_labels(powerlaw_graph, LabelTarget(0.3),
-                            RandomStream(9))
+                            stream(9))
         assert lg.labels.sum() == iid.labels.sum()
         assert lg.true_fraction == iid.true_fraction
 
 
 def test_assign_labels_regular_graph_undefined(k3):
     with pytest.raises(DegreeLabelCorrUndefinedError):
-        assign_labels(k3, LabelTarget(0.5, target=0.1), RandomStream(0))
+        assign_labels(k3, LabelTarget(0.5, target=0.1), stream(0))
 
 
 def test_assign_labels_unreachable_target(powerlaw_graph):
@@ -207,16 +206,16 @@ def test_assign_labels_unreachable_target(powerlaw_graph):
     with pytest.raises(TargetUnreachableError) as exc:
         assign_labels(powerlaw_graph,
                       LabelTarget(0.3, target=0.99, max_iterations=50_000),
-                      RandomStream(10))
+                      stream(10))
     assert isinstance(exc.value.result, LabeledGraph)
     assert abs(exc.value.achieved) < 0.99
 
 
 def test_assign_labels_validates_probability(powerlaw_graph):
     with pytest.raises(ValueError):
-        assign_labels(powerlaw_graph, LabelTarget(0.0), RandomStream(0))
+        assign_labels(powerlaw_graph, LabelTarget(0.0), stream(0))
     with pytest.raises(ValueError):
-        assign_labels(powerlaw_graph, LabelTarget(1.0), RandomStream(0))
+        assign_labels(powerlaw_graph, LabelTarget(1.0), stream(0))
 
 
 def test_target_validation():

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 
 import _reference
-from nepoll import (ConfigModelSpec, DataError, LabelTarget, RandomStream,
-                    RewireTarget, TargetUnreachableError, assign_labels,
-                    configuration_model, netgen, rewire_to_assortativity)
+from nepoll import (ConfigModelSpec, DataError, LabelTarget, RewireTarget,
+                    TargetUnreachableError, assign_labels, configuration_model,
+                    netgen, rewire_to_assortativity, stream)
 
 
 def _outcome(fn, *args):
@@ -42,8 +42,8 @@ def _arrays(out):
 
 
 def _same(fn, ref, g, target, seed):
-    got = _outcome(fn, g, target, RandomStream(seed))
-    want = _outcome(ref, g, target, RandomStream(seed))
+    got = _outcome(fn, g, target, stream(seed))
+    want = _outcome(ref, g, target, stream(seed))
     assert got == want
     return got
 
@@ -51,7 +51,7 @@ def _same(fn, ref, g, target, seed):
 def _rewire_holds(g, target, seed):
     """Run the rewiring and check what every chunk size keeps."""
     try:
-        out = rewire_to_assortativity(g, target, RandomStream(seed))
+        out = rewire_to_assortativity(g, target, stream(seed))
         achieved = None
     except TargetUnreachableError as exc:
         out, achieved = exc.result, exc.achieved
@@ -71,12 +71,12 @@ def _rewire_holds(g, target, seed):
 def _labels_hold(g, target, seed):
     """Run the label swaps and check what every chunk size keeps."""
     try:
-        out = assign_labels(g, target, RandomStream(seed))
+        out = assign_labels(g, target, stream(seed))
         achieved = None
     except TargetUnreachableError as exc:
         out, achieved = exc.result, exc.achieved
     iid = assign_labels(g, LabelTarget(target.base_probability),
-                        RandomStream(seed))
+                        stream(seed))
     assert out.graph is g
     assert set(out.labels.tolist()) <= {0, 1}
     assert out.labels.sum() == iid.labels.sum()

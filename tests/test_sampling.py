@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nepoll import (DataError, RandomStream, default_walk_length,
-                    random_walk_endpoints, sample_friends_of_random_nodes,
-                    sample_random_nodes)
+from nepoll import (DataError, default_walk_length, random_walk_endpoints,
+                    sample_friends_of_random_nodes, sample_random_nodes,
+                    stream)
 
 from _reference import sample_random_friends
 
@@ -18,7 +18,7 @@ def _frequencies(nodes, g):
 
 
 def _uniforms(seed, shape=DRAWS):
-    return RandomStream(seed).generator.random(shape)
+    return stream(seed).random(shape)
 
 
 def _binomial_band(p, draws=DRAWS, sigmas=3):
@@ -37,7 +37,7 @@ def test_uniform_node_degree_mean_regular(k3):
 
 
 def test_random_friend_law_star(star):
-    freq = _frequencies(sample_random_friends(star, RandomStream(3), DRAWS),
+    freq = _frequencies(sample_random_friends(star, stream(3), DRAWS),
                         star)
     # marginal is degree/edge_end_count: center 3/6, each leaf 1/6
     assert abs(freq[0] - 0.5) <= _binomial_band(0.5)
@@ -47,7 +47,7 @@ def test_random_friend_law_star(star):
 
 
 def test_random_friend_law_regular(k3):
-    freq = _frequencies(sample_random_friends(k3, RandomStream(4), DRAWS),
+    freq = _frequencies(sample_random_friends(k3, stream(4), DRAWS),
                         k3)
     band = _binomial_band(1 / 3)
     assert np.all(np.abs(freq - 1 / 3) <= band)
@@ -71,14 +71,14 @@ def test_friend_of_node_law_regular(k3):
 
 
 def test_zero_length_walk_returns_start(star):
-    gen = RandomStream(7).generator
+    gen = stream(7)
     assert random_walk_endpoints(star, [2], 0, gen).tolist() == [2]
 
 
 def test_single_step_walk_triangle(k3):
     walks = DRAWS // 10
     ends = random_walk_endpoints(k3, np.zeros(walks, dtype=np.int64), 1,
-                                 RandomStream(8).generator)
+                                 stream(8))
     freq = np.bincount(ends, minlength=3) / walks
     band = _binomial_band(0.5, draws=walks)
     assert freq[0] == 0.0
@@ -94,7 +94,7 @@ def test_step_map_stays_in_range():
     d = np.arange(1, 2 ** 22 + 1, dtype=np.float64)
     assert np.all(np.floor(u * d) < d)
     assert np.all(np.floor((2.0 * u - 1.0) * d) < d)
-    wide = RandomStream(13).generator.integers(1, 2 ** 40, size=1_000_000,
+    wide = stream(13).integers(1, 2 ** 40, size=1_000_000,
                                                endpoint=True)
     for n in (d.astype(np.int64), wide, np.array([2 ** 40])):
         g = SimpleNamespace(node_count=n)
@@ -105,9 +105,9 @@ def test_uniform_block_matches_streamed_walk(star_chord):
     starts = np.array([0, 1, 2, 3, 0, 1])
     for lazy in (False, True):
         streamed = random_walk_endpoints(star_chord, starts, 17,
-                                         RandomStream(12).generator,
+                                         stream(12),
                                          lazy=lazy)
-        block = RandomStream(12).generator.random((17, len(starts)))
+        block = stream(12).random((17, len(starts)))
         assert np.array_equal(
             random_walk_endpoints(star_chord, starts, 17, block, lazy=lazy),
             streamed)
@@ -123,7 +123,7 @@ def test_uniform_block_matches_streamed_walk(star_chord):
 def test_walk_stationary_law_nonbipartite(star_chord):
     g = star_chord
     stationary = g.degrees / g.edge_end_count
-    gen = RandomStream(9).generator
+    gen = stream(9)
     starts = sample_random_nodes(g, gen.random(DRAWS))
     ends = random_walk_endpoints(g, starts, length=100, uniforms=gen)
     freq = np.bincount(ends, minlength=g.node_count) / DRAWS
@@ -133,7 +133,7 @@ def test_walk_stationary_law_nonbipartite(star_chord):
 
 def test_lazy_walk_mixes_on_bipartite_star(star):
     stationary = star.degrees / star.edge_end_count
-    gen = RandomStream(10).generator
+    gen = stream(10)
     starts = sample_random_nodes(star, gen.random(DRAWS))
     ends = random_walk_endpoints(star, starts, length=60, uniforms=gen,
                                  lazy=True)
@@ -144,7 +144,7 @@ def test_lazy_walk_mixes_on_bipartite_star(star):
 
 def test_walk_length_validation(star):
     with pytest.raises(DataError):
-        random_walk_endpoints(star, [0], -1, RandomStream(0).generator)
+        random_walk_endpoints(star, [0], -1, stream(0))
 
 
 def test_default_walk_length():
@@ -154,31 +154,28 @@ def test_default_walk_length():
 
 
 def test_same_seed_same_sequence(star_chord):
-    a = RandomStream(42)
-    b = RandomStream(42)
+    a = stream(42)
+    b = stream(42)
     seq_a = sample_random_friends(star_chord, a, 100)
     seq_b = sample_random_friends(star_chord, b, 100)
     assert np.array_equal(seq_a, seq_b)
 
 
-def test_substreams_are_deterministic_and_distinct(star_chord):
-    root = RandomStream(42)
-    s_one = sample_random_nodes(
-        star_chord, RandomStream(42).substream(0, 5).generator.random(8))
-    s_two = sample_random_nodes(star_chord,
-                                root.substream(0, 5).generator.random(8))
+def test_keyed_streams_are_deterministic_and_distinct(star_chord):
+    s_one = sample_random_nodes(star_chord, stream(42, 0, 5).random(8))
+    s_two = sample_random_nodes(star_chord, stream(42, 0, 5).random(8))
     assert np.array_equal(s_one, s_two)
-    a = root.substream(1).generator.integers(0, 1 << 30, size=8)
-    b = root.substream(2).generator.integers(0, 1 << 30, size=8)
+    a = stream(42, 1).integers(0, 1 << 30, size=8)
+    b = stream(42, 2).integers(0, 1 << 30, size=8)
     assert not np.array_equal(a, b)
 
 
 def test_batch_walk_matches_seeded_rerun(star_chord):
     starts = np.array([0, 1, 2, 3, 0, 1])
     one = random_walk_endpoints(star_chord, starts, 17,
-                                RandomStream(11).generator)
+                                stream(11))
     two = random_walk_endpoints(star_chord, starts, 17,
-                                RandomStream(11).generator)
+                                stream(11))
     assert np.array_equal(one, two)
 
 
