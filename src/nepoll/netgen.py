@@ -220,10 +220,11 @@ def _in_sorted(values, sorted_values: np.ndarray) -> np.ndarray:
 
 class _SwapProcess:
     """Steers ``corr(s)`` toward ``goal``; each accept moves the integer sum
-    ``s`` by its step.  ``decide`` runs the module's three steps through
-    ``load`` (keep a chunk's draws), ``screen`` (positions, steps, claims and
-    rows of the local proposals), ``apply`` (bulk accepts) and ``in_order``
-    (the sequential rule from a position to the chunk's end)."""
+    ``s`` by its step.  ``run`` decides chunk after chunk; ``decide`` runs
+    the module's three steps on one through ``load`` (keep a chunk's
+    draws), ``screen`` (positions, steps, claims and rows of the local
+    proposals), ``apply`` (bulk accepts) and ``in_order`` (the sequential
+    rule from a position to the chunk's end)."""
 
     def __init__(self, s: int, corr, goal: float, tol: float):
         self.s, self.corr, self.goal, self.tol = s, corr, goal, tol
@@ -233,12 +234,30 @@ class _SwapProcess:
     def current(self) -> float:
         return self.corr(self.s)
 
-    def decide(self, *draws) -> bool:
-        """Decide one chunk; True if an accept reached the band, ending it."""
-        size = self.load(*draws)
+    def run(self, draw, budget: int, what: str, result):
+        """Decide chunks of proposals ``draw(size)`` until the correlation
+        lies in the band, and return ``result()``.  When ``budget``
+        proposals are spent or acceptance stalls, raise
+        :class:`TargetUnreachableError` carrying ``result()``, the best
+        effort, and naming the ``what`` target."""
+        proposals = 0
+        while abs(self.current - self.goal) > self.tol:
+            if proposals >= budget or self.rejections >= _STALL_LIMIT:
+                raise TargetUnreachableError(
+                    f"{what} target {self.goal} not reached after "
+                    f"{proposals} proposals", achieved=self.current,
+                    result=result())
+            size = min(_PROPOSAL_CHUNK, budget - proposals)
+            self.decide(draw(size))
+            proposals += size
+        return result()
+
+    def decide(self, draws) -> None:
+        """Decide one chunk; an accept that reaches the band ends it."""
+        size = self.load(draws)
         side = 1 if self.current < self.goal else -1
         pos, step, claims, rows = self.screen(side)
-        last, reached = -1, False
+        last = -1
         if len(pos):
             kept = np.flatnonzero(_first_claims(claims))
             pos, step = pos[kept], step[kept]
@@ -253,10 +272,9 @@ class _SwapProcess:
                 self.s += int(step[:cut].sum())
                 last = int(pos[cut - 1])
             if cut < len(pos):
-                last, reached = self.in_order(int(pos[cut]), last)
+                last = self.in_order(int(pos[cut]), last)
         self.rejections = size - 1 - last if last >= 0 \
             else self.rejections + size
-        return reached
 
 
 class _EdgeSwaps(_SwapProcess):
@@ -284,9 +302,9 @@ class _EdgeSwaps(_SwapProcess):
         return Graph(self.n, out.edges, out.indptr, out.neighbors,
                      out.degrees, g.original_ids)
 
-    def load(self, idx: np.ndarray, flip: np.ndarray) -> int:
-        self.idx, self.flip = idx, flip
-        return len(idx)
+    def load(self, draws: tuple[np.ndarray, np.ndarray]) -> int:
+        self.idx, self.flip = draws
+        return len(self.idx)
 
     def _views(self, start: int):
         """Edge indices, flips and edges as they stand, ends ``a, b, c, d``
@@ -322,10 +340,10 @@ class _EdgeSwaps(_SwapProcess):
         keys, added = self.keys[kept], np.setdiff1d(new, old)  # sorted
         self.keys = np.insert(keys, np.searchsorted(keys, added), added)
 
-    def in_order(self, start: int, last: int) -> tuple[int, bool]:
+    def in_order(self, start: int, last: int) -> int:
         """The sequential rule on the live state from position ``start`` to
-        the chunk's end; returns the last accept (``last`` if none) and
-        whether it reached the band."""
+        the chunk's end, or to an accept that reaches the band; returns the
+        last accept (``last`` if none)."""
         n, deg, keys = self.n, self.deg_list, self.keys
         corr, goal, tol = self.corr, self.goal, self.tol
         columns, _, added = self._views(start)
@@ -336,7 +354,7 @@ class _EdgeSwaps(_SwapProcess):
             return has[k] if k in has else known if k == q \
                 else _in_sorted(k, keys)
 
-        s, reached = self.s, False
+        s = self.s
         columns = (*columns, *added, *_in_sorted(added, keys))
         for p, (i, j, fi, fj, ui, vi, uj, vj, q1, q2, in1, in2) in enumerate(
                 zip(*(column.tolist() for column in columns)), start):
@@ -361,13 +379,12 @@ class _EdgeSwaps(_SwapProcess):
             has[k1] = has[k2] = True
             s, last = s + delta, p
             if abs(new - goal) <= tol:
-                reached = True
                 break
         if edge:
             self._move(np.array(list(edge)),
                        np.array([u * n + v for u, v in edge.values()]))
         self.s = s
-        return last, reached
+        return last
 
 
 def rewire_to_assortativity(g: Graph, target: RewireTarget,
@@ -393,22 +410,11 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     chain = _EdgeSwaps(g, target, mu_q, sigma2_q)
     if abs(chain.current - target.target) <= target.tolerance:
         return g
-
     m = g.edge_count
-    proposals = 0
-    while proposals < target.max_iterations:
-        chunk = min(_PROPOSAL_CHUNK, target.max_iterations - proposals)
-        idx = gen.integers(0, m, size=(chunk, 2))
-        flip = gen.integers(0, 2, size=(chunk, 2))
-        if chain.decide(idx, flip):
-            return chain.graph(g)
-        proposals += chunk
-        if chain.rejections >= _STALL_LIMIT:
-            break
-    raise TargetUnreachableError(
-        f"assortativity target {target.target} not reached after "
-        f"{proposals} proposals", achieved=chain.current,
-        result=chain.graph(g))
+    return chain.run(lambda size: (gen.integers(0, m, size=(size, 2)),
+                                   gen.integers(0, 2, size=(size, 2))),
+                     target.max_iterations, "assortativity",
+                     lambda: chain.graph(g))
 
 
 class _LabelSwaps(_SwapProcess):
@@ -444,13 +450,13 @@ class _LabelSwaps(_SwapProcess):
     def apply(self, at: np.ndarray) -> None:
         self.pool[at] = self.pool[at[:, ::-1]]
 
-    def in_order(self, start: int, last: int) -> tuple[int, bool]:
+    def in_order(self, start: int, last: int) -> int:
         """As ``_EdgeSwaps.in_order``, on the live pool."""
         deg = self.deg_list
         corr, goal, tol = self.corr, self.goal, self.tol
         at = self.at[start:]
         now: dict[int, int] = {}  # pool positions this loop rewrote
-        s, reached = self.s, False
+        s = self.s
         for p, (i0, i1, v0, v1) in enumerate(
                 zip(*at.T.tolist(), *self.pool[at].T.tolist()), start):
             v0, v1 = now.get(i0, v0), now.get(i1, v1)
@@ -464,11 +470,10 @@ class _LabelSwaps(_SwapProcess):
             now[i0], now[i1] = v1, v0
             s, last = s + d0 - d1, p
             if abs(new - goal) <= tol:
-                reached = True
                 break
         self.pool[list(now)] = list(now.values())
         self.s = s
-        return last, reached
+        return last
 
 
 def assign_labels(g: Graph, target: LabelTarget,
@@ -507,16 +512,6 @@ def assign_labels(g: Graph, target: LabelTarget,
         return (s / n - mu_d * f_bar) / (sigma_k * sigma_f)
 
     chain = _LabelSwaps(deg, labels, corr, target)
-    goal, tol = target.target, target.tolerance
-    proposals = 0
-    while abs(chain.current - goal) > tol:
-        if proposals >= target.max_iterations \
-                or chain.rejections >= _STALL_LIMIT:
-            raise TargetUnreachableError(
-                f"degree-label correlation target {goal} not reached after "
-                f"{proposals} proposals", achieved=chain.current,
-                result=LabeledGraph(g, chain.labels()))
-        chunk = min(_PROPOSAL_CHUNK, target.max_iterations - proposals)
-        chain.decide(gen.random(size=(chunk, 2)))
-        proposals += chunk
-    return LabeledGraph(g, chain.labels())
+    return chain.run(lambda size: gen.random(size=(size, 2)),
+                     target.max_iterations, "degree-label correlation",
+                     lambda: LabeledGraph(g, chain.labels()))
