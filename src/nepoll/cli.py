@@ -94,7 +94,9 @@ def _cmd_report(args) -> int:
 def _cmd_generate(args) -> int:
     kv = {key: getattr(args, flag) for flag, key in _GENERATE_KEYS.items()
           if getattr(args, flag) is not None}
-    if args.max_iter is not None:  # the budget of each swap target given
+    # --max-iter sets the budget of each target given; with no target it
+    # sets graph.rkk_max_iter, which nothing reads, so it fails as that key
+    if args.max_iter is not None:
         budgets = [budget for target, budget in (
             ("graph.rkk", "graph.rkk_max_iter"),
             ("labels.rho", "labels.max_iter")) if target in kv]

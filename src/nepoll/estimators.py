@@ -43,11 +43,12 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
     ``stream(seed)``.
 
     Replication r reads doubles ``[r*k, (r+1)*k)`` of ``gen`` alone, counted
-    from its state at the call, as ``rows`` rows of ``budget`` uniforms: row 0 picks the respondents or
-    walk starts ``floor(u * n)``, row 1 of ``FN`` their neighbors
-    ``floor(u * d)``, rows 1 .. L of ``RW`` the walk steps.  Batches of at
-    most ``_BATCH_DRAWS`` doubles are drawn at once; a larger ``RW``
-    replication draws its steps row by row, which reads the same bits.
+    from its state at the call, as ``rows`` rows of ``budget`` uniforms:
+    row 0 picks the respondents or walk starts ``floor(u * n)``, row 1 of
+    ``FN`` their neighbors ``floor(u * d)``, rows 1 .. L of ``RW`` the walk
+    steps.  Batches of at most ``_BATCH_DRAWS`` doubles are drawn at once;
+    a larger ``RW`` replication draws its steps row by row, which reads the
+    same bits.
 
     ``RW`` walks start from uniform nodes and run ``walk_length`` steps
     (default: ten sweeps of log2 n).  They need a connected graph, checked

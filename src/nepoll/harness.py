@@ -395,6 +395,7 @@ def _parse_value(s: str):
         pass
     return s
 
+
 def load_experiment_config(path) -> ExperimentConfig:
     """Read a flat ``key = value`` config file into
     :func:`experiment_config`; a ``DataError`` names ``path``."""
@@ -489,7 +490,7 @@ def experiment_config(kv: dict[str, object]) -> ExperimentConfig:
         if path_key in kv and model_key in kv:
             raise DataError(f"{path_key} and {model_key} both given; "
                             "set one source")
-    seed = ("seed", _integer)
+    seed = ("seed", _integer)  # read by the generators and the sweep
 
     if "graph.path" in kv:
         _unread(kv, ("graph.n", "graph.alpha", "graph.kmin", "graph.kmax",

@@ -119,7 +119,7 @@ def test_sweep_identical_across_worker_counts(star_files, tmp_path):
 
 def test_generate_matches_materialize(tmp_path, capsys):
     """``nepoll generate`` draws rewiring and labels from the same
-    substreams as a sweep config with the same seed."""
+    streams as a sweep config with the same seed."""
     prefix = tmp_path / "gen"
     assert main(["generate", "--model", "config", "--n", "300",
                  "--alpha", "2.4", "--kmax", "30", "--rkk", "0.1",

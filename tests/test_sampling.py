@@ -161,7 +161,7 @@ def test_same_seed_same_sequence(star_chord):
     assert np.array_equal(seq_a, seq_b)
 
 
-def test_keyed_streams_are_deterministic_and_distinct(star_chord):
+def test_substreams_are_deterministic_and_distinct(star_chord):
     s_one = sample_random_nodes(star_chord, stream(42, 0, 5).random(8))
     s_two = sample_random_nodes(star_chord, stream(42, 0, 5).random(8))
     assert np.array_equal(s_one, s_two)
