@@ -7,8 +7,10 @@ by label swapping that steers the degree-label correlation toward a target.
 
 Each operation is a stochastic process driven by one stream, so
 (spec, seed) reproduces identical output.  The modifiers draw proposals in
-chunks of ``_PROPOSAL_CHUNK`` and decide a chunk in three steps; with one
-proposal per chunk this is the one-at-a-time process.
+chunks of ``_PROPOSAL_CHUNK``, or of the most proposals a chunk can keep
+when that is fewer (``m // 2`` for rewiring, the smaller label class for
+labels), and decide a chunk in three steps; with one proposal per chunk
+this is the one-at-a-time process.
 
 1. One numpy pass over the state at the chunk start finds the local
    proposals (those the sequential rule accepts on that state) and keeps
@@ -224,10 +226,12 @@ class _SwapProcess:
     the module's three steps on one through ``load`` (keep a chunk's
     draws), ``screen`` (positions, steps, claims and rows of the local
     proposals), ``apply`` (bulk accepts) and ``in_order`` (the sequential
-    rule from a position to the chunk's end)."""
+    rule from a position to the chunk's end).  A chunk keeps proposals
+    with disjoint claims, at most ``cap``, so no chunk is drawn larger."""
 
-    def __init__(self, s: int, corr, goal: float, tol: float):
+    def __init__(self, s: int, corr, goal: float, tol: float, cap: int):
         self.s, self.corr, self.goal, self.tol = s, corr, goal, tol
+        self.cap = cap
         self.rejections = 0  # consecutive, since the last accept
 
     @property
@@ -247,7 +251,7 @@ class _SwapProcess:
                     f"{what} target {self.goal} not reached after "
                     f"{proposals} proposals", achieved=self.current,
                     result=result())
-            size = min(_PROPOSAL_CHUNK, budget - proposals)
+            size = min(_PROPOSAL_CHUNK, self.cap, budget - proposals)
             self.decide(draw(size))
             proposals += size
         return result()
@@ -292,7 +296,7 @@ class _EdgeSwaps(_SwapProcess):
             return (s / m - mu_q * mu_q) / sigma2_q
 
         super().__init__(int(np.dot(*self.deg[g.edges.T])), corr,
-                         target.target, target.tolerance)
+                         target.target, target.tolerance, m // 2)
 
     def graph(self, g: Graph) -> Graph:
         """The edges as a graph over ``g``'s node ids.  Swaps keep every
@@ -427,7 +431,8 @@ class _LabelSwaps(_SwapProcess):
         self.pool = np.argsort(labels, kind="stable")
         self.zeros = len(labels) - int(labels.sum())
         super().__init__(int(np.dot(deg, labels)), corr, target.target,
-                         target.tolerance)
+                         target.tolerance,
+                         min(self.zeros, len(labels) - self.zeros))
 
     def labels(self) -> np.ndarray:
         labels = np.zeros(len(self.deg), dtype=np.int64)

@@ -157,6 +157,24 @@ def test_assign_labels_stall_exit_matches_sequential(powerlaw_graph,
     assert kind == "unreachable"
 
 
+@pytest.mark.parametrize("fn, ref, target", [
+    (rewire_to_assortativity, _reference.rewire_to_assortativity,
+     RewireTarget(0.6, max_iterations=17618)),
+    (assign_labels, _reference.assign_labels,
+     LabelTarget(0.3, target=0.6, max_iterations=3000)),
+])
+@pytest.mark.parametrize("seed", [3, 5])
+def test_default_chunk_reaches_as_far_as_sequential(powerlaw_graph, fn, ref,
+                                                    target, seed):
+    # a chunk keeps at most one accept per slot of its smallest claim pool
+    # (m // 2 = 439 edge pairs, ~300 1-labeled nodes); an 8192-proposal chunk
+    # spent most of these budgets on proposals rejected only for a claim
+    got = _outcome(fn, powerlaw_graph, target, stream(seed))
+    want = _outcome(ref, powerlaw_graph, target, stream(seed))
+    assert got[0] == want[0] == "unreachable"
+    assert abs(got[2] - want[2]) <= 0.02
+
+
 @pytest.mark.parametrize("target", REWIRE_CASES)
 @pytest.mark.parametrize("seed", [3, 5])
 def test_rewire_keeps_properties_at_default_chunk(powerlaw_graph, target,
