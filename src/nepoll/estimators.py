@@ -30,14 +30,15 @@ ESTIMATOR_KINDS = ("IP", "UN", "RW", "FN")
 # Stable codes that key each (estimator, budget) cell's stream.
 ESTIMATOR_CODES = {kind: i for i, kind in enumerate(ESTIMATOR_KINDS)}
 
-# Doubles one batch of replications may draw at once: 2**19 (4 MB).
-_BATCH_DRAWS = 1 << 19
+# Doubles one batch of replications may draw at once: 2**18 (2 MB).  A
+# batch this size fits in the heap that graph generation leaves free, so
+# peak memory does not depend on the seed; 4 MB batches did not always fit.
+_BATCH_DRAWS = 1 << 18
 
 
 def poll_values(kind: str, lg: LabeledGraph, budget: int,
                 gen: np.random.Generator, reps, *,
-                walk_length: int | None = None,
-                lazy_walk: bool = False) -> np.ndarray:
+                walk_length: int | None = None) -> np.ndarray:
     """Replications ``reps`` (a count or a step-1 ``range``) of a ``kind``
     estimate of ``budget`` respondents from the stream ``gen``, such as
     ``stream(seed)``.
@@ -52,12 +53,15 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
 
     ``RW`` walks start from uniform nodes and run ``walk_length`` steps
     (default: ten sweeps of log2 n).  They need a connected graph, checked
-    once per call; on a bipartite graph a plain walk has no stationary law
-    and warns, while ``lazy_walk`` (stay put with probability 1/2) mixes.
+    once per call; on a bipartite graph the walk has no stationary law and
+    warns.
     """
-    if kind not in ESTIMATOR_CODES or budget < 1 or (walk_length or 0) < 0:
-        raise DataError(f"unknown estimator kind {kind!r}, budget < 1 or "
-                        "walk_length < 0")
+    if kind not in ESTIMATOR_CODES:
+        raise DataError(f"unknown estimator kind {kind!r}")
+    if budget < 1:
+        raise DataError(f"budget must be >= 1, got {budget!r}")
+    if walk_length is not None and walk_length < 0:
+        raise DataError(f"walk_length must be >= 0, got {walk_length!r}")
     if isinstance(reps, (int, np.integer)) and reps >= 0:
         reps = range(reps)
     if not isinstance(reps, range) or reps.step != 1 or reps.start < 0:
@@ -70,7 +74,7 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
         if not flags.connected:
             raise DisconnectedGraphError(
                 "random-walk polling requires a connected graph")
-        if flags.bipartite and not lazy_walk:
+        if flags.bipartite:
             warnings.warn("graph is bipartite: plain random walks have no "
                           "stationary law", BipartiteWalkWarning)
         length = default_walk_length(g.node_count) if walk_length is None \
@@ -91,7 +95,6 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
         picks = sample_friends_of_random_nodes(g, u[:, 0], u[:, 1]) \
             if kind == "FN" else sample_random_nodes(g, u[:, 0])
         if kind == "RW":
-            picks = random_walk_endpoints(g, picks.ravel(), length, steps,
-                                          lazy=lazy_walk)
+            picks = random_walk_endpoints(g, picks.ravel(), length, steps)
         values[lo:lo + m] = table[picks.reshape(m, budget)].mean(axis=1)
     return values

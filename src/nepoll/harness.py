@@ -157,7 +157,9 @@ def replicate(lg: LabeledGraph, kind: str, budget: int, replications: int,
               workers: int = 1) -> np.ndarray:
     """Estimate values for ``replications`` independent runs, in replication
     order.  The result depends only on the inputs, never on ``workers``."""
-    if workers <= 1:
+    if workers < 1:
+        raise DataError("workers must be >= 1")
+    if workers == 1:
         return _replicate_range(lg, kind, budget, master_seed, 0,
                                 replications, walk_length)
     chunk = max(1, math.ceil(replications / (workers * 4)))

@@ -9,19 +9,23 @@ Each operation is a stochastic process driven by one stream, so
 (spec, seed) reproduces identical output.  The modifiers draw proposals in
 chunks of ``_PROPOSAL_CHUNK``, or of the most proposals a chunk can keep
 when that is fewer (``m // 2`` for rewiring, the smaller label class for
-labels), and decide a chunk in three steps; with one proposal per chunk
-this is the one-at-a-time process.
+labels), and decide a chunk by repeating three steps from its first
+proposal; with one proposal per chunk this is the one-at-a-time process.
 
-1. One numpy pass over the state at the chunk start finds the local
-   proposals (those the sequential rule accepts on that state) and keeps
-   each that is the earliest local proposal to hold all of its claims: two
-   edge indices and two added edge keys, or two pool positions for labels.
+1. One numpy pass over the live state screens the proposals from the
+   current position on.  A proposal is local when the sequential rule
+   accepts it on that state: it is simple, adds no edge key already
+   present and strictly shrinks the distance to the target.  Each local
+   proposal that is the earliest local one to hold all of its claims (two
+   edge indices and two added edge keys, or two pool positions for labels)
+   is kept.
 2. The kept proposals, pairwise disjoint, are accepted in bulk and in order
-   up to the first whose running sum fails the sequential float test (the
-   accept does not strictly shrink the distance to the target, reaches the
-   band or crosses the target); the others before it are rejected.
-3. From that proposal to the chunk's end, a plain-Python loop decides each
-   proposal on the live state by the sequential rule.
+   up to the cut: the first whose running sum does not strictly shrink the
+   distance to the target, reaches the band or crosses the target.  The
+   other proposals before the cut are rejected.
+3. The cut alone is accepted iff it shrinks the distance on the state the
+   bulk leaves.  An accept that reaches the band ends the chunk; otherwise
+   step 1 screens again from the position after the cut.
 """
 
 from __future__ import annotations
@@ -208,26 +212,25 @@ def _first_claims(claims: np.ndarray) -> np.ndarray:
     return (owner == np.arange(rows)[:, None]).all(axis=1)
 
 
-def _in_sorted(values, sorted_values: np.ndarray) -> np.ndarray:
-    """Elementwise ``value in sorted_values`` (not empty) for an array or a
-    scalar; the query is searched in ascending order, which keeps the
-    binary searches in cache."""
-    flat = np.ravel(values)
+def _in_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
+    """Elementwise ``value in sorted_values`` (not empty); the query is
+    searched in ascending order, which keeps the binary searches in cache."""
+    flat = values.ravel()
     order = np.argsort(flat)
     at = np.empty(len(flat), dtype=np.int64)
     at[order] = np.searchsorted(sorted_values, flat[order])
     found = sorted_values[np.minimum(at, len(sorted_values) - 1)] == flat
-    return found.reshape(np.shape(values))
+    return found.reshape(values.shape)
 
 
 class _SwapProcess:
     """Steers ``corr(s)`` toward ``goal``; each accept moves the integer sum
-    ``s`` by its step.  ``run`` decides chunk after chunk; ``decide`` runs
+    ``s`` by its step.  ``run`` decides chunk after chunk; ``decide`` repeats
     the module's three steps on one through ``load`` (keep a chunk's
     draws), ``screen`` (positions, steps, claims and rows of the local
-    proposals), ``apply`` (bulk accepts) and ``in_order`` (the sequential
-    rule from a position to the chunk's end).  A chunk keeps proposals
-    with disjoint claims, at most ``cap``, so no chunk is drawn larger."""
+    proposals from a position on) and ``apply`` (accept kept proposals).  A
+    chunk keeps proposals with disjoint claims, at most ``cap``, so no chunk
+    is drawn larger."""
 
     def __init__(self, s: int, corr, goal: float, tol: float, cap: int):
         self.s, self.corr, self.goal, self.tol = s, corr, goal, tol
@@ -237,6 +240,11 @@ class _SwapProcess:
     @property
     def current(self) -> float:
         return self.corr(self.s)
+
+    def shrinks(self, step: np.ndarray) -> np.ndarray:
+        """Whether each step strictly shrinks the distance to the goal."""
+        return np.abs(self.corr(self.s + step) - self.goal) \
+            < abs(self.current - self.goal)
 
     def run(self, draw, budget: int, what: str, result):
         """Decide chunks of proposals ``draw(size)`` until the correlation
@@ -258,25 +266,28 @@ class _SwapProcess:
 
     def decide(self, draws) -> None:
         """Decide one chunk; an accept that reaches the band ends it."""
-        size = self.load(draws)
-        side = 1 if self.current < self.goal else -1
-        pos, step, claims, rows = self.screen(side)
-        last = -1
-        if len(pos):
+        size, start, last = self.load(draws), 0, -1
+        while start < size:
+            pos, step, claims, rows = self.screen(start)
+            if not len(pos):
+                break
             kept = np.flatnonzero(_first_claims(claims))
             pos, step = pos[kept], step[kept]
             after = self.s + np.cumsum(step)
             new = self.corr(after)
             gap = np.abs(new - self.goal)
-            fails = ((gap >= np.abs(self.corr(after - step) - self.goal))
-                     | (gap <= self.tol) | ((new < self.goal) != (side > 0)))
+            shrinks = gap < np.abs(self.corr(after - step) - self.goal)
+            fails = ~shrinks | (gap <= self.tol) \
+                | ((new < self.goal) != (self.current < self.goal))
             cut = int(fails.argmax()) if fails.any() else len(pos)
-            if cut:
-                self.apply(*(row[kept[:cut]] for row in rows))
-                self.s += int(step[:cut].sum())
-                last = int(pos[cut - 1])
-            if cut < len(pos):
-                last = self.in_order(int(pos[cut]), last)
+            accepts = cut + (cut < len(pos) and bool(shrinks[cut]))
+            if accepts:
+                self.apply(*(row[kept[:accepts]] for row in rows))
+                self.s += int(step[:accepts].sum())
+                last = int(pos[accepts - 1])
+            if cut == len(pos) or accepts > cut and gap[cut] <= self.tol:
+                break
+            start = int(pos[cut]) + 1
         self.rejections = size - 1 - last if last >= 0 \
             else self.rejections + size
 
@@ -288,7 +299,7 @@ class _EdgeSwaps(_SwapProcess):
     def __init__(self, g: Graph, target: RewireTarget, mu_q: float,
                  sigma2_q: float):
         m, self.n = g.edge_count, g.node_count
-        self.deg, self.deg_list = g.degrees, g.degrees.tolist()
+        self.deg = g.degrees
         self.ekey = g.edges[:, 0] * self.n + g.edges[:, 1]
         self.keys = self.ekey.copy()  # ascending, as g.edges is
 
@@ -310,85 +321,35 @@ class _EdgeSwaps(_SwapProcess):
         self.idx, self.flip = draws
         return len(self.idx)
 
-    def _views(self, start: int):
-        """Edge indices, flips and edges as they stand, ends ``a, b, c, d``
-        and the keys of ``(a, c)``, ``(b, d)`` of proposals from ``start``."""
-        ij = self.idx[start:].T
-        (i, j), (fi, fj) = ij, self.flip[start:].T
-        (ui, uj), (vi, vj) = np.divmod(self.ekey[ij], self.n)
+    def screen(self, start: int):
+        """Proposal ``p`` replaces edges ``i, j`` (ends flipped by ``fi``,
+        ``fj``), seen as ``(a, b), (c, d)``, with the keys of ``(a, c)``
+        and ``(b, d)``."""
+        n, deg, ij = self.n, self.deg, self.idx[start:].T
+        fi, fj = self.flip[start:].T
+        (ui, uj), (vi, vj) = np.divmod(self.ekey[ij], n)
         a, c = np.where(fi, vi, ui), np.where(fj, vj, uj)
         b, d = ui + vi - a, uj + vj - c
-        added = np.array([np.minimum(a, c) * self.n + np.maximum(a, c),
-                          np.minimum(b, d) * self.n + np.maximum(b, d)])
-        return (i, j, fi, fj, ui, vi, uj, vj), (a, b, c, d), added
-
-    def screen(self, side: int):
-        (i, j, *_), (a, b, c, d), added = self._views(0)
-        step = (self.deg[a] - self.deg[d]) * (self.deg[c] - self.deg[b])
-        local = (i != j) & (a != c) & (b != d) & (step * side > 0)
+        step = (deg[a] - deg[d]) * (deg[c] - deg[b])
+        local = (ij[0] != ij[1]) & (a != c) & (b != d) & self.shrinks(step)
+        added = np.array([np.minimum(a, c) * n + np.maximum(a, c),
+                          np.minimum(b, d) * n + np.maximum(b, d)])
         local[local] = ~_in_sorted(added[:, local], self.keys).any(axis=0)
         pos = np.flatnonzero(local)
-        rows = (i[pos], j[pos], added[0, pos], added[1, pos])
+        rows = (*ij[:, pos], *added[:, pos])
         # edge indices as negatives, so they never meet a key
         claims = np.array([-1 - rows[0], -1 - rows[1], *rows[2:]]).T
-        return pos, step[pos], claims, rows
+        return start + pos, step[pos], claims, rows
 
     def apply(self, i, j, k1, k2) -> None:
-        self._move(np.r_[i, j], np.r_[k1, k2])
-
-    def _move(self, e: np.ndarray, new: np.ndarray) -> None:
-        """Give the edges ``e`` the keys ``new``; ``keys`` stays sorted."""
-        old, self.ekey[e] = self.ekey[e], new
-        kept = np.ones(len(self.keys), dtype=bool)
-        kept[np.searchsorted(self.keys, np.setdiff1d(old, new))] = False
-        keys, added = self.keys[kept], np.setdiff1d(new, old)  # sorted
-        self.keys = np.insert(keys, np.searchsorted(keys, added), added)
-
-    def in_order(self, start: int, last: int) -> int:
-        """The sequential rule on the live state from position ``start`` to
-        the chunk's end, or to an accept that reaches the band; returns the
-        last accept (``last`` if none)."""
-        n, deg, keys = self.n, self.deg_list, self.keys
-        corr, goal, tol = self.corr, self.goal, self.tol
-        columns, _, added = self._views(start)
-        edge: dict[int, tuple[int, int]] = {}  # edges moved by this loop
-        has: dict[int, bool] = {}  # keys this loop added or removed
-
-        def present(k, q, known):  # q, known: the key as of ``start``
-            return has[k] if k in has else known if k == q \
-                else _in_sorted(k, keys)
-
-        s = self.s
-        columns = (*columns, *added, *_in_sorted(added, keys))
-        for p, (i, j, fi, fj, ui, vi, uj, vj, q1, q2, in1, in2) in enumerate(
-                zip(*(column.tolist() for column in columns)), start):
-            if i == j:
-                continue
-            ei, ej = edge.get(i) or (ui, vi), edge.get(j) or (uj, vj)
-            a, b = ei if fi == 0 else ei[::-1]
-            c, d = ej if fj == 0 else ej[::-1]
-            if a == c or b == d:
-                continue
-            delta = (deg[a] - deg[d]) * (deg[c] - deg[b])
-            new = corr(s + delta)
-            if delta == 0 or abs(new - goal) >= abs(corr(s) - goal):
-                continue
-            new1 = (a, c) if a < c else (c, a)
-            new2 = (b, d) if b < d else (d, b)
-            k1, k2 = new1[0] * n + new1[1], new2[0] * n + new2[1]
-            if present(k1, q1, in1) or present(k2, q2, in2):
-                continue
-            edge[i], edge[j] = new1, new2
-            has[ei[0] * n + ei[1]] = has[ej[0] * n + ej[1]] = False
-            has[k1] = has[k2] = True
-            s, last = s + delta, p
-            if abs(new - goal) <= tol:
-                break
-        if edge:
-            self._move(np.array(list(edge)),
-                       np.array([u * n + v for u, v in edge.values()]))
-        self.s = s
-        return last
+        """Give edges ``i``, ``j`` the keys ``k1``, ``k2``: the edges are
+        distinct and the new keys absent, so ``keys`` loses the old keys,
+        gains the new ones and stays sorted."""
+        e, new = np.r_[i, j], np.r_[k1, k2]
+        keys = np.delete(self.keys, np.searchsorted(self.keys, self.ekey[e]))
+        self.ekey[e] = new
+        new = np.sort(new)
+        self.keys = np.insert(keys, np.searchsorted(keys, new), new)
 
 
 def rewire_to_assortativity(g: Graph, target: RewireTarget,
@@ -399,7 +360,7 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     (a,b),(c,d) with (a,c),(b,d); the sequential rule accepts it iff the
     move is simple (no self-loop, no duplicate) and strictly shrinks the
     distance to the target, tracked through the sum of degree products over
-    edges.  Chunks of proposals are decided in the module's three steps.
+    edges.  Chunks of proposals are decided by the module's three steps.
 
     Raises :class:`TargetUnreachableError` carrying the best-effort graph
     when the proposal budget runs out or acceptance stalls.
@@ -427,7 +388,7 @@ class _LabelSwaps(_SwapProcess):
 
     def __init__(self, deg: np.ndarray, labels: np.ndarray, corr,
                  target: LabelTarget):
-        self.deg, self.deg_list = deg, deg.tolist()
+        self.deg = deg
         self.pool = np.argsort(labels, kind="stable")
         self.zeros = len(labels) - int(labels.sum())
         super().__init__(int(np.dot(deg, labels)), corr, target.target,
@@ -445,40 +406,15 @@ class _LabelSwaps(_SwapProcess):
         self.at = np.stack([at0, self.zeros + at1], axis=1)
         return len(draws)
 
-    def screen(self, side: int):
-        v = self.pool[self.at]
+    def screen(self, start: int):
+        v = self.pool[self.at[start:]]
         step = self.deg[v[:, 0]] - self.deg[v[:, 1]]
-        pos = np.flatnonzero(step * side > 0)
-        at = self.at[pos]
-        return pos, step[pos], at, (at,)
+        pos = np.flatnonzero(self.shrinks(step))
+        at = self.at[start + pos]
+        return start + pos, step[pos], at, (at,)
 
     def apply(self, at: np.ndarray) -> None:
         self.pool[at] = self.pool[at[:, ::-1]]
-
-    def in_order(self, start: int, last: int) -> int:
-        """As ``_EdgeSwaps.in_order``, on the live pool."""
-        deg = self.deg_list
-        corr, goal, tol = self.corr, self.goal, self.tol
-        at = self.at[start:]
-        now: dict[int, int] = {}  # pool positions this loop rewrote
-        s = self.s
-        for p, (i0, i1, v0, v1) in enumerate(
-                zip(*at.T.tolist(), *self.pool[at].T.tolist()), start):
-            v0, v1 = now.get(i0, v0), now.get(i1, v1)
-            d0, d1 = deg[v0], deg[v1]
-            cur = corr(s)
-            if (d0 <= d1) if cur < goal else (d0 >= d1):
-                continue
-            new = corr(s + d0 - d1)
-            if abs(new - goal) >= abs(cur - goal):
-                continue
-            now[i0], now[i1] = v1, v0
-            s, last = s + d0 - d1, p
-            if abs(new - goal) <= tol:
-                break
-        self.pool[list(now)] = list(now.values())
-        self.s = s
-        return last
 
 
 def assign_labels(g: Graph, target: LabelTarget,
@@ -491,7 +427,7 @@ def assign_labels(g: Graph, target: LabelTarget,
     raises the correlation, onto the lower-degree node lowers it; the
     sequential rule accepts a swap iff it strictly shrinks the distance to
     the target.  Swaps keep the label counts.  Chunks of proposals are
-    decided in the module's three steps.
+    decided by the module's three steps.
     """
     if not 0.0 < target.base_probability < 1.0:
         raise DataError("base probability must lie strictly in (0, 1)")

@@ -50,16 +50,14 @@ def sample_friends_of_random_nodes(g: Graph, u_node: np.ndarray,
 
 
 def random_walk_endpoints(g: Graph, starts: np.ndarray, length: int,
-                          uniforms: np.random.Generator | np.ndarray,
-                          lazy: bool = False) -> np.ndarray:
+                          uniforms: np.random.Generator | np.ndarray
+                          ) -> np.ndarray:
     """Endpoints of independent walks of ``length`` steps from ``starts``.
 
     Each step maps one uniform ``u`` in [0, 1) per walker to a uniform
     neighbor: a walker at ``v`` moves to
-    ``neighbors[indptr[v] + floor(u * d(v))]``.  The ``lazy`` walk (which
-    mixes on bipartite graphs) stays put when ``u < 1/2`` and otherwise
-    steps with ``2u - 1``, exactly uniform on [0, 1) again.  ``uniforms``
-    is a generator that draws ``random(len(starts))`` per step, or those
+    ``neighbors[indptr[v] + floor(u * d(v))]``.  ``uniforms`` is a
+    generator that draws ``random(len(starts))`` per step, or those
     draws as an array, ``uniforms[step]`` read in C order (a strided view
     is not copied); ``random((length, m))`` yields the same bits as
     ``length`` calls of ``random(m)``.
@@ -70,8 +68,5 @@ def random_walk_endpoints(g: Graph, starts: np.ndarray, length: int,
     for step in range(length):
         u = uniforms[step] if isinstance(uniforms, np.ndarray) \
             else uniforms.random(len(cur))
-        at = cur.reshape(u.shape)
-        nxt = _uniform_neighbors(
-            g, at, np.maximum(2.0 * u - 1.0, 0.0) if lazy else u)
-        cur = (np.where(u < 0.5, at, nxt) if lazy else nxt).reshape(-1)
+        cur = _uniform_neighbors(g, cur.reshape(u.shape), u).reshape(-1)
     return cur

@@ -6,12 +6,13 @@ package samples it only by walking).
 
 ``rewire_to_assortativity`` and ``assign_labels`` are the sequential swap
 processes, one proposal at a time in plain Python.  ``nepoll.netgen``
-decides each chunk of proposals in three steps: the earliest local claimant
-of each claim is kept, the kept proposals are accepted in bulk up to the
-first that fails the sequential float test, and the rest of the chunk
-follows the sequential rule.  With ``_PROPOSAL_CHUNK = 1`` that is the
-process here, so its graphs, labels, achieved values and proposal counts
-must equal these.  The chunk size and the stall limit are read from
+decides each chunk of proposals by one rule, repeated until the chunk ends:
+screen the rest of the chunk on the live state, keep the earliest local
+claimant of each claim, accept the kept proposals in bulk up to the first
+that fails the sequential float test, decide that one alone and screen
+again after it.  With ``_PROPOSAL_CHUNK = 1`` that is the process here,
+so its graphs, labels, achieved values and proposal counts must equal
+these.  The chunk size and the stall limit are read from
 ``nepoll.netgen`` at call time, so a test that patches them patches both.
 """
 

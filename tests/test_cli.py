@@ -117,6 +117,21 @@ def test_sweep_identical_across_worker_counts(star_files, tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_workers_below_one(star_files, tmp_path, capsys,
+                                         workers):
+    edges, labels = star_files
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f'graph.path = "{edges}"\nlabels.path = "{labels}"\n'
+                   "budgets = [1]\nreplications = 5\n")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--workers", workers]) == 1
+    assert capsys.readouterr().err == \
+        "error: DataError: workers must be >= 1\n"
+    assert not out.exists()
+
+
 def test_generate_matches_materialize(tmp_path, capsys):
     """``nepoll generate`` draws rewiring and labels from the same
     streams as a sweep config with the same seed."""

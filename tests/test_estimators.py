@@ -79,18 +79,6 @@ def test_walk_estimator_warns_on_bipartite(star_lg):
         _poll("RW", star_lg, 2, 1, walk_length=4)
 
 
-def test_lazy_walk_mixes_on_bipartite(star_lg):
-    # the lazy walk has a stationary law on bipartite graphs, so no warning
-    # and the long-run estimate matches the degree-weighted response mean
-    import warnings as _warnings
-    mean, var = brute_force_estimator_law(star_lg, "RW")
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error", BipartiteWalkWarning)
-        est = _poll("RW", star_lg, 20_000, 2, walk_length=80,
-                    lazy_walk=True)
-    assert abs(est - mean) <= _band(var, budget=20_000)
-
-
 def test_fn_equals_un_in_law_on_regular_graphs(k3_lg):
     assert brute_force_estimator_law(k3_lg, "FN") == \
         brute_force_estimator_law(k3_lg, "UN")
@@ -176,13 +164,18 @@ def test_budget_must_be_positive(star_lg):
         poll_values("IP", star_lg, 0, stream(0), 1)
 
 
-@pytest.mark.parametrize("kind,budget,reps,length", [
-    ("IP", 0, 1, None), ("XX", 1, 1, None), ("UN", 1, -1, None),
-    ("FN", 1, range(0, 4, 2), None), ("RW", 1, range(-1, 3), None),
-    ("RW", 1, 2, -1), ("RW", 1, 2, -2),
+@pytest.mark.parametrize("kind,budget,reps,length,match", [
+    ("IP", 0, 1, None, r"^budget must be >= 1, got 0$"),
+    ("UN", 0, 1, None, r"^budget must be >= 1, got 0$"),
+    ("XX", 1, 1, None, r"^unknown estimator kind 'XX'$"),
+    ("UN", 1, -1, None, r"^reps must be a count >= 0 .*got -1$"),
+    ("FN", 1, range(0, 4, 2), None, r"^reps must be .*range\(0, 4, 2\)$"),
+    ("RW", 1, range(-1, 3), None, r"^reps must be .*range\(-1, 3\)$"),
+    ("RW", 1, 2, -1, r"^walk_length must be >= 0, got -1$"),
+    ("RW", 1, 2, -2, r"^walk_length must be >= 0, got -2$"),
 ])
 def test_bad_poll_arguments_are_data_errors(star_chord, kind, budget, reps,
-                                            length):
+                                            length, match):
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=match):
         poll_values(kind, lg, budget, stream(0), reps, walk_length=length)

@@ -180,18 +180,32 @@ def test_replicate_deterministic_across_workers(star_chord, kind):
     assert np.array_equal(seq, par)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_replicate_rejects_workers_below_one(star_chord, monkeypatch,
+                                             workers):
+    # a worker count below one is a data error for library callers too,
+    # raised before any replication is polled (it used to run serially)
+    def no_poll(*args):
+        raise AssertionError("polled despite a bad worker count")
+
+    monkeypatch.setattr(harness, "_replicate_range", no_poll)
+    lg = LabeledGraph(star_chord, [1, 0, 0, 1])
+    with pytest.raises(DataError, match=r"^workers must be >= 1$"):
+        replicate(lg, "IP", budget=3, replications=5, master_seed=42,
+                  workers=workers)
+
+
 @pytest.mark.parametrize("batch_reps", [None, 1, 3, 0.5])
-@pytest.mark.parametrize("kind,lazy,length", [
-    ("IP", False, None), ("UN", False, None), ("FN", False, None),
-    ("RW", False, 6), ("RW", False, None), ("RW", True, 5),
+@pytest.mark.parametrize("kind,length", [
+    ("IP", None), ("UN", None), ("FN", None), ("RW", 6), ("RW", None),
 ])
-def test_replicate_splits_into_ranges(star_lg, star_chord, monkeypatch, kind,
-                                      lazy, length, batch_reps):
+def test_replicate_splits_into_ranges(star_chord, monkeypatch, kind, length,
+                                      batch_reps):
     # replications [0, reps) of a cell join from polls of arbitrary
     # sub-ranges of the cell stream, wherever the batches split (cuts on
     # both sides of a 3-replication batch boundary), also when one
     # replication exceeds a batch and its walk streams step by step
-    lg = star_lg if lazy else LabeledGraph(star_chord, [1, 0, 0, 1])
+    lg = LabeledGraph(star_chord, [1, 0, 0, 1])
     budget, reps, seed = 4, 10, 31
     steps = length or default_walk_length(lg.graph.node_count)
     rows = {"FN": 2, "RW": 1 + steps}.get(kind, 1)
@@ -199,21 +213,16 @@ def test_replicate_splits_into_ranges(star_lg, star_chord, monkeypatch, kind,
         monkeypatch.setattr(estimators, "_BATCH_DRAWS",
                             int(batch_reps * rows * budget))
     cell = (seed, ESTIMATOR_CODES[kind], budget)
-    if lazy:
-        values = poll_values(kind, lg, budget, stream(*cell), reps,
-                             walk_length=length, lazy_walk=True)
-    else:
-        values = replicate(lg, kind, budget, reps, seed, length)
+    values = replicate(lg, kind, budget, reps, seed, length)
     cuts = [0, 2, 3, 4, 5, 7, 10]
     pieces = [poll_values(kind, lg, budget, stream(*cell), range(lo, hi),
-                          walk_length=length, lazy_walk=lazy)
+                          walk_length=length)
               for lo, hi in zip(cuts, cuts[1:])]
     assert np.array_equal(values, np.concatenate(pieces))
     if batch_reps is not None:  # batching never changes a value
         monkeypatch.undo()
         assert np.array_equal(values, poll_values(
-            kind, lg, budget, stream(*cell), reps, walk_length=length,
-            lazy_walk=lazy))
+            kind, lg, budget, stream(*cell), reps, walk_length=length))
 
 
 def test_empirical_variance_never_negative():

@@ -1,14 +1,17 @@
 """The chunk-synchronous swap processes against the sequential oracle.
 
-``nepoll.netgen`` decides each chunk of proposals in three steps (earliest
-claims in bulk, then the sequential rule from the first accept that fails
-the float test).  With one proposal per chunk that is the one-at-a-time
-process of ``_reference``: equal edges and labels, equal achieved values
-and proposal counts when the target is out of reach.  With larger chunks
-the process is its own, and the tests check what every chunk size must
-keep: a simple graph with every node's degree, the label count, and a
-target either reached or reported with a best effort whose achieved value
-networkx or numpy recomputes.
+``nepoll.netgen`` decides each chunk of proposals by one rule, repeated
+from the chunk's first proposal: screen the rest of the chunk on the live
+state, accept the earliest claimants in bulk up to the cut (the first accept
+that fails the float test), decide the cut alone, and screen again after
+it.  With one proposal per chunk that is the one-at-a-time process of
+``_reference``: equal edges and labels, equal achieved values and proposal
+counts when the target is out of reach.  With larger chunks the process is
+its own, and the tests check what every chunk size must keep: a simple
+graph with every node's degree, the label count, a run that never ends
+farther from its target than it started, and a target either reached or
+reported with a best effort whose achieved value networkx or numpy
+recomputes.
 """
 
 import hypothesis.strategies as st
@@ -301,20 +304,70 @@ def test_first_claims_keeps_earliest_disjoint_rows(rows):
 @pytest.mark.parametrize("seed", range(8))
 def test_tails_on_tiny_graphs_keep_properties(seed):
     # far fewer edges than a chunk has proposals, and a band no swap can
-    # hit: the in-order tail moves the same edges again and again
+    # hit: every cut screens the rest of the chunk again, and the same
+    # edges move again and again
     g, _ = configuration_model(ConfigModelSpec(10, 2.1, k_min=2, seed=seed))
     for goal in (-0.3, 0.3):
         _rewire_holds(g, RewireTarget(goal, 1e-9, 20_000), seed)
         _labels_hold(g, LabelTarget(0.5, goal, 1e-9, 20_000), seed)
 
 
-def test_goal_crossing_hands_the_chunk_to_the_sequential_rule():
+@settings(max_examples=60, deadline=None)
+@given(small_cases(), st.integers(2, 8192), st.floats(0.05, 0.95))
+def test_runs_never_end_farther_from_the_target(case, chunk, p):
+    # every accept strictly shrinks the distance to the target on the state
+    # it meets, so no chunk size leaves a run farther off than its input
+    spec, goal, tol, budget, seed = case
+    g = _small_graph(spec)
+    if g is None:
+        return
+
+    def assortativity(out):
+        return nx.degree_assortativity_coefficient(
+            nx.Graph(out.edges.tolist()))
+
+    def label_corr(out):
+        return np.corrcoef(g.degrees, out.labels)[0, 1]
+
+    iid = assign_labels(g, LabelTarget(p), stream(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netgen, "_PROPOSAL_CHUNK", chunk)
+        mp.setattr(netgen, "_STALL_LIMIT", 1500)
+        for fn, target, value, initial in (
+                (rewire_to_assortativity, RewireTarget(goal, tol, budget),
+                 assortativity, g),
+                (assign_labels, LabelTarget(p, goal, tol, budget),
+                 label_corr, iid)):
+            try:
+                out = fn(g, target, stream(seed))
+            except TargetUnreachableError as exc:
+                out = exc.result
+            except DataError:  # under two edges, regular, or one label
+                continue
+            assert abs(value(out) - goal) <= abs(value(initial) - goal) + 1e-12
+
+
+def test_goal_crossing_screens_the_rest_of_the_chunk_again():
     # corr(s) = s / 10 from s = 6 toward 0.84: the first swap (+3) crosses
     # the goal; the second (-1) points away from it at the chunk start, but
-    # after the crossing the sequential rule accepts it
+    # the screen after the crossing finds it local and accepts it
     chain = netgen._LabelSwaps(np.array([3, 5, 2, 4]), np.array([0, 0, 1, 1]),
                                lambda s: s / 10,
                                LabelTarget(0.5, 0.84, tolerance=0.01))
     chain.decide(np.array([[0.75, 0.0], [0.0, 0.75]]))
     assert chain.s == 8
     assert chain.labels().tolist() == [1, 1, 0, 0]
+
+
+def test_a_swap_that_overshoots_claims_nothing():
+    # corr(s) = s / 100 from s = 19 toward 0.155.  Proposal 0 (-2) shrinks
+    # the gap; proposal 1 (-7) overshoots to 0.12 without shrinking it, so
+    # it is not local; proposal 2 claims proposal 0's pool position and
+    # loses it, though after proposal 0 its step (-1) would shrink the gap
+    chain = netgen._LabelSwaps(np.array([1, 3, 1, 6, 8, 5]),
+                               np.array([0, 0, 0, 1, 1, 1]),
+                               lambda s: s / 100,
+                               LabelTarget(0.5, 0.155, tolerance=0.001))
+    chain.decide(np.array([[0.4, 0.7], [0.7, 0.4], [0.4, 0.0]]))
+    assert chain.s == 17
+    assert chain.labels().tolist() == [0, 1, 0, 1, 1, 0]

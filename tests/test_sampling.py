@@ -87,13 +87,11 @@ def test_single_step_walk_triangle(k3):
 
 
 def test_step_map_stays_in_range():
-    # the largest uniform must still pick an index below the degree, for
-    # the plain step floor(u d) and for the lazy step floor((2u - 1) d),
-    # and a node below n for the node draw floor(u n)
+    # the largest uniform must still pick an index below the degree for
+    # the step floor(u d), and a node below n for the node draw floor(u n)
     u = np.nextafter(1.0, 0.0)
     d = np.arange(1, 2 ** 22 + 1, dtype=np.float64)
     assert np.all(np.floor(u * d) < d)
-    assert np.all(np.floor((2.0 * u - 1.0) * d) < d)
     wide = stream(13).integers(1, 2 ** 40, size=1_000_000,
                                                endpoint=True)
     for n in (d.astype(np.int64), wide, np.array([2 ** 40])):
@@ -103,21 +101,16 @@ def test_step_map_stays_in_range():
 
 def test_uniform_block_matches_streamed_walk(star_chord):
     starts = np.array([0, 1, 2, 3, 0, 1])
-    for lazy in (False, True):
-        streamed = random_walk_endpoints(star_chord, starts, 17,
-                                         stream(12),
-                                         lazy=lazy)
-        block = stream(12).random((17, len(starts)))
-        assert np.array_equal(
-            random_walk_endpoints(star_chord, starts, 17, block, lazy=lazy),
-            streamed)
-        # a strided (length, 2, 3) view reads the walkers in C order
-        view = block.reshape(17, 3, 2).transpose(0, 2, 1)
-        order = np.array([0, 2, 4, 1, 3, 5])
-        assert np.array_equal(
-            random_walk_endpoints(star_chord, starts[order], 17, view,
-                                  lazy=lazy),
-            streamed[order])
+    streamed = random_walk_endpoints(star_chord, starts, 17, stream(12))
+    block = stream(12).random((17, len(starts)))
+    assert np.array_equal(
+        random_walk_endpoints(star_chord, starts, 17, block), streamed)
+    # a strided (length, 2, 3) view reads the walkers in C order
+    view = block.reshape(17, 3, 2).transpose(0, 2, 1)
+    order = np.array([0, 2, 4, 1, 3, 5])
+    assert np.array_equal(
+        random_walk_endpoints(star_chord, starts[order], 17, view),
+        streamed[order])
 
 
 def test_walk_stationary_law_nonbipartite(star_chord):
@@ -128,17 +121,6 @@ def test_walk_stationary_law_nonbipartite(star_chord):
     ends = random_walk_endpoints(g, starts, length=100, uniforms=gen)
     freq = np.bincount(ends, minlength=g.node_count) / DRAWS
     for v in range(g.node_count):
-        assert abs(freq[v] - stationary[v]) <= _binomial_band(stationary[v])
-
-
-def test_lazy_walk_mixes_on_bipartite_star(star):
-    stationary = star.degrees / star.edge_end_count
-    gen = stream(10)
-    starts = sample_random_nodes(star, gen.random(DRAWS))
-    ends = random_walk_endpoints(star, starts, length=60, uniforms=gen,
-                                 lazy=True)
-    freq = np.bincount(ends, minlength=star.node_count) / DRAWS
-    for v in range(star.node_count):
         assert abs(freq[v] - stationary[v]) <= _binomial_band(stationary[v])
 
 
