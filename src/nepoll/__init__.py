@@ -13,12 +13,7 @@ from .analytics import (BudgetThreshold, ErrorBounds, FosdCheck, NetworkStats,
                         friendship_paradox_check, label_degree_covariance,
                         mean_degree, mean_label_friend, network_stats,
                         spectral_summary)
-from .errors import (AssortativityUndefinedError, BipartiteWalkWarning,
-                     DataError, DegenerateSpecError, DisconnectedGraphError,
-                     DegreeLabelCorrUndefinedError, GraphBuildError,
-                     DuplicateEdgeError, IsolatedNodeAfterRetriesError,
-                     IsolatedNodeError, SelfLoopError,
-                     SpectrumNotConvergedError, TargetUnreachableError)
+from .errors import BipartiteWalkWarning, DataError, TargetUnreachableError
 from .estimators import ESTIMATOR_KINDS, poll_values
 from .graph import Graph, GraphFlags, LabeledGraph, build_graph, graph_flags
 from .harness import (ExperimentConfig, Report, SweepRow, SWEEP_CSV_HEADER,

@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AssortativityUndefinedError, DataError,
-                     DegreeLabelCorrUndefinedError, SpectrumNotConvergedError)
+from .errors import DataError
 from .estimators import ESTIMATOR_KINDS
 from .graph import Graph, LabeledGraph, graph_flags
 
@@ -73,9 +72,9 @@ class NetworkStats:
     and standard deviations: ``sigma_q`` of the degree at a random edge
     end, ``sigma_k`` of a uniform node's degree, ``sigma_f`` of its label.
 
-    ``assortativity`` and ``degree_label_corr`` raise when their
+    ``assortativity`` and ``degree_label_corr`` are None when their
     denominators vanish (regular graph, or constant labels) rather than
-    silently returning zero.
+    silently zero.
     """
 
     sigma_q: float
@@ -85,20 +84,15 @@ class NetworkStats:
     degree_label_cov: float
 
     @property
-    def assortativity(self) -> float:
+    def assortativity(self) -> float | None:
         if self.sigma_q == 0.0:
-            raise AssortativityUndefinedError(
-                "degree-degree correlation undefined: the neighbor-degree "
-                "distribution is degenerate (regular graph)")
+            return None
         return self.degree_degree_cov / (self.sigma_q ** 2)
 
     @property
-    def degree_label_corr(self) -> float:
+    def degree_label_corr(self) -> float | None:
         if self.sigma_k == 0.0 or self.sigma_f == 0.0:
-            raise DegreeLabelCorrUndefinedError(
-                "degree-label correlation undefined: zero variance in "
-                f"degrees (sigma={self.sigma_k}) or labels "
-                f"(sigma={self.sigma_f})")
+            return None
         return self.degree_label_cov / (self.sigma_k * self.sigma_f)
 
 
@@ -206,7 +200,7 @@ def _lanczos_largest_abs(matvec, u: np.ndarray) -> float:
                 return float(abs(theta[i]))
             next_check = k + max(8, k // 8)
         q_prev, q = q, z / beta
-    raise SpectrumNotConvergedError(
+    raise DataError(
         f"lambda2: Lanczos did not converge in {_LANCZOS_MAX_STEPS} steps")
 
 

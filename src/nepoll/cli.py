@@ -7,9 +7,8 @@ import sys
 
 from . import io as nio
 from .analytics import network_stats
-from .errors import (AssortativityUndefinedError, DataError,
-                     DegreeLabelCorrUndefinedError, TargetUnreachableError)
-from .harness import (Report, experiment_config, load_experiment_config,
+from .errors import DataError, TargetUnreachableError
+from .harness import (Report, _num, experiment_config, load_experiment_config,
                       materialize, run_report, run_sweep, write_sweep_csv)
 
 # The config key each ``generate`` flag sets, so a flag nothing reads fails
@@ -107,14 +106,8 @@ def _cmd_generate(args) -> int:
         print(f"erased_stubs: {meta['erased_stubs']}")
 
     stats = network_stats(lg)
-    try:
-        print(f"achieved_rkk: {stats.assortativity!r}")
-    except AssortativityUndefinedError:
-        print("achieved_rkk: undefined")
-    try:
-        print(f"achieved_rho: {stats.degree_label_corr!r}")
-    except DegreeLabelCorrUndefinedError:
-        print("achieved_rho: undefined")
+    print(f"achieved_rkk: {_num(stats.assortativity)}")
+    print(f"achieved_rho: {_num(stats.degree_label_corr)}")
 
     edge_path = f"{args.out}.edges"
     label_path = f"{args.out}.labels"

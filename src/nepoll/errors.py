@@ -1,54 +1,14 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Every input the pipeline cannot take (a malformed edge list, an
+inconsistent generator spec, a graph an estimator cannot poll) raises
+``DataError`` with a message naming the fault; only an unreached swap
+target has a type of its own, because it carries the best-effort result.
+"""
 
 
 class DataError(ValueError):
     """Bad input data or parameters: the CLI reports these and exits 1."""
-
-
-class GraphBuildError(DataError):
-    """Base class for edge-list validation failures."""
-
-
-class SelfLoopError(GraphBuildError):
-    def __init__(self, node: int):
-        super().__init__(f"self-loop at node {node}")
-        self.node = node
-
-
-class DuplicateEdgeError(GraphBuildError):
-    def __init__(self, u: int, v: int):
-        super().__init__(f"duplicate edge ({u}, {v})")
-        self.edge = (u, v)
-
-
-class IsolatedNodeError(GraphBuildError):
-    def __init__(self, node: int):
-        super().__init__(f"node {node} has degree 0")
-        self.node = node
-
-
-class DisconnectedGraphError(DataError):
-    """Raised when an operation requires a connected graph."""
-
-
-class AssortativityUndefinedError(DataError):
-    """Degree-degree correlation has a zero denominator (regular graph)."""
-
-
-class DegreeLabelCorrUndefinedError(DataError):
-    """Degree-label correlation has a zero denominator."""
-
-
-class SpectrumNotConvergedError(DataError, RuntimeError):
-    """The Lanczos run for lambda2 ran out of steps before converging."""
-
-
-class DegenerateSpecError(DataError):
-    """Generator parameters are inconsistent."""
-
-
-class IsolatedNodeAfterRetriesError(DataError, RuntimeError):
-    """Generator kept producing isolated nodes within its retry budget."""
 
 
 class TargetUnreachableError(DataError, RuntimeError):

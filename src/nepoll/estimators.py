@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .errors import BipartiteWalkWarning, DataError, DisconnectedGraphError
+from .errors import BipartiteWalkWarning, DataError
 from .graph import LabeledGraph, graph_flags
 from .sampling import (default_walk_length, random_walk_endpoints,
                        sample_friends_of_random_nodes, sample_random_nodes)
@@ -72,8 +72,7 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
     if kind == "RW":
         flags = graph_flags(g)
         if not flags.connected:
-            raise DisconnectedGraphError(
-                "random-walk polling requires a connected graph")
+            raise DataError("random-walk polling requires a connected graph")
         if flags.bipartite:
             warnings.warn("graph is bipartite: plain random walks have no "
                           "stationary law", BipartiteWalkWarning)

@@ -13,8 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (DataError, DuplicateEdgeError, IsolatedNodeError,
-                     SelfLoopError)
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -104,15 +103,15 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]],
         if u < 0 or v < 0:
             raise DataError(f"negative node id in edge ({u}, {v})")
         if u == v:
-            raise SelfLoopError(u)
-        raise DuplicateEdgeError(min(u, v), max(u, v))
+            raise DataError(f"self-loop at node {u}")
+        raise DataError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
     if node_count is not None and not in_range:
         raise DataError(f"edge references node {int(raw.max())} "
                         f"outside 0..{node_count - 1}")
 
     degrees = np.bincount(np.concatenate([lo, hi]), minlength=n)
     if degrees.min() == 0:
-        raise IsolatedNodeError(int(np.argmin(degrees)))
+        raise DataError(f"node {int(np.argmin(degrees))} has degree 0")
     edges = np.stack(np.divmod(edge_keys, n), axis=1)
     # arcs keyed src * n + dst, both directions of every edge
     neighbors = np.sort(np.concatenate([keys, hi * n + lo])) % n

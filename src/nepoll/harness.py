@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -25,8 +24,7 @@ from .analytics import (BudgetThreshold, ParadoxCheck, SpectralSummary,
                         brute_force_estimator_law, budget_threshold,
                         exact_error, fosd_check, friendship_paradox_check,
                         network_stats, spectral_summary)
-from .errors import (AssortativityUndefinedError, DataError,
-                     DegreeLabelCorrUndefinedError, DisconnectedGraphError)
+from .errors import DataError
 from .estimators import ESTIMATOR_CODES, ESTIMATOR_KINDS, poll_values
 from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
@@ -182,6 +180,8 @@ def _empirical_moments(values: np.ndarray,
 
 
 def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepRow]:
+    if workers < 1:
+        raise DataError("workers must be >= 1")
     lg, _ = materialize(cfg)
     return sweep_labeled(lg, cfg, workers=workers)
 
@@ -191,7 +191,7 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig, *,
     """Run the sweep on an already-materialized labeled graph."""
     flags = graph_flags(lg.graph)
     if "RW" in cfg.estimators and not flags.connected:
-        raise DisconnectedGraphError(
+        raise DataError(
             "sweep includes the random-walk estimator but the graph is "
             "disconnected")
     budgets = cfg.budgets
@@ -217,6 +217,11 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig, *,
 
 def _fmt(x: float | None) -> str:
     return "" if x is None else repr(float(x))
+
+
+def _num(x: float | None) -> str:
+    """A report value: ``undefined`` where the quantity has none."""
+    return "undefined" if x is None else repr(float(x))
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], out: TextIO) -> None:
@@ -249,9 +254,6 @@ class Report:
 
     def rows(self) -> list[tuple[str, str]]:
         """``(key, value)`` text pairs, in print order."""
-        def num(x):
-            return "undefined" if x is None else repr(float(x))
-
         def flag(x):
             return str(x).lower()
 
@@ -263,14 +265,14 @@ class Report:
             ("min_degree", str(g.min_degree)),
             ("connected", flag(flags.connected)),
             ("bipartite", flag(flags.bipartite)),
-            ("mean_degree_uniform", num(paradox.mean_degree_uniform)),
-            ("mean_degree_friend", num(paradox.mean_degree_friend)),
-            ("mean_degree_neighbor", num(paradox.mean_degree_neighbor)),
+            ("mean_degree_uniform", _num(paradox.mean_degree_uniform)),
+            ("mean_degree_friend", _num(paradox.mean_degree_friend)),
+            ("mean_degree_neighbor", _num(paradox.mean_degree_neighbor)),
             ("friendship_paradox_holds", flag(paradox.holds)),
             ("fosd_holds", flag(self.fosd_holds)),
-            ("assortativity", num(self.assortativity)),
-            ("lambda2", num(self.spectrum.lambda2)),
-            ("lambda_n", num(self.spectrum.lambda_n)),
+            ("assortativity", _num(self.assortativity)),
+            ("lambda2", _num(self.spectrum.lambda2)),
+            ("lambda_n", _num(self.spectrum.lambda_n)),
             ("lambda_n_exact", flag(self.spectrum.lambda_n_exact)),
             ("rw_applicable", flag(flags.connected)),
         ]
@@ -278,10 +280,10 @@ class Report:
             out.append(("rw_stationary_exact", flag(not flags.bipartite)))
         if self.labeled is not None:
             t = self.threshold
-            threshold = (f"non-positive ({num(t.value)})" if t.non_positive
-                         else "inf" if t.unbounded else num(t.value))
-            out += [("true_fraction", num(self.labeled.true_fraction)),
-                    ("degree_label_corr", num(self.degree_label_corr)),
+            threshold = (f"non-positive ({_num(t.value)})" if t.non_positive
+                         else "inf" if t.unbounded else _num(t.value))
+            out += [("true_fraction", _num(self.labeled.true_fraction)),
+                    ("degree_label_corr", _num(self.degree_label_corr)),
                     ("budget_threshold", threshold)]
         if self.defaulted_labels:
             out.append(("defaulted_labels", str(self.defaulted_labels)))
@@ -337,17 +339,14 @@ def run_report(g: Graph, labels: np.ndarray | None = None, *,
                       else np.zeros(g.node_count, dtype=np.int64))
     stats = network_stats(lg)
     spectrum = spectral_summary(g)
-    assortativity = corr = threshold = None
-    with suppress(AssortativityUndefinedError):
-        assortativity = stats.assortativity
+    corr = threshold = None
     if labels is not None:
-        with suppress(DegreeLabelCorrUndefinedError):
-            corr = stats.degree_label_corr
+        corr = stats.degree_label_corr
         threshold = budget_threshold(lg, spectrum.lambda2)
     return Report(
         graph=g, flags=graph_flags(g), paradox=friendship_paradox_check(g),
         fosd_holds=fosd_check(g).holds,
-        assortativity=assortativity, spectrum=spectrum,
+        assortativity=stats.assortativity, spectrum=spectrum,
         labeled=None if labels is None else lg, degree_label_corr=corr,
         threshold=threshold, defaulted_labels=defaulted_labels)
 

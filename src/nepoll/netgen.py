@@ -35,9 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AssortativityUndefinedError, DataError,
-                     DegenerateSpecError, DegreeLabelCorrUndefinedError,
-                     IsolatedNodeAfterRetriesError, TargetUnreachableError)
+from .errors import DataError, TargetUnreachableError
 from .graph import Graph, LabeledGraph, _sorted_unique, build_graph
 from .sampling import stream
 
@@ -128,16 +126,15 @@ def configuration_model(spec: ConfigModelSpec) -> tuple[Graph, int]:
     n = spec.node_count
     k_max = spec.resolved_k_max()
     if n < 2:
-        raise DegenerateSpecError("need at least two nodes")
+        raise DataError("need at least two nodes")
     if spec.k_min < 1:
-        raise DegenerateSpecError("k_min must be >= 1")
+        raise DataError("k_min must be >= 1")
     if k_max < spec.k_min:
-        raise DegenerateSpecError(
-            f"k_max {k_max} < k_min {spec.k_min}")
+        raise DataError(f"k_max {k_max} < k_min {spec.k_min}")
     if k_max > n - 1:
-        raise DegenerateSpecError(f"k_max {k_max} > n-1 = {n - 1}")
+        raise DataError(f"k_max {k_max} > n-1 = {n - 1}")
     if not spec.power_law_exponent > 1:
-        raise DegenerateSpecError("power-law exponent must be > 1")
+        raise DataError("power-law exponent must be > 1")
 
     ks, pmf = _power_law_pmf(spec.power_law_exponent, spec.k_min, k_max)
     for attempt in range(_MAX_GENERATION_RETRIES):
@@ -157,7 +154,7 @@ def configuration_model(spec: ConfigModelSpec) -> tuple[Graph, int]:
             continue
         erased = int(degrees.sum()) - 2 * len(pairs)
         return build_graph(pairs, node_count=n), erased
-    raise IsolatedNodeAfterRetriesError(
+    raise DataError(
         f"configuration model left isolated nodes in "
         f"{_MAX_GENERATION_RETRIES} attempts")
 
@@ -168,9 +165,9 @@ def erdos_renyi(spec: ErdosRenyiSpec) -> Graph:
     n = spec.node_count
     p = spec.edge_probability
     if n < 2:
-        raise DegenerateSpecError("need at least two nodes")
+        raise DataError("need at least two nodes")
     if not 0.0 < p <= 1.0:
-        raise DegenerateSpecError("edge probability must be in (0, 1]")
+        raise DataError("edge probability must be in (0, 1]")
     for attempt in range(_MAX_GENERATION_RETRIES):
         gen = stream(spec.seed, attempt)
         us, vs = [], []
@@ -187,7 +184,7 @@ def erdos_renyi(spec: ErdosRenyiSpec) -> Graph:
         if (present == 0).any():
             continue
         return build_graph(np.stack([u, v], axis=1), node_count=n)
-    raise IsolatedNodeAfterRetriesError(
+    raise DataError(
         f"G(n={n}, p={p}) produced isolated nodes in "
         f"{_MAX_GENERATION_RETRIES} attempts")
 
@@ -369,8 +366,7 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
         raise DataError("rewiring needs at least two edges")
     mu_q, sigma2_q = _assortativity_constants(g.degrees)
     if sigma2_q <= 0.0:
-        raise AssortativityUndefinedError(
-            "regular graph: degree-degree correlation undefined")
+        raise DataError("regular graph: degree-degree correlation undefined")
 
     chain = _EdgeSwaps(g, target, mu_q, sigma2_q)
     if abs(chain.current - target.target) <= target.tolerance:
@@ -440,11 +436,10 @@ def assign_labels(g: Graph, target: LabelTarget,
     mu_d = g.edge_end_count / n
     sigma_k = math.sqrt(max(float(np.dot(deg, deg)) / n - mu_d * mu_d, 0.0))
     if sigma_k == 0.0:
-        raise DegreeLabelCorrUndefinedError(
-            "regular graph: degree-label correlation undefined")
+        raise DataError("regular graph: degree-label correlation undefined")
     ones = int(labels.sum())
     if ones == 0 or ones == n:
-        raise DegreeLabelCorrUndefinedError(
+        raise DataError(
             "all labels identical: degree-label correlation undefined")
     f_bar = ones / n
     sigma_f = math.sqrt(f_bar * (1.0 - f_bar))

@@ -21,9 +21,7 @@ import math
 import numpy as np
 
 from nepoll import netgen
-from nepoll.errors import (AssortativityUndefinedError, DataError,
-                           DegreeLabelCorrUndefinedError,
-                           TargetUnreachableError)
+from nepoll.errors import DataError, TargetUnreachableError
 from nepoll.graph import LabeledGraph, build_graph
 
 
@@ -42,8 +40,7 @@ def rewire_to_assortativity(g, target, gen):
         raise DataError("rewiring needs at least two edges")
     mu_q, sigma2_q = netgen._assortativity_constants(g.degrees)
     if sigma2_q <= 0.0:
-        raise AssortativityUndefinedError(
-            "regular graph: degree-degree correlation undefined")
+        raise DataError("regular graph: degree-degree correlation undefined")
 
     m = g.edge_count
     deg = g.degrees.tolist()
@@ -125,11 +122,10 @@ def assign_labels(g, target, gen):
     mu_d = g.edge_end_count / n
     sigma_k = math.sqrt(max(float(np.dot(deg, deg)) / n - mu_d * mu_d, 0.0))
     if sigma_k == 0.0:
-        raise DegreeLabelCorrUndefinedError(
-            "regular graph: degree-label correlation undefined")
+        raise DataError("regular graph: degree-label correlation undefined")
     ones = int(labels.sum())
     if ones == 0 or ones == n:
-        raise DegreeLabelCorrUndefinedError(
+        raise DataError(
             "all labels identical: degree-label correlation undefined")
     f_bar = ones / n
     sigma_f = math.sqrt(f_bar * (1.0 - f_bar))

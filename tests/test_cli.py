@@ -118,8 +118,13 @@ def test_sweep_identical_across_worker_counts(star_files, tmp_path):
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
-def test_sweep_rejects_workers_below_one(star_files, tmp_path, capsys,
-                                         workers):
+def test_sweep_rejects_workers_below_one(star_files, tmp_path, monkeypatch,
+                                         capsys, workers):
+    # the worker count is checked before the graph is built
+    def no_materialize(cfg):
+        raise AssertionError("materialized despite a bad worker count")
+
+    monkeypatch.setattr(harness, "materialize", no_materialize)
     edges, labels = star_files
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f'graph.path = "{edges}"\nlabels.path = "{labels}"\n'
@@ -328,6 +333,42 @@ def test_generate_rejects_flags_nothing_reads(tmp_path, capsys, flags,
                  *flags]) == 1
     assert capsys.readouterr().err == f"error: DataError: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+_TRIANGLE = "0 1\n1 2\n0 2\n"
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"g.edges": "1 1\n"}, ["report", "--graph", "g.edges"],
+     "self-loop at node 1"),
+    ({}, ["generate", "--model", "er", "--n", "50", "--p", "0.001"],
+     "G(n=50, p=0.001) produced isolated nodes in 100 attempts"),
+    ({}, ["generate", "--model", "config", "--n", "50", "--alpha", "2.4",
+          "--kmin", "0"], "k_min must be >= 1"),
+    ({}, ["generate", "--model", "config", "--n", "5", "--alpha", "2.4",
+          "--kmax", "10"], "k_max 10 > n-1 = 4"),
+    ({"g.edges": _TRIANGLE,
+      "x.cfg": 'graph.path = "g.edges"\ngraph.rkk = 0.1\nlabels.p = 0.5\n'},
+     ["sweep", "--config", "x.cfg", "--out", "out.csv"],
+     "regular graph: degree-degree correlation undefined"),
+    ({"g.edges": _TRIANGLE,
+      "x.cfg": 'graph.path = "g.edges"\nlabels.p = 0.5\nlabels.rho = 0.2\n'},
+     ["sweep", "--config", "x.cfg", "--out", "out.csv"],
+     "regular graph: degree-label correlation undefined"),
+    ({"g.edges": "0 1\n2 3\n",
+      "x.cfg": 'graph.path = "g.edges"\nlabels.p = 0.5\n'},
+     ["sweep", "--config", "x.cfg", "--out", "out.csv"],
+     "sweep includes the random-walk estimator but the graph is "
+     "disconnected"),
+])
+def test_input_the_pipeline_cannot_take_is_a_data_error(
+        tmp_path, monkeypatch, capsys, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: DataError: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_usage_error_exit_code():

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from nepoll import (BipartiteWalkWarning, ConfigModelSpec, DataError,
-                    DisconnectedGraphError, LabeledGraph, RewireTarget,
-                    brute_force_estimator_law, configuration_model,
-                    poll_values, rewire_to_assortativity, stream)
+                    LabeledGraph, RewireTarget, brute_force_estimator_law,
+                    configuration_model, poll_values, rewire_to_assortativity,
+                    stream)
 
 from _reference import sample_random_friends
 from _strategies import labeled_graphs
@@ -70,7 +70,8 @@ def test_walk_estimator_on_regular_graph(k3_lg):
 
 def test_walk_estimator_requires_connected(two_edges):
     lg = LabeledGraph(two_edges, [1, 0, 1, 0])
-    with pytest.raises(DisconnectedGraphError):
+    with pytest.raises(DataError, match="^random-walk polling requires a "
+                                        "connected graph$"):
         _poll("RW", lg, 2, 0)
 
 

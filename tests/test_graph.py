@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from nepoll import (DataError, DuplicateEdgeError, GraphFlags,
-                    IsolatedNodeError, LabeledGraph, SelfLoopError,
-                    build_graph, graph_flags)
+from nepoll import (DataError, GraphFlags, LabeledGraph, build_graph,
+                    graph_flags)
 
 from _strategies import edge_lists, labeled_graphs
 
@@ -27,14 +26,14 @@ def test_triangle_degrees(k3):
 
 
 def test_duplicate_edge_rejected():
-    with pytest.raises(DuplicateEdgeError):
+    with pytest.raises(DataError, match=r"^duplicate edge \(0, 1\)$"):
         build_graph([(0, 1), (0, 1)])
-    with pytest.raises(DuplicateEdgeError):
+    with pytest.raises(DataError, match=r"^duplicate edge \(0, 1\)$"):
         build_graph([(0, 1), (1, 0)])
 
 
 def test_self_loop_rejected():
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(DataError, match="^self-loop at node 2$"):
         build_graph([(0, 1), (2, 2)])
 
 
@@ -43,23 +42,20 @@ def test_negative_id_rejected():
         build_graph([(-1, 0)])
 
 
-@pytest.mark.parametrize("pairs, error, message", [
-    ([(0, 1), (2, 2), (-1, 3), (1, 0)], SelfLoopError, "self-loop at node 2"),
-    ([(0, 1), (3, -1), (2, 2), (1, 0)], DataError,
-     "negative node id in edge (3, -1)"),
-    ([(0, 1), (1, 2), (1, 0), (3, 3), (-1, 4)], DuplicateEdgeError,
-     "duplicate edge (0, 1)"),
-    ([(5, 5), (-1, -1)], SelfLoopError, "self-loop at node 5"),
-    ([(-2, -2), (5, 5)], DataError, "negative node id in edge (-2, -2)"),
-    ([(0, 1), (1, 0)], DuplicateEdgeError, "duplicate edge (0, 1)"),
-    ([(2, 1), (0, 3), (1, 2)], DuplicateEdgeError, "duplicate edge (1, 2)"),
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (2, 2), (-1, 3), (1, 0)], "self-loop at node 2"),
+    ([(0, 1), (3, -1), (2, 2), (1, 0)], "negative node id in edge (3, -1)"),
+    ([(0, 1), (1, 2), (1, 0), (3, 3), (-1, 4)], "duplicate edge (0, 1)"),
+    ([(5, 5), (-1, -1)], "self-loop at node 5"),
+    ([(-2, -2), (5, 5)], "negative node id in edge (-2, -2)"),
+    ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    ([(2, 1), (0, 3), (1, 2)], "duplicate edge (1, 2)"),
 ])
 @pytest.mark.parametrize("node_count", [None, 6])
-def test_build_graph_reports_earliest_bad_row(pairs, error, message,
-                                              node_count):
-    with pytest.raises(error) as exc:
+def test_build_graph_reports_earliest_bad_row(pairs, message, node_count):
+    with pytest.raises(DataError) as exc:
         build_graph(pairs, node_count=node_count)
-    assert type(exc.value) is error
+    assert type(exc.value) is DataError
     assert str(exc.value) == message
 
 
@@ -71,10 +67,10 @@ def _reference_build(pairs, node_count=None):
         if u < 0 or v < 0:
             raise DataError(f"negative node id in edge ({u}, {v})")
         if u == v:
-            raise SelfLoopError(u)
+            raise DataError(f"self-loop at node {u}")
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise DuplicateEdgeError(*key)
+            raise DataError(f"duplicate edge {key}")
         seen.add(key)
     if not seen:
         raise DataError("a graph needs at least one edge")
@@ -85,7 +81,7 @@ def _reference_build(pairs, node_count=None):
                              f"0..{node_count - 1}")
         missing = sorted(set(range(node_count)) - set(ids))
         if missing:
-            raise IsolatedNodeError(missing[0])
+            raise DataError(f"node {missing[0]} has degree 0")
         ids = list(range(node_count))
     index = {x: i for i, x in enumerate(ids)}
     edges = sorted((index[u], index[v]) for u, v in seen)
@@ -118,9 +114,9 @@ def test_build_graph_matches_reference_loop(pairs, node_count):
 
 
 def test_duplicate_error_carries_canonical_edge():
-    with pytest.raises(DuplicateEdgeError) as exc:
+    with pytest.raises(DataError) as exc:
         build_graph([(0, 1), (1, 0)])
-    assert exc.value.edge == (0, 1)
+    assert str(exc.value) == "duplicate edge (0, 1)"
 
 
 def test_array_and_iterable_inputs_agree():
@@ -148,9 +144,9 @@ def test_sparse_ids_compacted():
 
 
 def test_node_count_gap_is_isolated():
-    with pytest.raises(IsolatedNodeError) as exc:
+    with pytest.raises(DataError) as exc:
         build_graph([(0, 1), (0, 3)], node_count=4)
-    assert exc.value.node == 2
+    assert str(exc.value) == "node 2 has degree 0"
 
 
 def test_node_count_out_of_range():

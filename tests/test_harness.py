@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nepoll import (BipartiteWalkWarning, ConfigModelSpec, DataError,
-                    DisconnectedGraphError, ErdosRenyiSpec, ExperimentConfig,
-                    LabelTarget, LabeledGraph, RewireTarget,
+                    ErdosRenyiSpec, ExperimentConfig, LabelTarget,
+                    LabeledGraph, RewireTarget,
                     SWEEP_CSV_HEADER, brute_force_estimator_law, build_graph,
                     default_budget_grid, default_walk_length, exact_error,
                     load_experiment_config, materialize, poll_values,
@@ -166,7 +166,9 @@ def test_sweep_requires_connected_for_walks(two_edges):
     lg = LabeledGraph(two_edges, [1, 0, 1, 0])
     cfg = ExperimentConfig(graph_source=None, label_source=None,
                            budgets=(1,), replications=5, master_seed=1)
-    with pytest.raises(DisconnectedGraphError):
+    with pytest.raises(DataError, match="^sweep includes the random-walk "
+                                        "estimator but the graph is "
+                                        "disconnected$"):
         sweep_labeled(lg, cfg)
 
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from nepoll import (ConfigModelSpec, LabeledGraph, RewireTarget, SelfLoopError,
+from nepoll import (ConfigModelSpec, DataError, LabeledGraph, RewireTarget,
                     build_graph, configuration_model, read_edge_list,
                     read_labeled_graph, read_labels, rewire_to_assortativity,
                     stream, write_edge_list, write_labels)
@@ -32,7 +32,7 @@ def test_edge_list_comments_and_duplicates(tmp_path):
 def test_edge_list_self_loop_still_rejected(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n2 2\n")
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(DataError, match="^self-loop at node 2$"):
         read_edge_list(path)
 
 

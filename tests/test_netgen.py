@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nepoll import (AssortativityUndefinedError, ConfigModelSpec, DataError,
-                    DegenerateSpecError, DegreeLabelCorrUndefinedError,
-                    ErdosRenyiSpec, IsolatedNodeAfterRetriesError, LabelTarget,
+from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabelTarget,
                     LabeledGraph, RewireTarget, assign_labels,
                     configuration_model, erdos_renyi, fosd_check,
                     friendship_paradox_check, network_stats, read_edge_list,
@@ -38,13 +36,13 @@ def test_configuration_model_deterministic():
 
 
 def test_configuration_model_degenerate_specs():
-    with pytest.raises(DegenerateSpecError):
+    with pytest.raises(DataError, match="^k_max 3 < k_min 5$"):
         configuration_model(ConfigModelSpec(10, 2.4, k_min=5, k_max=3))
-    with pytest.raises(DegenerateSpecError):
+    with pytest.raises(DataError, match="^k_min must be >= 1$"):
         configuration_model(ConfigModelSpec(10, 2.4, k_min=0))
-    with pytest.raises(DegenerateSpecError):
+    with pytest.raises(DataError, match="^k_max 10 > n-1 = 9$"):
         configuration_model(ConfigModelSpec(10, 2.4, k_max=10))
-    with pytest.raises(DegenerateSpecError):
+    with pytest.raises(DataError, match="^power-law exponent must be > 1$"):
         configuration_model(ConfigModelSpec(10, 1.0))
 
 
@@ -105,15 +103,17 @@ def test_er_deterministic():
 
 
 def test_er_isolated_nodes_exhaust_retries():
-    with pytest.raises(IsolatedNodeAfterRetriesError):
+    with pytest.raises(DataError, match=r"^G\(n=50, p=0\.001\) produced "
+                                        "isolated nodes in 100 attempts$"):
         erdos_renyi(ErdosRenyiSpec(node_count=50, edge_probability=0.001,
                                    seed=0))
 
 
 def test_er_validation():
-    with pytest.raises(DegenerateSpecError):
+    with pytest.raises(DataError,
+                       match=r"^edge probability must be in \(0, 1\]$"):
         erdos_renyi(ErdosRenyiSpec(node_count=10, edge_probability=0.0))
-    with pytest.raises(DegenerateSpecError):
+    with pytest.raises(DataError, match="^need at least two nodes$"):
         erdos_renyi(ErdosRenyiSpec(node_count=1, edge_probability=0.5))
 
 
@@ -161,7 +161,8 @@ def test_rewire_unreachable_target_returns_best_effort(powerlaw_graph):
 
 
 def test_rewire_regular_graph_undefined(k3):
-    with pytest.raises(AssortativityUndefinedError):
+    with pytest.raises(DataError, match="^regular graph: degree-degree "
+                                        "correlation undefined$"):
         rewire_to_assortativity(k3, RewireTarget(0.5), stream(0))
 
 
@@ -197,7 +198,8 @@ def test_assign_labels_hits_target_and_preserves_fraction(powerlaw_graph):
 
 
 def test_assign_labels_regular_graph_undefined(k3):
-    with pytest.raises(DegreeLabelCorrUndefinedError):
+    with pytest.raises(DataError, match="^regular graph: degree-label "
+                                        "correlation undefined$"):
         assign_labels(k3, LabelTarget(0.5, target=0.1), stream(0))
 
 
