@@ -25,8 +25,8 @@ from .io import (read_edge_list, read_labeled_graph, read_labels,
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
                      erdos_renyi, rewire_to_assortativity)
-from .sampling import (default_walk_length, random_walk_endpoints,
+from .sampling import (random_walk_endpoints,
                        sample_friends_of_random_nodes, sample_random_nodes,
-                       stream)
+                       stream, walk_law)
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DataError
 from .estimators import ESTIMATOR_KINDS
 from .graph import Graph, LabeledGraph, graph_flags
+from .sampling import walk_law
 
 _FLOAT_SLACK = 1e-12  # guards exact inequalities against rounding
 
@@ -221,7 +222,8 @@ def _has_twins(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # closed-form estimator errors
 
-def exact_error(lg: LabeledGraph, kind: str) -> tuple[float, float]:
+def exact_error(lg: LabeledGraph, kind: str, *,
+                walk_length: int | None = None) -> tuple[float, float]:
     """Exact ``(bias, var1)`` of one ``kind`` sample: its mean minus the
     true fraction f_bar, and its variance.  A poll of budget b averages b
     independent samples, so its variance is ``var1 / b`` and its MSE
@@ -229,9 +231,12 @@ def exact_error(lg: LabeledGraph, kind: str) -> tuple[float, float]:
 
     IP samples a uniform node's label, so it is unbiased with var1 =
     f_bar (1 - f_bar).  The others sample a poll response: of a uniform
-    node (UN), under the degree-weighted law d/M that a long walk reaches
-    (RW, bias cov(label, degree)/E{d} = E{f(friend)} - f_bar), or of a
-    uniform neighbor of a uniform node (FN, weights ``neighbor_weights / n``).
+    node (UN), of the endpoint of a walk from a uniform node (RW), or of a
+    uniform neighbor of a uniform node (FN, weights ``neighbor_weights /
+    n``).  RW takes the degree-weighted law d/M that a long walk reaches
+    (bias cov(label, degree)/E{d} = E{f(friend)} - f_bar), or with
+    ``walk_length`` L the exact law of the L-step walk (:func:`walk_law`);
+    the other kinds ignore ``walk_length``.
     """
     if kind not in ESTIMATOR_KINDS:
         raise DataError(f"unknown estimator kind {kind!r}")
@@ -239,6 +244,8 @@ def exact_error(lg: LabeledGraph, kind: str) -> tuple[float, float]:
     if kind == "IP":
         return 0.0, f_bar - f_bar * f_bar
     g, q = lg.graph, lg.responses
+    if kind == "RW" and walk_length is not None:
+        return law_error(lg, walk_law(g, walk_length).law)
     if kind == "UN":
         mean = float(q.mean())
         second = float(np.dot(q, q)) / g.node_count
@@ -250,6 +257,14 @@ def exact_error(lg: LabeledGraph, kind: str) -> tuple[float, float]:
         mean = float(np.dot(w, q)) / g.node_count
         second = float(np.dot(w, q * q)) / g.node_count
     return mean - f_bar, second - mean * mean
+
+
+def law_error(lg: LabeledGraph, law: np.ndarray) -> tuple[float, float]:
+    """Exact ``(bias, var1)`` of the poll response of one node drawn from
+    the node law ``law``, such as the walk law of :func:`walk_law`."""
+    q = lg.responses
+    mean = float(np.dot(law, q))
+    return mean - lg.true_fraction, float(np.dot(law, q * q)) - mean * mean
 
 
 class ErrorBounds(NamedTuple):

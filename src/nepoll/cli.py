@@ -68,6 +68,11 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(cfg, workers=args.workers)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_sweep_csv(rows, fh)
+    for row in rows:
+        if row.walk_length is not None:
+            print(f"rw_walk_length: {row.walk_length} "
+                  f"(tv {row.walk_tv:.1e})")
+            break
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import BipartiteWalkWarning, DataError
 from .graph import LabeledGraph, graph_flags
-from .sampling import (default_walk_length, random_walk_endpoints,
-                       sample_friends_of_random_nodes, sample_random_nodes)
+from .sampling import (random_walk_endpoints,
+                       sample_friends_of_random_nodes, sample_random_nodes,
+                       walk_law)
 
 ESTIMATOR_KINDS = ("IP", "UN", "RW", "FN")
 
@@ -52,9 +53,9 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
     same bits.
 
     ``RW`` walks start from uniform nodes and run ``walk_length`` steps
-    (default: ten sweeps of log2 n).  They need a connected graph, checked
-    once per call; on a bipartite graph the walk has no stationary law and
-    warns.
+    (default: the certified length of :func:`walk_law`, computed once per
+    call).  They need a connected graph, checked once per call; on a
+    bipartite graph the walk has no stationary law and warns.
     """
     if kind not in ESTIMATOR_CODES:
         raise DataError(f"unknown estimator kind {kind!r}")
@@ -76,7 +77,7 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
         if flags.bipartite:
             warnings.warn("graph is bipartite: plain random walks have no "
                           "stationary law", BipartiteWalkWarning)
-        length = default_walk_length(g.node_count) if walk_length is None \
+        length = walk_law(g).length if walk_length is None \
             else walk_length
         rows += length
     k = rows * budget

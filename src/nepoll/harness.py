@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -23,14 +22,14 @@ from . import io as nio
 from .analytics import (BudgetThreshold, ParadoxCheck, SpectralSummary,
                         brute_force_estimator_law, budget_threshold,
                         exact_error, fosd_check, friendship_paradox_check,
-                        network_stats, spectral_summary)
+                        law_error, network_stats, spectral_summary)
 from .errors import DataError
 from .estimators import ESTIMATOR_CODES, ESTIMATOR_KINDS, poll_values
 from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
                      erdos_renyi, rewire_to_assortativity)
-from .sampling import stream
+from .sampling import stream, walk_law
 
 # Stream keys reserved for graph preparation (each sweep cell uses the
 # two-component key (code, budget), so these can never collide).
@@ -77,14 +76,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (estimator, budget) cell.  An ``RW`` row also names the walk
+    that ran: its length and the total variation of its law to d/M."""
+
     estimator_kind: str
     budget: int
     emp_bias: float
     emp_var: float
     emp_mse: float
-    exact_bias: float | None
-    exact_var: float | None
-    exact_mse: float | None
+    exact_bias: float
+    exact_var: float
+    exact_mse: float
+    walk_length: int | None = None
+    walk_tv: float | None = None
 
 
 def default_budget_grid(node_count: int) -> tuple[int, ...]:
@@ -160,6 +164,10 @@ def replicate(lg: LabeledGraph, kind: str, budget: int, replications: int,
     if workers == 1:
         return _replicate_range(lg, kind, budget, master_seed, 0,
                                 replications, walk_length)
+    # imported here: the pool module costs every CLI start ~15 ms
+    from concurrent.futures import ProcessPoolExecutor
+    if kind == "RW" and walk_length is None:  # certify once, not per task
+        walk_length = walk_law(lg.graph).length
     chunk = max(1, math.ceil(replications / (workers * 4)))
     tasks = [(kind, budget, master_seed, lo, min(lo + chunk, replications),
               walk_length) for lo in range(0, replications, chunk)]
@@ -174,8 +182,8 @@ def _empirical_moments(values: np.ndarray,
     summation in replication order so output is order-independent."""
     reps = len(values)
     mean = math.fsum(values) / reps
-    emp_var = math.fsum((v - mean) ** 2 for v in values) / reps
-    emp_mse = math.fsum((v - truth) ** 2 for v in values) / reps
+    emp_var = math.fsum((values - mean) ** 2) / reps
+    emp_mse = math.fsum((values - truth) ** 2) / reps
     return mean - truth, emp_var, emp_mse
 
 
@@ -188,7 +196,11 @@ def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepRow]:
 
 def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig, *,
                   workers: int = 1) -> list[SweepRow]:
-    """Run the sweep on an already-materialized labeled graph."""
+    """Run the sweep on an already-materialized labeled graph.
+
+    ``RW`` walks ``cfg.walk_length`` steps, or the certified length of
+    :func:`walk_law`, resolved once per sweep; its exact columns are the
+    moments of that walk's endpoint law."""
     flags = graph_flags(lg.graph)
     if "RW" in cfg.estimators and not flags.connected:
         raise DataError(
@@ -198,25 +210,23 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig, *,
     if budgets is None:
         budgets = default_budget_grid(lg.graph.node_count)
     truth = lg.true_fraction
+    walk = walk_law(lg.graph, cfg.walk_length) \
+        if "RW" in cfg.estimators else None
     rows: list[SweepRow] = []
     for kind in cfg.estimators:
-        # RW's closed form is the stationary law, which a plain walk on a
-        # bipartite graph never reaches: its exact columns stay blank
-        bias, var1 = (None, None) if kind == "RW" and flags.bipartite \
-            else exact_error(lg, kind)
+        if kind == "RW":
+            bias, var1 = law_error(lg, walk.law)
+            length, tv = walk.length, walk.tv
+        else:
+            bias, var1 = exact_error(lg, kind)
+            length = tv = None
         for budget in map(int, budgets):
             values = replicate(lg, kind, budget, cfg.replications,
-                               cfg.master_seed, cfg.walk_length,
-                               workers=workers)
-            exact = (None, None, None) if bias is None else \
-                (bias, var1 / budget, bias * bias + var1 / budget)
-            rows.append(SweepRow(kind, budget,
-                                 *_empirical_moments(values, truth), *exact))
+                               cfg.master_seed, length, workers=workers)
+            rows.append(SweepRow(
+                kind, budget, *_empirical_moments(values, truth), bias,
+                var1 / budget, bias * bias + var1 / budget, length, tv))
     return rows
-
-
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(float(x))
 
 
 def _num(x: float | None) -> str:
@@ -227,10 +237,10 @@ def _num(x: float | None) -> str:
 def write_sweep_csv(rows: Iterable[SweepRow], out: TextIO) -> None:
     out.write(",".join(SWEEP_CSV_HEADER) + "\n")
     for r in rows:
-        out.write(",".join([r.estimator_kind, str(r.budget),
-                            _fmt(r.emp_bias), _fmt(r.emp_var),
-                            _fmt(r.emp_mse), _fmt(r.exact_bias),
-                            _fmt(r.exact_var), _fmt(r.exact_mse)]) + "\n")
+        out.write(",".join([r.estimator_kind, str(r.budget)] + [
+            repr(float(x)) for x in (r.emp_bias, r.emp_var, r.emp_mse,
+                                     r.exact_bias, r.exact_var, r.exact_mse)
+        ]) + "\n")
 
 
 # ---------------------------------------------------------------------------

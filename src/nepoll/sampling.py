@@ -7,6 +7,10 @@ Three node laws drive everything downstream:
   endpoints), the stationary law of the random walk,
 * a random friend of a random node: a uniform neighbor of a uniform node.
 
+A walk of finite length L from a uniform node ends in a fourth law, which
+:func:`walk_law` computes exactly; on a connected, non-bipartite graph it
+approaches the random-friend law as L grows.
+
 The samplers map a uniform u in [0, 1) to node ``floor(u * n)`` or to
 neighbor ``floor(u * d(v))`` of ``v``.  The uniforms come from
 :func:`stream` generators, so runs replay on any host.
@@ -15,6 +19,7 @@ neighbor ``floor(u * d(v))`` of ``v``.  The uniforms come from
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +34,45 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def default_walk_length(node_count: int) -> int:
-    """Mixing-time heuristic: ten sweeps of log2(n) steps."""
-    return 10 * math.ceil(math.log2(max(node_count, 2)))
+# A walk is certified as mixed once the law of its endpoint lies within
+# this total variation of the random-friend law d/M.
+WALK_TV_TOLERANCE = 1e-6
+
+
+class WalkLaw(NamedTuple):
+    """The law ``law`` of the endpoint of a ``length``-step walk from a
+    uniform node, and ``tv``, its total variation distance to d/M."""
+
+    length: int
+    law: np.ndarray
+    tv: float
+
+
+def walk_law(g: Graph, length: int | None = None) -> WalkLaw:
+    """The exact endpoint law pi_L = u P^L of an L-step walk from a uniform
+    node u, with P = D^-1 A; each step is one ``adjacency_matvec``.
+
+    With ``length`` given, L is that length.  Otherwise L is the certified
+    length: the smallest L >= 1 whose law lies within ``WALK_TV_TOLERANCE``
+    of d/M, capped at ten sweeps of log2 n steps.  A walk that never gets
+    that close walks the cap: on a bipartite graph with sides of unequal
+    size, the mass of each side alternates from step to step.
+    """
+    if length is not None and length < 0:
+        raise DataError(f"walk length must be >= 0, got {length}")
+    stationary = g.degrees / g.edge_end_count
+
+    def distance(pi: np.ndarray) -> float:
+        return 0.5 * float(np.abs(pi - stationary).sum())
+
+    steps = 10 * math.ceil(math.log2(max(g.node_count, 2))) \
+        if length is None else length
+    pi = np.full(g.node_count, 1.0 / g.node_count)
+    for step in range(1, steps + 1):
+        pi = g.adjacency_matvec(pi / g.degrees)
+        if length is None and distance(pi) <= WALK_TV_TOLERANCE:
+            return WalkLaw(step, pi, distance(pi))
+    return WalkLaw(steps, pi, distance(pi))
 
 
 def sample_random_nodes(g: Graph, u: np.ndarray) -> np.ndarray:

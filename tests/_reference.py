@@ -2,7 +2,9 @@
 
 ``sample_random_friends`` draws the random-friend law directly, without
 walking: the reference the walk's stationary law is tested against (the
-package samples it only by walking).
+package samples it only by walking).  ``walk_law`` is the exact endpoint
+law of a finite walk in rational arithmetic, one neighbor at a time: the
+reference for ``nepoll.sampling.walk_law``.
 
 ``rewire_to_assortativity`` and ``assign_labels`` are the sequential swap
 processes, one proposal at a time in plain Python.  ``nepoll.netgen``
@@ -17,6 +19,7 @@ these.  The chunk size and the stall limit are read from
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +33,22 @@ def sample_random_friends(g, gen, size):
     is drawn with probability exactly d(v) / edge_end_count."""
     e = gen.integers(0, g.edge_count, size=size)
     return g.edges[e, gen.integers(0, 2, size=size)]
+
+
+def walk_law(g, length):
+    """Probabilities, as fractions, that a ``length``-step walk from a
+    uniform node ends at each node: node v passes its mass to each
+    neighbor in equal shares, ``length`` times."""
+    n = g.node_count
+    law = [Fraction(1, n)] * n
+    for _ in range(length):
+        moved = [Fraction(0)] * n
+        for v in range(n):
+            neighbors = g.neighbors_of(v).tolist()
+            for u in neighbors:
+                moved[u] += law[v] / len(neighbors)
+        law = moved
+    return law
 
 
 def rewire_to_assortativity(g, target, gen):

@@ -22,9 +22,9 @@ from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget, LabeledGraph,
                     network_stats, poll_values, random_walk_endpoints,
                     replicate, rewire_to_assortativity, run_report,
                     sample_random_nodes, spectral_summary, stream,
-                    write_edge_list, write_labels)
+                    walk_law, write_edge_list, write_labels)
 from nepoll.cli import main as cli_main
-from nepoll.sampling import default_walk_length
+from nepoll.sampling import WALK_TV_TOLERANCE
 
 from _reference import sample_random_friends
 
@@ -317,16 +317,17 @@ def test_criterion_9_walk_convergence(generated_graphs):
     flags = graph_flags(g)
     assert flags.connected and not flags.bipartite
     walks = 1_000_000
-    length = default_walk_length(g.node_count)
+    length, _, exact_tv = walk_law(g)
     gen = stream(90)
     starts = sample_random_nodes(g, gen.random(walks))
     ends = random_walk_endpoints(g, starts, length, gen)
     freq = np.bincount(ends, minlength=g.node_count) / walks
     stationary = g.degrees / g.edge_end_count
     tv = 0.5 * float(np.abs(freq - stationary).sum())
-    _verdict(9, tv < 0.02,
-             f"endpoint law vs degree-proportional law after {length} "
-             f"steps, {walks} walks: total variation {tv:.4f} (< 0.02)")
+    _verdict(9, tv < 0.02 and exact_tv <= WALK_TV_TOLERANCE,
+             f"endpoint law vs degree-proportional law after the certified "
+             f"{length} steps, {walks} walks: total variation {tv:.4f} "
+             f"(< 0.02), exactly {exact_tv:.1e} (<= {WALK_TV_TOLERANCE})")
 
 
 def test_criterion_10_sweep_determinism(tmp_path):

@@ -1,18 +1,21 @@
 import math
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from nepoll import (DataError, ErdosRenyiSpec, LabeledGraph,
                     brute_force_estimator_law, budget_threshold, build_graph,
                     erdos_renyi, error_bounds, exact_error, fosd_check,
                     friendship_paradox_check, graph_flags,
                     label_degree_covariance, mean_degree, mean_label_friend,
-                    network_stats, spectral_summary, stream)
+                    network_stats, spectral_summary, stream, walk_law)
 from nepoll import analytics
 
+from _reference import walk_law as reference_walk_law
 from _strategies import graphs, labeled_graphs
 
 
@@ -363,6 +366,26 @@ def test_closed_forms_match_enumeration(lg):
         mean, var = brute_force_estimator_law(lg, kind)
         assert abs(bias - (mean - truth)) <= 1e-10
         assert abs(var1 - var) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(lg=labeled_graphs(max_nodes=12), length=st.integers(0, 20))
+def test_finite_walk_closed_form_matches_exact_fractions(lg, length):
+    # the RW sample of an L-step walk: a response under the exact law u P^L
+    g, labels = lg.graph, lg.labels.tolist()
+    law = reference_walk_law(g, length)
+    response = [Fraction(sum(labels[u] for u in g.neighbors_of(v)),
+                         int(g.degrees[v])) for v in range(g.node_count)]
+    mean = sum(p * r for p, r in zip(law, response))
+    var = sum(p * r * r for p, r in zip(law, response)) - mean * mean
+    bias, var1 = exact_error(lg, "RW", walk_length=length)
+    assert abs(bias - float(mean - Fraction(sum(labels), len(labels)))) \
+        <= 1e-12
+    assert abs(var1 - float(var)) <= 1e-12
+    assert (bias, var1) == analytics.law_error(lg, walk_law(g, length).law)
+    for kind in ("IP", "UN", "FN"):  # no walk, so no walk length
+        assert exact_error(lg, kind, walk_length=length) \
+            == exact_error(lg, kind)
 
 
 @settings(max_examples=60, deadline=None)

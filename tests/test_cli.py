@@ -92,21 +92,25 @@ def test_generate_and_sweep_round_trip(tmp_path, capsys):
     out_csv = tmp_path / "res.csv"
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(out_csv)]) == 0
+    assert capsys.readouterr().out == f"wrote 6 rows to {out_csv}\n"
     lines = out_csv.read_text().splitlines()
     assert lines[0] == ("estimator,budget,emp_bias,emp_var,emp_mse,"
                         "exact_bias,exact_var,exact_mse")
     assert len(lines) == 1 + 6
 
 
-def test_sweep_identical_across_worker_counts(star_files, tmp_path):
+def test_sweep_identical_across_worker_counts(star_files, tmp_path,
+                                              capsys):
+    # the star plus a chord is not bipartite; RW walks the default length
     edges, labels = star_files
+    edges.write_text("0 1\n0 2\n0 3\n1 2\n")
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         f'graph.path = "{edges}"\n'
         f'labels.path = "{labels}"\n'
         "budgets = [1, 2]\n"
         "replications = 80\n"
-        "estimators = [IP, UN, FN]\n"
+        "estimators = [IP, UN, RW, FN]\n"
         "seed = 5\n")
     one = tmp_path / "one.csv"
     two = tmp_path / "two.csv"
@@ -115,6 +119,10 @@ def test_sweep_identical_across_worker_counts(star_files, tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(two),
                  "--workers", "2"]) == 0
     assert one.read_bytes() == two.read_bytes()
+    # the walk that ran, on stdout: the cap of 20 steps, 2.9e-4 from d/M
+    line = "rw_walk_length: 20 (tv 2.9e-04)\n"
+    assert capsys.readouterr().out == (
+        f"{line}wrote 8 rows to {one}\n{line}wrote 8 rows to {two}\n")
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

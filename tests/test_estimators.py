@@ -6,9 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from nepoll import (BipartiteWalkWarning, ConfigModelSpec, DataError,
-                    LabeledGraph, RewireTarget, brute_force_estimator_law,
-                    configuration_model, poll_values, rewire_to_assortativity,
-                    stream)
+                    LabelTarget, LabeledGraph, RewireTarget, assign_labels,
+                    brute_force_estimator_law, configuration_model,
+                    poll_values, rewire_to_assortativity, stream, walk_law)
 
 from _reference import sample_random_friends
 from _strategies import labeled_graphs
@@ -73,6 +73,17 @@ def test_walk_estimator_requires_connected(two_edges):
     with pytest.raises(DataError, match="^random-walk polling requires a "
                                         "connected graph$"):
         _poll("RW", lg, 2, 0)
+
+
+def test_walk_poll_defaults_to_the_certified_length():
+    g, _ = configuration_model(ConfigModelSpec(300, 2.4, k_min=3, k_max=30,
+                                               seed=4))
+    lg = assign_labels(g, LabelTarget(0.3), stream(2))
+    length = walk_law(g).length
+    assert length < 10 * math.ceil(math.log2(g.node_count))
+    assert np.array_equal(
+        poll_values("RW", lg, 7, stream(3), 20),
+        poll_values("RW", lg, 7, stream(3), 20, walk_length=length))
 
 
 def test_walk_estimator_warns_on_bipartite(star_lg):

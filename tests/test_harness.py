@@ -10,10 +10,9 @@ from nepoll import (BipartiteWalkWarning, ConfigModelSpec, DataError,
                     ErdosRenyiSpec, ExperimentConfig, LabelTarget,
                     LabeledGraph, RewireTarget,
                     SWEEP_CSV_HEADER, brute_force_estimator_law, build_graph,
-                    default_budget_grid, default_walk_length, exact_error,
-                    load_experiment_config, materialize, poll_values,
-                    replicate, run_report, run_sweep, sweep_labeled,
-                    write_sweep_csv)
+                    default_budget_grid, exact_error, load_experiment_config,
+                    materialize, poll_values, replicate, run_report,
+                    run_sweep, sweep_labeled, walk_law, write_sweep_csv)
 from nepoll import estimators, harness, netgen, stream
 from nepoll.estimators import ESTIMATOR_CODES
 from nepoll.harness import _empirical_moments, parse_config_text
@@ -93,21 +92,26 @@ def test_sweep_mse_identity_and_budget_scaling(star_lg):
     assert at_four.emp_var == pytest.approx(single.emp_var / 4, rel=0.15)
 
 
-def test_sweep_rw_exact_blank_on_bipartite(star_lg):
+def test_sweep_rw_exact_on_bipartite(star_lg):
+    # the walk on the star never mixes, so it keeps the cap, and its exact
+    # columns hold the moments of the law it ends in after 20 steps
     cfg = ExperimentConfig(graph_source=None, label_source=None,
                            budgets=(2,), replications=10,
                            estimators=("RW", "UN"), master_seed=1)
-    with pytest.warns(Warning):
-        rows = sweep_labeled(star_lg, cfg)
-    by_kind = {r.estimator_kind: r for r in rows}
-    assert by_kind["RW"].exact_bias is None       # no stationary law
-    assert by_kind["UN"].exact_bias is not None
+    with pytest.warns(BipartiteWalkWarning):
+        rw, un = sweep_labeled(star_lg, cfg)
+    assert (rw.walk_length, un.walk_length) == (20, None)
+    assert rw.walk_tv == walk_law(star_lg.graph, 20).tv > 0.2
+    bias, var1 = exact_error(star_lg, "RW", walk_length=20)
+    assert (rw.exact_bias, rw.exact_var) == (bias, var1 / 2)
+    assert bias != exact_error(star_lg, "RW")[0]   # not the friend law
 
 
-# exact_bias, exact_var and exact_mse of a sweep as its CSV writes them,
-# recorded from the four per-estimator report builders that exact_error
-# replaced.  The second graph, an 8-cycle with a chord, is bipartite, so
-# its RW cells are blank.
+# exact_bias, exact_var and exact_mse of a sweep as its CSV writes them.
+# IP, UN and FN were recorded from the four per-estimator report builders
+# that exact_error replaced; RW from the law of the walk that ran.  Both
+# walks stop at the cap (60 and 30 steps): the first graph mixes slowly
+# (lambda2 0.90), and the second, an 8-cycle with a chord, is bipartite.
 _EXACT_COLUMNS = (
     "IP,1,0.0,0.244375,0.244375",
     "IP,3,0.0,0.08145833333333334,0.08145833333333334",
@@ -115,9 +119,9 @@ _EXACT_COLUMNS = (
     "UN,1,-0.03782738095238097,0.09471346991921772,0.09614438066893428",
     "UN,3,-0.03782738095238097,0.031571156639739244,0.0330020673894558",
     "UN,7,-0.03782738095238097,0.01353049570274539,0.014961406452461945",
-    "RW,1,-0.031557377049180324,0.0762235894088891,0.07721945745511323",
-    "RW,3,-0.031557377049180324,0.025407863136296366,0.0264037311825205",
-    "RW,7,-0.031557377049180324,0.01088908420126987,0.011884952247494003",
+    "RW,1,-0.03157704899842945,0.07621943120331698,0.07721654122676619",
+    "RW,3,-0.03157704899842945,0.025406477067772326,0.02640358709122154",
+    "RW,7,-0.03157704899842945,0.010888490171902425,0.011885600195351639",
     "FN,1,-0.009752976190476215,0.07528190964250289,0.0753770301870749",
     "FN,3,-0.009752976190476215,0.0250939698808343,0.025189090425406294",
     "FN,7,-0.009752976190476215,0.010754558520357557,0.010849679064929552",
@@ -127,9 +131,9 @@ _EXACT_COLUMNS = (
     "UN,1,0.020833333333333315,0.05512152777777779,0.055555555555555566",
     "UN,3,0.020833333333333315,0.018373842592592598,0.018807870370370374",
     "UN,7,0.020833333333333315,0.00787450396825397,0.008308531746031746",
-    "RW,1,,,",
-    "RW,3,,,",
-    "RW,7,,,",
+    "RW,1,0.013889205848771236,0.06172827502675299,0.06192118506586253",
+    "RW,3,0.013889205848771236,0.02057609167558433,0.02076900171469387",
+    "RW,7,0.013889205848771236,0.008818325003821856,0.009011235042931397",
     "FN,1,0.01736111111111105,0.06075183256172842,0.06105324074074076",
     "FN,3,0.01736111111111105,0.020250610853909473,0.020552019032921816",
     "FN,7,0.01736111111111105,0.00867883322310406,0.008980241402116403",
@@ -150,10 +154,10 @@ def test_sweep_exact_columns():
             warnings.simplefilter("ignore", BipartiteWalkWarning)
             rows = sweep_labeled(lg, cfg)
         for row in rows:
-            if row.exact_bias is not None:
-                bias, var1 = exact_error(lg, row.estimator_kind)
-                assert row.exact_var == var1 / row.budget
-                assert row.exact_mse == bias ** 2 + row.exact_var
+            bias, var1 = exact_error(lg, row.estimator_kind,
+                                     walk_length=row.walk_length)
+            assert row.exact_var == var1 / row.budget
+            assert row.exact_mse == bias ** 2 + row.exact_var
         buf = io.StringIO()
         write_sweep_csv(rows, buf)
         for line in buf.getvalue().splitlines()[1:]:
@@ -209,7 +213,7 @@ def test_replicate_splits_into_ranges(star_chord, monkeypatch, kind, length,
     # replication exceeds a batch and its walk streams step by step
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
     budget, reps, seed = 4, 10, 31
-    steps = length or default_walk_length(lg.graph.node_count)
+    steps = length or walk_law(lg.graph).length
     rows = {"FN": 2, "RW": 1 + steps}.get(kind, 1)
     if batch_reps is not None:
         monkeypatch.setattr(estimators, "_BATCH_DRAWS",

@@ -1,14 +1,23 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+import hypothesis.strategies as st
+from scipy.sparse.linalg import matrix_power
 
-from nepoll import (DataError, default_walk_length, random_walk_endpoints,
+from nepoll import (ConfigModelSpec, DataError, build_graph,
+                    configuration_model, random_walk_endpoints,
                     sample_friends_of_random_nodes, sample_random_nodes,
-                    stream)
+                    stream, walk_law)
+from nepoll.sampling import WALK_TV_TOLERANCE
 
 from _reference import sample_random_friends
+from _reference import walk_law as reference_walk_law
+from _strategies import graphs
 
 DRAWS = 100_000
 
@@ -127,12 +136,73 @@ def test_walk_stationary_law_nonbipartite(star_chord):
 def test_walk_length_validation(star):
     with pytest.raises(DataError):
         random_walk_endpoints(star, [0], -1, stream(0))
+    with pytest.raises(DataError, match="^walk length must be >= 0, got -1$"):
+        walk_law(star, -1)
 
 
-def test_default_walk_length():
-    assert default_walk_length(2) == 10
-    assert default_walk_length(500) == 90
-    assert default_walk_length(2000) == 110
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(max_nodes=12), length=st.integers(0, 20))
+def test_walk_law_matches_exact_fractions(g, length):
+    exact = reference_walk_law(g, length)
+    walk = walk_law(g, length)
+    assert walk.length == length
+    assert np.abs(walk.law - np.array(exact, dtype=float)).max() <= 1e-12
+    tv = sum(abs(p - Fraction(int(d), g.edge_end_count))
+             for p, d in zip(exact, g.degrees)) / 2
+    assert abs(walk.tv - float(tv)) <= 1e-12
+
+
+def _config_graph():
+    return configuration_model(ConfigModelSpec(300, 2.4, k_min=3, k_max=30,
+                                               seed=4))[0]
+
+
+def test_walk_law_matches_scipy_matrix_powers():
+    g = _config_graph()
+    n = g.node_count
+    adjacency = sp.csr_array((np.ones(len(g.neighbors)), g.neighbors,
+                              g.indptr), shape=(n, n))
+    step = sp.diags_array(1.0 / g.degrees) @ adjacency
+    for length in (0, 1, 5, 25):
+        expected = matrix_power(step, length).T @ np.full(n, 1.0 / n)
+        assert np.allclose(walk_law(g, length).law, expected,
+                           rtol=1e-12, atol=1e-15)
+
+
+def _certified(g):
+    """The certified walk, checked against its definition: the smallest
+    L >= 1 within the tolerance, or the cap 10 * ceil(log2 n)."""
+    cap = 10 * math.ceil(math.log2(g.node_count))
+    walk = walk_law(g)
+    assert 1 <= walk.length <= cap
+    if walk.length < cap:
+        assert walk.tv <= WALK_TV_TOLERANCE
+    if walk.length > 1:
+        assert walk_law(g, walk.length - 1).tv > WALK_TV_TOLERANCE
+    fixed = walk_law(g, walk.length)
+    assert fixed.tv == walk.tv and np.array_equal(fixed.law, walk.law)
+    return walk, cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(max_nodes=12))
+def test_certified_walk_length_is_the_first_within_tolerance(g):
+    _certified(g)
+
+
+def test_certified_walk_length_examples(k3, star, star_chord):
+    assert _certified(k3)[0].length == 1   # regular: u is already d/M
+    walk, cap = _certified(_config_graph())
+    assert 1 < walk.length < cap
+    # |lambda2| ~ 0.73: the walk is still 2.9e-4 from d/M at the cap, 20
+    walk, cap = _certified(star_chord)
+    assert walk.length == cap and walk.tv > WALK_TV_TOLERANCE
+    # a bipartite graph with sides of 1 and 3 nodes alternates forever
+    walk, cap = _certified(star)
+    assert walk.length == cap and walk.tv == pytest.approx(0.25)
+    # with equal sides the alternating part of the uniform start vanishes
+    walk, cap = _certified(build_graph([(0, 1), (1, 2), (2, 3)]))
+    assert walk.length < cap
 
 
 def test_same_seed_same_sequence(star_chord):
