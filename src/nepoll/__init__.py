@@ -13,7 +13,7 @@ from .analytics import (BudgetThreshold, ErrorBounds, FosdCheck, NetworkStats,
                         friendship_paradox_check, label_degree_covariance,
                         mean_degree, mean_label_friend, network_stats,
                         spectral_summary)
-from .errors import BipartiteWalkWarning, DataError, TargetUnreachableError
+from .errors import DataError, TargetUnreachableError
 from .estimators import ESTIMATOR_KINDS, poll_values
 from .graph import Graph, GraphFlags, LabeledGraph, build_graph, graph_flags
 from .harness import (ExperimentConfig, Report, SweepRow, SWEEP_CSV_HEADER,
@@ -25,8 +25,7 @@ from .io import (read_edge_list, read_labeled_graph, read_labels,
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
                      erdos_renyi, rewire_to_assortativity)
-from .sampling import (random_walk_endpoints,
-                       sample_friends_of_random_nodes, sample_random_nodes,
-                       stream, walk_law)
+from .sampling import (LawSampler, sample_friends_of_random_nodes,
+                       sample_random_nodes, stream, walk_law)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
 Every input the pipeline cannot take (a malformed edge list, an
 inconsistent generator spec, a graph an estimator cannot poll) raises
@@ -21,6 +21,3 @@ class TargetUnreachableError(DataError, RuntimeError):
         self.achieved = achieved
         self.result = result
 
-
-class BipartiteWalkWarning(UserWarning):
-    """Plain random walks on bipartite graphs have no stationary law."""

@@ -29,7 +29,7 @@ from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
                      erdos_renyi, rewire_to_assortativity)
-from .sampling import stream, walk_law
+from .sampling import WalkLaw, stream, walk_law
 
 # Stream keys reserved for graph preparation (each sweep cell uses the
 # two-component key (code, budget), so these can never collide).
@@ -135,44 +135,44 @@ def materialize(cfg: ExperimentConfig) -> tuple[LabeledGraph, dict]:
 # ---------------------------------------------------------------------------
 # replication engine
 
-def _replicate_range(lg: LabeledGraph, kind: str, budget: int,
-                     master_seed: int, lo: int, hi: int,
-                     walk_length: int | None) -> np.ndarray:
+def _replicate_range(lg: LabeledGraph, walk: WalkLaw | None, kind: str,
+                     budget: int, master_seed: int, lo: int,
+                     hi: int) -> np.ndarray:
     cell = stream(master_seed, ESTIMATOR_CODES[kind], budget)
-    return poll_values(kind, lg, budget, cell, range(lo, hi),
-                       walk_length=walk_length)
+    return poll_values(kind, lg, budget, cell, range(lo, hi), walk=walk)
 
 
 _WORKER_STATE: dict = {}
 
 
-def _pool_init(lg: LabeledGraph) -> None:
-    _WORKER_STATE["lg"] = lg
+def _pool_init(lg: LabeledGraph, walk: WalkLaw | None) -> None:
+    _WORKER_STATE["graph_and_walk"] = lg, walk
 
 
 def _pool_task(args) -> np.ndarray:
-    return _replicate_range(_WORKER_STATE["lg"], *args)
+    return _replicate_range(*_WORKER_STATE["graph_and_walk"], *args)
 
 
 def replicate(lg: LabeledGraph, kind: str, budget: int, replications: int,
-              master_seed: int, walk_length: int | None = None, *,
+              master_seed: int, walk: WalkLaw | None = None, *,
               workers: int = 1) -> np.ndarray:
     """Estimate values for ``replications`` independent runs, in replication
-    order.  The result depends only on the inputs, never on ``workers``."""
+    order, with ``RW`` drawing from ``walk`` (see :func:`poll_values`).
+    The result depends only on the inputs, never on ``workers``."""
     if workers < 1:
         raise DataError("workers must be >= 1")
     if workers == 1:
-        return _replicate_range(lg, kind, budget, master_seed, 0,
-                                replications, walk_length)
+        return _replicate_range(lg, walk, kind, budget, master_seed, 0,
+                                replications)
     # imported here: the pool module costs every CLI start ~15 ms
     from concurrent.futures import ProcessPoolExecutor
-    if kind == "RW" and walk_length is None:  # certify once, not per task
-        walk_length = walk_law(lg.graph).length
+    if kind == "RW" and walk is None:  # certify once, not per task
+        walk = walk_law(lg.graph)
     chunk = max(1, math.ceil(replications / (workers * 4)))
-    tasks = [(kind, budget, master_seed, lo, min(lo + chunk, replications),
-              walk_length) for lo in range(0, replications, chunk)]
+    tasks = [(kind, budget, master_seed, lo, min(lo + chunk, replications))
+             for lo in range(0, replications, chunk)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(lg,)) as pool:
+                             initargs=(lg, walk)) as pool:
         return np.concatenate(list(pool.map(_pool_task, tasks)))
 
 
@@ -198,9 +198,9 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig, *,
                   workers: int = 1) -> list[SweepRow]:
     """Run the sweep on an already-materialized labeled graph.
 
-    ``RW`` walks ``cfg.walk_length`` steps, or the certified length of
-    :func:`walk_law`, resolved once per sweep; its exact columns are the
-    moments of that walk's endpoint law."""
+    ``RW`` draws from the law of a ``cfg.walk_length``-step walk, or of the
+    certified length of :func:`walk_law`, computed once per sweep; its exact
+    columns are the moments of that law."""
     flags = graph_flags(lg.graph)
     if "RW" in cfg.estimators and not flags.connected:
         raise DataError(
@@ -210,19 +210,18 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig, *,
     if budgets is None:
         budgets = default_budget_grid(lg.graph.node_count)
     truth = lg.true_fraction
-    walk = walk_law(lg.graph, cfg.walk_length) \
-        if "RW" in cfg.estimators else None
     rows: list[SweepRow] = []
     for kind in cfg.estimators:
         if kind == "RW":
+            walk = walk_law(lg.graph, cfg.walk_length)
             bias, var1 = law_error(lg, walk.law)
             length, tv = walk.length, walk.tv
         else:
             bias, var1 = exact_error(lg, kind)
-            length = tv = None
+            walk = length = tv = None
         for budget in map(int, budgets):
             values = replicate(lg, kind, budget, cfg.replications,
-                               cfg.master_seed, length, workers=workers)
+                               cfg.master_seed, walk, workers=workers)
             rows.append(SweepRow(
                 kind, budget, *_empirical_moments(values, truth), bias,
                 var1 / budget, bias * bias + var1 / budget, length, tv))

@@ -1,4 +1,4 @@
-"""Sampling primitives: uniform nodes, their neighbors, random walks.
+"""Sampling primitives: uniform nodes, their neighbors, walk endpoints.
 
 Three node laws drive everything downstream:
 
@@ -11,9 +11,9 @@ A walk of finite length L from a uniform node ends in a fourth law, which
 :func:`walk_law` computes exactly; on a connected, non-bipartite graph it
 approaches the random-friend law as L grows.
 
-The samplers map a uniform u in [0, 1) to node ``floor(u * n)`` or to
-neighbor ``floor(u * d(v))`` of ``v``.  The uniforms come from
-:func:`stream` generators, so runs replay on any host.
+The samplers map a uniform u in [0, 1) to node ``floor(u * n)``, to
+neighbor ``floor(u * d(v))`` of ``v``, or through a law's inverse CDF.
+The uniforms come from :func:`stream` generators, so runs replay anywhere.
 """
 
 from __future__ import annotations
@@ -80,34 +80,49 @@ def sample_random_nodes(g: Graph, u: np.ndarray) -> np.ndarray:
     return (u * g.node_count).astype(np.int64)
 
 
-def _uniform_neighbors(g: Graph, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return g.neighbors[g.indptr[v] + (u * g.degrees[v]).astype(np.int64)]
-
-
 def sample_friends_of_random_nodes(g: Graph, u_node: np.ndarray,
                                    u_friend: np.ndarray) -> np.ndarray:
     """Uniform nodes (``u_node``), then a neighbor of each (``u_friend``)."""
-    return _uniform_neighbors(g, sample_random_nodes(g, u_node), u_friend)
+    v = sample_random_nodes(g, u_node)
+    return g.neighbors[g.indptr[v]
+                       + (u_friend * g.degrees[v]).astype(np.int64)]
 
 
-def random_walk_endpoints(g: Graph, starts: np.ndarray, length: int,
-                          uniforms: np.random.Generator | np.ndarray
-                          ) -> np.ndarray:
-    """Endpoints of independent walks of ``length`` steps from ``starts``.
+# Forward steps of a guided draw before a bisection ends its search, so a
+# bucket of many nodes (a star's leaves after one step) cannot stall it.
+_SCAN_STEPS = 4
 
-    Each step maps one uniform ``u`` in [0, 1) per walker to a uniform
-    neighbor: a walker at ``v`` moves to
-    ``neighbors[indptr[v] + floor(u * d(v))]``.  ``uniforms`` is a
-    generator that draws ``random(len(starts))`` per step, or those
-    draws as an array, ``uniforms[step]`` read in C order (a strided view
-    is not copied); ``random((length, m))`` yields the same bits as
-    ``length`` calls of ``random(m)``.
+
+class LawSampler:
+    """Inverse-CDF draws from a node law ``law`` (nonnegative, not all 0).
+
+    A uniform u in [0, 1) maps to the first node whose cumulative mass
+    exceeds ``u * total``, i.e. ``searchsorted(cdf, u * total, "right")``,
+    clamped to the first node that holds the total (``u * total`` can round
+    up to it), so a node of zero mass is never drawn.  A guide table (Chen
+    & Asau 1974) of n equal buckets starts each search at the first node
+    past its bucket's lower edge: a draw takes one step in expectation.
     """
-    if length < 0:
-        raise DataError(f"walk length must be >= 0, got {length}")
-    cur = np.array(starts, dtype=np.int64)
-    for step in range(length):
-        u = uniforms[step] if isinstance(uniforms, np.ndarray) \
-            else uniforms.random(len(cur))
-        cur = _uniform_neighbors(g, cur.reshape(u.shape), u).reshape(-1)
-    return cur
+
+    def __init__(self, law: np.ndarray):
+        self.cdf = cdf = np.cumsum(law, dtype=np.float64)
+        self.total = cdf[-1]
+        cdf[np.searchsorted(cdf, self.total):] = np.inf   # the clamp
+        self.lower = np.arange(len(cdf)) * (self.total / len(cdf))
+        self.guide = np.searchsorted(cdf, self.lower, side="right")
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Nodes drawn by the uniforms ``u``, shaped like ``u``."""
+        x = u * self.total
+        bucket = (u * len(self.guide)).astype(np.int64)
+        bucket -= self.lower[bucket] > x   # u * n rounded up past an edge
+        nodes = self.guide[bucket]
+        for _ in range(_SCAN_STEPS):
+            ahead = self.cdf[nodes] <= x
+            if not ahead.any():
+                return nodes
+            nodes += ahead
+        rest = np.flatnonzero(self.cdf[nodes] <= x)
+        nodes.flat[rest] = np.searchsorted(self.cdf, x.flat[rest],
+                                           side="right")
+        return nodes

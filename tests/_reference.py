@@ -2,9 +2,12 @@
 
 ``sample_random_friends`` draws the random-friend law directly, without
 walking: the reference the walk's stationary law is tested against (the
-package samples it only by walking).  ``walk_law`` is the exact endpoint
-law of a finite walk in rational arithmetic, one neighbor at a time: the
-reference for ``nepoll.sampling.walk_law``.
+package reaches it only through walk laws).  ``walk_law`` is the exact
+endpoint law of a finite walk in rational arithmetic, one neighbor at a
+time: the reference for ``nepoll.sampling.walk_law``.
+``random_walk_endpoints`` walks, one uniform neighbor per step: the
+referee that the package's exact walk law, and its draws from that law,
+are tested against.
 
 ``rewire_to_assortativity`` and ``assign_labels`` are the sequential swap
 processes, one proposal at a time in plain Python.  ``nepoll.netgen``
@@ -49,6 +52,28 @@ def walk_law(g, length):
                 moved[u] += law[v] / len(neighbors)
         law = moved
     return law
+
+
+def random_walk_endpoints(g, starts, length, uniforms):
+    """Endpoints of independent walks of ``length`` steps from ``starts``.
+
+    Each step maps one uniform ``u`` in [0, 1) per walker to a uniform
+    neighbor: a walker at ``v`` moves to
+    ``neighbors[indptr[v] + floor(u * d(v))]``.  ``uniforms`` is a
+    generator that draws ``random(len(starts))`` per step, or those
+    draws as an array, ``uniforms[step]`` read in C order (a strided view
+    is not copied); ``random((length, m))`` yields the same bits as
+    ``length`` calls of ``random(m)``.
+    """
+    cur = np.array(starts, dtype=np.int64)
+    for step in range(length):
+        u = uniforms[step] if isinstance(uniforms, np.ndarray) \
+            else uniforms.random(len(cur))
+        cur = cur.reshape(u.shape)
+        cur = g.neighbors[g.indptr[cur]
+                          + (u * g.degrees[cur]).astype(np.int64)]
+        cur = cur.reshape(-1)
+    return cur
 
 
 def rewire_to_assortativity(g, target, gen):

@@ -19,14 +19,14 @@ from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget, LabeledGraph,
                     erdos_renyi, error_bounds, exact_error, fosd_check,
                     friendship_paradox_check, graph_flags,
                     label_degree_covariance, mean_degree, mean_label_friend,
-                    network_stats, poll_values, random_walk_endpoints,
-                    replicate, rewire_to_assortativity, run_report,
-                    sample_random_nodes, spectral_summary, stream,
-                    walk_law, write_edge_list, write_labels)
+                    network_stats, poll_values, replicate,
+                    rewire_to_assortativity, run_report, sample_random_nodes,
+                    spectral_summary, stream, walk_law, write_edge_list,
+                    write_labels)
 from nepoll.cli import main as cli_main
 from nepoll.sampling import WALK_TV_TOLERANCE
 
-from _reference import sample_random_friends
+from _reference import random_walk_endpoints, sample_random_friends
 
 SLACK = 1e-12  # guards exact real-arithmetic inequalities against rounding
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from nepoll import (BipartiteWalkWarning, ConfigModelSpec, DataError,
-                    LabelTarget, LabeledGraph, RewireTarget, assign_labels,
-                    brute_force_estimator_law, configuration_model,
-                    poll_values, rewire_to_assortativity, stream, walk_law)
+from nepoll import (ConfigModelSpec, DataError, LabelTarget, LabeledGraph,
+                    RewireTarget, assign_labels, brute_force_estimator_law,
+                    build_graph, configuration_model, poll_values,
+                    rewire_to_assortativity, stream, walk_law)
 
 from _reference import sample_random_friends
 from _strategies import labeled_graphs
@@ -64,7 +64,7 @@ def test_walk_estimator_on_regular_graph(k3_lg):
     mean, var = brute_force_estimator_law(k3_lg, "RW")
     assert mean == pytest.approx(1 / 3)
     assert var == pytest.approx(1 / 18)
-    est = _poll("RW", k3_lg, BIG_BUDGET, 15, walk_length=3)
+    est = _poll("RW", k3_lg, BIG_BUDGET, 15, walk=walk_law(k3_lg.graph, 3))
     assert abs(est - mean) <= _band(var)
 
 
@@ -83,12 +83,7 @@ def test_walk_poll_defaults_to_the_certified_length():
     assert length < 10 * math.ceil(math.log2(g.node_count))
     assert np.array_equal(
         poll_values("RW", lg, 7, stream(3), 20),
-        poll_values("RW", lg, 7, stream(3), 20, walk_length=length))
-
-
-def test_walk_estimator_warns_on_bipartite(star_lg):
-    with pytest.warns(BipartiteWalkWarning):
-        _poll("RW", star_lg, 2, 1, walk_length=4)
+        poll_values("RW", lg, 7, stream(3), 20, walk=walk_law(g, length)))
 
 
 def test_fn_equals_un_in_law_on_regular_graphs(k3_lg):
@@ -154,20 +149,25 @@ def test_iid_label_variance_ordering_on_assortative_graph():
 
 def test_replication_reads_its_block_of_the_stream(star_chord):
     # replication r reads doubles [r*k, (r+1)*k) of the stream as rows of
-    # budget uniforms: row 0 picks nodes floor(u n), every further row (the
-    # FN neighbor, the RW steps) moves each to neighbor floor(u d)
+    # budget uniforms: row 0 picks nodes floor(u n), or for RW the node at u
+    # of the inverse CDF of the walk law; FN's row 1 moves each to neighbor
+    # floor(u d)
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
-    g, budget, reps, length = lg.graph, 3, 5, 4
-    for kind, rows in (("IP", 1), ("UN", 1), ("FN", 2), ("RW", 1 + length)):
+    g, budget, reps = lg.graph, 3, 5
+    walk = walk_law(g, 4)
+    cdf = np.cumsum(walk.law)
+    for kind, rows in (("IP", 1), ("UN", 1), ("FN", 2), ("RW", 1)):
         u = stream(17).random((reps, rows, budget))
-        nodes = np.floor(u[:, 0] * g.node_count).astype(np.int64)
-        for row in range(1, rows):
-            pick = np.floor(u[:, row] * g.degrees[nodes]).astype(np.int64)
+        if kind == "RW":
+            nodes = np.searchsorted(cdf, u[:, 0] * cdf[-1], side="right")
+        else:
+            nodes = np.floor(u[:, 0] * g.node_count).astype(np.int64)
+        if kind == "FN":
+            pick = np.floor(u[:, 1] * g.degrees[nodes]).astype(np.int64)
             nodes = g.neighbors[g.indptr[nodes] + pick]
         table = lg.labels if kind == "IP" else lg.responses
         assert np.array_equal(
-            poll_values(kind, lg, budget, stream(17), reps,
-                        walk_length=length),
+            poll_values(kind, lg, budget, stream(17), reps, walk=walk),
             table[nodes].mean(axis=1))
 
 
@@ -176,18 +176,20 @@ def test_budget_must_be_positive(star_lg):
         poll_values("IP", star_lg, 0, stream(0), 1)
 
 
-@pytest.mark.parametrize("kind,budget,reps,length,match", [
+@pytest.mark.parametrize("kind,budget,reps,walk,match", [
     ("IP", 0, 1, None, r"^budget must be >= 1, got 0$"),
     ("UN", 0, 1, None, r"^budget must be >= 1, got 0$"),
     ("XX", 1, 1, None, r"^unknown estimator kind 'XX'$"),
     ("UN", 1, -1, None, r"^reps must be a count >= 0 .*got -1$"),
     ("FN", 1, range(0, 4, 2), None, r"^reps must be .*range\(0, 4, 2\)$"),
     ("RW", 1, range(-1, 3), None, r"^reps must be .*range\(-1, 3\)$"),
-    ("RW", 1, 2, -1, r"^walk_length must be >= 0, got -1$"),
-    ("RW", 1, 2, -2, r"^walk_length must be >= 0, got -2$"),
+    ("RW", 1, 2, [(0, 1), (1, 2), (2, 0)],
+     r"^the walk law is not over the graph's nodes$"),
 ])
 def test_bad_poll_arguments_are_data_errors(star_chord, kind, budget, reps,
-                                            length, match):
+                                            walk, match):
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
+    if walk is not None:   # the law of a walk on another graph
+        walk = walk_law(build_graph(walk), 1)
     with pytest.raises(DataError, match=match):
-        poll_values(kind, lg, budget, stream(0), reps, walk_length=length)
+        poll_values(kind, lg, budget, stream(0), reps, walk=walk)

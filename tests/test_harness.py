@@ -1,14 +1,12 @@
 import io
 import math
 import sys
-import warnings
 
 import numpy as np
 import pytest
 
-from nepoll import (BipartiteWalkWarning, ConfigModelSpec, DataError,
-                    ErdosRenyiSpec, ExperimentConfig, LabelTarget,
-                    LabeledGraph, RewireTarget,
+from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec,
+                    ExperimentConfig, LabelTarget, LabeledGraph, RewireTarget,
                     SWEEP_CSV_HEADER, brute_force_estimator_law, build_graph,
                     default_budget_grid, exact_error, load_experiment_config,
                     materialize, poll_values, replicate, run_report,
@@ -60,7 +58,7 @@ def test_replications_converge_to_closed_form(star_lg, star_chord, kind,
     lg = LabeledGraph(star_chord, [1, 0, 0, 1]) if chord else star_lg
     mean, var = brute_force_estimator_law(lg, kind)
     values = replicate(lg, kind, budget=1, replications=reps,
-                       master_seed=88, walk_length=60)
+                       master_seed=88, walk=walk_law(lg.graph, 60))
     assert abs(values.mean() - mean) <= 4 * math.sqrt(var / reps)
     fourth = np.mean((values - mean) ** 4)
     se_var = math.sqrt(max(fourth - var ** 2, 0.0) / reps)
@@ -98,8 +96,7 @@ def test_sweep_rw_exact_on_bipartite(star_lg):
     cfg = ExperimentConfig(graph_source=None, label_source=None,
                            budgets=(2,), replications=10,
                            estimators=("RW", "UN"), master_seed=1)
-    with pytest.warns(BipartiteWalkWarning):
-        rw, un = sweep_labeled(star_lg, cfg)
+    rw, un = sweep_labeled(star_lg, cfg)
     assert (rw.walk_length, un.walk_length) == (20, None)
     assert rw.walk_tv == walk_law(star_lg.graph, 20).tv > 0.2
     bias, var1 = exact_error(star_lg, "RW", walk_length=20)
@@ -150,9 +147,7 @@ def test_sweep_exact_columns():
     columns = []
     for lg in (netgen.assign_labels(g, LabelTarget(0.4), stream(5)),
                LabeledGraph(chorded_cycle, [1, 0, 0, 1, 1, 0, 0, 0])):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BipartiteWalkWarning)
-            rows = sweep_labeled(lg, cfg)
+        rows = sweep_labeled(lg, cfg)
         for row in rows:
             bias, var1 = exact_error(lg, row.estimator_kind,
                                      walk_length=row.walk_length)
@@ -210,25 +205,25 @@ def test_replicate_splits_into_ranges(star_chord, monkeypatch, kind, length,
     # replications [0, reps) of a cell join from polls of arbitrary
     # sub-ranges of the cell stream, wherever the batches split (cuts on
     # both sides of a 3-replication batch boundary), also when one
-    # replication exceeds a batch and its walk streams step by step
+    # replication exceeds a batch
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
     budget, reps, seed = 4, 10, 31
-    steps = length or walk_law(lg.graph).length
-    rows = {"FN": 2, "RW": 1 + steps}.get(kind, 1)
+    walk = walk_law(lg.graph, length) if length is not None else None
+    rows = 2 if kind == "FN" else 1
     if batch_reps is not None:
         monkeypatch.setattr(estimators, "_BATCH_DRAWS",
                             int(batch_reps * rows * budget))
     cell = (seed, ESTIMATOR_CODES[kind], budget)
-    values = replicate(lg, kind, budget, reps, seed, length)
+    values = replicate(lg, kind, budget, reps, seed, walk)
     cuts = [0, 2, 3, 4, 5, 7, 10]
     pieces = [poll_values(kind, lg, budget, stream(*cell), range(lo, hi),
-                          walk_length=length)
+                          walk=walk)
               for lo, hi in zip(cuts, cuts[1:])]
     assert np.array_equal(values, np.concatenate(pieces))
     if batch_reps is not None:  # batching never changes a value
         monkeypatch.undo()
         assert np.array_equal(values, poll_values(
-            kind, lg, budget, stream(*cell), reps, walk_length=length))
+            kind, lg, budget, stream(*cell), reps, walk=walk))
 
 
 def test_empirical_variance_never_negative():

@@ -5,17 +5,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 from scipy.sparse.linalg import matrix_power
 
-from nepoll import (ConfigModelSpec, DataError, build_graph,
-                    configuration_model, random_walk_endpoints,
-                    sample_friends_of_random_nodes, sample_random_nodes,
-                    stream, walk_law)
+from nepoll import (ConfigModelSpec, DataError, LawSampler, build_graph,
+                    configuration_model, sample_friends_of_random_nodes,
+                    sample_random_nodes, stream, walk_law)
 from nepoll.sampling import WALK_TV_TOLERANCE
 
-from _reference import sample_random_friends
+from _reference import random_walk_endpoints, sample_random_friends
 from _reference import walk_law as reference_walk_law
 from _strategies import graphs
 
@@ -31,7 +30,7 @@ def _uniforms(seed, shape=DRAWS):
 
 
 def _binomial_band(p, draws=DRAWS, sigmas=3):
-    return sigmas * math.sqrt(p * (1 - p) / draws)
+    return sigmas * np.sqrt(p * (1 - p) / draws)
 
 
 def test_uniform_node_law(star):
@@ -133,11 +132,11 @@ def test_walk_stationary_law_nonbipartite(star_chord):
         assert abs(freq[v] - stationary[v]) <= _binomial_band(stationary[v])
 
 
-def test_walk_length_validation(star):
-    with pytest.raises(DataError):
-        random_walk_endpoints(star, [0], -1, stream(0))
-    with pytest.raises(DataError, match="^walk length must be >= 0, got -1$"):
-        walk_law(star, -1)
+@pytest.mark.parametrize("length", [-1, -2])
+def test_walk_length_validation(star, length):
+    with pytest.raises(DataError,
+                       match=f"^walk length must be >= 0, got {length}$"):
+        walk_law(star, length)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,6 +228,82 @@ def test_batch_walk_matches_seeded_rerun(star_chord):
     two = random_walk_endpoints(star_chord, starts, 17,
                                 stream(11))
     assert np.array_equal(one, two)
+
+
+def _inverse_cdf(law, u):
+    """The first node whose cumulative mass exceeds u * total, clamped to
+    the first node that holds the total."""
+    cdf = np.cumsum(law)
+    last = np.searchsorted(cdf, cdf[-1])
+    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), last)
+
+
+_masses = st.one_of(st.just(0.0), st.floats(1e-300, 1.0),
+                    st.floats(1e-12, 1e-6))
+
+
+@st.composite
+def _laws(draw):
+    """Nonnegative laws with some positive mass: zero-mass nodes anywhere,
+    a zero-mass last node, or one hub holding nearly everything."""
+    law = np.array(draw(st.lists(_masses, min_size=1, max_size=40)))
+    hub = draw(st.integers(0, len(law) - 1))
+    if draw(st.booleans()) or not law.any():
+        law[hub] = draw(st.floats(0.5, 1e6))
+    if draw(st.booleans()):
+        law = np.append(law, np.zeros(draw(st.integers(1, 3))))
+    return law
+
+
+@settings(max_examples=300, deadline=None)
+@given(law=_laws(), u=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                               min_size=1, max_size=60))
+@example(law=np.array([0.0, 5e-324, 0.0]), u=[0.5])   # u * total == total
+# floor(u * n) is 1, but u * total lies below the lower edge of bucket 1
+@example(law=np.array([0.3372738749000856, 0.6745477498001711, 0.0]),
+         u=[1 / 3])
+def test_law_sampler_is_the_clamped_inverse_cdf(law, u):
+    u = np.array(u + [0.0, np.nextafter(1.0, 0.0)])
+    nodes = LawSampler(law)(u)
+    assert np.array_equal(nodes, _inverse_cdf(law, u))
+    assert np.all(law[nodes] > 0)
+
+
+def test_law_sampler_on_a_star_after_one_step():
+    # the 19,999 leaves share 1/n of the mass and fall in one guide bucket:
+    # draws there finish by bisection, still exactly the inverse CDF
+    n = 20_000
+    law = walk_law(build_graph([(0, v) for v in range(1, n)]), 1).law
+    u = np.concatenate([stream(14).random(50_000),
+                        1 - stream(15).random(50_000) / n,
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    nodes = LawSampler(law)(u)
+    assert np.array_equal(nodes, _inverse_cdf(law, u))
+    assert np.all(law[nodes] > 0)
+    assert len(np.unique(nodes[50_000:])) > 1000   # leaves, not the hub
+
+
+@pytest.mark.parametrize("graph,length", [
+    ("star_chord", 17), ("path", None), ("config", None)])
+def test_law_sampler_matches_simulated_walks(request, graph, length):
+    # the endpoints of simulated walks and the draws from the exact law both
+    # have the walk law's frequencies, within the binomial band: per node
+    # on the 4-node graphs, per quarter of the nodes ranked by mass on the
+    # 300-node graph (300 checks at 3 sigma would each miss 0.27% of runs)
+    g = {"star_chord": lambda: request.getfixturevalue("star_chord"),
+         "path": lambda: build_graph([(0, 1), (1, 2), (2, 3)]),
+         "config": _config_graph}[graph]()
+    walk = walk_law(g, length)
+    gen = stream(16)
+    starts = sample_random_nodes(g, gen.random(DRAWS))
+    walked = random_walk_endpoints(g, starts, walk.length, gen)
+    drawn = LawSampler(walk.law)(stream(17).random(DRAWS))
+    groups = np.array_split(np.argsort(walk.law, kind="stable"), 4)
+    mass = np.array([walk.law[group].sum() for group in groups])
+    for ends in (walked, drawn):
+        freq = _frequencies(ends, g)
+        got = np.array([freq[group].sum() for group in groups])
+        assert np.all(np.abs(got - mass) <= _binomial_band(mass))
 
 
 def test_regular_graph_laws_coincide(k3):
