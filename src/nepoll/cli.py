@@ -31,7 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "file and write a CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, choices=[1], default=1,
+                   help="the sweep runs in one process; only 1 is accepted")
 
     p = sub.add_parser("report", help="one-shot diagnostic of a dataset")
     p.add_argument("--graph", required=True)
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     cfg = load_experiment_config(args.config)
-    rows = run_sweep(cfg, workers=args.workers)
+    rows = run_sweep(cfg)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_sweep_csv(rows, fh)
     for row in rows:

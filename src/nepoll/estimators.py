@@ -37,16 +37,17 @@ _BATCH_DRAWS = 1 << 18
 def poll_values(kind: str, lg: LabeledGraph, budget: int,
                 gen: np.random.Generator, reps, *,
                 walk: WalkLaw | None = None) -> np.ndarray:
-    """Replications ``reps`` (a count or a step-1 ``range``) of a ``kind``
-    estimate of ``budget`` respondents from the stream ``gen``, such as
-    ``stream(seed)``.
+    """``reps`` replications of a ``kind`` estimate of ``budget``
+    respondents from the stream ``gen``, such as ``stream(seed)``.
 
     Replication r reads doubles ``[r*k, (r+1)*k)`` of ``gen`` alone, counted
     from its state at the call, as ``rows`` rows of ``budget`` uniforms:
     row 0 picks the respondents ``floor(u * n)``, or for ``RW`` the node at
     u of the inverse CDF of the walk's endpoint law; row 1 of ``FN`` picks
     their neighbors ``floor(u * d)``.  Batches of at most ``_BATCH_DRAWS``
-    doubles, or one replication, are drawn at once.
+    doubles, or one replication, are drawn at once.  So replications lo..hi
+    of a stream are the ``hi - lo`` polled after advancing it ``lo * k``
+    doubles.
 
     ``RW`` draws from the endpoint law ``walk`` of :func:`walk_law`
     (default: the certified length, computed once per call) and needs a
@@ -56,11 +57,8 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
         raise DataError(f"unknown estimator kind {kind!r}")
     if budget < 1:
         raise DataError(f"budget must be >= 1, got {budget!r}")
-    if isinstance(reps, (int, np.integer)) and reps >= 0:
-        reps = range(reps)
-    if not isinstance(reps, range) or reps.step != 1 or reps.start < 0:
-        raise DataError("reps must be a count >= 0 or a step-1 range "
-                        f"from >= 0, got {reps!r}")
+    if not isinstance(reps, (int, np.integer)) or reps < 0:
+        raise DataError(f"reps must be a count >= 0, got {reps!r}")
     g = lg.graph
     if kind == "RW":
         if not graph_flags(g).connected:
@@ -72,12 +70,11 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
         respondents = LawSampler(walk.law)
     rows = 2 if kind == "FN" else 1
     k = rows * budget
-    gen.bit_generator.advance(reps.start * k)
     per_batch = max(1, _BATCH_DRAWS // k)
     table = lg.labels if kind == "IP" else lg.responses
-    values = np.empty(len(reps))
-    for lo in range(0, len(reps), per_batch):
-        m = min(per_batch, len(reps) - lo)
+    values = np.empty(reps)
+    for lo in range(0, reps, per_batch):
+        m = min(per_batch, reps - lo)
         u = gen.random((m, rows, budget))
         if kind == "FN":
             picks = sample_friends_of_random_nodes(g, u[:, 0], u[:, 1])

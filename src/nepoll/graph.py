@@ -28,9 +28,9 @@ class Graph:
     """Undirected simple graph over compact node ids 0..n-1.
 
     Instances are created through :func:`build_graph` and never mutated
-    afterwards, so they are safe to share across threads and worker
-    processes.  ``edge_end_count`` is the number of edge endpoints
-    (twice the edge count), the normalizer of all degree-weighted laws.
+    afterwards, so they are safe to share.  ``edge_end_count`` is the
+    number of edge endpoints (twice the edge count), the normalizer of all
+    degree-weighted laws.
     """
 
     __slots__ = ("node_count", "edges", "indptr", "neighbors", "degrees",

@@ -4,7 +4,7 @@ A sweep runs ``replications`` independent estimates for every
 (estimator, budget) pair and reduces them to empirical bias/variance/MSE
 rows next to the closed-form values.  Each (estimator, budget) cell has one
 stream keyed (estimator code, budget) under master_seed, and replication r
-reads its own block of it, so results are byte-identical for any workers.
+reads its own block of it, so its value does not depend on ``replications``.
 
 Config files are flat ``key = value`` text; see ``experiment_config``.
 """
@@ -135,45 +135,13 @@ def materialize(cfg: ExperimentConfig) -> tuple[LabeledGraph, dict]:
 # ---------------------------------------------------------------------------
 # replication engine
 
-def _replicate_range(lg: LabeledGraph, walk: WalkLaw | None, kind: str,
-                     budget: int, master_seed: int, lo: int,
-                     hi: int) -> np.ndarray:
-    cell = stream(master_seed, ESTIMATOR_CODES[kind], budget)
-    return poll_values(kind, lg, budget, cell, range(lo, hi), walk=walk)
-
-
-_WORKER_STATE: dict = {}
-
-
-def _pool_init(lg: LabeledGraph, walk: WalkLaw | None) -> None:
-    _WORKER_STATE["graph_and_walk"] = lg, walk
-
-
-def _pool_task(args) -> np.ndarray:
-    return _replicate_range(*_WORKER_STATE["graph_and_walk"], *args)
-
-
 def replicate(lg: LabeledGraph, kind: str, budget: int, replications: int,
-              master_seed: int, walk: WalkLaw | None = None, *,
-              workers: int = 1) -> np.ndarray:
-    """Estimate values for ``replications`` independent runs, in replication
-    order, with ``RW`` drawing from ``walk`` (see :func:`poll_values`).
-    The result depends only on the inputs, never on ``workers``."""
-    if workers < 1:
-        raise DataError("workers must be >= 1")
-    if workers == 1:
-        return _replicate_range(lg, walk, kind, budget, master_seed, 0,
-                                replications)
-    # imported here: the pool module costs every CLI start ~15 ms
-    from concurrent.futures import ProcessPoolExecutor
-    if kind == "RW" and walk is None:  # certify once, not per task
-        walk = walk_law(lg.graph)
-    chunk = max(1, math.ceil(replications / (workers * 4)))
-    tasks = [(kind, budget, master_seed, lo, min(lo + chunk, replications))
-             for lo in range(0, replications, chunk)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(lg, walk)) as pool:
-        return np.concatenate(list(pool.map(_pool_task, tasks)))
+              master_seed: int, walk: WalkLaw | None = None) -> np.ndarray:
+    """Estimate values for ``replications`` independent runs of the cell
+    (``kind``, ``budget``), in replication order, polled from the cell's
+    stream with ``RW`` drawing from ``walk`` (see :func:`poll_values`)."""
+    cell = stream(master_seed, ESTIMATOR_CODES[kind], budget)
+    return poll_values(kind, lg, budget, cell, replications, walk=walk)
 
 
 def _empirical_moments(values: np.ndarray,
@@ -187,15 +155,12 @@ def _empirical_moments(values: np.ndarray,
     return mean - truth, emp_var, emp_mse
 
 
-def run_sweep(cfg: ExperimentConfig, *, workers: int = 1) -> list[SweepRow]:
-    if workers < 1:
-        raise DataError("workers must be >= 1")
+def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     lg, _ = materialize(cfg)
-    return sweep_labeled(lg, cfg, workers=workers)
+    return sweep_labeled(lg, cfg)
 
 
-def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig, *,
-                  workers: int = 1) -> list[SweepRow]:
+def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig) -> list[SweepRow]:
     """Run the sweep on an already-materialized labeled graph.
 
     ``RW`` draws from the law of a ``cfg.walk_length``-step walk, or of the
@@ -221,7 +186,7 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig, *,
             walk = length = tv = None
         for budget in map(int, budgets):
             values = replicate(lg, kind, budget, cfg.replications,
-                               cfg.master_seed, walk, workers=workers)
+                               cfg.master_seed, walk)
             rows.append(SweepRow(
                 kind, budget, *_empirical_moments(values, truth), bias,
                 var1 / budget, bias * bias + var1 / budget, length, tv))

@@ -7,7 +7,10 @@ endpoint law of a finite walk in rational arithmetic, one neighbor at a
 time: the reference for ``nepoll.sampling.walk_law``.
 ``random_walk_endpoints`` walks, one uniform neighbor per step: the
 referee that the package's exact walk law, and its draws from that law,
-are tested against.
+are tested against.  ``polled_in_ranges`` joins a sweep cell's
+replications from polls of sub-ranges, each on a fresh cell stream
+advanced past the replications before it: the reference for
+``nepoll.harness.replicate`` and the sweep it runs.
 
 ``rewire_to_assortativity`` and ``assign_labels`` are the sequential swap
 processes, one proposal at a time in plain Python.  ``nepoll.netgen``
@@ -26,8 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from nepoll import netgen
+from nepoll import netgen, poll_values, stream
 from nepoll.errors import DataError, TargetUnreachableError
+from nepoll.estimators import ESTIMATOR_CODES
 from nepoll.graph import LabeledGraph, build_graph
 
 
@@ -74,6 +78,20 @@ def random_walk_endpoints(g, starts, length, uniforms):
                           + (u * g.degrees[cur]).astype(np.int64)]
         cur = cur.reshape(-1)
     return cur
+
+
+def polled_in_ranges(lg, kind, budget, cuts, master_seed, walk=None):
+    """Replications ``cuts[0]..cuts[-1]`` of the sweep cell (``kind``,
+    ``budget``) under ``master_seed``, one poll per range
+    ``cuts[i]..cuts[i+1]``: replication r reads doubles [r*k, (r+1)*k) of
+    the cell stream, so each range starts ``lo * k`` doubles in."""
+    k = (2 if kind == "FN" else 1) * budget
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        gen = stream(master_seed, ESTIMATOR_CODES[kind], budget)
+        gen.bit_generator.advance(lo * k)
+        pieces.append(poll_values(kind, lg, budget, gen, hi - lo, walk=walk))
+    return np.concatenate(pieces)
 
 
 def rewire_to_assortativity(g, target, gen):

@@ -18,15 +18,18 @@ from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget, LabeledGraph,
                     budget_threshold, build_graph, configuration_model,
                     erdos_renyi, error_bounds, exact_error, fosd_check,
                     friendship_paradox_check, graph_flags,
-                    label_degree_covariance, mean_degree, mean_label_friend,
+                    label_degree_covariance, load_experiment_config,
+                    materialize, mean_degree, mean_label_friend,
                     network_stats, poll_values, replicate,
                     rewire_to_assortativity, run_report, sample_random_nodes,
                     spectral_summary, stream, walk_law, write_edge_list,
                     write_labels)
 from nepoll.cli import main as cli_main
+from nepoll.harness import _empirical_moments
 from nepoll.sampling import WALK_TV_TOLERANCE
 
-from _reference import random_walk_endpoints, sample_random_friends
+from _reference import (polled_in_ranges, random_walk_endpoints,
+                        sample_random_friends)
 
 SLACK = 1e-12  # guards exact real-arithmetic inequalities against rounding
 
@@ -346,10 +349,24 @@ def test_criterion_10_sweep_determinism(tmp_path):
         "walk_length = 40\n"
         "seed = 2024\n")
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-    assert cli_main(["sweep", "--config", str(cfg), "--out", str(one),
-                     "--workers", "1"]) == 0
-    assert cli_main(["sweep", "--config", str(cfg), "--out", str(two),
-                     "--workers", "2"]) == 0
+    for out in (one, two):
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) \
+            == 0
     identical = one.read_bytes() == two.read_bytes()
-    _verdict(10, identical,
-             "sweep CSV byte-identical across 1-worker and 2-worker runs")
+    # each row's empirical columns are the moments of its cell's
+    # replications joined from polls of sub-ranges
+    lg, _ = materialize(load_experiment_config(cfg))
+    walk = walk_law(lg.graph, 40)
+    joined = []
+    for line in one.read_text().splitlines()[1:]:
+        kind, budget, *emp = line.split(",")[:5]
+        values = polled_in_ranges(lg, kind, int(budget), [0, 7, 64, 120],
+                                  2024, walk)
+        joined.append(
+            np.array_equal(values, replicate(lg, kind, int(budget), 120,
+                                             2024, walk))
+            and emp == [repr(float(x)) for x in
+                        _empirical_moments(values, lg.true_fraction)])
+    _verdict(10, identical and len(joined) == 8 and all(joined),
+             "sweep CSV byte-identical across runs, each row the moments "
+             "of its cell's replications joined from 3 sub-ranges")

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from nepoll import (DataError, ErdosRenyiSpec, LabeledGraph,
+from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabeledGraph,
                     brute_force_estimator_law, budget_threshold, build_graph,
-                    erdos_renyi, error_bounds, exact_error, fosd_check,
-                    friendship_paradox_check, graph_flags,
-                    label_degree_covariance, mean_degree, mean_label_friend,
-                    network_stats, spectral_summary, stream, walk_law)
+                    configuration_model, erdos_renyi, error_bounds,
+                    exact_error, fosd_check, friendship_paradox_check,
+                    graph_flags, label_degree_covariance, mean_degree,
+                    mean_label_friend, network_stats, spectral_summary,
+                    stream, walk_law)
 from nepoll import analytics
 
 from _reference import walk_law as reference_walk_law
@@ -132,19 +133,32 @@ def test_lanczos_that_does_not_converge_raises(monkeypatch):
         spectral_summary(g)
 
 
-def test_spectrum_above_the_old_dense_size_cap_matches_eigsh():
+@pytest.mark.parametrize("make_graph", [
+    lambda: _sparse_random_graph(25_000, 100_000, seed=11),
+    # a near-degenerate cluster: the second largest |eigenvalue| is the
+    # most negative one, -0.86092711, which eigsh(which="LM") misses
+    lambda: configuration_model(ConfigModelSpec(
+        node_count=5000, power_law_exponent=2.4, k_min=2, seed=32))[0],
+], ids=["sparse-25k", "config-5k-seed-32"])
+def test_spectrum_above_the_old_dense_size_cap_matches_eigsh(make_graph):
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import eigsh
-    g = _sparse_random_graph(25_000, 100_000, seed=11)
+    g = make_graph()
     assert graph_flags(g).connected and not graph_flags(g).bipartite
     scale = 1.0 / np.sqrt(g.degrees.astype(float))
     rows = np.repeat(np.arange(g.node_count), g.degrees)
     mat = csr_matrix((scale[rows] * scale[g.neighbors], (rows, g.neighbors)),
                      shape=(g.node_count, g.node_count))
-    vals = eigsh(mat, k=2, which="LM", tol=1e-12, return_eigenvectors=False,
-                 v0=np.random.default_rng(0).random(g.node_count))
+    v0 = np.random.default_rng(0).random(g.node_count)
+    # the two ends of the spectrum separately: the top is 1, so lambda2 is
+    # the second largest value or minus the smallest
+    top = eigsh(mat, k=2, which="LA", tol=1e-12, return_eigenvectors=False,
+                v0=v0)
+    bottom = eigsh(mat, k=1, which="SA", tol=1e-12,
+                   return_eigenvectors=False, v0=v0)
     s = spectral_summary(g)
-    assert s.lambda2 == pytest.approx(np.sort(np.abs(vals))[0], abs=1e-9)
+    assert s.lambda2 == pytest.approx(max(np.sort(top)[0], -bottom[0]),
+                                      abs=1e-9)
     assert s.top_residual <= 1e-9
 
 

@@ -3,13 +3,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nepoll
 from nepoll import (ConfigModelSpec, ExperimentConfig, LabelTarget,
-                    RewireTarget, materialize, write_edge_list, write_labels)
+                    RewireTarget, materialize, replicate, walk_law,
+                    write_edge_list, write_labels)
 from nepoll import harness
 from nepoll.cli import main
+
+from _reference import polled_in_ranges
 
 
 @pytest.fixture
@@ -99,8 +103,7 @@ def test_generate_and_sweep_round_trip(tmp_path, capsys):
     assert len(lines) == 1 + 6
 
 
-def test_sweep_identical_across_worker_counts(star_files, tmp_path,
-                                              capsys):
+def test_sweep_replays_and_joins_from_ranges(star_files, tmp_path, capsys):
     # the star plus a chord is not bipartite; RW walks the default length
     edges, labels = star_files
     edges.write_text("0 1\n0 2\n0 3\n1 2\n")
@@ -114,21 +117,30 @@ def test_sweep_identical_across_worker_counts(star_files, tmp_path,
         "seed = 5\n")
     one = tmp_path / "one.csv"
     two = tmp_path / "two.csv"
+    # the benchmark's command line passes --workers 1
     assert main(["sweep", "--config", str(cfg), "--out", str(one),
                  "--workers", "1"]) == 0
-    assert main(["sweep", "--config", str(cfg), "--out", str(two),
-                 "--workers", "2"]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
     # the walk that ran, on stdout: the cap of 20 steps, 2.9e-4 from d/M
     line = "rw_walk_length: 20 (tv 2.9e-04)\n"
     assert capsys.readouterr().out == (
         f"{line}wrote 8 rows to {one}\n{line}wrote 8 rows to {two}\n")
+    # each cell's replications join from polls of sub-ranges
+    lg, _ = materialize(harness.load_experiment_config(cfg))
+    walk = walk_law(lg.graph)
+    for kind in ("IP", "UN", "RW", "FN"):
+        for budget in (1, 2):
+            assert np.array_equal(
+                replicate(lg, kind, budget, 80, 5, walk),
+                polled_in_ranges(lg, kind, budget, [0, 1, 33, 80], 5, walk))
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_sweep_rejects_workers_below_one(star_files, tmp_path, monkeypatch,
-                                         capsys, workers):
-    # the worker count is checked before the graph is built
+@pytest.mark.parametrize("workers", ["0", "2"])
+def test_sweep_accepts_only_one_worker(star_files, tmp_path, monkeypatch,
+                                       capsys, workers):
+    # the sweep runs in one process: any other count is a usage error,
+    # raised before the graph is built
     def no_materialize(cfg):
         raise AssertionError("materialized despite a bad worker count")
 
@@ -139,9 +151,8 @@ def test_sweep_rejects_workers_below_one(star_files, tmp_path, monkeypatch,
                    "budgets = [1]\nreplications = 5\n")
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
-                 "--workers", workers]) == 1
-    assert capsys.readouterr().err == \
-        "error: DataError: workers must be >= 1\n"
+                 "--workers", workers]) == 2
+    assert "argument --workers: invalid choice" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -180,9 +180,10 @@ def test_budget_must_be_positive(star_lg):
     ("IP", 0, 1, None, r"^budget must be >= 1, got 0$"),
     ("UN", 0, 1, None, r"^budget must be >= 1, got 0$"),
     ("XX", 1, 1, None, r"^unknown estimator kind 'XX'$"),
-    ("UN", 1, -1, None, r"^reps must be a count >= 0 .*got -1$"),
-    ("FN", 1, range(0, 4, 2), None, r"^reps must be .*range\(0, 4, 2\)$"),
-    ("RW", 1, range(-1, 3), None, r"^reps must be .*range\(-1, 3\)$"),
+    ("UN", 1, -1, None, r"^reps must be a count >= 0, got -1$"),
+    ("FN", 1, range(0, 4, 2), None,
+     r"^reps must be a count >= 0, got range\(0, 4, 2\)$"),
+    ("RW", 1, 2.0, None, r"^reps must be a count >= 0, got 2\.0$"),
     ("RW", 1, 2, [(0, 1), (1, 2), (2, 0)],
      r"^the walk law is not over the graph's nodes$"),
 ])

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -14,6 +15,8 @@ from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec,
 from nepoll import estimators, harness, netgen, stream
 from nepoll.estimators import ESTIMATOR_CODES
 from nepoll.harness import _empirical_moments, parse_config_text
+
+from _reference import polled_in_ranges
 
 
 def _star_files(tmp_path):
@@ -172,28 +175,34 @@ def test_sweep_requires_connected_for_walks(two_edges):
 
 
 @pytest.mark.parametrize("kind", ["IP", "UN", "RW", "FN"])
-def test_replicate_deterministic_across_workers(star_chord, kind):
+def test_replicate_is_one_poll_of_the_cell_stream(star_chord, kind):
+    # a cell's replications depend only on (master_seed, kind, budget):
+    # a repeated call gives the same values, which are one poll of the
+    # cell's own stream, and another master seed gives other values
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
-    seq = replicate(lg, kind, budget=3, replications=101,
-                    master_seed=42, workers=1)
-    par = replicate(lg, kind, budget=3, replications=101,
-                    master_seed=42, workers=2)
-    assert np.array_equal(seq, par)
+    values = replicate(lg, kind, budget=3, replications=101, master_seed=42)
+    assert np.array_equal(values, replicate(lg, kind, 3, 101, 42))
+    assert np.array_equal(values, poll_values(
+        kind, lg, 3, stream(42, ESTIMATOR_CODES[kind], 3), 101))
+    assert not np.array_equal(values, replicate(lg, kind, 3, 101, 43))
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_replicate_rejects_workers_below_one(star_chord, monkeypatch,
-                                             workers):
-    # a worker count below one is a data error for library callers too,
-    # raised before any replication is polled (it used to run serially)
-    def no_poll(*args):
-        raise AssertionError("polled despite a bad worker count")
+@pytest.mark.parametrize("replications", [-1, 2.5, range(0, 5)])
+def test_replicate_rejects_bad_replication_counts(star_chord, monkeypatch,
+                                                  replications):
+    # a count that is negative or not an integer is a data error, raised
+    # before any replication is drawn
+    class NoDraws:
+        def random(self, *args):
+            raise AssertionError("drew despite a bad replication count")
 
-    monkeypatch.setattr(harness, "_replicate_range", no_poll)
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
-    with pytest.raises(DataError, match=r"^workers must be >= 1$"):
-        replicate(lg, "IP", budget=3, replications=5, master_seed=42,
-                  workers=workers)
+    monkeypatch.setattr(harness, "stream", lambda *key: NoDraws())
+    with pytest.raises(DataError,
+                       match=rf"^reps must be a count >= 0, got "
+                             rf"{re.escape(repr(replications))}$"):
+        replicate(lg, "IP", budget=3, replications=replications,
+                  master_seed=42)
 
 
 @pytest.mark.parametrize("batch_reps", [None, 1, 3, 0.5])
@@ -203,9 +212,10 @@ def test_replicate_rejects_workers_below_one(star_chord, monkeypatch,
 def test_replicate_splits_into_ranges(star_chord, monkeypatch, kind, length,
                                       batch_reps):
     # replications [0, reps) of a cell join from polls of arbitrary
-    # sub-ranges of the cell stream, wherever the batches split (cuts on
-    # both sides of a 3-replication batch boundary), also when one
-    # replication exceeds a batch
+    # sub-ranges of the cell stream, each advanced past the replications
+    # before it, wherever the batches split (cuts on both sides of a
+    # 3-replication batch boundary), also when one replication exceeds a
+    # batch
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
     budget, reps, seed = 4, 10, 31
     walk = walk_law(lg.graph, length) if length is not None else None
@@ -215,11 +225,8 @@ def test_replicate_splits_into_ranges(star_chord, monkeypatch, kind, length,
                             int(batch_reps * rows * budget))
     cell = (seed, ESTIMATOR_CODES[kind], budget)
     values = replicate(lg, kind, budget, reps, seed, walk)
-    cuts = [0, 2, 3, 4, 5, 7, 10]
-    pieces = [poll_values(kind, lg, budget, stream(*cell), range(lo, hi),
-                          walk=walk)
-              for lo, hi in zip(cuts, cuts[1:])]
-    assert np.array_equal(values, np.concatenate(pieces))
+    assert np.array_equal(values, polled_in_ranges(
+        lg, kind, budget, [0, 2, 3, 4, 5, 7, 10], seed, walk))
     if batch_reps is not None:  # batching never changes a value
         monkeypatch.undo()
         assert np.array_equal(values, poll_values(
