@@ -14,7 +14,7 @@ from .analytics import (BudgetThreshold, ErrorBounds, FosdCheck, NetworkStats,
                         mean_degree, mean_label_friend, network_stats,
                         spectral_summary)
 from .errors import DataError, TargetUnreachableError
-from .estimators import ESTIMATOR_KINDS, poll_values
+from .estimators import ESTIMATOR_KINDS, poll_values, respondent_law
 from .graph import Graph, GraphFlags, LabeledGraph, build_graph, graph_flags
 from .harness import (ExperimentConfig, Report, SweepRow, SWEEP_CSV_HEADER,
                       default_budget_grid, load_experiment_config,
@@ -25,7 +25,6 @@ from .io import (read_edge_list, read_labeled_graph, read_labels,
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
                      erdos_renyi, rewire_to_assortativity)
-from .sampling import (LawSampler, sample_friends_of_random_nodes,
-                       sample_random_nodes, stream, walk_law)
+from .sampling import LawSampler, stream, walk_law
 
 __version__ = "0.1.0"

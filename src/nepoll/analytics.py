@@ -1,8 +1,9 @@
 """Exact error analysis and network statistics.
 
 Everything here is closed-form.  ``exact_error(lg, kind)`` gives the bias
-and single-sample variance of each of the four polling estimators, and
-``error_bounds`` the paper's spectral and minimum-degree bounds on them.
+and single-sample variance of each of the four polling estimators, the
+moments of its respondents' node law, and ``error_bounds`` the paper's
+spectral and minimum-degree bounds on them.
 Alongside: the budget threshold under which the walk poll beats intent
 polling, degree correlations, the spectrum of the normalized adjacency
 matrix, the friendship-paradox and stochastic-dominance checks, and a
@@ -23,9 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .estimators import ESTIMATOR_KINDS
+from .estimators import ESTIMATOR_KINDS, respondent_law
 from .graph import Graph, LabeledGraph, graph_flags
-from .sampling import walk_law
+from .sampling import WalkLaw, neighbor_weights
 
 _FLOAT_SLACK = 1e-12  # guards exact inequalities against rounding
 
@@ -56,12 +57,6 @@ def label_degree_covariance(lg: LabeledGraph) -> float:
     sd = g.edge_end_count
     sf = int(lg.labels.sum())
     return (n * sdf - sd * sf) / (n * n)
-
-
-def neighbor_weights(g: Graph) -> np.ndarray:
-    """Per-node weight sum(1/d(u)) over neighbors u; divided by n this is
-    the probability that a uniform node's uniform neighbor lands on v."""
-    return g.adjacency_matvec(1.0 / g.degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -223,48 +218,25 @@ def _has_twins(g: Graph) -> bool:
 # closed-form estimator errors
 
 def exact_error(lg: LabeledGraph, kind: str, *,
-                walk_length: int | None = None) -> tuple[float, float]:
+                walk: WalkLaw | None = None) -> tuple[float, float]:
     """Exact ``(bias, var1)`` of one ``kind`` sample: its mean minus the
     true fraction f_bar, and its variance.  A poll of budget b averages b
     independent samples, so its variance is ``var1 / b`` and its MSE
     ``bias * bias + var1 / b``.
 
-    IP samples a uniform node's label, so it is unbiased with var1 =
-    f_bar (1 - f_bar).  The others sample a poll response: of a uniform
-    node (UN), of the endpoint of a walk from a uniform node (RW), or of a
-    uniform neighbor of a uniform node (FN, weights ``neighbor_weights /
-    n``).  RW takes the degree-weighted law d/M that a long walk reaches
-    (bias cov(label, degree)/E{d} = E{f(friend)} - f_bar), or with
-    ``walk_length`` L the exact law of the L-step walk (:func:`walk_law`);
-    the other kinds ignore ``walk_length``.
+    The sample is a label (IP) or a poll response (the other kinds) of a
+    node drawn from ``respondent_law(lg.graph, kind, walk)``: the moments
+    are that table's under those weights, divided by their sum.  So IP is
+    unbiased with var1 = f_bar (1 - f_bar), and RW without ``walk`` takes
+    the degree-weighted law d/M that a long walk reaches (bias
+    cov(label, degree)/E{d} = E{f(friend)} - f_bar).
     """
-    if kind not in ESTIMATOR_KINDS:
-        raise DataError(f"unknown estimator kind {kind!r}")
-    f_bar = lg.true_fraction
-    if kind == "IP":
-        return 0.0, f_bar - f_bar * f_bar
-    g, q = lg.graph, lg.responses
-    if kind == "RW" and walk_length is not None:
-        return law_error(lg, walk_law(g, walk_length).law)
-    if kind == "UN":
-        mean = float(q.mean())
-        second = float(np.dot(q, q)) / g.node_count
-    elif kind == "RW":
-        mean = mean_label_friend(lg)
-        second = float(np.dot(g.degrees / g.edge_end_count, q * q))
-    else:
-        w = neighbor_weights(g)
-        mean = float(np.dot(w, q)) / g.node_count
-        second = float(np.dot(w, q * q)) / g.node_count
-    return mean - f_bar, second - mean * mean
-
-
-def law_error(lg: LabeledGraph, law: np.ndarray) -> tuple[float, float]:
-    """Exact ``(bias, var1)`` of the poll response of one node drawn from
-    the node law ``law``, such as the walk law of :func:`walk_law`."""
-    q = lg.responses
-    mean = float(np.dot(law, q))
-    return mean - lg.true_fraction, float(np.dot(law, q * q)) - mean * mean
+    w = respondent_law(lg.graph, kind, walk)
+    table = lg.labels if kind == "IP" else lg.responses
+    total = float(w.sum())
+    mean = float(np.dot(w, table)) / total
+    second = float(np.dot(w, table * table)) / total
+    return mean - lg.true_fraction, second - mean * mean
 
 
 class ErrorBounds(NamedTuple):

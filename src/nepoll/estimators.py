@@ -2,7 +2,8 @@
 
 Every estimator queries ``budget`` individuals with replacement and returns
 the mean of their responses, so each estimate is an average of values in
-[0, 1]:
+[0, 1].  An estimator is its respondents' node law
+(:func:`respondent_law`) and the table they answer from:
 
 * ``IP`` intent polling -- uniform nodes report their own label,
 * ``UN`` naive neighborhood polling -- uniform nodes report the labeled
@@ -10,8 +11,8 @@ the mean of their responses, so each estimate is an average of values in
 * ``RW`` random-walk polling -- respondents are drawn from the exact law of
   the endpoint of a walk from a uniform node, so for long walks they are
   distributed like random friends (degree-proportionally),
-* ``FN`` friend polling -- uniform nodes forward the question to one
-  uniform neighbor.
+* ``FN`` friend polling -- respondents are drawn from the exact law of a
+  uniform neighbor of a uniform node.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .graph import LabeledGraph, graph_flags
-from .sampling import (LawSampler, WalkLaw, sample_friends_of_random_nodes,
-                       sample_random_nodes, walk_law)
+from .graph import Graph, LabeledGraph, graph_flags
+from .sampling import LawSampler, WalkLaw, neighbor_weights
 
 ESTIMATOR_KINDS = ("IP", "UN", "RW", "FN")
 
@@ -34,24 +34,41 @@ ESTIMATOR_CODES = {kind: i for i, kind in enumerate(ESTIMATOR_KINDS)}
 _BATCH_DRAWS = 1 << 18
 
 
+def respondent_law(g: Graph, kind: str,
+                   walk: WalkLaw | None = None) -> np.ndarray:
+    """Nonnegative weights, defined up to scale, of the node law a ``kind``
+    respondent is drawn from: ones for ``IP`` and ``UN``, the
+    :func:`neighbor_weights` for ``FN``, and for ``RW`` the endpoint law
+    ``walk.law`` of :func:`walk_law`, or the degrees (d/M) without a walk;
+    the other kinds ignore ``walk``."""
+    if kind not in ESTIMATOR_CODES:
+        raise DataError(f"unknown estimator kind {kind!r}")
+    if kind == "FN":
+        return neighbor_weights(g)
+    if kind != "RW":
+        return np.ones(g.node_count)
+    if walk is None:
+        return g.degrees
+    if len(walk.law) != g.node_count:
+        raise DataError("the walk law is not over the graph's nodes")
+    return walk.law
+
+
 def poll_values(kind: str, lg: LabeledGraph, budget: int,
                 gen: np.random.Generator, reps, *,
-                walk: WalkLaw | None = None) -> np.ndarray:
+                respondents: LawSampler | None = None) -> np.ndarray:
     """``reps`` replications of a ``kind`` estimate of ``budget``
     respondents from the stream ``gen``, such as ``stream(seed)``.
 
-    Replication r reads doubles ``[r*k, (r+1)*k)`` of ``gen`` alone, counted
-    from its state at the call, as ``rows`` rows of ``budget`` uniforms:
-    row 0 picks the respondents ``floor(u * n)``, or for ``RW`` the node at
-    u of the inverse CDF of the walk's endpoint law; row 1 of ``FN`` picks
-    their neighbors ``floor(u * d)``.  Batches of at most ``_BATCH_DRAWS``
-    doubles, or one replication, are drawn at once.  So replications lo..hi
-    of a stream are the ``hi - lo`` polled after advancing it ``lo * k``
-    doubles.
-
-    ``RW`` draws from the endpoint law ``walk`` of :func:`walk_law`
-    (default: the certified length, computed once per call) and needs a
-    connected graph, checked once per call.
+    Replication r reads doubles ``[r*b, (r+1)*b)`` of ``gen`` alone, for
+    b = ``budget``, counted from its state at the call: each picks one
+    respondent through ``respondents``, by default
+    ``LawSampler(respondent_law(lg.graph, kind))``, so ``RW`` draws from
+    d/M unless given a walk's law.  Batches of at most ``_BATCH_DRAWS``
+    doubles, or one replication, are drawn at once.  So replications
+    lo..hi of a stream are the ``hi - lo`` polled after advancing it
+    ``lo * b`` doubles.  ``RW`` needs a connected graph, checked once per
+    call.
     """
     if kind not in ESTIMATOR_CODES:
         raise DataError(f"unknown estimator kind {kind!r}")
@@ -60,27 +77,17 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
     if not isinstance(reps, (int, np.integer)) or reps < 0:
         raise DataError(f"reps must be a count >= 0, got {reps!r}")
     g = lg.graph
-    if kind == "RW":
-        if not graph_flags(g).connected:
-            raise DataError("random-walk polling requires a connected graph")
-        if walk is None:
-            walk = walk_law(g)
-        elif len(walk.law) != g.node_count:
-            raise DataError("the walk law is not over the graph's nodes")
-        respondents = LawSampler(walk.law)
-    rows = 2 if kind == "FN" else 1
-    k = rows * budget
-    per_batch = max(1, _BATCH_DRAWS // k)
+    if kind == "RW" and not graph_flags(g).connected:
+        raise DataError("random-walk polling requires a connected graph")
+    if respondents is None:
+        respondents = LawSampler(respondent_law(g, kind))
+    elif len(respondents.cdf) != g.node_count:
+        raise DataError("the respondent law is not over the graph's nodes")
+    per_batch = max(1, _BATCH_DRAWS // budget)
     table = lg.labels if kind == "IP" else lg.responses
     values = np.empty(reps)
     for lo in range(0, reps, per_batch):
         m = min(per_batch, reps - lo)
-        u = gen.random((m, rows, budget))
-        if kind == "FN":
-            picks = sample_friends_of_random_nodes(g, u[:, 0], u[:, 1])
-        elif kind == "RW":
-            picks = respondents(u[:, 0])
-        else:
-            picks = sample_random_nodes(g, u[:, 0])
+        picks = respondents(gen.random((m, budget)))
         values[lo:lo + m] = table[picks].mean(axis=1)
     return values

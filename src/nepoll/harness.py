@@ -22,14 +22,15 @@ from . import io as nio
 from .analytics import (BudgetThreshold, ParadoxCheck, SpectralSummary,
                         brute_force_estimator_law, budget_threshold,
                         exact_error, fosd_check, friendship_paradox_check,
-                        law_error, network_stats, spectral_summary)
+                        network_stats, spectral_summary)
 from .errors import DataError
-from .estimators import ESTIMATOR_CODES, ESTIMATOR_KINDS, poll_values
+from .estimators import (ESTIMATOR_CODES, ESTIMATOR_KINDS, poll_values,
+                         respondent_law)
 from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
                      erdos_renyi, rewire_to_assortativity)
-from .sampling import WalkLaw, stream, walk_law
+from .sampling import LawSampler, stream, walk_law
 
 # Stream keys reserved for graph preparation (each sweep cell uses the
 # two-component key (code, budget), so these can never collide).
@@ -136,12 +137,14 @@ def materialize(cfg: ExperimentConfig) -> tuple[LabeledGraph, dict]:
 # replication engine
 
 def replicate(lg: LabeledGraph, kind: str, budget: int, replications: int,
-              master_seed: int, walk: WalkLaw | None = None) -> np.ndarray:
+              master_seed: int,
+              respondents: LawSampler | None = None) -> np.ndarray:
     """Estimate values for ``replications`` independent runs of the cell
     (``kind``, ``budget``), in replication order, polled from the cell's
-    stream with ``RW`` drawing from ``walk`` (see :func:`poll_values`)."""
+    stream through ``respondents`` (see :func:`poll_values`)."""
     cell = stream(master_seed, ESTIMATOR_CODES[kind], budget)
-    return poll_values(kind, lg, budget, cell, replications, walk=walk)
+    return poll_values(kind, lg, budget, cell, replications,
+                       respondents=respondents)
 
 
 def _empirical_moments(values: np.ndarray,
@@ -163,9 +166,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig) -> list[SweepRow]:
     """Run the sweep on an already-materialized labeled graph.
 
-    ``RW`` draws from the law of a ``cfg.walk_length``-step walk, or of the
-    certified length of :func:`walk_law`, computed once per sweep; its exact
-    columns are the moments of that law."""
+    Each estimator's respondents are drawn from its node law, whose
+    sampler is built once per sweep, and its exact columns are the moments
+    of that law.  ``RW`` takes the law of a ``cfg.walk_length``-step walk,
+    or of the certified length of :func:`walk_law`."""
     flags = graph_flags(lg.graph)
     if "RW" in cfg.estimators and not flags.connected:
         raise DataError(
@@ -177,16 +181,15 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig) -> list[SweepRow]:
     truth = lg.true_fraction
     rows: list[SweepRow] = []
     for kind in cfg.estimators:
+        walk = length = tv = None
         if kind == "RW":
             walk = walk_law(lg.graph, cfg.walk_length)
-            bias, var1 = law_error(lg, walk.law)
             length, tv = walk.length, walk.tv
-        else:
-            bias, var1 = exact_error(lg, kind)
-            walk = length = tv = None
+        bias, var1 = exact_error(lg, kind, walk=walk)
+        respondents = LawSampler(respondent_law(lg.graph, kind, walk))
         for budget in map(int, budgets):
             values = replicate(lg, kind, budget, cfg.replications,
-                               cfg.master_seed, walk)
+                               cfg.master_seed, respondents)
             rows.append(SweepRow(
                 kind, budget, *_empirical_moments(values, truth), bias,
                 var1 / budget, bias * bias + var1 / budget, length, tv))
@@ -296,7 +299,8 @@ class Report:
                     f"true_fraction={lg.true_fraction:.4f}, "
                     f"defaulted={self.defaulted_labels}"))
         if g.node_count <= 200:
-            for kind, law in (("UN", ""), ("RW", "-stationary"), ("FN", "")):
+            for kind, law in (("IP", ""), ("UN", ""), ("RW", "-stationary"),
+                              ("FN", "")):
                 bias, var1 = exact_error(lg, kind)
                 mean, var = brute_force_estimator_law(lg, kind)
                 ok = (abs(bias - (mean - lg.true_fraction)) <= 1e-10

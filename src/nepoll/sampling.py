@@ -1,19 +1,20 @@
-"""Sampling primitives: uniform nodes, their neighbors, walk endpoints.
+"""Sampling primitives: node laws, walk endpoint laws, and one sampler.
 
-Three node laws drive everything downstream:
+Every poll draws its respondents from one node law:
 
 * a uniform node (probability 1/n each),
 * a random friend (node v with probability d(v)/M, M the number of edge
   endpoints), the stationary law of the random walk,
-* a random friend of a random node: a uniform neighbor of a uniform node.
+* a random friend of a random node: a uniform neighbor of a uniform node,
+  node v with probability ``neighbor_weights(g)[v] / n``.
 
 A walk of finite length L from a uniform node ends in a fourth law, which
 :func:`walk_law` computes exactly; on a connected, non-bipartite graph it
 approaches the random-friend law as L grows.
 
-The samplers map a uniform u in [0, 1) to node ``floor(u * n)``, to
-neighbor ``floor(u * d(v))`` of ``v``, or through a law's inverse CDF.
-The uniforms come from :func:`stream` generators, so runs replay anywhere.
+:class:`LawSampler` maps a uniform u in [0, 1) through a law's inverse
+CDF; with unit weights that is node ``floor(u * n)``.  The uniforms come
+from :func:`stream` generators, so runs replay anywhere.
 """
 
 from __future__ import annotations
@@ -75,17 +76,10 @@ def walk_law(g: Graph, length: int | None = None) -> WalkLaw:
     return WalkLaw(steps, pi, distance(pi))
 
 
-def sample_random_nodes(g: Graph, u: np.ndarray) -> np.ndarray:
-    """Uniform nodes ``floor(u * n)``, shaped like the uniforms ``u``."""
-    return (u * g.node_count).astype(np.int64)
-
-
-def sample_friends_of_random_nodes(g: Graph, u_node: np.ndarray,
-                                   u_friend: np.ndarray) -> np.ndarray:
-    """Uniform nodes (``u_node``), then a neighbor of each (``u_friend``)."""
-    v = sample_random_nodes(g, u_node)
-    return g.neighbors[g.indptr[v]
-                       + (u_friend * g.degrees[v]).astype(np.int64)]
+def neighbor_weights(g: Graph) -> np.ndarray:
+    """Per-node weight sum(1/d(u)) over neighbors u; divided by n this is
+    the probability that a uniform node's uniform neighbor lands on v."""
+    return g.adjacency_matvec(1.0 / g.degrees)
 
 
 # Forward steps of a guided draw before a bisection ends its search, so a
@@ -94,7 +88,9 @@ _SCAN_STEPS = 4
 
 
 class LawSampler:
-    """Inverse-CDF draws from a node law ``law`` (nonnegative, not all 0).
+    """Inverse-CDF draws from a node law ``law``: a 1-D array of finite,
+    nonnegative weights with a positive sum, defined up to scale (anything
+    else raises ``DataError``).
 
     A uniform u in [0, 1) maps to the first node whose cumulative mass
     exceeds ``u * total``, i.e. ``searchsorted(cdf, u * total, "right")``,
@@ -102,10 +98,17 @@ class LawSampler:
     up to it), so a node of zero mass is never drawn.  A guide table (Chen
     & Asau 1974) of n equal buckets starts each search at the first node
     past its bucket's lower edge: a draw takes one step in expectation.
+    With unit weights the cdf is the integers 1..n, so u maps to exactly
+    ``floor(u * n)``.
     """
 
     def __init__(self, law: np.ndarray):
-        self.cdf = cdf = np.cumsum(law, dtype=np.float64)
+        law = np.asarray(law, dtype=np.float64)
+        if law.ndim != 1 or not ((law >= 0) & (law < np.inf)).all() \
+                or not law.any():
+            raise DataError("a node law must be a 1-D array of finite, "
+                            "nonnegative weights with a positive sum")
+        self.cdf = cdf = np.cumsum(law)
         self.total = cdf[-1]
         cdf[np.searchsorted(cdf, self.total):] = np.inf   # the clamp
         self.lower = np.arange(len(cdf)) * (self.total / len(cdf))

@@ -1,8 +1,11 @@
 """Reference implementations the package is tested against.
 
-``sample_random_friends`` draws the random-friend law directly, without
-walking: the reference the walk's stationary law is tested against (the
-package reaches it only through walk laws).  ``walk_law`` is the exact
+``random_nodes`` draws uniform nodes ``floor(u * n)``, and
+``friends_of_random_nodes`` a uniform neighbor of each: the two-stage
+friend-of-a-random-node draw that the package's ``FN`` law, drawn by
+inverse CDF, is tested against.  ``sample_random_friends`` draws the
+random-friend law directly, without walking: the reference the walk's
+stationary law is tested against.  ``walk_law`` is the exact
 endpoint law of a finite walk in rational arithmetic, one neighbor at a
 time: the reference for ``nepoll.sampling.walk_law``.
 ``random_walk_endpoints`` walks, one uniform neighbor per step: the
@@ -33,6 +36,20 @@ from nepoll import netgen, poll_values, stream
 from nepoll.errors import DataError, TargetUnreachableError
 from nepoll.estimators import ESTIMATOR_CODES
 from nepoll.graph import LabeledGraph, build_graph
+
+
+def random_nodes(g, u):
+    """Uniform nodes ``floor(u * n)``, shaped like the uniforms ``u``."""
+    return (u * g.node_count).astype(np.int64)
+
+
+def friends_of_random_nodes(g, u_node, u_friend):
+    """Uniform nodes (``u_node``), then a uniform neighbor of each
+    (``u_friend``): node ``v`` with probability sum(1/d(u)) / n over its
+    neighbors u."""
+    v = random_nodes(g, u_node)
+    return g.neighbors[g.indptr[v]
+                       + (u_friend * g.degrees[v]).astype(np.int64)]
 
 
 def sample_random_friends(g, gen, size):
@@ -80,17 +97,18 @@ def random_walk_endpoints(g, starts, length, uniforms):
     return cur
 
 
-def polled_in_ranges(lg, kind, budget, cuts, master_seed, walk=None):
+def polled_in_ranges(lg, kind, budget, cuts, master_seed, respondents=None):
     """Replications ``cuts[0]..cuts[-1]`` of the sweep cell (``kind``,
     ``budget``) under ``master_seed``, one poll per range
-    ``cuts[i]..cuts[i+1]``: replication r reads doubles [r*k, (r+1)*k) of
-    the cell stream, so each range starts ``lo * k`` doubles in."""
-    k = (2 if kind == "FN" else 1) * budget
+    ``cuts[i]..cuts[i+1]``: replication r reads doubles [r*b, (r+1)*b) of
+    the cell stream for b = ``budget``, so each range starts ``lo * b``
+    doubles in."""
     pieces = []
     for lo, hi in zip(cuts, cuts[1:]):
         gen = stream(master_seed, ESTIMATOR_CODES[kind], budget)
-        gen.bit_generator.advance(lo * k)
-        pieces.append(poll_values(kind, lg, budget, gen, hi - lo, walk=walk))
+        gen.bit_generator.advance(lo * budget)
+        pieces.append(poll_values(kind, lg, budget, gen, hi - lo,
+                                  respondents=respondents))
     return np.concatenate(pieces)
 
 

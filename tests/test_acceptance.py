@@ -14,22 +14,22 @@ import numpy as np
 import pytest
 
 from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget, LabeledGraph,
-                    RewireTarget, assign_labels, brute_force_estimator_law,
-                    budget_threshold, build_graph, configuration_model,
-                    erdos_renyi, error_bounds, exact_error, fosd_check,
-                    friendship_paradox_check, graph_flags,
-                    label_degree_covariance, load_experiment_config,
-                    materialize, mean_degree, mean_label_friend,
-                    network_stats, poll_values, replicate,
-                    rewire_to_assortativity, run_report, sample_random_nodes,
+                    LawSampler, RewireTarget, assign_labels,
+                    brute_force_estimator_law, budget_threshold, build_graph,
+                    configuration_model, erdos_renyi, error_bounds,
+                    exact_error, fosd_check, friendship_paradox_check,
+                    graph_flags, label_degree_covariance,
+                    load_experiment_config, materialize, mean_degree,
+                    mean_label_friend, network_stats, poll_values, replicate,
+                    respondent_law, rewire_to_assortativity, run_report,
                     spectral_summary, stream, walk_law, write_edge_list,
                     write_labels)
 from nepoll.cli import main as cli_main
 from nepoll.harness import _empirical_moments
 from nepoll.sampling import WALK_TV_TOLERANCE
 
-from _reference import (polled_in_ranges, random_walk_endpoints,
-                        sample_random_friends)
+from _reference import (polled_in_ranges, random_nodes,
+                        random_walk_endpoints, sample_random_friends)
 
 SLACK = 1e-12  # guards exact real-arithmetic inequalities against rounding
 
@@ -322,7 +322,7 @@ def test_criterion_9_walk_convergence(generated_graphs):
     walks = 1_000_000
     length, _, exact_tv = walk_law(g)
     gen = stream(90)
-    starts = sample_random_nodes(g, gen.random(walks))
+    starts = random_nodes(g, gen.random(walks))
     ends = random_walk_endpoints(g, starts, length, gen)
     freq = np.bincount(ends, minlength=g.node_count) / walks
     stationary = g.degrees / g.edge_end_count
@@ -360,11 +360,12 @@ def test_criterion_10_sweep_determinism(tmp_path):
     joined = []
     for line in one.read_text().splitlines()[1:]:
         kind, budget, *emp = line.split(",")[:5]
+        respondents = LawSampler(respondent_law(lg.graph, kind, walk))
         values = polled_in_ranges(lg, kind, int(budget), [0, 7, 64, 120],
-                                  2024, walk)
+                                  2024, respondents)
         joined.append(
             np.array_equal(values, replicate(lg, kind, int(budget), 120,
-                                             2024, walk))
+                                             2024, respondents))
             and emp == [repr(float(x)) for x in
                         _empirical_moments(values, lg.true_fraction)])
     _verdict(10, identical and len(joined) == 8 and all(joined),

@@ -371,6 +371,13 @@ def test_unknown_kind_is_data_error(star_lg, law):
         law(star_lg, "XX")
 
 
+def test_walk_law_of_another_graph_is_data_error(star_lg):
+    walk = walk_law(build_graph([(0, 1), (1, 2), (2, 0)]), 1)
+    with pytest.raises(DataError,
+                       match="^the walk law is not over the graph's nodes$"):
+        exact_error(star_lg, "RW", walk=walk)
+
+
 @settings(max_examples=60, deadline=None)
 @given(lg=labeled_graphs())
 def test_closed_forms_match_enumeration(lg):
@@ -392,14 +399,13 @@ def test_finite_walk_closed_form_matches_exact_fractions(lg, length):
                          int(g.degrees[v])) for v in range(g.node_count)]
     mean = sum(p * r for p, r in zip(law, response))
     var = sum(p * r * r for p, r in zip(law, response)) - mean * mean
-    bias, var1 = exact_error(lg, "RW", walk_length=length)
+    walk = walk_law(g, length)
+    bias, var1 = exact_error(lg, "RW", walk=walk)
     assert abs(bias - float(mean - Fraction(sum(labels), len(labels)))) \
         <= 1e-12
     assert abs(var1 - float(var)) <= 1e-12
-    assert (bias, var1) == analytics.law_error(lg, walk_law(g, length).law)
-    for kind in ("IP", "UN", "FN"):  # no walk, so no walk length
-        assert exact_error(lg, kind, walk_length=length) \
-            == exact_error(lg, kind)
+    for kind in ("IP", "UN", "FN"):  # no walk, so the walk is ignored
+        assert exact_error(lg, kind, walk=walk) == exact_error(lg, kind)
 
 
 @settings(max_examples=60, deadline=None)

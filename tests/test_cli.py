@@ -8,8 +8,8 @@ import pytest
 
 import nepoll
 from nepoll import (ConfigModelSpec, ExperimentConfig, LabelTarget,
-                    RewireTarget, materialize, replicate, walk_law,
-                    write_edge_list, write_labels)
+                    LawSampler, RewireTarget, materialize, replicate,
+                    respondent_law, walk_law, write_edge_list, write_labels)
 from nepoll import harness
 from nepoll.cli import main
 
@@ -55,6 +55,7 @@ def test_check_command(star_files, capsys):
                  "--labels", str(labels)]) == 0
     out = capsys.readouterr().out
     assert "ok friendship_paradox" in out
+    assert "ok closed_form_matches_enumeration_IP" in out
     assert "ok closed_form_matches_enumeration_UN" in out
     assert "ok top_singular_value_is_one" in out
     assert "ok lambda2_below_one_iff_connected_nonbipartite" in out
@@ -130,10 +131,12 @@ def test_sweep_replays_and_joins_from_ranges(star_files, tmp_path, capsys):
     lg, _ = materialize(harness.load_experiment_config(cfg))
     walk = walk_law(lg.graph)
     for kind in ("IP", "UN", "RW", "FN"):
+        respondents = LawSampler(respondent_law(lg.graph, kind, walk))
         for budget in (1, 2):
             assert np.array_equal(
-                replicate(lg, kind, budget, 80, 5, walk),
-                polled_in_ranges(lg, kind, budget, [0, 1, 33, 80], 5, walk))
+                replicate(lg, kind, budget, 80, 5, respondents),
+                polled_in_ranges(lg, kind, budget, [0, 1, 33, 80], 5,
+                                 respondents))
 
 
 @pytest.mark.parametrize("workers", ["0", "2"])

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from nepoll import (ConfigModelSpec, DataError, LabelTarget, LabeledGraph,
-                    RewireTarget, assign_labels, brute_force_estimator_law,
-                    build_graph, configuration_model, poll_values,
+                    LawSampler, RewireTarget, assign_labels,
+                    brute_force_estimator_law, build_graph,
+                    configuration_model, poll_values, respondent_law,
                     rewire_to_assortativity, stream, walk_law)
 
 from _reference import sample_random_friends
@@ -64,7 +65,9 @@ def test_walk_estimator_on_regular_graph(k3_lg):
     mean, var = brute_force_estimator_law(k3_lg, "RW")
     assert mean == pytest.approx(1 / 3)
     assert var == pytest.approx(1 / 18)
-    est = _poll("RW", k3_lg, BIG_BUDGET, 15, walk=walk_law(k3_lg.graph, 3))
+    walk = walk_law(k3_lg.graph, 3)
+    est = _poll("RW", k3_lg, BIG_BUDGET, 15,
+                respondents=LawSampler(walk.law))
     assert abs(est - mean) <= _band(var)
 
 
@@ -75,15 +78,17 @@ def test_walk_estimator_requires_connected(two_edges):
         _poll("RW", lg, 2, 0)
 
 
-def test_walk_poll_defaults_to_the_certified_length():
+def test_walk_poll_defaults_to_the_friend_law():
+    # without a walk, RW draws from d/M, the law exact_error(lg, "RW")
+    # describes; the sweep passes the law of the walk it certified
     g, _ = configuration_model(ConfigModelSpec(300, 2.4, k_min=3, k_max=30,
                                                seed=4))
     lg = assign_labels(g, LabelTarget(0.3), stream(2))
-    length = walk_law(g).length
-    assert length < 10 * math.ceil(math.log2(g.node_count))
-    assert np.array_equal(
-        poll_values("RW", lg, 7, stream(3), 20),
-        poll_values("RW", lg, 7, stream(3), 20, walk=walk_law(g, length)))
+    cdf = np.cumsum(g.degrees)   # exact integers, total M
+    u = stream(3).random((20, 7))
+    nodes = np.searchsorted(cdf, u * g.edge_end_count, side="right")
+    assert np.array_equal(poll_values("RW", lg, 7, stream(3), 20),
+                          lg.responses[nodes].mean(axis=1))
 
 
 def test_fn_equals_un_in_law_on_regular_graphs(k3_lg):
@@ -148,27 +153,28 @@ def test_iid_label_variance_ordering_on_assortative_graph():
 
 
 def test_replication_reads_its_block_of_the_stream(star_chord):
-    # replication r reads doubles [r*k, (r+1)*k) of the stream as rows of
-    # budget uniforms: row 0 picks nodes floor(u n), or for RW the node at u
-    # of the inverse CDF of the walk law; FN's row 1 moves each to neighbor
-    # floor(u d)
+    # replication r reads doubles [r*b, (r+1)*b) of the stream, one per
+    # respondent: the node at u of the inverse CDF of its kind's law,
+    # which for IP and UN is floor(u n)
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
     g, budget, reps = lg.graph, 3, 5
     walk = walk_law(g, 4)
-    cdf = np.cumsum(walk.law)
-    for kind, rows in (("IP", 1), ("UN", 1), ("FN", 2), ("RW", 1)):
-        u = stream(17).random((reps, rows, budget))
-        if kind == "RW":
-            nodes = np.searchsorted(cdf, u[:, 0] * cdf[-1], side="right")
-        else:
-            nodes = np.floor(u[:, 0] * g.node_count).astype(np.int64)
-        if kind == "FN":
-            pick = np.floor(u[:, 1] * g.degrees[nodes]).astype(np.int64)
-            nodes = g.neighbors[g.indptr[nodes] + pick]
+    u = stream(17).random((reps, budget))
+    for kind in ("IP", "UN", "FN", "RW"):
+        law = respondent_law(g, kind, walk)
+        cdf = np.cumsum(law)
+        nodes = np.searchsorted(cdf, u * cdf[-1], side="right")
+        if kind in ("IP", "UN"):
+            assert np.array_equal(nodes, np.floor(u * g.node_count))
         table = lg.labels if kind == "IP" else lg.responses
         assert np.array_equal(
-            poll_values(kind, lg, budget, stream(17), reps, walk=walk),
+            poll_values(kind, lg, budget, stream(17), reps,
+                        respondents=LawSampler(law)),
             table[nodes].mean(axis=1))
+        if kind != "RW":   # the default sampler draws the same law
+            assert np.array_equal(
+                poll_values(kind, lg, budget, stream(17), reps),
+                table[nodes].mean(axis=1))
 
 
 def test_budget_must_be_positive(star_lg):
@@ -185,12 +191,14 @@ def test_budget_must_be_positive(star_lg):
      r"^reps must be a count >= 0, got range\(0, 4, 2\)$"),
     ("RW", 1, 2.0, None, r"^reps must be a count >= 0, got 2\.0$"),
     ("RW", 1, 2, [(0, 1), (1, 2), (2, 0)],
-     r"^the walk law is not over the graph's nodes$"),
+     r"^the respondent law is not over the graph's nodes$"),
 ])
 def test_bad_poll_arguments_are_data_errors(star_chord, kind, budget, reps,
                                             walk, match):
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
+    respondents = None
     if walk is not None:   # the law of a walk on another graph
-        walk = walk_law(build_graph(walk), 1)
+        respondents = LawSampler(walk_law(build_graph(walk), 1).law)
     with pytest.raises(DataError, match=match):
-        poll_values(kind, lg, budget, stream(0), reps, walk=walk)
+        poll_values(kind, lg, budget, stream(0), reps,
+                    respondents=respondents)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec,
-                    ExperimentConfig, LabelTarget, LabeledGraph, RewireTarget,
-                    SWEEP_CSV_HEADER, brute_force_estimator_law, build_graph,
-                    default_budget_grid, exact_error, load_experiment_config,
-                    materialize, poll_values, replicate, run_report,
-                    run_sweep, sweep_labeled, walk_law, write_sweep_csv)
+                    ExperimentConfig, LabelTarget, LabeledGraph, LawSampler,
+                    RewireTarget, SWEEP_CSV_HEADER, brute_force_estimator_law,
+                    build_graph, default_budget_grid, exact_error,
+                    load_experiment_config, materialize, poll_values,
+                    replicate, respondent_law, run_report, run_sweep,
+                    sweep_labeled, walk_law, write_sweep_csv)
 from nepoll import estimators, harness, netgen, stream
 from nepoll.estimators import ESTIMATOR_CODES
 from nepoll.harness import _empirical_moments, parse_config_text
@@ -60,8 +61,9 @@ def test_replications_converge_to_closed_form(star_lg, star_chord, kind,
     reps = 100_000
     lg = LabeledGraph(star_chord, [1, 0, 0, 1]) if chord else star_lg
     mean, var = brute_force_estimator_law(lg, kind)
+    law = respondent_law(lg.graph, kind, walk_law(lg.graph, 60))
     values = replicate(lg, kind, budget=1, replications=reps,
-                       master_seed=88, walk=walk_law(lg.graph, 60))
+                       master_seed=88, respondents=LawSampler(law))
     assert abs(values.mean() - mean) <= 4 * math.sqrt(var / reps)
     fourth = np.mean((values - mean) ** 4)
     se_var = math.sqrt(max(fourth - var ** 2, 0.0) / reps)
@@ -102,23 +104,25 @@ def test_sweep_rw_exact_on_bipartite(star_lg):
     rw, un = sweep_labeled(star_lg, cfg)
     assert (rw.walk_length, un.walk_length) == (20, None)
     assert rw.walk_tv == walk_law(star_lg.graph, 20).tv > 0.2
-    bias, var1 = exact_error(star_lg, "RW", walk_length=20)
+    bias, var1 = exact_error(star_lg, "RW", walk=walk_law(star_lg.graph, 20))
     assert (rw.exact_bias, rw.exact_var) == (bias, var1 / 2)
     assert bias != exact_error(star_lg, "RW")[0]   # not the friend law
 
 
-# exact_bias, exact_var and exact_mse of a sweep as its CSV writes them.
-# IP, UN and FN were recorded from the four per-estimator report builders
-# that exact_error replaced; RW from the law of the walk that ran.  Both
-# walks stop at the cap (60 and 30 steps): the first graph mixes slowly
-# (lambda2 0.90), and the second, an 8-cycle with a chord, is bipartite.
+# exact_bias, exact_var and exact_mse of a sweep as its CSV writes them:
+# each kind's moments under its node law, divided by the weights' sum (RW:
+# the law of the walk that ran).  The per-kind formulas this closed form
+# replaced agreed to within 6e-17 (the last bits of UN, FN and the second
+# RW).  Both walks stop at the cap (60 and 30 steps): the first graph mixes
+# slowly (lambda2 0.90), and the second, an 8-cycle with a chord, is
+# bipartite.
 _EXACT_COLUMNS = (
     "IP,1,0.0,0.244375,0.244375",
     "IP,3,0.0,0.08145833333333334,0.08145833333333334",
     "IP,7,0.0,0.03491071428571429,0.03491071428571429",
-    "UN,1,-0.03782738095238097,0.09471346991921772,0.09614438066893428",
-    "UN,3,-0.03782738095238097,0.031571156639739244,0.0330020673894558",
-    "UN,7,-0.03782738095238097,0.01353049570274539,0.014961406452461945",
+    "UN,1,-0.03782738095238092,0.09471346991921767,0.09614438066893422",
+    "UN,3,-0.03782738095238092,0.03157115663973922,0.033002067389455776",
+    "UN,7,-0.03782738095238092,0.013530495702745381,0.014961406452461933",
     "RW,1,-0.03157704899842945,0.07621943120331698,0.07721654122676619",
     "RW,3,-0.03157704899842945,0.025406477067772326,0.02640358709122154",
     "RW,7,-0.03157704899842945,0.010888490171902425,0.011885600195351639",
@@ -131,12 +135,12 @@ _EXACT_COLUMNS = (
     "UN,1,0.020833333333333315,0.05512152777777779,0.055555555555555566",
     "UN,3,0.020833333333333315,0.018373842592592598,0.018807870370370374",
     "UN,7,0.020833333333333315,0.00787450396825397,0.008308531746031746",
-    "RW,1,0.013889205848771236,0.06172827502675299,0.06192118506586253",
-    "RW,3,0.013889205848771236,0.02057609167558433,0.02076900171469387",
-    "RW,7,0.013889205848771236,0.008818325003821856,0.009011235042931397",
-    "FN,1,0.01736111111111105,0.06075183256172842,0.06105324074074076",
-    "FN,3,0.01736111111111105,0.020250610853909473,0.020552019032921816",
-    "FN,7,0.01736111111111105,0.00867883322310406,0.008980241402116403",
+    "RW,1,0.013889205848771291,0.06172827502675299,0.06192118506586253",
+    "RW,3,0.013889205848771291,0.02057609167558433,0.020769001714693872",
+    "RW,7,0.013889205848771291,0.008818325003821856,0.0090112350429314",
+    "FN,1,0.017361111111111105,0.06075183256172839,0.061053240740740734",
+    "FN,3,0.017361111111111105,0.020250610853909463,0.02055201903292181",
+    "FN,7,0.017361111111111105,0.008678833223104056,0.008980241402116403",
 )
 
 
@@ -152,8 +156,9 @@ def test_sweep_exact_columns():
                LabeledGraph(chorded_cycle, [1, 0, 0, 1, 1, 0, 0, 0])):
         rows = sweep_labeled(lg, cfg)
         for row in rows:
-            bias, var1 = exact_error(lg, row.estimator_kind,
-                                     walk_length=row.walk_length)
+            walk = None if row.walk_length is None \
+                else walk_law(lg.graph, row.walk_length)
+            bias, var1 = exact_error(lg, row.estimator_kind, walk=walk)
             assert row.exact_var == var1 / row.budget
             assert row.exact_mse == bias ** 2 + row.exact_var
         buf = io.StringIO()
@@ -218,19 +223,19 @@ def test_replicate_splits_into_ranges(star_chord, monkeypatch, kind, length,
     # batch
     lg = LabeledGraph(star_chord, [1, 0, 0, 1])
     budget, reps, seed = 4, 10, 31
-    walk = walk_law(lg.graph, length) if length is not None else None
-    rows = 2 if kind == "FN" else 1
+    respondents = None if length is None else LawSampler(
+        respondent_law(lg.graph, kind, walk_law(lg.graph, length)))
     if batch_reps is not None:
         monkeypatch.setattr(estimators, "_BATCH_DRAWS",
-                            int(batch_reps * rows * budget))
+                            int(batch_reps * budget))
     cell = (seed, ESTIMATOR_CODES[kind], budget)
-    values = replicate(lg, kind, budget, reps, seed, walk)
+    values = replicate(lg, kind, budget, reps, seed, respondents)
     assert np.array_equal(values, polled_in_ranges(
-        lg, kind, budget, [0, 2, 3, 4, 5, 7, 10], seed, walk))
+        lg, kind, budget, [0, 2, 3, 4, 5, 7, 10], seed, respondents))
     if batch_reps is not None:  # batching never changes a value
         monkeypatch.undo()
         assert np.array_equal(values, poll_values(
-            kind, lg, budget, stream(*cell), reps, walk=walk))
+            kind, lg, budget, stream(*cell), reps, respondents=respondents))
 
 
 def test_empirical_variance_never_negative():

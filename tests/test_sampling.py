@@ -10,11 +10,11 @@ import hypothesis.strategies as st
 from scipy.sparse.linalg import matrix_power
 
 from nepoll import (ConfigModelSpec, DataError, LawSampler, build_graph,
-                    configuration_model, sample_friends_of_random_nodes,
-                    sample_random_nodes, stream, walk_law)
+                    configuration_model, respondent_law, stream, walk_law)
 from nepoll.sampling import WALK_TV_TOLERANCE
 
-from _reference import random_walk_endpoints, sample_random_friends
+from _reference import (friends_of_random_nodes, random_nodes,
+                        random_walk_endpoints, sample_random_friends)
 from _reference import walk_law as reference_walk_law
 from _strategies import graphs
 
@@ -33,49 +33,73 @@ def _binomial_band(p, draws=DRAWS, sigmas=3):
     return sigmas * np.sqrt(p * (1 - p) / draws)
 
 
+def _drawn(g, kind, seed):
+    """``DRAWS`` respondents of a ``kind`` poll, from its node law."""
+    return LawSampler(respondent_law(g, kind))(_uniforms(seed))
+
+
 def test_uniform_node_law(star):
-    freq = _frequencies(sample_random_nodes(star, _uniforms(1)), star)
-    band = _binomial_band(0.25)
-    assert np.all(np.abs(freq - 0.25) <= band)
+    nodes = random_nodes(star, _uniforms(1))
+    for kind in ("IP", "UN"):   # unit weights draw the referee's nodes
+        assert np.array_equal(_drawn(star, kind, 1), nodes)
+    freq = _frequencies(nodes, star)
+    assert np.all(np.abs(freq - 0.25) <= _binomial_band(0.25))
 
 
 def test_uniform_node_degree_mean_regular(k3):
-    degs = k3.degrees[sample_random_nodes(k3, _uniforms(2, 1000))]
-    assert np.mean(degs) == 2.0  # every degree is 2
+    nodes = LawSampler(respondent_law(k3, "UN"))(_uniforms(2, 1000))
+    assert np.mean(k3.degrees[nodes]) == 2.0  # every degree is 2
 
 
 def test_random_friend_law_star(star):
-    freq = _frequencies(sample_random_friends(star, stream(3), DRAWS),
-                        star)
     # marginal is degree/edge_end_count: center 3/6, each leaf 1/6
-    assert abs(freq[0] - 0.5) <= _binomial_band(0.5)
-    mean_deg = freq @ star.degrees
-    # Var{d(friend)} = 0.5*9 + 0.5*1 - 4 = 1
-    assert abs(mean_deg - 2.0) <= 3 * math.sqrt(1.0 / DRAWS)
+    for nodes in (_drawn(star, "RW", 3),
+                  sample_random_friends(star, stream(3), DRAWS)):
+        freq = _frequencies(nodes, star)
+        assert abs(freq[0] - 0.5) <= _binomial_band(0.5)
+        mean_deg = freq @ star.degrees
+        # Var{d(friend)} = 0.5*9 + 0.5*1 - 4 = 1
+        assert abs(mean_deg - 2.0) <= 3 * math.sqrt(1.0 / DRAWS)
 
 
 def test_random_friend_law_regular(k3):
-    freq = _frequencies(sample_random_friends(k3, stream(4), DRAWS),
-                        k3)
-    band = _binomial_band(1 / 3)
-    assert np.all(np.abs(freq - 1 / 3) <= band)
+    for nodes in (_drawn(k3, "RW", 4),
+                  sample_random_friends(k3, stream(4), DRAWS)):
+        freq = _frequencies(nodes, k3)
+        assert np.all(np.abs(freq - 1 / 3) <= _binomial_band(1 / 3))
 
 
 def test_friend_of_node_law_star(star):
-    nodes = sample_friends_of_random_nodes(star, *_uniforms(5, (2, DRAWS)))
-    freq = _frequencies(nodes, star)
-    # every leaf's only neighbor is the center
-    assert abs(freq[0] - 0.75) <= _binomial_band(0.75)
-    mean_deg = freq @ star.degrees
-    # E[d] = 2.5, Var{d} = 0.75*9 + 0.25*1 - 6.25 = 0.75
-    assert abs(mean_deg - 2.5) <= 3 * math.sqrt(0.75 / DRAWS)
+    for nodes in (_drawn(star, "FN", 5),
+                  friends_of_random_nodes(star, *_uniforms(5, (2, DRAWS)))):
+        freq = _frequencies(nodes, star)
+        # every leaf's only neighbor is the center
+        assert abs(freq[0] - 0.75) <= _binomial_band(0.75)
+        mean_deg = freq @ star.degrees
+        # E[d] = 2.5, Var{d} = 0.75*9 + 0.25*1 - 6.25 = 0.75
+        assert abs(mean_deg - 2.5) <= 3 * math.sqrt(0.75 / DRAWS)
 
 
 def test_friend_of_node_law_regular(k3):
-    nodes = sample_friends_of_random_nodes(k3, *_uniforms(6, (2, DRAWS)))
-    freq = _frequencies(nodes, k3)
-    band = _binomial_band(1 / 3)
-    assert np.all(np.abs(freq - 1 / 3) <= band)
+    for nodes in (_drawn(k3, "FN", 6),
+                  friends_of_random_nodes(k3, *_uniforms(6, (2, DRAWS)))):
+        freq = _frequencies(nodes, k3)
+        assert np.all(np.abs(freq - 1 / 3) <= _binomial_band(1 / 3))
+
+
+def test_friend_of_node_law_matches_two_stage_draws():
+    # the FN law drawn by inverse CDF and the two-stage referee (a uniform
+    # node, then a uniform neighbor) have the same frequencies, within the
+    # binomial band, per quarter of the nodes ranked by exact mass
+    g = _config_graph()
+    law = respondent_law(g, "FN") / g.node_count
+    groups = np.array_split(np.argsort(law, kind="stable"), 4)
+    mass = np.array([law[group].sum() for group in groups])
+    for nodes in (_drawn(g, "FN", 18),
+                  friends_of_random_nodes(g, *_uniforms(19, (2, DRAWS)))):
+        freq = _frequencies(nodes, g)
+        got = np.array([freq[group].sum() for group in groups])
+        assert np.all(np.abs(got - mass) <= _binomial_band(mass))
 
 
 def test_zero_length_walk_returns_start(star):
@@ -104,7 +128,31 @@ def test_step_map_stays_in_range():
                                                endpoint=True)
     for n in (d.astype(np.int64), wide, np.array([2 ** 40])):
         g = SimpleNamespace(node_count=n)
-        assert np.all(sample_random_nodes(g, u) < n)
+        assert np.all(random_nodes(g, u) < n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 50_000),
+       u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=60))
+@example(n=3, u=[1 / 3, 2 / 3])
+@example(n=49_999, u=[0.5])
+def test_unit_weights_draw_floor_u_n(n, u):
+    # IP and UN draw through the inverse CDF of unit weights, which is
+    # exactly the uniform node floor(u * n), so their polls keep the bytes
+    # of the direct map
+    u = np.array(u + [0.0, np.nextafter(1.0, 0.0)])
+    assert np.array_equal(LawSampler(np.ones(n))(u),
+                          (u * n).astype(np.int64))
+
+
+@pytest.mark.parametrize("law", [
+    np.zeros(3), np.array([1.0, -1.0, 1.0]), np.array([1.0, np.nan, 1.0]),
+    np.array([1.0, np.inf, 1.0])], ids=["zero", "negative", "nan", "inf"])
+def test_law_sampler_rejects_a_bad_law(law):
+    with pytest.raises(DataError, match="^a node law must be a 1-D array of "
+                                        "finite, nonnegative weights with a "
+                                        "positive sum$"):
+        LawSampler(law)
 
 
 def test_uniform_block_matches_streamed_walk(star_chord):
@@ -125,7 +173,7 @@ def test_walk_stationary_law_nonbipartite(star_chord):
     g = star_chord
     stationary = g.degrees / g.edge_end_count
     gen = stream(9)
-    starts = sample_random_nodes(g, gen.random(DRAWS))
+    starts = random_nodes(g, gen.random(DRAWS))
     ends = random_walk_endpoints(g, starts, length=100, uniforms=gen)
     freq = np.bincount(ends, minlength=g.node_count) / DRAWS
     for v in range(g.node_count):
@@ -213,8 +261,9 @@ def test_same_seed_same_sequence(star_chord):
 
 
 def test_substreams_are_deterministic_and_distinct(star_chord):
-    s_one = sample_random_nodes(star_chord, stream(42, 0, 5).random(8))
-    s_two = sample_random_nodes(star_chord, stream(42, 0, 5).random(8))
+    draw = LawSampler(respondent_law(star_chord, "UN"))
+    s_one = draw(stream(42, 0, 5).random(8))
+    s_two = draw(stream(42, 0, 5).random(8))
     assert np.array_equal(s_one, s_two)
     a = stream(42, 1).integers(0, 1 << 30, size=8)
     b = stream(42, 2).integers(0, 1 << 30, size=8)
@@ -295,7 +344,7 @@ def test_law_sampler_matches_simulated_walks(request, graph, length):
          "config": _config_graph}[graph]()
     walk = walk_law(g, length)
     gen = stream(16)
-    starts = sample_random_nodes(g, gen.random(DRAWS))
+    starts = random_nodes(g, gen.random(DRAWS))
     walked = random_walk_endpoints(g, starts, walk.length, gen)
     drawn = LawSampler(walk.law)(stream(17).random(DRAWS))
     groups = np.array_split(np.argsort(walk.law, kind="stable"), 4)
@@ -310,6 +359,6 @@ def test_regular_graph_laws_coincide(k3):
     # exact marginals: uniform = friend = neighbor-of-node on regular graphs
     uniform = np.full(3, 1 / 3)
     friend = k3.degrees / k3.edge_end_count
-    neighbor = k3.adjacency_matvec(1.0 / k3.degrees) / k3.node_count
+    neighbor = respondent_law(k3, "FN") / k3.node_count
     assert np.allclose(friend, uniform, atol=1e-15)
     assert np.allclose(neighbor, uniform, atol=1e-15)
