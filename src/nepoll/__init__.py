@@ -6,7 +6,7 @@ well-connected respondents, exact closed-form error analysis, synthetic
 graph generators, and a reproducible Monte-Carlo sweep harness.
 """
 
-from .analytics import (BudgetThreshold, ErrorBounds, FosdCheck, NetworkStats,
+from .analytics import (BudgetThreshold, ErrorBounds, NetworkStats,
                         ParadoxCheck, SpectralSummary,
                         brute_force_estimator_law, budget_threshold,
                         error_bounds, exact_error, fosd_check,

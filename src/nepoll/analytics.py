@@ -10,8 +10,9 @@ matrix, the friendship-paradox and stochastic-dominance checks, and a
 brute-force enumeration oracle that recomputes each estimator's law from
 first principles (exact rational arithmetic) to referee the closed forms.
 
-All statistics are evaluated through sparse matrix-vector products on the
-adjacency lists, the spectrum included: nothing builds an n x n matrix.
+All statistics are evaluated through ``Graph.adjacency_matvec``, the
+product with the adjacency matrix over the edge list, the spectrum
+included: nothing builds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .estimators import ESTIMATOR_KINDS, respondent_law
+from .estimators import estimator_code, respondent_law
 from .graph import Graph, LabeledGraph, graph_flags
-from .sampling import WalkLaw, neighbor_weights
+from .sampling import WalkLaw
 
 _FLOAT_SLACK = 1e-12  # guards exact inequalities against rounding
 
@@ -152,12 +153,10 @@ class SpectralSummary:
 
 def spectral_summary(g: Graph) -> SpectralSummary:
     """lambda2 is 1.0 if disconnected or bipartite, else from Lanczos."""
-    rows = np.repeat(np.arange(g.node_count), g.degrees)
     root = np.sqrt(g.degrees.astype(float))
-    weights = 1.0 / (root[rows] * root[g.neighbors])
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        return np.bincount(rows, weights * x[g.neighbors], g.node_count)
+        return g.adjacency_matvec(x / root) / root
 
     u = root / np.linalg.norm(root)
     flags = graph_flags(g)
@@ -206,6 +205,8 @@ def _has_twins(g: Graph) -> bool:
     neighbor slices certify, so a hash collision cannot."""
     keys = np.random.default_rng(_SPECTRUM_SEED).integers(
         0, 2 ** 64, size=(2, g.node_count), dtype=np.uint64)
+    # wrapping integer sums: twins get equal sums in any order, which a
+    # rounded float sum through ``adjacency_matvec`` would not promise
     sums = np.add.reduceat(keys[:, g.neighbors], g.indptr[:-1], axis=1)
     order = np.lexsort(sums)
     same = (np.diff(sums[:, order], axis=1) == 0).all(axis=0)
@@ -321,37 +322,23 @@ def friendship_paradox_check(g: Graph) -> ParadoxCheck:
     friend laws dominate the uniform one (they always should)."""
     mean_x = mean_degree(g)
     mean_y = float(np.dot(g.degrees, g.degrees)) / g.edge_end_count
-    w = neighbor_weights(g)
-    mean_z = float(np.dot(w, g.degrees)) / g.node_count
+    mean_z = float(np.dot(respondent_law(g, "FN"), g.degrees))
     slack = _FLOAT_SLACK * max(mean_x, 1.0)
     holds = mean_y >= mean_x - slack and mean_z >= mean_x - slack
     return ParadoxCheck(mean_x, mean_y, mean_z, holds)
 
 
-@dataclass(frozen=True)
-class FosdCheck:
-    """Pointwise CDF comparison between the degree of a uniform node and
-    the degree of a uniform neighbor of a uniform node."""
-
-    holds: bool
-    degree_values: np.ndarray
-    cdf_uniform: np.ndarray
-    cdf_neighbor: np.ndarray
-
-
-def fosd_check(g: Graph) -> FosdCheck:
-    n = g.node_count
+def fosd_check(g: Graph) -> bool:
+    """Whether the degree of a uniform neighbor of a uniform node
+    dominates a uniform node's degree in first order: its CDF lies at or
+    below the uniform one at every degree."""
     counts = np.bincount(g.degrees)
     ks = np.flatnonzero(counts)
-    p_x = counts[ks] / n
-    w = neighbor_weights(g)
-    mass_z = np.bincount(g.degrees, weights=w, minlength=len(counts))
-    p_z = mass_z[ks] / n
-    cdf_x = np.cumsum(p_x)
-    cdf_z = np.cumsum(p_z)
-    holds = bool(np.all(cdf_z <= cdf_x + _FLOAT_SLACK))
-    return FosdCheck(holds=holds, degree_values=ks.astype(np.int64),
-                     cdf_uniform=cdf_x, cdf_neighbor=cdf_z)
+    cdf_x = np.cumsum(counts[ks] / g.node_count)
+    mass_z = np.bincount(g.degrees, weights=respondent_law(g, "FN"),
+                         minlength=len(counts))
+    cdf_z = np.cumsum(mass_z[ks])
+    return bool(np.all(cdf_z <= cdf_x + _FLOAT_SLACK))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +352,7 @@ def brute_force_estimator_law(lg: LabeledGraph,
     Python loops, independent of the vectorized closed forms above, so it
     can referee them.  Intended for small graphs (a few hundred nodes).
     """
-    if kind not in ESTIMATOR_KINDS:
-        raise DataError(f"unknown estimator kind {kind!r}")
+    estimator_code(kind)
     g = lg.graph
     n = g.node_count
     labels = [int(x) for x in lg.labels]

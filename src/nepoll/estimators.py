@@ -3,30 +3,27 @@
 Every estimator queries ``budget`` individuals with replacement and returns
 the mean of their responses, so each estimate is an average of values in
 [0, 1].  An estimator is its respondents' node law
-(:func:`respondent_law`) and the table they answer from:
+(:func:`respondent_law`), the endpoint law of a walk from a uniform node,
+and the table they answer from:
 
-* ``IP`` intent polling -- uniform nodes report their own label,
-* ``UN`` naive neighborhood polling -- uniform nodes report the labeled
-  fraction of their neighborhood,
-* ``RW`` random-walk polling -- respondents are drawn from the exact law of
-  the endpoint of a walk from a uniform node, so for long walks they are
-  distributed like random friends (degree-proportionally),
-* ``FN`` friend polling -- respondents are drawn from the exact law of a
-  uniform neighbor of a uniform node.
+* ``IP`` intent polling -- uniform nodes (length 0) report their label,
+* ``UN`` naive neighborhood polling -- uniform nodes (length 0) report the
+  labeled fraction of their neighborhood,
+* ``RW`` random-walk polling -- the endpoints of L-step walks report it,
+  distributed like random friends (d/M) for long walks,
+* ``FN`` friend polling -- uniform neighbors of uniform nodes (length 1)
+  report it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_count
 from .graph import Graph, LabeledGraph, graph_flags
-from .sampling import LawSampler, WalkLaw, neighbor_weights
+from .sampling import LawSampler, WalkLaw, walk_law
 
 ESTIMATOR_KINDS = ("IP", "UN", "RW", "FN")
-
-# Stable codes that key each (estimator, budget) cell's stream.
-ESTIMATOR_CODES = {kind: i for i, kind in enumerate(ESTIMATOR_KINDS)}
 
 # Doubles one batch of replications may draw at once: 2**18 (2 MB).  A
 # batch this size fits in the heap that graph generation leaves free, so
@@ -34,17 +31,25 @@ ESTIMATOR_CODES = {kind: i for i, kind in enumerate(ESTIMATOR_KINDS)}
 _BATCH_DRAWS = 1 << 18
 
 
+def estimator_code(kind: str) -> int:
+    """The stable code of ``kind`` that keys each (estimator, budget) cell's
+    stream; an unknown kind raises ``DataError``."""
+    if kind not in ESTIMATOR_KINDS:
+        raise DataError(f"unknown estimator kind {kind!r}")
+    return ESTIMATOR_KINDS.index(kind)
+
+
 def respondent_law(g: Graph, kind: str,
                    walk: WalkLaw | None = None) -> np.ndarray:
     """Nonnegative weights, defined up to scale, of the node law a ``kind``
-    respondent is drawn from: ones for ``IP`` and ``UN``, the
-    :func:`neighbor_weights` for ``FN``, and for ``RW`` the endpoint law
+    respondent is drawn from, the endpoint law of a walk from a uniform
+    node: unit weights (length 0) for ``IP`` and ``UN``, the one-step law
+    ``walk_law(g, 1).law`` for ``FN``, and for ``RW`` the endpoint law
     ``walk.law`` of :func:`walk_law`, or the degrees (d/M) without a walk;
     the other kinds ignore ``walk``."""
-    if kind not in ESTIMATOR_CODES:
-        raise DataError(f"unknown estimator kind {kind!r}")
+    estimator_code(kind)
     if kind == "FN":
-        return neighbor_weights(g)
+        return walk_law(g, 1).law
     if kind != "RW":
         return np.ones(g.node_count)
     if walk is None:
@@ -70,12 +75,9 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
     ``lo * b`` doubles.  ``RW`` needs a connected graph, checked once per
     call.
     """
-    if kind not in ESTIMATOR_CODES:
-        raise DataError(f"unknown estimator kind {kind!r}")
-    if budget < 1:
-        raise DataError(f"budget must be >= 1, got {budget!r}")
-    if not isinstance(reps, (int, np.integer)) or reps < 0:
-        raise DataError(f"reps must be a count >= 0, got {reps!r}")
+    estimator_code(kind)
+    require_count("budget", budget, 1)
+    require_count("reps", reps, 0)
     g = lg.graph
     if kind == "RW" and not graph_flags(g).connected:
         raise DataError("random-walk polling requires a connected graph")

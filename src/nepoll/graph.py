@@ -1,9 +1,10 @@
 """Immutable undirected simple graphs with binary node labels.
 
-Graphs are stored in compressed sparse adjacency form (one sorted neighbor
-array plus per-node offsets).  That makes uniform neighbor sampling an O(1)
-index lookup and keeps the representation canonical: any edge list describing
-the same graph produces bit-identical arrays.
+A graph is its sorted edge list, over which every adjacency product runs,
+plus a compressed sparse adjacency form (sorted neighbors, per-node
+offsets) for the search of :func:`graph_flags`, the spectrum's twin check
+and the oracle's neighbor lists.  Any edge list describing the same graph
+produces bit-identical arrays.
 """
 
 from __future__ import annotations
@@ -57,9 +58,12 @@ class Graph:
         return self.neighbors[self.indptr[v]:self.indptr[v + 1]]
 
     def adjacency_matvec(self, x: np.ndarray) -> np.ndarray:
-        """Return A @ x using the adjacency lists (no dense matrix)."""
-        return np.add.reduceat(np.asarray(x, dtype=float)[self.neighbors],
-                               self.indptr[:-1])
+        """A @ x in floats: each edge (u, v) adds x[v] to entry u and x[u]
+        to entry v, so integer inputs below 2**53 sum exactly."""
+        x = np.asarray(x)
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        return np.bincount(u, x[v], self.node_count) \
+            + np.bincount(v, x[u], self.node_count)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, edges={self.edge_count})"

@@ -23,8 +23,8 @@ from .analytics import (BudgetThreshold, ParadoxCheck, SpectralSummary,
                         brute_force_estimator_law, budget_threshold,
                         exact_error, fosd_check, friendship_paradox_check,
                         network_stats, spectral_summary)
-from .errors import DataError
-from .estimators import (ESTIMATOR_CODES, ESTIMATOR_KINDS, poll_values,
+from .errors import DataError, require_count
+from .estimators import (ESTIMATOR_KINDS, estimator_code, poll_values,
                          respondent_law)
 from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
@@ -142,7 +142,8 @@ def replicate(lg: LabeledGraph, kind: str, budget: int, replications: int,
     """Estimate values for ``replications`` independent runs of the cell
     (``kind``, ``budget``), in replication order, polled from the cell's
     stream through ``respondents`` (see :func:`poll_values`)."""
-    cell = stream(master_seed, ESTIMATOR_CODES[kind], budget)
+    cell = stream(master_seed, estimator_code(kind),
+                  require_count("budget", budget, 1))
     return poll_values(kind, lg, budget, cell, replications,
                        respondents=respondents)
 
@@ -323,7 +324,7 @@ def run_report(g: Graph, labels: np.ndarray | None = None, *,
         threshold = budget_threshold(lg, spectrum.lambda2)
     return Report(
         graph=g, flags=graph_flags(g), paradox=friendship_paradox_check(g),
-        fosd_holds=fosd_check(g).holds,
+        fosd_holds=fosd_check(g),
         assortativity=stats.assortativity, spectrum=spectrum,
         labeled=None if labels is None else lg, degree_label_corr=corr,
         threshold=threshold, defaulted_labels=defaulted_labels)

@@ -1,16 +1,16 @@
-"""Sampling primitives: node laws, walk endpoint laws, and one sampler.
+"""Sampling primitives: walk endpoint laws, and one sampler.
 
-Every poll draws its respondents from one node law:
+Every poll draws its respondents from one node law, the law of the
+endpoint of a walk of some length L from a uniform node:
 
-* a uniform node (probability 1/n each),
-* a random friend (node v with probability d(v)/M, M the number of edge
-  endpoints), the stationary law of the random walk,
-* a random friend of a random node: a uniform neighbor of a uniform node,
-  node v with probability ``neighbor_weights(g)[v] / n``.
+* L = 0: a uniform node (probability 1/n each),
+* L = 1: a random friend of a random node, a uniform neighbor of a uniform
+  node,
+* L > 1: a walk of that length; on a connected, non-bipartite graph its
+  law approaches the random-friend law d(v)/M (M the number of edge
+  endpoints), the walk's stationary law, as L grows.
 
-A walk of finite length L from a uniform node ends in a fourth law, which
-:func:`walk_law` computes exactly; on a connected, non-bipartite graph it
-approaches the random-friend law as L grows.
+:func:`walk_law` computes each of these laws exactly.
 
 :class:`LawSampler` maps a uniform u in [0, 1) through a law's inverse
 CDF; with unit weights that is node ``floor(u * n)``.  The uniforms come
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_count
 from .graph import Graph
 
 
@@ -59,8 +59,8 @@ def walk_law(g: Graph, length: int | None = None) -> WalkLaw:
     that close walks the cap: on a bipartite graph with sides of unequal
     size, the mass of each side alternates from step to step.
     """
-    if length is not None and length < 0:
-        raise DataError(f"walk length must be >= 0, got {length}")
+    if length is not None:
+        require_count("walk length", length, 0)
     stationary = g.degrees / g.edge_end_count
 
     def distance(pi: np.ndarray) -> float:
@@ -74,12 +74,6 @@ def walk_law(g: Graph, length: int | None = None) -> WalkLaw:
         if length is None and distance(pi) <= WALK_TV_TOLERANCE:
             return WalkLaw(step, pi, distance(pi))
     return WalkLaw(steps, pi, distance(pi))
-
-
-def neighbor_weights(g: Graph) -> np.ndarray:
-    """Per-node weight sum(1/d(u)) over neighbors u; divided by n this is
-    the probability that a uniform node's uniform neighbor lands on v."""
-    return g.adjacency_matvec(1.0 / g.degrees)
 
 
 # Forward steps of a guided draw before a bisection ends its search, so a

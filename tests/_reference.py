@@ -7,7 +7,9 @@ inverse CDF, is tested against.  ``sample_random_friends`` draws the
 random-friend law directly, without walking: the reference the walk's
 stationary law is tested against.  ``walk_law`` is the exact
 endpoint law of a finite walk in rational arithmetic, one neighbor at a
-time: the reference for ``nepoll.sampling.walk_law``.
+time: the reference for ``nepoll.sampling.walk_law``.  At length 1 it is
+the two-stage law of a uniform neighbor of a uniform node, the reference
+for the ``FN`` law.
 ``random_walk_endpoints`` walks, one uniform neighbor per step: the
 referee that the package's exact walk law, and its draws from that law,
 are tested against.  ``polled_in_ranges`` joins a sweep cell's
@@ -34,7 +36,7 @@ import numpy as np
 
 from nepoll import netgen, poll_values, stream
 from nepoll.errors import DataError, TargetUnreachableError
-from nepoll.estimators import ESTIMATOR_CODES
+from nepoll.estimators import estimator_code
 from nepoll.graph import LabeledGraph, build_graph
 
 
@@ -105,7 +107,7 @@ def polled_in_ranges(lg, kind, budget, cuts, master_seed, respondents=None):
     doubles in."""
     pieces = []
     for lo, hi in zip(cuts, cuts[1:]):
-        gen = stream(master_seed, ESTIMATOR_CODES[kind], budget)
+        gen = stream(master_seed, estimator_code(kind), budget)
         gen.bit_generator.advance(lo * budget)
         pieces.append(poll_values(kind, lg, budget, gen, hi - lo,
                                   respondents=respondents))

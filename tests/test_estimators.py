@@ -8,8 +8,9 @@ import hypothesis.strategies as st
 from nepoll import (ConfigModelSpec, DataError, LabelTarget, LabeledGraph,
                     LawSampler, RewireTarget, assign_labels,
                     brute_force_estimator_law, build_graph,
-                    configuration_model, poll_values, respondent_law,
-                    rewire_to_assortativity, stream, walk_law)
+                    configuration_model, poll_values, replicate,
+                    respondent_law, rewire_to_assortativity, stream,
+                    walk_law)
 
 from _reference import sample_random_friends
 from _strategies import labeled_graphs
@@ -113,6 +114,9 @@ def _iid_label_mse(graph, p, reps, budget, seed):
     """Empirical MSE of UN, FN and RW (stationary law) with labels
     redrawn iid per replication; returns dict of per-rep squared errors."""
     gen = stream(seed)
+    # the laws do not depend on the labels: one sampler per kind
+    samplers = {kind: LawSampler(respondent_law(graph, kind))
+                for kind in ("UN", "FN")}
     sq = {"UN": np.empty(reps), "FN": np.empty(reps), "RW": np.empty(reps)}
     for r in range(reps):
         labels = (gen.random(graph.node_count) < p).astype(np.int64)
@@ -121,7 +125,8 @@ def _iid_label_mse(graph, p, reps, budget, seed):
         for kind in ("UN", "FN", "RW"):
             key = (ord(kind[0]), r)
             est = _stationary_poll(lg, budget, seed, *key) if kind == "RW" \
-                else _poll(kind, lg, budget, seed, *key)
+                else _poll(kind, lg, budget, seed, *key,
+                           respondents=samplers[kind])
             sq[kind][r] = (est - truth) ** 2
     return sq
 
@@ -183,8 +188,8 @@ def test_budget_must_be_positive(star_lg):
 
 
 @pytest.mark.parametrize("kind,budget,reps,walk,match", [
-    ("IP", 0, 1, None, r"^budget must be >= 1, got 0$"),
-    ("UN", 0, 1, None, r"^budget must be >= 1, got 0$"),
+    ("IP", 0, 1, None, r"^budget must be a count >= 1, got 0$"),
+    ("UN", 0, 1, None, r"^budget must be a count >= 1, got 0$"),
     ("XX", 1, 1, None, r"^unknown estimator kind 'XX'$"),
     ("UN", 1, -1, None, r"^reps must be a count >= 0, got -1$"),
     ("FN", 1, range(0, 4, 2), None,
@@ -202,3 +207,20 @@ def test_bad_poll_arguments_are_data_errors(star_chord, kind, budget, reps,
     with pytest.raises(DataError, match=match):
         poll_values(kind, lg, budget, stream(0), reps,
                     respondents=respondents)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda lg: replicate(lg, "XX", 1, 1, 0),
+     r"^unknown estimator kind 'XX'$"),
+    (lambda lg: replicate(lg, "IP", 2.0, 1, 0),
+     r"^budget must be a count >= 1, got 2\.0$"),
+    (lambda lg: poll_values("UN", lg, 2.0, stream(0), 1),
+     r"^budget must be a count >= 1, got 2\.0$"),
+    (lambda lg: walk_law(lg.graph, 2.5),
+     r"^walk length must be a count >= 0, got 2\.5$"),
+], ids=["replicate-kind", "replicate-budget", "poll-budget", "walk-length"])
+def test_bad_entry_arguments_are_data_errors(star_chord, call, match):
+    # checked before the stream key or any array is built, so no bare
+    # KeyError or TypeError escapes the polling entry points
+    with pytest.raises(DataError, match=match):
+        call(LabeledGraph(star_chord, [1, 0, 0, 1]))

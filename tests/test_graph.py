@@ -1,15 +1,16 @@
-import math
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 import hypothesis.strategies as st
 
 from nepoll import (DataError, GraphFlags, LabeledGraph, build_graph,
-                    graph_flags)
+                    graph_flags, stream)
 
-from _strategies import edge_lists, labeled_graphs
+from _strategies import edge_lists, graphs, labeled_graphs
 
 
 def test_star_construction(star):
@@ -261,10 +262,29 @@ def test_mean_label_is_true_fraction(lg):
     assert lg.true_fraction == total / lg.graph.node_count
 
 
+@given(g=graphs(max_nodes=30), seed=st.integers(0, 2**32))
+def test_adjacency_matvec_matches_scipy(g, seed):
+    # the package's one A @ x against scipy's sparse product, built from
+    # the edge list alone: within 1e-12 of the absolute sum for floats,
+    # and exact for integers, whose float sums are exact in any order
+    n, (u, v) = g.node_count, g.edges.T
+    arcs = np.ones(2 * g.edge_count)
+    a = sp.csr_array((arcs, (np.concatenate([u, v]), np.concatenate([v, u]))),
+                     shape=(n, n))
+    gen = stream(seed)
+    x = gen.standard_normal(n)
+    assert (np.abs(g.adjacency_matvec(x) - a @ x)
+            <= 1e-12 * (a @ np.abs(x))).all()
+    k = gen.integers(-2**40, 2**40, size=n)
+    assert g.adjacency_matvec(k).dtype == np.float64
+    assert np.array_equal(g.adjacency_matvec(k), a @ k)
+
+
 @given(lg=labeled_graphs())
-def test_response_times_degree_is_integer_count(lg):
-    for v in range(lg.graph.node_count):
-        d = int(lg.graph.degrees[v])
-        count = lg.responses[v] * d
-        assert math.isclose(count, round(count), abs_tol=1e-9)
-        assert 0 <= count <= d
+def test_responses_are_rounded_exact_fractions(lg):
+    # each response is the correctly rounded count / degree, bit for bit:
+    # the IP and UN columns keep their bytes under any summation order
+    g = lg.graph
+    for v in range(g.node_count):
+        count = int(lg.labels[g.neighbors_of(v)].sum())
+        assert lg.responses[v] == float(Fraction(count, int(g.degrees[v])))

@@ -14,7 +14,7 @@ from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec,
                     replicate, respondent_law, run_report, run_sweep,
                     sweep_labeled, walk_law, write_sweep_csv)
 from nepoll import estimators, harness, netgen, stream
-from nepoll.estimators import ESTIMATOR_CODES
+from nepoll.estimators import estimator_code
 from nepoll.harness import _empirical_moments, parse_config_text
 
 from _reference import polled_in_ranges
@@ -111,11 +111,11 @@ def test_sweep_rw_exact_on_bipartite(star_lg):
 
 # exact_bias, exact_var and exact_mse of a sweep as its CSV writes them:
 # each kind's moments under its node law, divided by the weights' sum (RW:
-# the law of the walk that ran).  The per-kind formulas this closed form
-# replaced agreed to within 6e-17 (the last bits of UN, FN and the second
-# RW).  Both walks stop at the cap (60 and 30 steps): the first graph mixes
-# slowly (lambda2 0.90), and the second, an 8-cycle with a chord, is
-# bipartite.
+# the law of the walk that ran).  The RW and FN values lie within 9e-17 of
+# the same moments in exact rational arithmetic; their last bits depend on
+# the summation order of the adjacency product.  Both walks stop at the cap
+# (60 and 30 steps): the first graph mixes slowly (lambda2 0.90), and the
+# second, an 8-cycle with a chord, is bipartite.
 _EXACT_COLUMNS = (
     "IP,1,0.0,0.244375,0.244375",
     "IP,3,0.0,0.08145833333333334,0.08145833333333334",
@@ -123,12 +123,12 @@ _EXACT_COLUMNS = (
     "UN,1,-0.03782738095238092,0.09471346991921767,0.09614438066893422",
     "UN,3,-0.03782738095238092,0.03157115663973922,0.033002067389455776",
     "UN,7,-0.03782738095238092,0.013530495702745381,0.014961406452461933",
-    "RW,1,-0.03157704899842945,0.07621943120331698,0.07721654122676619",
-    "RW,3,-0.03157704899842945,0.025406477067772326,0.02640358709122154",
-    "RW,7,-0.03157704899842945,0.010888490171902425,0.011885600195351639",
-    "FN,1,-0.009752976190476215,0.07528190964250289,0.0753770301870749",
-    "FN,3,-0.009752976190476215,0.0250939698808343,0.025189090425406294",
-    "FN,7,-0.009752976190476215,0.010754558520357557,0.010849679064929552",
+    "RW,1,-0.0315770489984295,0.07621943120331706,0.07721654122676629",
+    "RW,3,-0.0315770489984295,0.025406477067772354,0.02640358709122157",
+    "RW,7,-0.0315770489984295,0.010888490171902437,0.011885600195351655",
+    "FN,1,-0.009752976190476104,0.07528190964250278,0.07537703018707477",
+    "FN,3,-0.009752976190476104,0.02509396988083426,0.025189090425406253",
+    "FN,7,-0.009752976190476104,0.010754558520357541,0.010849679064929535",
     "IP,1,0.0,0.234375,0.234375",
     "IP,3,0.0,0.078125,0.078125",
     "IP,7,0.0,0.033482142857142856,0.033482142857142856",
@@ -188,7 +188,7 @@ def test_replicate_is_one_poll_of_the_cell_stream(star_chord, kind):
     values = replicate(lg, kind, budget=3, replications=101, master_seed=42)
     assert np.array_equal(values, replicate(lg, kind, 3, 101, 42))
     assert np.array_equal(values, poll_values(
-        kind, lg, 3, stream(42, ESTIMATOR_CODES[kind], 3), 101))
+        kind, lg, 3, stream(42, estimator_code(kind), 3), 101))
     assert not np.array_equal(values, replicate(lg, kind, 3, 101, 43))
 
 
@@ -228,7 +228,7 @@ def test_replicate_splits_into_ranges(star_chord, monkeypatch, kind, length,
     if batch_reps is not None:
         monkeypatch.setattr(estimators, "_BATCH_DRAWS",
                             int(batch_reps * budget))
-    cell = (seed, ESTIMATOR_CODES[kind], budget)
+    cell = (seed, estimator_code(kind), budget)
     values = replicate(lg, kind, budget, reps, seed, respondents)
     assert np.array_equal(values, polled_in_ranges(
         lg, kind, budget, [0, 2, 3, 4, 5, 7, 10], seed, respondents))

@@ -92,7 +92,8 @@ def test_friend_of_node_law_matches_two_stage_draws():
     # node, then a uniform neighbor) have the same frequencies, within the
     # binomial band, per quarter of the nodes ranked by exact mass
     g = _config_graph()
-    law = respondent_law(g, "FN") / g.node_count
+    law = respondent_law(g, "FN")
+    law = law / law.sum()   # a law is defined only up to scale
     groups = np.array_split(np.argsort(law, kind="stable"), 4)
     mass = np.array([law[group].sum() for group in groups])
     for nodes in (_drawn(g, "FN", 18),
@@ -183,7 +184,8 @@ def test_walk_stationary_law_nonbipartite(star_chord):
 @pytest.mark.parametrize("length", [-1, -2])
 def test_walk_length_validation(star, length):
     with pytest.raises(DataError,
-                       match=f"^walk length must be >= 0, got {length}$"):
+                       match=f"^walk length must be a count >= 0, "
+                             f"got {length}$"):
         walk_law(star, length)
 
 
@@ -197,6 +199,16 @@ def test_walk_law_matches_exact_fractions(g, length):
     tv = sum(abs(p - Fraction(int(d), g.edge_end_count))
              for p, d in zip(exact, g.degrees)) / 2
     assert abs(walk.tv - float(tv)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(max_nodes=12))
+def test_friend_of_node_law_matches_exact_fractions(g):
+    # FN's law, defined up to scale, is the two-stage law of a uniform
+    # neighbor of a uniform node
+    law = respondent_law(g, "FN")
+    exact = np.array(reference_walk_law(g, 1), dtype=float)
+    assert np.abs(law / law.sum() - exact).max() <= 1e-12
 
 
 def _config_graph():
@@ -359,6 +371,7 @@ def test_regular_graph_laws_coincide(k3):
     # exact marginals: uniform = friend = neighbor-of-node on regular graphs
     uniform = np.full(3, 1 / 3)
     friend = k3.degrees / k3.edge_end_count
-    neighbor = respondent_law(k3, "FN") / k3.node_count
+    neighbor = respondent_law(k3, "FN")
+    neighbor = neighbor / neighbor.sum()
     assert np.allclose(friend, uniform, atol=1e-15)
     assert np.allclose(neighbor, uniform, atol=1e-15)
