@@ -4,8 +4,8 @@ Every input the pipeline cannot take (a malformed edge list, an
 inconsistent generator spec, a graph an estimator cannot poll) raises
 ``DataError`` with a message naming the fault; only an unreached swap
 target has a type of its own, because it carries the best-effort result.
-A count argument (a budget, a replication count, a walk length) that is not
-an integer in range fails ``require_count``.
+A count argument (a budget, a replication count, a walk length, a seed)
+that is not an integer in range, or is a ``bool``, fails ``require_count``.
 """
 
 from numbers import Integral
@@ -16,8 +16,10 @@ class DataError(ValueError):
 
 
 def require_count(name: str, value, least: int):
-    """``value`` if it is an integer >= ``least``; else ``DataError``."""
-    if not isinstance(value, Integral) or value < least:
+    """``value`` if it is an integer >= ``least``; else ``DataError``.  A
+    ``bool`` is no count, though Python counts it an integer."""
+    if not isinstance(value, Integral) or isinstance(value, bool) \
+            or value < least:
         raise DataError(f"{name} must be a count >= {least}, got {value!r}")
     return value
 

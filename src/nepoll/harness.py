@@ -21,8 +21,10 @@ import numpy as np
 from . import io as nio
 from .analytics import (BudgetThreshold, ParadoxCheck, SpectralSummary,
                         brute_force_estimator_law, budget_threshold,
-                        exact_error, fosd_check, friendship_paradox_check,
-                        network_stats, spectral_summary)
+                        error_bounds, exact_error, fosd_check,
+                        friendship_paradox_check, label_degree_covariance,
+                        mean_degree, mean_label_friend, network_stats,
+                        spectral_summary)
 from .errors import DataError, require_count
 from .estimators import (ESTIMATOR_KINDS, estimator_code, poll_values,
                          respondent_law)
@@ -30,7 +32,7 @@ from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget, assign_labels, configuration_model,
                      erdos_renyi, rewire_to_assortativity)
-from .sampling import LawSampler, stream, walk_law
+from .sampling import LawSampler, WalkLaw, stream, walk_law
 
 # Stream keys reserved for graph preparation (each sweep cell uses the
 # two-component key (code, budget), so these can never collide).
@@ -55,11 +57,12 @@ class ExperimentConfig:
     rewire: RewireTarget | None = None
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise DataError("replications must be >= 1")
+        require_count("replications", self.replications, 1)
         if self.budgets is not None:
-            if not self.budgets or any(b < 1 for b in self.budgets):
-                raise DataError("budgets must be nonempty, each >= 1")
+            if not self.budgets:
+                raise DataError("budgets must be nonempty")
+            for b in self.budgets:
+                require_count("budget", b, 1)
         unknown = set(self.estimators) - set(ESTIMATOR_KINDS)
         if unknown:
             raise DataError(f"unknown estimators: {sorted(unknown)}")
@@ -69,10 +72,9 @@ class ExperimentConfig:
             twice = [v for k, v in enumerate(values) if v in values[:k]]
             if twice:
                 raise DataError(f"{key} lists {twice[0]!r} twice")
-        if self.walk_length is not None and self.walk_length < 0:
-            raise DataError("walk_length must be >= 0")
-        if self.master_seed < 0:
-            raise DataError("seed must be >= 0")
+        if self.walk_length is not None:
+            require_count("walk_length", self.walk_length, 0)
+        require_count("seed", self.master_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig) -> list[SweepRow]:
             length, tv = walk.length, walk.tv
         bias, var1 = exact_error(lg, kind, walk=walk)
         respondents = LawSampler(respondent_law(lg.graph, kind, walk))
-        for budget in map(int, budgets):
+        for budget in budgets:
             values = replicate(lg, kind, budget, cfg.replications,
                                cfg.master_seed, respondents)
             rows.append(SweepRow(
@@ -216,11 +218,14 @@ def write_sweep_csv(rows: Iterable[SweepRow], out: TextIO) -> None:
 
 @dataclass(frozen=True)
 class Report:
-    """The library results of one pass over a dataset.  ``labeled`` and
-    ``threshold`` are None when no labels were given."""
+    """The library results of one pass over a dataset.  ``walk`` is the
+    certified walk law of :func:`walk_law`, the walk a sweep's ``RW``
+    runs, and None on a disconnected graph; ``labeled`` and ``threshold``
+    are None when no labels were given."""
 
     graph: Graph
     flags: GraphFlags
+    walk: WalkLaw | None
     paradox: ParadoxCheck
     fosd_holds: bool
     assortativity: float | None
@@ -254,8 +259,9 @@ class Report:
             ("lambda_n_exact", flag(self.spectrum.lambda_n_exact)),
             ("rw_applicable", flag(flags.connected)),
         ]
-        if flags.connected:
-            out.append(("rw_stationary_exact", flag(not flags.bipartite)))
+        if self.walk is not None:
+            out += [("rw_walk_length", str(self.walk.length)),
+                    ("rw_walk_tv", _num(self.walk.tv))]
         if self.labeled is not None:
             t = self.threshold
             threshold = (f"non-positive ({_num(t.value)})" if t.non_positive
@@ -271,8 +277,12 @@ class Report:
         return "".join(f"{key}: {value}\n" for key, value in self.rows())
 
     def invariants(self) -> list[tuple[str, bool, str]]:
-        """``(name, ok, detail)`` of every check, in print order.  The
-        enumeration oracle refereeing the closed forms loops in pure
+        """``(name, ok, detail)`` of every check, in print order.  On a
+        labeled graph: the walk-bias identity, and the paper's bounds of
+        :func:`error_bounds` at the report's spectrum on the UN and
+        stationary RW variances (and the ordering of the two bounds) and
+        on the squared FN bias.  The enumeration oracle refereeing the
+        closed forms, the certified walk's law among them, loops in pure
         Python, so it runs on labeled graphs of at most 200 nodes."""
         g, paradox, spectrum, lg = (self.graph, self.paradox, self.spectrum,
                                     self.labeled)
@@ -299,15 +309,41 @@ class Report:
         out.append(("labels_valid", True,
                     f"true_fraction={lg.true_fraction:.4f}, "
                     f"defaulted={self.defaulted_labels}"))
+        laws = [("IP", "IP", None), ("UN", "UN", None),
+                ("RW-stationary", "RW", None)]
+        if self.walk is not None:
+            laws.append(("RW-walk", "RW", self.walk))
+        laws.append(("FN", "FN", None))
+        exact = {law: exact_error(lg, kind, walk=walk)
+                 for law, kind, walk in laws}
+        slack = 1e-12
+        bounds = error_bounds(lg, spectrum.lambda2, spectrum.lambda_n)
+        # the RW bias two ways: cov(label, degree) / E{d}, E{f(friend)} - f
+        gap = abs(label_degree_covariance(lg) / mean_degree(g)
+                  - (mean_label_friend(lg) - lg.true_fraction))
+        un_var, rw_var = exact["UN"][1], exact["RW-stationary"][1]
+        fn_bias_sq = exact["FN"][0] ** 2
+        out += [
+            ("walk_bias_identity", gap <= slack, f"deviation {gap:.1e}"),
+            ("un_variance_within_bound",
+             un_var <= bounds.un_variance + slack,
+             f"{un_var:.6g} <= {bounds.un_variance:.6g}"),
+            ("rw_variance_within_bound",
+             rw_var <= bounds.rw_variance + slack
+             and bounds.rw_variance <= bounds.un_variance + slack,
+             f"{rw_var:.6g} <= {bounds.rw_variance:.6g} "
+             f"<= {bounds.un_variance:.6g}"),
+            ("fn_bias_within_bound", fn_bias_sq <= bounds.fn_bias_sq + slack,
+             f"bias^2 {fn_bias_sq:.6g} <= {bounds.fn_bias_sq:.6g}"),
+        ]
         if g.node_count <= 200:
-            for kind, law in (("IP", ""), ("UN", ""), ("RW", "-stationary"),
-                              ("FN", "")):
-                bias, var1 = exact_error(lg, kind)
-                mean, var = brute_force_estimator_law(lg, kind)
-                ok = (abs(bias - (mean - lg.true_fraction)) <= 1e-10
-                      and abs(var1 - var) <= 1e-10)
-                out.append((f"closed_form_matches_enumeration_{kind}{law}",
-                            ok, ""))
+            for law, kind, walk in laws:
+                bias, var1 = exact[law]
+                mean, var = brute_force_estimator_law(lg, kind, walk)
+                deviation = max(abs(bias - (mean - lg.true_fraction)),
+                                abs(var1 - var))
+                out.append((f"closed_form_matches_enumeration_{law}",
+                            deviation <= 1e-10, f"deviation {deviation:.1e}"))
         return out
 
 
@@ -322,8 +358,10 @@ def run_report(g: Graph, labels: np.ndarray | None = None, *,
     if labels is not None:
         corr = stats.degree_label_corr
         threshold = budget_threshold(lg, spectrum.lambda2)
+    flags = graph_flags(g)
     return Report(
-        graph=g, flags=graph_flags(g), paradox=friendship_paradox_check(g),
+        graph=g, flags=flags, walk=walk_law(g) if flags.connected else None,
+        paradox=friendship_paradox_check(g),
         fosd_holds=fosd_check(g),
         assortativity=stats.assortativity, spectrum=spectrum,
         labeled=None if labels is None else lg, degree_label_corr=corr,

@@ -14,16 +14,14 @@ import numpy as np
 import pytest
 
 from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget, LabeledGraph,
-                    LawSampler, RewireTarget, assign_labels,
-                    brute_force_estimator_law, budget_threshold, build_graph,
-                    configuration_model, erdos_renyi, error_bounds,
-                    exact_error, fosd_check, friendship_paradox_check,
-                    graph_flags, label_degree_covariance,
-                    load_experiment_config, materialize, mean_degree,
-                    mean_label_friend, network_stats, poll_values, replicate,
-                    respondent_law, rewire_to_assortativity, run_report,
-                    spectral_summary, stream, walk_law, write_edge_list,
-                    write_labels)
+                    LawSampler, RewireTarget, assign_labels, budget_threshold,
+                    build_graph, configuration_model, erdos_renyi,
+                    fosd_check, friendship_paradox_check, graph_flags,
+                    label_degree_covariance, load_experiment_config,
+                    materialize, mean_degree, mean_label_friend,
+                    network_stats, poll_values, replicate, respondent_law,
+                    rewire_to_assortativity, run_report, spectral_summary,
+                    stream, walk_law, write_edge_list, write_labels)
 from nepoll.cli import main as cli_main
 from nepoll.harness import _empirical_moments
 from nepoll.sampling import WALK_TV_TOLERANCE
@@ -100,28 +98,42 @@ def generated_graphs():
     return out
 
 
+@pytest.fixture(scope="session")
+def suite_checks(suite):
+    """``{name: (ok, detail)}`` of the lines ``nepoll check`` prints on each
+    suite graph, and the seconds they took."""
+    start = time.time()
+    checks = [{name: (ok, detail) for name, ok, detail
+               in run_report(lg.graph, lg.labels).invariants()}
+              for lg in suite]
+    return checks, time.time() - start
+
+
+def _deviations(checks, prefix):
+    """The deviations that the ``prefix`` lines of ``checks`` print."""
+    return [float(detail.split()[-1]) for lines in checks
+            for name, (_, detail) in lines.items() if name.startswith(prefix)]
+
+
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_oracle_equivalence(suite):
-    start = time.time()
-    worst = 0.0
-    for lg in suite:
-        truth = lg.true_fraction
-        for kind in ("UN", "FN", "RW"):
-            bias, var1 = exact_error(lg, kind)
-            mean, var = brute_force_estimator_law(lg, kind)
-            worst = max(worst, abs(bias - (mean - truth)), abs(var1 - var))
-    elapsed = time.time() - start
-    _verdict(1, worst <= 1e-10 and elapsed < 60,
-             f"closed forms vs enumeration on {len(suite)} graphs: "
-             f"max deviation {worst:.2e} (tol 1e-10), {elapsed:.1f}s (< 60s)")
-
-
-def test_report_invariants_hold_on_suite(suite):
-    """The checks ``nepoll check`` prints, on every suite graph."""
-    for i, lg in enumerate(suite):
-        for name, ok, detail in run_report(lg.graph, lg.labels).invariants():
+def test_report_invariants_hold_on_suite(suite, suite_checks):
+    """The checks ``nepoll check`` prints, on every suite graph; among them
+    criterion 1, the closed forms against enumeration, the certified walk's
+    law on each connected graph included."""
+    checks, elapsed = suite_checks
+    for i, lines in enumerate(checks):
+        for name, (ok, detail) in lines.items():
             assert ok, f"suite graph {i}: {name} {detail}"
+    enumerated = all(
+        f"closed_form_matches_enumeration_{law}" in lines
+        for lg, lines in zip(suite, checks)
+        for law in ("UN", "FN", "RW-stationary")
+        + (("RW-walk",) if graph_flags(lg.graph).connected else ()))
+    worst = max(_deviations(checks, "closed_form_matches_enumeration_"))
+    _verdict(1, enumerated and worst <= 1e-10 and elapsed < 60,
+             f"closed forms vs enumeration on {len(checks)} graphs: "
+             f"max deviation {worst:.1e} (tol 1e-10), {elapsed:.1f}s (< 60s)")
 
 
 def test_criterion_2_paradox_universality(suite, generated_graphs):
@@ -139,35 +151,25 @@ def test_criterion_2_paradox_universality(suite, generated_graphs):
              f"failures, {elapsed:.1f}s (< 120s)")
 
 
-def test_criterion_3_walk_bias_identity(suite):
-    worst = 0.0
-    for lg in suite:
-        via_cov = label_degree_covariance(lg) / mean_degree(lg.graph)
-        direct = mean_label_friend(lg) - lg.true_fraction
-        worst = max(worst, abs(via_cov - direct))
-    _verdict(3, worst <= 1e-12,
-             f"covariance route equals friend-label route on {len(suite)} "
-             f"graphs: max deviation {worst:.2e} (tol 1e-12)")
+def test_criterion_3_walk_bias_identity(suite_checks):
+    checks, _ = suite_checks
+    ok = all(lines["walk_bias_identity"][0] for lines in checks)
+    worst = max(_deviations(checks, "walk_bias_identity"))
+    _verdict(3, ok,
+             f"covariance route equals friend-label route on {len(checks)} "
+             f"graphs: max deviation {worst:.1e} (tol 1e-12)")
 
 
-def test_criterion_4_bound_soundness(suite):
-    sound = True
-    detail = ""
-    for i, lg in enumerate(suite):
-        s = spectral_summary(lg.graph)
-        bounds = error_bounds(lg, s.lambda2, s.lambda_n)
-        rw_var1 = exact_error(lg, "RW")[1]
-        un_var1 = exact_error(lg, "UN")[1]
-        ok = (rw_var1 <= bounds.rw_variance + SLACK
-              and un_var1 <= bounds.un_variance + SLACK
-              and bounds.rw_variance <= bounds.un_variance + SLACK)
-        if not ok:
-            sound = False
-            detail = f"violated on suite graph {i}"
-            break
-    _verdict(4, sound,
-             detail or f"spectral and min-degree variance bounds hold and "
-                       f"are ordered on {len(suite)} graphs")
+def test_criterion_4_bound_soundness(suite_checks):
+    # each within its bound, and the spectral bound within the min-degree one
+    checks, _ = suite_checks
+    violated = [i for i, lines in enumerate(checks)
+                if not (lines["un_variance_within_bound"][0]
+                        and lines["rw_variance_within_bound"][0])]
+    _verdict(4, not violated,
+             f"violated on suite graph {violated[0]}" if violated else
+             f"spectral and min-degree variance bounds hold and are ordered "
+             f"on {len(checks)} graphs")
 
 
 def test_criterion_5_iid_label_mse_ordering(generated_graphs):

@@ -12,8 +12,8 @@ from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabeledGraph,
                     configuration_model, erdos_renyi, error_bounds,
                     exact_error, fosd_check, friendship_paradox_check,
                     graph_flags, label_degree_covariance, mean_degree,
-                    mean_label_friend, network_stats, spectral_summary,
-                    stream, walk_law)
+                    mean_label_friend, network_stats, run_report,
+                    spectral_summary, stream, walk_law)
 from nepoll import analytics
 
 from _reference import walk_law as reference_walk_law
@@ -160,17 +160,6 @@ def test_spectrum_above_the_old_dense_size_cap_matches_eigsh(make_graph):
     assert s.lambda2 == pytest.approx(max(np.sort(top)[0], -bottom[0]),
                                       abs=1e-9)
     assert s.top_residual <= 1e-9
-
-
-@settings(max_examples=40, deadline=None)
-@given(lg=labeled_graphs())
-def test_spectrum_sanity(lg):
-    s = spectral_summary(lg.graph)
-    assert s.top_residual <= 1e-9
-    assert 0.0 <= s.lambda2 <= 1.0 + 1e-9
-    flags = graph_flags(lg.graph)
-    assert (s.lambda2 < 1.0 - 1e-9) == (flags.connected
-                                        and not flags.bipartite)
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,13 +351,6 @@ def test_fosd_regular_equality(k3):
     assert cdf_uniform == cdf_neighbor
 
 
-@settings(max_examples=80, deadline=None)
-@given(lg=labeled_graphs(max_nodes=12))
-def test_paradox_and_fosd_universal(lg):
-    assert friendship_paradox_check(lg.graph).holds
-    assert fosd_check(lg.graph)
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracle and equivalence
 
@@ -393,17 +375,6 @@ def test_walk_law_of_another_graph_is_data_error(star_lg):
 
 
 @settings(max_examples=60, deadline=None)
-@given(lg=labeled_graphs())
-def test_closed_forms_match_enumeration(lg):
-    truth = lg.true_fraction
-    for kind in ("IP", "UN", "RW", "FN"):
-        bias, var1 = exact_error(lg, kind)
-        mean, var = brute_force_estimator_law(lg, kind)
-        assert abs(bias - (mean - truth)) <= 1e-10
-        assert abs(var1 - var) <= 1e-10
-
-
-@settings(max_examples=60, deadline=None)
 @given(lg=labeled_graphs(max_nodes=12), length=st.integers(0, 20))
 def test_finite_walk_closed_form_matches_exact_fractions(lg, length):
     # the RW sample of an L-step walk: a response under the exact law u P^L
@@ -418,27 +389,44 @@ def test_finite_walk_closed_form_matches_exact_fractions(lg, length):
     assert abs(bias - float(mean - Fraction(sum(labels), len(labels)))) \
         <= 1e-12
     assert abs(var1 - float(var)) <= 1e-12
+    # the enumeration oracle steps the same walk in fractions
+    assert brute_force_estimator_law(lg, "RW", walk) == (float(mean),
+                                                         float(var))
     for kind in ("IP", "UN", "FN"):  # no walk, so the walk is ignored
         assert exact_error(lg, kind, walk=walk) == exact_error(lg, kind)
+
+
+def _check_lines(lg):
+    """``{name: ok}`` of the lines ``nepoll check`` prints on ``lg``."""
+    return {name: ok for name, ok, _ in
+            run_report(lg.graph, lg.labels).invariants()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(lg=labeled_graphs(max_nodes=12))
+def test_check_lines_hold(lg):
+    # among them the spectral sanity, paradox and dominance lines, and the
+    # closed forms against enumeration
+    lines = _check_lines(lg)
+    assert all(lines.values()), lines
+    assert 0.0 <= spectral_summary(lg.graph).lambda2 <= 1.0 + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
 @given(lg=labeled_graphs())
 def test_walk_bias_identity(lg):
-    # covariance route and friend-label route agree
-    via_cov = label_degree_covariance(lg) / mean_degree(lg.graph)
-    direct = mean_label_friend(lg) - lg.true_fraction
-    assert abs(via_cov - direct) <= 1e-12
+    # covariance route and friend-label route agree within 1e-12
+    assert _check_lines(lg)["walk_bias_identity"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(lg=labeled_graphs())
 def test_variance_bounds_sound_and_ordered(lg):
-    bounds = _bounds(lg)
-    assert exact_error(lg, "RW")[1] <= bounds.rw_variance + 1e-12
-    assert exact_error(lg, "UN")[1] <= bounds.un_variance + 1e-12
-    # spectral bound never exceeds the minimum-degree bound
-    assert bounds.rw_variance <= bounds.un_variance + 1e-12
+    # each var1 within its bound (slack 1e-12), and the spectral bound
+    # never above the minimum-degree bound
+    lines = _check_lines(lg)
+    assert lines["un_variance_within_bound"]
+    assert lines["rw_variance_within_bound"]
 
 
 def mean_response_neighbor(lg):

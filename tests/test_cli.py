@@ -49,6 +49,12 @@ def test_report_csv_output(star_files, tmp_path, capsys):
     assert lines[1:] == [line.replace(": ", ",", 1) for line in text_lines]
 
 
+# the check lines of the walk that runs and of the paper's bounds
+NEW_CHECK_LINES = ("closed_form_matches_enumeration_RW-walk",
+                   "walk_bias_identity", "un_variance_within_bound",
+                   "rw_variance_within_bound", "fn_bias_within_bound")
+
+
 def test_check_command(star_files, capsys):
     edges, labels = star_files
     assert main(["check", "--graph", str(edges),
@@ -59,14 +65,16 @@ def test_check_command(star_files, capsys):
     assert "ok closed_form_matches_enumeration_UN" in out
     assert "ok top_singular_value_is_one" in out
     assert "ok lambda2_below_one_iff_connected_nonbipartite" in out
+    for line in NEW_CHECK_LINES:
+        assert f"\nok {line} (" in out
     assert "FAIL" not in out
 
 
 def test_check_fails_on_wrong_closed_form(star_files, monkeypatch, capsys):
     exact_error = harness.exact_error
 
-    def wrong_un(lg, kind):
-        bias, var1 = exact_error(lg, kind)
+    def wrong_un(lg, kind, **kw):
+        bias, var1 = exact_error(lg, kind, **kw)
         return (bias + 0.1 if kind == "UN" else bias), var1
 
     monkeypatch.setattr(harness, "exact_error", wrong_un)
@@ -74,8 +82,29 @@ def test_check_fails_on_wrong_closed_form(star_files, monkeypatch, capsys):
     assert main(["check", "--graph", str(edges),
                  "--labels", str(labels)]) == 1
     out = capsys.readouterr().out
-    assert "FAIL closed_form_matches_enumeration_UN\n" in out
+    assert "FAIL closed_form_matches_enumeration_UN (deviation 1.0e-01)\n" \
+        in out
     assert out.count("FAIL") == 1
+
+
+def test_check_fails_on_broken_walk_and_bounds(star_files, monkeypatch,
+                                               capsys):
+    exact_error = harness.exact_error
+
+    def wrong_walk(lg, kind, walk=None):
+        bias, var1 = exact_error(lg, kind, walk=walk)
+        return (bias + 0.1 if walk is not None else bias), var1
+
+    monkeypatch.setattr(harness, "exact_error", wrong_walk)
+    monkeypatch.setattr(harness, "error_bounds",
+                        lambda *args: nepoll.ErrorBounds(-1.0, -1.0, -1.0))
+    monkeypatch.setattr(harness, "mean_label_friend", lambda lg: 1.0)
+    edges, labels = star_files
+    assert main(["check", "--graph", str(edges),
+                 "--labels", str(labels)]) == 1
+    failed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL ")]
+    assert sorted(failed) == sorted(NEW_CHECK_LINES)
 
 
 def test_generate_and_sweep_round_trip(tmp_path, capsys):
@@ -239,9 +268,9 @@ def test_cli_import_loads_no_scipy_or_networkx(star_files):
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
      "replications = true\n", "replications must be an integer, got True"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
-     "walk_length = -1\n", "walk_length must be >= 0"),
+     "walk_length = -1\n", "walk_length must be a count >= 0, got -1"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
-     "seed = -1\n", "seed must be >= 0"),
+     "seed = -1\n", "seed must be a count >= 0, got -1"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = [1]\nlabels.p = 0.3\n",
      "graph.p must be a number, got [1]"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = \"x\"\n",

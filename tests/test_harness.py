@@ -16,6 +16,7 @@ from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec,
 from nepoll import estimators, harness, netgen, stream
 from nepoll.estimators import estimator_code
 from nepoll.harness import _empirical_moments, parse_config_text
+from nepoll.sampling import WALK_TV_TOLERANCE
 
 from _reference import polled_in_ranges
 
@@ -398,6 +399,19 @@ def test_experiment_config_validation(tmp_path):
     with pytest.raises(DataError, match="^budgets lists 5 twice$"):
         ExperimentConfig(graph_source="x", label_source="y",
                          budgets=(2, 5, 10, 5))
+    # a count is an integer in range, never a float or a bool
+    for field, value, message in (
+            ("budgets", (2.5,), "budget must be a count >= 1, got 2.5"),
+            ("budgets", (0,), "budget must be a count >= 1, got 0"),
+            ("replications", True,
+             "replications must be a count >= 1, got True"),
+            ("walk_length", -1, "walk_length must be a count >= 0, got -1"),
+            ("walk_length", 1.5, "walk_length must be a count >= 0, got 1.5"),
+            ("master_seed", -1, "seed must be a count >= 0, got -1"),
+            ("master_seed", False, "seed must be a count >= 0, got False")):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(graph_source="x", label_source="y",
+                             **{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +429,6 @@ def test_report_star(star, star_lg):
     assert rep.threshold is not None and rep.threshold.non_positive
     assert "friendship_paradox_holds: true" in text
     assert "rw_applicable: true" in text
-    assert "rw_stationary_exact: false" in text   # bipartite
     # the leaves are twins, which certifies lambda_n = 0
     assert ("lambda2: 1.0\nlambda_n: 0.0\nlambda_n_exact: true\n"
             "rw_applicable: true\n") in text
@@ -436,5 +449,19 @@ def test_report_disconnected(two_edges):
     text = rep.to_text()
     assert "connected: false" in text
     assert "rw_applicable: false" in text
-    assert "rw_stationary_exact" not in text
+    assert "rw_walk" not in text
     assert "true_fraction" not in text             # no labels given
+
+
+@pytest.mark.parametrize("edges,length,tv,tol", [
+    # regular: the uniform start is d/M
+    ([(j, (j + 1) % 6) for j in range(6)], 1, 0.0, 0.0),
+    # bipartite with equal sides: the alternating part vanishes
+    ([(0, 1), (1, 2), (2, 3)], 18, 0.0, WALK_TV_TOLERANCE),
+    # sides of 1 and 4 nodes: the walk alternates and walks its cap
+    ([(0, j) for j in range(1, 5)], 30, 0.3, 1e-12),
+])
+def test_report_names_the_certified_walk(edges, length, tv, tol):
+    rows = dict(run_report(build_graph(edges)).rows())
+    assert rows["rw_walk_length"] == str(length)
+    assert float(rows["rw_walk_tv"]) == pytest.approx(tv, abs=tol)
