@@ -3,8 +3,12 @@
 A graph is its sorted edge list, over which every adjacency product runs,
 plus a compressed sparse adjacency form (sorted neighbors, per-node
 offsets) for the search of :func:`graph_flags`, the spectrum's twin check
-and the oracle's neighbor lists.  Any edge list describing the same graph
-produces bit-identical arrays.
+and the oracle's neighbor lists.  Every graph is made by one constructor,
+``Graph(node_count, edge_keys, original_ids)``, from its sorted, distinct
+edge keys ``lo * node_count + hi``.  Outside input reaches it through
+:func:`build_graph`, which validates and compacts the ids; the generators
+and the rewiring hold such keys already and construct the graph once.  Any
+edge list describing the same graph produces bit-identical arrays.
 """
 
 from __future__ import annotations
@@ -28,25 +32,29 @@ class GraphFlags:
 class Graph:
     """Undirected simple graph over compact node ids 0..n-1.
 
-    Instances are created through :func:`build_graph` and never mutated
-    afterwards, so they are safe to share.  ``edge_end_count`` is the
-    number of edge endpoints (twice the edge count), the normalizer of all
-    degree-weighted laws.
+    ``edge_keys`` holds each edge ``(lo, hi)``, ``lo < hi < node_count``,
+    as ``lo * node_count + hi``, sorted and distinct; the constructor
+    trusts this, and is the only code that derives ``edges``, ``degrees``,
+    ``indptr`` and ``neighbors`` from it.  ``original_ids[v]`` is node v's
+    id in files.  Instances are never mutated, so they are safe to share.
+    ``edge_end_count`` is the number of edge endpoints (twice the edge
+    count), the normalizer of all degree-weighted laws.
     """
 
     __slots__ = ("node_count", "edges", "indptr", "neighbors", "degrees",
                  "edge_end_count", "min_degree", "original_ids", "_flags")
 
-    def __init__(self, node_count: int, edges: np.ndarray, indptr: np.ndarray,
-                 neighbors: np.ndarray, degrees: np.ndarray,
+    def __init__(self, node_count: int, edge_keys: np.ndarray,
                  original_ids: np.ndarray):
-        self.node_count = int(node_count)
-        self.edges = edges
-        self.indptr = indptr
-        self.neighbors = neighbors
-        self.degrees = degrees
-        self.edge_end_count = int(degrees.sum())
-        self.min_degree = int(degrees.min())
+        n = self.node_count = int(node_count)
+        self.edges = np.stack(np.divmod(edge_keys, n), axis=1)
+        self.degrees = np.bincount(self.edges.ravel(), minlength=n)
+        lo, hi = self.edges.T
+        # arcs keyed src * n + dst, both directions of every edge
+        self.neighbors = np.sort(np.concatenate([edge_keys, hi * n + lo])) % n
+        self.indptr = np.concatenate([[0], np.cumsum(self.degrees)])
+        self.edge_end_count = int(self.degrees.sum())
+        self.min_degree = int(self.degrees.min())
         self.original_ids = original_ids
         self._flags: GraphFlags | None = None
 
@@ -69,18 +77,16 @@ class Graph:
         return f"Graph(n={self.node_count}, edges={self.edge_count})"
 
 
-def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]],
-                node_count: int | None = None) -> Graph:
-    """Validate and canonicalize a ``(k, 2)`` array or iterable of pairs.
+def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]]) -> Graph:
+    """Validate and canonicalize outside input: a ``(k, 2)`` array or
+    iterable of pairs, such as a parsed edge file.
 
     Node ids may be arbitrary non-negative integers; they are compacted to
-    0..n-1 in ascending id order and the original ids retained for output.
-    Passing ``node_count`` pins the id space to 0..node_count-1 instead
-    (generators use this); an id in that range that touches no edge is
-    rejected as isolated, because the neighborhood poll response is
-    undefined for degree-0 nodes.  A negative id, a self-loop or a repeated
-    edge (either orientation) is rejected, naming the earliest bad row.
-    Edge keys ``lo * n + hi`` use compacted ids, so they cannot overflow.
+    0..n-1 in ascending id order and the original ids retained for output,
+    so every node touches an edge.  A negative id, a self-loop or a
+    repeated edge (either orientation) is rejected, naming the earliest bad
+    row.  Edge keys ``lo * n + hi`` use compacted ids, so they cannot
+    overflow.
     """
     if not isinstance(edge_pairs, np.ndarray):
         edge_pairs = list(edge_pairs)
@@ -89,17 +95,10 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]],
         raise DataError("a graph needs at least one edge")
     lo = np.minimum(raw[:, 0], raw[:, 1])
     hi = np.maximum(raw[:, 0], raw[:, 1])
-    in_range = node_count is not None and lo.min() >= 0 \
-        and hi.max() < node_count
-    if in_range:
-        n = int(node_count)
-        original_ids = np.arange(n, dtype=np.int64)
-    else:
-        original_ids, compact = np.unique(np.concatenate([lo, hi]),
-                                          return_inverse=True)
-        n = len(original_ids)
-        lo, hi = compact[:len(raw)], compact[len(raw):]
-    keys = lo * n + hi
+    original_ids, compact = np.unique(np.concatenate([lo, hi]),
+                                      return_inverse=True)
+    n = len(original_ids)
+    keys = compact[:len(raw)] * n + compact[len(raw):]
     edge_keys = np.sort(keys)
     bad = (raw < 0).any(axis=1) | (lo == hi)
     if bad.any() or (edge_keys[1:] == edge_keys[:-1]).any():
@@ -109,18 +108,7 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]],
         if u == v:
             raise DataError(f"self-loop at node {u}")
         raise DataError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
-    if node_count is not None and not in_range:
-        raise DataError(f"edge references node {int(raw.max())} "
-                        f"outside 0..{node_count - 1}")
-
-    degrees = np.bincount(np.concatenate([lo, hi]), minlength=n)
-    if degrees.min() == 0:
-        raise DataError(f"node {int(np.argmin(degrees))} has degree 0")
-    edges = np.stack(np.divmod(edge_keys, n), axis=1)
-    # arcs keyed src * n + dst, both directions of every edge
-    neighbors = np.sort(np.concatenate([keys, hi * n + lo])) % n
-    indptr = np.concatenate([[0], np.cumsum(degrees)])
-    return Graph(n, edges, indptr, neighbors, degrees, original_ids)
+    return Graph(n, edge_keys, original_ids)
 
 
 def _repeated_rows(keys: np.ndarray) -> np.ndarray:

@@ -432,6 +432,11 @@ def _integer(key: str, value) -> int:
     return value
 
 
+def _as_is(key: str, value):
+    """``value``: the field it sets checks it and names the key."""
+    return value
+
+
 def _number(key: str, value) -> float:
     """Like ``float(value)``, but a bool, list or string names the key."""
     if type(value) not in (int, float):
@@ -444,7 +449,7 @@ def _budgets(key: str, value) -> tuple[int, ...] | None:
         return None
     if not isinstance(value, list):
         raise DataError(f"{key} must be a list or default, got {value!r}")
-    return tuple(_integer(key, b) for b in value)
+    return tuple(value)
 
 
 def _estimators(key: str, value) -> tuple[str, ...]:
@@ -508,7 +513,7 @@ def experiment_config(kv: dict[str, object]) -> ExperimentConfig:
         if path_key in kv and model_key in kv:
             raise DataError(f"{path_key} and {model_key} both given; "
                             "set one source")
-    seed = ("seed", _integer)  # read by the generators and the sweep
+    seed = ("seed", _as_is)  # read by the generators and the sweep
 
     if "graph.path" in kv:
         _unread(kv, ("graph.n", "graph.alpha", "graph.kmin", "graph.kmax",
@@ -565,6 +570,6 @@ def experiment_config(kv: dict[str, object]) -> ExperimentConfig:
     return ExperimentConfig(
         graph_source=graph_source, label_source=label_source, rewire=rewire,
         **_given(kv, budgets=("budgets", _budgets),
-                 replications=("replications", _integer),
+                 replications=("replications", _as_is),
                  estimators=("estimators", _estimators),
-                 walk_length=("walk_length", _integer), master_seed=seed))
+                 walk_length=("walk_length", _as_is), master_seed=seed))

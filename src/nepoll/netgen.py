@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TargetUnreachableError
-from .graph import Graph, LabeledGraph, _sorted_unique, build_graph
+from .errors import DataError, TargetUnreachableError, require_count
+from .graph import Graph, LabeledGraph, _sorted_unique
 from .sampling import stream
 
 _MAX_GENERATION_RETRIES = 100
@@ -59,6 +59,9 @@ class ConfigModelSpec:
     k_max: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        _check_counts(self, "node_count", "k_min", "k_max", "seed")
+
     def resolved_k_max(self) -> int:
         return self.node_count - 1 if self.k_max is None else self.k_max
 
@@ -68,6 +71,16 @@ class ErdosRenyiSpec:
     node_count: int
     edge_probability: float
     seed: int = 0
+
+    def __post_init__(self):
+        _check_counts(self, "node_count", "seed")
+
+
+def _check_counts(spec, *names: str) -> None:
+    """Each named field of ``spec`` that is set is a count >= 0."""
+    for name in names:
+        if getattr(spec, name) is not None:
+            require_count(name, getattr(spec, name), 0)
 
 
 def _check_goal(target: float | None, tolerance: float) -> None:
@@ -86,6 +99,7 @@ class RewireTarget:
 
     def __post_init__(self):
         _check_goal(self.target, self.tolerance)
+        _check_counts(self, "max_iterations")
 
 
 @dataclass(frozen=True)
@@ -100,6 +114,7 @@ class LabelTarget:
 
     def __post_init__(self):
         _check_goal(self.target, self.tolerance)
+        _check_counts(self, "max_iterations")
 
 
 def _power_law_pmf(alpha: float, k_min: int,
@@ -148,12 +163,10 @@ def configuration_model(spec: ConfigModelSpec) -> tuple[Graph, int]:
         keep = u != v
         keys = _sorted_unique(np.minimum(u[keep], v[keep]) * n
                               + np.maximum(u[keep], v[keep]))
-        pairs = np.stack(np.divmod(keys, n), axis=1)
-        present = np.bincount(pairs.ravel(), minlength=n)
-        if (present == 0).any():
+        g = Graph(n, keys, np.arange(n, dtype=np.int64))
+        if g.min_degree == 0:
             continue
-        erased = int(degrees.sum()) - 2 * len(pairs)
-        return build_graph(pairs, node_count=n), erased
+        return g, int(degrees.sum()) - g.edge_end_count
     raise DataError(
         f"configuration model left isolated nodes in "
         f"{_MAX_GENERATION_RETRIES} attempts")
@@ -170,20 +183,14 @@ def erdos_renyi(spec: ErdosRenyiSpec) -> Graph:
         raise DataError("edge probability must be in (0, 1]")
     for attempt in range(_MAX_GENERATION_RETRIES):
         gen = stream(spec.seed, attempt)
-        us, vs = [], []
-        for i in range(n - 1):
-            hits = np.flatnonzero(gen.random(n - 1 - i) < p)
-            if hits.size:
-                us.append(np.full(hits.size, i, dtype=np.int64))
-                vs.append(i + 1 + hits.astype(np.int64))
-        if not us:
+        keys = []  # row u: the keys u * n + v of its edges, v > u ascending
+        for u in range(n - 1):
+            hits = np.flatnonzero(gen.random(n - 1 - u) < p)
+            keys.append(u * n + u + 1 + hits.astype(np.int64))
+        g = Graph(n, np.concatenate(keys), np.arange(n, dtype=np.int64))
+        if g.min_degree == 0:
             continue
-        u = np.concatenate(us)
-        v = np.concatenate(vs)
-        present = np.bincount(np.concatenate([u, v]), minlength=n)
-        if (present == 0).any():
-            continue
-        return build_graph(np.stack([u, v], axis=1), node_count=n)
+        return g
     raise DataError(
         f"G(n={n}, p={p}) produced isolated nodes in "
         f"{_MAX_GENERATION_RETRIES} attempts")
@@ -291,7 +298,7 @@ class _SwapProcess:
 
 class _EdgeSwaps(_SwapProcess):
     """Edge ``e`` as the key ``u * n + v`` (``u < v``) in ``ekey[e]``, and
-    all keys sorted in ``keys``."""
+    all keys sorted in ``keys``, the rewired graph's ``edge_keys``."""
 
     def __init__(self, g: Graph, target: RewireTarget, mu_q: float,
                  sigma2_q: float):
@@ -305,14 +312,6 @@ class _EdgeSwaps(_SwapProcess):
 
         super().__init__(int(np.dot(*self.deg[g.edges.T])), corr,
                          target.target, target.tolerance, m // 2)
-
-    def graph(self, g: Graph) -> Graph:
-        """The edges as a graph over ``g``'s node ids.  Swaps keep every
-        degree, so ``g``'s compact ids stay valid and need no remapping."""
-        out = build_graph(np.stack(np.divmod(self.ekey, self.n), axis=1),
-                          node_count=self.n)
-        return Graph(self.n, out.edges, out.indptr, out.neighbors,
-                     out.degrees, g.original_ids)
 
     def load(self, draws: tuple[np.ndarray, np.ndarray]) -> int:
         self.idx, self.flip = draws
@@ -372,10 +371,11 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     if abs(chain.current - target.target) <= target.tolerance:
         return g
     m = g.edge_count
+    # swaps keep every degree, so g's compact ids need no remapping
     return chain.run(lambda size: (gen.integers(0, m, size=(size, 2)),
                                    gen.integers(0, 2, size=(size, 2))),
                      target.max_iterations, "assortativity",
-                     lambda: chain.graph(g))
+                     lambda: Graph(chain.n, chain.keys, g.original_ids))
 
 
 class _LabelSwaps(_SwapProcess):

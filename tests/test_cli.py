@@ -260,13 +260,13 @@ def test_cli_import_loads_no_scipy_or_networkx(star_files):
     ("graph.model = er\ngraph.n = 100.9\ngraph.p = 0.5\nlabels.p = 0.3\n",
      "graph.n must be an integer, got 100.9"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
-     "budgets = [1.9]\n", "budgets must be an integer, got 1.9"),
+     "budgets = [1.9]\n", "budget must be a count >= 1, got 1.9"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
-     "replications = 2.7\n", "replications must be an integer, got 2.7"),
+     "replications = 2.7\n", "replications must be a count >= 1, got 2.7"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
-     "seed = 1.5\n", "seed must be an integer, got 1.5"),
+     "seed = 1.5\n", "seed must be a count >= 0, got 1.5"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
-     "replications = true\n", "replications must be an integer, got True"),
+     "replications = true\n", "replications must be a count >= 1, got True"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
      "walk_length = -1\n", "walk_length must be a count >= 0, got -1"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"

@@ -52,15 +52,14 @@ def test_negative_id_rejected():
     ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
     ([(2, 1), (0, 3), (1, 2)], "duplicate edge (1, 2)"),
 ])
-@pytest.mark.parametrize("node_count", [None, 6])
-def test_build_graph_reports_earliest_bad_row(pairs, message, node_count):
+def test_build_graph_reports_earliest_bad_row(pairs, message):
     with pytest.raises(DataError) as exc:
-        build_graph(pairs, node_count=node_count)
+        build_graph(pairs)
     assert type(exc.value) is DataError
     assert str(exc.value) == message
 
 
-def _reference_build(pairs, node_count=None):
+def _reference_build(pairs):
     """The per-edge loop build_graph replaced: validation in input order,
     then canonical CSR arrays from sorted (u, v) tuples."""
     seen = set()
@@ -76,14 +75,6 @@ def _reference_build(pairs, node_count=None):
     if not seen:
         raise DataError("a graph needs at least one edge")
     ids = sorted({x for e in seen for x in e})
-    if node_count is not None:
-        if ids[-1] >= node_count:
-            raise DataError(f"edge references node {ids[-1]} outside "
-                             f"0..{node_count - 1}")
-        missing = sorted(set(range(node_count)) - set(ids))
-        if missing:
-            raise DataError(f"node {missing[0]} has degree 0")
-        ids = list(range(node_count))
     index = {x: i for i, x in enumerate(ids)}
     edges = sorted((index[u], index[v]) for u, v in seen)
     adjacency = [[] for _ in ids]
@@ -95,18 +86,17 @@ def _reference_build(pairs, node_count=None):
 
 
 @given(pairs=st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)),
-                      max_size=12),
-       node_count=st.sampled_from([None, 5, 7]))
-def test_build_graph_matches_reference_loop(pairs, node_count):
+                      max_size=12))
+def test_build_graph_matches_reference_loop(pairs):
     try:
-        expected = _reference_build(pairs, node_count)
+        expected = _reference_build(pairs)
     except ValueError as exc:
         with pytest.raises(type(exc)) as got:
-            build_graph(pairs, node_count=node_count)
+            build_graph(pairs)
         assert type(got.value) is type(exc)
         assert str(got.value) == str(exc)
         return
-    g = build_graph(np.array(pairs), node_count=node_count)
+    g = build_graph(np.array(pairs))
     assert g.edges.tolist() == [list(e) for e in expected["edges"]]
     assert g.neighbors.tolist() == expected["neighbors"]
     assert g.degrees.tolist() == expected["degrees"]
@@ -142,17 +132,6 @@ def test_sparse_ids_compacted():
     assert g.original_ids.tolist() == [10, 20, 30]
     # node 30 -> compact 2, connected to 10 (0) and 20 (1)
     assert g.neighbors_of(2).tolist() == [0, 1]
-
-
-def test_node_count_gap_is_isolated():
-    with pytest.raises(DataError) as exc:
-        build_graph([(0, 1), (0, 3)], node_count=4)
-    assert str(exc.value) == "node 2 has degree 0"
-
-
-def test_node_count_out_of_range():
-    with pytest.raises(ValueError):
-        build_graph([(0, 5)], node_count=3)
 
 
 def test_neighbor_lists_sorted_and_symmetric(star_chord):

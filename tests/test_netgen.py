@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabelTarget,
-                    LabeledGraph, RewireTarget, assign_labels,
-                    configuration_model, erdos_renyi, fosd_check,
-                    friendship_paradox_check, network_stats, read_edge_list,
-                    rewire_to_assortativity, stream, write_edge_list)
+                    LabeledGraph, RewireTarget, TargetUnreachableError,
+                    assign_labels, build_graph, configuration_model,
+                    erdos_renyi, fosd_check, friendship_paradox_check,
+                    network_stats, read_edge_list, rewire_to_assortativity,
+                    stream, write_edge_list)
 
 
 def _assortativity(g):
@@ -44,6 +45,33 @@ def test_configuration_model_degenerate_specs():
         configuration_model(ConfigModelSpec(10, 2.4, k_max=10))
     with pytest.raises(DataError, match="^power-law exponent must be > 1$"):
         configuration_model(ConfigModelSpec(10, 1.0))
+
+
+@pytest.mark.parametrize("spec, fields, message", [
+    (ConfigModelSpec, dict(node_count=100.5, power_law_exponent=2.4),
+     "node_count must be a count >= 0, got 100.5"),
+    (ConfigModelSpec, dict(node_count=100, power_law_exponent=2.4, seed=-1),
+     "seed must be a count >= 0, got -1"),
+    (ConfigModelSpec, dict(node_count=100, power_law_exponent=2.4,
+                           k_max=10.5),
+     "k_max must be a count >= 0, got 10.5"),
+    (ConfigModelSpec, dict(node_count=100, power_law_exponent=2.4,
+                           k_min=True),
+     "k_min must be a count >= 0, got True"),
+    (ErdosRenyiSpec, dict(node_count=100, edge_probability=0.1, seed=1.5),
+     "seed must be a count >= 0, got 1.5"),
+    (ErdosRenyiSpec, dict(node_count="100", edge_probability=0.1),
+     "node_count must be a count >= 0, got '100'"),
+    (RewireTarget, dict(target=0.3, max_iterations=2.5),
+     "max_iterations must be a count >= 0, got 2.5"),
+    (LabelTarget, dict(base_probability=0.3, target=0.1, max_iterations=-1),
+     "max_iterations must be a count >= 0, got -1"),
+])
+def test_specs_reject_non_count_fields(spec, fields, message):
+    with pytest.raises(DataError) as exc:
+        spec(**fields)
+    assert type(exc.value) is DataError
+    assert str(exc.value) == message
 
 
 def test_power_law_ccdf_slope():
@@ -148,7 +176,6 @@ def test_rewire_noop_when_already_at_target(powerlaw_graph):
 
 
 def test_rewire_unreachable_target_returns_best_effort(powerlaw_graph):
-    from nepoll import TargetUnreachableError
     with pytest.raises(TargetUnreachableError) as exc:
         rewire_to_assortativity(powerlaw_graph,
                                 RewireTarget(0.99, max_iterations=40_000),
@@ -204,7 +231,6 @@ def test_assign_labels_regular_graph_undefined(k3):
 
 
 def test_assign_labels_unreachable_target(powerlaw_graph):
-    from nepoll import TargetUnreachableError
     with pytest.raises(TargetUnreachableError) as exc:
         assign_labels(powerlaw_graph,
                       LabelTarget(0.3, target=0.99, max_iterations=50_000),
@@ -253,6 +279,38 @@ def test_generated_graphs_pass_paradox_checks():
         assert friendship_paradox_check(g).holds
         assert fosd_check(g)
         assert int(g.degrees.sum()) == 2 * g.edge_count
+
+
+def test_every_producer_output_is_canonical(powerlaw_graph, tmp_path):
+    """Each producer hands ``Graph`` its keys unchecked, so its graph must
+    equal the one ``build_graph`` makes of the same edge file rows."""
+    path = tmp_path / "sparse.edges"
+    path.write_text("".join(f"{7 * u + 3} {7 * v + 3}\n"
+                            for u, v in powerlaw_graph.edges.tolist()))
+    sparse = read_edge_list(path)
+    with pytest.raises(TargetUnreachableError) as exc:
+        rewire_to_assortativity(powerlaw_graph,
+                                RewireTarget(0.99, max_iterations=40_000),
+                                stream(5))
+    rewired_sparse = rewire_to_assortativity(sparse, RewireTarget(-0.15),
+                                             stream(3))
+    assert rewired_sparse.original_ids.tolist() == \
+        (7 * np.arange(powerlaw_graph.node_count) + 3).tolist()
+    produced = [
+        configuration_model(ConfigModelSpec(800, 2.4, seed=21))[0],
+        erdos_renyi(ErdosRenyiSpec(400, 0.02, seed=23)),
+        rewire_to_assortativity(powerlaw_graph, RewireTarget(0.15),
+                                stream(3)),
+        exc.value.result,
+        rewired_sparse,
+    ]
+    for g in produced:
+        rebuilt = build_graph(g.original_ids[g.edges])
+        assert rebuilt.node_count == g.node_count
+        for name in ("edges", "neighbors", "indptr", "degrees",
+                     "original_ids"):
+            assert np.array_equal(getattr(g, name), getattr(rebuilt, name))
+            assert getattr(g, name).dtype == getattr(rebuilt, name).dtype
 
 
 def test_generated_graph_round_trips_through_files(tmp_path):
