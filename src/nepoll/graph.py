@@ -95,8 +95,7 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]]) -> Graph:
         raise DataError("a graph needs at least one edge")
     lo = np.minimum(raw[:, 0], raw[:, 1])
     hi = np.maximum(raw[:, 0], raw[:, 1])
-    original_ids, compact = np.unique(np.concatenate([lo, hi]),
-                                      return_inverse=True)
+    original_ids, compact = _rank_ids(np.concatenate([lo, hi]))
     n = len(original_ids)
     keys = compact[:len(raw)] * n + compact[len(raw):]
     edge_keys = np.sort(keys)
@@ -109,6 +108,26 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]]) -> Graph:
             raise DataError(f"self-loop at node {u}")
         raise DataError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
     return Graph(n, edge_keys, original_ids)
+
+
+# Ids no larger than this many times their count are ranked by a presence
+# mask over 0..max id: O(count) work and memory, against np.unique's sort
+# (4-5 ms against 34-50 ms for the 1.01M endpoints of a 200k-node graph).
+# Sparser or negative ids are sorted.
+_DENSE_RANK_SPAN = 4
+
+
+def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, rank)`` of a 1-D int64 array: its sorted distinct values and
+    each value's index among them, as ``np.unique(values,
+    return_inverse=True)`` gives them."""
+    if len(values) and values.min() >= 0:
+        top = int(values.max())
+        if top <= _DENSE_RANK_SPAN * len(values):
+            present = np.zeros(top + 1, dtype=bool)
+            present[values] = True
+            return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
+    return np.unique(values, return_inverse=True)
 
 
 def _repeated_rows(keys: np.ndarray) -> np.ndarray:

@@ -27,6 +27,9 @@ again after it.  With ``_PROPOSAL_CHUNK = 1`` that is the process here,
 so its graphs, labels, achieved values and proposal counts must equal
 these.  The chunk size and the stall limit are read from
 ``nepoll.netgen`` at call time, so a test that patches them patches both.
+
+``rows_text`` formats rows with ``%``, one Python int at a time: the
+referee for the digit-plane writer of ``nepoll.io``.
 """
 
 import math
@@ -255,3 +258,8 @@ def assign_labels(g, target, gen):
             if abs(current - goal) <= tol:
                 break
     return LabeledGraph(g, labels)
+
+
+def rows_text(rows):
+    """``b"a b\\n"`` for every row of a ``(k, 2)`` integer array."""
+    return (("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist())).encode()

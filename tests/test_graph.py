@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from nepoll import (DataError, GraphFlags, LabeledGraph, build_graph,
                     graph_flags, stream)
+from nepoll import graph as graph_module
 
 from _strategies import edge_lists, graphs, labeled_graphs
 
@@ -124,6 +125,43 @@ def test_array_and_iterable_inputs_agree():
 def test_empty_edge_list_rejected():
     with pytest.raises(ValueError):
         build_graph([])
+
+
+@pytest.mark.parametrize("relabel", [
+    lambda ids, ends: 7 * ids + 3,
+    # the largest id at, and one past, the largest the presence mask ranks
+    lambda ids, ends: np.append(ids[:-1],
+                                graph_module._DENSE_RANK_SPAN * ends),
+    lambda ids, ends: np.append(ids[:-1],
+                                graph_module._DENSE_RANK_SPAN * ends + 1),
+    lambda ids, ends: 2 ** 40 + 7 * ids + 3,
+], ids=["7v+3", "largest-at-span", "largest-past-span", "near-2**40"])
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_and_sorted_ranking_build_equal_graphs(monkeypatch, relabel,
+                                                     seed):
+    """Ranked by the presence mask (where the ids allow it) or by a sort,
+    relabeled ids give the arrays of the graph on the original ids."""
+    gen = np.random.default_rng(seed)
+    pairs = gen.integers(0, 60, size=(150, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    pairs = pairs[np.unique(np.sort(pairs, axis=1), axis=0,
+                            return_index=True)[1]]
+    g0 = build_graph(pairs)
+    new_ids = relabel(g0.original_ids, pairs.size)
+    relabeled = new_ids[np.searchsorted(g0.original_ids, pairs)]
+    # the default span, a sort always, and the mask always where it is small
+    spans = [graph_module._DENSE_RANK_SPAN, -1]
+    if new_ids[-1] < 2 ** 20:
+        spans.append(2 ** 20)
+    for span in spans:
+        monkeypatch.setattr(graph_module, "_DENSE_RANK_SPAN", span)
+        g = build_graph(relabeled)
+        for name in ("edges", "indptr", "neighbors", "degrees"):
+            got, want = getattr(g, name), getattr(g0, name)
+            assert np.array_equal(got, want) and got.dtype == want.dtype, \
+                (span, name)
+        assert np.array_equal(g.original_ids, new_ids), span
+        assert g.original_ids.dtype == np.int64, span
 
 
 def test_sparse_ids_compacted():

@@ -1,12 +1,24 @@
 import re
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from nepoll import (ConfigModelSpec, DataError, LabeledGraph, RewireTarget,
                     build_graph, configuration_model, read_edge_list,
                     read_labeled_graph, read_labels, rewire_to_assortativity,
                     stream, write_edge_list, write_labels)
+from nepoll.io import _rows_text
+
+from _reference import rows_text
+
+# the last id of each decimal width and the first of the next, and the
+# ids around 2**32, where the writer switches from uint32 to uint64
+EDGE_IDS = [0] + [x for p in range(1, 7) for x in (10 ** p - 1, 10 ** p)] \
+    + [2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63 - 1]
+ids = st.one_of(st.sampled_from(EDGE_IDS), st.integers(0, 10 ** 7),
+                st.integers(0, 2 ** 63 - 1))
 
 
 def test_edge_list_round_trip(tmp_path, star_chord):
@@ -100,6 +112,51 @@ def test_edge_list_round_trip_rewired_20k(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     for name in ("edges", "indptr", "neighbors", "degrees", "original_ids"):
         assert np.array_equal(getattr(loaded, name), getattr(g, name)), name
+
+
+@given(rows=st.lists(st.tuples(ids, ids), min_size=1, max_size=30)
+       | st.lists(st.tuples(ids, st.integers(0, 1)), min_size=1,
+                  max_size=30))
+def test_rows_text_matches_percent_format(rows):
+    """Edge rows, and label rows whose second column is 0 or 1."""
+    rows = np.array(rows, dtype=np.int64)
+    assert _rows_text(rows) == rows_text(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0]],
+    [[7, 1]],
+    [[x, x] for x in EDGE_IDS],
+    [[x, x % 2] for x in EDGE_IDS],
+    [[2 ** 32, 2 ** 32 - 1]],
+    [[2 ** 63 - 1, 0], [0, 2 ** 63 - 1]],
+])
+def test_rows_text_at_width_and_dtype_edges(rows):
+    rows = np.array(rows, dtype=np.int64)
+    assert _rows_text(rows) == rows_text(rows)
+
+
+@pytest.mark.parametrize("offset, scale", [
+    (3, 7), (2 ** 32, 1), (2 ** 40 + 3, 7), (2 ** 32, 2 ** 24)])
+def test_edge_list_round_trip_sparse_ids(tmp_path, offset, scale):
+    """Sparse ids and ids above 2**32 load to the graph ``build_graph``
+    makes of the pairs, and write back the same bytes.  With the last
+    scale the ids span more than 2**31, so the reader ranks them to find
+    repeated edges."""
+    gen = np.random.default_rng(5)
+    pairs = gen.permutation(np.unique(np.sort(
+        gen.integers(0, 300, size=(900, 2)), axis=1), axis=0))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]] * scale + offset
+    g = build_graph(pairs)
+    path = tmp_path / "g.edges"
+    path.write_bytes(rows_text(pairs))
+    loaded = read_edge_list(path)
+    for name in ("edges", "indptr", "neighbors", "degrees", "original_ids"):
+        assert np.array_equal(getattr(loaded, name), getattr(g, name)), name
+        assert getattr(loaded, name).dtype == getattr(g, name).dtype, name
+    write_edge_list(loaded, path)
+    lines = path.read_bytes().split(b"\n", 1)[1]
+    assert lines == rows_text(g.original_ids[g.edges])
 
 
 def test_labels_round_trip(tmp_path, star):
