@@ -1,9 +1,12 @@
 """Immutable undirected simple graphs with binary node labels.
 
-A graph is its sorted edge list, over which every adjacency product runs,
-plus a compressed sparse adjacency form (sorted neighbors, per-node
-offsets) for the search of :func:`graph_flags`, the spectrum's twin check
-and the oracle's neighbor lists.  Every graph is made by one constructor,
+A graph is its sorted edge list, stored column-major so that each endpoint
+column is contiguous, over which every adjacency product runs.  The
+compressed sparse adjacency form (sorted neighbors, per-node offsets) that
+the search of :func:`graph_flags`, the spectrum's twin check and the
+oracle's neighbor lists read is built on first use and cached: a graph that
+is only generated, rewired, labeled and written never sorts its arcs.
+Every graph is made by one constructor,
 ``Graph(node_count, edge_keys, original_ids)``, from its sorted, distinct
 edge keys ``lo * node_count + hi``.  Outside input reaches it through
 :func:`build_graph`, which validates and compacts the ids; the generators
@@ -34,29 +37,50 @@ class Graph:
 
     ``edge_keys`` holds each edge ``(lo, hi)``, ``lo < hi < node_count``,
     as ``lo * node_count + hi``, sorted and distinct; the constructor
-    trusts this, and is the only code that derives ``edges``, ``degrees``,
-    ``indptr`` and ``neighbors`` from it.  ``original_ids[v]`` is node v's
-    id in files.  Instances are never mutated, so they are safe to share.
-    ``edge_end_count`` is the number of edge endpoints (twice the edge
-    count), the normalizer of all degree-weighted laws.
+    trusts this, and only it derives ``edges`` and ``degrees`` from it.
+    ``edges`` is a column-major ``(edge_count, 2)`` array: ``edges[:, 0]``
+    and ``edges[:, 1]`` are contiguous.  ``indptr`` and ``neighbors`` are
+    derived from ``edges`` on first access and cached.  ``original_ids[v]``
+    is node v's id in files.  Instances are never mutated, so they are safe
+    to share.  ``edge_end_count`` is the number of edge endpoints (twice
+    the edge count), the normalizer of all degree-weighted laws.
     """
 
-    __slots__ = ("node_count", "edges", "indptr", "neighbors", "degrees",
-                 "edge_end_count", "min_degree", "original_ids", "_flags")
+    __slots__ = ("node_count", "edges", "degrees", "edge_end_count",
+                 "min_degree", "original_ids", "_adjacency", "_flags")
 
     def __init__(self, node_count: int, edge_keys: np.ndarray,
                  original_ids: np.ndarray):
         n = self.node_count = int(node_count)
-        self.edges = np.stack(np.divmod(edge_keys, n), axis=1)
-        self.degrees = np.bincount(self.edges.ravel(), minlength=n)
-        lo, hi = self.edges.T
-        # arcs keyed src * n + dst, both directions of every edge
-        self.neighbors = np.sort(np.concatenate([edge_keys, hi * n + lo])) % n
-        self.indptr = np.concatenate([[0], np.cumsum(self.degrees)])
+        self.edges = np.empty((len(edge_keys), 2), dtype=np.int64, order="F")
+        np.divmod(edge_keys, n, out=(self.edges[:, 0], self.edges[:, 1]))
+        self.degrees = np.bincount(self.edges.ravel(order="K"), minlength=n)
         self.edge_end_count = int(self.degrees.sum())
         self.min_degree = int(self.degrees.min())
         self.original_ids = original_ids
+        self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
         self._flags: GraphFlags | None = None
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """``neighbors[indptr[v]:indptr[v + 1]]`` are v's neighbors."""
+        if self._adjacency is None:
+            self._adjacency = self._build_adjacency()
+        return self._adjacency[0]
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        """Every node's neighbors, ascending, node after node."""
+        if self._adjacency is None:
+            self._adjacency = self._build_adjacency()
+        return self._adjacency[1]
+
+    def _build_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        n = self.node_count
+        lo, hi = self.edges.T
+        # arcs keyed src * n + dst, both directions of every edge
+        neighbors = np.sort(np.concatenate([lo * n + hi, hi * n + lo])) % n
+        return np.concatenate([[0], np.cumsum(self.degrees)]), neighbors
 
     @property
     def edge_count(self) -> int:
@@ -99,7 +123,7 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]]) -> Graph:
     n = len(original_ids)
     keys = compact[:len(raw)] * n + compact[len(raw):]
     edge_keys = np.sort(keys)
-    bad = (raw < 0).any(axis=1) | (lo == hi)
+    bad = (lo < 0) | (lo == hi)
     if bad.any() or (edge_keys[1:] == edge_keys[:-1]).any():
         u, v = (int(x) for x in raw[np.argmax(bad | _repeated_rows(keys))])
         if u < 0 or v < 0:

@@ -104,7 +104,8 @@ def _rows_text(rows: np.ndarray) -> bytes:
     width = len(str(top))
     # unsigned division by a constant 10 is several times cheaper than
     # int64 divmod
-    w = rows.ravel().astype(np.uint32 if top < 2 ** 32 else np.uint64)
+    w = rows.astype(np.uint32 if top < 2 ** 32 else np.uint64,
+                    order="C").ravel()
     text = np.empty((len(w), width + 1), dtype=np.uint8)
     for place in range(width - 1, -1, -1):
         q = w // 10

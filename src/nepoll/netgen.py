@@ -342,7 +342,10 @@ class _EdgeSwaps(_SwapProcess):
         distinct and the new keys absent, so ``keys`` loses the old keys,
         gains the new ones and stays sorted."""
         e, new = np.r_[i, j], np.r_[k1, k2]
-        keys = np.delete(self.keys, np.searchsorted(self.keys, self.ekey[e]))
+        # a deletion is a set of positions: search them in ascending order,
+        # which keeps the binary searches in cache
+        gone = np.searchsorted(self.keys, np.sort(self.ekey[e]))
+        keys = np.delete(self.keys, gone)
         self.ekey[e] = new
         new = np.sort(new)
         self.keys = np.insert(keys, np.searchsorted(keys, new), new)
@@ -385,7 +388,8 @@ class _LabelSwaps(_SwapProcess):
     def __init__(self, deg: np.ndarray, labels: np.ndarray, corr,
                  target: LabelTarget):
         self.deg = deg
-        self.pool = np.argsort(labels, kind="stable")
+        self.pool = np.concatenate([np.flatnonzero(labels == 0),
+                                    np.flatnonzero(labels)])
         self.zeros = len(labels) - int(labels.sum())
         super().__init__(int(np.dot(deg, labels)), corr, target.target,
                          target.tolerance,

@@ -7,8 +7,10 @@ import scipy.sparse as sp
 from hypothesis import given
 import hypothesis.strategies as st
 
-from nepoll import (DataError, GraphFlags, LabeledGraph, build_graph,
-                    graph_flags, stream)
+from nepoll import (ConfigModelSpec, DataError, ExperimentConfig, Graph,
+                    GraphFlags, LabeledGraph, LabelTarget, RewireTarget,
+                    build_graph, graph_flags, materialize, network_stats,
+                    stream, write_edge_list, write_labels)
 from nepoll import graph as graph_module
 
 from _strategies import edge_lists, graphs, labeled_graphs
@@ -193,6 +195,60 @@ def test_build_graph_order_invariant(edges, data):
     assert np.array_equal(g1.neighbors, g2.neighbors)
     assert np.array_equal(g1.indptr, g2.indptr)
     assert np.array_equal(g1.original_ids, g2.original_ids)
+
+
+@given(pairs=edge_lists(max_nodes=12),
+       first=st.sampled_from(["neighbors", "indptr"]))
+def test_adjacency_built_on_first_use_matches_scipy(pairs, first):
+    """The adjacency is built from the edges by whichever of its arrays is
+    read first, and equals scipy's canonical CSR form of the edge list."""
+    g = build_graph(pairs)
+    n, (u, v) = g.node_count, g.edges.T
+    a = sp.csr_array((np.ones(2 * g.edge_count),
+                      (np.concatenate([u, v]), np.concatenate([v, u]))),
+                     shape=(n, n))
+    a.sort_indices()
+    assert g._adjacency is None
+    getattr(g, first)
+    assert np.array_equal(g.neighbors, a.indices)
+    assert np.array_equal(g.indptr, a.indptr)
+    assert g.neighbors.dtype == g.indptr.dtype == np.int64
+
+
+@given(pairs=edge_lists(max_nodes=12), isolated=st.integers(0, 3))
+def test_edge_columns_contiguous_and_divmod_of_keys(pairs, isolated):
+    n = 1 + max(max(e) for e in pairs) + isolated
+    keys = np.unique([u * n + v for u, v in pairs])
+    g = Graph(n, keys, np.arange(n))
+    for column, want in zip((g.edges[:, 0], g.edges[:, 1]),
+                            np.divmod(keys, n)):
+        assert column.flags.c_contiguous
+        assert column.dtype == np.int64 and np.array_equal(column, want)
+    assert np.array_equal(g.degrees, np.bincount(g.edges.ravel(), None, n))
+
+
+def test_generate_path_leaves_adjacency_unbuilt(monkeypatch, tmp_path):
+    """Generating, rewiring, labeling, summarizing and writing a graph never
+    sorts its arcs; the first graph_flags builds the adjacency once."""
+    builds = []
+    build = Graph._build_adjacency
+
+    def counted(g):
+        builds.append(g)
+        return build(g)
+
+    monkeypatch.setattr(Graph, "_build_adjacency", counted)
+    lg, _ = materialize(ExperimentConfig(
+        graph_source=ConfigModelSpec(300, 2.4, k_max=30, seed=7),
+        label_source=LabelTarget(0.3, target=0.1),
+        rewire=RewireTarget(0.1), master_seed=7))
+    network_stats(lg)
+    write_edge_list(lg.graph, tmp_path / "g.edges")
+    write_labels(lg, tmp_path / "g.labels")
+    assert builds == [] and lg.graph._adjacency is None
+    graph_flags(lg.graph)
+    assert len(lg.graph.neighbors) == lg.graph.indptr[-1]
+    assert builds == [lg.graph]
 
 
 def test_true_fraction_examples(star, c4):

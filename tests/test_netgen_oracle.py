@@ -126,6 +126,26 @@ def test_rewire_matches_sequential(powerlaw_graph, chunk_one, target, seed):
           powerlaw_graph, target, seed)
 
 
+@pytest.mark.parametrize("target", [RewireTarget(0.15), RewireTarget(-0.15)])
+def test_rewire_keys_stay_the_sorted_edge_keys(powerlaw_graph, monkeypatch,
+                                               target):
+    """After every bulk accept of many small chunks, the sorted key array
+    is exactly the sorted keys of the edges, without repeats."""
+    applies = []
+    apply = netgen._EdgeSwaps.apply
+
+    def checked(chain, *accepted):
+        apply(chain, *accepted)
+        assert np.array_equal(chain.keys, np.sort(chain.ekey))
+        assert (np.diff(chain.keys) > 0).all()
+        applies.append(len(accepted[0]))
+
+    monkeypatch.setattr(netgen, "_PROPOSAL_CHUNK", 16)
+    monkeypatch.setattr(netgen._EdgeSwaps, "apply", checked)
+    rewire_to_assortativity(powerlaw_graph, target, stream(3))
+    assert len(applies) > 10 and max(applies) > 1
+
+
 def test_rewire_unreachable_matches_sequential(powerlaw_graph, chunk_one):
     kind, message, achieved, _ = _same(
         rewire_to_assortativity, _reference.rewire_to_assortativity,
