@@ -1,9 +1,9 @@
 """Exact error analysis and network statistics.
 
-Everything here is closed-form.  ``exact_error(lg, kind)`` gives the bias
-and single-sample variance of each of the four polling estimators, the
-moments of its respondents' node law, and ``error_bounds`` the paper's
-spectral and minimum-degree bounds on them.
+Everything here is closed-form.  ``exact_error(lg, kind, law)`` gives the
+bias and single-sample variance of each of the four polling estimators,
+the moments of its respondents' node law ``law``, and ``error_bounds``
+the paper's spectral and minimum-degree bounds on them.
 Alongside: the budget threshold under which the walk poll beats intent
 polling, degree correlations, the spectrum of the normalized adjacency
 matrix, the friendship-paradox and stochastic-dominance checks, and a
@@ -218,25 +218,29 @@ def _has_twins(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # closed-form estimator errors
 
-def exact_error(lg: LabeledGraph, kind: str, *,
-                walk: WalkLaw | None = None) -> tuple[float, float]:
+def exact_error(lg: LabeledGraph, kind: str,
+                law: np.ndarray) -> tuple[float, float]:
     """Exact ``(bias, var1)`` of one ``kind`` sample: its mean minus the
     true fraction f_bar, and its variance.  A poll of budget b averages b
     independent samples, so its variance is ``var1 / b`` and its MSE
     ``bias * bias + var1 / b``.
 
     The sample is a label (IP) or a poll response (the other kinds) of a
-    node drawn from ``respondent_law(lg.graph, kind, walk)``: the moments
-    are that table's under those weights, divided by their sum.  So IP is
-    unbiased with var1 = f_bar (1 - f_bar), and RW without ``walk`` takes
-    the degree-weighted law d/M that a long walk reaches (bias
-    cov(label, degree)/E{d} = E{f(friend)} - f_bar).
+    node drawn from the node law ``law``, the ``kind`` respondents' law
+    ``respondent_law(lg.graph, kind, walk)`` that the sweep also samples:
+    the moments are that table's under those weights, divided by their
+    sum.  So IP is unbiased with var1 = f_bar (1 - f_bar), and RW without
+    a walk takes the degree-weighted law d/M that a long walk reaches
+    (bias cov(label, degree)/E{d} = E{f(friend)} - f_bar).  A law over
+    another number of nodes raises ``DataError``.
     """
-    w = respondent_law(lg.graph, kind, walk)
+    estimator_code(kind)
+    if len(law) != lg.graph.node_count:
+        raise DataError("the respondent law is not over the graph's nodes")
     table = lg.labels if kind == "IP" else lg.responses
-    total = float(w.sum())
-    mean = float(np.dot(w, table)) / total
-    second = float(np.dot(w, table * table)) / total
+    total = float(law.sum())
+    mean = float(np.dot(law, table)) / total
+    second = float(np.dot(law, table * table)) / total
     return mean - lg.true_fraction, second - mean * mean
 
 

@@ -185,9 +185,10 @@ def graph_flags(g: Graph) -> GraphFlags:
     for root in unreached.tolist():
         if depth[root] < 0:
             _bfs_depths(g, root, depth)
-    parity = depth[g.edges] % 2
+    odd = (depth & 1).astype(bool)
     flags = GraphFlags(connected=len(unreached) == 0,
-                       bipartite=bool((parity[:, 0] != parity[:, 1]).all()))
+                       bipartite=bool((odd[g.edges[:, 0]]
+                                       != odd[g.edges[:, 1]]).all()))
     g._flags = flags
     return flags
 

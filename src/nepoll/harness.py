@@ -155,9 +155,9 @@ def _empirical_moments(values: np.ndarray,
     """Bias, variance and MSE against ``truth``; reduced with stable
     summation in replication order so output is order-independent."""
     reps = len(values)
-    mean = math.fsum(values) / reps
-    emp_var = math.fsum((values - mean) ** 2) / reps
-    emp_mse = math.fsum((values - truth) ** 2) / reps
+    mean = math.fsum(values.tolist()) / reps
+    emp_var = math.fsum(((values - mean) ** 2).tolist()) / reps
+    emp_mse = math.fsum(((values - truth) ** 2).tolist()) / reps
     return mean - truth, emp_var, emp_mse
 
 
@@ -169,10 +169,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig) -> list[SweepRow]:
     """Run the sweep on an already-materialized labeled graph.
 
-    Each estimator's respondents are drawn from its node law, whose
-    sampler is built once per sweep, and its exact columns are the moments
-    of that law.  ``RW`` takes the law of a ``cfg.walk_length``-step walk,
-    or of the certified length of :func:`walk_law`."""
+    Each estimator's node law is built once per sweep: its respondents
+    are drawn from it, and its exact columns are its moments.  ``RW``
+    takes the law of a ``cfg.walk_length``-step walk, or of the certified
+    length of :func:`walk_law`."""
     flags = graph_flags(lg.graph)
     if "RW" in cfg.estimators and not flags.connected:
         raise DataError(
@@ -188,8 +188,9 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig) -> list[SweepRow]:
         if kind == "RW":
             walk = walk_law(lg.graph, cfg.walk_length)
             length, tv = walk.length, walk.tv
-        bias, var1 = exact_error(lg, kind, walk=walk)
-        respondents = LawSampler(respondent_law(lg.graph, kind, walk))
+        law = respondent_law(lg.graph, kind, walk)
+        bias, var1 = exact_error(lg, kind, law)
+        respondents = LawSampler(law)
         for budget in budgets:
             values = replicate(lg, kind, budget, cfg.replications,
                                cfg.master_seed, respondents)
@@ -314,7 +315,7 @@ class Report:
         if self.walk is not None:
             laws.append(("RW-walk", "RW", self.walk))
         laws.append(("FN", "FN", None))
-        exact = {law: exact_error(lg, kind, walk=walk)
+        exact = {law: exact_error(lg, kind, respondent_law(g, kind, walk))
                  for law, kind, walk in laws}
         slack = 1e-12
         bounds = error_bounds(lg, spectrum.lambda2, spectrum.lambda_n)

@@ -92,6 +92,13 @@ def read_edge_list(path: PathLike) -> Graph:
     return build_graph(pairs[~repeated] if repeated.any() else pairs)
 
 
+def _digit_type(top: int) -> type:
+    """The unsigned type the writers hold values up to ``top`` in: unsigned
+    division by a constant 10 is several times cheaper than int64
+    divmod."""
+    return np.uint32 if top < 2 ** 32 else np.uint64
+
+
 def _rows_text(rows: np.ndarray) -> bytes:
     """``b"a b\\n"`` for every row of a ``(k, 2)`` array of non-negative
     integers: the bytes ``"%d %d\\n"`` formats.
@@ -102,10 +109,7 @@ def _rows_text(rows: np.ndarray) -> bytes:
     """
     top = int(rows.max())
     width = len(str(top))
-    # unsigned division by a constant 10 is several times cheaper than
-    # int64 divmod
-    w = rows.astype(np.uint32 if top < 2 ** 32 else np.uint64,
-                    order="C").ravel()
+    w = rows.astype(_digit_type(top), order="C", copy=False).ravel()
     text = np.empty((len(w), width + 1), dtype=np.uint8)
     for place in range(width - 1, -1, -1):
         q = w // 10
@@ -124,7 +128,15 @@ def write_edge_list(g: Graph, path: PathLike) -> None:
     with open(path, "wb") as fh:
         fh.write(f"# undirected edge list: {g.node_count} nodes, "
                  f"{g.edge_count} edges\n".encode())
-        fh.write(_rows_text(g.original_ids[g.edges]))
+        ids = g.original_ids
+        ids = ids.astype(_digit_type(int(ids.max())))
+        # each end's ids gathered into one C-ordered array of the digit
+        # type: no int64 pairs, and no transposing cast of the column-major
+        # edges
+        rows = np.empty((g.edge_count, 2), dtype=ids.dtype)
+        rows[:, 0] = ids[g.edges[:, 0]]
+        rows[:, 1] = ids[g.edges[:, 1]]
+        fh.write(_rows_text(rows))
 
 
 def read_labels(path: PathLike, g: Graph) -> tuple[np.ndarray, int]:

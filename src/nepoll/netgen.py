@@ -26,6 +26,12 @@ proposal; with one proposal per chunk this is the one-at-a-time process.
 3. The cut alone is accepted iff it shrinks the distance on the state the
    bulk leaves.  An accept that reaches the band ends the chunk; otherwise
    step 1 screens again from the position after the cut.
+
+The rewiring holds the edge keys as a set of two sorted parts: the
+original keys, never rewritten, with a mask of the edges that still hold
+theirs, and the keys accepted since.  So a chunk's accepts rewrite only
+the keys accepted so far, not all m of them, and the rewired graph is
+built once, from the merge of the two parts.
 """
 
 from __future__ import annotations
@@ -209,22 +215,29 @@ def _assortativity_constants(degrees: np.ndarray) -> tuple[float, float]:
 def _first_claims(claims: np.ndarray) -> np.ndarray:
     """Mask of the rows of ``claims`` that are the earliest row to hold
     each of their values; the rows it keeps are pairwise disjoint."""
-    rows, width = claims.shape
-    _, first, inverse = np.unique(claims, return_index=True,
-                                  return_inverse=True)
-    owner = (first // width)[inverse].reshape(rows, width)
-    return (owner == np.arange(rows)[:, None]).all(axis=1)
-
-
-def _in_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
-    """Elementwise ``value in sorted_values`` (not empty); the query is
-    searched in ascending order, which keeps the binary searches in cache."""
-    flat = values.ravel()
+    width = claims.shape[1]
+    flat = claims.ravel()
     order = np.argsort(flat)
-    at = np.empty(len(flat), dtype=np.int64)
-    at[order] = np.searchsorted(sorted_values, flat[order])
-    found = sorted_values[np.minimum(at, len(sorted_values) - 1)] == flat
-    return found.reshape(values.shape)
+    ordered = flat[order]
+    new = np.empty(len(flat), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    # each value's earliest position: the minimum over its run, whatever
+    # order the unstable sort left the run in
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    owner = first[np.cumsum(new) - 1] // width
+    kept = np.ones(claims.shape[0], dtype=bool)
+    kept[order[owner != order // width] // width] = False
+    return kept
+
+
+def _in_sorted(values: np.ndarray,
+               sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each of the ascending ``values`` in ``sorted_values``
+    (not empty), clamped to its last, and whether the value is there."""
+    at = np.minimum(np.searchsorted(sorted_values, values),
+                    len(sorted_values) - 1)
+    return at, sorted_values[at] == values
 
 
 class _SwapProcess:
@@ -297,21 +310,51 @@ class _SwapProcess:
 
 
 class _EdgeSwaps(_SwapProcess):
-    """Edge ``e`` as the key ``u * n + v`` (``u < v``) in ``ekey[e]``, and
-    all keys sorted in ``keys``, the rewired graph's ``edge_keys``."""
+    """Edge ``e`` as the key ``u * n + v`` (``u < v``) in ``ekey[e]``.
+
+    The keys the edges hold form a set of two sorted parts, so an accept
+    rewrites only the keys accepted so far, not all ``m``.  ``base``, the
+    original keys, is never rewritten: edge ``e``'s key sits at position
+    ``e``, and stays in the set while ``alive[e]``, i.e. while edge ``e``
+    still holds it.  ``born`` holds, ascending, the keys accepts added that
+    an edge still holds.  So a key is held iff it is a live base key or in
+    ``born``, and ``born`` holds no live base key.
+    """
 
     def __init__(self, g: Graph, target: RewireTarget, mu_q: float,
                  sigma2_q: float):
         m, self.n = g.edge_count, g.node_count
         self.deg = g.degrees
         self.ekey = g.edges[:, 0] * self.n + g.edges[:, 1]
-        self.keys = self.ekey.copy()  # ascending, as g.edges is
+        self.base = self.ekey.copy()  # ascending, as g.edges is
+        self.alive = np.ones(m, dtype=bool)
+        self.born = np.zeros(0, dtype=np.int64)
 
         def corr(s):
             return (s / m - mu_q * mu_q) / sigma2_q
 
         super().__init__(int(np.dot(*self.deg[g.edges.T])), corr,
                          target.target, target.tolerance, m // 2)
+
+    def keys(self) -> np.ndarray:
+        """The held keys, ascending: the rewired graph's ``edge_keys``."""
+        # a stable sort of two ascending runs is one merge
+        return np.sort(np.concatenate([self.base[self.alive], self.born]),
+                       kind="stable")
+
+    def held(self, keys: np.ndarray) -> np.ndarray:
+        """Whether an edge holds each of ``keys``; the query is searched in
+        ascending order, which keeps the binary searches in cache."""
+        flat = keys.ravel()
+        order = np.argsort(flat)
+        ascending = flat[order]
+        at, held = _in_sorted(ascending, self.base)
+        held &= self.alive[at]
+        if len(self.born):
+            held |= _in_sorted(ascending, self.born)[1]
+        out = np.empty(len(flat), dtype=bool)
+        out[order] = held
+        return out.reshape(keys.shape)
 
     def load(self, draws: tuple[np.ndarray, np.ndarray]) -> int:
         self.idx, self.flip = draws
@@ -330,7 +373,7 @@ class _EdgeSwaps(_SwapProcess):
         local = (ij[0] != ij[1]) & (a != c) & (b != d) & self.shrinks(step)
         added = np.array([np.minimum(a, c) * n + np.maximum(a, c),
                           np.minimum(b, d) * n + np.maximum(b, d)])
-        local[local] = ~_in_sorted(added[:, local], self.keys).any(axis=0)
+        local[local] = ~self.held(added[:, local]).any(axis=0)
         pos = np.flatnonzero(local)
         rows = (*ij[:, pos], *added[:, pos])
         # edge indices as negatives, so they never meet a key
@@ -338,17 +381,23 @@ class _EdgeSwaps(_SwapProcess):
         return start + pos, step[pos], claims, rows
 
     def apply(self, i, j, k1, k2) -> None:
-        """Give edges ``i``, ``j`` the keys ``k1``, ``k2``: the edges are
-        distinct and the new keys absent, so ``keys`` loses the old keys,
-        gains the new ones and stays sorted."""
+        """Give edges ``i``, ``j`` the keys ``k1``, ``k2``; the edges are
+        distinct and no edge holds a new key.  An edge that held its base
+        key lets it go by ``alive``, one that held a born key takes it out
+        of ``born``, and the new keys join ``born``: the base is never
+        searched."""
         e, new = np.r_[i, j], np.r_[k1, k2]
-        # a deletion is a set of positions: search them in ascending order,
-        # which keeps the binary searches in cache
-        gone = np.searchsorted(self.keys, np.sort(self.ekey[e]))
-        keys = np.delete(self.keys, gone)
+        reborn = e[~self.alive[e]]
+        self.alive[e] = False
+        born = self.born
+        if len(reborn):
+            # a deletion is a set of positions: search them in ascending
+            # order, which keeps the binary searches in cache
+            born = np.delete(born, np.searchsorted(
+                born, np.sort(self.ekey[reborn])))
         self.ekey[e] = new
         new = np.sort(new)
-        self.keys = np.insert(keys, np.searchsorted(keys, new), new)
+        self.born = np.insert(born, np.searchsorted(born, new), new)
 
 
 def rewire_to_assortativity(g: Graph, target: RewireTarget,
@@ -378,7 +427,7 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     return chain.run(lambda size: (gen.integers(0, m, size=(size, 2)),
                                    gen.integers(0, 2, size=(size, 2))),
                      target.max_iterations, "assortativity",
-                     lambda: Graph(chain.n, chain.keys, g.original_ids))
+                     lambda: Graph(chain.n, chain.keys(), g.original_ids))
 
 
 class _LabelSwaps(_SwapProcess):

@@ -92,8 +92,13 @@ class LawSampler:
     up to it), so a node of zero mass is never drawn.  A guide table (Chen
     & Asau 1974) of n equal buckets starts each search at the first node
     past its bucket's lower edge: a draw takes one step in expectation.
-    With unit weights the cdf is the integers 1..n, so u maps to exactly
-    ``floor(u * n)``.
+
+    With unit weights (``unit``: every weight exactly 1) the cdf holds the
+    integers 1..n and ``u * total`` is the float ``u * n``, the product
+    that picks the bucket, so the search ends at once on node
+    ``floor(u * n)``: such a law is drawn by that one multiply.  Other
+    constant laws keep the search: for c != 1, ``u * (c * n)`` can round
+    across a bucket edge that ``u * n`` does not.
     """
 
     def __init__(self, law: np.ndarray):
@@ -102,14 +107,18 @@ class LawSampler:
                 or not law.any():
             raise DataError("a node law must be a 1-D array of finite, "
                             "nonnegative weights with a positive sum")
+        self.unit = bool((law == 1.0).all())
         self.cdf = cdf = np.cumsum(law)
         self.total = cdf[-1]
         cdf[np.searchsorted(cdf, self.total):] = np.inf   # the clamp
-        self.lower = np.arange(len(cdf)) * (self.total / len(cdf))
-        self.guide = np.searchsorted(cdf, self.lower, side="right")
+        if not self.unit:   # the multiply needs no guide
+            self.lower = np.arange(len(cdf)) * (self.total / len(cdf))
+            self.guide = np.searchsorted(cdf, self.lower, side="right")
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         """Nodes drawn by the uniforms ``u``, shaped like ``u``."""
+        if self.unit:
+            return (u * len(self.cdf)).astype(np.int64)
         x = u * self.total
         bucket = (u * len(self.guide)).astype(np.int64)
         bucket -= self.lower[bucket] > x   # u * n rounded up past an edge

@@ -28,6 +28,9 @@ so its graphs, labels, achieved values and proposal counts must equal
 these.  The chunk size and the stall limit are read from
 ``nepoll.netgen`` at call time, so a test that patches them patches both.
 
+``first_claims`` finds each claim's earliest row through the stable sort
+of ``np.unique``: the referee for ``nepoll.netgen._first_claims``.
+
 ``rows_text`` formats rows with ``%``, one Python int at a time: the
 referee for the digit-plane writer of ``nepoll.io``.
 """
@@ -258,6 +261,16 @@ def assign_labels(g, target, gen):
             if abs(current - goal) <= tol:
                 break
     return LabeledGraph(g, labels)
+
+
+def first_claims(claims):
+    """Mask of the rows of ``claims`` that are the earliest row to hold
+    each of their values."""
+    rows, width = claims.shape
+    _, first, inverse = np.unique(claims, return_index=True,
+                                  return_inverse=True)
+    owner = (first // width)[inverse].reshape(rows, width)
+    return (owner == np.arange(rows)[:, None]).all(axis=1)
 
 
 def rows_text(rows):

@@ -12,8 +12,8 @@ from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabeledGraph,
                     configuration_model, erdos_renyi, error_bounds,
                     exact_error, fosd_check, friendship_paradox_check,
                     graph_flags, label_degree_covariance, mean_degree,
-                    mean_label_friend, network_stats, run_report,
-                    spectral_summary, stream, walk_law)
+                    mean_label_friend, network_stats, respondent_law,
+                    run_report, spectral_summary, stream, walk_law)
 from nepoll import analytics
 
 from _reference import walk_law as reference_walk_law
@@ -176,23 +176,27 @@ def test_spectrum_matches_networkx_matrix(g):
 # ---------------------------------------------------------------------------
 # closed-form errors and their bounds
 
+def _exact(lg, kind, walk=None):
+    """``exact_error`` under the ``kind`` respondents' law."""
+    return exact_error(lg, kind, respondent_law(lg.graph, kind, walk))
+
+
 def _bounds(lg):
     s = spectral_summary(lg.graph)
     return error_bounds(lg, s.lambda2, s.lambda_n)
 
 
 def test_exact_error_rw_star(star_lg):
-    assert exact_error(star_lg, "RW") == pytest.approx((0.25, 0.25),
-                                                       abs=1e-12)
+    assert _exact(star_lg, "RW") == pytest.approx((0.25, 0.25), abs=1e-12)
     assert _bounds(star_lg).rw_variance == pytest.approx(0.5, abs=1e-12)
 
 
 def test_exact_error_rw_unbiased_on_regular(k3_lg):
-    assert exact_error(k3_lg, "RW")[0] == 0.0
+    assert _exact(k3_lg, "RW")[0] == 0.0
 
 
 def test_exact_error_un_star(star_lg):
-    bias, var1 = exact_error(star_lg, "UN")
+    bias, var1 = _exact(star_lg, "UN")
     assert bias == pytest.approx(0.5, abs=1e-12)
     assert var1 == pytest.approx(0.1875, abs=1e-12)
     bound = _bounds(star_lg).un_variance
@@ -201,19 +205,19 @@ def test_exact_error_un_star(star_lg):
 
 
 def test_exact_error_un_c4_alternating(c4):
-    bias, var1 = exact_error(LabeledGraph(c4, [1, 0, 1, 0]), "UN")
+    bias, var1 = _exact(LabeledGraph(c4, [1, 0, 1, 0]), "UN")
     assert bias == pytest.approx(0.0, abs=1e-12)
     assert var1 == pytest.approx(0.25, abs=1e-12)
 
 
 def test_exact_error_un_triangle(k3_lg):
-    bias, var1 = exact_error(k3_lg, "UN")
+    bias, var1 = _exact(k3_lg, "UN")
     assert bias == pytest.approx(0.0, abs=1e-12)
     assert var1 == pytest.approx(1 / 18, abs=1e-12)
 
 
 def test_exact_error_fn_star(star_lg):
-    bias, var1 = exact_error(star_lg, "FN")
+    bias, var1 = _exact(star_lg, "FN")
     assert bias == pytest.approx(0.0, abs=1e-12)
     assert var1 == pytest.approx(0.1875, abs=1e-12)
     assert bias ** 2 <= _bounds(star_lg).fn_bias_sq + 1e-12
@@ -234,7 +238,7 @@ def test_fn_bias_bound_reads_lambda_n_as_singular_value():
         g = build_graph(pairs)
         lg = LabeledGraph(g, gen.integers(0, 2, size=g.node_count))
         smallest_singular_value = np.abs(_dense_spectrum(g)).min()
-        bias = exact_error(lg, "FN")[0]
+        bias = _exact(lg, "FN")[0]
         assert bias ** 2 <= fn_bias_sq_bound(lg, smallest_singular_value) \
             + 1e-12
 
@@ -247,19 +251,19 @@ def test_fn_bias_bound_reads_lambda_n_as_singular_value():
     d = a.sum(axis=1)
     smallest_eigenvalue = np.linalg.eigvalsh(a / np.sqrt(np.outer(d, d)))[0]
     assert smallest_eigenvalue == pytest.approx(-1.0, abs=1e-12)
-    assert exact_error(lg, "FN")[0] ** 2 == pytest.approx(1 / 256, abs=1e-12)
+    assert _exact(lg, "FN")[0] ** 2 == pytest.approx(1 / 256, abs=1e-12)
     assert fn_bias_sq_bound(lg, smallest_eigenvalue) == pytest.approx(
         0.0, abs=1e-12)
     assert _bounds(lg).fn_bias_sq >= 1 / 256
 
 
 def test_exact_error_fn_equals_un_on_regular(k3_lg):
-    assert exact_error(k3_lg, "FN") == pytest.approx(exact_error(k3_lg, "UN"),
-                                                     abs=1e-12)
+    assert _exact(k3_lg, "FN") == pytest.approx(_exact(k3_lg, "UN"),
+                                                abs=1e-12)
 
 
 def test_exact_error_ip(star_lg):
-    bias, var1 = exact_error(star_lg, "IP")
+    bias, var1 = _exact(star_lg, "IP")
     assert bias == 0.0
     assert var1 == pytest.approx(0.1875, abs=1e-12)
 
@@ -361,7 +365,9 @@ def test_brute_force_star_values(star_lg):
     assert brute_force_estimator_law(star_lg, "FN") == (0.25, 0.1875)
 
 
-@pytest.mark.parametrize("law", [brute_force_estimator_law, exact_error])
+@pytest.mark.parametrize("law", [
+    brute_force_estimator_law,
+    lambda lg, kind: exact_error(lg, kind, np.ones(lg.graph.node_count))])
 def test_unknown_kind_is_data_error(star_lg, law):
     with pytest.raises(DataError, match="unknown estimator kind 'XX'"):
         law(star_lg, "XX")
@@ -371,7 +377,11 @@ def test_walk_law_of_another_graph_is_data_error(star_lg):
     walk = walk_law(build_graph([(0, 1), (1, 2), (2, 0)]), 1)
     with pytest.raises(DataError,
                        match="^the walk law is not over the graph's nodes$"):
-        exact_error(star_lg, "RW", walk=walk)
+        _exact(star_lg, "RW", walk)
+    with pytest.raises(
+            DataError,
+            match="^the respondent law is not over the graph's nodes$"):
+        exact_error(star_lg, "RW", walk.law)
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,7 +395,7 @@ def test_finite_walk_closed_form_matches_exact_fractions(lg, length):
     mean = sum(p * r for p, r in zip(law, response))
     var = sum(p * r * r for p, r in zip(law, response)) - mean * mean
     walk = walk_law(g, length)
-    bias, var1 = exact_error(lg, "RW", walk=walk)
+    bias, var1 = _exact(lg, "RW", walk)
     assert abs(bias - float(mean - Fraction(sum(labels), len(labels)))) \
         <= 1e-12
     assert abs(var1 - float(var)) <= 1e-12
@@ -393,7 +403,7 @@ def test_finite_walk_closed_form_matches_exact_fractions(lg, length):
     assert brute_force_estimator_law(lg, "RW", walk) == (float(mean),
                                                          float(var))
     for kind in ("IP", "UN", "FN"):  # no walk, so the walk is ignored
-        assert exact_error(lg, kind, walk=walk) == exact_error(lg, kind)
+        assert _exact(lg, kind, walk) == _exact(lg, kind)
 
 
 def _check_lines(lg):

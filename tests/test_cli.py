@@ -73,8 +73,8 @@ def test_check_command(star_files, capsys):
 def test_check_fails_on_wrong_closed_form(star_files, monkeypatch, capsys):
     exact_error = harness.exact_error
 
-    def wrong_un(lg, kind, **kw):
-        bias, var1 = exact_error(lg, kind, **kw)
+    def wrong_un(lg, kind, law):
+        bias, var1 = exact_error(lg, kind, law)
         return (bias + 0.1 if kind == "UN" else bias), var1
 
     monkeypatch.setattr(harness, "exact_error", wrong_un)
@@ -91,9 +91,11 @@ def test_check_fails_on_broken_walk_and_bounds(star_files, monkeypatch,
                                                capsys):
     exact_error = harness.exact_error
 
-    def wrong_walk(lg, kind, walk=None):
-        bias, var1 = exact_error(lg, kind, walk=walk)
-        return (bias + 0.1 if walk is not None else bias), var1
+    def wrong_walk(lg, kind, law):
+        bias, var1 = exact_error(lg, kind, law)
+        # RW's law of a walk, not the degrees d/M
+        walk = kind == "RW" and not np.array_equal(law, lg.graph.degrees)
+        return (bias + 0.1 if walk else bias), var1
 
     monkeypatch.setattr(harness, "exact_error", wrong_walk)
     monkeypatch.setattr(harness, "error_bounds",

@@ -80,8 +80,8 @@ def test_walk_estimator_requires_connected(two_edges):
 
 
 def test_walk_poll_defaults_to_the_friend_law():
-    # without a walk, RW draws from d/M, the law exact_error(lg, "RW")
-    # describes; the sweep passes the law of the walk it certified
+    # without a walk, RW draws from d/M, the law respondent_law(g, "RW")
+    # gives; the sweep passes the law of the walk it certified
     g, _ = configuration_model(ConfigModelSpec(300, 2.4, k_min=3, k_max=30,
                                                seed=4))
     lg = assign_labels(g, LabelTarget(0.3), stream(2))

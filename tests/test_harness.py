@@ -105,9 +105,11 @@ def test_sweep_rw_exact_on_bipartite(star_lg):
     rw, un = sweep_labeled(star_lg, cfg)
     assert (rw.walk_length, un.walk_length) == (20, None)
     assert rw.walk_tv == walk_law(star_lg.graph, 20).tv > 0.2
-    bias, var1 = exact_error(star_lg, "RW", walk=walk_law(star_lg.graph, 20))
+    bias, var1 = exact_error(star_lg, "RW", respondent_law(
+        star_lg.graph, "RW", walk_law(star_lg.graph, 20)))
     assert (rw.exact_bias, rw.exact_var) == (bias, var1 / 2)
-    assert bias != exact_error(star_lg, "RW")[0]   # not the friend law
+    # not the friend law
+    assert bias != exact_error(star_lg, "RW", star_lg.graph.degrees)[0]
 
 
 # exact_bias, exact_var and exact_mse of a sweep as its CSV writes them:
@@ -159,7 +161,8 @@ def test_sweep_exact_columns():
         for row in rows:
             walk = None if row.walk_length is None \
                 else walk_law(lg.graph, row.walk_length)
-            bias, var1 = exact_error(lg, row.estimator_kind, walk=walk)
+            bias, var1 = exact_error(lg, row.estimator_kind, respondent_law(
+                lg.graph, row.estimator_kind, walk))
             assert row.exact_var == var1 / row.budget
             assert row.exact_mse == bias ** 2 + row.exact_var
         buf = io.StringIO()

@@ -129,21 +129,30 @@ def test_rewire_matches_sequential(powerlaw_graph, chunk_one, target, seed):
 @pytest.mark.parametrize("target", [RewireTarget(0.15), RewireTarget(-0.15)])
 def test_rewire_keys_stay_the_sorted_edge_keys(powerlaw_graph, monkeypatch,
                                                target):
-    """After every bulk accept of many small chunks, the sorted key array
-    is exactly the sorted keys of the edges, without repeats."""
-    applies = []
+    """After every bulk accept of many small chunks, the live base keys and
+    the born keys are together exactly the keys of the edges: ``born``
+    strictly ascending and disjoint from the live base keys, and ``keys()``
+    their sorted union, without repeats."""
+    applies, moved_again = [], []
     apply = netgen._EdgeSwaps.apply
 
     def checked(chain, *accepted):
+        moved_again.append(int((~chain.alive[np.r_[accepted[:2]]]).sum()))
         apply(chain, *accepted)
-        assert np.array_equal(chain.keys, np.sort(chain.ekey))
-        assert (np.diff(chain.keys) > 0).all()
+        live = chain.base[chain.alive]
+        assert np.array_equal(np.sort(np.r_[live, chain.born]),
+                              np.sort(chain.ekey))
+        assert (np.diff(chain.born) > 0).all()
+        assert not np.isin(chain.born, live).any()
+        assert np.array_equal(chain.keys(), np.sort(chain.ekey))
+        assert (np.diff(chain.keys()) > 0).all()
         applies.append(len(accepted[0]))
 
     monkeypatch.setattr(netgen, "_PROPOSAL_CHUNK", 16)
     monkeypatch.setattr(netgen._EdgeSwaps, "apply", checked)
     rewire_to_assortativity(powerlaw_graph, target, stream(3))
     assert len(applies) > 10 and max(applies) > 1
+    assert sum(moved_again) > 0   # born keys were taken out again
 
 
 def test_rewire_unreachable_matches_sequential(powerlaw_graph, chunk_one):
@@ -319,6 +328,32 @@ def test_first_claims_keeps_earliest_disjoint_rows(rows):
         assert kept[r] == all(first[value] == r for value in row)
     held = [set(row) for row, keep in zip(rows, kept) if keep]
     assert sum(map(len, held)) == len(set().union(*held))
+
+
+_WIDE = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 4), pool=st.lists(_WIDE, min_size=1, max_size=12),
+       picks=st.lists(st.tuples(st.booleans(), st.integers(0, 11), _WIDE),
+                      max_size=160),
+       ties_reversed=st.booleans())
+def test_first_claims_on_wide_values_matches_unique(width, pool, picks,
+                                                    ties_reversed):
+    # values across the whole int64 range, each either a fresh draw or one
+    # of a few repeated ones, so claims collide; the earliest holder of a
+    # value must not depend on the order the sort leaves equal values in,
+    # here last position first when ties_reversed
+    values = [wide if fresh else pool[at % len(pool)]
+              for fresh, at, wide in picks]
+    claims = np.array(values[:len(values) // width * width],
+                      dtype=np.int64).reshape(-1, width)
+    with pytest.MonkeyPatch.context() as mp:
+        if ties_reversed:
+            mp.setattr(netgen.np, "argsort", lambda a: np.lexsort(
+                (-np.arange(len(a)), a)))
+        kept = netgen._first_claims(claims)
+    assert np.array_equal(kept, _reference.first_claims(claims))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -146,6 +146,32 @@ def test_unit_weights_draw_floor_u_n(n, u):
                           (u * n).astype(np.int64))
 
 
+def _cubic_circulant(n):
+    """v joined to v + 1 and to v + n / 2 (mod n): every degree is 3."""
+    v = np.arange(n)
+    return build_graph(np.r_[np.c_[v, (v + 1) % n],
+                             np.c_[v[:n // 2], v[:n // 2] + n // 2]])
+
+
+@pytest.mark.parametrize("law,unit", [
+    (np.ones(1000), True), (np.full(1000, 2.0), False),
+    (_cubic_circulant(1000).degrees, False)],
+    ids=["ones", "twos", "cubic-degrees"])
+def test_only_unit_weights_take_the_multiply(law, unit):
+    # all ones draws floor(u * n) by one multiply; any other constant law
+    # keeps the search, and every law draws the inverse CDF at each bucket
+    # edge k / n, on either side of it, and at u = 1 - 2**-53
+    sampler = LawSampler(law)
+    assert sampler.unit is unit
+    edges = np.arange(len(law)) / len(law)
+    u = np.concatenate([edges, np.nextafter(edges, 1.0),
+                        np.nextafter(edges[1:], 0.0), [1 - 2.0 ** -53],
+                        stream(18).random(10_000)])
+    cdf = np.cumsum(law.astype(float))
+    assert np.array_equal(sampler(u),
+                          np.searchsorted(cdf, u * cdf[-1], side="right"))
+
+
 @pytest.mark.parametrize("law", [
     np.zeros(3), np.array([1.0, -1.0, 1.0]), np.array([1.0, np.nan, 1.0]),
     np.array([1.0, np.inf, 1.0])], ids=["zero", "negative", "nan", "inf"])
