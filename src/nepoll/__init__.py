@@ -9,15 +9,14 @@ graph generators, and a reproducible Monte-Carlo sweep harness.
 from .analytics import (BudgetThreshold, ErrorBounds, NetworkStats,
                         ParadoxCheck, SpectralSummary,
                         brute_force_estimator_law, budget_threshold,
-                        error_bounds, exact_error, fosd_check,
-                        friendship_paradox_check, label_degree_covariance,
-                        mean_degree, mean_label_friend, network_stats,
-                        spectral_summary)
+                        error_bounds, exact_error, friendship_paradox_check,
+                        label_degree_covariance, mean_degree,
+                        mean_label_friend, network_stats, spectral_summary)
+from .config import ExperimentConfig, load_experiment_config
 from .errors import DataError, TargetUnreachableError
 from .estimators import ESTIMATOR_KINDS, poll_values, respondent_law
 from .graph import Graph, GraphFlags, LabeledGraph, build_graph, graph_flags
-from .harness import (ExperimentConfig, Report, SweepRow, SWEEP_CSV_HEADER,
-                      default_budget_grid, load_experiment_config,
+from .harness import (Report, SweepRow, SWEEP_CSV_HEADER, default_budget_grid,
                       materialize, replicate, run_report, run_sweep,
                       sweep_labeled, write_sweep_csv)
 from .io import (read_edge_list, read_labeled_graph, read_labels,

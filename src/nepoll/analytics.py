@@ -319,30 +319,28 @@ class ParadoxCheck(NamedTuple):
     mean_degree_friend: float
     mean_degree_neighbor: float
     holds: bool
+    fosd_holds: bool
 
 
 def friendship_paradox_check(g: Graph) -> ParadoxCheck:
-    """Exact mean degrees of the three node laws, and whether both
-    friend laws dominate the uniform one (they always should)."""
+    """Exact mean degrees of the three node laws, whether both friend
+    laws dominate the uniform one (they always should), and whether the
+    degree of a uniform neighbor of a uniform node dominates a uniform
+    node's degree in first order: its CDF lies at or below the uniform
+    one at every degree."""
+    neighbor = respondent_law(g, "FN")
     mean_x = mean_degree(g)
     mean_y = float(np.dot(g.degrees, g.degrees)) / g.edge_end_count
-    mean_z = float(np.dot(respondent_law(g, "FN"), g.degrees))
+    mean_z = float(np.dot(neighbor, g.degrees))
     slack = _FLOAT_SLACK * max(mean_x, 1.0)
     holds = mean_y >= mean_x - slack and mean_z >= mean_x - slack
-    return ParadoxCheck(mean_x, mean_y, mean_z, holds)
-
-
-def fosd_check(g: Graph) -> bool:
-    """Whether the degree of a uniform neighbor of a uniform node
-    dominates a uniform node's degree in first order: its CDF lies at or
-    below the uniform one at every degree."""
     counts = np.bincount(g.degrees)
     ks = np.flatnonzero(counts)
     cdf_x = np.cumsum(counts[ks] / g.node_count)
-    mass_z = np.bincount(g.degrees, weights=respondent_law(g, "FN"),
-                         minlength=len(counts))
-    cdf_z = np.cumsum(mass_z[ks])
-    return bool(np.all(cdf_z <= cdf_x + _FLOAT_SLACK))
+    cdf_z = np.cumsum(np.bincount(g.degrees, weights=neighbor,
+                                  minlength=len(counts))[ks])
+    return ParadoxCheck(mean_x, mean_y, mean_z, holds,
+                        bool(np.all(cdf_z <= cdf_x + _FLOAT_SLACK)))
 
 
 # ---------------------------------------------------------------------------

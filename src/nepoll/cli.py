@@ -7,17 +7,11 @@ import sys
 
 from . import io as nio
 from .analytics import network_stats
+from .config import (add_generate_flags, experiment_config, generate_keys,
+                     load_experiment_config)
 from .errors import DataError, TargetUnreachableError
-from .harness import (Report, _num, experiment_config, load_experiment_config,
-                      materialize, run_report, run_sweep, write_sweep_csv)
-
-# The config key each ``generate`` flag sets, so a flag nothing reads fails
-# as its key does in a config file.
-_GENERATE_KEYS = {
-    "model": "graph.model", "n": "graph.n", "alpha": "graph.alpha",
-    "kmin": "graph.kmin", "kmax": "graph.kmax", "p": "graph.p",
-    "rkk": "graph.rkk", "rkk_tol": "graph.rkk_tol", "label_p": "labels.p",
-    "rho": "labels.rho", "rho_tol": "labels.tol", "seed": "seed"}
+from .harness import (Report, _num, materialize, run_report, run_sweep,
+                      write_sweep_csv)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,20 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic graph and "
                                         "label files")
-    p.add_argument("--model", choices=["config", "er"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=float, help="power-law exponent (config)")
-    p.add_argument("--kmin", type=int)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--p", type=float, help="edge probability (er)")
-    p.add_argument("--rkk", type=float, help="assortativity target")
-    p.add_argument("--rkk-tol", type=float)
-    p.add_argument("--label-p", type=float, default=0.5,
-                   help="Bernoulli label probability")
-    p.add_argument("--rho", type=float, help="degree-label corr target")
-    p.add_argument("--rho-tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--seed", type=int)
+    add_generate_flags(p)  # each sets a config key: see nepoll.config
     p.add_argument("--out", default="graph",
                    help="output prefix (writes PREFIX.edges, PREFIX.labels)")
 
@@ -97,17 +78,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    kv = {key: getattr(args, flag) for flag, key in _GENERATE_KEYS.items()
-          if getattr(args, flag) is not None}
-    # --max-iter sets the budget of each target given; with no target it
-    # sets graph.rkk_max_iter, which nothing reads, so it fails as that key
-    if args.max_iter is not None:
-        budgets = [budget for target, budget in (
-            ("graph.rkk", "graph.rkk_max_iter"),
-            ("labels.rho", "labels.max_iter")) if target in kv]
-        kv.update(dict.fromkeys(budgets or ["graph.rkk_max_iter"],
-                                args.max_iter))
-    lg, meta = materialize(experiment_config(kv))
+    lg, meta = materialize(experiment_config(generate_keys(args)))
     if "erased_stubs" in meta:
         print(f"erased_stubs: {meta['erased_stubs']}")
 

@@ -1,18 +1,15 @@
-"""Monte-Carlo sweep driver, dataset report, and experiment config files.
+"""Monte-Carlo sweep driver and dataset report.
 
 A sweep runs ``replications`` independent estimates for every
 (estimator, budget) pair and reduces them to empirical bias/variance/MSE
 rows next to the closed-form values.  Each (estimator, budget) cell has one
 stream keyed (estimator code, budget) under master_seed, and replication r
 reads its own block of it, so its value does not depend on ``replications``.
-
-Config files are flat ``key = value`` text; see ``experiment_config``.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -21,17 +18,16 @@ import numpy as np
 from . import io as nio
 from .analytics import (BudgetThreshold, ParadoxCheck, SpectralSummary,
                         brute_force_estimator_law, budget_threshold,
-                        error_bounds, exact_error, fosd_check,
-                        friendship_paradox_check, label_degree_covariance,
-                        mean_degree, mean_label_friend, network_stats,
-                        spectral_summary)
+                        error_bounds, exact_error, friendship_paradox_check,
+                        label_degree_covariance, mean_degree,
+                        mean_label_friend, network_stats, spectral_summary)
+from .config import ExperimentConfig
 from .errors import DataError, require_count
-from .estimators import (ESTIMATOR_KINDS, estimator_code, poll_values,
-                         respondent_law)
+from .estimators import estimator_code, poll_values, respondent_law
 from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
-                     RewireTarget, assign_labels, configuration_model,
-                     erdos_renyi, rewire_to_assortativity)
+                     assign_labels, configuration_model, erdos_renyi,
+                     rewire_to_assortativity)
 from .sampling import LawSampler, WalkLaw, stream, walk_law
 
 # Stream keys reserved for graph preparation (each sweep cell uses the
@@ -41,40 +37,6 @@ _LABEL_STREAM_KEY = 102
 
 SWEEP_CSV_HEADER = ("estimator", "budget", "emp_bias", "emp_var", "emp_mse",
                     "exact_bias", "exact_var", "exact_mse")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One sweep: where the graph and labels come from, and what to run."""
-
-    graph_source: object            # path, ConfigModelSpec, or ErdosRenyiSpec
-    label_source: object            # path or LabelTarget
-    budgets: tuple[int, ...] | None = None
-    replications: int = 600
-    estimators: tuple[str, ...] = ESTIMATOR_KINDS
-    walk_length: int | None = None
-    master_seed: int = 0
-    rewire: RewireTarget | None = None
-
-    def __post_init__(self):
-        require_count("replications", self.replications, 1)
-        if self.budgets is not None:
-            if not self.budgets:
-                raise DataError("budgets must be nonempty")
-            for b in self.budgets:
-                require_count("budget", b, 1)
-        unknown = set(self.estimators) - set(ESTIMATOR_KINDS)
-        if unknown:
-            raise DataError(f"unknown estimators: {sorted(unknown)}")
-        # a repeated cell would replay its stream and write identical rows
-        for key, values in (("estimators", self.estimators),
-                            ("budgets", self.budgets or ())):
-            twice = [v for k, v in enumerate(values) if v in values[:k]]
-            if twice:
-                raise DataError(f"{key} lists {twice[0]!r} twice")
-        if self.walk_length is not None:
-            require_count("walk_length", self.walk_length, 0)
-        require_count("seed", self.master_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -228,7 +190,6 @@ class Report:
     flags: GraphFlags
     walk: WalkLaw | None
     paradox: ParadoxCheck
-    fosd_holds: bool
     assortativity: float | None
     spectrum: SpectralSummary
     labeled: LabeledGraph | None
@@ -253,7 +214,7 @@ class Report:
             ("mean_degree_friend", _num(paradox.mean_degree_friend)),
             ("mean_degree_neighbor", _num(paradox.mean_degree_neighbor)),
             ("friendship_paradox_holds", flag(paradox.holds)),
-            ("fosd_holds", flag(self.fosd_holds)),
+            ("fosd_holds", flag(paradox.fosd_holds)),
             ("assortativity", _num(self.assortativity)),
             ("lambda2", _num(self.spectrum.lambda2)),
             ("lambda_n", _num(self.spectrum.lambda_n)),
@@ -297,7 +258,7 @@ class Report:
              f"means {paradox.mean_degree_uniform:.4f} <= "
              f"{paradox.mean_degree_friend:.4f}, "
              f"{paradox.mean_degree_neighbor:.4f}"),
-            ("neighbor_degree_dominance", self.fosd_holds, ""),
+            ("neighbor_degree_dominance", paradox.fosd_holds, ""),
         ]
         expansion_ok = self.flags.connected and not self.flags.bipartite
         out += [("top_singular_value_is_one",
@@ -363,214 +324,6 @@ def run_report(g: Graph, labels: np.ndarray | None = None, *,
     return Report(
         graph=g, flags=flags, walk=walk_law(g) if flags.connected else None,
         paradox=friendship_paradox_check(g),
-        fosd_holds=fosd_check(g),
         assortativity=stats.assortativity, spectrum=spectrum,
         labeled=None if labels is None else lg, degree_label_corr=corr,
         threshold=threshold, defaulted_labels=defaulted_labels)
-
-
-# ---------------------------------------------------------------------------
-# flat key = value config files
-
-# the part of a line before a '#' that lies outside quotes
-_BEFORE_COMMENT = re.compile(r"""(?:[^#'"]|"[^"]*"?|'[^']*'?)*""")
-
-
-def parse_config_text(text: str) -> dict[str, object]:
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _BEFORE_COMMENT.match(raw).group().strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"line {lineno}: expected 'key = value', "
-                            f"got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise DataError(f"line {lineno}: repeated key {key}")
-        values[key] = _parse_value(val.strip())
-    return values
-
-
-def _parse_value(s: str):
-    if s.startswith("[") and s.endswith("]"):
-        inner = s[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_value(x.strip()) for x in inner.split(",")]
-    if len(s) >= 2 and s[0] == s[-1] and s[0] in "'\"":
-        return s[1:-1]
-    low = s.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    return s
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file into
-    :func:`experiment_config`; a ``DataError`` names ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return experiment_config(parse_config_text(text))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-def _integer(key: str, value) -> int:
-    """``value`` if an int; ``int()`` would truncate 2.7 and take True."""
-    if type(value) is not int:
-        raise DataError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _as_is(key: str, value):
-    """``value``: the field it sets checks it and names the key."""
-    return value
-
-
-def _number(key: str, value) -> float:
-    """Like ``float(value)``, but a bool, list or string names the key."""
-    if type(value) not in (int, float):
-        raise DataError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _budgets(key: str, value) -> tuple[int, ...] | None:
-    if value == "default":
-        return None
-    if not isinstance(value, list):
-        raise DataError(f"{key} must be a list or default, got {value!r}")
-    return tuple(value)
-
-
-def _estimators(key: str, value) -> tuple[str, ...]:
-    if isinstance(value, str):
-        return tuple(x.strip() for x in value.split(",") if x.strip())
-    if not isinstance(value, list):
-        raise DataError(f"{key} must be a list, got {value!r}")
-    return tuple(str(x) for x in value)
-
-
-_CONFIG_KEYS = frozenset((
-    "graph.path", "graph.model", "graph.n", "graph.alpha", "graph.kmin",
-    "graph.kmax", "graph.p", "graph.rkk", "graph.rkk_tol",
-    "graph.rkk_max_iter", "labels.path", "labels.p", "labels.rho",
-    "labels.tol", "labels.max_iter", "budgets", "replications", "estimators",
-    "walk_length", "seed"))
-
-
-def _unread(kv: dict[str, object], keys: tuple[str, ...], why: str) -> None:
-    """Reject the first of ``keys`` that ``kv`` sets: nothing reads it."""
-    for key in keys:
-        if key in kv:
-            raise DataError(f"{key} is not read {why}")
-
-
-def _need(kv: dict[str, object], *keys: str) -> None:
-    for key in keys:
-        if key not in kv:
-            raise DataError(f"config needs {key}")
-
-
-def _given(kv: dict[str, object], **fields) -> dict[str, object]:
-    """``{name: check(key, kv[key])}`` for each ``name=(key, check)`` whose
-    key ``kv`` sets; a dataclass built from it keeps every other default."""
-    return {name: check(key, kv[key])
-            for name, (key, check) in fields.items() if key in kv}
-
-
-def experiment_config(kv: dict[str, object]) -> ExperimentConfig:
-    """The sweep that flat config keys describe.
-
-    Recognized keys: ``graph.path`` or ``graph.model`` (``config``/``er``)
-    with ``graph.n``, ``graph.alpha``, ``graph.kmin``, ``graph.kmax``,
-    ``graph.p``; optional ``graph.rkk`` (+ ``graph.rkk_tol``,
-    ``graph.rkk_max_iter``); ``labels.path`` or ``labels.p`` with optional
-    ``labels.rho`` (+ ``labels.tol``, ``labels.max_iter``); ``budgets``
-    (list or ``default``), ``replications``, ``estimators``,
-    ``walk_length``, ``seed``.  Generator seeds derive from ``seed``.  A
-    key left out keeps the default of the field it sets.  A missing or
-    unknown key, a key nothing reads (``graph.alpha`` with
-    ``graph.model = er``, ``labels.tol`` without ``labels.rho``), both
-    sources of the graph or of the labels, or a bad value such as a float
-    or a boolean where an integer belongs, raises ``DataError`` naming the
-    key.
-    """
-    for key in kv:
-        if key not in _CONFIG_KEYS:
-            raise DataError(f"unknown key {key}")
-    for path_key, model_key in (("graph.path", "graph.model"),
-                                ("labels.path", "labels.p")):
-        if path_key in kv and model_key in kv:
-            raise DataError(f"{path_key} and {model_key} both given; "
-                            "set one source")
-    seed = ("seed", _as_is)  # read by the generators and the sweep
-
-    if "graph.path" in kv:
-        _unread(kv, ("graph.n", "graph.alpha", "graph.kmin", "graph.kmax",
-                     "graph.p"), "with graph.path")
-        graph_source: object = str(kv["graph.path"])
-    elif "graph.model" in kv:
-        model = str(kv["graph.model"]).lower()
-        if model in ("config", "configuration"):
-            _unread(kv, ("graph.p",), f"with graph.model = {model}")
-            _need(kv, "graph.n", "graph.alpha")
-            graph_source = ConfigModelSpec(**_given(
-                kv, node_count=("graph.n", _integer),
-                power_law_exponent=("graph.alpha", _number),
-                k_min=("graph.kmin", _integer),
-                k_max=("graph.kmax", _integer), seed=seed))
-        elif model in ("er", "erdos-renyi", "gnp"):
-            _unread(kv, ("graph.alpha", "graph.kmin", "graph.kmax"),
-                    f"with graph.model = {model}")
-            _need(kv, "graph.n", "graph.p")
-            graph_source = ErdosRenyiSpec(**_given(
-                kv, node_count=("graph.n", _integer),
-                edge_probability=("graph.p", _number), seed=seed))
-        else:
-            raise DataError(f"unknown graph.model {model!r}")
-    else:
-        raise DataError("config needs graph.path or graph.model")
-
-    rewire = None
-    if "graph.rkk" in kv:
-        rewire = RewireTarget(**_given(
-            kv, target=("graph.rkk", _number),
-            tolerance=("graph.rkk_tol", _number),
-            max_iterations=("graph.rkk_max_iter", _integer)))
-    else:
-        _unread(kv, ("graph.rkk_tol", "graph.rkk_max_iter"),
-                "without graph.rkk")
-
-    if "labels.path" in kv:
-        _unread(kv, ("labels.rho", "labels.tol", "labels.max_iter"),
-                "with labels.path")
-        label_source: object = str(kv["labels.path"])
-    elif "labels.p" in kv:
-        if "labels.rho" not in kv:
-            _unread(kv, ("labels.tol", "labels.max_iter"),
-                    "without labels.rho")
-        label_source = LabelTarget(**_given(
-            kv, base_probability=("labels.p", _number),
-            target=("labels.rho", _number),
-            tolerance=("labels.tol", _number),
-            max_iterations=("labels.max_iter", _integer)))
-    else:
-        raise DataError("config needs labels.path or labels.p")
-
-    return ExperimentConfig(
-        graph_source=graph_source, label_source=label_source, rewire=rewire,
-        **_given(kv, budgets=("budgets", _budgets),
-                 replications=("replications", _as_is),
-                 estimators=("estimators", _estimators),
-                 walk_length=("walk_length", _as_is), master_seed=seed))

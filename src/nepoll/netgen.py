@@ -67,6 +67,17 @@ class ConfigModelSpec:
 
     def __post_init__(self):
         _check_counts(self, "node_count", "k_min", "k_max", "seed")
+        n, k_max = self.node_count, self.resolved_k_max()
+        if n < 2:
+            raise DataError("need at least two nodes")
+        if self.k_min < 1:
+            raise DataError("k_min must be >= 1")
+        if k_max < self.k_min:
+            raise DataError(f"k_max {k_max} < k_min {self.k_min}")
+        if k_max > n - 1:
+            raise DataError(f"k_max {k_max} > n-1 = {n - 1}")
+        if not self.power_law_exponent > 1:
+            raise DataError("power-law exponent must be > 1")
 
     def resolved_k_max(self) -> int:
         return self.node_count - 1 if self.k_max is None else self.k_max
@@ -80,6 +91,10 @@ class ErdosRenyiSpec:
 
     def __post_init__(self):
         _check_counts(self, "node_count", "seed")
+        if self.node_count < 2:
+            raise DataError("need at least two nodes")
+        if not 0.0 < self.edge_probability <= 1.0:
+            raise DataError("edge probability must be in (0, 1]")
 
 
 def _check_counts(spec, *names: str) -> None:
@@ -119,6 +134,8 @@ class LabelTarget:
     max_iterations: int = 2_000_000
 
     def __post_init__(self):
+        if not 0.0 < self.base_probability < 1.0:
+            raise DataError("base probability must lie strictly in (0, 1)")
         _check_goal(self.target, self.tolerance)
         _check_counts(self, "max_iterations")
 
@@ -145,19 +162,8 @@ def configuration_model(spec: ConfigModelSpec) -> tuple[Graph, int]:
     a fresh stream.
     """
     n = spec.node_count
-    k_max = spec.resolved_k_max()
-    if n < 2:
-        raise DataError("need at least two nodes")
-    if spec.k_min < 1:
-        raise DataError("k_min must be >= 1")
-    if k_max < spec.k_min:
-        raise DataError(f"k_max {k_max} < k_min {spec.k_min}")
-    if k_max > n - 1:
-        raise DataError(f"k_max {k_max} > n-1 = {n - 1}")
-    if not spec.power_law_exponent > 1:
-        raise DataError("power-law exponent must be > 1")
-
-    ks, pmf = _power_law_pmf(spec.power_law_exponent, spec.k_min, k_max)
+    ks, pmf = _power_law_pmf(spec.power_law_exponent, spec.k_min,
+                             spec.resolved_k_max())
     for attempt in range(_MAX_GENERATION_RETRIES):
         gen = stream(spec.seed, attempt)
         degrees = gen.choice(ks, size=n, p=pmf)
@@ -183,10 +189,6 @@ def erdos_renyi(spec: ErdosRenyiSpec) -> Graph:
     probability p.  Draws with isolated nodes are retried."""
     n = spec.node_count
     p = spec.edge_probability
-    if n < 2:
-        raise DataError("need at least two nodes")
-    if not 0.0 < p <= 1.0:
-        raise DataError("edge probability must be in (0, 1]")
     for attempt in range(_MAX_GENERATION_RETRIES):
         gen = stream(spec.seed, attempt)
         keys = []  # row u: the keys u * n + v of its edges, v > u ascending
@@ -478,8 +480,6 @@ def assign_labels(g: Graph, target: LabelTarget,
     the target.  Swaps keep the label counts.  Chunks of proposals are
     decided by the module's three steps.
     """
-    if not 0.0 < target.base_probability < 1.0:
-        raise DataError("base probability must lie strictly in (0, 1)")
     n = g.node_count
     labels = (gen.random(n) < target.base_probability).astype(np.int64)
     if target.target is None:

@@ -10,7 +10,7 @@ import nepoll
 from nepoll import (ConfigModelSpec, ExperimentConfig, LabelTarget,
                     LawSampler, RewireTarget, materialize, replicate,
                     respondent_law, walk_law, write_edge_list, write_labels)
-from nepoll import harness
+from nepoll import config, harness
 from nepoll.cli import main
 
 from _reference import polled_in_ranges
@@ -159,7 +159,7 @@ def test_sweep_replays_and_joins_from_ranges(star_files, tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"{line}wrote 8 rows to {one}\n{line}wrote 8 rows to {two}\n")
     # each cell's replications join from polls of sub-ranges
-    lg, _ = materialize(harness.load_experiment_config(cfg))
+    lg, _ = materialize(config.load_experiment_config(cfg))
     walk = walk_law(lg.graph)
     for kind in ("IP", "UN", "RW", "FN"):
         respondents = LawSampler(respondent_law(lg.graph, kind, walk))
@@ -309,6 +309,13 @@ def test_cli_import_loads_no_scipy_or_networkx(star_files):
      "labels.rho is not read with labels.path"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\ngraph.rkk = nan\n"
      "labels.p = 0.3\n", "target must lie in [-1, 1], got nan"),
+    # a path key holds a string: unquoted, these parse as numbers or a bool
+    ("graph.path = 0123\nlabels.p = 0.3\n",
+     "graph.path must be a path, got 123"),
+    ("graph.path = 1e3\nlabels.p = 0.3\n",
+     "graph.path must be a path, got 1000.0"),
+    ("graph.path = \"g.edges\"\nlabels.path = true\n",
+     "labels.path must be a path, got True"),
 ])
 def test_bad_config_names_file(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -318,15 +325,57 @@ def test_bad_config_names_file(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"error: DataError: {cfg}: {message}\n"
 
 
+@pytest.mark.parametrize("keys, message", [
+    ("graph.model = config\ngraph.n = 200\ngraph.alpha = 2.4\n"
+     "graph.rkk = -0.05\nlabels.p = 1.5\n",
+     "base probability must lie strictly in (0, 1)"),
+    ("graph.model = config\ngraph.n = 1\ngraph.alpha = 2.4\nlabels.p = 0.3\n",
+     "need at least two nodes"),
+    ("graph.model = config\ngraph.n = 200\ngraph.alpha = 1\nlabels.p = 0.3\n",
+     "power-law exponent must be > 1"),
+    ("graph.model = config\ngraph.n = 200\ngraph.alpha = 2.4\n"
+     "graph.kmin = 9\ngraph.kmax = 4\nlabels.p = 0.3\n",
+     "k_max 4 < k_min 9"),
+    ("graph.model = er\ngraph.n = 200\ngraph.p = 0\nlabels.p = 0.3\n",
+     "edge probability must be in (0, 1]"),
+])
+def test_range_checks_fail_before_any_graph_is_built(tmp_path, monkeypatch,
+                                                     capsys, keys, message):
+    def no_graph(spec):
+        raise AssertionError("built a graph from a spec out of range")
+
+    monkeypatch.setattr(harness, "configuration_model", no_graph)
+    monkeypatch.setattr(harness, "erdos_renyi", no_graph)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(keys)
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: DataError: {cfg}: {message}\n"
+
+
+def test_generate_checks_ranges_before_building(tmp_path, monkeypatch,
+                                                capsys):
+    def no_graph(spec):
+        raise AssertionError("built a graph from a spec out of range")
+
+    monkeypatch.setattr(harness, "configuration_model", no_graph)
+    assert main(["generate", "--model", "config", "--n", "200000",
+                 "--alpha", "2.4", "--rkk", "-0.05", "--label-p", "1.5",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "error: DataError: base probability must lie strictly in (0, 1)\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_loader_rewrites_only_data_errors(tmp_path, monkeypatch):
     def bug(kv):
         raise ValueError("bug in the loader")
 
-    monkeypatch.setattr(harness, "experiment_config", bug)
+    monkeypatch.setattr(config, "experiment_config", bug)
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("graph.model = er\n")
     with pytest.raises(ValueError, match="^bug in the loader$") as exc:
-        harness.load_experiment_config(cfg)
+        config.load_experiment_config(cfg)
     assert type(exc.value) is ValueError
 
 

@@ -15,7 +15,8 @@ from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec,
                     sweep_labeled, walk_law, write_sweep_csv)
 from nepoll import estimators, harness, netgen, stream
 from nepoll.estimators import estimator_code
-from nepoll.harness import _empirical_moments, parse_config_text
+from nepoll.config import parse_config_text
+from nepoll.harness import _empirical_moments
 from nepoll.sampling import WALK_TV_TOLERANCE
 
 from _reference import polled_in_ranges

@@ -3,6 +3,7 @@ import shlex
 from pathlib import Path
 
 from nepoll.cli import main
+from nepoll.config import FLAGS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +36,28 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, (line,
                                                   capsys.readouterr().err)
+
+
+def test_readme_generate_flag_table_matches_the_key_table():
+    """The README's flag -> config key table of ``generate`` states what
+    ``nepoll.config.KEYS`` derives: each flag and the keys it sets, and
+    each flag default."""
+    rows = re.findall(r"^ *\| (`--.*?) \| (.*?) \|$", README.read_text(),
+                      re.M)
+    assert rows
+    stated, defaults = {}, {}
+    for flag_cell, key_cell in rows:
+        flags = re.findall(r"`(--[\w-]+)`", flag_cell)
+        keys = re.findall(r"`([a-z_.]+)`", key_cell)
+        if len(flags) == 1:
+            stated[flags[0]] = keys
+        else:
+            stated.update((flag, [key])
+                          for flag, key in zip(flags, keys, strict=True))
+        defaults.update((flag, float(value)) for flag, value in re.findall(
+            r"`(--[\w-]+)` \(default (\S+)\)", flag_cell))
+    assert stated == {flag: [key.name for key in keys]
+                      for flag, keys in FLAGS.items()}
+    assert defaults == {flag: keys[0].options["default"]
+                        for flag, keys in FLAGS.items()
+                        if "default" in (keys[0].options or {})}
