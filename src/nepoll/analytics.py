@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .estimators import estimator_code, respondent_law
+from .estimators import estimator_code
 from .graph import Graph, LabeledGraph, graph_flags
 from .sampling import WalkLaw
 
@@ -322,13 +322,13 @@ class ParadoxCheck(NamedTuple):
     fosd_holds: bool
 
 
-def friendship_paradox_check(g: Graph) -> ParadoxCheck:
+def friendship_paradox_check(g: Graph, neighbor: np.ndarray) -> ParadoxCheck:
     """Exact mean degrees of the three node laws, whether both friend
     laws dominate the uniform one (they always should), and whether the
     degree of a uniform neighbor of a uniform node dominates a uniform
     node's degree in first order: its CDF lies at or below the uniform
-    one at every degree."""
-    neighbor = respondent_law(g, "FN")
+    one at every degree.  ``neighbor`` is that node law,
+    ``respondent_law(g, "FN")``."""
     mean_x = mean_degree(g)
     mean_y = float(np.dot(g.degrees, g.degrees)) / g.edge_end_count
     mean_z = float(np.dot(neighbor, g.degrees))

@@ -74,9 +74,7 @@ NUMBER = Check("a number", {int: float, float: float}, float)
 PATH = Check("a path", {str: str})
 BUDGETS = Check("a list or default",
                 {list: tuple, str: {"default": None}.__getitem__})
-ESTIMATORS = Check("a list", {
-    list: lambda v: tuple(map(str, v)),
-    str: lambda v: tuple(x.strip() for x in v.split(",") if x.strip())})
+ESTIMATORS = Check("a list", {list: lambda v: tuple(map(str, v))})
 
 
 class Key(NamedTuple):

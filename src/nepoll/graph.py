@@ -76,11 +76,17 @@ class Graph:
         return self._adjacency[1]
 
     def _build_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.node_count
-        lo, hi = self.edges.T
-        # arcs keyed src * n + dst, both directions of every edge
-        neighbors = np.sort(np.concatenate([lo * n + hi, hi * n + lo])) % n
-        return np.concatenate([[0], np.cumsum(self.degrees)]), neighbors
+        n, m = self.node_count, self.edge_count
+        lo, hi = self.edges[:, 0], self.edges[:, 1]
+        # arcs keyed src * n + dst, both directions of every edge, in one
+        # array that is sorted and reduced to dst in place
+        arcs = np.empty(2 * m, dtype=np.int64)
+        for out, src, dst in ((arcs[:m], lo, hi), (arcs[m:], hi, lo)):
+            np.multiply(src, n, out=out)
+            out += dst
+        arcs.sort()
+        np.remainder(arcs, n, out=arcs)
+        return np.concatenate([[0], np.cumsum(self.degrees)]), arcs
 
     @property
     def edge_count(self) -> int:
@@ -122,10 +128,14 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]]) -> Graph:
     original_ids, compact = _rank_ids(np.concatenate([lo, hi]))
     n = len(original_ids)
     keys = compact[:len(raw)] * n + compact[len(raw):]
-    edge_keys = np.sort(keys)
+    # a file nepoll wrote lists its edges in key order already
+    increasing = _strictly_increasing(keys)
+    edge_keys = keys if increasing else np.sort(keys)
     bad = (lo < 0) | (lo == hi)
-    if bad.any() or (edge_keys[1:] == edge_keys[:-1]).any():
-        u, v = (int(x) for x in raw[np.argmax(bad | _repeated_rows(keys))])
+    if bad.any() or (not increasing
+                     and (edge_keys[1:] == edge_keys[:-1]).any()):
+        repeated = ~_first_claims(keys[:, None])
+        u, v = (int(x) for x in raw[np.argmax(bad | repeated)])
         if u < 0 or v < 0:
             raise DataError(f"negative node id in edge ({u}, {v})")
         if u == v:
@@ -154,11 +164,30 @@ def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(values, return_inverse=True)
 
 
-def _repeated_rows(keys: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose key already occurred in an earlier row."""
-    repeated = np.ones(len(keys), dtype=bool)
-    repeated[np.unique(keys, return_index=True)[1]] = False
-    return repeated
+def _strictly_increasing(keys: np.ndarray) -> bool:
+    """Whether each key exceeds the one before it: sorted and distinct."""
+    return bool((keys[1:] > keys[:-1]).all())
+
+
+def _first_claims(claims: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``claims`` that are the earliest row to hold
+    each of their values; the rows it keeps are pairwise disjoint.  With
+    one column, its negation marks the rows whose value occurred in an
+    earlier row."""
+    width = claims.shape[1]
+    flat = claims.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    new = np.empty(len(flat), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    # each value's earliest position: the minimum over its run, whatever
+    # order the unstable sort left the run in
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    owner = first[np.cumsum(new) - 1] // width
+    kept = np.ones(claims.shape[0], dtype=bool)
+    kept[order[owner != order // width] // width] = False
+    return kept
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -213,10 +242,13 @@ class LabeledGraph:
     """A graph plus one binary label per node, with cached poll responses.
 
     ``responses[v]`` is the fraction of v's neighbors carrying label 1 --
-    the answer node v gives to the neighborhood-expectation poll.
+    the answer node v gives to the neighborhood-expectation poll.  It is
+    computed on first read and cached, as ``Graph.indptr`` is: a labeled
+    graph that is only generated, written or read costs no adjacency
+    product.
     """
 
-    __slots__ = ("graph", "labels", "responses")
+    __slots__ = ("graph", "labels", "_responses")
 
     def __init__(self, graph: Graph, labels):
         labels = np.asarray(labels)
@@ -229,7 +261,14 @@ class LabeledGraph:
             raise DataError("labels must be 0 or 1")
         self.graph = graph
         self.labels = labels.astype(np.int64, copy=False)
-        self.responses = graph.adjacency_matvec(self.labels) / graph.degrees
+        self._responses: np.ndarray | None = None
+
+    @property
+    def responses(self) -> np.ndarray:
+        if self._responses is None:
+            g = self.graph
+            self._responses = g.adjacency_matvec(self.labels) / g.degrees
+        return self._responses
 
     @property
     def true_fraction(self) -> float:

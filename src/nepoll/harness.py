@@ -183,12 +183,14 @@ def write_sweep_csv(rows: Iterable[SweepRow], out: TextIO) -> None:
 class Report:
     """The library results of one pass over a dataset.  ``walk`` is the
     certified walk law of :func:`walk_law`, the walk a sweep's ``RW``
-    runs, and None on a disconnected graph; ``labeled`` and ``threshold``
-    are None when no labels were given."""
+    runs, and None on a disconnected graph; ``fn_law`` is the ``FN``
+    respondents' law, which ``paradox`` and the exact ``FN`` error share;
+    ``labeled`` and ``threshold`` are None when no labels were given."""
 
     graph: Graph
     flags: GraphFlags
     walk: WalkLaw | None
+    fn_law: np.ndarray
     paradox: ParadoxCheck
     assortativity: float | None
     spectrum: SpectralSummary
@@ -276,7 +278,8 @@ class Report:
         if self.walk is not None:
             laws.append(("RW-walk", "RW", self.walk))
         laws.append(("FN", "FN", None))
-        exact = {law: exact_error(lg, kind, respondent_law(g, kind, walk))
+        exact = {law: exact_error(lg, kind, self.fn_law if kind == "FN"
+                                  else respondent_law(g, kind, walk))
                  for law, kind, walk in laws}
         slack = 1e-12
         bounds = error_bounds(lg, spectrum.lambda2, spectrum.lambda_n)
@@ -321,9 +324,10 @@ def run_report(g: Graph, labels: np.ndarray | None = None, *,
         corr = stats.degree_label_corr
         threshold = budget_threshold(lg, spectrum.lambda2)
     flags = graph_flags(g)
+    fn_law = respondent_law(g, "FN")
     return Report(
         graph=g, flags=flags, walk=walk_law(g) if flags.connected else None,
-        paradox=friendship_paradox_check(g),
+        fn_law=fn_law, paradox=friendship_paradox_check(g, fn_law),
         assortativity=stats.assortativity, spectrum=spectrum,
         labeled=None if labels is None else lg, degree_label_corr=corr,
         threshold=threshold, defaulted_labels=defaulted_labels)

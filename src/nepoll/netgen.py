@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, TargetUnreachableError, require_count
-from .graph import Graph, LabeledGraph, _sorted_unique
+from .graph import Graph, LabeledGraph, _first_claims, _sorted_unique
 from .sampling import stream
 
 _MAX_GENERATION_RETRIES = 100
@@ -212,25 +212,6 @@ def _assortativity_constants(degrees: np.ndarray) -> tuple[float, float]:
     mu_q = float(np.dot(d, d)) / big_m
     ex2_q = float(np.dot(d * d, d)) / big_m
     return mu_q, ex2_q - mu_q * mu_q
-
-
-def _first_claims(claims: np.ndarray) -> np.ndarray:
-    """Mask of the rows of ``claims`` that are the earliest row to hold
-    each of their values; the rows it keeps are pairwise disjoint."""
-    width = claims.shape[1]
-    flat = claims.ravel()
-    order = np.argsort(flat)
-    ordered = flat[order]
-    new = np.empty(len(flat), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    # each value's earliest position: the minimum over its run, whatever
-    # order the unstable sort left the run in
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    owner = first[np.cumsum(new) - 1] // width
-    kept = np.ones(claims.shape[0], dtype=bool)
-    kept[order[owner != order // width] // width] = False
-    return kept
 
 
 def _in_sorted(values: np.ndarray,

@@ -29,10 +29,17 @@ these.  The chunk size and the stall limit are read from
 ``nepoll.netgen`` at call time, so a test that patches them patches both.
 
 ``first_claims`` finds each claim's earliest row through the stable sort
-of ``np.unique``: the referee for ``nepoll.netgen._first_claims``.
+of ``np.unique``: the referee for ``nepoll.graph._first_claims``.
 
 ``rows_text`` formats rows with ``%``, one Python int at a time: the
 referee for the digit-plane writer of ``nepoll.io``.
+
+``sorting_build_graph``, ``sorting_read_edge_list`` and
+``searching_read_labels`` always sort, find repeated rows by the stable
+sort of ``np.unique`` (``repeated_rows``) and map label ids by
+``searchsorted``: the referees for the package's constructor and
+readers, which skip the sort of sorted keys, look for repeats before
+marking them and map ids 0..n-1 by identity.
 """
 
 import math
@@ -43,7 +50,8 @@ import numpy as np
 from nepoll import netgen, poll_values, stream
 from nepoll.errors import DataError, TargetUnreachableError
 from nepoll.estimators import estimator_code
-from nepoll.graph import LabeledGraph, build_graph
+from nepoll.graph import Graph, LabeledGraph, build_graph
+from nepoll.io import _data_lines, _pair_keys, _read_pairs
 
 
 def random_nodes(g, u):
@@ -276,3 +284,66 @@ def first_claims(claims):
 def rows_text(rows):
     """``b"a b\\n"`` for every row of a ``(k, 2)`` integer array."""
     return (("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist())).encode()
+
+
+def repeated_rows(keys):
+    """Mask of the rows whose key already occurred in an earlier row."""
+    repeated = np.ones(len(keys), dtype=bool)
+    repeated[np.unique(keys, return_index=True)[1]] = False
+    return repeated
+
+
+def sorting_build_graph(edge_pairs):
+    """``nepoll.build_graph`` by one ``np.unique`` rank and one sort."""
+    raw = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
+    if not len(raw):
+        raise DataError("a graph needs at least one edge")
+    lo = np.minimum(raw[:, 0], raw[:, 1])
+    hi = np.maximum(raw[:, 0], raw[:, 1])
+    ids, compact = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    keys = compact[:len(raw)] * len(ids) + compact[len(raw):]
+    bad = (lo < 0) | (lo == hi) | repeated_rows(keys)
+    if bad.any():
+        u, v = (int(x) for x in raw[np.argmax(bad)])
+        if u < 0 or v < 0:
+            raise DataError(f"negative node id in edge ({u}, {v})")
+        if u == v:
+            raise DataError(f"self-loop at node {u}")
+        raise DataError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+    return Graph(len(ids), np.sort(keys), ids)
+
+
+def sorting_read_edge_list(path):
+    """``nepoll.read_edge_list``, dropping repeated lines by
+    ``repeated_rows``."""
+    pairs, error = _read_pairs(path, "two node ids", "node id")
+    if error is not None:
+        raise error
+    if not len(pairs):
+        raise DataError(f"{path}: a graph needs at least one edge")
+    return sorting_build_graph(pairs[~repeated_rows(_pair_keys(pairs))])
+
+
+def searching_read_labels(path, g):
+    """``nepoll.read_labels``, every id found by ``searchsorted``."""
+    rows, error = _read_pairs(path, "'<node_id> <0|1>'", "node id or label")
+    node, value = rows[:, 0], rows[:, 1]
+    ids = g.original_ids
+    index = np.minimum(np.searchsorted(ids, node), g.node_count - 1)
+    known = ids[index] == node
+    bad = ~known | ((value != 0) & (value != 1)) | repeated_rows(index)
+    if bad.any():
+        row = int(np.argmax(bad))
+        lineno = list(_data_lines(path))[row][0]
+        if not known[row]:
+            problem = f"node {node[row]} is not in the graph"
+        elif value[row] not in (0, 1):
+            problem = f"label must be 0 or 1, got {value[row]}"
+        else:
+            problem = f"node {node[row]} labeled twice"
+        raise DataError(f"{path}:{lineno}: {problem}")
+    if error is not None:
+        raise error
+    labels = np.zeros(g.node_count, dtype=np.int64)
+    labels[index] = value
+    return labels, g.node_count - len(rows)

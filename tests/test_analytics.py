@@ -305,22 +305,26 @@ def test_budget_threshold_finite_positive():
 # ---------------------------------------------------------------------------
 # paradox checks
 
+def _paradox(g):
+    return friendship_paradox_check(g, respondent_law(g, "FN"))
+
+
 def test_paradox_star(star):
-    c = friendship_paradox_check(star)
+    c = _paradox(star)
     assert (c.mean_degree_uniform, c.mean_degree_friend) == (1.5, 2.0)
     assert c.mean_degree_neighbor == pytest.approx(2.5, abs=1e-12)
     assert c.holds
 
 
 def test_paradox_regular_equality(k3):
-    c = friendship_paradox_check(k3)
+    c = _paradox(k3)
     assert c.mean_degree_uniform == c.mean_degree_friend == 2.0
     assert c.mean_degree_neighbor == pytest.approx(2.0, abs=1e-12)
     assert c.holds
 
 
 def test_paradox_path(path3):
-    c = friendship_paradox_check(path3)
+    c = _paradox(path3)
     assert c.mean_degree_uniform == pytest.approx(4 / 3, abs=1e-12)
     assert c.mean_degree_friend == pytest.approx(1.5, abs=1e-12)
     assert c.mean_degree_neighbor == pytest.approx(5 / 3, abs=1e-12)
@@ -342,7 +346,7 @@ def _degree_cdfs(g):
 
 
 def test_fosd_star(star):
-    assert friendship_paradox_check(star).fosd_holds
+    assert _paradox(star).fosd_holds
     ks, cdf_uniform, cdf_neighbor = _degree_cdfs(star)
     assert ks == [1, 3]
     assert cdf_uniform == [0.75, 1.0]
@@ -350,7 +354,7 @@ def test_fosd_star(star):
 
 
 def test_fosd_regular_equality(k3):
-    assert friendship_paradox_check(k3).fosd_holds
+    assert _paradox(k3).fosd_holds
     _, cdf_uniform, cdf_neighbor = _degree_cdfs(k3)
     assert cdf_uniform == cdf_neighbor
 

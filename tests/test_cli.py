@@ -10,7 +10,7 @@ import nepoll
 from nepoll import (ConfigModelSpec, ExperimentConfig, LabelTarget,
                     LawSampler, RewireTarget, materialize, replicate,
                     respondent_law, walk_law, write_edge_list, write_labels)
-from nepoll import config, harness
+from nepoll import config, estimators, harness
 from nepoll.cli import main
 
 from _reference import polled_in_ranges
@@ -55,10 +55,21 @@ NEW_CHECK_LINES = ("closed_form_matches_enumeration_RW-walk",
                    "rw_variance_within_bound", "fn_bias_within_bound")
 
 
-def test_check_command(star_files, capsys):
+def test_check_command(star_files, monkeypatch, capsys):
+    fn_laws = []
+    walk_law = estimators.walk_law
+
+    def counted(g, length=None):
+        fn_laws.append(length)
+        return walk_law(g, length)
+
+    # the FN law, the one-step walk law, is built once for the paradox
+    # check and the FN exact error
+    monkeypatch.setattr(estimators, "walk_law", counted)
     edges, labels = star_files
     assert main(["check", "--graph", str(edges),
                  "--labels", str(labels)]) == 0
+    assert fn_laws == [1]
     out = capsys.readouterr().out
     assert "ok friendship_paradox" in out
     assert "ok closed_form_matches_enumeration_IP" in out
@@ -259,6 +270,8 @@ def test_cli_import_loads_no_scipy_or_networkx(star_files):
      "budgets = 5\n", "budgets must be a list or default, got 5"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
      "estimators = 5\n", "estimators must be a list, got 5"),
+    ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
+     "estimators = IP, UN\n", "estimators must be a list, got 'IP, UN'"),
     ("graph.model = er\ngraph.n = 100.9\ngraph.p = 0.5\nlabels.p = 0.3\n",
      "graph.n must be an integer, got 100.9"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"

@@ -13,6 +13,7 @@ from nepoll import (ConfigModelSpec, DataError, ExperimentConfig, Graph,
                     stream, write_edge_list, write_labels)
 from nepoll import graph as graph_module
 
+from _reference import sorting_build_graph
 from _strategies import edge_lists, graphs, labeled_graphs
 
 
@@ -197,6 +198,33 @@ def test_build_graph_order_invariant(edges, data):
     assert np.array_equal(g1.original_ids, g2.original_ids)
 
 
+@given(edges=edge_lists(max_nodes=12), data=st.data(),
+       layout=st.sampled_from(["increasing", "shuffled", "repeat at end"]),
+       offset=st.sampled_from([0, 5, 2 ** 40]))
+def test_build_graph_on_sorted_shuffled_and_repeated_keys(edges, data,
+                                                          layout, offset):
+    """Keys already strictly increasing skip the sort; shuffled keys, and
+    increasing keys ending in a repeat (either orientation), take it.  All
+    give the referee's arrays or its earliest-bad-row error."""
+    pairs = sorted(edges)
+    if layout == "shuffled":
+        pairs = data.draw(st.permutations(pairs))
+    elif layout == "repeat at end":  # keys increasing, not strictly
+        u, v = pairs[-1]
+        pairs.append(data.draw(st.sampled_from([(u, v), (v, u)])))
+    pairs = np.array(pairs, dtype=np.int64) + offset
+    try:
+        want = sorting_build_graph(pairs)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            build_graph(pairs)
+        assert str(got.value) == str(exc)
+        return
+    g = build_graph(pairs)
+    for name in ("edges", "degrees", "original_ids", "indptr", "neighbors"):
+        assert np.array_equal(getattr(g, name), getattr(want, name)), name
+
+
 @given(pairs=edge_lists(max_nodes=12),
        first=st.sampled_from(["neighbors", "indptr"]))
 def test_adjacency_built_on_first_use_matches_scipy(pairs, first):
@@ -229,15 +257,21 @@ def test_edge_columns_contiguous_and_divmod_of_keys(pairs, isolated):
 
 def test_generate_path_leaves_adjacency_unbuilt(monkeypatch, tmp_path):
     """Generating, rewiring, labeling, summarizing and writing a graph never
-    sorts its arcs; the first graph_flags builds the adjacency once."""
-    builds = []
-    build = Graph._build_adjacency
+    sorts its arcs nor multiplies by the adjacency (its poll responses go
+    unread); the first graph_flags builds the adjacency once."""
+    builds, products = [], []
+    build, matvec = Graph._build_adjacency, Graph.adjacency_matvec
 
     def counted(g):
         builds.append(g)
         return build(g)
 
+    def counted_matvec(g, x):
+        products.append(g)
+        return matvec(g, x)
+
     monkeypatch.setattr(Graph, "_build_adjacency", counted)
+    monkeypatch.setattr(Graph, "adjacency_matvec", counted_matvec)
     lg, _ = materialize(ExperimentConfig(
         graph_source=ConfigModelSpec(300, 2.4, k_max=30, seed=7),
         label_source=LabelTarget(0.3, target=0.1),
@@ -246,6 +280,7 @@ def test_generate_path_leaves_adjacency_unbuilt(monkeypatch, tmp_path):
     write_edge_list(lg.graph, tmp_path / "g.edges")
     write_labels(lg, tmp_path / "g.labels")
     assert builds == [] and lg.graph._adjacency is None
+    assert products == [] and lg._responses is None
     graph_flags(lg.graph)
     assert len(lg.graph.neighbors) == lg.graph.indptr[-1]
     assert builds == [lg.graph]
@@ -361,3 +396,13 @@ def test_responses_are_rounded_exact_fractions(lg):
     for v in range(g.node_count):
         count = int(lg.labels[g.neighbors_of(v)].sum())
         assert lg.responses[v] == float(Fraction(count, int(g.degrees[v])))
+
+
+@given(lg=labeled_graphs())
+def test_responses_computed_on_first_read_and_cached(lg):
+    g = lg.graph
+    assert lg._responses is None
+    responses = lg.responses
+    want = g.adjacency_matvec(lg.labels) / g.degrees
+    assert responses.tobytes() == want.tobytes()
+    assert lg.responses is responses

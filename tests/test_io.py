@@ -3,15 +3,18 @@ import re
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from nepoll import (ConfigModelSpec, DataError, LabeledGraph, RewireTarget,
                     build_graph, configuration_model, read_edge_list,
                     read_labeled_graph, read_labels, rewire_to_assortativity,
                     stream, write_edge_list, write_labels)
+from nepoll import io as nio
 from nepoll.io import _rows_text
 
-from _reference import rows_text
+from _reference import (rows_text, searching_read_labels,
+                        sorting_read_edge_list)
+from _strategies import edge_lists
 
 # the last id of each decimal width and the first of the next, and the
 # ids around 2**32, where the writer switches from uint32 to uint64
@@ -157,6 +160,103 @@ def test_edge_list_round_trip_sparse_ids(tmp_path, offset, scale):
     write_edge_list(loaded, path)
     lines = path.read_bytes().split(b"\n", 1)[1]
     assert lines == rows_text(g.original_ids[g.edges])
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, 7])
+@pytest.mark.parametrize("offset", [0, 2 ** 32 - 50])
+def test_writers_write_one_block_bytes_in_any_block_size(
+        tmp_path, monkeypatch, rows_per_block, offset):
+    """Blocks whose ids cross a digit count (9 to 10, 99 to 101, 999 to
+    1000) or, shifted, 2**32 (the uint64 digit type) inside them write
+    the bytes of one block."""
+    ids = np.array([7, 8, 9, 10, 11, 98, 99, 100, 101, 999, 1000]) + offset
+    pairs = np.column_stack([ids[:-1], ids[1:]])
+    pairs = np.concatenate([pairs, [[ids[0], ids[-1]], [ids[2], ids[7]]]])
+    lg = LabeledGraph(build_graph(pairs), np.arange(len(ids)) % 2)
+    files = []
+    for rows in (len(pairs), rows_per_block):  # one block, then several
+        monkeypatch.setattr(nio, "_WRITE_ROWS", rows)
+        write_edge_list(lg.graph, tmp_path / f"{rows}.edges")
+        write_labels(lg, tmp_path / f"{rows}.labels")
+        files.append([(tmp_path / f"{rows}.{ext}").read_bytes()
+                      for ext in ("edges", "labels")])
+    assert files[1] == files[0]
+    g = lg.graph
+    assert files[0][0].split(b"\n", 1)[1] \
+        == rows_text(g.original_ids[g.edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edges=edge_lists(max_nodes=12), data=st.data(),
+       id_layout=st.sampled_from(["dense", "sparse", "wide"]))
+def test_readers_on_real_data_layout_match_referee(tmp_path_factory, edges,
+                                                   data, id_layout):
+    """Edge files with shuffled, flipped and repeated lines over dense,
+    sparse or wide ids, and shuffled label files with missing nodes,
+    unknown nodes, bad labels and nodes labeled twice, read as the
+    referee reads them: the same arrays, labels and defaulted count, or
+    the same error text."""
+    n = 1 + max(max(e) for e in edges)
+    if id_layout == "dense":
+        ids = np.arange(n)
+    elif id_layout == "sparse":
+        ids = np.cumsum(data.draw(st.lists(st.integers(1, 10 ** 8),
+                                           min_size=n, max_size=n)))
+    else:
+        ids = 2 ** 32 + 2 ** 24 * np.arange(n)
+    pairs = ids[np.array(data.draw(st.permutations(edges)))]
+    flips = np.array(data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                                        max_size=len(pairs))))
+    pairs[flips] = pairs[flips][:, ::-1]
+    lines = [f"{u} {v}" for u, v in pairs.tolist()]
+    for at, row in data.draw(st.lists(st.tuples(
+            st.integers(0, len(lines)), st.integers(0, len(lines) - 1)),
+            max_size=4)):
+        lines.insert(at, lines[row])        # a repeated edge, as written
+    if data.draw(st.sampled_from([False] * 7 + [True])):
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     f"{ids[0]} {ids[0]}")  # a self-loop
+    unknown = [-1, int(ids[-1]) + 1, 2 ** 62]
+    if id_layout != "dense":
+        unknown.append(int(ids[0]) + 1)     # between two ids
+    labels = [f"{v} {data.draw(st.integers(0, 1))}"
+              for v in data.draw(st.permutations(ids.tolist()))
+              if data.draw(st.booleans())]
+    for fault in data.draw(st.lists(st.sampled_from(
+            ["unknown", "bad label", "twice"]), max_size=2)):
+        if fault == "unknown":
+            line = f"{data.draw(st.sampled_from(unknown))} 1"
+        elif fault == "bad label":
+            line = f"{ids[-1]} {data.draw(st.sampled_from([-1, 2, 7]))}"
+        else:   # the same node's line twice
+            line = f"{data.draw(st.sampled_from(ids.tolist()))} 0"
+            labels.insert(data.draw(st.integers(0, len(labels))), line)
+        labels.insert(data.draw(st.integers(0, len(labels))), line)
+    folder = tmp_path_factory.getbasetemp()
+    edge_path, label_path = folder / "layout.edges", folder / "layout.labels"
+    edge_path.write_text("# edges\n" + "".join(f"{x}\n" for x in lines))
+    label_path.write_text("# labels\n\n" + "".join(f"{x}\n" for x in labels))
+
+    try:
+        want = sorting_read_edge_list(edge_path)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_edge_list(edge_path)
+        assert str(got.value) == str(exc)
+        return
+    g = read_edge_list(edge_path)
+    for name in ("edges", "degrees", "original_ids", "indptr", "neighbors"):
+        assert np.array_equal(getattr(g, name), getattr(want, name)), name
+    try:
+        want_labels = searching_read_labels(label_path, want)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_labels(label_path, g)
+        assert str(got.value) == str(exc)
+        return
+    got_labels, defaulted = read_labels(label_path, g)
+    assert np.array_equal(got_labels, want_labels[0])
+    assert defaulted == want_labels[1]
 
 
 def test_labels_round_trip(tmp_path, star):

@@ -7,8 +7,8 @@ from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabelTarget,
                     LabeledGraph, RewireTarget, TargetUnreachableError,
                     assign_labels, build_graph, configuration_model,
                     erdos_renyi, friendship_paradox_check, network_stats,
-                    read_edge_list, rewire_to_assortativity, stream,
-                    write_edge_list)
+                    read_edge_list, respondent_law, rewire_to_assortativity,
+                    stream, write_edge_list)
 
 
 def _assortativity(g):
@@ -276,7 +276,7 @@ def test_generated_graphs_pass_paradox_checks():
         erdos_renyi(ErdosRenyiSpec(400, 0.02, seed=23)),
     ]
     for g in graphs:
-        check = friendship_paradox_check(g)
+        check = friendship_paradox_check(g, respondent_law(g, "FN"))
         assert check.holds
         assert check.fosd_holds
         assert int(g.degrees.sum()) == 2 * g.edge_count
