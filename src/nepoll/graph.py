@@ -9,8 +9,9 @@ is only generated, rewired, labeled and written never sorts its arcs.
 Every graph is made by one constructor,
 ``Graph(node_count, edge_keys, original_ids)``, from its sorted, distinct
 edge keys ``lo * node_count + hi``.  Outside input reaches it through
-:func:`build_graph`, which validates and compacts the ids; the generators
-and the rewiring hold such keys already and construct the graph once.  Any
+:func:`build_graph`, which validates and compacts the ids, or through the
+edge reader, which takes the same steps; the generators and the rewiring
+hold such keys already and construct the graph once.  Any
 edge list describing the same graph produces bit-identical arrays.
 """
 
@@ -53,7 +54,11 @@ class Graph:
                  original_ids: np.ndarray):
         n = self.node_count = int(node_count)
         self.edges = np.empty((len(edge_keys), 2), dtype=np.int64, order="F")
-        np.divmod(edge_keys, n, out=(self.edges[:, 0], self.edges[:, 1]))
+        lo, hi = self.edges[:, 0], self.edges[:, 1]
+        # np.divmod's values, without its remainder pass
+        np.floor_divide(edge_keys, n, out=lo)
+        np.multiply(lo, n, out=hi)
+        np.subtract(edge_keys, hi, out=hi)
         self.degrees = np.bincount(self.edges.ravel(order="K"), minlength=n)
         self.edge_end_count = int(self.degrees.sum())
         self.min_degree = int(self.degrees.min())
@@ -109,40 +114,77 @@ class Graph:
 
 def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]]) -> Graph:
     """Validate and canonicalize outside input: a ``(k, 2)`` array or
-    iterable of pairs, such as a parsed edge file.
+    iterable of pairs.
 
     Node ids may be arbitrary non-negative integers; they are compacted to
     0..n-1 in ascending id order and the original ids retained for output,
     so every node touches an edge.  A negative id, a self-loop or a
     repeated edge (either orientation) is rejected, naming the earliest bad
     row.  Edge keys ``lo * n + hi`` use compacted ids, so they cannot
-    overflow.
+    overflow.  Each row's key is built once (:func:`_edge_keys`), and keys
+    that are already strictly increasing, as in a file nepoll wrote, are
+    not sorted; :func:`nepoll.io.read_edge_list` shares both steps and
+    drops repeated rows where this rejects them.
     """
     if not isinstance(edge_pairs, np.ndarray):
         edge_pairs = list(edge_pairs)
     raw = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
     if not len(raw):
         raise DataError("a graph needs at least one edge")
-    lo = np.minimum(raw[:, 0], raw[:, 1])
-    hi = np.maximum(raw[:, 0], raw[:, 1])
-    original_ids, compact = _rank_ids(np.concatenate([lo, hi]))
-    n = len(original_ids)
-    keys = compact[:len(raw)] * n + compact[len(raw):]
-    # a file nepoll wrote lists its edges in key order already
-    increasing = _strictly_increasing(keys)
-    edge_keys = keys if increasing else np.sort(keys)
-    bad = (lo < 0) | (lo == hi)
-    if bad.any() or (not increasing
-                     and (edge_keys[1:] == edge_keys[:-1]).any()):
-        repeated = ~_first_claims(keys[:, None])
-        u, v = (int(x) for x in raw[np.argmax(bad | repeated)])
+    ids, keys, edge_keys, bad = _edge_keys(raw)
+    if len(edge_keys) < len(keys):
+        bad |= ~_first_claims(keys[:, None])
+    return _checked_graph(raw, ids, edge_keys, bad)
+
+
+def _edge_keys(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                         np.ndarray, np.ndarray]:
+    """``(ids, keys, edge_keys, loops)`` of a non-empty ``(k, 2)`` int64
+    array of edge rows: the sorted distinct ids, each row's key ``lo * n +
+    hi`` over the ids' ranks, the distinct keys ascending (``keys`` itself
+    when it is strictly increasing already) and the mask of self-loop rows.
+    A row repeats an earlier one iff ``edge_keys`` is shorter than
+    ``keys``.
+
+    The lower ends, then the higher ends, fill one ``(2k,)`` buffer that is
+    ranked once; the keys are built in the first half of the ranks.
+    """
+    k = len(raw)
+    ends = np.empty(2 * k, dtype=np.int64)
+    np.minimum(raw[:, 0], raw[:, 1], out=ends[:k])
+    np.maximum(raw[:, 0], raw[:, 1], out=ends[k:])
+    loops = ends[:k] == ends[k:]
+    ids, rank = _rank_ids(ends)
+    keys = rank[:k]
+    keys *= len(ids)
+    keys += rank[k:]
+    if (keys[1:] > keys[:-1]).all():  # sorted and distinct already
+        return ids, keys, keys, loops
+    return ids, keys, _sorted_unique(keys.copy()), loops
+
+
+def _checked_graph(raw: np.ndarray, ids: np.ndarray, edge_keys: np.ndarray,
+                   bad: np.ndarray) -> Graph:
+    """The graph of ``edge_keys`` over ``ids``, unless a row of ``raw``
+    holds a negative id or is marked ``bad`` (a self-loop, or a repeat of
+    an earlier row): then a :class:`DataError` names the earliest such
+    row."""
+    if ids[0] < 0:
+        bad = bad | (raw[:, 0] < 0) | (raw[:, 1] < 0)
+    if bad.any():
+        u, v = (int(x) for x in raw[np.argmax(bad)])
         if u < 0 or v < 0:
             raise DataError(f"negative node id in edge ({u}, {v})")
         if u == v:
             raise DataError(f"self-loop at node {u}")
         raise DataError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
-    return Graph(n, edge_keys, original_ids)
+    return Graph(len(ids), edge_keys, ids)
 
+
+# The most rows a writer formats, or arcs a BFS level gathers, at once: a
+# block of 2**16 takes a few MB of transient arrays, where the 507k edges of
+# a 200k-node graph took about 32 MB in one block.
+_BLOCK = 2 ** 16
 
 # Ids no larger than this many times their count are ranked by a presence
 # mask over 0..max id: O(count) work and memory, against np.unique's sort
@@ -154,19 +196,20 @@ _DENSE_RANK_SPAN = 4
 def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(ids, rank)`` of a 1-D int64 array: its sorted distinct values and
     each value's index among them, as ``np.unique(values,
-    return_inverse=True)`` gives them."""
+    return_inverse=True)`` gives them.  Values that are exactly 0..n-1, as
+    in a file nepoll wrote, are their own ranks: ``rank`` is then
+    ``values`` itself."""
     if len(values) and values.min() >= 0:
         top = int(values.max())
         if top <= _DENSE_RANK_SPAN * len(values):
             present = np.zeros(top + 1, dtype=bool)
             present[values] = True
-            return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
+            if present.all():
+                return np.arange(top + 1), values
+            rank = np.cumsum(present)
+            rank -= 1
+            return np.flatnonzero(present), rank[values]
     return np.unique(values, return_inverse=True)
-
-
-def _strictly_increasing(keys: np.ndarray) -> bool:
-    """Whether each key exceeds the one before it: sorted and distinct."""
-    return bool((keys[1:] > keys[:-1]).all())
 
 
 def _first_claims(claims: np.ndarray) -> np.ndarray:
@@ -191,9 +234,10 @@ def _first_claims(claims: np.ndarray) -> np.ndarray:
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D integer array, by one sort (plain
-    ``np.unique`` hashes first in numpy 2.4: ~50x slower on 10^6 values)."""
-    values = np.sort(values)
+    """Sorted distinct values of a 1-D integer array, by one sort in place
+    of ``values`` (plain ``np.unique`` hashes first in numpy 2.4: ~50x
+    slower on 10^6 values)."""
+    values.sort()
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]
@@ -223,7 +267,15 @@ def graph_flags(g: Graph) -> GraphFlags:
 
 
 def _bfs_depths(g: Graph, root: int, depth: np.ndarray) -> None:
-    """Write the BFS depth from ``root`` of every node in its component."""
+    """Write the BFS depth from ``root`` of every node in its component.
+
+    Each level expands its frontier in blocks of consecutive frontier nodes
+    whose arcs number at most ``_BLOCK``, or of one node with more: the
+    level's transient arrays grow with the block, not with the level.  A
+    block marks the nodes it reaches first, so later blocks of the level
+    skip them, and the next frontier is the level's marked nodes, sorted
+    and distinct.
+    """
     frontier = np.array([root])
     depth[root] = 0
     level = 0
@@ -231,11 +283,25 @@ def _bfs_depths(g: Graph, root: int, depth: np.ndarray) -> None:
         level += 1
         counts = g.degrees[frontier]
         ends = np.cumsum(counts)
-        # neighbor-array positions of every arc leaving the frontier
-        offsets = np.repeat(g.indptr[frontier] - ends + counts, counts)
-        reached = g.neighbors[offsets + np.arange(ends[-1])]
-        frontier = _sorted_unique(reached[depth[reached] < 0])
-        depth[frontier] = level
+        # each node's first neighbor-array position, less the level's arcs
+        # before it: adding a range of arc numbers gives every arc position
+        firsts = g.indptr[frontier] - ends + counts
+        found, start, done = [], 0, 0
+        while start < len(frontier):
+            stop = len(frontier)
+            if ends[-1] - done > _BLOCK:
+                stop = max(int(np.searchsorted(ends, done + _BLOCK, "right")),
+                           start + 1)
+            end = int(ends[stop - 1])
+            offsets = np.repeat(firsts[start:stop], counts[start:stop])
+            offsets += np.arange(done, end)
+            reached = g.neighbors[offsets]
+            reached = reached[depth[reached] < 0]
+            depth[reached] = level
+            found.append(reached)
+            start, done = stop, end
+        frontier = _sorted_unique(found[0] if len(found) == 1
+                                  else np.concatenate(found))
 
 
 class LabeledGraph:

@@ -8,11 +8,16 @@ label 0 and the count of such defaults is returned to the caller.  Errors
 in a file's lines name ``path:line``.  The writers emit plain ASCII bytes:
 a ``#`` header line, then one ``"a b\n"`` line per edge or node, each
 integer in decimal without leading zeros.  They format and write blocks of
-``_WRITE_ROWS`` rows, so their transient memory grows with the block, not
+``_BLOCK`` rows, so their transient memory grows with the block, not
 with the file; a block's digit count is its own maximum's, and since no
-number has leading zeros the bytes are those of a single block.  A file
-the edge writer wrote lists its edges sorted and distinct, so reading it
-back sorts nothing; nor does reading labels of ids 0..n-1 search them.
+number has leading zeros the bytes are those of a single block.
+
+The edge reader makes one pass over the parsed rows: their lower and
+higher ends are ranked once, in one buffer, and each row's key is built
+and checked once, by the steps :func:`nepoll.graph.build_graph` takes.  A
+file the edge writer wrote lists its edges sorted and distinct over ids
+0..n-1, so reading it back ranks the ids by identity and sorts nothing;
+nor does reading labels of ids 0..n-1 search them.
 """
 
 from __future__ import annotations
@@ -25,15 +30,10 @@ from typing import Union
 import numpy as np
 
 from .errors import DataError
-from .graph import (Graph, LabeledGraph, _first_claims, _rank_ids,
-                    _strictly_increasing, build_graph)
+from .graph import (_BLOCK, Graph, LabeledGraph, _checked_graph,
+                    _edge_keys, _first_claims)
 
 PathLike = Union[str, os.PathLike]
-
-# Rows the writers format at once: a block of 2**16 rows takes a few MB
-# of digit planes, masks and bytes, where the 507k edges of a 200k-node
-# graph took about 32 MB in one block.
-_WRITE_ROWS = 2 ** 16
 
 
 def _data_lines(path: PathLike):
@@ -79,36 +79,24 @@ def _read_pairs(path: PathLike, expected: str,
         f"{path}:{lineno}: {error}")
 
 
-def _pair_keys(pairs: np.ndarray) -> np.ndarray:
-    """Equal int64 keys exactly for equal unordered pairs."""
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    base = int(lo.min())
-    span = int(hi.max()) - base + 1
-    if span <= 2 ** 31:
-        return (lo - base) * span + (hi - base)
-    ids, compact = _rank_ids(np.concatenate([lo, hi]))
-    return compact[:len(lo)] * len(ids) + compact[len(lo):]
-
-
 def read_edge_list(path: PathLike) -> Graph:
-    """Read an edge list, keeping the first line of each repeated edge."""
+    """Read an edge list, keeping the first line of each repeated edge.
+
+    Its keys are built and checked once, by the steps of
+    :func:`nepoll.graph.build_graph`, with repeated rows dropped where
+    ``build_graph`` rejects them.  Dropping a row that repeats a kept one
+    leaves the set of ids, and so their ranks and keys, as they are.
+    """
     pairs, error = _read_pairs(path, "two node ids", "node id")
     if error is not None:
         raise error
     if not len(pairs):
         raise DataError(f"{path}: a graph needs at least one edge")
-    return build_graph(_first_of_each_edge(pairs))
-
-
-def _first_of_each_edge(pairs: np.ndarray) -> np.ndarray:
-    """The rows of ``pairs`` whose unordered pair no earlier row holds.
-    Rows in strictly increasing key order, as the edge writer writes
-    them, are all kept unsorted."""
-    keys = _pair_keys(pairs)
-    if _strictly_increasing(keys):
-        return pairs
-    return pairs[_first_claims(keys[:, None])]
+    ids, keys, edge_keys, loops = _edge_keys(pairs)
+    if len(edge_keys) < len(keys):
+        first = _first_claims(keys[:, None])
+        pairs, loops = pairs[first], loops[first]
+    return _checked_graph(pairs, ids, edge_keys, loops)
 
 
 def _digit_type(top: int) -> type:
@@ -145,11 +133,11 @@ def _rows_text(rows: np.ndarray) -> bytes:
 
 def _write_rows(path: PathLike, header: str, count: int, rows) -> None:
     """Write ``header``, then the text of ``count`` rows, ``rows(block)``
-    giving those of each block slice of ``_WRITE_ROWS``."""
+    giving those of each block slice of ``_BLOCK``."""
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for start in range(0, count, _WRITE_ROWS):
-            fh.write(_rows_text(rows(slice(start, start + _WRITE_ROWS))))
+        for start in range(0, count, _BLOCK):
+            fh.write(_rows_text(rows(slice(start, start + _BLOCK))))
 
 
 def write_edge_list(g: Graph, path: PathLike) -> None:

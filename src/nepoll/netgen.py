@@ -160,6 +160,13 @@ def configuration_model(spec: ConfigModelSpec) -> tuple[Graph, int]:
     sum is repaired by incrementing one uniformly chosen node's degree.
     Matchings that leave some node with no surviving edge are retried with
     a fresh stream.
+
+    The stub array is shuffled in place, which draws what
+    ``gen.permutation`` draws for its copy, and consecutive stubs are
+    matched.  The keys ``lo * n + hi`` are built in place, in one array of
+    half the stubs' size, with the higher ends written over the matches'
+    first stubs; one sort in place and one compress drop the self-loops
+    and repeated matches.
     """
     n = spec.node_count
     ks, pmf = _power_law_pmf(spec.power_law_exponent, spec.k_min,
@@ -170,12 +177,20 @@ def configuration_model(spec: ConfigModelSpec) -> tuple[Graph, int]:
         if degrees.sum() % 2 == 1:
             degrees[gen.integers(n)] += 1
         stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        perm = gen.permutation(stubs)
-        u, v = perm[0::2], perm[1::2]
-        keep = u != v
-        keys = _sorted_unique(np.minimum(u[keep], v[keep]) * n
-                              + np.maximum(u[keep], v[keep]))
-        g = Graph(n, keys, np.arange(n, dtype=np.int64))
+        gen.shuffle(stubs)  # the draws gen.permutation makes on a copy
+        u, v = stubs[0::2], stubs[1::2]
+        keys = np.minimum(u, v)
+        np.maximum(u, v, out=u)
+        loops = keys == u
+        keys *= n
+        keys += u
+        del stubs, u, v  # frees 8 B per stub before the sort and graph
+        # self-loops as -1, which sorts first: one compress drops them
+        # with the duplicate matches
+        keys[loops] = -1
+        keys = _sorted_unique(keys)
+        g = Graph(n, keys[1:] if keys[0] < 0 else keys,
+                  np.arange(n, dtype=np.int64))
         if g.min_degree == 0:
             continue
         return g, int(degrees.sum()) - g.edge_end_count
@@ -308,7 +323,8 @@ class _EdgeSwaps(_SwapProcess):
                  sigma2_q: float):
         m, self.n = g.edge_count, g.node_count
         self.deg = g.degrees
-        self.ekey = g.edges[:, 0] * self.n + g.edges[:, 1]
+        self.ekey = g.edges[:, 0] * self.n
+        self.ekey += g.edges[:, 1]
         self.base = self.ekey.copy()  # ascending, as g.edges is
         self.alive = np.ones(m, dtype=bool)
         self.born = np.zeros(0, dtype=np.int64)
@@ -321,9 +337,19 @@ class _EdgeSwaps(_SwapProcess):
 
     def keys(self) -> np.ndarray:
         """The held keys, ascending: the rewired graph's ``edge_keys``."""
-        # a stable sort of two ascending runs is one merge
-        return np.sort(np.concatenate([self.base[self.alive], self.born]),
-                       kind="stable")
+        live = np.count_nonzero(self.alive)
+        keys = np.empty(live + len(self.born), dtype=np.int64)
+        np.compress(self.alive, self.base, out=keys[:live])
+        keys[live:] = self.born
+        keys.sort(kind="stable")  # of two ascending runs: one merge
+        return keys
+
+    def graph(self, original_ids: np.ndarray) -> Graph:
+        """The rewired graph.  It ends the process: the edge state is
+        released before the graph is built."""
+        keys = self.keys()
+        del self.ekey, self.base, self.alive, self.born
+        return Graph(self.n, keys, original_ids)
 
     def held(self, keys: np.ndarray) -> np.ndarray:
         """Whether an edge holds each of ``keys``; the query is searched in
@@ -410,7 +436,7 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     return chain.run(lambda size: (gen.integers(0, m, size=(size, 2)),
                                    gen.integers(0, 2, size=(size, 2))),
                      target.max_iterations, "assortativity",
-                     lambda: Graph(chain.n, chain.keys(), g.original_ids))
+                     lambda: chain.graph(g.original_ids))
 
 
 class _LabelSwaps(_SwapProcess):

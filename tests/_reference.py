@@ -28,6 +28,13 @@ so its graphs, labels, achieved values and proposal counts must equal
 these.  The chunk size and the stall limit are read from
 ``nepoll.netgen`` at call time, so a test that patches them patches both.
 
+``configuration_model`` is the configuration model as first built: the
+stubs permuted by ``gen.permutation``, self-loops masked out of both ends,
+and the keys of the ``min``/``max`` ends made distinct by ``np.unique``.
+``nepoll.netgen`` shuffles the stubs in place, which consumes the same
+draws, and builds the keys in place; its graphs, erased-stub counts and
+retries must equal these.
+
 ``first_claims`` finds each claim's earliest row through the stable sort
 of ``np.unique``: the referee for ``nepoll.graph._first_claims``.
 
@@ -51,7 +58,7 @@ from nepoll import netgen, poll_values, stream
 from nepoll.errors import DataError, TargetUnreachableError
 from nepoll.estimators import estimator_code
 from nepoll.graph import Graph, LabeledGraph, build_graph
-from nepoll.io import _data_lines, _pair_keys, _read_pairs
+from nepoll.io import _data_lines, _read_pairs
 
 
 def random_nodes(g, u):
@@ -271,6 +278,31 @@ def assign_labels(g, target, gen):
     return LabeledGraph(g, labels)
 
 
+def configuration_model(spec):
+    """``(graph, erased_stubs, attempt, odd)``: the configuration model's
+    output, the attempt that gave it and whether that attempt's degree
+    sum was odd (and so repaired)."""
+    n = spec.node_count
+    ks, pmf = netgen._power_law_pmf(spec.power_law_exponent, spec.k_min,
+                                    spec.resolved_k_max())
+    for attempt in range(netgen._MAX_GENERATION_RETRIES):
+        gen = stream(spec.seed, attempt)
+        degrees = gen.choice(ks, size=n, p=pmf)
+        odd = bool(degrees.sum() % 2 == 1)
+        if odd:
+            degrees[gen.integers(n)] += 1
+        perm = gen.permutation(np.repeat(np.arange(n, dtype=np.int64),
+                                         degrees))
+        u, v = perm[0::2], perm[1::2]
+        keep = u != v
+        keys = np.unique(np.minimum(u[keep], v[keep]) * n
+                         + np.maximum(u[keep], v[keep]))
+        g = Graph(n, keys, np.arange(n, dtype=np.int64))
+        if g.min_degree > 0:
+            return g, int(degrees.sum()) - g.edge_end_count, attempt, odd
+    raise DataError("configuration model left isolated nodes")
+
+
 def first_claims(claims):
     """Mask of the rows of ``claims`` that are the earliest row to hold
     each of their values."""
@@ -321,7 +353,10 @@ def sorting_read_edge_list(path):
         raise error
     if not len(pairs):
         raise DataError(f"{path}: a graph needs at least one edge")
-    return sorting_build_graph(pairs[~repeated_rows(_pair_keys(pairs))])
+    # equal numbers exactly for equal unordered pairs
+    pair_ids = np.unique(np.sort(pairs, axis=1), axis=0,
+                         return_inverse=True)[1].reshape(-1)
+    return sorting_build_graph(pairs[~repeated_rows(pair_ids)])
 
 
 def searching_read_labels(path, g):

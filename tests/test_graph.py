@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -165,6 +166,34 @@ def test_dense_and_sorted_ranking_build_equal_graphs(monkeypatch, relabel,
                 (span, name)
         assert np.array_equal(g.original_ids, new_ids), span
         assert g.original_ids.dtype == np.int64, span
+
+
+@given(data=st.data(), layout=st.sampled_from(
+    ["0..n-1", "dense with a gap", "sparse", "negative"]))
+def test_rank_ids_matches_numpy_unique(data, layout):
+    """Ids exactly 0..n-1 are their own ranks, dense ids with a gap are
+    ranked by the presence mask and sparse or negative ids by a sort; all
+    three give ``np.unique``'s ids and inverse."""
+    n = data.draw(st.integers(1, 40))
+    ids = np.arange(n)
+    if layout == "dense with a gap":
+        ids = np.delete(np.arange(n + 1), data.draw(st.integers(0, n - 1)))
+    elif layout == "sparse":
+        ids = np.unique(data.draw(st.lists(st.integers(10 ** 6, 2 ** 62),
+                                           min_size=n, max_size=n)))
+    elif layout == "negative":
+        ids = np.unique(data.draw(st.lists(st.integers(-50, 50),
+                                           min_size=n, max_size=n))
+                        + [-1])
+    extra = data.draw(st.lists(st.sampled_from(ids.tolist()), max_size=40))
+    values = np.array(data.draw(st.permutations(ids.tolist() + extra)),
+                      dtype=np.int64)
+    got_ids, got_rank = graph_module._rank_ids(values)
+    want_ids, want_rank = np.unique(values, return_inverse=True)
+    assert np.array_equal(got_ids, want_ids)
+    assert np.array_equal(got_rank, want_rank)
+    assert got_ids.dtype == got_rank.dtype == np.int64
+    assert np.shares_memory(got_rank, values) == (layout == "0..n-1")
 
 
 def test_sparse_ids_compacted():
@@ -362,6 +391,59 @@ def test_graph_flags_match_networkx_examples(pairs):
     assert graph_flags(g) == GraphFlags(
         connected=nx.is_connected(reference),
         bipartite=nx.is_bipartite(reference))
+
+
+@st.composite
+def shaped_edge_lists(draw):
+    """A star whose hub has 5 to 12 leaves, then up to three paths, even
+    cycles, complete bipartite graphs or random edge lists, each joined to
+    the nodes before it by one edge or left apart, under shuffled ids."""
+    pairs = []
+    shapes = ["star"] + draw(st.lists(st.sampled_from(
+        ["path", "even cycle", "bipartite", "random"]), max_size=3))
+    for shape in shapes:
+        if shape == "star":
+            part = [(0, j) for j in range(1, draw(st.integers(5, 12)) + 1)]
+        elif shape == "path":
+            part = [(j, j + 1) for j in range(draw(st.integers(1, 8)))]
+        elif shape == "even cycle":
+            k = 2 * draw(st.integers(2, 4))
+            part = [(j, (j + 1) % k) for j in range(k)]
+        elif shape == "bipartite":
+            a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            part = [(i, a + j) for i in range(a) for j in range(b)]
+        else:
+            part = draw(edge_lists(max_nodes=7))
+        offset = 1 + max(max(e) for e in pairs) if pairs else 0
+        if pairs and draw(st.booleans()):
+            pairs.append((draw(st.integers(0, offset - 1)), offset))
+        pairs += [(u + offset, v + offset) for u, v in part]
+    n = 1 + max(max(e) for e in pairs)
+    ids = draw(st.permutations(range(n)))
+    return [(ids[u], ids[v]) for u, v in pairs]
+
+
+@given(pairs=shaped_edge_lists(), block=st.integers(1, 4))
+def test_blocked_bfs_matches_scipy_and_networkx(pairs, block):
+    """With blocks of a few arcs, which a hub's arcs alone exceed, the BFS
+    depths from node 0 are scipy's unweighted distances, and the flags are
+    scipy's component count and networkx's bipartiteness."""
+    g = build_graph(pairs)
+    n, (u, v) = g.node_count, g.edges.T
+    a = sp.csr_array((np.ones(2 * g.edge_count),
+                      (np.concatenate([u, v]), np.concatenate([v, u]))),
+                     shape=(n, n))
+    depth = np.full(n, -1, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_BLOCK", block)
+        graph_module._bfs_depths(g, 0, depth)
+        flags = graph_flags(g)
+    want = csgraph.shortest_path(a, unweighted=True, indices=0)
+    assert np.array_equal(depth, np.where(np.isinf(want), -1, want))
+    components = csgraph.connected_components(a, directed=False)[0]
+    assert flags == GraphFlags(
+        connected=components == 1,
+        bipartite=nx.is_bipartite(nx.Graph(g.edges.tolist())))
 
 
 @given(lg=labeled_graphs())

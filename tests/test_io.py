@@ -51,6 +51,44 @@ def test_edge_list_self_loop_still_rejected(tmp_path):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize("edits", [
+    {40: "self-loop"}, {40: "negative"}, {40: "duplicate"},
+    {40: "duplicate", 300: "self-loop"}, {40: "self-loop", 300: "negative"},
+    {40: "negative", 300: "self-loop"},
+], ids=str)
+@pytest.mark.parametrize("layout", ["as written", "flipped"])
+def test_edited_written_file_reads_as_referee(tmp_path, edits, layout):
+    """A file nepoll wrote, edited at some lines into a self-loop, a
+    negative id or a repeat of an earlier edge, reads as the sorting
+    referee reads it: a repeat is dropped, and the earliest bad row left
+    raises the referee's error."""
+    g, _ = configuration_model(ConfigModelSpec(200, 2.4, k_min=2, seed=4))
+    rows = g.original_ids[g.edges]
+    if layout == "flipped":
+        rows = rows[:, ::-1]
+    for line, edit in edits.items():
+        u, v = (int(x) for x in rows[line])
+        rows[line] = {"self-loop": (u, u), "negative": (-1, v),
+                      "duplicate": rows[line // 2][::-1]}[edit]
+    path = tmp_path / "g.edges"
+    path.write_text("# written, then edited\n"
+                    + "".join(f"{u} {v}\n" for u, v in rows.tolist()))
+    try:
+        want = sorting_read_edge_list(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_edge_list(path)
+        assert str(got.value) == str(exc)
+        first = min(line for line, e in edits.items() if e != "duplicate")
+        assert str(exc).startswith(edits[first])
+        return
+    assert set(edits.values()) == {"duplicate"}
+    got = read_edge_list(path)
+    assert got.edge_count == g.edge_count - 1
+    for name in ("edges", "degrees", "original_ids"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_edge_list_malformed_line(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n0 1 2\n")
@@ -175,7 +213,7 @@ def test_writers_write_one_block_bytes_in_any_block_size(
     lg = LabeledGraph(build_graph(pairs), np.arange(len(ids)) % 2)
     files = []
     for rows in (len(pairs), rows_per_block):  # one block, then several
-        monkeypatch.setattr(nio, "_WRITE_ROWS", rows)
+        monkeypatch.setattr(nio, "_BLOCK", rows)
         write_edge_list(lg.graph, tmp_path / f"{rows}.edges")
         write_labels(lg, tmp_path / f"{rows}.labels")
         files.append([(tmp_path / f"{rows}.{ext}").read_bytes()

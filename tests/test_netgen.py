@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabelTarget,
                     erdos_renyi, friendship_paradox_check, network_stats,
                     read_edge_list, respondent_law, rewire_to_assortativity,
                     stream, write_edge_list)
+
+import _reference
 
 
 def _assortativity(g):
@@ -34,6 +37,31 @@ def test_configuration_model_deterministic():
     g2, e2 = configuration_model(spec)
     assert e1 == e2
     assert np.array_equal(g1.edges, g2.edges)
+
+
+@pytest.mark.parametrize("spec, retries", [
+    (ConfigModelSpec(60, 2.4, k_min=1, k_max=20), True),
+    (ConfigModelSpec(300, 2.2, k_min=2), False),
+    (ConfigModelSpec(2000, 2.4, k_min=3, k_max=60), False),
+    (ConfigModelSpec(12, 3.0, k_min=1, k_max=5), True),
+], ids=["kmin1", "no-kmax", "n2000", "n12"])
+def test_configuration_model_matches_permuting_reference(spec, retries):
+    """The stubs shuffled in place and the keys built in place give the
+    graphs, erased-stub counts and retries of ``gen.permutation`` with
+    masked ends, seed for seed; the seeds include odd degree sums and
+    retried matchings."""
+    odd, retried = False, False
+    for seed in range(8):
+        seeded = dataclasses.replace(spec, seed=seed)
+        g, erased = configuration_model(seeded)
+        want, want_erased, attempt, was_odd = \
+            _reference.configuration_model(seeded)
+        assert np.array_equal(g.edges, want.edges), seed
+        assert np.array_equal(g.original_ids, want.original_ids), seed
+        assert erased == want_erased, seed
+        odd |= was_odd
+        retried |= attempt > 0
+    assert odd and retried == retries
 
 
 def test_configuration_model_degenerate_specs():
