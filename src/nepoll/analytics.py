@@ -63,66 +63,68 @@ def label_degree_covariance(lg: LabeledGraph) -> float:
 # ---------------------------------------------------------------------------
 # network statistics
 
+def assortativity_curve(degrees: np.ndarray):
+    """The degree-degree correlation r_kk (Newman, 2002) of any graph with
+    this degree sequence, as a function ``corr(s)`` of s = sum over edges of
+    d(u) d(v), the one term that degree-preserving swaps move; None for a
+    regular sequence, whose degree variance at an edge end vanishes."""
+    big_m = int(degrees.sum())
+    m = big_m // 2
+    d = degrees.astype(float)
+    # mean and variance of the degree at a random edge end
+    mu_q = float(np.dot(d, d)) / big_m
+    sigma2_q = float(np.dot(d * d, d)) / big_m - mu_q * mu_q
+    if sigma2_q <= 0.0:
+        return None
+
+    def corr(s):
+        return (s / m - mu_q * mu_q) / sigma2_q
+    return corr
+
+
+def degree_label_curve(degrees: np.ndarray, ones: int):
+    """The correlation rho of a uniform node's degree and label, for this
+    degree sequence and ``ones`` nodes labeled 1, as a function ``corr(s)``
+    of s = sum of d(v) f(v), the one term that label swaps move; None for
+    a regular sequence or constant labels."""
+    n = len(degrees)
+    mu_d = int(degrees.sum()) / n
+    sigma_k = math.sqrt(max(float(np.dot(degrees, degrees)) / n
+                            - mu_d * mu_d, 0.0))
+    if sigma_k == 0.0 or ones == 0 or ones == n:
+        return None
+    f_bar = ones / n
+    sigma_f = math.sqrt(f_bar * (1.0 - f_bar))
+
+    def corr(s):
+        return (s / n - mu_d * f_bar) / (sigma_k * sigma_f)
+    return corr
+
+
 @dataclass(frozen=True)
 class NetworkStats:
-    """Degree-degree and degree-label correlations, from their covariances
-    and standard deviations: ``sigma_q`` of the degree at a random edge
-    end, ``sigma_k`` of a uniform node's degree, ``sigma_f`` of its label.
+    """The degree-degree correlation ``assortativity`` and the degree-label
+    correlation ``degree_label_corr``: the curves above at the graph's own
+    sums, so on a generated graph they are the floats its swaps stopped on.
+    Each is None when its denominator vanishes (regular graph, or constant
+    labels) rather than silently zero."""
 
-    ``assortativity`` and ``degree_label_corr`` are None when their
-    denominators vanish (regular graph, or constant labels) rather than
-    silently zero.
-    """
-
-    sigma_q: float
-    sigma_k: float
-    sigma_f: float
-    degree_degree_cov: float
-    degree_label_cov: float
-
-    @property
-    def assortativity(self) -> float | None:
-        if self.sigma_q == 0.0:
-            return None
-        return self.degree_degree_cov / (self.sigma_q ** 2)
-
-    @property
-    def degree_label_corr(self) -> float | None:
-        if self.sigma_k == 0.0 or self.sigma_f == 0.0:
-            return None
-        return self.degree_label_cov / (self.sigma_k * self.sigma_f)
+    assortativity: float | None
+    degree_label_corr: float | None
 
 
 def network_stats(lg: LabeledGraph) -> NetworkStats:
-    """Compute the statistics from degree counts over nodes and edge
-    endpoints."""
-    g = lg.graph
-    n, big_m = g.node_count, g.edge_end_count
-    degrees = g.degrees
-
-    counts = np.bincount(degrees)
-    ks = np.flatnonzero(counts)
-    # degree-biased marginal: q(k) = k P(k) n / M
-    q = ks * counts[ks] / big_m
-    mu_q = math.fsum(ks * q)
-    ex2_q = math.fsum(ks * ks * q)
-    sigma_q = math.sqrt(max(ex2_q - mu_q * mu_q, 0.0))
-
-    mu_k = big_m / n
-    ex2_k = float(np.dot(degrees, degrees)) / n
-    sigma_k = math.sqrt(max(ex2_k - mu_k * mu_k, 0.0))
-
-    f_bar = lg.true_fraction
-    sigma_f = math.sqrt(max(f_bar - f_bar * f_bar, 0.0))
-
-    # E{d d'} over ordered edge ends: 2 sum_edges d(u) d(v) / M, exactly
-    du, dv = degrees[g.edges[:, 0]], degrees[g.edges[:, 1]]
-    degree_degree_cov = 2 * int(np.dot(du, dv)) / big_m - mu_q * mu_q
-
+    """Evaluate :func:`assortativity_curve` and :func:`degree_label_curve`
+    at the graph's sums of degree products over edges and of degree times
+    label over nodes."""
+    g, degrees = lg.graph, lg.graph.degrees
+    r_kk = assortativity_curve(degrees)
+    rho = degree_label_curve(degrees, int(lg.labels.sum()))
     return NetworkStats(
-        sigma_q=sigma_q, sigma_k=sigma_k, sigma_f=sigma_f,
-        degree_degree_cov=degree_degree_cov,
-        degree_label_cov=label_degree_covariance(lg))
+        assortativity=None if r_kk is None
+        else r_kk(int(np.dot(*degrees[g.edges.T]))),
+        degree_label_corr=None if rho is None
+        else rho(int(np.dot(degrees, lg.labels))))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import assortativity_curve, degree_label_curve
 from .errors import DataError, TargetUnreachableError, require_count
 from .graph import Graph, LabeledGraph, _first_claims, _sorted_unique
 from .sampling import stream
@@ -219,16 +220,6 @@ def erdos_renyi(spec: ErdosRenyiSpec) -> Graph:
         f"{_MAX_GENERATION_RETRIES} attempts")
 
 
-def _assortativity_constants(degrees: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of the degree of a random friend; both depend only
-    on the degree sequence, so rewiring leaves them fixed."""
-    big_m = int(degrees.sum())
-    d = degrees.astype(float)
-    mu_q = float(np.dot(d, d)) / big_m
-    ex2_q = float(np.dot(d * d, d)) / big_m
-    return mu_q, ex2_q - mu_q * mu_q
-
-
 def _in_sorted(values: np.ndarray,
                sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of each of the ascending ``values`` in ``sorted_values``
@@ -319,8 +310,7 @@ class _EdgeSwaps(_SwapProcess):
     ``born``, and ``born`` holds no live base key.
     """
 
-    def __init__(self, g: Graph, target: RewireTarget, mu_q: float,
-                 sigma2_q: float):
+    def __init__(self, g: Graph, target: RewireTarget, corr):
         m, self.n = g.edge_count, g.node_count
         self.deg = g.degrees
         self.ekey = g.edges[:, 0] * self.n
@@ -328,10 +318,6 @@ class _EdgeSwaps(_SwapProcess):
         self.base = self.ekey.copy()  # ascending, as g.edges is
         self.alive = np.ones(m, dtype=bool)
         self.born = np.zeros(0, dtype=np.int64)
-
-        def corr(s):
-            return (s / m - mu_q * mu_q) / sigma2_q
-
         super().__init__(int(np.dot(*self.deg[g.edges.T])), corr,
                          target.target, target.tolerance, m // 2)
 
@@ -416,19 +402,23 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     A proposal draws two edges (in random orientation) and replaces
     (a,b),(c,d) with (a,c),(b,d); the sequential rule accepts it iff the
     move is simple (no self-loop, no duplicate) and strictly shrinks the
-    distance to the target, tracked through the sum of degree products over
-    edges.  Chunks of proposals are decided by the module's three steps.
+    distance to the target.  The correlation is
+    :func:`~nepoll.analytics.assortativity_curve` at the sum of degree
+    products over edges, so ``network_stats`` of the result is the float the
+    swaps stopped on.  Chunks of proposals are decided by the module's three
+    steps.
 
-    Raises :class:`TargetUnreachableError` carrying the best-effort graph
-    when the proposal budget runs out or acceptance stalls.
+    Raises :class:`TargetUnreachableError` carrying the best-effort graph,
+    and that float as ``achieved``, when the proposal budget runs out or
+    acceptance stalls.
     """
     if g.edge_count < 2:
         raise DataError("rewiring needs at least two edges")
-    mu_q, sigma2_q = _assortativity_constants(g.degrees)
-    if sigma2_q <= 0.0:
+    corr = assortativity_curve(g.degrees)
+    if corr is None:
         raise DataError("regular graph: degree-degree correlation undefined")
 
-    chain = _EdgeSwaps(g, target, mu_q, sigma2_q)
+    chain = _EdgeSwaps(g, target, corr)
     if abs(chain.current - target.target) <= target.tolerance:
         return g
     m = g.edge_count
@@ -484,30 +474,28 @@ def assign_labels(g: Graph, target: LabelTarget,
     1-labeled node; moving label 1 onto the higher-degree node of the pair
     raises the correlation, onto the lower-degree node lowers it; the
     sequential rule accepts a swap iff it strictly shrinks the distance to
-    the target.  Swaps keep the label counts.  Chunks of proposals are
-    decided by the module's three steps.
+    the target.  Swaps keep the label counts.  The correlation is
+    :func:`~nepoll.analytics.degree_label_curve` at the sum of degree times
+    label, so ``network_stats`` of the result is the float the swaps stopped
+    on, ``achieved`` when :class:`TargetUnreachableError` carries it.
+    Chunks of proposals are decided by the module's three steps.
     """
     n = g.node_count
     labels = (gen.random(n) < target.base_probability).astype(np.int64)
     if target.target is None:
         return LabeledGraph(g, labels)
 
-    deg = g.degrees
-    mu_d = g.edge_end_count / n
-    sigma_k = math.sqrt(max(float(np.dot(deg, deg)) / n - mu_d * mu_d, 0.0))
-    if sigma_k == 0.0:
-        raise DataError("regular graph: degree-label correlation undefined")
     ones = int(labels.sum())
-    if ones == 0 or ones == n:
+    corr = degree_label_curve(g.degrees, ones)
+    if corr is None:
+        # a regular graph is named first, whatever the labels
+        if g.min_degree == g.degrees.max():
+            raise DataError(
+                "regular graph: degree-label correlation undefined")
         raise DataError(
             "all labels identical: degree-label correlation undefined")
-    f_bar = ones / n
-    sigma_f = math.sqrt(f_bar * (1.0 - f_bar))
 
-    def corr(s):
-        return (s / n - mu_d * f_bar) / (sigma_k * sigma_f)
-
-    chain = _LabelSwaps(deg, labels, corr, target)
+    chain = _LabelSwaps(g.degrees, labels, corr, target)
     return chain.run(lambda size: gen.random(size=(size, 2)),
                      target.max_iterations, "degree-label correlation",
                      lambda: LabeledGraph(g, chain.labels()))

@@ -18,7 +18,8 @@ advanced past the replications before it: the reference for
 ``nepoll.harness.replicate`` and the sweep it runs.
 
 ``rewire_to_assortativity`` and ``assign_labels`` are the sequential swap
-processes, one proposal at a time in plain Python.  ``nepoll.netgen``
+processes, one proposal at a time in plain Python, each steering by its
+own copy of the package's correlation expressions.  ``nepoll.netgen``
 decides each chunk of proposals by one rule, repeated until the chunk ends:
 screen the rest of the chunk on the live state, keep the earliest local
 claimant of each claim, accept the kept proposals in bulk up to the first
@@ -141,7 +142,12 @@ def rewire_to_assortativity(g, target, gen):
     shrinks the distance to the target."""
     if g.edge_count < 2:
         raise DataError("rewiring needs at least two edges")
-    mu_q, sigma2_q = netgen._assortativity_constants(g.degrees)
+    # mean and variance of the degree at a random edge end, in the float
+    # expressions the package steers by
+    big_m = g.edge_end_count
+    d = g.degrees.astype(float)
+    mu_q = float(np.dot(d, d)) / big_m
+    sigma2_q = float(np.dot(d * d, d)) / big_m - mu_q * mu_q
     if sigma2_q <= 0.0:
         raise DataError("regular graph: degree-degree correlation undefined")
 

@@ -27,8 +27,6 @@ def test_network_stats_star(star_lg):
     stats = network_stats(star_lg)
     assert stats.assortativity == pytest.approx(-1.0, abs=1e-12)
     assert stats.degree_label_corr == pytest.approx(1.0, abs=1e-12)
-    assert stats.sigma_q == pytest.approx(1.0, abs=1e-12)
-    assert stats.sigma_f == pytest.approx(math.sqrt(0.1875), abs=1e-12)
 
 
 def test_assortativity_matches_networkx():
@@ -43,13 +41,17 @@ def test_assortativity_matches_networkx():
 @given(lg=labeled_graphs())
 def test_network_stats_correlations_in_range(lg):
     stats = network_stats(lg)
-    assert (stats.assortativity is None) == (stats.sigma_q == 0)
+    degrees, labels = lg.graph.degrees, lg.labels
+    regular = degrees.min() == degrees.max()
+    assert (stats.assortativity is None) == regular
     assert (stats.degree_label_corr is None) == \
-        (stats.sigma_k == 0 or stats.sigma_f == 0)
+        (regular or labels.min() == labels.max())
     if stats.assortativity is not None:
         assert -1.0 - 1e-9 <= stats.assortativity <= 1.0 + 1e-9
     if stats.degree_label_corr is not None:
         assert -1.0 - 1e-9 <= stats.degree_label_corr <= 1.0 + 1e-9
+        assert stats.degree_label_corr == pytest.approx(
+            np.corrcoef(degrees, labels)[0, 1], rel=0, abs=1e-12)
 
 
 def test_assortativity_undefined_on_regular(k3_lg):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nepoll import netgen
 from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabelTarget,
                     LabeledGraph, RewireTarget, TargetUnreachableError,
                     assign_labels, build_graph, configuration_model,
@@ -211,8 +212,7 @@ def test_rewire_unreachable_target_returns_best_effort(powerlaw_graph):
     best = exc.value.result
     assert sorted(best.degrees.tolist()) == \
         sorted(powerlaw_graph.degrees.tolist())
-    assert exc.value.achieved == pytest.approx(_assortativity(best),
-                                               abs=1e-9)
+    assert exc.value.achieved == _assortativity(best)
 
 
 def test_rewire_regular_graph_undefined(k3):
@@ -265,6 +265,49 @@ def test_assign_labels_unreachable_target(powerlaw_graph):
                       stream(10))
     assert isinstance(exc.value.result, LabeledGraph)
     assert abs(exc.value.achieved) < 0.99
+
+
+def test_network_stats_are_the_floats_the_swaps_stopped_on(powerlaw_graph,
+                                                           monkeypatch):
+    # reached or not, the correlation network_stats reads off a swapped
+    # graph is the float its swaps steered by, bit for bit; out of reach,
+    # it is also the error's ``achieved``
+    stopped = []
+    run = netgen._SwapProcess.run
+
+    def recording_run(self, *args):
+        try:
+            return run(self, *args)
+        finally:
+            stopped.append(self.current)
+
+    monkeypatch.setattr(netgen._SwapProcess, "run", recording_run)
+    g = powerlaw_graph
+    zeros = np.zeros(g.node_count, dtype=np.int64)
+
+    def r_kk(out):
+        return network_stats(LabeledGraph(out, zeros)).assortativity
+
+    def rho(out):
+        return network_stats(out).degree_label_corr
+
+    for seed in range(4):
+        for goal, reachable in ((-0.1, True), (0.1, True), (0.99, False)):
+            for swaps, target, stat in (
+                    (rewire_to_assortativity,
+                     RewireTarget(goal, 0.005, 40_000), r_kk),
+                    (assign_labels,
+                     LabelTarget(0.3, goal, 0.005, 40_000), rho)):
+                stopped.clear()
+                if reachable:
+                    out = swaps(g, target, stream(seed))
+                else:
+                    with pytest.raises(TargetUnreachableError) as exc:
+                        swaps(g, target, stream(seed))
+                    out = exc.value.result
+                    assert exc.value.achieved == stopped[0]
+                assert len(stopped) == 1
+                assert stat(out) == stopped[0]
 
 
 def test_assign_labels_validates_probability(powerlaw_graph):
