@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError
 from .estimators import estimator_code
-from .graph import Graph, LabeledGraph, graph_flags
+from .graph import Graph, LabeledGraph, degree_product_sum, graph_flags
 from .sampling import WalkLaw
 
 _FLOAT_SLACK = 1e-12  # guards exact inequalities against rounding
@@ -122,7 +122,7 @@ def network_stats(lg: LabeledGraph) -> NetworkStats:
     rho = degree_label_curve(degrees, int(lg.labels.sum()))
     return NetworkStats(
         assortativity=None if r_kk is None
-        else r_kk(int(np.dot(*degrees[g.edges.T]))),
+        else r_kk(degree_product_sum(g)),
         degree_label_corr=None if rho is None
         else rho(int(np.dot(degrees, lg.labels))))
 
@@ -202,19 +202,27 @@ def _lanczos_largest_abs(matvec, u: np.ndarray) -> float:
 
 
 def _has_twins(g: Graph) -> bool:
-    """Whether two nodes have the same neighbor set.  Sums of two random
-    64-bit keys over each set pick the candidates; only equal sorted
-    neighbor slices certify, so a hash collision cannot."""
+    """Whether two nodes have the same neighbor set.  Sums of keys below
+    2**53 / max degree over each set, exact in floats, rank the nodes, and
+    nodes tied on a first sum by a second; only equal neighbor sets
+    certify a tie, so a hash collision cannot."""
     keys = np.random.default_rng(_SPECTRUM_SEED).integers(
-        0, 2 ** 64, size=(2, g.node_count), dtype=np.uint64)
-    # wrapping integer sums: twins get equal sums in any order, which a
-    # rounded float sum through ``adjacency_matvec`` would not promise
-    sums = np.add.reduceat(keys[:, g.neighbors], g.indptr[:-1], axis=1)
-    order = np.lexsort(sums)
-    same = (np.diff(sums[:, order], axis=1) == 0).all(axis=0)
-    return any(np.array_equal(g.neighbors_of(order[i]),
-                              g.neighbors_of(order[i + 1]))
-               for i in np.flatnonzero(same).tolist())
+        0, 2 ** 53 // int(g.degrees.max()), size=(2, g.node_count))
+    first = g.adjacency_matvec(keys[0])
+    order = np.argsort(first)
+    tie = np.diff(first[order]) == 0
+    if not tie.any():
+        return False
+    tied = order[np.r_[tie, False] | np.r_[False, tie]]
+    second = g.adjacency_matvec(keys[1])
+    tied = tied[np.lexsort((second[tied], first[tied]))]
+    a, b = tied[:-1], tied[1:]
+    same = (first[a] == first[b]) & (second[a] == second[b])
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    # each set ascending, read from the edges sorted by (lo, hi)
+    return any(np.array_equal(*[np.concatenate([lo[hi == v], hi[lo == v]])
+                                for v in pair])
+               for pair in zip(a[same].tolist(), b[same].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +313,8 @@ def budget_threshold(lg: LabeledGraph, lambda2: float) -> BudgetThreshold:
     numerator = (var_f - lambda2 * lambda2 * mean_label_friend(lg)) \
         * mean_degree(lg.graph) ** 2
     cov = label_degree_covariance(lg)
-    if cov == 0.0:
-        if numerator >= 0.0:
-            return BudgetThreshold(value=math.inf, non_positive=False)
-        return BudgetThreshold(value=-math.inf, non_positive=True)
-    value = numerator / (cov * cov)
+    value = (numerator / (cov * cov) if cov != 0.0
+             else math.inf if numerator >= 0.0 else -math.inf)
     return BudgetThreshold(value=value, non_positive=value <= 0.0)
 
 
@@ -366,10 +371,11 @@ def brute_force_estimator_law(lg: LabeledGraph, kind: str,
         steps = None if walk is None else walk.length
     else:
         steps = 1 if kind == "FN" else 0
-    g = lg.graph
-    n = g.node_count
+    g, n = lg.graph, lg.graph.node_count
     labels = [int(x) for x in lg.labels]
-    adj = [[int(u) for u in g.neighbors_of(v)] for v in range(n)]
+    adj = [[] for _ in range(n)]
+    for u, v in g.edges.tolist() + g.edges[:, ::-1].tolist():
+        adj[u].append(v)
 
     if steps is None:  # RW without a walk: the stationary law
         m = sum(len(a) for a in adj)

@@ -103,6 +103,10 @@ def _cmd_check(args) -> int:
     return 1 if failures else 0
 
 
+_COMMANDS = {"sweep": _cmd_sweep, "report": _cmd_report,
+             "generate": _cmd_generate, "check": _cmd_check}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -110,14 +114,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "check":
-            return _cmd_check(args)
+        return _COMMANDS[args.command](args)
     except TargetUnreachableError as exc:
         print(f"error: TargetUnreachable: {exc} "
               f"achieved={exc.achieved!r}", file=sys.stderr)
@@ -125,7 +122,6 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DataError, require_count
+from .errors import DataError, require_count, require_utf8
 from .estimators import ESTIMATOR_KINDS
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
                      RewireTarget)
@@ -268,8 +268,10 @@ def _parse_value(s: str):
 def load_experiment_config(path) -> ExperimentConfig:
     """Read a flat ``key = value`` config file into
     :func:`experiment_config`; a ``DataError`` names ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        require_utf8(path, lineno, line)
     try:
         return experiment_config(parse_config_text(text))
     except DataError as exc:

@@ -5,7 +5,8 @@ inconsistent generator spec, a graph an estimator cannot poll) raises
 ``DataError`` with a message naming the fault; only an unreached swap
 target has a type of its own, because it carries the best-effort result.
 A count argument (a budget, a replication count, a walk length, a seed)
-that is not an integer in range, or is a ``bool``, fails ``require_count``.
+that is not an integer in range, or is a ``bool``, fails ``require_count``;
+an input line that is not UTF-8 fails ``require_utf8``.
 """
 
 from numbers import Integral
@@ -22,6 +23,17 @@ def require_count(name: str, value, least: int):
             or value < least:
         raise DataError(f"{name} must be a count >= {least}, got {value!r}")
     return value
+
+
+def require_utf8(path, lineno: int, line: str) -> str:
+    """``line``, read with ``errors="surrogateescape"``, if its bytes are
+    UTF-8; else a ``DataError`` names ``path:lineno`` and the bytes."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raw = line.strip().encode("utf-8", "surrogateescape")
+        raise DataError(f"{path}:{lineno}: not UTF-8 text: {raw!r}") from None
+    return line
 
 
 class TargetUnreachableError(DataError, RuntimeError):

@@ -1,18 +1,17 @@
 """Immutable undirected simple graphs with binary node labels.
 
 A graph is its sorted edge list, stored column-major so that each endpoint
-column is contiguous, over which every adjacency product runs.  The
-compressed sparse adjacency form (sorted neighbors, per-node offsets) that
-the search of :func:`graph_flags`, the spectrum's twin check and the
-oracle's neighbor lists read is built on first use and cached: a graph that
-is only generated, rewired, labeled and written never sorts its arcs.
-Every graph is made by one constructor,
-``Graph(node_count, edge_keys, original_ids)``, from its sorted, distinct
-edge keys ``lo * node_count + hi``.  Outside input reaches it through
-:func:`build_graph`, which validates and compacts the ids, or through the
-edge reader, which takes the same steps; the generators and the rewiring
-hold such keys already and construct the graph once.  Any
-edge list describing the same graph produces bit-identical arrays.
+column is contiguous, over which every adjacency product runs.  Only the
+search of :func:`graph_flags` reads the compressed sparse adjacency form
+(sorted neighbors, per-node offsets); :func:`_adjacency` builds it there,
+by one sort of the arcs, and no graph keeps it.  Every graph is made by
+one constructor, ``Graph(node_count, edge_keys, original_ids)``, from its
+sorted, distinct edge keys ``lo * node_count + hi``.  Outside input
+reaches it through :func:`build_graph`, which validates and compacts the
+ids, or through the edge reader, which takes the same steps; the
+generators and the rewiring hold such keys already and construct the
+graph once.  Any edge list describing the same graph produces
+bit-identical arrays.
 """
 
 from __future__ import annotations
@@ -40,15 +39,14 @@ class Graph:
     as ``lo * node_count + hi``, sorted and distinct; the constructor
     trusts this, and only it derives ``edges`` and ``degrees`` from it.
     ``edges`` is a column-major ``(edge_count, 2)`` array: ``edges[:, 0]``
-    and ``edges[:, 1]`` are contiguous.  ``indptr`` and ``neighbors`` are
-    derived from ``edges`` on first access and cached.  ``original_ids[v]``
-    is node v's id in files.  Instances are never mutated, so they are safe
-    to share.  ``edge_end_count`` is the number of edge endpoints (twice
-    the edge count), the normalizer of all degree-weighted laws.
+    and ``edges[:, 1]`` are contiguous.  ``original_ids[v]`` is node v's id
+    in files.  Instances are never mutated, so they are safe to share.
+    ``edge_end_count`` is the number of edge endpoints (twice the edge
+    count), the normalizer of all degree-weighted laws.
     """
 
     __slots__ = ("node_count", "edges", "degrees", "edge_end_count",
-                 "min_degree", "original_ids", "_adjacency", "_flags")
+                 "min_degree", "original_ids", "_flags")
 
     def __init__(self, node_count: int, edge_keys: np.ndarray,
                  original_ids: np.ndarray):
@@ -63,42 +61,11 @@ class Graph:
         self.edge_end_count = int(self.degrees.sum())
         self.min_degree = int(self.degrees.min())
         self.original_ids = original_ids
-        self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
         self._flags: GraphFlags | None = None
-
-    @property
-    def indptr(self) -> np.ndarray:
-        """``neighbors[indptr[v]:indptr[v + 1]]`` are v's neighbors."""
-        if self._adjacency is None:
-            self._adjacency = self._build_adjacency()
-        return self._adjacency[0]
-
-    @property
-    def neighbors(self) -> np.ndarray:
-        """Every node's neighbors, ascending, node after node."""
-        if self._adjacency is None:
-            self._adjacency = self._build_adjacency()
-        return self._adjacency[1]
-
-    def _build_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        n, m = self.node_count, self.edge_count
-        lo, hi = self.edges[:, 0], self.edges[:, 1]
-        # arcs keyed src * n + dst, both directions of every edge, in one
-        # array that is sorted and reduced to dst in place
-        arcs = np.empty(2 * m, dtype=np.int64)
-        for out, src, dst in ((arcs[:m], lo, hi), (arcs[m:], hi, lo)):
-            np.multiply(src, n, out=out)
-            out += dst
-        arcs.sort()
-        np.remainder(arcs, n, out=arcs)
-        return np.concatenate([[0], np.cumsum(self.degrees)]), arcs
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def neighbors_of(self, v: int) -> np.ndarray:
-        return self.neighbors[self.indptr[v]:self.indptr[v + 1]]
 
     def adjacency_matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x in floats: each edge (u, v) adds x[v] to entry u and x[u]
@@ -107,9 +74,6 @@ class Graph:
         u, v = self.edges[:, 0], self.edges[:, 1]
         return np.bincount(u, x[v], self.node_count) \
             + np.bincount(v, x[u], self.node_count)
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.node_count}, edges={self.edge_count})"
 
 
 def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]]) -> Graph:
@@ -122,13 +86,10 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]]) -> Graph:
     repeated edge (either orientation) is rejected, naming the earliest bad
     row.  Edge keys ``lo * n + hi`` use compacted ids, so they cannot
     overflow.  Each row's key is built once (:func:`_edge_keys`), and keys
-    that are already strictly increasing, as in a file nepoll wrote, are
-    not sorted; :func:`nepoll.io.read_edge_list` shares both steps and
-    drops repeated rows where this rejects them.
+    already strictly increasing, as in a file nepoll wrote, are not sorted.
     """
-    if not isinstance(edge_pairs, np.ndarray):
-        edge_pairs = list(edge_pairs)
-    raw = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
+    raw = np.asarray(edge_pairs if isinstance(edge_pairs, np.ndarray)
+                     else list(edge_pairs), dtype=np.int64).reshape(-1, 2)
     if not len(raw):
         raise DataError("a graph needs at least one edge")
     ids, keys, edge_keys, bad = _edge_keys(raw)
@@ -164,20 +125,20 @@ def _edge_keys(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def _checked_graph(raw: np.ndarray, ids: np.ndarray, edge_keys: np.ndarray,
-                   bad: np.ndarray) -> Graph:
+                   bad: np.ndarray, where=lambda row: "") -> Graph:
     """The graph of ``edge_keys`` over ``ids``, unless a row of ``raw``
     holds a negative id or is marked ``bad`` (a self-loop, or a repeat of
     an earlier row): then a :class:`DataError` names the earliest such
-    row."""
+    row, after the prefix ``where(row)``."""
     if ids[0] < 0:
         bad = bad | (raw[:, 0] < 0) | (raw[:, 1] < 0)
     if bad.any():
-        u, v = (int(x) for x in raw[np.argmax(bad)])
-        if u < 0 or v < 0:
-            raise DataError(f"negative node id in edge ({u}, {v})")
-        if u == v:
-            raise DataError(f"self-loop at node {u}")
-        raise DataError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+        row = int(np.argmax(bad))
+        u, v = (int(x) for x in raw[row])
+        raise DataError(where(row) + (
+            f"negative node id in edge ({u}, {v})" if u < 0 or v < 0
+            else f"self-loop at node {u}" if u == v
+            else f"duplicate edge ({min(u, v)}, {max(u, v)})"))
     return Graph(len(ids), edge_keys, ids)
 
 
@@ -243,30 +204,55 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
+def degree_product_sum(g: Graph) -> int:
+    """The sum over edges of d(u) d(v), gathered ``_BLOCK`` edges at a time."""
+    d, lo, hi = g.degrees, g.edges[:, 0], g.edges[:, 1]
+    return sum(int(np.dot(d[lo[s:s + _BLOCK]], d[hi[s:s + _BLOCK]]))
+               for s in range(0, g.edge_count, _BLOCK))
+
+
+def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, neighbors)``, the adjacency of ``g`` in compressed sparse
+    rows: ``neighbors[indptr[v]:indptr[v + 1]]`` are v's, ascending."""
+    n, m = g.node_count, g.edge_count
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    # arcs keyed src * n + dst, both directions of every edge, in one
+    # array that is sorted and reduced to dst in place
+    arcs = np.empty(2 * m, dtype=np.int64)
+    for out, src, dst in ((arcs[:m], lo, hi), (arcs[m:], hi, lo)):
+        np.multiply(src, n, out=out)
+        out += dst
+    arcs.sort()
+    np.remainder(arcs, n, out=arcs)
+    return np.concatenate([[0], np.cumsum(g.degrees)]), arcs
+
+
 def graph_flags(g: Graph) -> GraphFlags:
     """Compute (and cache on the graph) connectivity and bipartiteness.
 
     Level-synchronous BFS from node 0, then from the lowest unvisited node
-    of each further component.  Edges join depths at most one apart, so the
+    of each further component, over the adjacency :func:`_adjacency`
+    builds for this call.  Edges join depths at most one apart, so the
     graph is bipartite iff no edge joins two depths of equal parity.
     """
     if g._flags is not None:
         return g._flags
+    indptr, neighbors = _adjacency(g)
     depth = np.full(g.node_count, -1, dtype=np.int64)
-    _bfs_depths(g, 0, depth)
+    _bfs_depths(g, indptr, neighbors, 0, depth)
     unreached = np.flatnonzero(depth < 0)
     for root in unreached.tolist():
         if depth[root] < 0:
-            _bfs_depths(g, root, depth)
+            _bfs_depths(g, indptr, neighbors, root, depth)
     odd = (depth & 1).astype(bool)
-    flags = GraphFlags(connected=len(unreached) == 0,
-                       bipartite=bool((odd[g.edges[:, 0]]
-                                       != odd[g.edges[:, 1]]).all()))
-    g._flags = flags
-    return flags
+    g._flags = GraphFlags(connected=len(unreached) == 0,
+                          bipartite=bool((odd[g.edges[:, 0]]
+                                          != odd[g.edges[:, 1]]).all()))
+    return g._flags
 
 
-def _bfs_depths(g: Graph, root: int, depth: np.ndarray) -> None:
+def _bfs_depths(g: Graph, indptr: np.ndarray, neighbors: np.ndarray,
+                root: int, depth: np.ndarray) -> None:
     """Write the BFS depth from ``root`` of every node in its component.
 
     Each level expands its frontier in blocks of consecutive frontier nodes
@@ -285,7 +271,7 @@ def _bfs_depths(g: Graph, root: int, depth: np.ndarray) -> None:
         ends = np.cumsum(counts)
         # each node's first neighbor-array position, less the level's arcs
         # before it: adding a range of arc numbers gives every arc position
-        firsts = g.indptr[frontier] - ends + counts
+        firsts = indptr[frontier] - ends + counts
         found, start, done = [], 0, 0
         while start < len(frontier):
             stop = len(frontier)
@@ -295,7 +281,7 @@ def _bfs_depths(g: Graph, root: int, depth: np.ndarray) -> None:
             end = int(ends[stop - 1])
             offsets = np.repeat(firsts[start:stop], counts[start:stop])
             offsets += np.arange(done, end)
-            reached = g.neighbors[offsets]
+            reached = neighbors[offsets]
             reached = reached[depth[reached] < 0]
             depth[reached] = level
             found.append(reached)
@@ -309,9 +295,8 @@ class LabeledGraph:
 
     ``responses[v]`` is the fraction of v's neighbors carrying label 1 --
     the answer node v gives to the neighborhood-expectation poll.  It is
-    computed on first read and cached, as ``Graph.indptr`` is: a labeled
-    graph that is only generated, written or read costs no adjacency
-    product.
+    computed on first read and cached: a labeled graph that is only
+    generated, written or read costs no adjacency product.
     """
 
     __slots__ = ("graph", "labels", "_responses")
@@ -340,7 +325,3 @@ class LabeledGraph:
     def true_fraction(self) -> float:
         """Fraction of nodes labeled 1 (the quantity every poll estimates)."""
         return float(self.labels.mean())
-
-    def __repr__(self) -> str:
-        return (f"LabeledGraph(n={self.graph.node_count}, "
-                f"true_fraction={self.true_fraction:.4f})")

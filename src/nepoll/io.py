@@ -2,20 +2,16 @@
 
 Edge lists use the common SNAP text layout: one edge per line as two
 whitespace-separated integers, '#' starting a comment anywhere in a line.
-Repeated edges are dropped before validation.  Label files carry one
-``<node_id> <0|1>`` line per node; nodes absent from the file default to
-label 0 and the count of such defaults is returned to the caller.  Errors
-in a file's lines name ``path:line``.  The writers emit plain ASCII bytes:
-a ``#`` header line, then one ``"a b\n"`` line per edge or node, each
-integer in decimal without leading zeros.  They format and write blocks of
-``_BLOCK`` rows, so their transient memory grows with the block, not
-with the file; a block's digit count is its own maximum's, and since no
-number has leading zeros the bytes are those of a single block.
+Repeated edges are dropped.  Label files carry one ``<node_id> <0|1>``
+line per node; nodes absent from the file default to label 0 and the
+count of such defaults is returned to the caller.  Errors in a file name
+``path:line``: a byte that is not UTF-8, a malformed line, and a fault
+found after parsing (a self-loop, a negative id, an unknown or
+twice-labeled node).  The writers emit plain ASCII bytes: a ``#`` header
+line, then one ``"a b\n"`` line per edge or node, each integer in decimal
+without leading zeros, formatted ``_BLOCK`` rows at a time.
 
-The edge reader makes one pass over the parsed rows: their lower and
-higher ends are ranked once, in one buffer, and each row's key is built
-and checked once, by the steps :func:`nepoll.graph.build_graph` takes.  A
-file the edge writer wrote lists its edges sorted and distinct over ids
+A file the edge writer wrote lists its edges sorted and distinct over ids
 0..n-1, so reading it back ranks the ids by identity and sorts nothing;
 nor does reading labels of ids 0..n-1 search them.
 """
@@ -29,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_utf8
 from .graph import (_BLOCK, Graph, LabeledGraph, _checked_graph,
                     _edge_keys, _first_claims)
 
@@ -37,12 +33,18 @@ PathLike = Union[str, os.PathLike]
 
 
 def _data_lines(path: PathLike):
-    """``(line number, stripped line, fields)`` of each line with data."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """``(line number, stripped line, fields)`` of each line with data.  A
+    line that is not UTF-8, comment or not, raises ``DataError``."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
-            fields = raw.split("#", 1)[0].split()
+            fields = require_utf8(path, lineno, raw).split("#", 1)[0].split()
             if fields:
                 yield lineno, raw.strip(), fields
+
+
+def _line_of(path: PathLike, row: int) -> int:
+    """The line number of the ``row``-th data line of ``path``."""
+    return next(itertools.islice(_data_lines(path), row, None))[0]
 
 
 def _read_pairs(path: PathLike, expected: str,
@@ -62,41 +64,40 @@ def _read_pairs(path: PathLike, expected: str,
     except (ValueError, OverflowError, Warning):
         pass
     parsed, error = [], None
-    for lineno, line, fields in _data_lines(path):
-        if len(fields) != 2:
-            error = f"expected {expected}, got {line!r}"
-            break
-        try:
-            parsed.append(np.int64([int(fields[0]), int(fields[1])]))
-        except ValueError:
-            error = f"non-integer {what} in {line!r}"
-            break
-        except OverflowError:
-            error = f"{what} beyond int64 in {line!r}"
-            break
-    rows = np.array(parsed, dtype=np.int64).reshape(-1, 2)
-    return rows, None if error is None else DataError(
-        f"{path}:{lineno}: {error}")
+    try:
+        for lineno, line, fields in _data_lines(path):
+            if len(fields) != 2:
+                problem = f"expected {expected}, got {line!r}"
+            else:
+                try:
+                    parsed.append(np.int64([int(fields[0]), int(fields[1])]))
+                    continue
+                except ValueError:
+                    problem = f"non-integer {what} in {line!r}"
+                except OverflowError:
+                    problem = f"{what} beyond int64 in {line!r}"
+            raise DataError(f"{path}:{lineno}: {problem}")
+    except DataError as exc:
+        error = exc
+    return np.array(parsed, dtype=np.int64).reshape(-1, 2), error
 
 
 def read_edge_list(path: PathLike) -> Graph:
-    """Read an edge list, keeping the first line of each repeated edge.
+    """Read an edge list, dropping repeated edges.
 
     Its keys are built and checked once, by the steps of
-    :func:`nepoll.graph.build_graph`, with repeated rows dropped where
-    ``build_graph`` rejects them.  Dropping a row that repeats a kept one
-    leaves the set of ids, and so their ranks and keys, as they are.
+    :func:`nepoll.graph.build_graph`; a repeat has the ids, key and faults
+    of the row it repeats, so the earliest self-loop or negative id is never
+    one.  That row names ``path:line``: only then are the lines read again.
     """
     pairs, error = _read_pairs(path, "two node ids", "node id")
     if error is not None:
         raise error
     if not len(pairs):
         raise DataError(f"{path}: a graph needs at least one edge")
-    ids, keys, edge_keys, loops = _edge_keys(pairs)
-    if len(edge_keys) < len(keys):
-        first = _first_claims(keys[:, None])
-        pairs, loops = pairs[first], loops[first]
-    return _checked_graph(pairs, ids, edge_keys, loops)
+    ids, _, edge_keys, loops = _edge_keys(pairs)
+    return _checked_graph(pairs, ids, edge_keys, loops,
+                          lambda row: f"{path}:{_line_of(path, row)}: ")
 
 
 def _digit_type(top: int) -> type:
@@ -132,8 +133,8 @@ def _rows_text(rows: np.ndarray) -> bytes:
 
 
 def _write_rows(path: PathLike, header: str, count: int, rows) -> None:
-    """Write ``header``, then the text of ``count`` rows, ``rows(block)``
-    giving those of each block slice of ``_BLOCK``."""
+    """Write ``header``, then ``rows(block)`` for each ``_BLOCK`` slice of
+    ``count`` rows: without leading zeros, the bytes match one block."""
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for start in range(0, count, _BLOCK):
@@ -183,7 +184,7 @@ def read_labels(path: PathLike, g: Graph) -> tuple[np.ndarray, int]:
         bad |= ~_first_claims(index[:, None])
     if bad.any():
         row = int(np.argmax(bad))
-        lineno = next(itertools.islice(_data_lines(path), row, None))[0]
+        lineno = _line_of(path, row)
         if not known[row]:
             problem = f"node {node[row]} is not in the graph"
         elif value[row] not in (0, 1):

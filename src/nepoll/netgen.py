@@ -43,7 +43,8 @@ import numpy as np
 
 from .analytics import assortativity_curve, degree_label_curve
 from .errors import DataError, TargetUnreachableError, require_count
-from .graph import Graph, LabeledGraph, _first_claims, _sorted_unique
+from .graph import (Graph, LabeledGraph, _first_claims, _sorted_unique,
+                    degree_product_sum)
 from .sampling import stream
 
 _MAX_GENERATION_RETRIES = 100
@@ -318,7 +319,7 @@ class _EdgeSwaps(_SwapProcess):
         self.base = self.ekey.copy()  # ascending, as g.edges is
         self.alive = np.ones(m, dtype=bool)
         self.born = np.zeros(0, dtype=np.int64)
-        super().__init__(int(np.dot(*self.deg[g.edges.T])), corr,
+        super().__init__(degree_product_sum(g), corr,
                          target.target, target.tolerance, m // 2)
 
     def keys(self) -> np.ndarray:

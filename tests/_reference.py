@@ -1,5 +1,8 @@
 """Reference implementations the package is tested against.
 
+``adjacency`` builds each node's sorted neighbors from the edge list by a
+``lexsort`` of the arcs, apart from the package's arc-key sort: the walks
+and laws below read it.
 ``random_nodes`` draws uniform nodes ``floor(u * n)``, and
 ``friends_of_random_nodes`` a uniform neighbor of each: the two-stage
 friend-of-a-random-node draw that the package's ``FN`` law, drawn by
@@ -62,6 +65,16 @@ from nepoll.graph import Graph, LabeledGraph, build_graph
 from nepoll.io import _data_lines, _read_pairs
 
 
+def adjacency(g):
+    """``(indptr, neighbors)``: ``neighbors[indptr[v]:indptr[v + 1]]`` are
+    v's neighbors, ascending."""
+    src = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    dst = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    counts = np.bincount(src, minlength=g.node_count)
+    return (np.concatenate([[0], np.cumsum(counts)]),
+            dst[np.lexsort((dst, src))])
+
+
 def random_nodes(g, u):
     """Uniform nodes ``floor(u * n)``, shaped like the uniforms ``u``."""
     return (u * g.node_count).astype(np.int64)
@@ -72,8 +85,8 @@ def friends_of_random_nodes(g, u_node, u_friend):
     (``u_friend``): node ``v`` with probability sum(1/d(u)) / n over its
     neighbors u."""
     v = random_nodes(g, u_node)
-    return g.neighbors[g.indptr[v]
-                       + (u_friend * g.degrees[v]).astype(np.int64)]
+    indptr, neighbors = adjacency(g)
+    return neighbors[indptr[v] + (u_friend * g.degrees[v]).astype(np.int64)]
 
 
 def sample_random_friends(g, gen, size):
@@ -88,11 +101,12 @@ def walk_law(g, length):
     uniform node ends at each node: node v passes its mass to each
     neighbor in equal shares, ``length`` times."""
     n = g.node_count
+    indptr, flat = adjacency(g)
     law = [Fraction(1, n)] * n
     for _ in range(length):
         moved = [Fraction(0)] * n
         for v in range(n):
-            neighbors = g.neighbors_of(v).tolist()
+            neighbors = flat[indptr[v]:indptr[v + 1]].tolist()
             for u in neighbors:
                 moved[u] += law[v] / len(neighbors)
         law = moved
@@ -111,12 +125,12 @@ def random_walk_endpoints(g, starts, length, uniforms):
     ``length`` calls of ``random(m)``.
     """
     cur = np.array(starts, dtype=np.int64)
+    indptr, neighbors = adjacency(g)
     for step in range(length):
         u = uniforms[step] if isinstance(uniforms, np.ndarray) \
             else uniforms.random(len(cur))
         cur = cur.reshape(u.shape)
-        cur = g.neighbors[g.indptr[cur]
-                          + (u * g.degrees[cur]).astype(np.int64)]
+        cur = neighbors[indptr[cur] + (u * g.degrees[cur]).astype(np.int64)]
         cur = cur.reshape(-1)
     return cur
 
@@ -353,7 +367,7 @@ def sorting_build_graph(edge_pairs):
 
 def sorting_read_edge_list(path):
     """``nepoll.read_edge_list``, dropping repeated lines by
-    ``repeated_rows``."""
+    ``repeated_rows``; a bad row left names its line."""
     pairs, error = _read_pairs(path, "two node ids", "node id")
     if error is not None:
         raise error
@@ -362,7 +376,14 @@ def sorting_read_edge_list(path):
     # equal numbers exactly for equal unordered pairs
     pair_ids = np.unique(np.sort(pairs, axis=1), axis=0,
                          return_inverse=True)[1].reshape(-1)
-    return sorting_build_graph(pairs[~repeated_rows(pair_ids)])
+    kept = np.flatnonzero(~repeated_rows(pair_ids))
+    try:
+        return sorting_build_graph(pairs[kept])
+    except DataError as exc:
+        rows = pairs[kept]
+        bad = (rows < 0).any(axis=1) | (rows[:, 0] == rows[:, 1])
+        lineno = list(_data_lines(path))[kept[np.argmax(bad)]][0]
+        raise DataError(f"{path}:{lineno}: {exc}") from None
 
 
 def searching_read_labels(path, g):

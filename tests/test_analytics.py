@@ -17,7 +17,7 @@ from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabeledGraph,
 from nepoll import analytics
 
 from _reference import walk_law as reference_walk_law
-from _strategies import graphs, labeled_graphs
+from _strategies import edge_lists, graphs, labeled_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,66 @@ def test_twins_certify_lambda_n_zero():
     assert np.abs(_dense_spectrum(g)).min() <= 1e-12
 
 
+@st.composite
+def blown_up_graphs(draw):
+    """A small graph with each node v replaced by 1-4 copies, every copy of
+    v joined to every copy of each neighbor of v: the copies of one node
+    are twins, so several groups of twins, of up to four, can coexist."""
+    base = draw(edge_lists(max_nodes=5))
+    n = 1 + max(max(e) for e in base)
+    copies, start = [], 0
+    for count in draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)):
+        copies.append(range(start, start + count))
+        start += count
+    ids = draw(st.permutations(range(start)))
+    return build_graph([(ids[a], ids[b]) for u, v in base
+                        for a in copies[u] for b in copies[v]])
+
+
+_default_rng = np.random.default_rng
+
+
+def _keys_set_to_one(rows):
+    """A stand-in for the twin hash's generator: its key sets ``rows`` are
+    all 1, so every two nodes of equal degree tie on those sums, and the
+    others are drawn.  ``bounds`` collects the bound of each draw."""
+    class Keys:
+        bounds = []
+
+        def __init__(self, seed):
+            self.gen = _default_rng(seed)
+
+        def integers(self, low, high, size):
+            self.bounds.append(high)
+            keys = self.gen.integers(low, high, size)
+            keys[rows] = 1
+            return keys
+    return Keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(
+    graphs(max_nodes=12), blown_up_graphs(),
+    st.integers(1, 11).map(lambda k: build_graph([(0, i)
+                                                  for i in range(1, k + 1)]))))
+def test_twin_check_matches_networkx_neighbor_sets(g):
+    """``lambda_n_exact`` is true iff two nodes of the networkx graph have
+    equal neighbor sets.  Keys stay below 2**53 / max degree, so sums are
+    exact.  With every first sum of a degree tied, the second sums find
+    the twins; with both tied, a collision still never certifies."""
+    nx_graph = nx.Graph(g.edges.tolist())
+    sets = [frozenset(nx_graph[v]) for v in nx_graph]
+    twins = len(set(sets)) < len(sets)
+    assert spectral_summary(g).lambda_n_exact == twins
+    first_tied, both_tied = _keys_set_to_one([0]), _keys_set_to_one([0, 1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytics.np.random, "default_rng", first_tied)
+        assert analytics._has_twins(g) == twins
+        mp.setattr(analytics.np.random, "default_rng", both_tied)
+        assert not analytics._has_twins(g) or twins
+    assert first_tied.bounds[0] * int(g.degrees.max()) <= 2 ** 53
+
+
 def test_lanczos_that_does_not_converge_raises(monkeypatch):
     g = _sparse_random_graph(300, 600, seed=5)
     monkeypatch.setattr(analytics, "_LANCZOS_MAX_STEPS", 12)
@@ -148,8 +208,9 @@ def test_spectrum_above_the_old_dense_size_cap_matches_eigsh(make_graph):
     g = make_graph()
     assert graph_flags(g).connected and not graph_flags(g).bipartite
     scale = 1.0 / np.sqrt(g.degrees.astype(float))
-    rows = np.repeat(np.arange(g.node_count), g.degrees)
-    mat = csr_matrix((scale[rows] * scale[g.neighbors], (rows, g.neighbors)),
+    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    mat = csr_matrix((scale[rows] * scale[cols], (rows, cols)),
                      shape=(g.node_count, g.node_count))
     v0 = np.random.default_rng(0).random(g.node_count)
     # the two ends of the spectrum separately: the top is 1, so lambda2 is
@@ -396,8 +457,12 @@ def test_finite_walk_closed_form_matches_exact_fractions(lg, length):
     # the RW sample of an L-step walk: a response under the exact law u P^L
     g, labels = lg.graph, lg.labels.tolist()
     law = reference_walk_law(g, length)
-    response = [Fraction(sum(labels[u] for u in g.neighbors_of(v)),
-                         int(g.degrees[v])) for v in range(g.node_count)]
+    counts = [0] * g.node_count
+    for u, v in g.edges.tolist():
+        counts[u] += labels[v]
+        counts[v] += labels[u]
+    response = [Fraction(count, int(g.degrees[v]))
+                for v, count in enumerate(counts)]
     mean = sum(p * r for p, r in zip(law, response))
     var = sum(p * r * r for p, r in zip(law, response)) - mean * mean
     walk = walk_law(g, length)

@@ -455,7 +455,7 @@ _TRIANGLE = "0 1\n1 2\n0 2\n"
 
 @pytest.mark.parametrize("files, argv, message", [
     ({"g.edges": "1 1\n"}, ["report", "--graph", "g.edges"],
-     "self-loop at node 1"),
+     "g.edges:1: self-loop at node 1"),
     ({}, ["generate", "--model", "er", "--n", "50", "--p", "0.001"],
      "G(n=50, p=0.001) produced isolated nodes in 100 attempts"),
     ({}, ["generate", "--model", "config", "--n", "50", "--alpha", "2.4",
@@ -484,6 +484,30 @@ def test_input_the_pipeline_cannot_take_is_a_data_error(
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: DataError: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("name, text, argv, line", [
+    ("g.edges", b"0 1\n1 \xff2\n", ["report", "--graph", "g.edges"], 2),
+    # in a comment, after a line numpy and the line parser both read
+    ("g.edges", b"0 1\n# \xe9t\xe9\n1 2\n", ["report", "--graph", "g.edges"],
+     2),
+    ("g.labels", b"0 1\n\n1 0\x80\n",
+     ["report", "--graph", "t.edges", "--labels", "g.labels"], 3),
+    ("x.cfg", b'graph.path = "t.edges"\nlabels.p = 0.5 # \xfe\n',
+     ["sweep", "--config", "x.cfg", "--out", "out.csv"], 2),
+])
+def test_bytes_that_are_not_utf8_name_file_and_line(tmp_path, monkeypatch,
+                                                     capsys, name, text,
+                                                     argv, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.edges").write_text(_TRIANGLE)
+    (tmp_path / name).write_bytes(text)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: DataError: {name}:{line}: not UTF-8 text")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {"t.edges", name})
 
 
 def test_usage_error_exit_code():

@@ -66,7 +66,7 @@ def test_build_graph_reports_earliest_bad_row(pairs, message):
 
 def _reference_build(pairs):
     """The per-edge loop build_graph replaced: validation in input order,
-    then canonical CSR arrays from sorted (u, v) tuples."""
+    then canonical arrays from sorted (u, v) tuples."""
     seen = set()
     for u, v in pairs:
         if u < 0 or v < 0:
@@ -86,8 +86,8 @@ def _reference_build(pairs):
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    return {"edges": edges, "neighbors": sum(map(sorted, adjacency), []),
-            "degrees": [len(a) for a in adjacency], "original_ids": ids}
+    return {"edges": edges, "degrees": [len(a) for a in adjacency],
+            "original_ids": ids}
 
 
 @given(pairs=st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)),
@@ -103,9 +103,7 @@ def test_build_graph_matches_reference_loop(pairs):
         return
     g = build_graph(np.array(pairs))
     assert g.edges.tolist() == [list(e) for e in expected["edges"]]
-    assert g.neighbors.tolist() == expected["neighbors"]
     assert g.degrees.tolist() == expected["degrees"]
-    assert g.indptr.tolist() == np.cumsum([0] + expected["degrees"]).tolist()
     assert g.original_ids.tolist() == expected["original_ids"]
 
 
@@ -121,8 +119,7 @@ def test_array_and_iterable_inputs_agree():
     from_array = build_graph(np.array(pairs, dtype=np.int64))
     from_iter = build_graph(iter(pairs))
     for g in (from_array, from_iter):
-        for name in ("edges", "indptr", "neighbors", "degrees",
-                     "original_ids"):
+        for name in ("edges", "degrees", "original_ids"):
             assert np.array_equal(getattr(g, name), getattr(from_list, name))
 
 
@@ -160,7 +157,7 @@ def test_dense_and_sorted_ranking_build_equal_graphs(monkeypatch, relabel,
     for span in spans:
         monkeypatch.setattr(graph_module, "_DENSE_RANK_SPAN", span)
         g = build_graph(relabeled)
-        for name in ("edges", "indptr", "neighbors", "degrees"):
+        for name in ("edges", "degrees"):
             got, want = getattr(g, name), getattr(g0, name)
             assert np.array_equal(got, want) and got.dtype == want.dtype, \
                 (span, name)
@@ -201,16 +198,16 @@ def test_sparse_ids_compacted():
     assert g.node_count == 3
     assert g.original_ids.tolist() == [10, 20, 30]
     # node 30 -> compact 2, connected to 10 (0) and 20 (1)
-    assert g.neighbors_of(2).tolist() == [0, 1]
+    assert g.edges.tolist() == [[0, 2], [1, 2]]
 
 
 def test_neighbor_lists_sorted_and_symmetric(star_chord):
-    g = star_chord
-    for v in range(g.node_count):
-        nbrs = g.neighbors_of(v).tolist()
+    indptr, neighbors = graph_module._adjacency(star_chord)
+    for v in range(star_chord.node_count):
+        nbrs = neighbors[indptr[v]:indptr[v + 1]].tolist()
         assert nbrs == sorted(nbrs)
         for u in nbrs:
-            assert v in g.neighbors_of(u)
+            assert v in neighbors[indptr[u]:indptr[u + 1]]
 
 
 @given(edges=edge_lists(max_nodes=8), data=st.data())
@@ -222,8 +219,7 @@ def test_build_graph_order_invariant(edges, data):
     g2 = build_graph(flipped)
     assert g1.node_count == g2.node_count
     assert np.array_equal(g1.edges, g2.edges)
-    assert np.array_equal(g1.neighbors, g2.neighbors)
-    assert np.array_equal(g1.indptr, g2.indptr)
+    assert np.array_equal(g1.degrees, g2.degrees)
     assert np.array_equal(g1.original_ids, g2.original_ids)
 
 
@@ -250,26 +246,24 @@ def test_build_graph_on_sorted_shuffled_and_repeated_keys(edges, data,
         assert str(got.value) == str(exc)
         return
     g = build_graph(pairs)
-    for name in ("edges", "degrees", "original_ids", "indptr", "neighbors"):
+    for name in ("edges", "degrees", "original_ids"):
         assert np.array_equal(getattr(g, name), getattr(want, name)), name
 
 
-@given(pairs=edge_lists(max_nodes=12),
-       first=st.sampled_from(["neighbors", "indptr"]))
-def test_adjacency_built_on_first_use_matches_scipy(pairs, first):
-    """The adjacency is built from the edges by whichever of its arrays is
-    read first, and equals scipy's canonical CSR form of the edge list."""
+@given(pairs=edge_lists(max_nodes=12))
+def test_adjacency_matches_scipy(pairs):
+    """The adjacency the search reads, built from the edges, equals
+    scipy's canonical CSR form of the edge list."""
     g = build_graph(pairs)
     n, (u, v) = g.node_count, g.edges.T
     a = sp.csr_array((np.ones(2 * g.edge_count),
                       (np.concatenate([u, v]), np.concatenate([v, u]))),
                      shape=(n, n))
     a.sort_indices()
-    assert g._adjacency is None
-    getattr(g, first)
-    assert np.array_equal(g.neighbors, a.indices)
-    assert np.array_equal(g.indptr, a.indptr)
-    assert g.neighbors.dtype == g.indptr.dtype == np.int64
+    indptr, neighbors = graph_module._adjacency(g)
+    assert np.array_equal(neighbors, a.indices)
+    assert np.array_equal(indptr, a.indptr)
+    assert neighbors.dtype == indptr.dtype == np.int64
 
 
 @given(pairs=edge_lists(max_nodes=12), isolated=st.integers(0, 3))
@@ -287,9 +281,10 @@ def test_edge_columns_contiguous_and_divmod_of_keys(pairs, isolated):
 def test_generate_path_leaves_adjacency_unbuilt(monkeypatch, tmp_path):
     """Generating, rewiring, labeling, summarizing and writing a graph never
     sorts its arcs nor multiplies by the adjacency (its poll responses go
-    unread); the first graph_flags builds the adjacency once."""
+    unread); graph_flags builds the adjacency once, and its cached flags
+    build none."""
     builds, products = [], []
-    build, matvec = Graph._build_adjacency, Graph.adjacency_matvec
+    build, matvec = graph_module._adjacency, Graph.adjacency_matvec
 
     def counted(g):
         builds.append(g)
@@ -299,7 +294,7 @@ def test_generate_path_leaves_adjacency_unbuilt(monkeypatch, tmp_path):
         products.append(g)
         return matvec(g, x)
 
-    monkeypatch.setattr(Graph, "_build_adjacency", counted)
+    monkeypatch.setattr(graph_module, "_adjacency", counted)
     monkeypatch.setattr(Graph, "adjacency_matvec", counted_matvec)
     lg, _ = materialize(ExperimentConfig(
         graph_source=ConfigModelSpec(300, 2.4, k_max=30, seed=7),
@@ -308,10 +303,8 @@ def test_generate_path_leaves_adjacency_unbuilt(monkeypatch, tmp_path):
     network_stats(lg)
     write_edge_list(lg.graph, tmp_path / "g.edges")
     write_labels(lg, tmp_path / "g.labels")
-    assert builds == [] and lg.graph._adjacency is None
-    assert products == [] and lg._responses is None
-    graph_flags(lg.graph)
-    assert len(lg.graph.neighbors) == lg.graph.indptr[-1]
+    assert builds == [] and products == [] and lg._responses is None
+    assert graph_flags(lg.graph) is graph_flags(lg.graph)
     assert builds == [lg.graph]
 
 
@@ -436,7 +429,7 @@ def test_blocked_bfs_matches_scipy_and_networkx(pairs, block):
     depth = np.full(n, -1, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "_BLOCK", block)
-        graph_module._bfs_depths(g, 0, depth)
+        graph_module._bfs_depths(g, *graph_module._adjacency(g), 0, depth)
         flags = graph_flags(g)
     want = csgraph.shortest_path(a, unweighted=True, indices=0)
     assert np.array_equal(depth, np.where(np.isinf(want), -1, want))
@@ -474,9 +467,12 @@ def test_adjacency_matvec_matches_scipy(g, seed):
 def test_responses_are_rounded_exact_fractions(lg):
     # each response is the correctly rounded count / degree, bit for bit:
     # the IP and UN columns keep their bytes under any summation order
-    g = lg.graph
-    for v in range(g.node_count):
-        count = int(lg.labels[g.neighbors_of(v)].sum())
+    g, labels = lg.graph, lg.labels.tolist()
+    counts = [0] * g.node_count
+    for u, v in g.edges.tolist():
+        counts[u] += labels[v]
+        counts[v] += labels[u]
+    for v, count in enumerate(counts):
         assert lg.responses[v] == float(Fraction(count, int(g.degrees[v])))
 
 

@@ -245,8 +245,9 @@ def _config_graph():
 def test_walk_law_matches_scipy_matrix_powers():
     g = _config_graph()
     n = g.node_count
-    adjacency = sp.csr_array((np.ones(len(g.neighbors)), g.neighbors,
-                              g.indptr), shape=(n, n))
+    u, v = g.edges.T
+    arcs = (np.concatenate([u, v]), np.concatenate([v, u]))
+    adjacency = sp.csr_array((np.ones(2 * g.edge_count), arcs), shape=(n, n))
     step = sp.diags_array(1.0 / g.degrees) @ adjacency
     for length in (0, 1, 5, 25):
         expected = matrix_power(step, length).T @ np.full(n, 1.0 / n)
