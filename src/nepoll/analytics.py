@@ -32,6 +32,13 @@ from .sampling import WalkLaw
 _FLOAT_SLACK = 1e-12  # guards exact inequalities against rounding
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y by numpy's own pairwise sum.  BLAS kernels each sum a dot
+    product in their own order, so this keeps every float the same on
+    every kernel."""
+    return float(np.add.reduce(x * y))
+
+
 # ---------------------------------------------------------------------------
 # elementary moments
 
@@ -72,8 +79,8 @@ def assortativity_curve(degrees: np.ndarray):
     m = big_m // 2
     d = degrees.astype(float)
     # mean and variance of the degree at a random edge end
-    mu_q = float(np.dot(d, d)) / big_m
-    sigma2_q = float(np.dot(d * d, d)) / big_m - mu_q * mu_q
+    mu_q = _dot(d, d) / big_m
+    sigma2_q = _dot(d * d, d) / big_m - mu_q * mu_q
     if sigma2_q <= 0.0:
         return None
 
@@ -131,7 +138,8 @@ def network_stats(lg: LabeledGraph) -> NetworkStats:
 # spectrum of the normalized adjacency matrix
 
 _SPECTRUM_SEED = 0          # Lanczos start vector and twin-hash keys
-_LANCZOS_MAX_STEPS = 3000   # bounds the dense k x k eigensolve of T
+_LANCZOS_MAX_STEPS = 3000   # bounds the products with N, one per step
+_PIVOT_FLOOR = 2.0 ** -104  # eps^2, on T scaled to |T| <= 1
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,7 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     def matvec(x: np.ndarray) -> np.ndarray:
         return g.adjacency_matvec(x / root) / root
 
-    u = root / np.linalg.norm(root)
+    u = root / math.sqrt(g.edge_end_count)  # |sqrt(d)|^2 = M
     flags = graph_flags(g)
     lambda2 = (_lanczos_largest_abs(matvec, u)
                if flags.connected and not flags.bipartite else 1.0)
@@ -173,32 +181,127 @@ def _lanczos_largest_abs(matvec, u: np.ndarray) -> float:
     """Largest |eigenvalue| on the complement of the unit eigenvector
     ``u``, by three-term Lanczos: extreme Ritz values stay accurate as
     orthogonality is lost (Paige, 1976), so only the tridiagonal T is
-    kept.  Its O(k^3) eigensolve runs every k/8 steps, until the
-    largest-|theta| Ritz pair has residual |beta s_k| <= 1e-10 |theta|."""
+    kept.  At each check :func:`_extreme_ritz_pair` finds T's
+    largest-|theta| Ritz value and the last component s_k of its vector
+    in O(k), until the residual |beta s_k| <= 1e-10 |theta|.  The next
+    check comes k/8 steps on, or where the residual, falling at the rate
+    it fell since the last check, meets that bound, but at most k/4
+    steps on."""
     q = np.random.default_rng(_SPECTRUM_SEED).standard_normal(len(u))
-    q -= u * (u @ q)
-    q /= np.linalg.norm(q)
+    q -= u * _dot(u, q)
+    q /= math.sqrt(_dot(q, q))
     q_prev = np.zeros_like(q)
     alphas, betas = [], []
-    beta, next_check = 0.0, 8
+    beta, next_check, last = 0.0, 8, None
     for k in range(1, _LANCZOS_MAX_STEPS + 1):
         z = matvec(q)
-        z -= u * (u @ z)
-        alpha = float(q @ z)
+        z -= u * _dot(u, z)
+        alpha = _dot(q, z)
         z -= alpha * q + beta * q_prev
-        beta = float(np.linalg.norm(z))
+        beta = math.sqrt(_dot(z, z))
         alphas.append(alpha)
         betas.append(beta)
         if k >= next_check or k == _LANCZOS_MAX_STEPS or beta < 1e-8:
-            off = np.diag(betas[:-1], 1)
-            theta, s = np.linalg.eigh(np.diag(alphas) + off + off.T)
-            i = int(np.argmax(np.abs(theta)))
-            if beta * abs(s[-1, i]) <= 1e-10 * abs(theta[i]):
-                return float(abs(theta[i]))
-            next_check = k + max(8, k // 8)
+            theta, s_k = _extreme_ritz_pair(alphas, betas[:-1])
+            residual, bound = beta * s_k, 1e-10 * abs(theta)
+            if residual <= bound:
+                return abs(theta)
+            step = max(8, k // 8)
+            if last is not None and bound > 0.0 and residual < last[1]:
+                rate = math.log(residual / last[1]) / (k - last[0])
+                step = min(max(8, k // 4),
+                           math.ceil(math.log(bound / residual) / rate))
+            last, next_check = (k, residual), k + step
         q_prev, q = q, z / beta
     raise DataError(
         f"lambda2: Lanczos did not converge in {_LANCZOS_MAX_STEPS} steps")
+
+
+def _extreme_ritz_pair(alphas: list[float],
+                       betas: list[float]) -> tuple[float, float]:
+    """The eigenvalue theta of largest magnitude of the symmetric
+    tridiagonal T with diagonal ``alphas`` and off-diagonal ``betas``, and
+    |s_k|, the last component of its unit eigenvector, in O(k) without
+    forming T.  T is first scaled by a power of 2, which rounds nothing,
+    to |T| <= 1; each end of its spectrum is found by
+    :func:`_top_eigenvalue` from its Gershgorin bound, the lower one as
+    the top of -T.  Of equal magnitudes the negative one is taken."""
+    a, b = np.array(alphas), np.array(betas)
+    radius = np.abs(np.r_[b, 0.0]) + np.abs(np.r_[0.0, b])
+    hi, lo = float((a + radius).max()), float((a - radius).min())
+    scale = math.ldexp(1.0, math.frexp(max(hi, -lo))[1])
+    a, b2 = a / scale, [0.0, *((b / scale) ** 2).tolist()]
+    top = _top_eigenvalue(a, b2, hi / scale)
+    bottom = _top_eigenvalue(-a, b2, -lo / scale)
+    if top > bottom:
+        return top * scale, _last_component(a, b2, top)
+    return -bottom * scale, _last_component(-a, b2, bottom)
+
+
+def _pivots(shifted: list[float], b2: list[float]) -> list[float]:
+    """The pivots d_i = shifted_i - b2_i / d_{i-1} of L D L^T, for the
+    diagonal ``shifted`` and squared off-diagonal ``b2`` (``b2[0]`` = 0).
+    A zero pivot, at an eigenvalue of a leading block, becomes eps^2."""
+    pivots, d = [], 1.0
+    for ai, ci in zip(shifted, b2):
+        d = ai - ci / d or _PIVOT_FLOOR
+        pivots.append(d)
+    return pivots
+
+
+def _top_eigenvalue(a: np.ndarray, b2: list[float], x: float) -> float:
+    """The largest eigenvalue of the tridiagonal T with diagonal ``a`` and
+    squared off-diagonal ``b2`` (``b2[0]`` = 0), |T| <= 1, from an ``x``
+    at or above it.
+
+    det(T - x I) is the product of the pivots of :func:`_pivots`, so its
+    logarithmic derivative G and H = -G' are sums over the pivots, of
+    d_i'/d_i and its derivative, which follow the pivots' recurrence.
+    Laguerre's iteration on them (Parlett, The Symmetric Eigenvalue
+    Problem, 1980) descends monotonically from above onto the largest
+    root, cubically once it is isolated, until rounding stops it.  Above
+    the spectrum every pivot is negative (Sturm); a pivot >= 0 shows a
+    step that rounding took onto or past the root, and ends the descent
+    before a pivot near 0 can swamp G."""
+    n = len(a)
+    while True:
+        d, g, e = 1.0, 0.0, 0.0  # pivot, d'/d and d''/d
+        g_sum = h_sum = 0.0
+        for ai, ci in zip((a - x).tolist(), b2):
+            t = ci / d
+            d = ai - t
+            if d >= 0.0:
+                return x
+            g, e = (t * g - 1.0) / d, t * (e - 2.0 * g * g) / d
+            g_sum += g
+            h_sum += g * g - e
+        root = math.sqrt(max((n - 1) * (n * h_sum - g_sum * g_sum), 0.0))
+        new = x - n / (g_sum + root)
+        if not new < x:  # no step down, or NaN: the root, to rounding
+            return x
+        x = new
+
+
+def _last_component(a: np.ndarray, b2: list[float], theta: float) -> float:
+    """|s_k| for the eigenvalue ``theta`` of the tridiagonal T (diagonal
+    ``a``, squared off-diagonal ``b2``), from the twisted factorization of
+    T - theta I (Parlett and Dhillon, 2000).  The top-down pivots d_i and
+    the bottom-up pivots u_i meet at the row r of smallest twist
+    d_r + u_r - (a_r - theta); the vector z with z_r = 1 that solves every
+    other row has |z_i / z_i+1| = b_i / |d_i| above r and
+    |z_i+1 / z_i| = b_i / |u_i+1| below it.  The bottom-up recurrence
+    alone (r = 1) underestimates |s_k| when the vector's top rows are
+    tiny."""
+    shifted = a - theta
+    down = np.array(_pivots(shifted.tolist(), b2))
+    up = np.array(_pivots(shifted[::-1].tolist(), [0.0, *b2[:0:-1]])[::-1])
+    r = int(np.argmin(np.abs(down + up - shifted)))
+    b = np.sqrt(b2[1:])
+    above = np.cumprod((b[:r] / down[:r])[::-1])
+    below = np.cumprod(b[r:] / up[r + 1:])
+    last = below[-1] if len(below) else 1.0
+    return abs(float(last)) / math.sqrt(1.0 + _dot(above, above)
+                                        + _dot(below, below))
 
 
 def _has_twins(g: Graph) -> bool:
@@ -249,8 +352,8 @@ def exact_error(lg: LabeledGraph, kind: str,
         raise DataError("the respondent law is not over the graph's nodes")
     table = lg.labels if kind == "IP" else lg.responses
     total = float(law.sum())
-    mean = float(np.dot(law, table)) / total
-    second = float(np.dot(law, table * table)) / total
+    mean = _dot(law, table) / total
+    second = _dot(law, table * table) / total
     return mean - lg.true_fraction, second - mean * mean
 
 
@@ -338,7 +441,7 @@ def friendship_paradox_check(g: Graph, neighbor: np.ndarray) -> ParadoxCheck:
     ``respondent_law(g, "FN")``."""
     mean_x = mean_degree(g)
     mean_y = float(np.dot(g.degrees, g.degrees)) / g.edge_end_count
-    mean_z = float(np.dot(neighbor, g.degrees))
+    mean_z = _dot(neighbor, g.degrees)
     slack = _FLOAT_SLACK * max(mean_x, 1.0)
     holds = mean_y >= mean_x - slack and mean_z >= mean_x - slack
     counts = np.bincount(g.degrees)

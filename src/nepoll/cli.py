@@ -47,7 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     cfg = load_experiment_config(args.config)
-    rows = run_sweep(cfg)
+    try:
+        rows = run_sweep(cfg)
+    except MemoryError as exc:  # replications = 10**11, say
+        raise DataError(f"{args.config}: the sweep does not fit in memory "
+                        f"({exc})") from None
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_sweep_csv(rows, fh)
     for row in rows:

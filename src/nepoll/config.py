@@ -68,10 +68,18 @@ class Check(NamedTuple):
                 from None
 
 
+def _file_name(value: str) -> str:
+    """``value`` if a file system could take it as a name: not empty (as
+    ``key =`` leaves it), and without a NUL byte."""
+    if not value or "\0" in value:
+        raise KeyError(value)  # the Check names the key
+    return value
+
+
 INTEGER = Check("an integer", {int: int}, int)  # a bool is no integer here
 NUMBER = Check("a number", {int: float, float: float}, float)
 # a file name of digits is quoted: unquoted, 0123 would open 123
-PATH = Check("a path", {str: str})
+PATH = Check("a path", {str: _file_name})
 BUDGETS = Check("a list or default",
                 {list: tuple, str: {"default": None}.__getitem__})
 ESTIMATORS = Check("a list", {list: lambda v: tuple(map(str, v))})
@@ -233,18 +241,22 @@ def generate_keys(args) -> dict[str, object]:
 _BEFORE_COMMENT = re.compile(r"""(?:[^#'"]|"[^"]*"?|'[^']*'?)*""")
 
 
-def parse_config_text(text: str) -> dict[str, object]:
+def parse_config_text(text: str, where=lambda lineno: f"line {lineno}: "
+                      ) -> dict[str, object]:
+    """The ``key = value`` lines of ``text``; a ``DataError`` names the
+    faulty line after the prefix ``where(lineno)``."""
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # str.splitlines would also break at \v, \f and \x1c..\x1e
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = _BEFORE_COMMENT.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:
-            raise DataError(f"line {lineno}: expected 'key = value', "
+            raise DataError(f"{where(lineno)}expected 'key = value', "
                             f"got {raw.strip()!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         if key in values:
-            raise DataError(f"line {lineno}: repeated key {key}")
+            raise DataError(f"{where(lineno)}repeated key {key}")
         values[key] = _parse_value(val)
     return values
 
@@ -267,12 +279,14 @@ def _parse_value(s: str):
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Read a flat ``key = value`` config file into
-    :func:`experiment_config`; a ``DataError`` names ``path``."""
+    :func:`experiment_config`; a ``DataError`` names ``path``, and
+    ``path:line:`` when one line is at fault, as the data readers do."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         require_utf8(path, lineno, line)
+    kv = parse_config_text(text, lambda lineno: f"{path}:{lineno}: ")
     try:
-        return experiment_config(parse_config_text(text))
+        return experiment_config(kv)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -124,8 +124,15 @@ def _empirical_moments(values: np.ndarray,
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
+    """The sweep of ``cfg``; a ``DataError`` that a graph read from a file
+    raises in the sweep (a walk on a disconnected graph) names the file."""
     lg, _ = materialize(cfg)
-    return sweep_labeled(lg, cfg)
+    try:
+        return sweep_labeled(lg, cfg)
+    except DataError as exc:
+        if isinstance(cfg.graph_source, (ConfigModelSpec, ErdosRenyiSpec)):
+            raise
+        raise DataError(f"{cfg.graph_source}: {exc}") from None
 
 
 def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig) -> list[SweepRow]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabeledGraph,
@@ -193,6 +193,56 @@ def test_lanczos_that_does_not_converge_raises(monkeypatch):
     with pytest.raises(DataError, match="^lambda2: Lanczos did not converge "
                                         "in 12 steps$"):
         spectral_summary(g)
+
+
+@st.composite
+def _tridiagonals(draw):
+    """``(diagonal, off-diagonal)`` of a symmetric tridiagonal: plain, with
+    zero diagonal (its ends are +-theta), with a spike on the first entry
+    (the top vector decays down the rows: |s_k| from 1 to below 1e-20),
+    or two mirrored copies of one joined by an off-diagonal near 0 (a
+    clustered top pair)."""
+    k = draw(st.integers(1, 24))
+    unit = st.floats(-1.0, 1.0)
+    a = np.array(draw(st.lists(unit, min_size=k, max_size=k)))
+    b = np.abs(draw(st.lists(unit, min_size=k - 1, max_size=k - 1)))
+    shape = draw(st.sampled_from(["plain", "symmetric", "spike", "twin"]))
+    if shape == "symmetric":
+        a[:] = 0.0
+    elif shape == "spike":
+        a[0] += draw(st.floats(1.0, 30.0))
+    elif shape == "twin":
+        near_zero = draw(st.floats(1e-300, 1e-6))
+        a, b = np.r_[a, a[::-1]], np.r_[b, near_zero, b[::-1]]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_tridiagonals())
+@example(t=(np.array([0.3]), np.array([])))
+@example(t=(np.array([0.5, -0.5]), np.array([0.25])))
+@example(t=(np.array([0.0, 0.0]), np.array([0.7])))
+def test_extreme_ritz_pair_matches_dense_eigh(t):
+    a, b = t
+    eps = np.finfo(float).eps
+    theta, s_k = analytics._extreme_ritz_pair(a.tolist(), b.tolist())
+    # test-only referee: the dense eigensolve the check replaces
+    values, vectors = np.linalg.eigh(np.diag(a) + np.diag(b, 1)
+                                     + np.diag(b, -1))
+    norm = np.abs(values).max()
+    # the referee's own error grows with k: 8 to 14 ulps of |T| at k = 50,
+    # where mpmath puts the O(k) check within half an ulp
+    assert abs(abs(theta) - norm) <= max(8, len(a) / 2) * eps * norm
+    i = int(np.argmin(np.abs(values - theta)))
+    gap = np.delete(np.abs(values - values[i]), i).min(initial=np.inf)
+    if gap == 0.0:
+        return  # a repeated eigenvalue has no one vector
+    # both vectors lie within about k eps |T| / gap of the true one
+    tol = 1e-14 + 16 * len(a) * eps * norm / gap
+    ref = abs(vectors[-1, i])
+    assert s_k <= max(ref, 1e-14) + tol
+    if ref >= 1e-14:
+        assert abs(s_k - ref) <= tol
 
 
 @pytest.mark.parametrize("make_graph", [

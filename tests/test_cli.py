@@ -1,10 +1,16 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import nepoll
 from nepoll import (ConfigModelSpec, ExperimentConfig, LabelTarget,
@@ -295,7 +301,12 @@ def test_cli_import_loads_no_scipy_or_networkx(star_files):
     ("graph.model = config\ngraph.n = 9\ngraph.alpha = 2.4\n"
      "graph.kmx = 40\nlabels.p = 0.3\n", "unknown key graph.kmx"),
     ("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\nlabels.p = 0.3\n"
-     "seed = 1\nseed = 2\n", "line 6: repeated key seed"),
+     "seed = 1\nseed = 2\n", ":6: repeated key seed"),
+    ("budgets = [1]\nreplications 5\n",
+     ":2: expected 'key = value', got 'replications 5'"),
+    ('graph.path = ""\nlabels.p = 0.3\n', "graph.path must be a path, got ''"),
+    ("graph.path = g\0.edges\nlabels.p = 0.3\n",
+     "graph.path must be a path, got 'g\\x00.edges'"),
     ("graph.path = \"g.edges\"\ngraph.model = er\ngraph.n = 9\n"
      "graph.p = 0.5\nlabels.p = 0.3\n",
      "graph.path and graph.model both given; set one source"),
@@ -335,7 +346,9 @@ def test_bad_config_names_file(tmp_path, capsys, text, message):
     cfg.write_text(text)
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "out.csv")]) == 1
-    assert capsys.readouterr().err == f"error: DataError: {cfg}: {message}\n"
+    # a fault on one line is named path:line:, as in the data files
+    where = f"{cfg}{'' if message.startswith(':') else ': '}"
+    assert capsys.readouterr().err == f"error: DataError: {where}{message}\n"
 
 
 @pytest.mark.parametrize("keys, message", [
@@ -473,7 +486,7 @@ _TRIANGLE = "0 1\n1 2\n0 2\n"
     ({"g.edges": "0 1\n2 3\n",
       "x.cfg": 'graph.path = "g.edges"\nlabels.p = 0.5\n'},
      ["sweep", "--config", "x.cfg", "--out", "out.csv"],
-     "sweep includes the random-walk estimator but the graph is "
+     "g.edges: sweep includes the random-walk estimator but the graph is "
      "disconnected"),
 ])
 def test_input_the_pipeline_cannot_take_is_a_data_error(
@@ -484,6 +497,24 @@ def test_input_the_pipeline_cannot_take_is_a_data_error(
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: DataError: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_sweep_that_does_not_fit_in_memory_names_config(tmp_path, monkeypatch,
+                                                        capsys):
+    # stands in for numpy refusing the replications array of a config such
+    # as replications = 99999999999, without asking for it
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(nepoll.cli, "run_sweep", too_large)
+    monkeypatch.chdir(tmp_path)
+    Path("x.cfg").write_text("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\n"
+                             "labels.p = 0.3\n")
+    assert main(["sweep", "--config", "x.cfg", "--out", "out.csv"]) == 1
+    assert capsys.readouterr().err == (
+        "error: DataError: x.cfg: the sweep does not fit in memory "
+        "(Unable to allocate 745. GiB)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cfg"]
 
 
 @pytest.mark.parametrize("name, text, argv, line", [
@@ -523,3 +554,74 @@ def test_missing_model_params(tmp_path, capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+# The fuzz gate: whatever bytes an edge, label or config file holds, report
+# and sweep exit 0, or exit 1 with one line naming that file, and the line
+# when one is at fault.
+_FUZZ_FILES = {
+    "g.edges": "# two triangles and a bridge\n0 1\n1 2\n2 0\n2 3\n3 4\n"
+               "4 5\n5 3\n",
+    "g.labels": "0 1\n1 0\n2 1\n3 0\n4 0\n5 1\n",
+    "x.cfg": 'graph.path = "g.edges"\nlabels.path = "g.labels"\n'
+             "budgets = [1, 2]\nreplications = 4\n"
+             "estimators = [IP, UN, RW, FN]\nseed = 1\n",
+}
+_FUZZ_RUNS = {
+    "report": ["report", "--graph", "g.edges", "--labels", "g.labels"],
+    "sweep": ["sweep", "--config", "x.cfg", "--out", "out.csv"],
+}
+_TOKENS = [b"", b"-1", b"0", b"7", b"1.5", b"1e3", b"nan", b"x", b"#", b"'",
+           b'"', b"=", b"[", b"]", b",", b"\xff", b"0 1", b"99999999999"]
+
+
+@st.composite
+def _corrupted(draw, text: str) -> bytes:
+    """Random bytes, a truncation of ``text``, or ``text`` with one token
+    replaced."""
+    data = text.encode()
+    how = draw(st.sampled_from(["bytes", "truncate", "token"]))
+    if how == "bytes":
+        return draw(st.binary(max_size=48))
+    if how == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    token = draw(st.sampled_from(list(re.finditer(rb"\S+", data))))
+    new = draw(st.sampled_from(_TOKENS) | st.binary(min_size=1, max_size=3))
+    return data[:token.start()] + new + data[token.end():]
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command in sorted(_FUZZ_RUNS)
+    for name in sorted(_FUZZ_FILES)
+    if command == "sweep" or name != "x.cfg"])  # report reads no config
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_fails_naming_file_and_line(command, name, data):
+    files = {file: text.encode() for file, text in _FUZZ_FILES.items()}
+    files[name] = data.draw(_corrupted(_FUZZ_FILES[name]), label=name)
+    with tempfile.TemporaryDirectory() as d:
+        for file, content in files.items():
+            Path(d, file).write_bytes(content)
+        cwd, err = os.getcwd(), io.StringIO()
+        os.chdir(d)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(_FUZZ_RUNS[command])
+        finally:
+            os.chdir(cwd)
+    if code == 0:
+        return
+    assert code == 1
+    if name == "x.cfg" and re.fullmatch(
+            r"error: (FileNotFound|IsADirectory)Error: [^\n]+\n",
+            err.getvalue()):
+        return  # a path key now names no file that can be read
+    # a fault in one file may show in another: edges that lose a node
+    # leave the labels file naming it
+    match = re.fullmatch(r"error: DataError: (g\.edges|g\.labels|x\.cfg)"
+                         r"(:(\d+))?: [^\n]+\n", err.getvalue())
+    assert match, err.getvalue()
+    if match[3]:  # a line of that file, as universal newlines count them
+        lines = re.split(rb"\r\n|\r|\n", files[match[1]])
+        assert 1 <= int(match[3]) <= len(lines)

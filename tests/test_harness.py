@@ -115,33 +115,34 @@ def test_sweep_rw_exact_on_bipartite(star_lg):
 
 # exact_bias, exact_var and exact_mse of a sweep as its CSV writes them:
 # each kind's moments under its node law, divided by the weights' sum (RW:
-# the law of the walk that ran).  The RW and FN values lie within 9e-17 of
-# the same moments in exact rational arithmetic; their last bits depend on
-# the summation order of the adjacency product.  Both walks stop at the cap
-# (60 and 30 steps): the first graph mixes slowly (lambda2 0.90), and the
-# second, an 8-cycle with a chord, is bipartite.
+# the law of the walk that ran).  The UN, RW and FN biases lie within
+# 4e-17 of the same moments in exact rational arithmetic; their last bits
+# depend on the summation orders of the adjacency product and of numpy's
+# pairwise sum, which takes every moment, never a BLAS kernel.  Both walks
+# stop at the cap (60 and 30 steps): the first graph mixes slowly (lambda2
+# 0.90), and the second, an 8-cycle with a chord, is bipartite.
 _EXACT_COLUMNS = (
     "IP,1,0.0,0.244375,0.244375",
     "IP,3,0.0,0.08145833333333334,0.08145833333333334",
     "IP,7,0.0,0.03491071428571429,0.03491071428571429",
-    "UN,1,-0.03782738095238092,0.09471346991921767,0.09614438066893422",
-    "UN,3,-0.03782738095238092,0.03157115663973922,0.033002067389455776",
-    "UN,7,-0.03782738095238092,0.013530495702745381,0.014961406452461933",
-    "RW,1,-0.0315770489984295,0.07621943120331706,0.07721654122676629",
-    "RW,3,-0.0315770489984295,0.025406477067772354,0.02640358709122157",
-    "RW,7,-0.0315770489984295,0.010888490171902437,0.011885600195351655",
-    "FN,1,-0.009752976190476104,0.07528190964250278,0.07537703018707477",
-    "FN,3,-0.009752976190476104,0.02509396988083426,0.025189090425406253",
-    "FN,7,-0.009752976190476104,0.010754558520357541,0.010849679064929535",
+    "UN,1,-0.03782738095238097,0.09471346991921772,0.09614438066893428",
+    "UN,3,-0.03782738095238097,0.031571156639739244,0.0330020673894558",
+    "UN,7,-0.03782738095238097,0.01353049570274539,0.014961406452461945",
+    "RW,1,-0.03157704899842945,0.076219431203317,0.07721654122676622",
+    "RW,3,-0.03157704899842945,0.025406477067772337,0.02640358709122155",
+    "RW,7,-0.03157704899842945,0.010888490171902429,0.011885600195351642",
+    "FN,1,-0.00975297619047616,0.07528190964250284,0.07537703018707483",
+    "FN,3,-0.00975297619047616,0.025093969880834278,0.025189090425406273",
+    "FN,7,-0.00975297619047616,0.010754558520357548,0.010849679064929542",
     "IP,1,0.0,0.234375,0.234375",
     "IP,3,0.0,0.078125,0.078125",
     "IP,7,0.0,0.033482142857142856,0.033482142857142856",
     "UN,1,0.020833333333333315,0.05512152777777779,0.055555555555555566",
     "UN,3,0.020833333333333315,0.018373842592592598,0.018807870370370374",
     "UN,7,0.020833333333333315,0.00787450396825397,0.008308531746031746",
-    "RW,1,0.013889205848771291,0.06172827502675299,0.06192118506586253",
-    "RW,3,0.013889205848771291,0.02057609167558433,0.020769001714693872",
-    "RW,7,0.013889205848771291,0.008818325003821856,0.0090112350429314",
+    "RW,1,0.013889205848771347,0.06172827502675296,0.06192118506586251",
+    "RW,3,0.013889205848771347,0.02057609167558432,0.020769001714693862",
+    "RW,7,0.013889205848771347,0.008818325003821851,0.009011235042931396",
     "FN,1,0.017361111111111105,0.06075183256172839,0.061053240740740734",
     "FN,3,0.017361111111111105,0.020250610853909463,0.02055201903292181",
     "FN,7,0.017361111111111105,0.008678833223104056,0.008980241402116403",
