@@ -6,12 +6,12 @@ well-connected respondents, exact closed-form error analysis, synthetic
 graph generators, and a reproducible Monte-Carlo sweep harness.
 """
 
-from .analytics import (BudgetThreshold, ErrorBounds, NetworkStats,
-                        ParadoxCheck, SpectralSummary,
-                        brute_force_estimator_law, budget_threshold,
-                        error_bounds, exact_error, friendship_paradox_check,
+from .analytics import (ErrorBounds, ParadoxCheck, SpectralSummary,
+                        assortativity, brute_force_estimator_law,
+                        budget_threshold, degree_label_corr, error_bounds,
+                        exact_error, friendship_paradox_check,
                         label_degree_covariance, mean_degree,
-                        mean_label_friend, network_stats, spectral_summary)
+                        mean_label_friend, spectral_summary)
 from .config import ExperimentConfig, load_experiment_config
 from .errors import DataError, TargetUnreachableError
 from .estimators import ESTIMATOR_KINDS, poll_values, respondent_law

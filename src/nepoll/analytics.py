@@ -108,30 +108,22 @@ def degree_label_curve(degrees: np.ndarray, ones: int):
     return corr
 
 
-@dataclass(frozen=True)
-class NetworkStats:
-    """The degree-degree correlation ``assortativity`` and the degree-label
-    correlation ``degree_label_corr``: the curves above at the graph's own
-    sums, so on a generated graph they are the floats its swaps stopped on.
-    Each is None when its denominator vanishes (regular graph, or constant
-    labels) rather than silently zero."""
-
-    assortativity: float | None
-    degree_label_corr: float | None
+def assortativity(g: Graph) -> float | None:
+    """The degree-degree correlation r_kk: :func:`assortativity_curve` at
+    the graph's sum of degree products over edges, so on a generated graph
+    it is the float its swaps stopped on.  None on a regular graph, whose
+    denominator vanishes, rather than silently zero."""
+    corr = assortativity_curve(g.degrees)
+    return None if corr is None else corr(degree_product_sum(g))
 
 
-def network_stats(lg: LabeledGraph) -> NetworkStats:
-    """Evaluate :func:`assortativity_curve` and :func:`degree_label_curve`
-    at the graph's sums of degree products over edges and of degree times
-    label over nodes."""
-    g, degrees = lg.graph, lg.graph.degrees
-    r_kk = assortativity_curve(degrees)
-    rho = degree_label_curve(degrees, int(lg.labels.sum()))
-    return NetworkStats(
-        assortativity=None if r_kk is None
-        else r_kk(degree_product_sum(g)),
-        degree_label_corr=None if rho is None
-        else rho(int(np.dot(degrees, lg.labels))))
+def degree_label_corr(lg: LabeledGraph) -> float | None:
+    """The degree-label correlation rho: :func:`degree_label_curve` at the
+    graph's sum of degree times label over nodes, the float the label
+    swaps stopped on.  None on a regular graph or constant labels."""
+    degrees = lg.graph.degrees
+    corr = degree_label_curve(degrees, int(lg.labels.sum()))
+    return None if corr is None else corr(int(np.dot(degrees, lg.labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,34 +383,22 @@ def error_bounds(lg: LabeledGraph, lambda2: float,
 # ---------------------------------------------------------------------------
 # budget threshold under which the walk poll beats intent polling
 
-@dataclass(frozen=True)
-class BudgetThreshold:
+def budget_threshold(lg: LabeledGraph, lambda2: float) -> float:
     """Largest budget for which the walk poll's MSE bound stays below the
     intent-polling MSE.
 
-    ``value`` is +inf when the comparison holds for every budget (zero
-    label-degree covariance with a favorable spectral bound);
-    ``non_positive`` marks a vacuous bound (negative numerator, e.g. when
-    lambda2 = 1).
+    +inf when the comparison holds for every budget (zero label-degree
+    covariance with a favorable spectral bound); <= 0 when the bound is
+    vacuous (negative numerator, e.g. when lambda2 = 1), and -inf when
+    the covariance is zero as well.
     """
-
-    value: float
-    non_positive: bool
-
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.value) and self.value > 0
-
-
-def budget_threshold(lg: LabeledGraph, lambda2: float) -> BudgetThreshold:
     f_bar = lg.true_fraction
     var_f = f_bar - f_bar * f_bar
     numerator = (var_f - lambda2 * lambda2 * mean_label_friend(lg)) \
         * mean_degree(lg.graph) ** 2
     cov = label_degree_covariance(lg)
-    value = (numerator / (cov * cov) if cov != 0.0
-             else math.inf if numerator >= 0.0 else -math.inf)
-    return BudgetThreshold(value=value, non_positive=value <= 0.0)
+    return (numerator / (cov * cov) if cov != 0.0
+            else math.inf if numerator >= 0.0 else -math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import io as nio
-from .analytics import network_stats
+from .analytics import assortativity, degree_label_corr
 from .config import (add_generate_flags, experiment_config, generate_keys,
                      load_experiment_config)
 from .errors import DataError, TargetUnreachableError
@@ -86,9 +86,8 @@ def _cmd_generate(args) -> int:
     if "erased_stubs" in meta:
         print(f"erased_stubs: {meta['erased_stubs']}")
 
-    stats = network_stats(lg)
-    print(f"achieved_rkk: {_num(stats.assortativity)}")
-    print(f"achieved_rho: {_num(stats.degree_label_corr)}")
+    print(f"achieved_rkk: {_num(assortativity(lg.graph))}")
+    print(f"achieved_rho: {_num(degree_label_corr(lg))}")
 
     edge_path = f"{args.out}.edges"
     label_path = f"{args.out}.labels"

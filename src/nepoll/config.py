@@ -241,8 +241,7 @@ def generate_keys(args) -> dict[str, object]:
 _BEFORE_COMMENT = re.compile(r"""(?:[^#'"]|"[^"]*"?|'[^']*'?)*""")
 
 
-def parse_config_text(text: str, where=lambda lineno: f"line {lineno}: "
-                      ) -> dict[str, object]:
+def parse_config_text(text: str, where) -> dict[str, object]:
     """The ``key = value`` lines of ``text``; a ``DataError`` names the
     faulty line after the prefix ``where(lineno)``."""
     values: dict[str, object] = {}

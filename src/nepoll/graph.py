@@ -125,11 +125,13 @@ def _edge_keys(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def _checked_graph(raw: np.ndarray, ids: np.ndarray, edge_keys: np.ndarray,
-                   bad: np.ndarray, where=lambda row: "") -> Graph:
+                   bad: np.ndarray, where=lambda row: "",
+                   error: DataError | None = None) -> Graph:
     """The graph of ``edge_keys`` over ``ids``, unless a row of ``raw``
     holds a negative id or is marked ``bad`` (a self-loop, or a repeat of
     an earlier row): then a :class:`DataError` names the earliest such
-    row, after the prefix ``where(row)``."""
+    row, after the prefix ``where(row)``.  Else ``error``, a fault found
+    after the last row of ``raw``, is raised if given."""
     if ids[0] < 0:
         bad = bad | (raw[:, 0] < 0) | (raw[:, 1] < 0)
     if bad.any():
@@ -139,6 +141,8 @@ def _checked_graph(raw: np.ndarray, ids: np.ndarray, edge_keys: np.ndarray,
             f"negative node id in edge ({u}, {v})" if u < 0 or v < 0
             else f"self-loop at node {u}" if u == v
             else f"duplicate edge ({min(u, v)}, {max(u, v)})"))
+    if error is not None:
+        raise error
     return Graph(len(ids), edge_keys, ids)
 
 

@@ -16,11 +16,11 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from . import io as nio
-from .analytics import (BudgetThreshold, ParadoxCheck, SpectralSummary,
+from .analytics import (ParadoxCheck, SpectralSummary, assortativity,
                         brute_force_estimator_law, budget_threshold,
-                        error_bounds, exact_error, friendship_paradox_check,
-                        label_degree_covariance, mean_degree,
-                        mean_label_friend, network_stats, spectral_summary)
+                        degree_label_corr, error_bounds, exact_error,
+                        friendship_paradox_check, label_degree_covariance,
+                        mean_degree, mean_label_friend, spectral_summary)
 from .config import ExperimentConfig
 from .errors import DataError, require_count
 from .estimators import estimator_code, poll_values, respondent_law
@@ -203,7 +203,7 @@ class Report:
     spectrum: SpectralSummary
     labeled: LabeledGraph | None
     degree_label_corr: float | None
-    threshold: BudgetThreshold | None
+    threshold: float | None
     defaulted_labels: int | None
 
     def rows(self) -> list[tuple[str, str]]:
@@ -235,8 +235,8 @@ class Report:
                     ("rw_walk_tv", _num(self.walk.tv))]
         if self.labeled is not None:
             t = self.threshold
-            threshold = (f"non-positive ({_num(t.value)})" if t.non_positive
-                         else "inf" if t.unbounded else _num(t.value))
+            threshold = (f"non-positive ({_num(t)})" if t <= 0.0
+                         else "inf" if t == math.inf else _num(t))
             out += [("true_fraction", _num(self.labeled.true_fraction)),
                     ("degree_label_corr", _num(self.degree_label_corr)),
                     ("budget_threshold", threshold)]
@@ -322,19 +322,17 @@ class Report:
 def run_report(g: Graph, labels: np.ndarray | None = None, *,
                defaulted_labels: int | None = None) -> Report:
     """Compute every quantity of a dataset's :class:`Report` once."""
-    lg = LabeledGraph(g, labels if labels is not None
-                      else np.zeros(g.node_count, dtype=np.int64))
-    stats = network_stats(lg)
     spectrum = spectral_summary(g)
-    corr = threshold = None
+    lg = corr = threshold = None
     if labels is not None:
-        corr = stats.degree_label_corr
+        lg = LabeledGraph(g, labels)
+        corr = degree_label_corr(lg)
         threshold = budget_threshold(lg, spectrum.lambda2)
     flags = graph_flags(g)
     fn_law = respondent_law(g, "FN")
     return Report(
         graph=g, flags=flags, walk=walk_law(g) if flags.connected else None,
         fn_law=fn_law, paradox=friendship_paradox_check(g, fn_law),
-        assortativity=stats.assortativity, spectrum=spectrum,
-        labeled=None if labels is None else lg, degree_label_corr=corr,
-        threshold=threshold, defaulted_labels=defaulted_labels)
+        assortativity=assortativity(g), spectrum=spectrum, labeled=lg,
+        degree_label_corr=corr, threshold=threshold,
+        defaulted_labels=defaulted_labels)

@@ -89,15 +89,15 @@ def read_edge_list(path: PathLike) -> Graph:
     :func:`nepoll.graph.build_graph`; a repeat has the ids, key and faults
     of the row it repeats, so the earliest self-loop or negative id is never
     one.  That row names ``path:line``: only then are the lines read again.
+    A malformed line is reported only if no fault comes earlier.
     """
     pairs, error = _read_pairs(path, "two node ids", "node id")
-    if error is not None:
-        raise error
     if not len(pairs):
-        raise DataError(f"{path}: a graph needs at least one edge")
+        raise error or DataError(f"{path}: a graph needs at least one edge")
     ids, _, edge_keys, loops = _edge_keys(pairs)
     return _checked_graph(pairs, ids, edge_keys, loops,
-                          lambda row: f"{path}:{_line_of(path, row)}: ")
+                          lambda row: f"{path}:{_line_of(path, row)}: ",
+                          error)
 
 
 def _digit_type(top: int) -> type:

@@ -405,9 +405,9 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     move is simple (no self-loop, no duplicate) and strictly shrinks the
     distance to the target.  The correlation is
     :func:`~nepoll.analytics.assortativity_curve` at the sum of degree
-    products over edges, so ``network_stats`` of the result is the float the
-    swaps stopped on.  Chunks of proposals are decided by the module's three
-    steps.
+    products over edges, so :func:`~nepoll.analytics.assortativity` of the
+    result is the float the swaps stopped on.  Chunks of proposals are
+    decided by the module's three steps.
 
     Raises :class:`TargetUnreachableError` carrying the best-effort graph,
     and that float as ``achieved``, when the proposal budget runs out or
@@ -477,8 +477,9 @@ def assign_labels(g: Graph, target: LabelTarget,
     sequential rule accepts a swap iff it strictly shrinks the distance to
     the target.  Swaps keep the label counts.  The correlation is
     :func:`~nepoll.analytics.degree_label_curve` at the sum of degree times
-    label, so ``network_stats`` of the result is the float the swaps stopped
-    on, ``achieved`` when :class:`TargetUnreachableError` carries it.
+    label, so :func:`~nepoll.analytics.degree_label_corr` of the result is
+    the float the swaps stopped on, ``achieved`` when
+    :class:`TargetUnreachableError` carries it.
     Chunks of proposals are decided by the module's three steps.
     """
     n = g.node_count

@@ -4,9 +4,9 @@
 leave in one directory, run in order, so later commands read the files
 earlier ones wrote: a rewired, labeled configuration-model graph and a
 G(n, p) graph from ``generate``, ``report`` (text and ``--csv``) and
-``check`` on each, and a 50-replication ``sweep`` on the first, with each
-command's stdout.  ``test_golden.py`` reruns them and compares every file
-byte for byte.
+``check`` on each, with its labels and without, and a 50-replication
+``sweep`` on the first, with each command's stdout.  ``test_golden.py``
+reruns them and compares every file byte for byte.
 
     PYTHONPATH=src python tests/regenerate_golden.py
 
@@ -44,6 +44,9 @@ CASES = [
     *((f"{command}_{name}.out",
        [command, "--graph", f"{name}.edges", "--labels", f"{name}.labels",
         *(["--csv", f"report_{name}.csv"] if command == "report" else [])])
+      for name in ("config", "er") for command in ("report", "check")),
+    *((f"{command}_{name}_unlabeled.out",
+       [command, "--graph", f"{name}.edges"])
       for name in ("config", "er") for command in ("report", "check")),
     ("sweep.out", ["sweep", "--config", "sweep.cfg", "--out", "sweep.csv"]),
 ]

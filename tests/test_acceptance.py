@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from nepoll import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget, LabeledGraph,
-                    LawSampler, RewireTarget, assign_labels, budget_threshold,
-                    build_graph, configuration_model, erdos_renyi,
-                    friendship_paradox_check, graph_flags,
-                    label_degree_covariance, load_experiment_config,
-                    materialize, mean_degree, mean_label_friend,
-                    network_stats, poll_values, replicate, respondent_law,
-                    rewire_to_assortativity, run_report, spectral_summary,
-                    stream, walk_law, write_edge_list, write_labels)
+                    LawSampler, RewireTarget, assign_labels, assortativity,
+                    budget_threshold, build_graph, configuration_model,
+                    degree_label_corr, erdos_renyi, friendship_paradox_check,
+                    graph_flags, label_degree_covariance,
+                    load_experiment_config, materialize, mean_degree,
+                    mean_label_friend, poll_values, replicate,
+                    respondent_law, rewire_to_assortativity, run_report,
+                    spectral_summary, stream, walk_law, write_edge_list,
+                    write_labels)
 from nepoll.cli import main as cli_main
 from nepoll.harness import _empirical_moments
 from nepoll.sampling import WALK_TV_TOLERANCE
@@ -214,9 +215,8 @@ def test_criterion_6_sweep_ordering(generated_graphs):
     flags = graph_flags(g)
     assert flags.connected and not flags.bipartite
     lg = assign_labels(g, LabelTarget(0.3, target=0.0), stream(2003))
-    stats = network_stats(lg)
-    assert abs(stats.assortativity) <= 0.02
-    assert abs(stats.degree_label_corr) <= 0.02
+    assert abs(assortativity(g)) <= 0.02
+    assert abs(degree_label_corr(lg)) <= 0.02
     truth = lg.true_fraction
     budgets = (1, 2, 5, 10, 20)
     reps = 600
@@ -258,23 +258,23 @@ def test_criterion_7_budget_threshold_consistency(suite):
             continue
         checked += 1
         thr = budget_threshold(lg, lam2)
-        if thr.non_positive:
+        if thr <= 0.0:
             continue  # no budget below a non-positive threshold
         f_bar = lg.true_fraction
         var_f = f_bar - f_bar * f_bar
         bias = cov / mean_degree(lg.graph)
         spectral_term = lam2 ** 2 * mean_label_friend(lg)
-        b_max = int(min(math.floor(thr.value), 200_000))
+        b_max = int(min(math.floor(thr), 200_000))
         if b_max >= 1:
             bs = np.arange(1, b_max + 1, dtype=float)
             lhs = bias ** 2 + spectral_term / bs
             rhs = var_f / bs
             if not np.all(lhs <= rhs + SLACK):
                 ok = False
-                detail = f"violated below threshold {thr.value:.3f}"
+                detail = f"violated below threshold {thr:.3f}"
                 break
-        if thr.value > 200_000 and math.isfinite(thr.value):
-            b_end = math.floor(thr.value)
+        if 200_000 < thr < math.inf:
+            b_end = math.floor(thr)
             if bias ** 2 + spectral_term / b_end > var_f / b_end + SLACK:
                 ok = False
                 detail = "violated at the threshold endpoint"
@@ -288,7 +288,6 @@ def test_criterion_7_budget_threshold_consistency(suite):
 
 def test_criterion_8_generator_targets(generated_graphs):
     g = generated_graphs["pl5000"]
-    zeros = np.zeros(g.node_count, dtype=np.int64)
     base_degrees = sorted(g.degrees.tolist())
     ok = True
     details = []
@@ -296,7 +295,7 @@ def test_criterion_8_generator_targets(generated_graphs):
         start = time.time()
         out = rewire_to_assortativity(g, RewireTarget(tgt),
                                       stream(300 + int(tgt * 10)))
-        r = network_stats(LabeledGraph(out, zeros)).assortativity
+        r = assortativity(out)
         elapsed = time.time() - start
         hit = (abs(r - tgt) <= 0.02
                and sorted(out.degrees.tolist()) == base_degrees
@@ -308,7 +307,7 @@ def test_criterion_8_generator_targets(generated_graphs):
         seed = 400 + int(tgt * 10)
         lg = assign_labels(g, LabelTarget(0.3, target=tgt),
                            stream(seed))
-        rho = network_stats(lg).degree_label_corr
+        rho = degree_label_corr(lg)
         iid = assign_labels(g, LabelTarget(0.3), stream(seed))
         elapsed = time.time() - start
         hit = (abs(rho - tgt) <= 0.02

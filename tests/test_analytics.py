@@ -8,12 +8,13 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabeledGraph,
-                    brute_force_estimator_law, budget_threshold, build_graph,
-                    configuration_model, erdos_renyi, error_bounds,
+                    assortativity, brute_force_estimator_law,
+                    budget_threshold, build_graph, configuration_model,
+                    degree_label_corr, erdos_renyi, error_bounds,
                     exact_error, friendship_paradox_check, graph_flags,
                     label_degree_covariance, mean_degree, mean_label_friend,
-                    network_stats, respondent_law, run_report,
-                    spectral_summary, stream, walk_law)
+                    respondent_law, run_report, spectral_summary, stream,
+                    walk_law)
 from nepoll import analytics
 
 from _reference import walk_law as reference_walk_law
@@ -23,44 +24,40 @@ from _strategies import edge_lists, graphs, labeled_graphs
 # ---------------------------------------------------------------------------
 # network statistics
 
-def test_network_stats_star(star_lg):
-    stats = network_stats(star_lg)
-    assert stats.assortativity == pytest.approx(-1.0, abs=1e-12)
-    assert stats.degree_label_corr == pytest.approx(1.0, abs=1e-12)
+def test_correlations_star(star_lg):
+    assert assortativity(star_lg.graph) == pytest.approx(-1.0, abs=1e-12)
+    assert degree_label_corr(star_lg) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_assortativity_matches_networkx():
     g = erdos_renyi(ErdosRenyiSpec(node_count=4000, edge_probability=0.003,
                                    seed=1))
-    stats = network_stats(LabeledGraph(g, np.zeros(g.node_count, dtype=int)))
     reference = nx.degree_assortativity_coefficient(nx.Graph(g.edges.tolist()))
-    assert stats.assortativity == pytest.approx(reference, rel=0, abs=1e-12)
+    assert assortativity(g) == pytest.approx(reference, rel=0, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(lg=labeled_graphs())
-def test_network_stats_correlations_in_range(lg):
-    stats = network_stats(lg)
+def test_correlations_in_range(lg):
+    r_kk, rho = assortativity(lg.graph), degree_label_corr(lg)
     degrees, labels = lg.graph.degrees, lg.labels
     regular = degrees.min() == degrees.max()
-    assert (stats.assortativity is None) == regular
-    assert (stats.degree_label_corr is None) == \
-        (regular or labels.min() == labels.max())
-    if stats.assortativity is not None:
-        assert -1.0 - 1e-9 <= stats.assortativity <= 1.0 + 1e-9
-    if stats.degree_label_corr is not None:
-        assert -1.0 - 1e-9 <= stats.degree_label_corr <= 1.0 + 1e-9
-        assert stats.degree_label_corr == pytest.approx(
-            np.corrcoef(degrees, labels)[0, 1], rel=0, abs=1e-12)
+    assert (r_kk is None) == regular
+    assert (rho is None) == (regular or labels.min() == labels.max())
+    if r_kk is not None:
+        assert -1.0 - 1e-9 <= r_kk <= 1.0 + 1e-9
+    if rho is not None:
+        assert -1.0 - 1e-9 <= rho <= 1.0 + 1e-9
+        assert rho == pytest.approx(np.corrcoef(degrees, labels)[0, 1],
+                                    rel=0, abs=1e-12)
 
 
 def test_assortativity_undefined_on_regular(k3_lg):
-    assert network_stats(k3_lg).assortativity is None
+    assert assortativity(k3_lg.graph) is None
 
 
 def test_degree_label_corr_undefined_on_constant_labels(star):
-    stats = network_stats(LabeledGraph(star, [0, 0, 0, 0]))
-    assert stats.degree_label_corr is None
+    assert degree_label_corr(LabeledGraph(star, [0, 0, 0, 0])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +214,57 @@ def _tridiagonals(draw):
     return a, b
 
 
+def _eigenvalues_below(a, b, x):
+    """How many eigenvalues of the symmetric tridiagonal with diagonal
+    ``a`` and off-diagonal ``b`` lie below the rational ``x``, exactly: the
+    negative pivots of T - x I in rational arithmetic (Sylvester's law of
+    inertia).  A zero pivot is taken at x minus an infinitesimal, where it
+    is positive and the next pivot is -infinity."""
+    below, d = 0, None  # the previous pivot, None when it is infinite
+    for ai, bi in zip(a, [0.0, *b]):
+        if bi and d == 0:
+            below, d = below + 1, None
+            continue
+        p = Fraction(ai) - x
+        if bi and d is not None:
+            p -= Fraction(bi) ** 2 / d
+        below, d = below + (p < 0), p
+    return below
+
+
 @settings(max_examples=300, deadline=None)
 @given(t=_tridiagonals())
 @example(t=(np.array([0.3]), np.array([])))
 @example(t=(np.array([0.5, -0.5]), np.array([0.25])))
 @example(t=(np.array([0.0, 0.0]), np.array([0.7])))
+@example(t=(np.array([0.0, 0.0]), np.array([0.0])))
+# LAPACK's eigh puts |T| 9 ulps above the true 1.76862813205337680
+@example(t=(np.array([
+    0.0, 0.0, 0.0, 0.0, 0.0, 0.8615683708930613, 0.3238805272643204, 0.0,
+    -0.3448285421961289, 0.0, -0.9208821926944211, 0.6414066437463464, 1.0,
+    0.0, 0.0, -0.9666188259666209]), np.array([
+    0.0, 0.0, 0.0, 0.0, 0.0, 0.9761961079960035, 0.2995868491035625,
+    0.2995868491035625, 0.7333607916256355, 0.4407360431193167,
+    0.7518993024600689, 0.6582561999055923, 0.5913156797028991, 1.0,
+    0.0008302670873568355])))
 def test_extreme_ritz_pair_matches_dense_eigh(t):
     a, b = t
     eps = np.finfo(float).eps
     theta, s_k = analytics._extreme_ritz_pair(a.tolist(), b.tolist())
-    # test-only referee: the dense eigensolve the check replaces
+    # exact referee for theta: the whole spectrum lies within |theta| + tol
+    # of 0, and an eigenvalue within tol of theta.  mpmath puts theta
+    # within 0.62 ulps of |T| over 1500 drawn cases
+    n, exact = len(a), Fraction(theta)
+    tol = Fraction(2 * eps) * abs(exact)
+    assert _eigenvalues_below(a, b, -abs(exact) - tol) == 0
+    assert _eigenvalues_below(-a, b, -abs(exact) - tol) == 0
+    # eigenvalues of T above exact + tol are those of -T below its negation
+    assert n - _eigenvalues_below(-a, b, -exact - tol) \
+        > _eigenvalues_below(a, b, exact - tol)
+    # test-only referee for s_k: the dense eigensolve the check replaces
     values, vectors = np.linalg.eigh(np.diag(a) + np.diag(b, 1)
                                      + np.diag(b, -1))
     norm = np.abs(values).max()
-    # the referee's own error grows with k: 8 to 14 ulps of |T| at k = 50,
-    # where mpmath puts the O(k) check within half an ulp
-    assert abs(abs(theta) - norm) <= max(8, len(a) / 2) * eps * norm
     i = int(np.argmin(np.abs(values - theta)))
     gap = np.delete(np.abs(values - values[i]), i).min(initial=np.inf)
     if gap == 0.0:
@@ -386,14 +418,25 @@ def test_exact_error_ip(star_lg):
 
 def test_budget_threshold_star_non_positive(star_lg):
     t = budget_threshold(star_lg, spectral_summary(star_lg.graph).lambda2)
-    assert t.non_positive
-    assert t.value == pytest.approx(-5.0, abs=1e-9)
+    assert t == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_budget_threshold_triangle_unbounded(k3_lg):
     t = budget_threshold(k3_lg, spectral_summary(k3_lg.graph).lambda2)
-    assert t.unbounded
-    assert not t.non_positive
+    assert t == math.inf
+
+
+def test_budget_threshold_minus_inf_on_cycle():
+    # C_9 is regular, so the label-degree covariance is 0, and with nodes
+    # 0-3 labeled 1 the numerator f(1 - f) - lambda2^2 E{f(friend)} is
+    # negative: the bound holds for no budget
+    c9 = build_graph([(i, (i + 1) % 9) for i in range(9)])
+    labels = [1, 1, 1, 1, 0, 0, 0, 0, 0]
+    lg = LabeledGraph(c9, labels)
+    assert label_degree_covariance(lg) == 0.0
+    assert budget_threshold(lg, spectral_summary(c9).lambda2) == -math.inf
+    assert "budget_threshold: non-positive (-inf)\n" in \
+        run_report(c9, np.array(labels)).to_text()
 
 
 def test_budget_threshold_finite_positive():
@@ -406,13 +449,13 @@ def test_budget_threshold_finite_positive():
     lam2 = spectral_summary(wheel).lambda2
     assert lam2 < 1.0
     t = budget_threshold(lg, lam2)
-    assert not t.non_positive and math.isfinite(t.value)
+    assert 0.0 < t < math.inf
     f_bar = lg.true_fraction
     expected = ((f_bar * (1 - f_bar) - lam2 ** 2 * mean_label_friend(lg))
                 * mean_degree(wheel) ** 2
                 / label_degree_covariance(lg) ** 2)
-    assert t.value == pytest.approx(expected, abs=1e-12)
-    assert t.value == pytest.approx(342.9179606750062, abs=1e-9)
+    assert t == pytest.approx(expected, abs=1e-12)
+    assert t == pytest.approx(342.9179606750062, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

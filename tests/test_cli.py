@@ -241,10 +241,10 @@ def test_data_error_exit_code(capsys):
 
 
 def test_programming_error_is_not_a_data_error(star_files, monkeypatch):
-    def index_bug(lg):
+    def index_bug(g):
         raise ValueError("index bug")
 
-    monkeypatch.setattr(harness, "network_stats", index_bug)
+    monkeypatch.setattr(harness, "assortativity", index_bug)
     with pytest.raises(ValueError, match="index bug"):
         main(["report", "--graph", str(star_files[0])])
 

@@ -95,7 +95,8 @@ def test_generate_flags_and_config_keys_agree(flags):
     args = _build_parser().parse_args(argv)
     from_flags = _outcome(lambda: experiment_config(generate_keys(args)))
     from_file = _outcome(
-        lambda: experiment_config(parse_config_text(_config_text(flags))))
+        lambda: experiment_config(parse_config_text(
+            _config_text(flags), lambda lineno: f"keys.cfg:{lineno}: ")))
     assert from_flags == from_file
 
 

@@ -10,8 +10,9 @@ import hypothesis.strategies as st
 
 from nepoll import (ConfigModelSpec, DataError, ExperimentConfig, Graph,
                     GraphFlags, LabeledGraph, LabelTarget, RewireTarget,
-                    build_graph, graph_flags, materialize, network_stats,
-                    stream, write_edge_list, write_labels)
+                    assortativity, build_graph, degree_label_corr,
+                    graph_flags, materialize, stream, write_edge_list,
+                    write_labels)
 from nepoll import graph as graph_module
 
 from _reference import sorting_build_graph
@@ -300,7 +301,7 @@ def test_generate_path_leaves_adjacency_unbuilt(monkeypatch, tmp_path):
         graph_source=ConfigModelSpec(300, 2.4, k_max=30, seed=7),
         label_source=LabelTarget(0.3, target=0.1),
         rewire=RewireTarget(0.1), master_seed=7))
-    network_stats(lg)
+    assortativity(lg.graph), degree_label_corr(lg)
     write_edge_list(lg.graph, tmp_path / "g.edges")
     write_labels(lg, tmp_path / "g.labels")
     assert builds == [] and products == [] and lg._responses is None

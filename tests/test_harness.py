@@ -382,10 +382,13 @@ def test_config_file_errors(tmp_path):
 
 
 def test_config_comment_only_outside_quotes():
-    assert parse_config_text('graph.path = "data#1.edges"\n') == {
+    def where(lineno):
+        return f"t.cfg:{lineno}: "
+
+    assert parse_config_text('graph.path = "data#1.edges"\n', where) == {
         "graph.path": "data#1.edges"}
     assert parse_config_text(
-        "a = 'x # y'  # note\nb = 3 # note\n# c = 4\n") == {
+        "a = 'x # y'  # note\nb = 3 # note\n# c = 4\n", where) == {
         "a": "x # y", "b": 3}
 
 
@@ -431,7 +434,7 @@ def test_report_star(star, star_lg):
     assert rep.assortativity == pytest.approx(-1.0)
     assert rep.degree_label_corr == pytest.approx(1.0)
     assert rep.spectrum.lambda2 == pytest.approx(1.0)
-    assert rep.threshold is not None and rep.threshold.non_positive
+    assert rep.threshold is not None and rep.threshold <= 0.0
     assert "friendship_paradox_holds: true" in text
     assert "rw_applicable: true" in text
     # the leaves are twins, which certifies lambda_n = 0
@@ -442,7 +445,7 @@ def test_report_star(star, star_lg):
 def test_report_triangle(k3, k3_lg):
     rep = run_report(k3, k3_lg.labels)
     assert rep.spectrum.lambda2 == pytest.approx(0.5)
-    assert rep.threshold.unbounded
+    assert rep.threshold == math.inf
     assert rep.assortativity is None               # regular: undefined
     assert "assortativity: undefined" in rep.to_text()
     assert "budget_threshold: inf" in rep.to_text()

@@ -123,6 +123,11 @@ def test_edge_list_errors_name_file_and_line(tmp_path):
     with pytest.raises(DataError, match=re.escape(
             f"{path}:2: negative node id in edge (0, -1)")):
         read_edge_list(path)
+    # the earliest faulty line is named, a malformed one after it not
+    path.write_text("0 1\n2 2\nfoo\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}:2: self-loop at node 2")):
+        read_edge_list(path)
 
 
 @pytest.mark.parametrize("text", ["", "# header only\n\n"])

@@ -7,17 +7,12 @@ import pytest
 from nepoll import netgen
 from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec, LabelTarget,
                     LabeledGraph, RewireTarget, TargetUnreachableError,
-                    assign_labels, build_graph, configuration_model,
-                    erdos_renyi, friendship_paradox_check, network_stats,
-                    read_edge_list, respondent_law, rewire_to_assortativity,
-                    stream, write_edge_list)
+                    assign_labels, assortativity, build_graph,
+                    configuration_model, degree_label_corr, erdos_renyi,
+                    friendship_paradox_check, read_edge_list, respondent_law,
+                    rewire_to_assortativity, stream, write_edge_list)
 
 import _reference
-
-
-def _assortativity(g):
-    zeros = np.zeros(g.node_count, dtype=np.int64)
-    return network_stats(LabeledGraph(g, zeros)).assortativity
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +139,7 @@ def test_er_mean_degree():
 def test_er_assortativity_near_zero():
     g = erdos_renyi(ErdosRenyiSpec(node_count=5000, edge_probability=0.01,
                                    seed=2))
-    assert abs(_assortativity(g)) <= 0.03
+    assert abs(assortativity(g)) <= 0.03
 
 
 def test_er_saturation_gives_complete_graph():
@@ -192,13 +187,13 @@ def test_rewire_hits_target_and_preserves_degrees(powerlaw_graph):
     for target in (0.15, -0.15):
         out = rewire_to_assortativity(g, RewireTarget(target),
                                       stream(3))
-        assert abs(_assortativity(out) - target) <= 0.02
+        assert abs(assortativity(out) - target) <= 0.02
         assert sorted(out.degrees.tolist()) == sorted(g.degrees.tolist())
         assert np.array_equal(np.sort(out.degrees), np.sort(g.degrees))
 
 
 def test_rewire_noop_when_already_at_target(powerlaw_graph):
-    current = _assortativity(powerlaw_graph)
+    current = assortativity(powerlaw_graph)
     out = rewire_to_assortativity(powerlaw_graph, RewireTarget(current),
                                   stream(4))
     assert out is powerlaw_graph
@@ -212,7 +207,7 @@ def test_rewire_unreachable_target_returns_best_effort(powerlaw_graph):
     best = exc.value.result
     assert sorted(best.degrees.tolist()) == \
         sorted(powerlaw_graph.degrees.tolist())
-    assert exc.value.achieved == _assortativity(best)
+    assert exc.value.achieved == assortativity(best)
 
 
 def test_rewire_regular_graph_undefined(k3):
@@ -243,7 +238,7 @@ def test_assign_labels_hits_target_and_preserves_fraction(powerlaw_graph):
         rs = stream(9)
         lg = assign_labels(powerlaw_graph,
                            LabelTarget(0.3, target=target), rs)
-        assert abs(network_stats(lg).degree_label_corr - target) <= 0.02
+        assert abs(degree_label_corr(lg) - target) <= 0.02
         # the swap phase must not change the label counts: compare to the
         # iid draw from the same stream
         iid = assign_labels(powerlaw_graph, LabelTarget(0.3),
@@ -267,10 +262,10 @@ def test_assign_labels_unreachable_target(powerlaw_graph):
     assert abs(exc.value.achieved) < 0.99
 
 
-def test_network_stats_are_the_floats_the_swaps_stopped_on(powerlaw_graph,
-                                                           monkeypatch):
-    # reached or not, the correlation network_stats reads off a swapped
-    # graph is the float its swaps steered by, bit for bit; out of reach,
+def test_correlations_are_the_floats_the_swaps_stopped_on(powerlaw_graph,
+                                                          monkeypatch):
+    # reached or not, the correlation assortativity or degree_label_corr
+    # reads off a swapped graph is the float its swaps steered by, bit for bit; out of reach,
     # it is also the error's ``achieved``
     stopped = []
     run = netgen._SwapProcess.run
@@ -283,21 +278,14 @@ def test_network_stats_are_the_floats_the_swaps_stopped_on(powerlaw_graph,
 
     monkeypatch.setattr(netgen._SwapProcess, "run", recording_run)
     g = powerlaw_graph
-    zeros = np.zeros(g.node_count, dtype=np.int64)
-
-    def r_kk(out):
-        return network_stats(LabeledGraph(out, zeros)).assortativity
-
-    def rho(out):
-        return network_stats(out).degree_label_corr
-
     for seed in range(4):
         for goal, reachable in ((-0.1, True), (0.1, True), (0.99, False)):
             for swaps, target, stat in (
                     (rewire_to_assortativity,
-                     RewireTarget(goal, 0.005, 40_000), r_kk),
+                     RewireTarget(goal, 0.005, 40_000), assortativity),
                     (assign_labels,
-                     LabelTarget(0.3, goal, 0.005, 40_000), rho)):
+                     LabelTarget(0.3, goal, 0.005, 40_000),
+                     degree_label_corr)):
                 stopped.clear()
                 if reachable:
                     out = swaps(g, target, stream(seed))
