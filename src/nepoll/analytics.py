@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DataError
 from .estimators import estimator_code
 from .graph import Graph, LabeledGraph, degree_product_sum, graph_flags
-from .sampling import WalkLaw
+from .sampling import WalkLaw, stream
 
 _FLOAT_SLACK = 1e-12  # guards exact inequalities against rounding
 
@@ -179,7 +179,7 @@ def _lanczos_largest_abs(matvec, u: np.ndarray) -> float:
     check comes k/8 steps on, or where the residual, falling at the rate
     it fell since the last check, meets that bound, but at most k/4
     steps on."""
-    q = np.random.default_rng(_SPECTRUM_SEED).standard_normal(len(u))
+    q = stream(_SPECTRUM_SEED).standard_normal(len(u))
     q -= u * _dot(u, q)
     q /= math.sqrt(_dot(q, q))
     q_prev = np.zeros_like(q)
@@ -301,7 +301,7 @@ def _has_twins(g: Graph) -> bool:
     2**53 / max degree over each set, exact in floats, rank the nodes, and
     nodes tied on a first sum by a second; only equal neighbor sets
     certify a tie, so a hash collision cannot."""
-    keys = np.random.default_rng(_SPECTRUM_SEED).integers(
+    keys = stream(_SPECTRUM_SEED).integers(
         0, 2 ** 53 // int(g.degrees.max()), size=(2, g.node_count))
     first = g.adjacency_matvec(keys[0])
     order = np.argsort(first)

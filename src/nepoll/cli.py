@@ -82,7 +82,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    lg, meta = materialize(experiment_config(generate_keys(args)))
+    try:
+        lg, meta = materialize(experiment_config(generate_keys(args)))
+    except MemoryError as exc:  # --n 3000000000, say
+        raise DataError(f"the graph does not fit in memory ({exc})") from None
     if "erased_stubs" in meta:
         print(f"erased_stubs: {meta['erased_stubs']}")
 

@@ -40,7 +40,8 @@ class Graph:
     trusts this, and only it derives ``edges`` and ``degrees`` from it.
     ``edges`` is a column-major ``(edge_count, 2)`` array: ``edges[:, 0]``
     and ``edges[:, 1]`` are contiguous.  ``original_ids[v]`` is node v's id
-    in files.  Instances are never mutated, so they are safe to share.
+    in files.  Instances are never mutated, so they are safe to share, save
+    that :func:`graph_flags` caches its result on ``_flags``.
     ``edge_end_count`` is the number of edge endpoints (twice the edge
     count), the normalizer of all degree-weighted laws.
     """
@@ -151,29 +152,19 @@ def _checked_graph(raw: np.ndarray, ids: np.ndarray, edge_keys: np.ndarray,
 # a 200k-node graph took about 32 MB in one block.
 _BLOCK = 2 ** 16
 
-# Ids no larger than this many times their count are ranked by a presence
-# mask over 0..max id: O(count) work and memory, against np.unique's sort
-# (4-5 ms against 34-50 ms for the 1.01M endpoints of a 200k-node graph).
-# Sparser or negative ids are sorted.
-_DENSE_RANK_SPAN = 4
-
 
 def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(ids, rank)`` of a 1-D int64 array: its sorted distinct values and
-    each value's index among them, as ``np.unique(values,
+    """``(ids, rank)`` of a non-empty 1-D int64 array: its sorted distinct
+    values and each value's index among them, as ``np.unique(values,
     return_inverse=True)`` gives them.  Values that are exactly 0..n-1, as
     in a file nepoll wrote, are their own ranks: ``rank`` is then
-    ``values`` itself."""
-    if len(values) and values.min() >= 0:
-        top = int(values.max())
-        if top <= _DENSE_RANK_SPAN * len(values):
-            present = np.zeros(top + 1, dtype=bool)
-            present[values] = True
-            if present.all():
-                return np.arange(top + 1), values
-            rank = np.cumsum(present)
-            rank -= 1
-            return np.flatnonzero(present), rank[values]
+    ``values`` itself.  Any other values are sorted."""
+    top = int(values.max())
+    if values.min() == 0 and top < len(values):
+        present = np.zeros(top + 1, dtype=bool)
+        present[values] = True
+        if present.all():
+            return np.arange(top + 1), values
     return np.unique(values, return_inverse=True)
 
 

@@ -70,8 +70,8 @@ def default_budget_grid(node_count: int) -> tuple[int, ...]:
 def materialize(cfg: ExperimentConfig) -> tuple[LabeledGraph, dict]:
     """Build the labeled graph a config describes.
 
-    Returns ``(labeled_graph, meta)`` where meta records defaulted-label
-    counts and achieved correlation values, for reporting.
+    Returns ``(labeled_graph, meta)``: meta holds ``erased_stubs`` for a
+    configuration model and ``defaulted_labels`` for a label file.
     """
     meta: dict = {}
     src = cfg.graph_source

@@ -50,6 +50,9 @@ from .sampling import stream
 _MAX_GENERATION_RETRIES = 100
 _PROPOSAL_CHUNK = 8192
 _STALL_LIMIT = 200_000  # consecutive rejected proposals before giving up
+# The most nodes a generator takes: its int64 edge keys lo * n + hi reach
+# n**2 - 1 for a self-loop
+_MAX_NODES = math.isqrt(2 ** 63)
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,8 @@ class ConfigModelSpec:
     def __post_init__(self):
         _check_counts(self, "node_count", "k_min", "k_max", "seed")
         n, k_max = self.node_count, self.resolved_k_max()
-        if n < 2:
-            raise DataError("need at least two nodes")
+        if not 2 <= n <= _MAX_NODES:
+            raise DataError(f"need 2 to {_MAX_NODES} nodes, got {n}")
         if self.k_min < 1:
             raise DataError("k_min must be >= 1")
         if k_max < self.k_min:
@@ -93,8 +96,9 @@ class ErdosRenyiSpec:
 
     def __post_init__(self):
         _check_counts(self, "node_count", "seed")
-        if self.node_count < 2:
-            raise DataError("need at least two nodes")
+        n = self.node_count
+        if not 2 <= n <= _MAX_NODES:
+            raise DataError(f"need 2 to {_MAX_NODES} nodes, got {n}")
         if not 0.0 < self.edge_probability <= 1.0:
             raise DataError("edge probability must be in (0, 1]")
 

@@ -367,23 +367,25 @@ def sorting_build_graph(edge_pairs):
 
 def sorting_read_edge_list(path):
     """``nepoll.read_edge_list``, dropping repeated lines by
-    ``repeated_rows``; a bad row left names its line."""
+    ``repeated_rows``; a bad row left names its line, and a malformed line
+    after it is not reported."""
     pairs, error = _read_pairs(path, "two node ids", "node id")
-    if error is not None:
-        raise error
     if not len(pairs):
-        raise DataError(f"{path}: a graph needs at least one edge")
+        raise error or DataError(f"{path}: a graph needs at least one edge")
     # equal numbers exactly for equal unordered pairs
     pair_ids = np.unique(np.sort(pairs, axis=1), axis=0,
                          return_inverse=True)[1].reshape(-1)
     kept = np.flatnonzero(~repeated_rows(pair_ids))
     try:
-        return sorting_build_graph(pairs[kept])
+        g = sorting_build_graph(pairs[kept])
     except DataError as exc:
         rows = pairs[kept]
         bad = (rows < 0).any(axis=1) | (rows[:, 0] == rows[:, 1])
         lineno = list(_data_lines(path))[kept[np.argmax(bad)]][0]
         raise DataError(f"{path}:{lineno}: {exc}") from None
+    if error is not None:
+        raise error
+    return g
 
 
 def searching_read_labels(path, g):

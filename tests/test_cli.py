@@ -356,7 +356,7 @@ def test_bad_config_names_file(tmp_path, capsys, text, message):
      "graph.rkk = -0.05\nlabels.p = 1.5\n",
      "base probability must lie strictly in (0, 1)"),
     ("graph.model = config\ngraph.n = 1\ngraph.alpha = 2.4\nlabels.p = 0.3\n",
-     "need at least two nodes"),
+     "need 2 to 3037000499 nodes, got 1"),
     ("graph.model = config\ngraph.n = 200\ngraph.alpha = 1\nlabels.p = 0.3\n",
      "power-law exponent must be > 1"),
     ("graph.model = config\ngraph.n = 200\ngraph.alpha = 2.4\n"
@@ -488,6 +488,20 @@ _TRIANGLE = "0 1\n1 2\n0 2\n"
      ["sweep", "--config", "x.cfg", "--out", "out.csv"],
      "g.edges: sweep includes the random-walk estimator but the graph is "
      "disconnected"),
+    # keys lo * n + hi past int64, which numpy would refuse with a traceback
+    ({}, ["generate", "--model", "config", "--n", str(10 ** 20),
+          "--alpha", "2.4"],
+     f"need 2 to 3037000499 nodes, got {10 ** 20}"),
+    ({}, ["generate", "--model", "er", "--n", str(10 ** 20), "--p", "0.1"],
+     f"need 2 to 3037000499 nodes, got {10 ** 20}"),
+    ({"x.cfg": f"graph.model = er\ngraph.n = {10 ** 20}\ngraph.p = 0.1\n"
+               "labels.p = 0.3\n"},
+     ["sweep", "--config", "x.cfg", "--out", "out.csv"],
+     f"x.cfg: need 2 to 3037000499 nodes, got {10 ** 20}"),
+    ({"x.cfg": "graph.model = config\ngraph.n = 3037000500\n"
+               "graph.alpha = 2.4\nlabels.p = 0.3\n"},
+     ["sweep", "--config", "x.cfg", "--out", "out.csv"],
+     "x.cfg: need 2 to 3037000499 nodes, got 3037000500"),
 ])
 def test_input_the_pipeline_cannot_take_is_a_data_error(
         tmp_path, monkeypatch, capsys, files, argv, message):
@@ -499,21 +513,27 @@ def test_input_the_pipeline_cannot_take_is_a_data_error(
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
-def test_sweep_that_does_not_fit_in_memory_names_config(tmp_path, monkeypatch,
-                                                        capsys):
+@pytest.mark.parametrize("patched, argv, message", [
+    ("run_sweep", ["sweep", "--config", "x.cfg", "--out", "out.csv"],
+     "x.cfg: the sweep does not fit in memory"),
+    ("materialize", ["generate", "--model", "er", "--n", "9", "--p", "0.5"],
+     "the graph does not fit in memory"),
+])
+def test_run_that_does_not_fit_in_memory_is_a_data_error(
+        tmp_path, monkeypatch, capsys, patched, argv, message):
     # stands in for numpy refusing the replications array of a config such
-    # as replications = 99999999999, without asking for it
+    # as replications = 99999999999, or the stubs of --n 3000000000,
+    # without asking for either
     def too_large(cfg):
         raise MemoryError("Unable to allocate 745. GiB")
 
-    monkeypatch.setattr(nepoll.cli, "run_sweep", too_large)
+    monkeypatch.setattr(nepoll.cli, patched, too_large)
     monkeypatch.chdir(tmp_path)
     Path("x.cfg").write_text("graph.model = er\ngraph.n = 9\ngraph.p = 0.5\n"
                              "labels.p = 0.3\n")
-    assert main(["sweep", "--config", "x.cfg", "--out", "out.csv"]) == 1
+    assert main(argv) == 1
     assert capsys.readouterr().err == (
-        "error: DataError: x.cfg: the sweep does not fit in memory "
-        "(Unable to allocate 745. GiB)\n")
+        f"error: DataError: {message} (Unable to allocate 745. GiB)\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cfg"]
 
 

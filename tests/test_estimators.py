@@ -182,11 +182,6 @@ def test_replication_reads_its_block_of_the_stream(star_chord):
                 table[nodes].mean(axis=1))
 
 
-def test_budget_must_be_positive(star_lg):
-    with pytest.raises(ValueError):
-        poll_values("IP", star_lg, 0, stream(0), 1)
-
-
 @pytest.mark.parametrize("kind,budget,reps,walk,match", [
     ("IP", 0, 1, None, r"^budget must be a count >= 1, got 0$"),
     ("UN", 0, 1, None, r"^budget must be a count >= 1, got 0$"),

@@ -32,23 +32,6 @@ def test_triangle_degrees(k3):
     assert k3.edge_end_count == 6
 
 
-def test_duplicate_edge_rejected():
-    with pytest.raises(DataError, match=r"^duplicate edge \(0, 1\)$"):
-        build_graph([(0, 1), (0, 1)])
-    with pytest.raises(DataError, match=r"^duplicate edge \(0, 1\)$"):
-        build_graph([(0, 1), (1, 0)])
-
-
-def test_self_loop_rejected():
-    with pytest.raises(DataError, match="^self-loop at node 2$"):
-        build_graph([(0, 1), (2, 2)])
-
-
-def test_negative_id_rejected():
-    with pytest.raises(ValueError):
-        build_graph([(-1, 0)])
-
-
 @pytest.mark.parametrize("pairs, message", [
     ([(0, 1), (2, 2), (-1, 3), (1, 0)], "self-loop at node 2"),
     ([(0, 1), (3, -1), (2, 2), (1, 0)], "negative node id in edge (3, -1)"),
@@ -57,6 +40,10 @@ def test_negative_id_rejected():
     ([(-2, -2), (5, 5)], "negative node id in edge (-2, -2)"),
     ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
     ([(2, 1), (0, 3), (1, 2)], "duplicate edge (1, 2)"),
+    ([(0, 1), (0, 1)], "duplicate edge (0, 1)"),
+    ([(0, 1), (2, 2)], "self-loop at node 2"),
+    ([(-1, 0)], "negative node id in edge (-1, 0)"),
+    ([], "a graph needs at least one edge"),
 ])
 def test_build_graph_reports_earliest_bad_row(pairs, message):
     with pytest.raises(DataError) as exc:
@@ -108,12 +95,6 @@ def test_build_graph_matches_reference_loop(pairs):
     assert g.original_ids.tolist() == expected["original_ids"]
 
 
-def test_duplicate_error_carries_canonical_edge():
-    with pytest.raises(DataError) as exc:
-        build_graph([(0, 1), (1, 0)])
-    assert str(exc.value) == "duplicate edge (0, 1)"
-
-
 def test_array_and_iterable_inputs_agree():
     pairs = [(40, 10), (10, 20), (20, 30), (30, 40), (20, 40)]
     from_list = build_graph(pairs)
@@ -124,54 +105,37 @@ def test_array_and_iterable_inputs_agree():
             assert np.array_equal(getattr(g, name), getattr(from_list, name))
 
 
-def test_empty_edge_list_rejected():
-    with pytest.raises(ValueError):
-        build_graph([])
-
-
 @pytest.mark.parametrize("relabel", [
-    lambda ids, ends: 7 * ids + 3,
-    # the largest id at, and one past, the largest the presence mask ranks
-    lambda ids, ends: np.append(ids[:-1],
-                                graph_module._DENSE_RANK_SPAN * ends),
-    lambda ids, ends: np.append(ids[:-1],
-                                graph_module._DENSE_RANK_SPAN * ends + 1),
-    lambda ids, ends: 2 ** 40 + 7 * ids + 3,
-], ids=["7v+3", "largest-at-span", "largest-past-span", "near-2**40"])
+    lambda ids: 7 * ids + 3,
+    lambda ids: ids + (ids >= ids[len(ids) // 2]),
+    lambda ids: ids + 1,
+    lambda ids: 2 ** 40 + 7 * ids + 3,
+], ids=["7v+3", "one-gap", "from-one", "near-2**40"])
 @pytest.mark.parametrize("seed", range(3))
-def test_dense_and_sorted_ranking_build_equal_graphs(monkeypatch, relabel,
-                                                     seed):
-    """Ranked by the presence mask (where the ids allow it) or by a sort,
-    relabeled ids give the arrays of the graph on the original ids."""
+def test_relabeled_ids_build_equal_graphs(relabel, seed):
+    """Ids relabeled monotonically, and so ranked by a sort, give the
+    arrays of the graph on the original ids."""
     gen = np.random.default_rng(seed)
     pairs = gen.integers(0, 60, size=(150, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     pairs = pairs[np.unique(np.sort(pairs, axis=1), axis=0,
                             return_index=True)[1]]
     g0 = build_graph(pairs)
-    new_ids = relabel(g0.original_ids, pairs.size)
-    relabeled = new_ids[np.searchsorted(g0.original_ids, pairs)]
-    # the default span, a sort always, and the mask always where it is small
-    spans = [graph_module._DENSE_RANK_SPAN, -1]
-    if new_ids[-1] < 2 ** 20:
-        spans.append(2 ** 20)
-    for span in spans:
-        monkeypatch.setattr(graph_module, "_DENSE_RANK_SPAN", span)
-        g = build_graph(relabeled)
-        for name in ("edges", "degrees"):
-            got, want = getattr(g, name), getattr(g0, name)
-            assert np.array_equal(got, want) and got.dtype == want.dtype, \
-                (span, name)
-        assert np.array_equal(g.original_ids, new_ids), span
-        assert g.original_ids.dtype == np.int64, span
+    new_ids = relabel(g0.original_ids)
+    g = build_graph(new_ids[np.searchsorted(g0.original_ids, pairs)])
+    for name in ("edges", "degrees"):
+        got, want = getattr(g, name), getattr(g0, name)
+        assert np.array_equal(got, want) and got.dtype == want.dtype, name
+    assert np.array_equal(g.original_ids, new_ids)
+    assert g.original_ids.dtype == np.int64
 
 
 @given(data=st.data(), layout=st.sampled_from(
     ["0..n-1", "dense with a gap", "sparse", "negative"]))
 def test_rank_ids_matches_numpy_unique(data, layout):
-    """Ids exactly 0..n-1 are their own ranks, dense ids with a gap are
-    ranked by the presence mask and sparse or negative ids by a sort; all
-    three give ``np.unique``'s ids and inverse."""
+    """Ids exactly 0..n-1 are their own ranks, and any other ids, dense
+    with a gap, sparse or negative, are ranked by a sort; both give
+    ``np.unique``'s ids and inverse."""
     n = data.draw(st.integers(1, 40))
     ids = np.arange(n)
     if layout == "dense with a gap":
@@ -200,15 +164,6 @@ def test_sparse_ids_compacted():
     assert g.original_ids.tolist() == [10, 20, 30]
     # node 30 -> compact 2, connected to 10 (0) and 20 (1)
     assert g.edges.tolist() == [[0, 2], [1, 2]]
-
-
-def test_neighbor_lists_sorted_and_symmetric(star_chord):
-    indptr, neighbors = graph_module._adjacency(star_chord)
-    for v in range(star_chord.node_count):
-        nbrs = neighbors[indptr[v]:indptr[v + 1]].tolist()
-        assert nbrs == sorted(nbrs)
-        for u in nbrs:
-            assert v in neighbors[indptr[u]:indptr[u + 1]]
 
 
 @given(edges=edge_lists(max_nodes=8), data=st.data())
@@ -321,32 +276,14 @@ def test_poll_response_examples(star_lg, k3_lg):
     assert k3_lg.responses[1] == 0.5
 
 
-def test_label_validation(star):
-    with pytest.raises(ValueError):
-        LabeledGraph(star, [1, 0, 0])        # wrong length
-    with pytest.raises(ValueError):
-        LabeledGraph(star, [1, 0, 0, 2])     # non-binary
-
-
-def test_fractional_labels_rejected(k3):
-    with pytest.raises(DataError, match="^labels must be 0 or 1$"):
-        LabeledGraph(k3, [0.5, 1.7, 0])
+def test_label_validation(star, k3):
+    with pytest.raises(DataError, match=r"^label vector length \(3,\) != "):
+        LabeledGraph(star, [1, 0, 0])
+    for labels in ([1, 0, 0, 2], [0.5, 1.7, 0, 0]):
+        with pytest.raises(DataError, match="^labels must be 0 or 1$"):
+            LabeledGraph(star, labels)
     lg = LabeledGraph(k3, [1.0, 0.0, 1.0])
     assert lg.labels.dtype == np.int64 and lg.labels.tolist() == [1, 0, 1]
-
-
-def test_graph_flags_examples(k3, star, two_edges):
-    assert graph_flags(k3) == GraphFlags(connected=True, bipartite=False)
-    assert graph_flags(star) == GraphFlags(connected=True, bipartite=True)
-    assert graph_flags(two_edges) == GraphFlags(connected=False,
-                                                bipartite=True)
-
-
-def test_graph_flags_odd_cycle_component():
-    g = build_graph([(0, 1), (1, 2), (2, 0), (3, 4)])
-    flags = graph_flags(g)
-    assert not flags.connected
-    assert not flags.bipartite
 
 
 @st.composite
@@ -370,9 +307,14 @@ def test_graph_flags_match_networkx(pairs):
 
 
 @pytest.mark.parametrize("pairs", [
+    # a triangle, a star, and two bipartite components of one edge
+    [(0, 1), (1, 2), (2, 0)],
+    [(0, 1), (0, 2), (0, 3)],
+    [(0, 1), (2, 3)],
     # two bipartite components
     [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)],
-    # an odd cycle in the second and in the third component
+    # an odd cycle in the first, the second and the third component
+    [(0, 1), (1, 2), (2, 0), (3, 4)],
     [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)],
     [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2), (7, 8), (8, 9),
      (9, 7)],

@@ -60,18 +60,23 @@ def test_configuration_model_matches_permuting_reference(spec, retries):
     assert odd and retried == retries
 
 
-def test_configuration_model_degenerate_specs():
-    with pytest.raises(DataError, match="^k_max 3 < k_min 5$"):
-        configuration_model(ConfigModelSpec(10, 2.4, k_min=5, k_max=3))
-    with pytest.raises(DataError, match="^k_min must be >= 1$"):
-        configuration_model(ConfigModelSpec(10, 2.4, k_min=0))
-    with pytest.raises(DataError, match="^k_max 10 > n-1 = 9$"):
-        configuration_model(ConfigModelSpec(10, 2.4, k_max=10))
-    with pytest.raises(DataError, match="^power-law exponent must be > 1$"):
-        configuration_model(ConfigModelSpec(10, 1.0))
-
-
 @pytest.mark.parametrize("spec, fields, message", [
+    (ConfigModelSpec, dict(node_count=10, power_law_exponent=2.4, k_min=5,
+                           k_max=3), "k_max 3 < k_min 5"),
+    (ConfigModelSpec, dict(node_count=10, power_law_exponent=2.4, k_min=0),
+     "k_min must be >= 1"),
+    (ConfigModelSpec, dict(node_count=10, power_law_exponent=2.4, k_max=10),
+     "k_max 10 > n-1 = 9"),
+    (ConfigModelSpec, dict(node_count=10, power_law_exponent=1.0),
+     "power-law exponent must be > 1"),
+    (ConfigModelSpec, dict(node_count=3_037_000_500, power_law_exponent=2.4),
+     "need 2 to 3037000499 nodes, got 3037000500"),
+    (ErdosRenyiSpec, dict(node_count=10, edge_probability=0.0),
+     "edge probability must be in (0, 1]"),
+    (ErdosRenyiSpec, dict(node_count=1, edge_probability=0.5),
+     "need 2 to 3037000499 nodes, got 1"),
+    (ErdosRenyiSpec, dict(node_count=10 ** 20, edge_probability=0.5),
+     f"need 2 to 3037000499 nodes, got {10 ** 20}"),
     (ConfigModelSpec, dict(node_count=100.5, power_law_exponent=2.4),
      "node_count must be a count >= 0, got 100.5"),
     (ConfigModelSpec, dict(node_count=100, power_law_exponent=2.4, seed=-1),
@@ -91,11 +96,17 @@ def test_configuration_model_degenerate_specs():
     (LabelTarget, dict(base_probability=0.3, target=0.1, max_iterations=-1),
      "max_iterations must be a count >= 0, got -1"),
 ])
-def test_specs_reject_non_count_fields(spec, fields, message):
+def test_specs_reject_bad_fields(spec, fields, message):
     with pytest.raises(DataError) as exc:
         spec(**fields)
     assert type(exc.value) is DataError
     assert str(exc.value) == message
+
+
+def test_largest_node_count_keeps_keys_in_int64():
+    n = netgen._MAX_NODES
+    assert n * n <= 2 ** 63 < (n + 1) ** 2
+    ConfigModelSpec(n, 2.4), ErdosRenyiSpec(n, 0.5)
 
 
 def test_power_law_ccdf_slope():
@@ -159,14 +170,6 @@ def test_er_isolated_nodes_exhaust_retries():
                                         "isolated nodes in 100 attempts$"):
         erdos_renyi(ErdosRenyiSpec(node_count=50, edge_probability=0.001,
                                    seed=0))
-
-
-def test_er_validation():
-    with pytest.raises(DataError,
-                       match=r"^edge probability must be in \(0, 1\]$"):
-        erdos_renyi(ErdosRenyiSpec(node_count=10, edge_probability=0.0))
-    with pytest.raises(DataError, match="^need at least two nodes$"):
-        erdos_renyi(ErdosRenyiSpec(node_count=1, edge_probability=0.5))
 
 
 # ---------------------------------------------------------------------------
