@@ -54,18 +54,23 @@ class ExperimentConfig:
 
 class Check(NamedTuple):
     """A value check: the words its error uses, what a value of each type
-    it accepts becomes, and the type that parses its ``generate`` flag."""
+    it accepts becomes, the type that parses its ``generate`` flag, and
+    the least value a count takes."""
 
     noun: str
     convert: dict
     flag_type: type | None = None
+    least: int | None = None
 
     def __call__(self, key: str, value):
         try:
-            return self.convert[type(value)](value)
+            value = self.convert[type(value)](value)
         except KeyError:
             raise DataError(f"{key} must be {self.noun}, got {value!r}") \
                 from None
+        # the key, not the spec field it sets, names a count out of range
+        return value if self.least is None \
+            else require_count(key, value, self.least)
 
 
 def _file_name(value: str) -> str:
@@ -76,7 +81,8 @@ def _file_name(value: str) -> str:
     return value
 
 
-INTEGER = Check("an integer", {int: int}, int)  # a bool is no integer here
+# a bool is no integer here
+COUNT = Check("an integer", {int: int}, int, least=0)
 NUMBER = Check("a number", {int: float, float: float}, float)
 # a file name of digits is quoted: unquoted, 0123 would open 123
 PATH = Check("a path", {str: _file_name})
@@ -116,19 +122,19 @@ _SPECS = (("graph_source", CONFIG, ConfigModelSpec),
 KEYS = {key.name: key for key in (
     Key("graph.path", "graph_source", PATH),
     Key("graph.model", "", None, flag="--model", options={"required": True}),
-    Key("graph.n", "graph_source.node_count", INTEGER, (CONFIG, ER), True,
+    Key("graph.n", "graph_source.node_count", COUNT, (CONFIG, ER), True,
         "--n", {"required": True}),
     Key("graph.alpha", "graph_source.power_law_exponent", NUMBER, (CONFIG,),
         True, "--alpha", {"help": "power-law exponent (config)"}),
-    Key("graph.kmin", "graph_source.k_min", INTEGER, (CONFIG,), flag="--kmin"),
-    Key("graph.kmax", "graph_source.k_max", INTEGER, (CONFIG,), flag="--kmax"),
+    Key("graph.kmin", "graph_source.k_min", COUNT, (CONFIG,), flag="--kmin"),
+    Key("graph.kmax", "graph_source.k_max", COUNT, (CONFIG,), flag="--kmax"),
     Key("graph.p", "graph_source.edge_probability", NUMBER, (ER,), True,
         "--p", {"help": "edge probability (er)"}),
     Key("graph.rkk", "rewire.target", NUMBER, flag="--rkk",
         options={"help": "assortativity target"}),
     Key("graph.rkk_tol", "rewire.tolerance", NUMBER, ("graph.rkk",),
         flag="--rkk-tol"),
-    Key("graph.rkk_max_iter", "rewire.max_iterations", INTEGER,
+    Key("graph.rkk_max_iter", "rewire.max_iterations", COUNT,
         ("graph.rkk",), flag="--max-iter"),
     Key("labels.path", "label_source", PATH),
     Key("labels.p", "label_source.base_probability", NUMBER, flag="--label-p",
@@ -137,7 +143,7 @@ KEYS = {key.name: key for key in (
         flag="--rho", options={"help": "degree-label corr target"}),
     Key("labels.tol", "label_source.tolerance", NUMBER, ("labels.rho",),
         flag="--rho-tol"),
-    Key("labels.max_iter", "label_source.max_iterations", INTEGER,
+    Key("labels.max_iter", "label_source.max_iterations", COUNT,
         ("labels.rho",), flag="--max-iter"),
     Key("budgets", "budgets", BUDGETS),
     Key("replications", "replications", None),

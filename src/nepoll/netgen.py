@@ -207,22 +207,63 @@ def configuration_model(spec: ConfigModelSpec) -> tuple[Graph, int]:
 
 def erdos_renyi(spec: ErdosRenyiSpec) -> Graph:
     """G(n, p): each unordered pair is an edge independently with
-    probability p.  Draws with isolated nodes are retried."""
+    probability p.  Draws with isolated nodes are retried.
+
+    The pairs (u, v), u < v, are indexed in row order, from 0 to
+    N - 1 = n(n - 1)/2 - 1, and the gaps between the indices of
+    consecutive edges are drawn as Geometric(p) (Batagelj & Brandes,
+    Phys. Rev. E 71, 036113, 2005), so a draw costs O(n + m), not one
+    uniform per pair.
+    """
     n = spec.node_count
     p = spec.edge_probability
     for attempt in range(_MAX_GENERATION_RETRIES):
         gen = stream(spec.seed, attempt)
-        keys = []  # row u: the keys u * n + v of its edges, v > u ascending
-        for u in range(n - 1):
-            hits = np.flatnonzero(gen.random(n - 1 - u) < p)
-            keys.append(u * n + u + 1 + hits.astype(np.int64))
-        g = Graph(n, np.concatenate(keys), np.arange(n, dtype=np.int64))
+        keys = _pair_keys(_edge_indices(gen, p, n * (n - 1) // 2), n)
+        g = Graph(n, keys, np.arange(n, dtype=np.int64))
         if g.min_degree == 0:
             continue
         return g
     raise DataError(
         f"G(n={n}, p={p}) produced isolated nodes in "
         f"{_MAX_GENERATION_RETRIES} attempts")
+
+
+def _edge_indices(gen: np.random.Generator, p: float,
+                  pairs: int) -> np.ndarray:
+    """The ascending indices in [0, pairs) of the pairs that are edges of
+    G(n, p): the gap to each next one is Geometric(p).  The gaps are
+    drawn in blocks of the expected number of edges left, plus three
+    standard deviations, until their running sum passes the last pair."""
+    blocks, last = [], -1
+    while True:
+        left = p * (pairs - 1 - last)
+        gaps = gen.geometric(p, size=int(left + 3 * math.sqrt(left)) + 1)
+        # numpy returns 2**63 - 1 for a tiny p; clipped, a sum that passes
+        # the last pair is at most 2 * pairs, inside int64.  Sums after it
+        # may wrap, so the first one past the end is found by argmax
+        np.minimum(gaps, pairs + 1, out=gaps)
+        index = np.cumsum(gaps, out=gaps)
+        index += last
+        past = index >= pairs
+        if past.any():
+            blocks.append(index[:int(np.argmax(past))])
+            return np.concatenate(blocks)
+        blocks.append(index)
+        last = int(index[-1])
+
+
+def _pair_keys(index: np.ndarray, n: int) -> np.ndarray:
+    """The keys u * n + v of the pairs at the ``index``es, in place: row u
+    starts at S(u) = u(2n - u - 1)/2, and t lies in row u = max{u : S(u)
+    <= t}, at v = t - S(u) + u + 1.  Ascending indices give ascending
+    keys."""
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(row_start, index, "right") - 1
+    index -= row_start[u]
+    index += u * (n + 1) + 1
+    return index
 
 
 def _in_sorted(values: np.ndarray,

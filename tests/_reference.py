@@ -39,6 +39,11 @@ and the keys of the ``min``/``max`` ends made distinct by ``np.unique``.
 draws, and builds the keys in place; its graphs, erased-stub counts and
 retries must equal these.
 
+``edge_indices`` draws the Geometric(p) gaps between the indices of
+G(n, p)'s edges one at a time, in Python ints, until their sum passes
+the last pair.  ``nepoll.netgen`` draws them in blocks, and after the
+last edge a block's draws are dropped, so its indices must equal these.
+
 ``first_claims`` finds each claim's earliest row through the stable sort
 of ``np.unique``: the referee for ``nepoll.graph._first_claims``.
 
@@ -321,6 +326,17 @@ def configuration_model(spec):
         if g.min_degree > 0:
             return g, int(degrees.sum()) - g.edge_end_count, attempt, odd
     raise DataError("configuration model left isolated nodes")
+
+
+def edge_indices(gen, p, pairs):
+    """The indices in [0, pairs) of G(n, p)'s edges: each gap to the next
+    is one Geometric(p) draw."""
+    indices, t = [], -1
+    while True:
+        t += int(gen.geometric(p))
+        if t >= pairs:
+            return indices
+        indices.append(t)
 
 
 def first_claims(claims):

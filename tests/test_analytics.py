@@ -507,6 +507,17 @@ def test_fosd_regular_equality(k3):
     assert cdf_uniform == cdf_neighbor
 
 
+@settings(max_examples=200, deadline=None)
+@given(g=graphs())
+def test_fosd_holds_is_exact_dominance(g):
+    # in no graph of networkx's atlas (up to 7 nodes) does the neighbor
+    # degree law fail to dominate, so this compares the two results; it
+    # cannot pin a failing case
+    _, cdf_uniform, cdf_neighbor = _degree_cdfs(g)
+    assert _paradox(g).fosd_holds == all(
+        z <= x for z, x in zip(cdf_neighbor, cdf_uniform))
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracle and equivalence
 

@@ -393,6 +393,33 @@ def test_generate_checks_ranges_before_building(tmp_path, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
+# a count key out of range, and the keys it needs to be read: the error
+# names the key, not the spec field it sets, in a config and as a flag
+@pytest.mark.parametrize("key, value, needs", [
+    ("graph.n", -5, {}),
+    ("graph.kmin", -1, {}),
+    ("graph.kmax", -3, {}),
+    ("graph.rkk_max_iter", -1, {"graph.rkk": 0.1}),
+    ("labels.max_iter", -2, {"labels.rho": 0.1}),
+    ("seed", -1, {}),
+])
+def test_count_errors_name_the_key(tmp_path, capsys, key, value, needs):
+    keys = {"graph.model": "config", "graph.n": 50, "graph.alpha": 2.4,
+            "labels.p": 0.3, **needs, key: value}
+    message = f"{key} must be a count >= 0, got {value}"
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: DataError: {cfg}: {message}\n"
+
+    flags = [arg for k, v in keys.items()
+             for arg in (config.KEYS[k].flag, str(v))]
+    assert main(["generate", *flags, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: DataError: {message}\n"
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_config_loader_rewrites_only_data_errors(tmp_path, monkeypatch):
     def bug(kv):
         raise ValueError("bug in the loader")

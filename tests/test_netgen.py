@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -170,6 +171,80 @@ def test_er_isolated_nodes_exhaust_retries():
                                         "isolated nodes in 100 attempts$"):
         erdos_renyi(ErdosRenyiSpec(node_count=50, edge_probability=0.001,
                                    seed=0))
+
+
+def test_er_tiny_p_exhausts_retries_without_overflow():
+    # numpy draws 2**63 - 1 for every gap of p = 1e-300
+    with pytest.raises(DataError) as exc:
+        erdos_renyi(ErdosRenyiSpec(node_count=50, edge_probability=1e-300,
+                                   seed=0))
+    assert type(exc.value) is DataError
+    assert str(exc.value) == \
+        "G(n=50, p=1e-300) produced isolated nodes in 100 attempts"
+
+
+# at the largest n, the 12 gaps of a block of p = 1e-18, about 1e18 each,
+# sum past 2**63; p = 1e-19 draws gaps of 2**63 - 1 after an edge.  No
+# sum past the last pair may wrap into an edge
+@pytest.mark.parametrize("p", [1e-18, 1e-19])
+def test_er_gap_sums_past_int64_keep_the_indices(p):
+    n = netgen._MAX_NODES
+    pairs = n * (n - 1) // 2
+    for seed in range(20):
+        assert netgen._edge_indices(stream(seed), p, pairs).tolist() \
+            == _reference.edge_indices(stream(seed), p, pairs)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_er_pair_index_is_the_combinations_position(n):
+    combos = list(itertools.combinations(range(n), 2))
+    keys = netgen._pair_keys(np.arange(len(combos), dtype=np.int64), n)
+    assert keys.tolist() == [u * n + v for u, v in combos]
+
+
+# The law of the gap draw on n = 7, over many seeds: the pairs are iid
+# Bernoulli(p).  erdos_renyi's retries condition on no isolated node, so
+# the draw is tested beneath them.
+_LAW_N, _LAW_SEEDS = 7, 3000
+_LAW_PAIRS = _LAW_N * (_LAW_N - 1) // 2
+
+
+@pytest.fixture(scope="module", params=[0.01, 0.05, 0.3, 0.9])
+def er_draws(request):
+    """p, and the edge indices G(7, p) draws at each of many seeds."""
+    p = request.param
+    return p, [netgen._edge_indices(stream(seed), p, _LAW_PAIRS)
+               for seed in range(_LAW_SEEDS)]
+
+
+def test_er_draw_is_one_gap_at_a_time(er_draws):
+    # a small p draws blocks of 2 gaps, so many draws cross a block
+    p, draws = er_draws
+    for seed, index in enumerate(draws):
+        assert index.tolist() == _reference.edge_indices(stream(seed), p,
+                                                         _LAW_PAIRS)
+        keys = netgen._pair_keys(index.copy(), _LAW_N)
+        assert np.all(np.diff(keys) > 0)
+
+
+def test_er_pair_inclusion_is_bernoulli(er_draws):
+    p, draws = er_draws
+    hits = np.bincount(np.concatenate(draws), minlength=_LAW_PAIRS)
+    # each pair's hits are Binomial(seeds, p): within 5 standard deviations
+    band = 5 * math.sqrt(_LAW_SEEDS * p * (1 - p))
+    assert np.all(np.abs(hits - _LAW_SEEDS * p) <= band)
+
+
+def test_er_edge_count_is_binomial(er_draws):
+    p, draws = er_draws
+    counts = np.array([len(index) for index in draws])
+    mean, var = _LAW_PAIRS * p, _LAW_PAIRS * p * (1 - p)
+    # standard errors of the sample mean and sample variance of
+    # Binomial(pairs, p), whose excess kurtosis is (1 - 6p(1 - p)) / var
+    kurtosis = (1 - 6 * p * (1 - p)) / var
+    assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / _LAW_SEEDS)
+    assert abs(counts.var(ddof=1) - var) \
+        <= 5 * var * math.sqrt((2 + kurtosis) / _LAW_SEEDS)
 
 
 # ---------------------------------------------------------------------------
