@@ -83,6 +83,8 @@ def _file_name(value: str) -> str:
 
 # a bool is no integer here
 COUNT = Check("an integer", {int: int}, int, least=0)
+# the configuration model isolates no node
+DEGREE = COUNT._replace(least=1)
 NUMBER = Check("a number", {int: float, float: float}, float)
 # a file name of digits is quoted: unquoted, 0123 would open 123
 PATH = Check("a path", {str: _file_name})
@@ -126,7 +128,7 @@ KEYS = {key.name: key for key in (
         "--n", {"required": True}),
     Key("graph.alpha", "graph_source.power_law_exponent", NUMBER, (CONFIG,),
         True, "--alpha", {"help": "power-law exponent (config)"}),
-    Key("graph.kmin", "graph_source.k_min", COUNT, (CONFIG,), flag="--kmin"),
+    Key("graph.kmin", "graph_source.k_min", DEGREE, (CONFIG,), flag="--kmin"),
     Key("graph.kmax", "graph_source.k_max", COUNT, (CONFIG,), flag="--kmax"),
     Key("graph.p", "graph_source.edge_probability", NUMBER, (ER,), True,
         "--p", {"help": "edge probability (er)"}),

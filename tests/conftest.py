@@ -1,6 +1,7 @@
 import pytest
 
-from nepoll import LabeledGraph, build_graph
+from nepoll import (ConfigModelSpec, LabeledGraph, build_graph,
+                    configuration_model)
 
 
 @pytest.fixture
@@ -43,3 +44,13 @@ def star_chord():
 @pytest.fixture
 def two_edges():
     return build_graph([(0, 1), (2, 3)])
+
+
+@pytest.fixture(scope="module")
+def powerlaw_graph():
+    """The swap tests' graph.  k_max is capped: an unlucky dominant hub caps
+    the attainable assortativity well below the targets they use."""
+    g, _ = configuration_model(
+        ConfigModelSpec(node_count=1000, power_law_exponent=2.4,
+                        k_min=1, k_max=60, seed=11))
+    return g

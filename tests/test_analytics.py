@@ -79,44 +79,31 @@ def _sparse_random_graph(n, extra_edges, seed):
     return build_graph(np.stack(np.divmod(keys, n), axis=1))
 
 
-def test_spectrum_triangle(k3):
-    s = spectral_summary(k3)
-    assert s.lambda2 == pytest.approx(0.5, abs=1e-12)
-    assert s.top_residual <= 1e-12
-    # the neighbor sets {1, 2}, {0, 2}, {0, 1} all differ
-    assert (s.lambda_n, s.lambda_n_exact) == (0.0, False)
-
-
-def test_spectrum_c5():
-    c5 = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    s = spectral_summary(c5)
-    assert s.lambda2 == pytest.approx(abs(math.cos(4 * math.pi / 5)),
-                                      abs=1e-9)
-    assert s.lambda2 == pytest.approx(0.8090, abs=5e-5)
+# lambda2, exactly 1 on a bipartite or disconnected graph; whether two
+# nodes are twins, with one neighbor set, which certifies lambda_n = 0; and
+# the dense referee's smallest singular value
+@pytest.mark.parametrize("edges, lambda2, twins, least", [
+    ([(0, 1), (1, 2), (2, 0)], 0.5, False, 0.5),
     # every node has degree 2, but no two share a neighbor set
-    assert not s.lambda_n_exact
-    assert np.abs(_dense_spectrum(c5)).min() > 0.3
-
-
-def test_spectrum_bipartite_star(star):
-    s = spectral_summary(star)
-    assert s.top_residual <= 1e-12
-    assert s.lambda2 == 1.0
-    # the leaves are twins: all three have the neighbor set {0}
-    assert (s.lambda_n, s.lambda_n_exact) == (0.0, True)
-
-
-def test_spectrum_disconnected(two_edges):
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], abs(math.cos(4 * math.pi / 5)),
+     False, abs(math.cos(2 * math.pi / 5))),
+    # the leaves share the neighbor set {0}
+    ([(0, 1), (0, 2), (0, 3)], 1.0, True, 0.0),
     # each component contributes a unit singular value
-    assert spectral_summary(two_edges).lambda2 == 1.0
-
-
-def test_twins_certify_lambda_n_zero():
-    # nodes 0 and 1 share the neighbor set {2, 3} in a non-bipartite graph
-    g = build_graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    ([(0, 1), (2, 3)], 1.0, False, 1.0),
+    # nodes 0 and 1 share the neighbor set {2, 3} in a non-bipartite graph,
+    # whose most negative eigenvalue is -(3 + sqrt(33)) / 12
+    ([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)],
+     (3 + math.sqrt(33)) / 12, True, 0.0),
+], ids=["triangle", "c5", "star", "two-edges", "twins"])
+def test_spectrum_examples(edges, lambda2, twins, least):
+    g = build_graph(edges)
     s = spectral_summary(g)
-    assert (s.lambda_n, s.lambda_n_exact) == (0.0, True)
-    assert np.abs(_dense_spectrum(g)).min() <= 1e-12
+    assert s.lambda2 == (1.0 if lambda2 == 1.0
+                         else pytest.approx(lambda2, abs=1e-12))
+    assert s.top_residual <= 1e-12
+    assert (s.lambda_n, s.lambda_n_exact) == (0.0, twins)
+    assert np.abs(_dense_spectrum(g)).min() == pytest.approx(least, abs=1e-12)
 
 
 @st.composite
@@ -239,15 +226,20 @@ def _eigenvalues_below(a, b, x):
     0.2995868491035625, 0.7333607916256355, 0.4407360431193167,
     0.7518993024600689, 0.6582561999055923, 0.5913156797028991, 1.0,
     0.0008302670873568355])))
+# subnormal: the float nearest theta may lie farther than 2 eps |theta| off
+@example(t=(np.array([0.0, 2.22507386e-313]), np.array([2.22507386e-313])))
 def test_extreme_ritz_pair_matches_dense_eigh(t):
     a, b = t
     eps = np.finfo(float).eps
     theta, s_k = analytics._extreme_ritz_pair(a.tolist(), b.tolist())
     # exact referee for theta: the whole spectrum lies within |theta| + tol
     # of 0, and an eigenvalue within tol of theta.  mpmath puts theta
-    # within 0.62 ulps of |T| over 1500 drawn cases
+    # within 0.62 ulps of |T| over 1500 drawn cases.  Below the smallest
+    # normal float the ulp is fixed at 2**-1074, so tol keeps the floor
+    # 2 eps 2**-1022 = 2 * 2**-1074, which leaves it unchanged for normal
+    # theta
     n, exact = len(a), Fraction(theta)
-    tol = Fraction(2 * eps) * abs(exact)
+    tol = max(Fraction(2 * eps) * abs(exact), Fraction(2, 2 ** 1074))
     assert _eigenvalues_below(a, b, -abs(exact) - tol) == 0
     assert _eigenvalues_below(-a, b, -abs(exact) - tol) == 0
     # eigenvalues of T above exact + tol are those of -T below its negation
@@ -323,41 +315,39 @@ def _bounds(lg):
     return error_bounds(lg, s.lambda2, s.lambda_n)
 
 
-def test_exact_error_rw_star(star_lg):
-    assert _exact(star_lg, "RW") == pytest.approx((0.25, 0.25), abs=1e-12)
-    assert _bounds(star_lg).rw_variance == pytest.approx(0.5, abs=1e-12)
+# single-sample (bias, var1) worked by hand: on a regular graph RW and FN
+# poll the uniform law, as UN does
+@pytest.mark.parametrize("graph, labels, kind, error", [
+    ("star", [1, 0, 0, 0], "IP", (0.0, 0.1875)),
+    ("star", [1, 0, 0, 0], "UN", (0.5, 0.1875)),
+    ("star", [1, 0, 0, 0], "RW", (0.25, 0.25)),
+    ("star", [1, 0, 0, 0], "FN", (0.0, 0.1875)),
+    ("k3", [1, 0, 0], "IP", (0.0, 2 / 9)),
+    ("k3", [1, 0, 0], "UN", (0.0, 1 / 18)),
+    ("k3", [1, 0, 0], "RW", (0.0, 1 / 18)),
+    ("k3", [1, 0, 0], "FN", (0.0, 1 / 18)),
+    # the responses 0, 1, 0, 1 have the labels' mean and variance
+    ("c4", [1, 0, 1, 0], "IP", (0.0, 0.25)),
+    ("c4", [1, 0, 1, 0], "UN", (0.0, 0.25)),
+    ("c4", [1, 0, 1, 0], "RW", (0.0, 0.25)),
+    ("c4", [1, 0, 1, 0], "FN", (0.0, 0.25)),
+], ids=[f"{g}-{k}" for g in ("star", "k3", "c4")
+        for k in ("IP", "UN", "RW", "FN")])
+def test_exact_error_examples(request, graph, labels, kind, error):
+    lg = LabeledGraph(request.getfixturevalue(graph), labels)
+    assert _exact(lg, kind) == pytest.approx(error, abs=1e-12)
 
 
-def test_exact_error_rw_unbiased_on_regular(k3_lg):
-    assert _exact(k3_lg, "RW")[0] == 0.0
+def test_unbiased_laws_are_exactly_unbiased(star_lg, k3_lg):
+    # IP reads each node's own label; a walk on a regular graph is uniform
+    assert _exact(star_lg, "IP")[0] == _exact(k3_lg, "RW")[0] == 0.0
 
 
-def test_exact_error_un_star(star_lg):
-    bias, var1 = _exact(star_lg, "UN")
-    assert bias == pytest.approx(0.5, abs=1e-12)
-    assert var1 == pytest.approx(0.1875, abs=1e-12)
-    bound = _bounds(star_lg).un_variance
-    assert bound == pytest.approx(0.75, abs=1e-12)
-    assert var1 <= bound
-
-
-def test_exact_error_un_c4_alternating(c4):
-    bias, var1 = _exact(LabeledGraph(c4, [1, 0, 1, 0]), "UN")
-    assert bias == pytest.approx(0.0, abs=1e-12)
-    assert var1 == pytest.approx(0.25, abs=1e-12)
-
-
-def test_exact_error_un_triangle(k3_lg):
-    bias, var1 = _exact(k3_lg, "UN")
-    assert bias == pytest.approx(0.0, abs=1e-12)
-    assert var1 == pytest.approx(1 / 18, abs=1e-12)
-
-
-def test_exact_error_fn_star(star_lg):
-    bias, var1 = _exact(star_lg, "FN")
-    assert bias == pytest.approx(0.0, abs=1e-12)
-    assert var1 == pytest.approx(0.1875, abs=1e-12)
-    assert bias ** 2 <= _bounds(star_lg).fn_bias_sq + 1e-12
+def test_error_bounds_star(star_lg):
+    # above the star's UN var1 0.1875, RW var1 0.25 and FN bias 0
+    b = _bounds(star_lg)
+    assert (b.un_variance, b.rw_variance, b.fn_bias_sq) == pytest.approx(
+        (0.75, 0.5, 0.625), abs=1e-12)
 
 
 def test_fn_bias_bound_reads_lambda_n_as_singular_value():
@@ -392,17 +382,6 @@ def test_fn_bias_bound_reads_lambda_n_as_singular_value():
     assert fn_bias_sq_bound(lg, smallest_eigenvalue) == pytest.approx(
         0.0, abs=1e-12)
     assert _bounds(lg).fn_bias_sq >= 1 / 256
-
-
-def test_exact_error_fn_equals_un_on_regular(k3_lg):
-    assert _exact(k3_lg, "FN") == pytest.approx(_exact(k3_lg, "UN"),
-                                                abs=1e-12)
-
-
-def test_exact_error_ip(star_lg):
-    bias, var1 = _exact(star_lg, "IP")
-    assert bias == 0.0
-    assert var1 == pytest.approx(0.1875, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -457,28 +436,6 @@ def _paradox(g):
     return friendship_paradox_check(g, respondent_law(g, "FN"))
 
 
-def test_paradox_star(star):
-    c = _paradox(star)
-    assert (c.mean_degree_uniform, c.mean_degree_friend) == (1.5, 2.0)
-    assert c.mean_degree_neighbor == pytest.approx(2.5, abs=1e-12)
-    assert c.holds
-
-
-def test_paradox_regular_equality(k3):
-    c = _paradox(k3)
-    assert c.mean_degree_uniform == c.mean_degree_friend == 2.0
-    assert c.mean_degree_neighbor == pytest.approx(2.0, abs=1e-12)
-    assert c.holds
-
-
-def test_paradox_path(path3):
-    c = _paradox(path3)
-    assert c.mean_degree_uniform == pytest.approx(4 / 3, abs=1e-12)
-    assert c.mean_degree_friend == pytest.approx(1.5, abs=1e-12)
-    assert c.mean_degree_neighbor == pytest.approx(5 / 3, abs=1e-12)
-    assert c.holds
-
-
 def _degree_cdfs(g):
     """The degree values, and in Fractions the degree CDFs of a uniform
     node and of a uniform neighbor of a uniform node (the reference walk
@@ -493,18 +450,25 @@ def _degree_cdfs(g):
     return ks, cdf_uniform, cdf_neighbor
 
 
-def test_fosd_star(star):
-    assert _paradox(star).fosd_holds
-    ks, cdf_uniform, cdf_neighbor = _degree_cdfs(star)
-    assert ks == [1, 3]
-    assert cdf_uniform == [0.75, 1.0]
-    assert cdf_neighbor[0] == Fraction(1, 4)
-
-
-def test_fosd_regular_equality(k3):
-    assert _paradox(k3).fosd_holds
-    _, cdf_uniform, cdf_neighbor = _degree_cdfs(k3)
-    assert cdf_uniform == cdf_neighbor
+# the mean degrees of a uniform node, a uniform friend (an edge end) and a
+# uniform neighbor of a uniform node, and at each degree the CDFs of the
+# first and the last; the first two means are ratios of integer sums
+@pytest.mark.parametrize("graph, means, ks, cdf_uniform, cdf_neighbor", [
+    ("star", (1.5, 2.0, 2.5), [1, 3], [Fraction(3, 4), 1],
+     [Fraction(1, 4), 1]),
+    # on a regular graph the three laws give one degree
+    ("k3", (2.0, 2.0, 2.0), [2], [1], [1]),
+    ("path3", (4 / 3, 1.5, 5 / 3), [1, 2], [Fraction(2, 3), 1],
+     [Fraction(1, 3), 1]),
+], ids=["star", "k3", "path3"])
+def test_paradox_examples(request, graph, means, ks, cdf_uniform,
+                          cdf_neighbor):
+    g = request.getfixturevalue(graph)
+    c = _paradox(g)
+    assert (c.mean_degree_uniform, c.mean_degree_friend) == means[:2]
+    assert c.mean_degree_neighbor == pytest.approx(means[2], abs=1e-12)
+    assert c.holds and c.fosd_holds
+    assert _degree_cdfs(g) == (ks, cdf_uniform, cdf_neighbor)
 
 
 @settings(max_examples=200, deadline=None)

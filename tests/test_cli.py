@@ -126,32 +126,6 @@ def test_check_fails_on_broken_walk_and_bounds(star_files, monkeypatch,
     assert sorted(failed) == sorted(NEW_CHECK_LINES)
 
 
-def test_generate_and_sweep_round_trip(tmp_path, capsys):
-    prefix = tmp_path / "gen"
-    assert main(["generate", "--model", "config", "--n", "300",
-                 "--alpha", "2.4", "--kmax", "30", "--rkk", "0.1",
-                 "--label-p", "0.3", "--rho", "0.1",
-                 "--seed", "7", "--out", str(prefix)]) == 0
-    out = capsys.readouterr().out
-    assert "achieved_rkk" in out and "achieved_rho" in out
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        f'graph.path = "{prefix}.edges"\n'
-        f'labels.path = "{prefix}.labels"\n'
-        "budgets = [1, 3]\n"
-        "replications = 60\n"
-        "estimators = [IP, UN, FN]\n"
-        "seed = 11\n")
-    out_csv = tmp_path / "res.csv"
-    assert main(["sweep", "--config", str(cfg),
-                 "--out", str(out_csv)]) == 0
-    assert capsys.readouterr().out == f"wrote 6 rows to {out_csv}\n"
-    lines = out_csv.read_text().splitlines()
-    assert lines[0] == ("estimator,budget,emp_bias,emp_var,emp_mse,"
-                        "exact_bias,exact_var,exact_mse")
-    assert len(lines) == 1 + 6
-
-
 def test_sweep_replays_and_joins_from_ranges(star_files, tmp_path, capsys):
     # the star plus a chord is not bipartite; RW walks the default length
     edges, labels = star_files
@@ -207,14 +181,17 @@ def test_sweep_accepts_only_one_worker(star_files, tmp_path, monkeypatch,
     assert not out.exists()
 
 
-def test_generate_matches_materialize(tmp_path, capsys):
+def test_generate_matches_materialize_and_sweeps(tmp_path, capsys):
     """``nepoll generate`` draws rewiring and labels from the same
-    streams as a sweep config with the same seed."""
+    streams as a sweep config with the same seed, and a sweep reads the
+    files it writes."""
     prefix = tmp_path / "gen"
     assert main(["generate", "--model", "config", "--n", "300",
                  "--alpha", "2.4", "--kmax", "30", "--rkk", "0.1",
                  "--label-p", "0.3", "--rho", "0.1",
                  "--seed", "7", "--out", str(prefix)]) == 0
+    out = capsys.readouterr().out
+    assert "achieved_rkk" in out and "achieved_rho" in out
     lg, _ = materialize(ExperimentConfig(
         graph_source=ConfigModelSpec(300, 2.4, k_max=30, seed=7),
         label_source=LabelTarget(0.3, target=0.1),
@@ -224,14 +201,22 @@ def test_generate_matches_materialize(tmp_path, capsys):
     for suffix in ("edges", "labels"):
         assert (tmp_path / f"gen.{suffix}").read_bytes() \
             == (tmp_path / f"cfg.{suffix}").read_bytes()
-
-
-def test_generate_er_model(tmp_path, capsys):
-    prefix = tmp_path / "er"
-    assert main(["generate", "--model", "er", "--n", "80", "--p", "0.2",
-                 "--seed", "3", "--out", str(prefix)]) == 0
-    assert (tmp_path / "er.edges").exists()
-    assert (tmp_path / "er.labels").exists()
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f'graph.path = "{prefix}.edges"\n'
+        f'labels.path = "{prefix}.labels"\n'
+        "budgets = [1, 3]\n"
+        "replications = 60\n"
+        "estimators = [IP, UN, FN]\n"
+        "seed = 11\n")
+    out_csv = tmp_path / "res.csv"
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(out_csv)]) == 0
+    assert capsys.readouterr().out == f"wrote 6 rows to {out_csv}\n"
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == ("estimator,budget,emp_bias,emp_var,emp_mse,"
+                        "exact_bias,exact_var,exact_mse")
+    assert len(lines) == 1 + 6
 
 
 def test_data_error_exit_code(capsys):
@@ -393,20 +378,21 @@ def test_generate_checks_ranges_before_building(tmp_path, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
-# a count key out of range, and the keys it needs to be read: the error
-# names the key, not the spec field it sets, in a config and as a flag
-@pytest.mark.parametrize("key, value, needs", [
-    ("graph.n", -5, {}),
-    ("graph.kmin", -1, {}),
-    ("graph.kmax", -3, {}),
-    ("graph.rkk_max_iter", -1, {"graph.rkk": 0.1}),
-    ("labels.max_iter", -2, {"labels.rho": 0.1}),
-    ("seed", -1, {}),
+# a count key below its least value, and the keys it needs to be read: the
+# error names the key, not the spec field it sets, in a config and as a flag
+@pytest.mark.parametrize("key, value, least, needs", [
+    ("graph.n", -5, 0, {}),
+    ("graph.kmin", 0, 1, {}),
+    ("graph.kmax", -3, 0, {}),
+    ("graph.rkk_max_iter", -1, 0, {"graph.rkk": 0.1}),
+    ("labels.max_iter", -2, 0, {"labels.rho": 0.1}),
+    ("seed", -1, 0, {}),
 ])
-def test_count_errors_name_the_key(tmp_path, capsys, key, value, needs):
+def test_count_errors_name_the_key(tmp_path, capsys, key, value, least,
+                                   needs):
     keys = {"graph.model": "config", "graph.n": 50, "graph.alpha": 2.4,
             "labels.p": 0.3, **needs, key: value}
-    message = f"{key} must be a count >= 0, got {value}"
+    message = f"{key} must be a count >= {least}, got {value}"
     cfg = tmp_path / "neg.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
     assert main(["sweep", "--config", str(cfg),
@@ -498,8 +484,6 @@ _TRIANGLE = "0 1\n1 2\n0 2\n"
      "g.edges:1: self-loop at node 1"),
     ({}, ["generate", "--model", "er", "--n", "50", "--p", "0.001"],
      "G(n=50, p=0.001) produced isolated nodes in 100 attempts"),
-    ({}, ["generate", "--model", "config", "--n", "50", "--alpha", "2.4",
-          "--kmin", "0"], "k_min must be >= 1"),
     ({}, ["generate", "--model", "config", "--n", "5", "--alpha", "2.4",
           "--kmax", "10"], "k_max 10 > n-1 = 4"),
     ({"g.edges": _TRIANGLE,

@@ -392,25 +392,17 @@ def test_config_comment_only_outside_quotes():
         "a": "x # y", "b": 3}
 
 
-def test_experiment_config_validation(tmp_path):
-    with pytest.raises(ValueError):
-        ExperimentConfig(graph_source="x", label_source="y", replications=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(graph_source="x", label_source="y", budgets=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(graph_source="x", label_source="y",
-                         estimators=("IP", "XX"))
-    # a repeated cell would make run_sweep write identical rows
-    with pytest.raises(DataError, match="^estimators lists 'IP' twice$"):
-        ExperimentConfig(graph_source="x", label_source="y",
-                         estimators=("IP", "IP"))
-    with pytest.raises(DataError, match="^budgets lists 5 twice$"):
-        ExperimentConfig(graph_source="x", label_source="y",
-                         budgets=(2, 5, 10, 5))
-    # a count is an integer in range, never a float or a bool
+def test_experiment_config_validation():
     for field, value, message in (
+            ("budgets", (), "budgets must be nonempty"),
+            ("estimators", ("IP", "XX"), "unknown estimators: ['XX']"),
+            # a repeated cell would make run_sweep write identical rows
+            ("estimators", ("IP", "IP"), "estimators lists 'IP' twice"),
+            ("budgets", (2, 5, 10, 5), "budgets lists 5 twice"),
+            # a count is an integer in range, never a float or a bool
             ("budgets", (2.5,), "budget must be a count >= 1, got 2.5"),
             ("budgets", (0,), "budget must be a count >= 1, got 0"),
+            ("replications", 0, "replications must be a count >= 1, got 0"),
             ("replications", True,
              "replications must be a count >= 1, got True"),
             ("walk_length", -1, "walk_length must be a count >= 0, got -1"),

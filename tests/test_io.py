@@ -349,9 +349,9 @@ def test_label_errors_name_file_and_line(tmp_path, star, text, line,
                                          message):
     path = tmp_path / "g.labels"
     path.write_text(text)
-    with pytest.raises(ValueError) as exc:
+    where = f"{path}:{line}: {message}"
+    with pytest.raises(DataError, match=f"^{re.escape(where)}$"):
         read_labels(path, star)
-    assert str(exc.value) == f"{path}:{line}: {message}"
 
 
 def test_read_labeled_graph(tmp_path, star):

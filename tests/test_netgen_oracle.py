@@ -96,14 +96,6 @@ def chunk_one(monkeypatch):
     monkeypatch.setattr(netgen, "_PROPOSAL_CHUNK", 1)
 
 
-@pytest.fixture(scope="module")
-def powerlaw_graph():
-    g, _ = configuration_model(
-        ConfigModelSpec(node_count=1000, power_law_exponent=2.4,
-                        k_min=1, k_max=60, seed=11))
-    return g
-
-
 REWIRE_CASES = [
     RewireTarget(0.15), RewireTarget(-0.15), RewireTarget(0.1),
     # band far narrower than one swap: the process crosses the goal
@@ -114,6 +106,7 @@ REWIRE_CASES = [
 ]
 LABEL_CASES = [
     LabelTarget(0.3, target=0.1), LabelTarget(0.3, target=-0.1),
+    LabelTarget(0.3, target=0.0),
     LabelTarget(0.5, target=0.05, tolerance=1e-7, max_iterations=30_000),
     LabelTarget(0.3, target=0.99, max_iterations=8192 * 3 + 77),
 ]
