@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DataError
 from .estimators import estimator_code
 from .graph import Graph, LabeledGraph, degree_product_sum, graph_flags
-from .sampling import WalkLaw, stream
+from .sampling import WalkLaw, node_law, stream
 
 _FLOAT_SLACK = 1e-12  # guards exact inequalities against rounding
 
@@ -336,10 +336,11 @@ def exact_error(lg: LabeledGraph, kind: str,
     the moments are that table's under those weights, divided by their
     sum.  So IP is unbiased with var1 = f_bar (1 - f_bar), and RW without
     a walk takes the degree-weighted law d/M that a long walk reaches
-    (bias cov(label, degree)/E{d} = E{f(friend)} - f_bar).  A law over
-    another number of nodes raises ``DataError``.
+    (bias cov(label, degree)/E{d} = E{f(friend)} - f_bar).  A law that is
+    not a :func:`node_law` or not over the graph's nodes raises ``DataError``.
     """
     estimator_code(kind)
+    law = node_law(law)
     if len(law) != lg.graph.node_count:
         raise DataError("the respondent law is not over the graph's nodes")
     table = lg.labels if kind == "IP" else lg.responses

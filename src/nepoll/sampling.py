@@ -76,15 +76,24 @@ def walk_law(g: Graph, length: int | None = None) -> WalkLaw:
     return WalkLaw(steps, pi, distance(pi))
 
 
+def node_law(law: np.ndarray) -> np.ndarray:
+    """``law`` as float64 weights if it is a node law, a 1-D array of
+    finite, nonnegative weights with a positive sum; else ``DataError``."""
+    law = np.asarray(law, dtype=np.float64)
+    if law.ndim != 1 or not ((law >= 0) & (law < np.inf)).all() \
+            or not law.any():
+        raise DataError("a node law must be a 1-D array of finite, "
+                        "nonnegative weights with a positive sum")
+    return law
+
+
 # Forward steps of a guided draw before a bisection ends its search, so a
 # bucket of many nodes (a star's leaves after one step) cannot stall it.
 _SCAN_STEPS = 4
 
 
 class LawSampler:
-    """Inverse-CDF draws from a node law ``law``: a 1-D array of finite,
-    nonnegative weights with a positive sum, defined up to scale (anything
-    else raises ``DataError``).
+    """Inverse-CDF draws from a :func:`node_law` ``law``, defined up to scale.
 
     A uniform u in [0, 1) maps to the first node whose cumulative mass
     exceeds ``u * total``, i.e. ``searchsorted(cdf, u * total, "right")``,
@@ -102,11 +111,7 @@ class LawSampler:
     """
 
     def __init__(self, law: np.ndarray):
-        law = np.asarray(law, dtype=np.float64)
-        if law.ndim != 1 or not ((law >= 0) & (law < np.inf)).all() \
-                or not law.any():
-            raise DataError("a node law must be a 1-D array of finite, "
-                            "nonnegative weights with a positive sum")
+        law = node_law(law)
         self.unit = bool((law == 1.0).all())
         self.cdf = cdf = np.cumsum(law)
         self.total = cdf[-1]

@@ -7,8 +7,8 @@ and laws below read it.
 ``friends_of_random_nodes`` a uniform neighbor of each: the two-stage
 friend-of-a-random-node draw that the package's ``FN`` law, drawn by
 inverse CDF, is tested against.  ``sample_random_friends`` draws the
-random-friend law directly, without walking: the reference the walk's
-stationary law is tested against.  ``walk_law`` is the exact
+random-friend law d/M directly, without walking: the referee of ``RW``'s
+law without a walk, the walk's stationary law.  ``walk_law`` is the exact
 endpoint law of a finite walk in rational arithmetic, one neighbor at a
 time: the reference for ``nepoll.sampling.walk_law``.  At length 1 it is
 the two-stage law of a uniform neighbor of a uniform node, the reference
@@ -118,25 +118,16 @@ def walk_law(g, length):
     return law
 
 
-def random_walk_endpoints(g, starts, length, uniforms):
-    """Endpoints of independent walks of ``length`` steps from ``starts``.
-
-    Each step maps one uniform ``u`` in [0, 1) per walker to a uniform
-    neighbor: a walker at ``v`` moves to
-    ``neighbors[indptr[v] + floor(u * d(v))]``.  ``uniforms`` is a
-    generator that draws ``random(len(starts))`` per step, or those
-    draws as an array, ``uniforms[step]`` read in C order (a strided view
-    is not copied); ``random((length, m))`` yields the same bits as
-    ``length`` calls of ``random(m)``.
-    """
+def random_walk_endpoints(g, starts, length, gen):
+    """Endpoints of independent walks of ``length`` steps from ``starts``:
+    each step draws ``gen.random(len(starts))``, and a walker at ``v`` with
+    uniform ``u`` moves to the uniform neighbor
+    ``neighbors[indptr[v] + floor(u * d(v))]``."""
     cur = np.array(starts, dtype=np.int64)
     indptr, neighbors = adjacency(g)
-    for step in range(length):
-        u = uniforms[step] if isinstance(uniforms, np.ndarray) \
-            else uniforms.random(len(cur))
-        cur = cur.reshape(u.shape)
+    for _ in range(length):
+        u = gen.random(len(cur))
         cur = neighbors[indptr[cur] + (u * g.degrees[cur]).astype(np.int64)]
-        cur = cur.reshape(-1)
     return cur
 
 

@@ -42,6 +42,11 @@ def star_chord():
 
 
 @pytest.fixture
+def star_chord_lg(star_chord):
+    return LabeledGraph(star_chord, [1, 0, 0, 1])
+
+
+@pytest.fixture
 def two_edges():
     return build_graph([(0, 1), (2, 3)])
 

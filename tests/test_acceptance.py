@@ -28,7 +28,7 @@ from nepoll.harness import _empirical_moments
 from nepoll.sampling import WALK_TV_TOLERANCE
 
 from _reference import (polled_in_ranges, random_nodes,
-                        random_walk_endpoints, sample_random_friends)
+                        random_walk_endpoints)
 
 SLACK = 1e-12  # guards exact real-arithmetic inequalities against rounding
 
@@ -174,28 +174,34 @@ def test_criterion_4_bound_soundness(suite_checks):
              f"on {len(checks)} graphs")
 
 
-def test_criterion_5_iid_label_mse_ordering(generated_graphs):
-    start = time.time()
-    g = generated_graphs["pl1000"]
-    reps, budget = 10_000, 10
-    gen = stream(51)
+def _iid_label_sq_errors(g, p, reps, budget, seed):
+    """Squared errors of UN, FN and RW polls of ``budget`` respondents on
+    ``g``, its labels redrawn iid with probability ``p`` per replication
+    from ``stream(seed)``; replication r of a kind polls
+    ``stream(seed, ord(kind[0]), r)``.  RW draws from d/M, its law without
+    a walk.  poll_values takes the kind RW only on a connected graph, and
+    both graphs polled here are not, so RW's draws are polled under the
+    kind UN, which answers from the same responses."""
+    gen = stream(seed)
     # the laws do not depend on the labels: one sampler per kind
     samplers = {kind: LawSampler(respondent_law(g, kind))
-                for kind in ("UN", "FN")}
-    sq = {k: np.empty(reps) for k in ("UN", "FN", "RW")}
+                for kind in ("UN", "FN", "RW")}
+    sq = {kind: np.empty(reps) for kind in samplers}
     for r in range(reps):
-        labels = (gen.random(g.node_count) < 0.3).astype(np.int64)
-        lg = LabeledGraph(g, labels)
-        truth = lg.true_fraction
-        for kind in ("UN", "FN", "RW"):
-            gen_r = stream(51, ord(kind[0]), r)
-            if kind == "RW":  # respondents from the stationary law
-                est = lg.responses[
-                    sample_random_friends(g, gen_r, budget)].mean()
-            else:
-                est = poll_values(kind, lg, budget, gen_r, 1,
-                                  respondents=samplers[kind])[0]
-            sq[kind][r] = (est - truth) ** 2
+        lg = LabeledGraph(g, (gen.random(g.node_count) < p).astype(np.int64))
+        for kind, sampler in samplers.items():
+            est = poll_values("UN" if kind == "RW" else kind, lg, budget,
+                              stream(seed, ord(kind[0]), r), 1,
+                              respondents=sampler)[0]
+            sq[kind][r] = (est - lg.true_fraction) ** 2
+    return sq
+
+
+def test_criterion_5_iid_label_mse_ordering(generated_graphs):
+    start = time.time()
+    reps = 10_000
+    sq = _iid_label_sq_errors(generated_graphs["pl1000"], p=0.3, reps=reps,
+                              budget=10, seed=51)
     t_stats = {}
     for kind in ("FN", "RW"):
         diff = sq[kind] - sq["UN"]
@@ -207,6 +213,25 @@ def test_criterion_5_iid_label_mse_ordering(generated_graphs):
              f"label redraws: t(FN)={t_stats['FN']:.1f}, "
              f"t(RW)={t_stats['RW']:.1f} (need <= -3), "
              f"{elapsed:.1f}s (< 300s)")
+
+
+def test_iid_label_variance_ordering_on_assortative_graph():
+    # With iid labels all three are unbiased and Var = sigma_f^2 E[1/d]/b
+    # under each law.  The walk <= friend-of-node <= uniform ordering is
+    # characteristic of assortative/neutral degree mixing (a disassortative
+    # graph can flip the first comparison), so exercise it there.
+    spec = ConfigModelSpec(node_count=300, power_law_exponent=2.4,
+                           k_min=1, k_max=25, seed=2)
+    g, _ = configuration_model(spec)
+    g = rewire_to_assortativity(g, RewireTarget(0.15), stream(7))
+    d = g.degrees.astype(float)
+    inv_uniform = float(np.mean(1 / d))
+    inv_friend = g.node_count / g.edge_end_count
+    inv_neighbor = float(
+        np.dot(g.adjacency_matvec(1 / d) / g.node_count, 1 / d))
+    assert inv_friend < inv_neighbor < inv_uniform
+    sq = _iid_label_sq_errors(g, p=0.4, reps=4_000, budget=5, seed=22)
+    assert sq["RW"].mean() < sq["FN"].mean() < sq["UN"].mean()
 
 
 def test_criterion_6_sweep_ordering(generated_graphs):

@@ -251,6 +251,9 @@ def test_cli_import_loads_no_scipy_or_networkx(star_files):
 
 
 @pytest.mark.parametrize("text,message", [
+    ("labels.p = 0.5\n", "config needs graph.path or graph.model"),
+    ("graph.model = er\ngraph.n = 10\ngraph.p = 0.1\n",
+     "config needs labels.path or labels.p"),
     ("graph.model = config\ngraph.n = 100\nlabels.p = 0.3\n",
      "config needs graph.alpha"),
     ("graph.model = er\ngraph.n = 100\nlabels.p = 0.3\n",

@@ -4,9 +4,12 @@ the same keys give the same config, or the same error."""
 import math
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from nepoll import DataError
+from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec,
+                    ExperimentConfig, LabelTarget, RewireTarget,
+                    load_experiment_config)
 from nepoll.cli import _build_parser
 from nepoll.config import (FLAGS, experiment_config, generate_keys,
                            parse_config_text)
@@ -103,3 +106,27 @@ def test_generate_flags_and_config_keys_agree(flags):
 def test_every_generate_flag_is_refereed():
     assert set(FLAGS) == set(FLAG_KEYS) | {"--max-iter"} \
         == {"--model", *VALUES}
+
+
+@pytest.mark.parametrize("text,expected", [
+    ('graph.path = "g.edges"\n# comment line\nlabels.path = "g.labels"\n'
+     "budgets = [1, 2, 5]\nreplications = 33\nestimators = [IP, UN]\n"
+     "walk_length = 12\nseed = 101\n",
+     ExperimentConfig(graph_source="g.edges", label_source="g.labels",
+                      budgets=(1, 2, 5), replications=33,
+                      estimators=("IP", "UN"), walk_length=12,
+                      master_seed=101)),
+    ("graph.model = config\ngraph.n = 500\ngraph.alpha = 2.4\n"
+     "graph.kmax = 50\ngraph.rkk = 0.1\nlabels.p = 0.3\nlabels.rho = 0.1\n"
+     "seed = 7\n",
+     ExperimentConfig(graph_source=ConfigModelSpec(500, 2.4, k_max=50, seed=7),
+                      label_source=LabelTarget(0.3, target=0.1),
+                      rewire=RewireTarget(0.1), master_seed=7)),
+    ("graph.model = er\ngraph.n = 100\ngraph.p = 0.3\nlabels.p = 0.5\n",
+     ExperimentConfig(graph_source=ErdosRenyiSpec(100, 0.3, seed=0),
+                      label_source=LabelTarget(0.5))),
+], ids=["paths", "config", "er"])
+def test_config_file_round_trip(tmp_path, text, expected):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert load_experiment_config(path) == expected

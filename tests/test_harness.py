@@ -6,13 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from nepoll import (ConfigModelSpec, DataError, ErdosRenyiSpec,
-                    ExperimentConfig, LabelTarget, LabeledGraph, LawSampler,
-                    RewireTarget, SWEEP_CSV_HEADER, brute_force_estimator_law,
-                    build_graph, default_budget_grid, exact_error,
-                    load_experiment_config, materialize, poll_values,
-                    replicate, respondent_law, run_report, run_sweep,
-                    sweep_labeled, walk_law, write_sweep_csv)
+from nepoll import (ConfigModelSpec, DataError, ExperimentConfig,
+                    LabelTarget, LabeledGraph, LawSampler, RewireTarget,
+                    SWEEP_CSV_HEADER, brute_force_estimator_law, build_graph,
+                    default_budget_grid, exact_error, materialize,
+                    poll_values, replicate, respondent_law, run_report,
+                    run_sweep, sweep_labeled, walk_law, write_sweep_csv)
 from nepoll import estimators, harness, netgen, stream
 from nepoll.estimators import estimator_code
 from nepoll.config import parse_config_text
@@ -22,18 +21,12 @@ from nepoll.sampling import WALK_TV_TOLERANCE
 from _reference import polled_in_ranges
 
 
-def _star_files(tmp_path):
-    edges = tmp_path / "star.edges"
-    labels = tmp_path / "star.labels"
+def test_sweep_star_naive_matches_enumerated_law(tmp_path):
+    edges, labels = tmp_path / "star.edges", tmp_path / "star.labels"
     edges.write_text("0 1\n0 2\n0 3\n")
     labels.write_text("0 1\n1 0\n2 0\n3 0\n")
-    return str(edges), str(labels)
-
-
-def test_sweep_star_naive_matches_enumerated_law(tmp_path):
-    edges, labels = _star_files(tmp_path)
     reps = 100_000
-    cfg = ExperimentConfig(graph_source=edges, label_source=labels,
+    cfg = ExperimentConfig(graph_source=str(edges), label_source=str(labels),
                            budgets=(1,), replications=reps,
                            estimators=("UN",), master_seed=77)
     row = run_sweep(cfg)[0]
@@ -48,30 +41,6 @@ def test_sweep_star_naive_matches_enumerated_law(tmp_path):
     assert abs(row.emp_var - 0.1875) <= 4 * se_mse
     assert row.exact_bias == pytest.approx(0.5, abs=1e-12)
     assert row.exact_var == pytest.approx(0.1875, abs=1e-12)
-
-
-@pytest.mark.parametrize("kind,chord", [
-    ("FN", False),
-    ("RW", True),
-])
-def test_replications_converge_to_closed_form(star_lg, star_chord, kind,
-                                              chord):
-    # empirical moments approach the closed-form ones at the 1/sqrt(reps)
-    # rate; checked at 4 sigma.  Walks need the non-bipartite star plus
-    # chord, whose walk law is within 0.73**60 ~ 6e-9 of the stationary
-    # law after 60 steps.
-    reps = 100_000
-    lg = LabeledGraph(star_chord, [1, 0, 0, 1]) if chord else star_lg
-    mean, var = brute_force_estimator_law(lg, kind)
-    law = respondent_law(lg.graph, kind, walk_law(lg.graph, 60))
-    values = replicate(lg, kind, budget=1, replications=reps,
-                       master_seed=88, respondents=LawSampler(law))
-    assert abs(values.mean() - mean) <= 4 * math.sqrt(var / reps)
-    fourth = np.mean((values - mean) ** 4)
-    se_var = math.sqrt(max(fourth - var ** 2, 0.0) / reps)
-    # second-order term covers the symmetric-Bernoulli case where the
-    # first-order variance of the sample variance vanishes
-    assert abs(values.var() - var) <= 4 * se_var + 16 * var / reps
 
 
 def test_sweep_constant_labels_zero_mse(tmp_path):
@@ -186,11 +155,11 @@ def test_sweep_requires_connected_for_walks(two_edges):
 
 
 @pytest.mark.parametrize("kind", ["IP", "UN", "RW", "FN"])
-def test_replicate_is_one_poll_of_the_cell_stream(star_chord, kind):
+def test_replicate_is_one_poll_of_the_cell_stream(star_chord_lg, kind):
     # a cell's replications depend only on (master_seed, kind, budget):
     # a repeated call gives the same values, which are one poll of the
     # cell's own stream, and another master seed gives other values
-    lg = LabeledGraph(star_chord, [1, 0, 0, 1])
+    lg = star_chord_lg
     values = replicate(lg, kind, budget=3, replications=101, master_seed=42)
     assert np.array_equal(values, replicate(lg, kind, 3, 101, 42))
     assert np.array_equal(values, poll_values(
@@ -199,7 +168,7 @@ def test_replicate_is_one_poll_of_the_cell_stream(star_chord, kind):
 
 
 @pytest.mark.parametrize("replications", [-1, 2.5, range(0, 5)])
-def test_replicate_rejects_bad_replication_counts(star_chord, monkeypatch,
+def test_replicate_rejects_bad_replication_counts(star_chord_lg, monkeypatch,
                                                   replications):
     # a count that is negative or not an integer is a data error, raised
     # before any replication is drawn
@@ -207,12 +176,11 @@ def test_replicate_rejects_bad_replication_counts(star_chord, monkeypatch,
         def random(self, *args):
             raise AssertionError("drew despite a bad replication count")
 
-    lg = LabeledGraph(star_chord, [1, 0, 0, 1])
     monkeypatch.setattr(harness, "stream", lambda *key: NoDraws())
     with pytest.raises(DataError,
                        match=rf"^reps must be a count >= 0, got "
                              rf"{re.escape(repr(replications))}$"):
-        replicate(lg, "IP", budget=3, replications=replications,
+        replicate(star_chord_lg, "IP", budget=3, replications=replications,
                   master_seed=42)
 
 
@@ -220,14 +188,14 @@ def test_replicate_rejects_bad_replication_counts(star_chord, monkeypatch,
 @pytest.mark.parametrize("kind,length", [
     ("IP", None), ("UN", None), ("FN", None), ("RW", 6), ("RW", None),
 ])
-def test_replicate_splits_into_ranges(star_chord, monkeypatch, kind, length,
-                                      batch_reps):
+def test_replicate_splits_into_ranges(star_chord_lg, monkeypatch, kind,
+                                      length, batch_reps):
     # replications [0, reps) of a cell join from polls of arbitrary
     # sub-ranges of the cell stream, each advanced past the replications
     # before it, wherever the batches split (cuts on both sides of a
     # 3-replication batch boundary), also when one replication exceeds a
     # batch
-    lg = LabeledGraph(star_chord, [1, 0, 0, 1])
+    lg = star_chord_lg
     budget, reps, seed = 4, 10, 31
     respondents = None if length is None else LawSampler(
         respondent_law(lg.graph, kind, walk_law(lg.graph, length)))
@@ -315,70 +283,6 @@ def test_stream_keys_never_collide(monkeypatch):
     assert len(set(drawn)) == len(drawn)
     assert {(rewire_key,), (label_key,)} <= set(drawn)
     assert sum(len(key) == 2 for key in drawn) == 3 * 2
-
-
-def test_config_file_round_trip(tmp_path):
-    edges, labels = _star_files(tmp_path)
-    path = tmp_path / "exp.cfg"
-    path.write_text(
-        f'graph.path = "{edges}"\n'
-        "# comment line\n"
-        f'labels.path = "{labels}"\n'
-        "budgets = [1, 2, 5]\n"
-        "replications = 33\n"
-        "estimators = [IP, UN]\n"
-        "walk_length = 12\n"
-        "seed = 101\n")
-    cfg = load_experiment_config(path)
-    assert cfg.graph_source == edges
-    assert cfg.label_source == labels
-    assert cfg.budgets == (1, 2, 5)
-    assert cfg.replications == 33
-    assert cfg.estimators == ("IP", "UN")
-    assert cfg.walk_length == 12
-    assert cfg.master_seed == 101
-
-
-def test_config_file_generator_form(tmp_path):
-    path = tmp_path / "exp.cfg"
-    path.write_text(
-        "graph.model = config\n"
-        "graph.n = 500\n"
-        "graph.alpha = 2.4\n"
-        "graph.kmax = 50\n"
-        "graph.rkk = 0.1\n"
-        "labels.p = 0.3\n"
-        "labels.rho = 0.1\n"
-        "seed = 7\n")
-    cfg = load_experiment_config(path)
-    assert isinstance(cfg.graph_source, ConfigModelSpec)
-    assert cfg.graph_source.seed == 7
-    assert cfg.rewire == RewireTarget(target=0.1)
-    assert isinstance(cfg.label_source, LabelTarget)
-    assert cfg.label_source.target == 0.1
-    assert cfg.budgets is None
-
-
-def test_config_file_er_form(tmp_path):
-    path = tmp_path / "exp.cfg"
-    path.write_text("graph.model = er\ngraph.n = 100\ngraph.p = 0.3\n"
-                    "labels.p = 0.5\n")
-    cfg = load_experiment_config(path)
-    assert cfg.graph_source == ErdosRenyiSpec(node_count=100,
-                                              edge_probability=0.3, seed=0)
-
-
-def test_config_file_errors(tmp_path):
-    path = tmp_path / "exp.cfg"
-    path.write_text("labels.p = 0.5\n")
-    with pytest.raises(ValueError, match="graph.path or graph.model"):
-        load_experiment_config(path)
-    path.write_text("graph.model = er\ngraph.n = 10\ngraph.p = 0.1\n")
-    with pytest.raises(ValueError, match="labels.path or labels.p"):
-        load_experiment_config(path)
-    path.write_text("not a key value line\n")
-    with pytest.raises(ValueError, match="key = value"):
-        load_experiment_config(path)
 
 
 def test_config_comment_only_outside_quotes():

@@ -10,7 +10,8 @@ import hypothesis.strategies as st
 from scipy.sparse.linalg import matrix_power
 
 from nepoll import (ConfigModelSpec, DataError, LawSampler, build_graph,
-                    configuration_model, respondent_law, stream, walk_law)
+                    configuration_model, exact_error, respondent_law, stream,
+                    walk_law)
 from nepoll.sampling import WALK_TV_TOLERANCE
 
 from _reference import (friends_of_random_nodes, random_nodes,
@@ -19,104 +20,88 @@ from _reference import walk_law as reference_walk_law
 from _strategies import graphs
 
 DRAWS = 100_000
+STATIONARY = math.inf   # a walk's limit: d/M, RW's law without a walk
 
 
 def _frequencies(nodes, g):
     return np.bincount(nodes, minlength=g.node_count) / len(nodes)
 
 
-def _uniforms(seed, shape=DRAWS):
-    return stream(seed).random(shape)
-
-
 def _binomial_band(p, draws=DRAWS, sigmas=3):
     return sigmas * np.sqrt(p * (1 - p) / draws)
 
 
-def _drawn(g, kind, seed):
-    """``DRAWS`` respondents of a ``kind`` poll, from its node law."""
-    return LawSampler(respondent_law(g, kind))(_uniforms(seed))
+def _config_graph():
+    return configuration_model(ConfigModelSpec(300, 2.4, k_min=3, k_max=30,
+                                               seed=4))[0]
 
 
-def test_uniform_node_law(star):
-    nodes = random_nodes(star, _uniforms(1))
-    for kind in ("IP", "UN"):   # unit weights draw the referee's nodes
-        assert np.array_equal(_drawn(star, kind, 1), nodes)
-    freq = _frequencies(nodes, star)
-    assert np.all(np.abs(freq - 0.25) <= _binomial_band(0.25))
+def _uniform(g, length, gen):
+    return random_nodes(g, gen.random(DRAWS))
 
 
-def test_uniform_node_degree_mean_regular(k3):
-    nodes = LawSampler(respondent_law(k3, "UN"))(_uniforms(2, 1000))
-    assert np.mean(k3.degrees[nodes]) == 2.0  # every degree is 2
+def _two_stage(g, length, gen):
+    return friends_of_random_nodes(g, *gen.random((2, DRAWS)))
 
 
-def test_random_friend_law_star(star):
-    # marginal is degree/edge_end_count: center 3/6, each leaf 1/6
-    for nodes in (_drawn(star, "RW", 3),
-                  sample_random_friends(star, stream(3), DRAWS)):
-        freq = _frequencies(nodes, star)
-        assert abs(freq[0] - 0.5) <= _binomial_band(0.5)
-        mean_deg = freq @ star.degrees
-        # Var{d(friend)} = 0.5*9 + 0.5*1 - 4 = 1
-        assert abs(mean_deg - 2.0) <= 3 * math.sqrt(1.0 / DRAWS)
+def _walked(g, length, gen):
+    return random_walk_endpoints(g, _uniform(g, 0, gen), length, gen)
 
 
-def test_random_friend_law_regular(k3):
-    for nodes in (_drawn(k3, "RW", 4),
-                  sample_random_friends(k3, stream(4), DRAWS)):
-        freq = _frequencies(nodes, k3)
-        assert np.all(np.abs(freq - 1 / 3) <= _binomial_band(1 / 3))
+def _friends(g, length, gen):
+    return sample_random_friends(g, gen, DRAWS)
 
 
-def test_friend_of_node_law_star(star):
-    for nodes in (_drawn(star, "FN", 5),
-                  friends_of_random_nodes(star, *_uniforms(5, (2, DRAWS)))):
-        freq = _frequencies(nodes, star)
-        # every leaf's only neighbor is the center
-        assert abs(freq[0] - 0.75) <= _binomial_band(0.75)
-        mean_deg = freq @ star.degrees
-        # E[d] = 2.5, Var{d} = 0.75*9 + 0.25*1 - 6.25 = 0.75
-        assert abs(mean_deg - 2.5) <= 3 * math.sqrt(0.75 / DRAWS)
+# A graph, a walk length (None: the certified length; STATIONARY: d/M),
+# the referee that draws the same law apart from nepoll, the seed of both
+# draws, and the pinned mass of node 0 and mean degree under the law.
+LAWS = [
+    ("star", 0, _walked, 1, 1 / 4, 1.5),   # a walk of no steps
+    ("star", 1, _walked, 8, 3 / 4, 2.5),   # a leaf's friend is 0
+    ("star", 1, _two_stage, 5, 3 / 4, 2.5),
+    ("star", STATIONARY, _friends, 3, 1 / 2, 2.0),
+    ("k3", 0, _uniform, 2, 1 / 3, 2.0),   # regular: the laws coincide
+    ("k3", 1, _two_stage, 6, 1 / 3, 2.0),
+    ("k3", STATIONARY, _friends, 4, 1 / 3, 2.0),
+    ("star_chord", 17, _walked, 16, None, None),
+    ("star_chord", 100, _walked, 9, None, None),
+    ("path", None, _walked, 16, None, None),
+    ("config", None, _walked, 16, None, None),
+    ("config", 1, _two_stage, 18, None, None),
+]
 
 
-def test_friend_of_node_law_regular(k3):
-    for nodes in (_drawn(k3, "FN", 6),
-                  friends_of_random_nodes(k3, *_uniforms(6, (2, DRAWS)))):
-        freq = _frequencies(nodes, k3)
-        assert np.all(np.abs(freq - 1 / 3) <= _binomial_band(1 / 3))
-
-
-def test_friend_of_node_law_matches_two_stage_draws():
-    # the FN law drawn by inverse CDF and the two-stage referee (a uniform
-    # node, then a uniform neighbor) have the same frequencies, within the
-    # binomial band, per quarter of the nodes ranked by exact mass
-    g = _config_graph()
-    law = respondent_law(g, "FN")
-    law = law / law.sum()   # a law is defined only up to scale
+@pytest.mark.parametrize("graph,length,referee,seed,mass0,mean_degree",
+                         LAWS, ids=[f"{row[0]}-{row[1]}-{row[2].__name__[1:]}"
+                                    for row in LAWS])
+def test_node_laws(request, graph, length, referee, seed, mass0,
+                   mean_degree):
+    # the draws of LawSampler from a kind's respondent law and the
+    # referee's draws both have the law's frequencies, within the binomial
+    # band: per node on the small graphs, per quarter of the nodes ranked
+    # by mass on the 300-node graph (300 checks at 3 sigma would each miss
+    # 0.27% of runs)
+    g = {"path": lambda: build_graph([(0, 1), (1, 2), (2, 3)]),
+         "config": _config_graph}.get(
+        graph, lambda: request.getfixturevalue(graph))()
+    if length == STATIONARY:
+        weights = respondent_law(g, "RW")
+    else:
+        walk = walk_law(g, length)
+        length = walk.length
+        weights = respondent_law(g, {0: "UN", 1: "FN"}.get(length, "RW"),
+                                 walk)
+    law = weights / weights.sum()   # a law is defined only up to scale
+    if mass0 is not None:
+        assert law[0] == pytest.approx(mass0)
+        assert law @ g.degrees == pytest.approx(mean_degree)
     groups = np.array_split(np.argsort(law, kind="stable"), 4)
     mass = np.array([law[group].sum() for group in groups])
-    for nodes in (_drawn(g, "FN", 18),
-                  friends_of_random_nodes(g, *_uniforms(19, (2, DRAWS)))):
+    for nodes in (LawSampler(weights)(stream(seed).random(DRAWS)),
+                  referee(g, length, stream(seed))):
         freq = _frequencies(nodes, g)
         got = np.array([freq[group].sum() for group in groups])
         assert np.all(np.abs(got - mass) <= _binomial_band(mass))
-
-
-def test_zero_length_walk_returns_start(star):
-    gen = stream(7)
-    assert random_walk_endpoints(star, [2], 0, gen).tolist() == [2]
-
-
-def test_single_step_walk_triangle(k3):
-    walks = DRAWS // 10
-    ends = random_walk_endpoints(k3, np.zeros(walks, dtype=np.int64), 1,
-                                 stream(8))
-    freq = np.bincount(ends, minlength=3) / walks
-    band = _binomial_band(0.5, draws=walks)
-    assert freq[0] == 0.0
-    assert abs(freq[1] - 0.5) <= band
-    assert abs(freq[2] - 0.5) <= band
 
 
 def test_step_map_stays_in_range():
@@ -173,38 +158,20 @@ def test_only_unit_weights_take_the_multiply(law, unit):
 
 
 @pytest.mark.parametrize("law", [
-    np.zeros(3), np.array([1.0, -1.0, 1.0]), np.array([1.0, np.nan, 1.0]),
-    np.array([1.0, np.inf, 1.0])], ids=["zero", "negative", "nan", "inf"])
-def test_law_sampler_rejects_a_bad_law(law):
-    with pytest.raises(DataError, match="^a node law must be a 1-D array of "
-                                        "finite, nonnegative weights with a "
-                                        "positive sum$"):
-        LawSampler(law)
-
-
-def test_uniform_block_matches_streamed_walk(star_chord):
-    starts = np.array([0, 1, 2, 3, 0, 1])
-    streamed = random_walk_endpoints(star_chord, starts, 17, stream(12))
-    block = stream(12).random((17, len(starts)))
-    assert np.array_equal(
-        random_walk_endpoints(star_chord, starts, 17, block), streamed)
-    # a strided (length, 2, 3) view reads the walkers in C order
-    view = block.reshape(17, 3, 2).transpose(0, 2, 1)
-    order = np.array([0, 2, 4, 1, 3, 5])
-    assert np.array_equal(
-        random_walk_endpoints(star_chord, starts[order], 17, view),
-        streamed[order])
-
-
-def test_walk_stationary_law_nonbipartite(star_chord):
-    g = star_chord
-    stationary = g.degrees / g.edge_end_count
-    gen = stream(9)
-    starts = random_nodes(g, gen.random(DRAWS))
-    ends = random_walk_endpoints(g, starts, length=100, uniforms=gen)
-    freq = np.bincount(ends, minlength=g.node_count) / DRAWS
-    for v in range(g.node_count):
-        assert abs(freq[v] - stationary[v]) <= _binomial_band(stationary[v])
+    np.zeros(4), np.array([1.0, -1.0, 1.0, 1.0]),
+    np.array([1.0, np.nan, 1.0, 1.0]), np.array([1.0, np.inf, 1.0, 1.0])],
+    ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", ["LawSampler", "exact_error"])
+def test_law_sampler_rejects_a_bad_law(star_chord_lg, law, entry):
+    # exact_error takes the moments of the laws LawSampler draws, and no
+    # other
+    take = {"LawSampler": LawSampler,
+            "exact_error": lambda w: exact_error(star_chord_lg, "UN", w),
+            }[entry]
+    with pytest.raises(DataError, match="^a node law must be a 1-D array "
+                                        "of finite, nonnegative weights "
+                                        "with a positive sum$"):
+        take(law)
 
 
 @pytest.mark.parametrize("length", [-1, -2])
@@ -237,22 +204,17 @@ def test_friend_of_node_law_matches_exact_fractions(g):
     assert np.abs(law / law.sum() - exact).max() <= 1e-12
 
 
-def _config_graph():
-    return configuration_model(ConfigModelSpec(300, 2.4, k_min=3, k_max=30,
-                                               seed=4))[0]
-
-
-def test_walk_law_matches_scipy_matrix_powers():
+@pytest.mark.parametrize("length", [0, 1, 5, 25])
+def test_walk_law_matches_scipy_matrix_powers(length):
     g = _config_graph()
     n = g.node_count
     u, v = g.edges.T
     arcs = (np.concatenate([u, v]), np.concatenate([v, u]))
     adjacency = sp.csr_array((np.ones(2 * g.edge_count), arcs), shape=(n, n))
     step = sp.diags_array(1.0 / g.degrees) @ adjacency
-    for length in (0, 1, 5, 25):
-        expected = matrix_power(step, length).T @ np.full(n, 1.0 / n)
-        assert np.allclose(walk_law(g, length).law, expected,
-                           rtol=1e-12, atol=1e-15)
+    expected = matrix_power(step, length).T @ np.full(n, 1.0 / n)
+    assert np.allclose(walk_law(g, length).law, expected,
+                       rtol=1e-12, atol=1e-15)
 
 
 def _certified(g):
@@ -291,14 +253,6 @@ def test_certified_walk_length_examples(k3, star, star_chord):
     assert walk.length < cap
 
 
-def test_same_seed_same_sequence(star_chord):
-    a = stream(42)
-    b = stream(42)
-    seq_a = sample_random_friends(star_chord, a, 100)
-    seq_b = sample_random_friends(star_chord, b, 100)
-    assert np.array_equal(seq_a, seq_b)
-
-
 def test_substreams_are_deterministic_and_distinct(star_chord):
     draw = LawSampler(respondent_law(star_chord, "UN"))
     s_one = draw(stream(42, 0, 5).random(8))
@@ -307,15 +261,6 @@ def test_substreams_are_deterministic_and_distinct(star_chord):
     a = stream(42, 1).integers(0, 1 << 30, size=8)
     b = stream(42, 2).integers(0, 1 << 30, size=8)
     assert not np.array_equal(a, b)
-
-
-def test_batch_walk_matches_seeded_rerun(star_chord):
-    starts = np.array([0, 1, 2, 3, 0, 1])
-    one = random_walk_endpoints(star_chord, starts, 17,
-                                stream(11))
-    two = random_walk_endpoints(star_chord, starts, 17,
-                                stream(11))
-    assert np.array_equal(one, two)
 
 
 def _inverse_cdf(law, u):
@@ -369,36 +314,3 @@ def test_law_sampler_on_a_star_after_one_step():
     assert np.array_equal(nodes, _inverse_cdf(law, u))
     assert np.all(law[nodes] > 0)
     assert len(np.unique(nodes[50_000:])) > 1000   # leaves, not the hub
-
-
-@pytest.mark.parametrize("graph,length", [
-    ("star_chord", 17), ("path", None), ("config", None)])
-def test_law_sampler_matches_simulated_walks(request, graph, length):
-    # the endpoints of simulated walks and the draws from the exact law both
-    # have the walk law's frequencies, within the binomial band: per node
-    # on the 4-node graphs, per quarter of the nodes ranked by mass on the
-    # 300-node graph (300 checks at 3 sigma would each miss 0.27% of runs)
-    g = {"star_chord": lambda: request.getfixturevalue("star_chord"),
-         "path": lambda: build_graph([(0, 1), (1, 2), (2, 3)]),
-         "config": _config_graph}[graph]()
-    walk = walk_law(g, length)
-    gen = stream(16)
-    starts = random_nodes(g, gen.random(DRAWS))
-    walked = random_walk_endpoints(g, starts, walk.length, gen)
-    drawn = LawSampler(walk.law)(stream(17).random(DRAWS))
-    groups = np.array_split(np.argsort(walk.law, kind="stable"), 4)
-    mass = np.array([walk.law[group].sum() for group in groups])
-    for ends in (walked, drawn):
-        freq = _frequencies(ends, g)
-        got = np.array([freq[group].sum() for group in groups])
-        assert np.all(np.abs(got - mass) <= _binomial_band(mass))
-
-
-def test_regular_graph_laws_coincide(k3):
-    # exact marginals: uniform = friend = neighbor-of-node on regular graphs
-    uniform = np.full(3, 1 / 3)
-    friend = k3.degrees / k3.edge_end_count
-    neighbor = respondent_law(k3, "FN")
-    neighbor = neighbor / neighbor.sum()
-    assert np.allclose(friend, uniform, atol=1e-15)
-    assert np.allclose(neighbor, uniform, atol=1e-15)
