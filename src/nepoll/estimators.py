@@ -20,15 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, require_count
-from .graph import Graph, LabeledGraph, graph_flags
+from .graph import Graph, LabeledGraph
 from .sampling import LawSampler, WalkLaw, walk_law
 
 ESTIMATOR_KINDS = ("IP", "UN", "RW", "FN")
 
-# Doubles one batch of replications may draw at once: 2**18 (2 MB).  A
-# batch this size fits in the heap that graph generation leaves free, so
-# peak memory does not depend on the seed; 4 MB batches did not always fit.
-_BATCH_DRAWS = 1 << 18
+# Doubles one batch of replications may draw at once: 2**16 (512 kB), so a
+# batch and its temporaries fit in the heap that graph generation leaves
+# free.  2 MB batches did not at n = 20k: a sweep faulted 2.7x the pages.
+_BATCH_DRAWS = 1 << 16
 
 
 def estimator_code(kind: str) -> int:
@@ -72,15 +72,13 @@ def poll_values(kind: str, lg: LabeledGraph, budget: int,
     d/M unless given a walk's law.  Batches of at most ``_BATCH_DRAWS``
     doubles, or one replication, are drawn at once.  So replications
     lo..hi of a stream are the ``hi - lo`` polled after advancing it
-    ``lo * b`` doubles.  ``RW`` needs a connected graph, checked once per
-    call.
+    ``lo * b`` doubles.  Every law here is defined on any graph: only the
+    walk a sweep certifies for ``RW`` needs a connected one.
     """
     estimator_code(kind)
     require_count("budget", budget, 1)
     require_count("reps", reps, 0)
     g = lg.graph
-    if kind == "RW" and not graph_flags(g).connected:
-        raise DataError("random-walk polling requires a connected graph")
     if respondents is None:
         respondents = LawSampler(respondent_law(g, kind))
     elif len(respondents.cdf) != g.node_count:

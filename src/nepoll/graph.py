@@ -2,16 +2,17 @@
 
 A graph is its sorted edge list, stored column-major so that each endpoint
 column is contiguous, over which every adjacency product runs.  Only the
-search of :func:`graph_flags` reads the compressed sparse adjacency form
-(sorted neighbors, per-node offsets); :func:`_adjacency` builds it there,
-by one sort of the arcs, and no graph keeps it.  Every graph is made by
-one constructor, ``Graph(node_count, edge_keys, original_ids)``, from its
-sorted, distinct edge keys ``lo * node_count + hi``.  Outside input
-reaches it through :func:`build_graph`, which validates and compacts the
-ids, or through the edge reader, which takes the same steps; the
-generators and the rewiring hold such keys already and construct the
-graph once.  Any edge list describing the same graph produces
-bit-identical arrays.
+search of :func:`graph_flags` reads neighbor lists, in two halves: a
+node's higher neighbors are a run of the second edge column, and
+:func:`_adjacency` builds the lower ones there, by one sort of m keys, so
+the search holds one edge-sized array and no graph keeps it.  Every graph
+is made by one constructor, ``Graph(node_count, edge_keys,
+original_ids)``, from its sorted, distinct edge keys ``lo * node_count +
+hi``.  Outside input reaches it through :func:`build_graph`, which
+validates and compacts the ids, or through the edge reader, which takes
+the same steps; the generators and the rewiring hold such keys already
+and construct the graph once.  Any edge list describing the same graph
+produces bit-identical arrays.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]]) -> Graph:
                      else list(edge_pairs), dtype=np.int64).reshape(-1, 2)
     if not len(raw):
         raise DataError("a graph needs at least one edge")
-    ids, keys, edge_keys, bad = _edge_keys(raw)
+    ids, edge_keys, bad, keys = _edge_keys(raw)
     if len(edge_keys) < len(keys):
         bad |= ~_first_claims(keys[:, None])
     return _checked_graph(raw, ids, edge_keys, bad)
@@ -101,28 +102,27 @@ def build_graph(edge_pairs: np.ndarray | Iterable[Sequence[int]]) -> Graph:
 
 def _edge_keys(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                          np.ndarray, np.ndarray]:
-    """``(ids, keys, edge_keys, loops)`` of a non-empty ``(k, 2)`` int64
-    array of edge rows: the sorted distinct ids, each row's key ``lo * n +
-    hi`` over the ids' ranks, the distinct keys ascending (``keys`` itself
-    when it is strictly increasing already) and the mask of self-loop rows.
-    A row repeats an earlier one iff ``edge_keys`` is shorter than
-    ``keys``.
+    """``(ids, edge_keys, loops, keys)`` of a non-empty ``(k, 2)`` int64
+    array of edge rows: the sorted distinct ids, the distinct keys ``lo *
+    n + hi`` over the ids' ranks ascending, the mask of self-loop rows and
+    each row's key (``edge_keys`` itself when the rows' keys are strictly
+    increasing already).  A row repeats an earlier one iff ``edge_keys``
+    is shorter than ``keys``.
 
-    The lower ends, then the higher ends, fill one ``(2k,)`` buffer that is
-    ranked once; the keys are built in the first half of the ranks.
+    The rows are ranked as one flat array, and each key is built in one
+    array of ``k`` as ``min * (n - 1) + lo + hi``: ids 0..n-1 take no
+    other edge-sized array.
     """
-    k = len(raw)
-    ends = np.empty(2 * k, dtype=np.int64)
-    np.minimum(raw[:, 0], raw[:, 1], out=ends[:k])
-    np.maximum(raw[:, 0], raw[:, 1], out=ends[k:])
-    loops = ends[:k] == ends[k:]
-    ids, rank = _rank_ids(ends)
-    keys = rank[:k]
-    keys *= len(ids)
-    keys += rank[k:]
+    ids, rank = _rank_ids(raw.ravel())
+    u, v = rank[0::2], rank[1::2]
+    loops = u == v
+    keys = np.minimum(u, v)
+    keys *= len(ids) - 1
+    keys += u
+    keys += v
     if (keys[1:] > keys[:-1]).all():  # sorted and distinct already
-        return ids, keys, keys, loops
-    return ids, keys, _sorted_unique(keys.copy()), loops
+        return ids, keys, loops, keys
+    return ids, _sorted_unique(keys.copy()), loops, keys
 
 
 def _checked_graph(raw: np.ndarray, ids: np.ndarray, edge_keys: np.ndarray,
@@ -147,10 +147,11 @@ def _checked_graph(raw: np.ndarray, ids: np.ndarray, edge_keys: np.ndarray,
     return Graph(len(ids), edge_keys, ids)
 
 
-# The most rows a writer formats, or arcs a BFS level gathers, at once: a
-# block of 2**16 takes a few MB of transient arrays, where the 507k edges of
-# a 200k-node graph took about 32 MB in one block.
-_BLOCK = 2 ** 16
+# The most rows a writer formats, or arcs a BFS block gathers, at once: a
+# block of 2**14 takes about 1 MB of transient arrays.  The 507k edges of a
+# 200k-node graph took about 32 MB in one block, and BFS blocks of 2**16
+# raised the round trip's peak RSS by 3 MB.
+_BLOCK = 2 ** 14
 
 
 def _rank_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +195,9 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     of ``values`` (plain ``np.unique`` hashes first in numpy 2.4: ~50x
     slower on 10^6 values)."""
     values.sort()
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
     return values[first]
 
 
@@ -206,20 +208,23 @@ def degree_product_sum(g: Graph) -> int:
                for s in range(0, g.edge_count, _BLOCK))
 
 
-def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, neighbors)``, the adjacency of ``g`` in compressed sparse
-    rows: ``neighbors[indptr[v]:indptr[v + 1]]`` are v's, ascending."""
-    n, m = g.node_count, g.edge_count
-    lo, hi = g.edges[:, 0], g.edges[:, 1]
-    # arcs keyed src * n + dst, both directions of every edge, in one
-    # array that is sorted and reduced to dst in place
-    arcs = np.empty(2 * m, dtype=np.int64)
-    for out, src, dst in ((arcs[:m], lo, hi), (arcs[m:], hi, lo)):
-        np.multiply(src, n, out=out)
-        out += dst
-    arcs.sort()
-    np.remainder(arcs, n, out=arcs)
-    return np.concatenate([[0], np.cumsum(g.degrees)]), arcs
+def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, higher, lower)``, the adjacency of ``g`` in two halves of
+    compressed sparse rows: node v's higher neighbors are
+    ``higher[starts[0, v]:starts[0, v + 1]]`` and its lower ones
+    ``lower[starts[1, v]:starts[1, v + 1]]``, each ascending.  ``higher``
+    is ``g.edges[:, 1]`` itself, contiguous per node as the edges sort by
+    (lo, hi); ``lower`` is the one sort of the keys ``hi * n + lo``,
+    reduced to ``lo`` in place."""
+    n, lo, hi = g.node_count, g.edges[:, 0], g.edges[:, 1]
+    lower = hi * n
+    lower += lo
+    lower.sort()
+    np.remainder(lower, n, out=lower)
+    starts = np.zeros((2, n + 1), dtype=np.int64)
+    for row, ends in zip(starts, (lo, hi)):
+        np.cumsum(np.bincount(ends, minlength=n), out=row[1:])
+    return starts, hi, lower
 
 
 def graph_flags(g: Graph) -> GraphFlags:
@@ -227,62 +232,73 @@ def graph_flags(g: Graph) -> GraphFlags:
 
     Level-synchronous BFS from node 0, then from the lowest unvisited node
     of each further component, over the adjacency :func:`_adjacency`
-    builds for this call.  Edges join depths at most one apart, so the
-    graph is bipartite iff no edge joins two depths of equal parity.
+    builds for this call and releases before the bipartite check.  Edges
+    join depths at most one apart, so the graph is bipartite iff no edge
+    joins two depths of equal parity.
     """
     if g._flags is not None:
         return g._flags
-    indptr, neighbors = _adjacency(g)
+    adjacency = _adjacency(g)
     depth = np.full(g.node_count, -1, dtype=np.int64)
-    _bfs_depths(g, indptr, neighbors, 0, depth)
+    _bfs_depths(*adjacency, 0, depth)
     unreached = np.flatnonzero(depth < 0)
     for root in unreached.tolist():
         if depth[root] < 0:
-            _bfs_depths(g, indptr, neighbors, root, depth)
-    odd = (depth & 1).astype(bool)
+            _bfs_depths(*adjacency, root, depth)
+    del adjacency
+    odd = np.bitwise_and(depth, 1, out=depth).astype(bool)
     g._flags = GraphFlags(connected=len(unreached) == 0,
                           bipartite=bool((odd[g.edges[:, 0]]
                                           != odd[g.edges[:, 1]]).all()))
     return g._flags
 
 
-def _bfs_depths(g: Graph, indptr: np.ndarray, neighbors: np.ndarray,
+def _bfs_depths(starts: np.ndarray, higher: np.ndarray, lower: np.ndarray,
                 root: int, depth: np.ndarray) -> None:
-    """Write the BFS depth from ``root`` of every node in its component.
+    """Write the BFS depth from ``root`` of every node in its component,
+    over the adjacency ``(starts, higher, lower)`` of :func:`_adjacency`.
 
-    Each level expands its frontier in blocks of consecutive frontier nodes
-    whose arcs number at most ``_BLOCK``, or of one node with more: the
-    level's transient arrays grow with the block, not with the level.  A
-    block marks the nodes it reaches first, so later blocks of the level
-    skip them, and the next frontier is the level's marked nodes, sorted
-    and distinct.
+    The frontier is a list of parts, each expanded on its own: its higher
+    ranges, then its lower ones, in blocks of consecutive ranges whose
+    arcs number at most ``_BLOCK``, or of one range with more.  A block
+    marks the nodes it reaches first, so later blocks skip them, and its
+    marked nodes, sorted and distinct, are one part of the next frontier.
+    So the transient arrays grow with the block, not with the level, and
+    depths do not depend on the order of the parts.
     """
-    frontier = np.array([root])
     depth[root] = 0
-    level = 0
-    while len(frontier):
+    frontier, level = [np.array([root])], 0
+    while frontier:
         level += 1
-        counts = g.degrees[frontier]
-        ends = np.cumsum(counts)
-        # each node's first neighbor-array position, less the level's arcs
-        # before it: adding a range of arc numbers gives every arc position
-        firsts = indptr[frontier] - ends + counts
-        found, start, done = [], 0, 0
-        while start < len(frontier):
-            stop = len(frontier)
-            if ends[-1] - done > _BLOCK:
-                stop = max(int(np.searchsorted(ends, done + _BLOCK, "right")),
-                           start + 1)
-            end = int(ends[stop - 1])
-            offsets = np.repeat(firsts[start:stop], counts[start:stop])
-            offsets += np.arange(done, end)
-            reached = neighbors[offsets]
-            reached = reached[depth[reached] < 0]
-            depth[reached] = level
-            found.append(reached)
-            start, done = stop, end
-        frontier = _sorted_unique(found[0] if len(found) == 1
-                                  else np.concatenate(found))
+        found = []
+        for nodes in frontier:
+            # each range's first position, less the part's arcs before it:
+            # adding a range of arc numbers gives every arc position
+            firsts = starts.take(nodes, 1).ravel()
+            counts = starts.take(nodes + 1, 1).ravel() - firsts
+            ends = np.add.accumulate(counts)
+            firsts += counts - ends
+            split, total = int(ends[len(nodes) - 1]), int(ends[-1])
+            start = done = 0
+            while done < total:
+                stop = len(counts)
+                if total - done > _BLOCK:
+                    stop = max(int(np.searchsorted(ends, done + _BLOCK,
+                                                   "right")), start + 1)
+                end = int(ends[stop - 1])
+                offsets = firsts[start:stop].repeat(counts[start:stop])
+                offsets += np.arange(done, end)
+                cut = min(max(split - done, 0), end - done)
+                reached = np.concatenate((higher[offsets[:cut]],
+                                          lower[offsets[cut:]]))
+                reached = reached[depth[reached] < 0]
+                if len(reached) > 1:
+                    reached = _sorted_unique(reached)
+                if len(reached):
+                    depth[reached] = level
+                    found.append(reached)
+                start, done = stop, end
+        frontier = found
 
 
 class LabeledGraph:
@@ -303,7 +319,7 @@ class LabeledGraph:
                 f"label vector length {labels.shape} != node count "
                 f"{graph.node_count}")
         # checked before the int64 cast, which would truncate 0.5 to 0
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise DataError("labels must be 0 or 1")
         self.graph = graph
         self.labels = labels.astype(np.int64, copy=False)

@@ -26,8 +26,8 @@ from .errors import DataError, require_count
 from .estimators import estimator_code, poll_values, respondent_law
 from .graph import Graph, GraphFlags, LabeledGraph, graph_flags
 from .netgen import (ConfigModelSpec, ErdosRenyiSpec, LabelTarget,
-                     assign_labels, configuration_model, erdos_renyi,
-                     rewire_to_assortativity)
+                     _EdgeSwaps, assign_labels, configuration_model,
+                     erdos_renyi)
 from .sampling import LawSampler, WalkLaw, stream, walk_law
 
 # Stream keys reserved for graph preparation (each sweep cell uses the
@@ -83,8 +83,9 @@ def materialize(cfg: ExperimentConfig) -> tuple[LabeledGraph, dict]:
     else:
         g = nio.read_edge_list(src)
     if cfg.rewire is not None:
-        g = rewire_to_assortativity(
-            g, cfg.rewire, stream(cfg.master_seed, _REWIRE_STREAM_KEY))
+        swaps = _EdgeSwaps(g, cfg.rewire)
+        del g  # the swap chain keeps the source's keys, not its edges
+        g = swaps.rewired(stream(cfg.master_seed, _REWIRE_STREAM_KEY))
 
     lsrc = cfg.label_source
     if isinstance(lsrc, LabelTarget):
@@ -141,9 +142,8 @@ def sweep_labeled(lg: LabeledGraph, cfg: ExperimentConfig) -> list[SweepRow]:
     Each estimator's node law is built once per sweep: its respondents
     are drawn from it, and its exact columns are its moments.  ``RW``
     takes the law of a ``cfg.walk_length``-step walk, or of the certified
-    length of :func:`walk_law`."""
-    flags = graph_flags(lg.graph)
-    if "RW" in cfg.estimators and not flags.connected:
+    length of :func:`walk_law`, which needs a connected graph."""
+    if "RW" in cfg.estimators and not graph_flags(lg.graph).connected:
         raise DataError(
             "sweep includes the random-walk estimator but the graph is "
             "disconnected")

@@ -94,7 +94,10 @@ def read_edge_list(path: PathLike) -> Graph:
     pairs, error = _read_pairs(path, "two node ids", "node id")
     if not len(pairs):
         raise error or DataError(f"{path}: a graph needs at least one edge")
-    ids, _, edge_keys, loops = _edge_keys(pairs)
+    ids, edge_keys, loops = _edge_keys(pairs)[:3]
+    if error is None and ids[0] >= 0 and not loops.any():
+        del pairs  # no row is bad: the parse goes before the graph is built
+        return Graph(len(ids), edge_keys, ids)
     return _checked_graph(pairs, ids, edge_keys, loops,
                           lambda row: f"{path}:{_line_of(path, row)}: ",
                           error)

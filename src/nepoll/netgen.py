@@ -353,35 +353,55 @@ class _EdgeSwaps(_SwapProcess):
     ``e``, and stays in the set while ``alive[e]``, i.e. while edge ``e``
     still holds it.  ``born`` holds, ascending, the keys accepts added that
     an edge still holds.  So a key is held iff it is a live base key or in
-    ``born``, and ``born`` holds no live base key.
+    ``born``, and ``born`` holds no live base key.  The chain keeps the
+    input graph only as its result when no swap is needed; else it keeps
+    n, the degrees, the ids and the keys, and the caller frees the edges.
     """
 
-    def __init__(self, g: Graph, target: RewireTarget, corr):
+    def __init__(self, g: Graph, target: RewireTarget):
+        if g.edge_count < 2:
+            raise DataError("rewiring needs at least two edges")
+        corr = assortativity_curve(g.degrees)
+        if corr is None:
+            raise DataError(
+                "regular graph: degree-degree correlation undefined")
         m, self.n = g.edge_count, g.node_count
-        self.deg = g.degrees
-        self.ekey = g.edges[:, 0] * self.n
-        self.ekey += g.edges[:, 1]
+        self.deg, self.ids = g.degrees, g.original_ids
+        self.budget = target.max_iterations
+        super().__init__(degree_product_sum(g), corr,
+                         target.target, target.tolerance, m // 2)
+        self.unswapped = g if abs(self.current - self.goal) <= self.tol \
+            else None
+        if self.unswapped is None:
+            self.ekey = g.edges[:, 0] * self.n
+            self.ekey += g.edges[:, 1]
+
+    def rewired(self, gen: np.random.Generator) -> Graph:
+        """The input graph if it lies in the band, else the rewired one,
+        from edge state made once the caller has let go of the input."""
+        if self.unswapped is not None:
+            return self.unswapped
+        m = len(self.ekey)
         self.base = self.ekey.copy()  # ascending, as g.edges is
         self.alive = np.ones(m, dtype=bool)
         self.born = np.zeros(0, dtype=np.int64)
-        super().__init__(degree_product_sum(g), corr,
-                         target.target, target.tolerance, m // 2)
+        return self.run(lambda size: (gen.integers(0, m, size=(size, 2)),
+                                      gen.integers(0, 2, size=(size, 2))),
+                        self.budget, "assortativity", self.graph)
 
-    def keys(self) -> np.ndarray:
-        """The held keys, ascending: the rewired graph's ``edge_keys``."""
-        live = np.count_nonzero(self.alive)
-        keys = np.empty(live + len(self.born), dtype=np.int64)
-        np.compress(self.alive, self.base, out=keys[:live])
-        keys[live:] = self.born
+    def graph(self) -> Graph:
+        """The rewired graph, from the held keys ascending.  It ends the
+        process, releasing the edge state as it is read: ``ekey`` before
+        the live base keys are gathered, ``base`` and ``alive`` before
+        ``born`` joins them, and ``born`` before the sort, so no two
+        edge-sized arrays are held beside the new graph."""
+        del self.ekey
+        keys = self.base[self.alive]
+        del self.base, self.alive, self.deg
+        keys = np.concatenate((keys, self.born))
+        del self.born
         keys.sort(kind="stable")  # of two ascending runs: one merge
-        return keys
-
-    def graph(self, original_ids: np.ndarray) -> Graph:
-        """The rewired graph.  It ends the process: the edge state is
-        released before the graph is built."""
-        keys = self.keys()
-        del self.ekey, self.base, self.alive, self.born
-        return Graph(self.n, keys, original_ids)
+        return Graph(self.n, keys, self.ids)
 
     def held(self, keys: np.ndarray) -> np.ndarray:
         """Whether an edge holds each of ``keys``; the query is searched in
@@ -458,21 +478,8 @@ def rewire_to_assortativity(g: Graph, target: RewireTarget,
     and that float as ``achieved``, when the proposal budget runs out or
     acceptance stalls.
     """
-    if g.edge_count < 2:
-        raise DataError("rewiring needs at least two edges")
-    corr = assortativity_curve(g.degrees)
-    if corr is None:
-        raise DataError("regular graph: degree-degree correlation undefined")
-
-    chain = _EdgeSwaps(g, target, corr)
-    if abs(chain.current - target.target) <= target.tolerance:
-        return g
-    m = g.edge_count
     # swaps keep every degree, so g's compact ids need no remapping
-    return chain.run(lambda size: (gen.integers(0, m, size=(size, 2)),
-                                   gen.integers(0, 2, size=(size, 2))),
-                     target.max_iterations, "assortativity",
-                     lambda: chain.graph(g.original_ids))
+    return _EdgeSwaps(g, target).rewired(gen)
 
 
 class _LabelSwaps(_SwapProcess):

@@ -179,9 +179,7 @@ def _iid_label_sq_errors(g, p, reps, budget, seed):
     ``g``, its labels redrawn iid with probability ``p`` per replication
     from ``stream(seed)``; replication r of a kind polls
     ``stream(seed, ord(kind[0]), r)``.  RW draws from d/M, its law without
-    a walk.  poll_values takes the kind RW only on a connected graph, and
-    both graphs polled here are not, so RW's draws are polled under the
-    kind UN, which answers from the same responses."""
+    a walk, which is defined on the disconnected graphs polled here."""
     gen = stream(seed)
     # the laws do not depend on the labels: one sampler per kind
     samplers = {kind: LawSampler(respondent_law(g, kind))
@@ -190,7 +188,7 @@ def _iid_label_sq_errors(g, p, reps, budget, seed):
     for r in range(reps):
         lg = LabeledGraph(g, (gen.random(g.node_count) < p).astype(np.int64))
         for kind, sampler in samplers.items():
-            est = poll_values("UN" if kind == "RW" else kind, lg, budget,
+            est = poll_values(kind, lg, budget,
                               stream(seed, ord(kind[0]), r), 1,
                               respondents=sampler)[0]
             sq[kind][r] = (est - lg.true_fraction) ** 2

@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 
 from nepoll import (ConfigModelSpec, DataError, LabelTarget, LabeledGraph,
                     LawSampler, assign_labels, brute_force_estimator_law,
-                    build_graph, configuration_model, graph_flags,
-                    poll_values, replicate, respondent_law, stream, walk_law)
+                    build_graph, configuration_model, poll_values, replicate,
+                    respondent_law, stream, walk_law)
 
 from _strategies import labeled_graphs
 
@@ -74,11 +74,11 @@ def test_polls_converge_to_enumerated_law(request, graph, kind, length, key,
     assert abs(values.var() - var) <= 4 * se_var + 16 * var / BIG_BUDGET
 
 
-def test_walk_estimator_requires_connected(two_edges):
+def test_walk_poll_takes_a_disconnected_graph(two_edges):
+    # d/M is defined on any graph; every degree is 1 here, so it is UN's law
     lg = LabeledGraph(two_edges, [1, 0, 1, 0])
-    with pytest.raises(DataError, match="^random-walk polling requires a "
-                                        "connected graph$"):
-        _poll("RW", lg, 2, 0)
+    assert np.array_equal(poll_values("RW", lg, 3, stream(5), 40),
+                          poll_values("UN", lg, 3, stream(5), 40))
 
 
 def test_walk_poll_defaults_to_the_friend_law():
@@ -103,8 +103,7 @@ def test_fn_equals_un_in_law_on_regular_graphs(k3_lg):
 @given(lg=labeled_graphs(), seed=st.integers(0, 2**32), budget=st.integers(1, 30))
 def test_estimates_always_in_unit_interval(lg, seed, budget):
     for kind in ("IP", "UN", "FN", "RW"):
-        if kind != "RW" or graph_flags(lg.graph).connected:
-            assert 0.0 <= _poll(kind, lg, budget, seed) <= 1.0
+        assert 0.0 <= _poll(kind, lg, budget, seed) <= 1.0
 
 
 @pytest.mark.parametrize("kind", ["IP", "UN", "FN", "RW"])

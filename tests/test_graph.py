@@ -208,18 +208,21 @@ def test_build_graph_on_sorted_shuffled_and_repeated_keys(edges, data,
 
 @given(pairs=edge_lists(max_nodes=12))
 def test_adjacency_matches_scipy(pairs):
-    """The adjacency the search reads, built from the edges, equals
-    scipy's canonical CSR form of the edge list."""
+    """The adjacency the search reads, built from the edges, is scipy's
+    canonical CSR form of the edge list in two halves: each node's lower
+    neighbors, then its higher ones, are its row."""
     g = build_graph(pairs)
     n, (u, v) = g.node_count, g.edges.T
     a = sp.csr_array((np.ones(2 * g.edge_count),
                       (np.concatenate([u, v]), np.concatenate([v, u]))),
                      shape=(n, n))
     a.sort_indices()
-    indptr, neighbors = graph_module._adjacency(g)
-    assert np.array_equal(neighbors, a.indices)
-    assert np.array_equal(indptr, a.indptr)
-    assert neighbors.dtype == indptr.dtype == np.int64
+    starts, higher, lower = graph_module._adjacency(g)
+    rows = [np.r_[lower[starts[1, w]:starts[1, w + 1]],
+                  higher[starts[0, w]:starts[0, w + 1]]] for w in range(n)]
+    assert np.array_equal(np.concatenate(rows), a.indices)
+    assert np.array_equal(starts.sum(axis=0), a.indptr)
+    assert starts.dtype == higher.dtype == lower.dtype == np.int64
 
 
 @given(pairs=edge_lists(max_nodes=12), isolated=st.integers(0, 3))
@@ -372,7 +375,7 @@ def test_blocked_bfs_matches_scipy_and_networkx(pairs, block):
     depth = np.full(n, -1, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "_BLOCK", block)
-        graph_module._bfs_depths(g, *graph_module._adjacency(g), 0, depth)
+        graph_module._bfs_depths(*graph_module._adjacency(g), 0, depth)
         flags = graph_flags(g)
     want = csgraph.shortest_path(a, unweighted=True, indices=0)
     assert np.array_equal(depth, np.where(np.isinf(want), -1, want))
